@@ -56,6 +56,10 @@ _NUMERICAL_ERRORS = (
 )
 
 
+class _Usage(Exception):
+    pass
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -94,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--s", type=float, default=0.0)
         p.add_argument("--s-j", type=float, default=0.0)
         p.add_argument("--tol", type=float, default=1e-11)
-        p.add_argument("--seed-grid", choices=("coarse", "fine"), default="fine")
         p.add_argument("--jacobian", choices=("finite-difference", "analytic"),
                        default="finite-difference")
         p.add_argument("--out", type=Path, default=None)
@@ -147,20 +150,22 @@ def build_parser() -> argparse.ArgumentParser:
 def _params(ns) -> DimerParams:
     from .bicomplex import Bicomplex
 
-    return DimerParams(
-        v=ns.v,
-        g=ns.g,
-        gamma=Bicomplex(ns.gamma, ns.gamma_j, 0.0, 0.0),
-        s=Bicomplex(ns.s, ns.s_j, 0.0, 0.0),
-    )
+    try:
+        return DimerParams(
+            v=ns.v,
+            g=ns.g,
+            gamma=Bicomplex(ns.gamma, ns.gamma_j, 0.0, 0.0),
+            s=Bicomplex(ns.s, ns.s_j, 0.0, 0.0),
+        )
+    except ValueError as exc:
+        raise _Usage(str(exc)) from exc
 
 
 def _cfg(ns) -> SolveConfig:
-    return SolveConfig(
-        residual_tol=ns.tol,
-        jacobian=ns.jacobian,
-        multistart_grid=ns.seed_grid,
-    )
+    try:
+        return SolveConfig(residual_tol=ns.tol, jacobian=ns.jacobian)
+    except ValueError as exc:
+        raise _Usage(str(exc)) from exc
 
 
 def _states_csv(states, params) -> str:
@@ -233,7 +238,7 @@ def _cmd_solve(ns) -> dict:
 
 
 def _stitched_branches(system, params, parameter, grid, cfg) -> list[Branch]:
-    """Per-point multistart stitched into branches by nearest matching."""
+    """All states per point stitched into branches by nearest matching."""
     branches: list[Branch] = []
     open_ids: list[int] = []
     prev_states: list = []
@@ -355,10 +360,6 @@ def _cmd_merger(ns) -> dict:
         "g_star": g_star,
         "gamma_star": gamma_star,
     }
-
-
-class _Usage(Exception):
-    pass
 
 
 def _resolve_center(ns, system, cfg):
@@ -486,7 +487,7 @@ def run(argv=None) -> int:
     try:
         summary = _HANDLERS[ns.command](ns)
     except _Usage as exc:
-        print(json.dumps({"error": "usage", "message": str(exc)}))
+        _emit({"error": "usage", "message": str(exc)})
         return 2
     except _NUMERICAL_ERRORS as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)})

@@ -120,7 +120,6 @@ def sweep_branch(
     value = start
     successes = 0
     slope = None
-    switched = False
     for _ in range(max_steps):
         if (stop - value) * direction <= 1e-15:
             branch.termination = "range_end"
@@ -156,7 +155,7 @@ def sweep_branch(
         if step > _STEP_FLOOR:
             step *= 0.5
             continue
-        if follow_continuation and not switched:
+        if follow_continuation:
             hop = _fold_switch(system, params, parameter, value, direction,
                                abs(initial_step), branch.samples[-1][1], cfg)
             if hop is not None:
@@ -168,7 +167,6 @@ def sweep_branch(
                 value = hop_value
                 step = abs(initial_step) / 4
                 slope = None
-                switched = False  # allow crossing several folds
                 continue
         branch.termination = "step_underflow"
         return branch
@@ -232,16 +230,19 @@ def locate_fold(
         cfg = SolveConfig()
     a, b = state_a, state_b
     d_start = state_distance(a, b)
-    if d_start == 0.0:
-        return value, a, 0.0
+    if d_start <= cfg.dedup_tol:
+        return value, a, d_start  # one state: the pair already sits on the fold
     flags = {(s.is_complex_state, s.is_pt_symmetric) for s in (a, b)}
 
     def probe(at: float):
-        """Resolve both branch states; reject character changes.
+        """Resolve both branch states; reject character changes and collapses.
 
         Past a fold the corrector lands on states of a different kind
         (symmetric vs broken, complex vs bicomplex); their classification
-        flags expose that and the probe is treated as a failure.
+        flags expose that and the probe is treated as a failure.  From a
+        pair that already sits on the fold both solves can land on the same
+        branch; a distance below the dedup tolerance then means one state,
+        not a closer approach, and the probe fails too.
         """
         try:
             ta = _solve_at(system, params, parameter, at, a, cfg)
@@ -250,7 +251,10 @@ def locate_fold(
             return None
         if {(s.is_complex_state, s.is_pt_symmetric) for s in (ta, tb)} != flags:
             return None
-        return ta, tb, state_distance(ta, tb)
+        d = state_distance(ta, tb)
+        if d <= cfg.dedup_tol:
+            return None
+        return ta, tb, d
 
     # find the descent direction of the pair distance; shrink the probe
     # step when the fold is closer than the first guess
@@ -521,8 +525,8 @@ def pt_partner_check(branch_a: Branch, branch_b: Branch, tol: float = 1e-6) -> b
         pb, sb = branch_b.samples[k]
         if abs(pa - pb) > 1e-9:
             return False
-        psi, mu = canonical_gauge(pt_reflected(sa.psi1, sa.psi2, sa.mu)[0:2],
-                                  pt_reflected(sa.psi1, sa.psi2, sa.mu)[2])
+        psi1, psi2, mu = pt_reflected(sa.psi1, sa.psi2, sa.mu)
+        psi, mu = canonical_gauge((psi1, psi2), mu)
         d = max(
             (psi[0] - sb.psi1).max_abs(),
             (psi[1] - sb.psi2).max_abs(),
@@ -549,43 +553,6 @@ def _broken_states(states: list[StationaryState], pop_tol: float = 1e-4):
     return out
 
 
-def _probe_broken_pair(system, params, cfg: SolveConfig, pop_tol: float = 1e-4):
-    """Cheap targeted multistart for the PT-broken pair at fixed parameters.
-
-    Seeds population-imbalanced complex states around the linear
-    eigenvalues; returns the deduplicated broken pair or None.
-    """
-    import cmath as _cmath
-
-    from .bicomplex import Bicomplex as _B
-    from .model import LinearTwoMode as _Lin
-    from .solver import dedup_states as _dedup
-
-    gp = params.gamma.to_idempotent()
-    lam = _Lin.sector_eigenvalues(params.v, gp.plus)
-    g0 = params.g.z0
-    mu_seeds = {round((l + sh).real, 10): l + sh
-                for l in lam for sh in (0.0, -g0 / 2.0, -g0)}
-    found = []
-    for a in (0.6, 0.75, 0.9):
-        for ph in (0.5 * math.pi, -0.5 * math.pi, 0.25 * math.pi, 0.75 * math.pi):
-            psi1 = _B(math.sqrt(a))
-            psi2 = _B.from_complex(math.sqrt(1 - a) * _cmath.exp(1j * ph))
-            for mu0 in mu_seeds.values():
-                try:
-                    st = newton_solve(system, params, ((psi1, psi2),
-                                                       _B.from_complex(mu0)), cfg)
-                except (NoConvergence, GaugeDegenerate):
-                    continue
-                if st.is_complex_state and not st.is_pt_symmetric:
-                    m1 = st.psi1.modulus_squared()
-                    m2 = st.psi2.modulus_squared()
-                    if (m1 - m2).max_abs() > pop_tol:
-                        found.append(st)
-    pair = _dedup(found, cfg.dedup_tol)
-    return pair if len(pair) >= 2 else None
-
-
 def locate_pitchfork_gamma(
     system, params, v: float, cfg: SolveConfig | None = None,
     gamma_floor: float = 1e-4, locate_tol: float = 1e-8,
@@ -603,7 +570,10 @@ def locate_pitchfork_gamma(
         cfg = SolveConfig()
 
     def broken_pair_at(gam: float):
-        return _probe_broken_pair(system, params.with_control("gamma", gam), cfg)
+        pair = _broken_states(
+            find_all_states(system, params.with_control("gamma", gam), cfg)
+        )
+        return pair if len(pair) >= 2 else None
 
     probes = [v * (1 - 1e-3), v * 0.95, v * 0.7, v * 0.4, v * 0.15]
     hi = None

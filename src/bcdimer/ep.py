@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -169,16 +169,7 @@ def encircle(system, spec: LoopSpec, cfg: SolveConfig | None = None) -> LoopTrac
     trace = _encircle_once(system, spec, cfg)
     if trace.reliable:
         return trace
-    refined = LoopSpec(
-        center=spec.center,
-        which=spec.which,
-        radius=spec.radius,
-        steps=2 * spec.steps,
-        states_to_track=spec.states_to_track,
-        turns=spec.turns,
-        reverse=spec.reverse,
-    )
-    trace = _encircle_once(system, refined, cfg)
+    trace = _encircle_once(system, replace(spec, steps=2 * spec.steps), cfg)
     if not trace.reliable:
         raise AmbiguousMatch(
             f"match margin {trace.match_margin:.3f} <= 2 at doubled resolution"

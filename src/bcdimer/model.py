@@ -11,13 +11,18 @@ symmetry; it is the probe parameter for exceptional-point loops.
 Two systems implement the small continued-system interface used by the
 solver: :class:`DimerSystem` (the full nonlinear model) and
 :class:`LinearTwoMode` (the g = 0 model with closed-form eigenpairs, kept as
-an independent oracle).
+an independent oracle).  Each lists candidate seeds for all of its
+stationary states, so the solver needs no multistart.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
+import math
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .bicomplex import I as I_UNIT
 from .bicomplex import Bicomplex
@@ -179,10 +184,108 @@ def classify_flags(
     return True, (m1 - m2).max_abs() < tol
 
 
+# the second root X at a root of P is seeded too when it fits the Y
+# equation this well: at a multiple root of P, never at a simple one
+_X_CONSISTENT = 1e-3
+# m roots within this many eps**(1/m) of their mean form one m-fold root
+_MULTIPLE_ROOT_SPREAD = 10.0
+
+
+def _quartic(v: float, g: complex, gamma: complex, s: complex) -> np.ndarray:
+    """Coefficients of P(a), highest power first (see DimerSystem)."""
+    g2 = g * g + 4 * gamma * gamma
+    return np.array([
+        4 * g2,
+        -8 * (g2 + g * s),
+        5 * g * g + 12 * g * s + 20 * gamma * gamma + 4 * s * s + 4 * v * v,
+        -(g2 + 4 * g * s + 4 * s * s + 4 * v * v),
+        v * v,
+    ], dtype=complex)
+
+
+def _roots(coeffs) -> np.ndarray:
+    """Polynomial roots with each numerically multiple root made exact.
+
+    Rounding splits an m-fold root into m roots evenly spread on a circle of
+    radius ~eps**(1/m) (1e-4 for the quadruple root of P at the pitchfork
+    EP3), from which Newton converges only linearly.  Such a group is
+    replaced by its mean, which rounding moves by O(eps); genuinely distinct
+    roots near a multiple one are not evenly spread and stay apart.
+    """
+    roots = np.roots(coeffs)
+    free = set(range(len(roots)))
+    for m in range(len(roots), 1, -1):
+        bound = _MULTIPLE_ROOT_SPREAD * np.finfo(float).eps ** (1.0 / m)
+        for group in itertools.combinations(sorted(free), m):
+            idx = list(group)
+            centre = roots[idx].mean()
+            dist = np.abs(roots[idx] - centre)
+            if (free.issuperset(idx) and dist.min() >= 0.5 * dist.max()
+                    and dist.max() <= bound * max(1.0, abs(centre))):
+                roots[idx] = centre
+                free.difference_update(idx)
+    return roots
+
+
+def _idempotent_seed(psi_plus, phi, mu_plus, nu):
+    """Bicomplex (psi, mu) from psi+, phi = conj(psi-), mu+ and nu = conj(mu-),
+    in the gauge psi+ -> c*psi+, phi -> phi/c that balances site 1."""
+    c = math.sqrt(abs(phi[0]) / abs(psi_plus[0]))
+    psi = tuple(Bicomplex.from_idempotent(c * p, (f / c).conjugate())
+                for p, f in zip(psi_plus, phi))
+    return psi, Bicomplex.from_idempotent(mu_plus, nu.conjugate())
+
+
 class DimerSystem:
-    """The continued nonlinear dimer behind the generic system interface."""
+    """The continued nonlinear dimer behind the generic system interface.
+
+    In psi+ and phi = conj(psi-) the dimer is a holomorphic polynomial
+    system in the plus components g, gamma, s of the controls (conj(c-) =
+    c+ for every control c0 + j*c1), with mu+ and nu = conj(mu-):
+
+        (-g*n1 - i*gamma + s - mu+) psi1+ + v psi2+ = 0,  n_k = phi_k psi_k+
+        (-g*n1 + i*gamma + s - nu) phi1 + v phi2 = 0,     n1 + n2 = 1
+
+    and the same two rows for site 2 with the signs of gamma and s flipped.
+    With a = n1, X = v psi2+/psi1+ and Y = v phi2/phi1 the states are the
+    roots of the quartic
+
+        P(a) = 4(g^2+4gamma^2) a^4 - 8(g^2+gs+4gamma^2) a^3
+               + (5g^2+12gs+20gamma^2+4s^2+4v^2) a^2
+               - (g^2+4gs+4gamma^2+4s^2+4v^2) a + v^2,
+
+    back-solved through X^2 - (g(2a-1) + 2i gamma - 2s) X - v^2 = 0,
+    Y = v^2 (1-a)/(aX), mu+ = X - ga - i gamma + s, nu = Y - ga + i gamma + s.
+    So there are four states, counted with multiplicity.
+    """
 
     n_amplitudes = 2
+
+    def candidate_states(self, p: DimerParams):
+        """Seeds (psi, mu) for every stationary state, from the roots of P.
+
+        Each root of P gets the root X that fits the Y equation; at a
+        multiple root of P (the symmetric pair's a = 1/2 at s = 0) both
+        roots X fit and both are seeded.
+        """
+        v = p.v
+        g, gamma, s = (c.to_idempotent().plus for c in (p.g, p.gamma, p.s))
+        seeds = []
+        for a in _roots(_quartic(v, g, gamma, s)):
+            b = g * (2 * a - 1) + 2j * gamma - 2 * s
+            c = g * (2 * a - 1) - 2j * gamma - 2 * s
+            ranked = []
+            for x in _roots([1.0, -b, -v * v]):
+                y = v * v * (1 - a) / (a * x)
+                miss = abs(y * y - c * y - v * v) / (abs(y) ** 2 + v * v)
+                ranked.append((miss, x, y))
+            ranked.sort(key=lambda item: item[0])
+            for k, (miss, x, y) in enumerate(ranked):
+                if k == 0 or miss <= _X_CONSISTENT:
+                    seeds.append(_idempotent_seed(
+                        (1.0, x / v), (a, a * y / v),
+                        x - g * a - 1j * gamma + s, y - g * a + 1j * gamma + s))
+        return seeds
 
     def residual(self, psi, mu: Bicomplex, p: DimerParams):
         return residual(psi[0], psi[1], mu, p)
@@ -256,3 +359,7 @@ class LinearTwoMode:
                 mu = Bicomplex.from_idempotent(lp, lm)
                 states.append((psi1, psi2, mu))
         return states
+
+    def candidate_states(self, p: DimerParams):
+        """Seeds (psi, mu) for every stationary state: the eigenpairs."""
+        return [((psi1, psi2), mu) for psi1, psi2, mu in self.eigenpairs(p)]

@@ -18,8 +18,10 @@ relative phase between their idempotent components, so demanding that both
 components be real would make them unreachable; the balance row avoids that.
 
 Solves use damped Newton with a finite-difference (default) or analytic
-Jacobian; :func:`find_all_states` runs a deterministic multistart lattice
-with gauge-aligned deduplication.
+Jacobian.  :func:`find_all_states` needs no seeding heuristics: the system
+lists a candidate for every state (the dimer from the roots of its quartic,
+see :class:`~bcdimer.model.DimerSystem`), and each candidate is polished by
+Newton and deduplicated up to gauge.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bicomplex import Bicomplex, J, K
-from .model import LinearTwoMode, StationaryState, classify_flags
+from .bicomplex import Bicomplex
+from .model import StationaryState, classify_flags
 
 __all__ = [
     "GaugeDegenerate",
@@ -42,7 +44,6 @@ __all__ = [
     "find_all_states",
     "canonical_gauge",
     "state_distance",
-    "build_seed_lattice",
 ]
 
 
@@ -56,20 +57,12 @@ class NoConvergence(RuntimeError):
 
 @dataclass
 class SolveConfig:
-    """Solver settings.
-
-    ``multistart_grid`` selects the seed lattice built by
-    :func:`build_seed_lattice`: populations over a grid, relative phases
-    {0, +-pi/2, pi}, mu seeds from the linear-model eigenvalues with
-    g-shifts, plus j/k-perturbed and idempotent-sector-combination seeds
-    of magnitude ~0.1 targeting bicomplex-only states.
-    """
+    """Solver settings."""
 
     residual_tol: float = 1e-11
     max_iter: int = 100
     jacobian: str = "finite-difference"  # or "analytic"
     fd_step: float = 1e-7
-    multistart_grid: str = "fine"  # or "coarse"
     dedup_tol: float = 1e-7
     classification_tol: float = 1e-8
     gauge_eps: float = 1e-12
@@ -81,8 +74,6 @@ class SolveConfig:
             raise ValueError("max_iter must be at least 1")
         if self.jacobian not in ("finite-difference", "analytic"):
             raise ValueError(f"unknown jacobian mode {self.jacobian!r}")
-        if self.multistart_grid not in ("fine", "coarse"):
-            raise ValueError(f"unknown multistart grid {self.multistart_grid!r}")
 
 
 # -- packing and small linear-algebra helpers ---------------------------
@@ -387,94 +378,23 @@ def _polish(view: RealSystemView, x, f, fnorm):
     return x, f, fnorm
 
 
-# -- multistart -----------------------------------------------------------
-
-
-def _complex_amplitudes(a: float, phase: float):
-    psi1 = Bicomplex(math.sqrt(a))
-    psi2 = Bicomplex.from_complex(math.sqrt(1.0 - a) * cmath.exp(1j * phase))
-    return psi1, psi2
-
-
-def build_seed_lattice(params, cfg: SolveConfig):
-    """Deterministic seed triples (psi1, psi2, mu) for the multistart."""
-    if cfg.multistart_grid == "fine":
-        pops = [round(0.1 * k, 1) for k in range(1, 10)]
-    else:
-        pops = [0.2, 0.5, 0.8]
-    phases = [0.0, 0.5 * math.pi, -0.5 * math.pi, math.pi]
-    gp = params.gamma.to_idempotent()
-    sp = params.s.to_idempotent()
-    lam_p = LinearTwoMode.sector_eigenvalues(params.v, gp.plus, sp.plus)
-    lam_m = LinearTwoMode.sector_eigenvalues(params.v, gp.minus, sp.minus)
-    g0 = params.g.z0
-    shifts = sorted({0.0, -g0 / 2.0, -g0})
-
-    mu_seeds: list[Bicomplex] = []
-    seen = set()
-    for lam in lam_p:
-        for sh in shifts:
-            val = lam + sh
-            key = (round(val.real, 12), round(val.imag, 12))
-            if key not in seen:
-                seen.add(key)
-                mu_seeds.append(Bicomplex.from_complex(val))
-
-    seeds = []
-    # plain complex lattice
-    for a in pops:
-        for ph in phases:
-            psi1, psi2 = _complex_amplitudes(a, ph)
-            for mu in mu_seeds:
-                seeds.append(((psi1, psi2), mu))
-    # j/k-perturbed copies targeting bicomplex-only states
-    for a in (0.3, 0.5, 0.7):
-        for ph in (0.0, 0.5 * math.pi):
-            psi1, psi2 = _complex_amplitudes(a, ph)
-            for mu in mu_seeds:
-                seeds.append(((psi1, psi2 + 0.1 * J), mu + 0.1 * J))
-                seeds.append(((psi1, psi2 + 0.1 * K), mu + 0.1 * K))
-    # idempotent sector combinations from the linear eigenpairs
-    for ip, lp in enumerate(lam_p):
-        for im, lm in enumerate(lam_m):
-            for sh in shifts:
-                rp = (lp + 1j * gp.plus - sp.plus) / params.v
-                rm = (lm + 1j * gp.minus - sp.minus) / params.v
-                norm = 1 + rm.conjugate() * rp
-                if abs(norm) < 1e-9:
-                    continue
-                scale = 1.0 / norm
-                psi1 = Bicomplex.from_idempotent(scale, 1.0)
-                psi2 = Bicomplex.from_idempotent(scale * rp, rm)
-                mu = Bicomplex.from_idempotent(lp + sh, lm + sh)
-                seeds.append(((psi1, psi2), mu))
-    # continued branch ansatz: j-valued population imbalance
-    g_eff = g0 if g0 != 0.0 else 1.0
-    for w in (0.5, 1.5, 3.0):
-        for sign in (1.0, -1.0):
-            a_plus = complex(0.5, -sign * w / 2.0)
-            p1 = cmath.sqrt(a_plus)
-            b_plus = 1.0 - a_plus
-            mu_plus = -g_eff * a_plus + cmath.sqrt(b_plus / a_plus) * params.v
-            for u in (1.0, 1j, -1.0, -1j):
-                p2 = cmath.sqrt(b_plus) * u
-                psi1 = Bicomplex.from_idempotent(p1, p1.conjugate())
-                psi2 = Bicomplex.from_idempotent(p2, p2.conjugate())
-                mu = Bicomplex.from_idempotent(mu_plus, mu_plus.conjugate())
-                seeds.append(((psi1, psi2), mu))
-    return seeds
+# -- all states -----------------------------------------------------------
 
 
 def find_all_states(system, params, cfg: SolveConfig | None = None) -> list[StationaryState]:
-    """Multistart Newton over the seed lattice, deduplicated and sorted.
+    """All stationary states: the system's candidates, Newton-polished,
+    deduplicated and sorted.
 
-    Returned states are gauge-canonical; the list is sorted by the real part
-    of mu and may be empty.
+    ``system.candidate_states(params)`` lists a seed for every state (for
+    the dimer, from the roots of its quartic).  Seeds that fail to converge
+    are dropped and duplicates merged, so at an exceptional point, where
+    states coalesce, the list is shorter.  Returned states are
+    gauge-canonical and sorted by mu.
     """
     if cfg is None:
         cfg = SolveConfig()
     found: list[StationaryState] = []
-    for seed in build_seed_lattice(params, cfg):
+    for seed in system.candidate_states(params):
         try:
             found.append(newton_solve(system, params, seed, cfg))
         except GaugeDegenerate:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -11,6 +12,7 @@ from bcdimer.continuation import (
     detect_bifurcations,
     find_merger,
     find_tangent,
+    locate_fold,
     locate_pitchfork_gamma,
     pitchfork_existence,
     pt_partner_check,
@@ -187,6 +189,17 @@ class TestLocators:
                 SYSTEM, p, CFG)
             locs.append(points[0].location)
         assert abs(locs[0] - locs[1]) < 1e-8
+
+    @pytest.mark.parametrize("g", [-1.0, 0.0, 1.0])
+    def test_fold_from_pair_already_on_it(self, g):
+        # a pair 1e-9 apart, 1e-12 below the tangent: probes on either side
+        # re-solve both onto one branch, which is no approach to the fold
+        gam0 = 1.0 - 1e-12
+        p = DimerParams(v=1.0, g=g, gamma=gam0)
+        upper = max(symmetric_states(p), key=lambda s: s.mu.z0)
+        twin = dataclasses.replace(upper, mu=upper.mu + 1e-9)
+        loc, _, _ = locate_fold(SYSTEM, p, "gamma", upper, twin, gam0, CFG)
+        assert abs(loc - 1.0) < 1e-6
 
     def test_pitchfork_location(self):
         for g in (-1.0, 1.0, -1.5):

@@ -3,12 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st_
 
-from bcdimer.bicomplex import Bicomplex, J, K
+from bcdimer.bicomplex import Bicomplex, J
 from bcdimer.model import (
     DimerParams,
     DimerSystem,
     LinearTwoMode,
+    StationaryState,
+    pt_reflected,
     residual,
 )
 from bcdimer.solver import (
@@ -16,7 +20,6 @@ from bcdimer.solver import (
     NoConvergence,
     RealSystemView,
     SolveConfig,
-    build_seed_lattice,
     canonical_gauge,
     dedup_states,
     find_all_states,
@@ -217,28 +220,119 @@ class TestFindAllStates:
         keys = [(s.mu.z0, s.mu.z1) for s in states]
         assert keys == sorted(keys)
 
-    def test_coarse_grid_still_finds_complex_pair(self):
-        cfg = SolveConfig(jacobian="analytic", multistart_grid="coarse")
-        p = DimerParams(v=1.0, g=0.0, gamma=0.5)
+
+def mu_pair(state: StationaryState) -> tuple[complex, complex]:
+    """(mu+, conj(mu-)) of a state's nonlinear eigenvalue."""
+    pair = state.mu.to_idempotent()
+    return pair.plus, pair.minus.conjugate()
+
+
+def closed_form_pairs(v: float, g: float, gamma: float):
+    """(mu+, conj(mu-)) of the four states at s = 0.
+
+    The symmetric pair has mu+ = conj(mu-) = -g/2 +- sqrt(v^2 - gamma^2);
+    the broken pair has (-g + i*sigma*gamma*w, -g - i*sigma*gamma*w) with
+    w = sqrt(1 - 4v^2/(g^2 + 4gamma^2)) and sigma = +-1.
+    """
+    root = cmath.sqrt(v * v - gamma * gamma)
+    w = cmath.sqrt(1 - 4 * v * v / (g * g + 4 * gamma * gamma))
+    out = [(-g / 2 + sign * root,) * 2 for sign in (1, -1)]
+    out += [(-g + 1j * sign * gamma * w, -g - 1j * sign * gamma * w)
+            for sign in (1, -1)]
+    return out
+
+
+class TestExceptionalPoints:
+    """Defined behaviour where states coalesce: at most four states, all
+    converged, and every closed-form mu cluster present."""
+
+    SQRT3_2 = math.sqrt(3.0) / 2.0
+    POINTS = [
+        # (g, gamma, closed-form mu values)
+        (-1.0, SQRT3_2, (0.0, 1.0)),  # pitchfork EP3
+        (1.0, SQRT3_2, (0.0, -1.0)),
+        (2.0, 0.0, (0.0, -2.0)),  # merger: P = (2a - 1)^4
+        (-2.0, 0.0, (0.0, 2.0)),
+        (0.0, 1.0, (0.0,)),  # linear tangent: all four states coalesce
+    ]
+
+    @pytest.mark.parametrize("jacobian", ["analytic", "finite-difference"])
+    @pytest.mark.parametrize("g,gamma,clusters", POINTS)
+    def test_states_at_exceptional_point(self, jacobian, g, gamma, clusters):
+        cfg = SolveConfig(jacobian=jacobian)
+        p = DimerParams(v=1.0, g=g, gamma=gamma)
         states = find_all_states(SYSTEM, p, cfg)
-        assert sum(1 for s in states if s.is_complex_state) == 2
+        assert 1 <= len(states) <= 4
+        for st in states:
+            assert st.residual_norm < cfg.residual_tol
+        for mu in clusters:
+            assert min((st.mu - mu).max_abs() for st in states) < 1e-3
 
 
-class TestSeedLattice:
-    def test_deterministic(self):
-        p = DimerParams(v=1.0, g=-1.0, gamma=0.4)
-        a = build_seed_lattice(p, CFG)
-        b = build_seed_lattice(p, CFG)
-        assert len(a) == len(b)
-        for (psa, mua), (psb, mub) in zip(a, b):
-            assert (mua - mub).max_abs() == 0.0
-            assert all((x - y).max_abs() == 0.0 for x, y in zip(psa, psb))
+class TestClosedFormOracle:
+    """find_all_states against the s = 0 closed forms, independent of the
+    quartic the solver is seeded from."""
 
-    def test_coarse_is_smaller(self):
-        p = DimerParams(v=1.0, g=-1.0, gamma=0.4)
-        fine = build_seed_lattice(p, SolveConfig())
-        coarse = build_seed_lattice(p, SolveConfig(multistart_grid="coarse"))
-        assert len(coarse) < len(fine)
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(g=st_.floats(-2.5, 2.5), gamma=st_.floats(0.01, 1.5))
+    def test_four_states_match_closed_form(self, g, gamma):
+        v = 1.0
+        assume(abs(gamma - v) > 0.02)
+        assume(abs(g * g + 4 * gamma * gamma - 4 * v * v) > 0.02)
+        p = DimerParams(v=v, g=g, gamma=gamma)
+        states = find_all_states(SYSTEM, p, CFG)
+        assert len(states) == 4
+        expected = closed_form_pairs(v, g, gamma)
+        matched = set()
+        for st in states:
+            got = mu_pair(st)
+            dist = [max(abs(got[0] - e[0]), abs(got[1] - e[1]))
+                    for e in expected]
+            k = int(np.argmin(dist))
+            assert dist[k] < 1e-9
+            matched.add(k)
+        assert len(matched) == 4
+        # PT reflection maps the set onto itself
+        for st in states:
+            psi1, psi2, mu = pt_reflected(st.psi1, st.psi2, st.mu)
+            (r1, r2), rmu = canonical_gauge((psi1, psi2), mu)
+            image = StationaryState(r1, r2, rmu, st.residual_norm,
+                                    st.is_complex_state, st.is_pt_symmetric)
+            assert min(state_distance(image, other) for other in states) < 1e-9
+
+
+class TestCandidates:
+    def test_linear_model_enumerates_its_eigenpairs(self):
+        lin = LinearTwoMode()
+        p = DimerParams(v=1.0, gamma=0.6, s=0.1)
+        states = find_all_states(lin, p, CFG)
+        assert len(states) == 4
+        for _psi1, _psi2, mu in lin.eigenpairs(p):
+            assert min((mu - st.mu).max_abs() for st in states) < 1e-10
+
+    def test_dimer_seeds_are_states_at_a_generic_point(self):
+        p = DimerParams(v=1.0, g=-1.3, gamma=0.4, s=0.05)
+        seeds = SYSTEM.candidate_states(p)
+        assert len(seeds) == 4
+        for psi, mu in seeds:
+            r1, r2 = residual(psi[0], psi[1], mu, p)
+            assert max(r1.max_abs(), r2.max_abs()) < 1e-12
+
+
+    @pytest.mark.parametrize("g,gamma,s", [
+        (Bicomplex(-1.0), Bicomplex(1.0, 0.05), Bicomplex()),
+        (Bicomplex(-1.4, 0.1), Bicomplex(0.6, -0.1), Bicomplex(0.2, 0.15)),
+    ])
+    def test_j_continued_controls(self, g, gamma, s):
+        # loop controls c0 + j*c1 keep conj(c-) = c+, so the quartic in the
+        # plus components still lists every state
+        p = DimerParams(v=1.0, g=g, gamma=gamma, s=s)
+        states = find_all_states(SYSTEM, p, CFG)
+        assert len(states) == 4
+        for st in states:
+            r1, r2 = residual(st.psi1, st.psi2, st.mu, p)
+            assert max(r1.max_abs(), r2.max_abs()) < CFG.residual_tol
 
 
 class TestCanonicalGauge:
