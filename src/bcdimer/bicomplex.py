@@ -213,3 +213,9 @@ def lift_real_control(c0: float, c1: float) -> IdempotentPair:
 
 def isclose(a: Bicomplex, b: Bicomplex, tol: float) -> bool:
     return (a - b).max_abs() <= tol
+
+
+def fmt_float(x: float) -> str:
+    """A float as CSV text: repr, the shortest decimal that round-trips, so
+    identical values give byte-identical artifacts."""
+    return repr(float(x))

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .bicomplex import Bicomplex, fmt_float
 from .continuation import (
     Branch,
     NoMerger,
@@ -60,8 +61,12 @@ class _Usage(Exception):
     pass
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+class _Parser(argparse.ArgumentParser):
+    """Argument errors become usage errors with a JSON summary line."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise _Usage(message)
 
 
 def _parse_range(text: str) -> tuple[float, float, float]:
@@ -83,7 +88,7 @@ def _grid(rng: tuple[float, float, float]) -> list[float]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="bcdimer",
         description="Stationary states, bifurcations and exceptional-point "
         "loops of the bicomplex-continued PT dimer",
@@ -98,8 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--s", type=float, default=0.0)
         p.add_argument("--s-j", type=float, default=0.0)
         p.add_argument("--tol", type=float, default=1e-11)
-        p.add_argument("--jacobian", choices=("finite-difference", "analytic"),
-                       default="finite-difference")
+        p.add_argument("--jacobian", choices=("analytic", "finite-difference"),
+                       default="analytic",
+                       help="Newton Jacobian: exact (default) or forward "
+                       "differences, kept as a cross-check")
         p.add_argument("--out", type=Path, default=None)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -148,8 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _params(ns) -> DimerParams:
-    from .bicomplex import Bicomplex
-
     try:
         return DimerParams(
             v=ns.v,
@@ -180,11 +185,12 @@ def _states_csv(states, params) -> str:
     for st in states:
         cells = []
         for z in (st.psi1, st.psi2, st.mu):
-            cells.extend(_fmt(c) for c in z.as_tuple())
+            cells.extend(fmt_float(c) for c in z.as_tuple())
         cells.extend(
-            [_fmt(st.mu.z0), _fmt(st.mu.z1), _fmt(st.mu.z2), _fmt(st.mu.z3)]
+            [fmt_float(st.mu.z0), fmt_float(st.mu.z1), fmt_float(st.mu.z2),
+             fmt_float(st.mu.z3)]
         )
-        cells.append(_fmt(st.residual_norm))
+        cells.append(fmt_float(st.residual_norm))
         cells.append("true" if st.is_complex_state else "false")
         cells.append("true" if st.is_pt_symmetric else "false")
         lines.append(",".join(cells))
@@ -479,13 +485,11 @@ _HANDLERS = {
 
 
 def run(argv=None) -> int:
-    ap = build_parser()
     try:
-        ns = ap.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        ns = build_parser().parse_args(argv)
         summary = _HANDLERS[ns.command](ns)
+    except SystemExit as exc:  # --help, after printing the help text
+        return 0 if exc.code in (0, None) else 2
     except _Usage as exc:
         _emit({"error": "usage", "message": str(exc)})
         return 2

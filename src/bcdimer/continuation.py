@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .bicomplex import Bicomplex, J
+from .bicomplex import Bicomplex, J, fmt_float
 from .model import StationaryState, pt_reflected
 from .solver import (
     GaugeDegenerate,
@@ -702,10 +702,6 @@ def find_tangent(
 # -- export -----------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 _BRANCH_HEADER = (
     "param,branch_id,"
     "psi1_0,psi1_1,psi1_2,psi1_3,"
@@ -723,11 +719,12 @@ def branches_to_csv(branches: list[Branch]) -> str:
         for value, st in br.samples:
             re_mu = complex(st.mu.z0, st.mu.z1)
             im_mu = complex(st.mu.z2, st.mu.z3)
-            cells = [_fmt(value), str(br.branch_id)]
+            cells = [fmt_float(value), str(br.branch_id)]
             for z in (st.psi1, st.psi2, st.mu):
-                cells.extend(_fmt(c) for c in z.as_tuple())
+                cells.extend(fmt_float(c) for c in z.as_tuple())
             cells.extend(
-                [_fmt(re_mu.real), _fmt(re_mu.imag), _fmt(im_mu.real), _fmt(im_mu.imag)]
+                [fmt_float(re_mu.real), fmt_float(re_mu.imag),
+                 fmt_float(im_mu.real), fmt_float(im_mu.imag)]
             )
             cells.append("true" if st.is_complex_state else "false")
             cells.append("true" if st.is_pt_symmetric else "false")

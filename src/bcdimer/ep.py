@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .bicomplex import fmt_float
 from .model import StationaryState
 from .solver import (
     GaugeDegenerate,
@@ -299,10 +300,6 @@ def classify_ep(
 # -- export -----------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def trace_to_csv(trace: LoopTrace) -> str:
     """Per-step mu of every tracked branch with its idempotent parts."""
     n = len(trace.states[0])
@@ -322,16 +319,16 @@ def trace_to_csv(trace: LoopTrace) -> str:
         )
     lines = [",".join(header)]
     for phi, row in zip(trace.phis, trace.states):
-        cells = [_fmt(phi)]
+        cells = [fmt_float(phi)]
         for st in row:
             pair = st.mu.to_idempotent()
-            cells.extend(_fmt(c) for c in st.mu.as_tuple())
+            cells.extend(fmt_float(c) for c in st.mu.as_tuple())
             cells.extend(
                 [
-                    _fmt(pair.plus.real),
-                    _fmt(pair.plus.imag),
-                    _fmt(pair.minus.real),
-                    _fmt(pair.minus.imag),
+                    fmt_float(pair.plus.real),
+                    fmt_float(pair.plus.imag),
+                    fmt_float(pair.minus.real),
+                    fmt_float(pair.minus.imag),
                 ]
             )
         lines.append(",".join(cells))

@@ -12,7 +12,9 @@ Two systems implement the small continued-system interface used by the
 solver: :class:`DimerSystem` (the full nonlinear model) and
 :class:`LinearTwoMode` (the g = 0 model with closed-form eigenpairs, kept as
 an independent oracle).  Each lists candidate seeds for all of its
-stationary states, so the solver needs no multistart.
+stationary states, so the solver needs no multistart, and gives the controls
+of the one packed residual kernel that Newton runs on; the linear model is
+its g = 0 case.
 """
 
 from __future__ import annotations
@@ -125,6 +127,127 @@ def residual(
 def normalization_residual(psi1: Bicomplex, psi2: Bicomplex) -> Bicomplex:
     """conj(psi1)*psi1 + conj(psi2)*psi2 - 1, a bicomplex-valued constraint."""
     return psi1.modulus_squared() + psi2.modulus_squared() - 1
+
+
+# -- packed kernel -----------------------------------------------------------
+#
+# The Newton solver works on 12 floats: the (z0, z1, z2, z3) components of
+# psi1, psi2 and mu.  The kernel below is residual() and
+# normalization_residual() on those floats, with Bicomplex.__mul__ and
+# __add__ written out term by term in their own order, so its rows are
+# bit-for-bit those of the Bicomplex functions.  That exactness is load-
+# bearing: at complex-in-i points (z1 = z3 = 0) with real controls the j and
+# k rows and the Jacobian couplings between (z0, z2) and (z1, z3) are exactly
+# 0.0, so Newton never leaves the complex-in-i subspace and a symmetric
+# branch stops at its fold instead of riding on to its bicomplex partner.
+
+
+def packed_controls(p: DimerParams, g: Bicomplex | None = None):
+    """(v, g, i*gamma, s) as component tuples for the packed kernel.
+
+    ``g`` overrides ``p.g``; the linear model passes zero.
+    """
+    g = p.g if g is None else g
+    return float(p.v), g.as_tuple(), (I_UNIT * p.gamma).as_tuple(), p.s.as_tuple()
+
+
+def _mul(a, b):
+    """Bicomplex.__mul__ on component tuples."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (
+        a0 * b0 - a1 * b1 - a2 * b2 + a3 * b3,
+        a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
+        a0 * b2 + a2 * b0 - a1 * b3 - a3 * b1,
+        a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1,
+    )
+
+
+def _modulus_squared(a):
+    """conj(a)*a on a component tuple."""
+    a0, a1, a2, a3 = a
+    return _mul((a0, a1, -a2, -a3), a)
+
+
+def _diagonals(psi1, psi2, mu, controls):
+    """m_k = conj(psi_k)*psi_k and the diagonal factors d_k of residual()."""
+    _v, g, (h0, h1, h2, h3), (s0, s1, s2, s3) = controls
+    mu0, mu1, mu2, mu3 = mu
+    m1, m2 = _modulus_squared(psi1), _modulus_squared(psi2)
+    a0, a1, a2, a3 = _mul(g, m1)
+    b0, b1, b2, b3 = _mul(g, m2)
+    d1 = (-a0 - h0 + s0 - mu0, -a1 - h1 + s1 - mu1,
+          -a2 - h2 + s2 - mu2, -a3 - h3 + s3 - mu3)
+    d2 = (-b0 + h0 - s0 - mu0, -b1 + h1 - s1 - mu1,
+          -b2 + h2 - s2 - mu2, -b3 + h3 - s3 - mu3)
+    return m1, m2, d1, d2
+
+
+def packed_residual(x, controls) -> list[float]:
+    """residual() and normalization_residual() on the 12 packed floats.
+
+    ``x`` is a sequence of 12 floats and ``controls`` comes from
+    :func:`packed_controls`.  Returns the components of r1, r2 and the
+    normalization residual, 12 floats in all.
+    """
+    psi1, psi2, mu = x[0:4], x[4:8], x[8:12]
+    v = (controls[0], 0.0, 0.0, 0.0)
+    m1, m2, d1, d2 = _diagonals(psi1, psi2, mu, controls)
+    r1 = [p + q for p, q in zip(_mul(d1, psi1), _mul(psi2, v))]
+    r2 = [p + q for p, q in zip(_mul(psi1, v), _mul(d2, psi2))]
+    norm = [m1[0] + m2[0] - 1.0, m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3]]
+    return r1 + r2 + norm
+
+
+def _mult_rows(b, sign=1.0):
+    """Rows of the real 4x4 matrix of z -> sign*b*z."""
+    b0, b1, b2, b3 = (sign * c for c in b)
+    return ([b0, -b1, -b2, b3], [b1, b0, -b3, -b2],
+            [b2, -b3, b0, -b1], [b3, b2, b1, b0])
+
+
+def _amplitude_block(d, n, a):
+    """Derivative of d*a by the components of a, where d = -g*conj(a)*a +
+    terms free of a, and n = -g*a.
+
+    The product rule gives M(d) + M(n) D(a), with M(b) the matrix of
+    z -> b*z.  D(a), the derivative of conj(a)*a, has the rows e and f below
+    as its (1, j) components and zero rows as its (i, k) components.
+    """
+    a0, a1, a2, a3 = a
+    e = (2 * a0, -2 * a1, 2 * a2, -2 * a3)
+    f = (2 * a1, 2 * a0, 2 * a3, 2 * a2)
+    n0, n1, n2, n3 = n
+    rows = _mult_rows(d)
+    for c in range(4):
+        ec, fc = e[c], f[c]
+        rows[0][c] += n0 * ec - n1 * fc
+        rows[1][c] += n0 * fc + n1 * ec
+        rows[2][c] += n2 * ec - n3 * fc
+        rows[3][c] += n3 * ec + n2 * fc
+    return rows, e, f
+
+
+def packed_jacobian(x, controls) -> list[list[float]]:
+    """Rows 0-9 of the Jacobian of :func:`packed_residual` by x.
+
+    Rows 0-7 are r1 and r2; rows 8 and 9 are the (1, j) components of the
+    normalization residual, whose (i, k) components vanish identically.
+    """
+    psi1, psi2, mu = x[0:4], x[4:8], x[8:12]
+    v = controls[0]
+    neg_g = tuple(-c for c in controls[1])
+    _m1, _m2, d1, d2 = _diagonals(psi1, psi2, mu, controls)
+    block1, e1, f1 = _amplitude_block(d1, _mul(neg_g, psi1), psi1)
+    block2, e2, f2 = _amplitude_block(d2, _mul(neg_g, psi2), psi2)
+    coupling = ([v, 0.0, 0.0, 0.0], [0.0, v, 0.0, 0.0],
+                [0.0, 0.0, v, 0.0], [0.0, 0.0, 0.0, v])
+    mu1, mu2 = _mult_rows(psi1, -1.0), _mult_rows(psi2, -1.0)
+    rows = [b + c + m for b, c, m in zip(block1, coupling, mu1)]
+    rows += [c + b + m for c, b, m in zip(coupling, block2, mu2)]
+    rows.append([*e1, *e2, 0.0, 0.0, 0.0, 0.0])
+    rows.append([*f1, *f2, 0.0, 0.0, 0.0, 0.0])
+    return rows
 
 
 def populations(psi1: Bicomplex, psi2: Bicomplex) -> tuple[Bicomplex, Bicomplex]:
@@ -293,19 +416,9 @@ class DimerSystem:
     def normalization_residual(self, psi) -> Bicomplex:
         return normalization_residual(psi[0], psi[1])
 
-    def residual_jacobian_blocks(self, psi, mu: Bicomplex, p: DimerParams):
-        """Analytic derivative data for the real-view assembler.
-
-        Returns per-equation lists of (amplitude_index, diagonal_term,
-        nonlinear_factor) plus coupling and mu factors; consumed by
-        solver._analytic_jacobian.
-        """
-        m1 = psi[0].modulus_squared()
-        m2 = psi[1].modulus_squared()
-        igamma = I_UNIT * p.gamma
-        d1 = -(p.g * m1) - igamma + p.s - mu
-        d2 = -(p.g * m2) + igamma - p.s - mu
-        return (d1, d2), (-p.g * psi[0], -p.g * psi[1]), p.v
+    def packed_controls(self, p: DimerParams):
+        """Controls for the packed kernel that the Newton solver calls."""
+        return packed_controls(p)
 
 
 class LinearTwoMode:
@@ -326,6 +439,10 @@ class LinearTwoMode:
 
     def normalization_residual(self, psi) -> Bicomplex:
         return psi[0].modulus_squared() + psi[1].modulus_squared() - 1
+
+    def packed_controls(self, p: DimerParams):
+        """The dimer's packed-kernel controls at g = 0."""
+        return packed_controls(p, Bicomplex())
 
     @staticmethod
     def sector_eigenvalues(v: float, gamma_sector: complex, s_sector: complex = 0j):

@@ -17,10 +17,14 @@ the two component magnitudes.  Bicomplex-only states carry an irreducible
 relative phase between their idempotent components, so demanding that both
 components be real would make them unreachable; the balance row avoids that.
 
-Solves use damped Newton with a finite-difference (default) or analytic
-Jacobian.  :func:`find_all_states` needs no seeding heuristics: the system
-lists a candidate for every state (the dimer from the roots of its quartic,
-see :class:`~bcdimer.model.DimerSystem`), and each candidate is polished by
+Solves use damped Newton with the analytic Jacobian (default) or, as a
+cross-check, a forward-difference one.  Both run on the 12 packed floats
+through the model's kernel, whose rows are bit-for-bit those of the
+Bicomplex residual; Bicomplex values are the input and output type only.
+
+:func:`find_all_states` needs no seeding heuristics: the system lists a
+candidate for every state (the dimer from the roots of its quartic, see
+:class:`~bcdimer.model.DimerSystem`), and each candidate is polished by
 Newton and deduplicated up to gauge.
 """
 
@@ -33,7 +37,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bicomplex import Bicomplex
-from .model import StationaryState, classify_flags
+from .model import (
+    StationaryState,
+    classify_flags,
+    packed_jacobian,
+    packed_residual,
+)
 
 __all__ = [
     "GaugeDegenerate",
@@ -61,7 +70,7 @@ class SolveConfig:
 
     residual_tol: float = 1e-11
     max_iter: int = 100
-    jacobian: str = "finite-difference"  # or "analytic"
+    jacobian: str = "analytic"  # or "finite-difference", as a cross-check
     fd_step: float = 1e-7
     dedup_tol: float = 1e-7
     classification_tol: float = 1e-8
@@ -76,7 +85,7 @@ class SolveConfig:
             raise ValueError(f"unknown jacobian mode {self.jacobian!r}")
 
 
-# -- packing and small linear-algebra helpers ---------------------------
+# -- packing ------------------------------------------------------------------
 
 
 def _pack(psi, mu) -> np.ndarray:
@@ -91,29 +100,13 @@ def _unpack(x: np.ndarray, n_amp: int):
     return psi, mu
 
 
-def _mult_matrix(b: Bicomplex) -> np.ndarray:
-    """Real 4x4 matrix of x -> b*x acting on (z0, z1, z2, z3)."""
-    b0, b1, b2, b3 = b.z0, b.z1, b.z2, b.z3
-    return np.array(
-        [
-            [b0, -b1, -b2, b3],
-            [b1, b0, -b3, -b2],
-            [b2, -b3, b0, -b1],
-            [b3, b2, b1, b0],
-        ]
-    )
-
-
-_CONJ = np.diag([1.0, 1.0, -1.0, -1.0])
-
-
-def _modulus_derivative(z: Bicomplex) -> np.ndarray:
-    """Derivative of conj(z)*z with respect to the components of z."""
-    return _mult_matrix(z) @ _CONJ + _mult_matrix(z.conj())
-
-
 class RealSystemView:
-    """Square real Newton system for one continued system at fixed params."""
+    """Square real Newton system for one continued system at fixed params.
+
+    The residual and the analytic Jacobian run on the packed floats through
+    the system's kernel (:func:`~bcdimer.model.packed_residual`); no
+    Bicomplex value is built inside the Newton loop.
+    """
 
     def __init__(self, system, params, cfg: SolveConfig, gauge_site: int = 0):
         self.system = system
@@ -123,6 +116,7 @@ class RealSystemView:
         self.n_amp = system.n_amplitudes
         self.n_unknowns = 4 * self.n_amp + 4
         self.n_equations = self.n_unknowns
+        self.controls = system.packed_controls(params)
 
     def pack(self, psi, mu) -> np.ndarray:
         return _pack(psi, mu)
@@ -131,36 +125,32 @@ class RealSystemView:
         return _unpack(x, self.n_amp)
 
     def residual_vector(self, x: np.ndarray) -> np.ndarray:
-        psi, mu = _unpack(x, self.n_amp)
-        res = self.system.residual(psi, mu, self.params)
-        norm = self.system.normalization_residual(psi)
-        scale = max(1.0, max(z.max_abs() for z in psi) ** 2)
-        if abs(norm.z2) > 1e-10 * scale or abs(norm.z3) > 1e-10 * scale:
+        xs = x.tolist()
+        # r1, r2 and the normalization's (1, j, i, k) components; the (i, k)
+        # pair vanishes identically and gives way to the two gauge rows
+        out = packed_residual(xs, self.controls)
+        norm_i, norm_k = out[-2], out[-1]
+        scale = max(1.0, max(map(abs, xs[: 4 * self.n_amp])) ** 2)
+        if abs(norm_i) > 1e-10 * scale or abs(norm_k) > 1e-10 * scale:
             raise AssertionError(
                 "normalization residual left the (1, j) plane; "
                 "conjugation-swap symmetry violated"
             )
-        zg = psi[self.gauge_site]
-        pair = zg.to_idempotent()
-        if min(abs(pair.plus), abs(pair.minus)) < self.cfg.gauge_eps:
+        g0 = 4 * self.gauge_site
+        z0, z1, z2, z3 = xs[g0 : g0 + 4]
+        plus, minus = complex(z0 + z3, z2 - z1), complex(z0 - z3, z2 + z1)
+        if min(abs(plus), abs(minus)) < self.cfg.gauge_eps:
             raise GaugeDegenerate(
-                f"gauge amplitude {self.gauge_site} too small: {zg!r}"
+                f"gauge amplitude {self.gauge_site} too small: "
+                f"{(z0, z1, z2, z3)}"
             )
-        out = np.empty(self.n_unknowns)
-        for k, r in enumerate(res):
-            out[4 * k : 4 * k + 4] = r.as_tuple()
-        base = 4 * self.n_amp
-        out[base] = norm.z0
-        out[base + 1] = norm.z1
         # gauge: plus component i-real, idempotent magnitudes balanced
-        out[base + 2] = zg.z2 - zg.z1
-        out[base + 3] = 4.0 * (zg.z0 * zg.z3 - zg.z1 * zg.z2)
-        return out
+        out[-2] = z2 - z1
+        out[-1] = 4.0 * (z0 * z3 - z1 * z2)
+        return np.array(out)
 
     def jacobian(self, x: np.ndarray, f0: np.ndarray | None = None) -> np.ndarray:
-        if self.cfg.jacobian == "analytic" and hasattr(
-            self.system, "residual_jacobian_blocks"
-        ):
+        if self.cfg.jacobian == "analytic":
             return self._analytic_jacobian(x)
         return self._fd_jacobian(x, f0)
 
@@ -177,38 +167,16 @@ class RealSystemView:
         return jac
 
     def _analytic_jacobian(self, x: np.ndarray) -> np.ndarray:
-        psi, mu = _unpack(x, self.n_amp)
-        diag, nonlin, v = self.system.residual_jacobian_blocks(psi, mu, self.params)
-        n = self.n_unknowns
-        base = 4 * self.n_amp
-        jac = np.zeros((n, n))
-        coupling = v * np.eye(4)
-        mod_der = [_modulus_derivative(z) for z in psi]
-        for row in range(self.n_amp):
-            r0 = 4 * row
-            for col in range(self.n_amp):
-                c0 = 4 * col
-                if row == col:
-                    jac[r0 : r0 + 4, c0 : c0 + 4] = (
-                        _mult_matrix(diag[row])
-                        + _mult_matrix(nonlin[row]) @ mod_der[row]
-                    )
-                else:
-                    jac[r0 : r0 + 4, c0 : c0 + 4] = coupling
-            jac[r0 : r0 + 4, base : base + 4] = -_mult_matrix(psi[row])
-        for col in range(self.n_amp):
-            c0 = 4 * col
-            jac[base : base + 2, c0 : c0 + 4] = mod_der[col][0:2, :]
+        xs = x.tolist()
+        rows = packed_jacobian(xs, self.controls)
         g0 = 4 * self.gauge_site
-        zg = psi[self.gauge_site]
-        jac[base + 2, g0 : g0 + 4] = [0.0, -1.0, 1.0, 0.0]
-        jac[base + 3, g0 : g0 + 4] = [
-            4.0 * zg.z3,
-            -4.0 * zg.z2,
-            -4.0 * zg.z1,
-            4.0 * zg.z0,
-        ]
-        return jac
+        z0, z1, z2, z3 = xs[g0 : g0 + 4]
+        phase = [0.0] * self.n_unknowns
+        phase[g0 + 1 : g0 + 3] = [-1.0, 1.0]
+        balance = [0.0] * self.n_unknowns
+        balance[g0 : g0 + 4] = [4.0 * z3, -4.0 * z2, -4.0 * z1, 4.0 * z0]
+        rows += [phase, balance]
+        return np.array(rows)
 
 
 # -- gauge alignment and distances ---------------------------------------

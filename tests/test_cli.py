@@ -32,8 +32,21 @@ class TestExitCodes:
         assert run(["solve", "--tol", "0"]) == 2
         assert summary(capsys)["error"] == "usage"
 
-    def test_unknown_flag_is_a_usage_error(self):
+    def test_unknown_flag_is_a_usage_error(self, capsys):
         assert run(["solve", "--seed-grid", "coarse"]) == 2
+        out = summary(capsys)
+        assert out["error"] == "usage"
+        assert "unrecognized arguments: --seed-grid coarse" in out["message"]
+
+    def test_bad_choice_is_a_usage_error(self, capsys):
+        assert run(["solve", "--jacobian", "exact"]) == 2
+        out = summary(capsys)
+        assert out["error"] == "usage"
+        assert "invalid choice: 'exact'" in out["message"]
+
+    def test_help_exits_zero(self, capsys):
+        assert run(["solve", "--help"]) == 0
+        assert "--jacobian" in capsys.readouterr().out
 
     def test_missing_pitchfork_is_a_numerical_failure(self, capsys):
         code = run(["encircle", "--around", "pitchfork", "--g", "-2.5"])
@@ -55,3 +68,15 @@ class TestArtifacts:
             texts.append((out / name).read_bytes())
         assert texts[0] == texts[1]
         assert len(texts[0]) > 0
+
+
+class TestAnswers:
+    @pytest.mark.parametrize("g", ["2.3", "-2.3"])
+    def test_bifurcations_beyond_merger_report_only_the_tangent(self, capsys,
+                                                                 g):
+        # past the merger only the symmetric pair exists; its branches must
+        # stop at the fold gamma = v, not ride on onto the bicomplex partner
+        assert run(["bifurcations", "--g", g, "--jacobian", "analytic"]) == 0
+        points = [(pt["kind"], pt["location"])
+                  for pt in summary(capsys)["points"]]
+        assert points == [("tangent", 1.0)]

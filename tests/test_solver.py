@@ -54,8 +54,8 @@ class TestRealView:
         f = view.residual_vector(x)
         # j and k components of both residual rows
         for base in (0, 4):
-            assert abs(f[base + 1]) < 1e-15
-            assert abs(f[base + 3]) < 1e-15
+            assert f[base + 1] == 0.0
+            assert f[base + 3] == 0.0
 
     def test_dropped_normalization_components_vanish(self):
         # the i and k parts of the normalization residual are identical zeros
@@ -95,6 +95,168 @@ class TestRealView:
                 ) / (2 * h)
             scale = max(1.0, np.max(np.abs(jc)))
             assert np.max(np.abs(ja - jc)) / scale < 1e-5
+
+    def test_complex_in_i_subspace_is_invariant(self):
+        # at complex-in-i points with real controls the analytic Jacobian
+        # does not couple (z0, z2) with (z1, z3), and the j and k rows are
+        # exactly zero, so a Newton step from a complex state keeps its j
+        # and k components exactly zero.  The one exception is the gauge
+        # phase row z2 - z1, an even row with a -1 on z1: no odd row sees an
+        # even column, so the odd part of the step still solves a
+        # homogeneous system and is zero.
+        rng = np.random.default_rng(17)
+        odd = np.arange(12) % 2 == 1
+        for k in range(50):
+            p = DimerParams(v=1.0, g=rng.uniform(-2.5, 2.5),
+                            gamma=rng.uniform(0, 1.5), s=rng.uniform(-0.5, 0.5))
+            site = k % 2
+            view = RealSystemView(SYSTEM, p, CFG, gauge_site=site)
+            x = rng.uniform(-1, 1, 12)
+            x[odd] = 0.0
+            x[4 * site] += 2.0
+            jac = view._analytic_jacobian(x)
+            even_rows = np.flatnonzero(~odd)
+            even_rows = even_rows[even_rows != 10]  # the gauge phase row
+            assert np.all(jac[np.ix_(even_rows, odd)] == 0.0)
+            assert np.all(jac[np.ix_(odd, ~odd)] == 0.0)
+            assert np.all(view.residual_vector(x)[odd] == 0.0)
+
+
+def _reference_mult_matrix(b: Bicomplex) -> np.ndarray:
+    """Real 4x4 matrix of x -> b*x acting on (z0, z1, z2, z3)."""
+    b0, b1, b2, b3 = b.z0, b.z1, b.z2, b.z3
+    return np.array(
+        [
+            [b0, -b1, -b2, b3],
+            [b1, b0, -b3, -b2],
+            [b2, -b3, b0, -b1],
+            [b3, b2, b1, b0],
+        ]
+    )
+
+
+def _reference_modulus_derivative(z: Bicomplex) -> np.ndarray:
+    """Derivative of conj(z)*z with respect to the components of z."""
+    conj = np.diag([1.0, 1.0, -1.0, -1.0])
+    return _reference_mult_matrix(z) @ conj + _reference_mult_matrix(z.conj())
+
+
+def reference_residual_vector(view: RealSystemView, x: np.ndarray) -> np.ndarray:
+    """The Newton residual computed with Bicomplex values."""
+    psi, mu = view.unpack(x)
+    res = view.system.residual(psi, mu, view.params)
+    norm = view.system.normalization_residual(psi)
+    scale = max(1.0, max(z.max_abs() for z in psi) ** 2)
+    assert abs(norm.z2) <= 1e-10 * scale and abs(norm.z3) <= 1e-10 * scale
+    zg = psi[view.gauge_site]
+    pair = zg.to_idempotent()
+    if min(abs(pair.plus), abs(pair.minus)) < view.cfg.gauge_eps:
+        raise GaugeDegenerate(f"gauge amplitude {view.gauge_site} too small")
+    out = np.empty(view.n_unknowns)
+    for k, r in enumerate(res):
+        out[4 * k : 4 * k + 4] = r.as_tuple()
+    base = 4 * view.n_amp
+    out[base] = norm.z0
+    out[base + 1] = norm.z1
+    out[base + 2] = zg.z2 - zg.z1
+    out[base + 3] = 4.0 * (zg.z0 * zg.z3 - zg.z1 * zg.z2)
+    return out
+
+
+def reference_fd_jacobian(view: RealSystemView, x: np.ndarray) -> np.ndarray:
+    """Forward differences of :func:`reference_residual_vector`."""
+    f0 = reference_residual_vector(view, x)
+    h = view.cfg.fd_step
+    jac = np.empty((view.n_unknowns, view.n_unknowns))
+    for col in range(view.n_unknowns):
+        xp = x.copy()
+        xp[col] += h
+        jac[:, col] = (reference_residual_vector(view, xp) - f0) / h
+    return jac
+
+
+def reference_analytic_jacobian(view: RealSystemView, x: np.ndarray) -> np.ndarray:
+    """The dimer's analytic Jacobian assembled from Bicomplex 4x4 blocks."""
+    psi, mu = view.unpack(x)
+    p = view.params
+    igamma = Bicomplex(0.0, 0.0, 1.0, 0.0) * p.gamma
+    diag = (
+        -(p.g * psi[0].modulus_squared()) - igamma + p.s - mu,
+        -(p.g * psi[1].modulus_squared()) + igamma - p.s - mu,
+    )
+    nonlin = (-p.g * psi[0], -p.g * psi[1])
+    n = view.n_unknowns
+    base = 4 * view.n_amp
+    jac = np.zeros((n, n))
+    mod_der = [_reference_modulus_derivative(z) for z in psi]
+    for row in range(view.n_amp):
+        r0 = 4 * row
+        for col in range(view.n_amp):
+            c0 = 4 * col
+            if row == col:
+                jac[r0 : r0 + 4, c0 : c0 + 4] = (
+                    _reference_mult_matrix(diag[row])
+                    + _reference_mult_matrix(nonlin[row]) @ mod_der[row]
+                )
+            else:
+                jac[r0 : r0 + 4, c0 : c0 + 4] = p.v * np.eye(4)
+        jac[r0 : r0 + 4, base : base + 4] = -_reference_mult_matrix(psi[row])
+    for col in range(view.n_amp):
+        c0 = 4 * col
+        jac[base : base + 2, c0 : c0 + 4] = mod_der[col][0:2, :]
+    g0 = 4 * view.gauge_site
+    zg = psi[view.gauge_site]
+    jac[base + 2, g0 : g0 + 4] = [0.0, -1.0, 1.0, 0.0]
+    jac[base + 3, g0 : g0 + 4] = [4.0 * zg.z3, -4.0 * zg.z2, -4.0 * zg.z1,
+                                  4.0 * zg.z0]
+    return jac
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+class TestKernelParity:
+    """The packed kernel against the Bicomplex-object reference above."""
+
+    @staticmethod
+    def cases(n, seed):
+        rng = np.random.default_rng(seed)
+        for k in range(n):
+            jpart = (lambda: rng.uniform(-0.3, 0.3)) if k % 2 else (lambda: 0.0)
+            p = DimerParams(
+                v=rng.uniform(0.5, 1.5),
+                g=Bicomplex(rng.uniform(-2.5, 2.5), jpart()),
+                gamma=Bicomplex(rng.uniform(0.0, 1.5), jpart()),
+                s=Bicomplex(rng.uniform(-0.5, 0.5), jpart()),
+            )
+            site = (k // 2) % 2
+            x = rng.uniform(-1, 1, 12)
+            if k % 4 == 3:
+                x[1::2] = 0.0  # complex-in-i amplitudes and mu
+            x[4 * site] += 2.0
+            yield RealSystemView(SYSTEM, p, CFG, gauge_site=site), x
+
+    def test_residual_is_bit_identical(self):
+        for view, x in self.cases(400, 5):
+            got = view.residual_vector(x)
+            ref = reference_residual_vector(view, x)
+            assert np.array_equal(got, ref)
+            assert np.array_equal(_bits(got), _bits(ref))
+
+    def test_finite_difference_jacobian_is_bit_identical(self):
+        for view, x in self.cases(200, 6):
+            got = view._fd_jacobian(x, None)
+            ref = reference_fd_jacobian(view, x)
+            assert np.array_equal(got, ref)
+            assert np.array_equal(_bits(got), _bits(ref))
+
+    def test_analytic_jacobian_matches_reference(self):
+        for view, x in self.cases(400, 7):
+            got = view._analytic_jacobian(x)
+            ref = reference_analytic_jacobian(view, x)
+            scale = max(1.0, np.max(np.abs(ref)))
+            assert np.max(np.abs(got - ref)) / scale < 1e-13
 
 
 class TestNewton:
