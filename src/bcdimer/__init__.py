@@ -28,9 +28,9 @@ from .continuation import (
     find_merger,
     find_tangent,
     locate_fold,
-    locate_pitchfork,
     locate_pitchfork_gamma,
     pitchfork_existence,
+    stitched_branches,
     sweep_branch,
 )
 from .ep import (

@@ -16,19 +16,15 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-from scipy.optimize import linear_sum_assignment
-
 from .bicomplex import Bicomplex, fmt_float
 from .continuation import (
-    Branch,
     NoMerger,
     branches_to_csv,
-    detect_bifurcations,
     find_merger,
     find_tangent,
     locate_pitchfork_gamma,
-    sweep_branch,
+    states_table,
+    stitched_branches,
 )
 from .ep import (
     AmbiguousMatch,
@@ -119,15 +115,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-range", type=_parse_range, default=None)
     p.add_argument("--g-range", type=_parse_range, default=None)
 
-    p = sub.add_parser("bifurcations", help="sweep branches and classify "
-                       "their coalescences")
+    p = sub.add_parser("bifurcations", help="locate the tangents and "
+                       "pitchforks over a gamma range, and the branches "
+                       "through them")
     common(p)
     p.add_argument("--gamma-range", type=_parse_range, default=(0.05, 1.4, 0.01))
 
     p = sub.add_parser("merger", help="locate the pitchfork disappearance in g")
     common(p)
     p.add_argument("--g-range", type=_parse_range, default=(-2.5, -0.1, 1e-4),
-                   help="lo:hi:tol window for the bisection")
+                   help="lo:hi:step window to search; the step is unused "
+                   "(the locator is exact) and kept so the syntax stays")
 
     p = sub.add_parser("encircle", help="loop one control around a critical "
                        "point and report the state permutation")
@@ -173,28 +171,11 @@ def _cfg(ns) -> SolveConfig:
         raise _Usage(str(exc)) from exc
 
 
-def _states_csv(states, params) -> str:
-    header = (
-        "psi1_0,psi1_1,psi1_2,psi1_3,"
-        "psi2_0,psi2_1,psi2_2,psi2_3,"
-        "mu_0,mu_1,mu_2,mu_3,"
-        "re_mu_0,re_mu_2,im_mu_0,im_mu_2,"
-        "residual_norm,is_complex_state,is_pt_symmetric"
+def _states_csv(states) -> str:
+    return states_table(
+        (((), st, (fmt_float(st.residual_norm),)) for st in states),
+        extra=("residual_norm",),
     )
-    lines = [header]
-    for st in states:
-        cells = []
-        for z in (st.psi1, st.psi2, st.mu):
-            cells.extend(fmt_float(c) for c in z.as_tuple())
-        cells.extend(
-            [fmt_float(st.mu.z0), fmt_float(st.mu.z1), fmt_float(st.mu.z2),
-             fmt_float(st.mu.z3)]
-        )
-        cells.append(fmt_float(st.residual_norm))
-        cells.append("true" if st.is_complex_state else "false")
-        cells.append("true" if st.is_pt_symmetric else "false")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
 
 
 def _states_json(states) -> str:
@@ -232,7 +213,7 @@ def _cmd_solve(ns) -> dict:
     cfg = _cfg(ns)
     states = find_all_states(system, params, cfg)
     if ns.format == "csv":
-        _write(ns.out, "states.csv", _states_csv(states, params))
+        _write(ns.out, "states.csv", _states_csv(states))
     else:
         _write(ns.out, "states.json", _states_json(states))
     return {
@@ -241,48 +222,6 @@ def _cmd_solve(ns) -> dict:
         "n_complex": sum(1 for s in states if s.is_complex_state),
         "mu": [list(s.mu.as_tuple()) for s in states],
     }
-
-
-def _stitched_branches(system, params, parameter, grid, cfg) -> list[Branch]:
-    """All states per point stitched into branches by nearest matching."""
-    branches: list[Branch] = []
-    open_ids: list[int] = []
-    prev_states: list = []
-    for value in grid:
-        states = find_all_states(
-            system, params.with_control(parameter, value), cfg
-        )
-        if not prev_states:
-            for st in states:
-                br = Branch(parameter=parameter, branch_id=len(branches))
-                br.samples.append((value, st))
-                branches.append(br)
-            open_ids = list(range(len(branches)))
-        else:
-            cost = np.array(
-                [[state_distance(new, old) for old in prev_states]
-                 for new in states]
-            ) if states else np.zeros((0, len(prev_states)))
-            assigned = {}
-            if cost.size:
-                rows, cols = linear_sum_assignment(cost)
-                for rr, cc in zip(rows, cols):
-                    if cost[rr, cc] < 0.5:
-                        assigned[rr] = open_ids[cc]
-            next_open = []
-            for idx, st in enumerate(states):
-                if idx in assigned:
-                    bid = assigned[idx]
-                else:
-                    bid = len(branches)
-                    branches.append(Branch(parameter=parameter, branch_id=bid))
-                branches[bid].samples.append((value, st))
-                next_open.append(bid)
-            open_ids = next_open
-        prev_states = states
-    for br in branches:
-        br.termination = "range_end"
-    return branches
 
 
 def _cmd_sweep(ns) -> dict:
@@ -296,7 +235,7 @@ def _cmd_sweep(ns) -> dict:
     else:
         raise _Usage("sweep needs --gamma-range or --g-range")
     grid = _grid(rng)
-    branches = _stitched_branches(system, params, parameter, grid, cfg)
+    branches = stitched_branches(system, params, parameter, grid, cfg)
     _write(ns.out, "branches.csv", branches_to_csv(branches))
     counts = {}
     for br in branches:
@@ -312,36 +251,51 @@ def _cmd_sweep(ns) -> dict:
     }
 
 
+def _meeting_branches(point, branches, step) -> tuple[list[int], int | None]:
+    """The branches that meet at a point and, for a pitchfork, the one that
+    carries the symmetric state through it.
+
+    They are the two (tangent) or three (pitchfork) branches whose samples
+    within one grid step of the location lie closest to the coalesced state.
+    """
+    nearest = {}
+    for br in branches:
+        dists = [state_distance(st, point.coalesced_state)
+                 for value, st in br.samples
+                 if abs(value - point.location) <= step]
+        if dists:
+            nearest[br.branch_id] = min(dists)
+    if point.kind != "pitchfork":
+        return sorted(sorted(nearest, key=nearest.get)[:2]), None
+    ids = sorted(sorted(nearest, key=nearest.get)[:3])
+    symmetric = [
+        bid for bid in ids
+        if min(branches[bid].samples,
+               key=lambda sample: abs(sample[0] - point.location))[1]
+        .is_pt_symmetric
+    ]
+    return ids, (symmetric[0] if symmetric else None)
+
+
 def _cmd_bifurcations(ns) -> dict:
     system = DimerSystem()
     params = _params(ns)
     cfg = _cfg(ns)
     lo, hi, step = ns.gamma_range
-    # seed branches from the top of the range where broken states exist
-    start = min(hi, 0.95 * ns.v)
-    states = find_all_states(system, params.with_control("gamma", start), cfg)
-    complex_states = [s for s in states if s.is_complex_state]
-    branches = []
-    for st in complex_states:
-        p0 = params.with_control("gamma", start)
-        branches.append(
-            sweep_branch(system, st, p0, "gamma", hi, step, cfg)
-        )
-        branches.append(
-            sweep_branch(system, st, p0, "gamma", lo, step, cfg)
-        )
-    points = detect_bifurcations(branches, system, params, cfg)
-    payload = [
-        {
+    branches = stitched_branches(system, params, "gamma",
+                                 _grid(ns.gamma_range), cfg)
+    points = system.bifurcation_set(params, "gamma", lo, hi, cfg)
+    payload = []
+    for pt in points:
+        ids, continuing = _meeting_branches(pt, branches, step)
+        payload.append({
             "kind": pt.kind,
             "location": pt.location,
-            "branch_ids": list(pt.branch_ids),
-            "continuing_branch_id": pt.continuing_branch_id,
+            "branch_ids": ids,
+            "continuing_branch_id": continuing,
             "detection_residual": pt.detection_residual,
             "mu": list(pt.coalesced_state.mu.as_tuple()),
-        }
-        for pt in points
-    ]
+        })
     _write(ns.out, "bifurcations.json",
            json.dumps(payload, sort_keys=True, indent=1) + "\n")
     _write(ns.out, "branches.csv", branches_to_csv(branches))
@@ -356,9 +310,9 @@ def _cmd_bifurcations(ns) -> dict:
 def _cmd_merger(ns) -> dict:
     system = DimerSystem()
     cfg = _cfg(ns)
-    lo, hi, tol = ns.g_range
+    lo, hi, _step = ns.g_range
     g_star, gamma_star = find_merger(
-        ns.v, system, (lo, hi), cfg, g_tol=tol,
+        ns.v, system, (lo, hi), cfg,
         params_base=_params(ns).with_control("g", lo),
     )
     return {

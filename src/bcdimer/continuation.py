@@ -1,12 +1,16 @@
-"""Branch following, bifurcation detection and location.
+"""Branches, and the bifurcation points between them.
 
-Natural-parameter continuation with a secant predictor and Newton corrector.
-Folds in the real parameter terminate a branch; optionally the sweep hops
-onto the bicomplex partner branch that continues through the fold, which is
-how the continued picture keeps the state count constant across the tangent.
-
-Bifurcation kinds are limited to tangent and pitchfork; anything else is
-reported as unclassified with diagnostics.
+The dimer's bifurcation points come from algebra, not from sweeps:
+:meth:`~bcdimer.model.DimerSystem.bifurcation_set` finds them as the roots
+of one discriminant, and :func:`find_tangent`, :func:`locate_pitchfork_gamma`,
+:func:`pitchfork_existence` and :func:`find_merger` pick from its answer.
+Sweeps only draw branches: :func:`stitched_branches` stitches all states on
+a grid into branches, and :func:`sweep_branch` follows one branch by
+natural-parameter continuation (secant predictor, Newton corrector), which
+stops at a fold or hops onto the bicomplex partner branch that continues
+through it.  :func:`detect_bifurcations` and :func:`locate_fold` classify
+and refine coalescences among swept branches; they need no polynomial and
+serve as cross-checks of the locator.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 from .bicomplex import Bicomplex, J, fmt_float
-from .model import StationaryState, pt_reflected
+from .model import BifurcationPoint, DimerParams, StationaryState, pt_reflected
 from .solver import (
     GaugeDegenerate,
     NoConvergence,
@@ -33,10 +37,10 @@ __all__ = [
     "sweep_branch",
     "detect_bifurcations",
     "locate_fold",
-    "locate_pitchfork",
     "pitchfork_existence",
     "find_merger",
     "find_tangent",
+    "stitched_branches",
     "branches_to_csv",
 ]
 
@@ -69,17 +73,6 @@ class Branch:
 
     def state_at_end(self) -> StationaryState:
         return self.samples[-1][1]
-
-
-@dataclass
-class BifurcationPoint:
-    kind: str  # "tangent" | "pitchfork" | "unclassified"
-    location: float
-    branch_ids: tuple[int, ...]
-    coalesced_state: StationaryState
-    detection_residual: float
-    continuing_branch_id: int | None = None
-    diagnostics: str = ""
 
 
 def _solve_at(system, params, parameter: str, value: float, seed, cfg):
@@ -316,21 +309,6 @@ def _midpoint_state(a: StationaryState, b: StationaryState) -> StationaryState:
     )
 
 
-def locate_pitchfork(
-    system,
-    params,
-    parameter: str,
-    broken_a: StationaryState,
-    broken_b: StationaryState,
-    value: float,
-    cfg: SolveConfig | None = None,
-    tol: float = 1e-10,
-):
-    """Locate where a broken pair coalesces (onto the continuing branch)."""
-    return locate_fold(system, params, parameter, broken_a, broken_b, value,
-                       cfg, tol)
-
-
 def _pair_profile(a: Branch, b: Branch):
     """Distances between matched-parameter samples of two branches.
 
@@ -537,78 +515,26 @@ def pt_partner_check(branch_a: Branch, branch_b: Branch, tol: float = 1e-6) -> b
     return True
 
 
-# -- scenario scans ---------------------------------------------------------
+# -- the bifurcation set ----------------------------------------------------
 
 
-def _broken_states(states: list[StationaryState], pop_tol: float = 1e-4):
-    """Complex states with unequal site populations."""
-    out = []
-    for st in states:
-        if not st.is_complex_state:
-            continue
-        m1 = st.psi1.modulus_squared()
-        m2 = st.psi2.modulus_squared()
-        if (m1 - m2).max_abs() > pop_tol:
-            out.append(st)
-    return out
+def locate_pitchfork_gamma(system, params, v: float,
+                           cfg: SolveConfig | None = None):
+    """The gamma in (0, v] where the PT-broken pair is born, if any.
 
-
-def locate_pitchfork_gamma(
-    system, params, v: float, cfg: SolveConfig | None = None,
-    gamma_floor: float = 1e-4, locate_tol: float = 1e-8,
-    bracket_resolution: float = 1e-3, refine: bool = True,
-):
-    """Find the gamma where the PT-broken pair is born, if any in (0, v].
-
-    Returns (gamma_P, coalesced_state) or None when the broken pair either
-    never appears below v or already exists at the floor (no coalescence in
-    range).  The search brackets the existence boundary of the broken pair
-    by bisection and refines with the fold locator; with ``refine=False``
-    the bracket end is returned directly (existence probing).
+    Returns (gamma_P, coalesced_state), the pitchfork of the system's
+    bifurcation set, or None when there is none in range.
     """
-    if cfg is None:
-        cfg = SolveConfig()
-
-    def broken_pair_at(gam: float):
-        pair = _broken_states(
-            find_all_states(system, params.with_control("gamma", gam), cfg)
-        )
-        return pair if len(pair) >= 2 else None
-
-    probes = [v * (1 - 1e-3), v * 0.95, v * 0.7, v * 0.4, v * 0.15]
-    hi = None
-    for gam in probes:
-        pair = broken_pair_at(gam)
-        if pair is not None:
-            hi = (gam, pair)
-            break
-    if hi is None:
-        return None
-    if broken_pair_at(gamma_floor) is not None:
-        return None  # broken pair exists down to the axis: no pitchfork in range
-    lo = gamma_floor
-    gam_hi, pair = hi
-    while gam_hi - lo > bracket_resolution:
-        mid = 0.5 * (lo + gam_hi)
-        found = broken_pair_at(mid)
-        if found is not None:
-            gam_hi, pair = mid, found
-        else:
-            lo = mid
-    if not refine:
-        return gam_hi, pair[0]
-    loc, coalesced, _ = locate_fold(
-        system, params, "gamma", pair[0], pair[1], gam_hi, cfg, tol=locate_tol
-    )
-    return loc, coalesced
+    for pt in system.bifurcation_set(params, "gamma", 0.0, v, cfg):
+        if pt.kind == "pitchfork" and pt.location > 0:
+            return pt.location, pt.coalesced_state
+    return None
 
 
 def pitchfork_existence(
     g_values, v: float, system, params_base=None, cfg: SolveConfig | None = None
 ) -> dict[float, bool]:
     """Map g -> whether a pitchfork occurs at some gamma in (0, v]."""
-    from .model import DimerParams
-
     if params_base is None:
         params_base = DimerParams(v=v)
     out = {}
@@ -623,52 +549,23 @@ def find_merger(
     system,
     g_window: tuple[float, float] = (-2.5, -0.1),
     cfg: SolveConfig | None = None,
-    g_tol: float = 1e-4,
-    gamma_resolution: float = 1e-3,
     params_base=None,
 ):
-    """Critical nonlinearity where the pitchfork leaves the gamma axis.
+    """Critical nonlinearity where the pitchfork reaches the base gamma.
 
-    Bisection over g on the signed gap between the located pitchfork
-    position and the axis: positive while the pitchfork exists at some
-    gamma in (0, v], negative (sentinel) once it has disappeared.  Returns
-    (g_star, gamma_star) with gamma_star the refined pitchfork position at
-    the last bracketing g where it exists.  Raises :class:`NoMerger` when
-    the gap does not change sign over the window.
+    The pitchfork of the bifurcation set in g over the window, at the gamma
+    of ``params_base`` (0 by default, where the pitchfork leaves the gamma
+    axis: the merger, |g| = 2v).  Returns (g_star, gamma_star) with
+    gamma_star that base gamma.  Raises :class:`NoMerger` when the window
+    holds no such point.
     """
-    from .model import DimerParams
-
     if params_base is None:
         params_base = DimerParams(v=v)
-    if cfg is None:
-        cfg = SolveConfig()
-
-    def gap(g: float, refine: bool = False):
-        found = locate_pitchfork_gamma(
-            system, params_base.with_control("g", float(g)), v, cfg,
-            bracket_resolution=gamma_resolution, refine=refine,
-        )
-        if found is None:
-            return -1.0
-        return found[0]
-
-    g_lo, g_hi = g_window
-    gap_lo = gap(g_lo)
-    gap_hi = gap(g_hi)
-    if (gap_lo < 0) == (gap_hi < 0):
-        raise NoMerger(
-            f"pitchfork existence does not flip over g in [{g_lo}, {g_hi}]"
-        )
-    while abs(g_hi - g_lo) > g_tol:
-        mid = 0.5 * (g_lo + g_hi)
-        gap_mid = gap(mid)
-        if (gap_mid < 0) == (gap_lo < 0):
-            g_lo, gap_lo = mid, gap_mid
-        else:
-            g_hi, gap_hi = mid, gap_mid
-    g_exists = g_lo if gap_lo >= 0 else g_hi
-    gamma_star = gap(g_exists, refine=True)
-    return 0.5 * (g_lo + g_hi), gamma_star
+    lo, hi = sorted(g_window)
+    for pt in system.bifurcation_set(params_base, "g", lo, hi, cfg):
+        if pt.kind == "pitchfork":
+            return pt.location, params_base.gamma.z0
+    raise NoMerger(f"no pitchfork over g in [{lo}, {hi}]")
 
 
 def find_tangent(
@@ -677,56 +574,159 @@ def find_tangent(
 ):
     """Locate the fold where the two equal-population branches coalesce.
 
-    Seeds the two symmetric branches from the state list at a sub-critical
-    parameter and refines with the fold locator.  Returns (location,
-    coalesced_state).
+    The tangent of the system's bifurcation set in (-2v, 2v) nearest v.
+    Returns (location, coalesced_state).
     """
-    if cfg is None:
-        cfg = SolveConfig()
     v = params.v
-    start = 0.9 * v
-    states = find_all_states(system, params.with_control(parameter, start), cfg)
-    sym = [
-        st for st in states
-        if st.is_complex_state and st.is_pt_symmetric
-    ]
-    if len(sym) < 2:
-        raise NoConvergence("could not seed the two symmetric branches")
-    sym.sort(key=lambda s: s.mu.z0)
-    loc, coalesced, _ = locate_fold(
-        system, params, parameter, sym[0], sym[-1], start, cfg
-    )
-    return loc, coalesced
+    tangents = [pt for pt in system.bifurcation_set(params, parameter,
+                                                    -2 * v, 2 * v, cfg)
+                if pt.kind == "tangent"]
+    if not tangents:
+        raise NoConvergence(f"no tangent in {parameter} over (-2v, 2v)")
+    pt = min(tangents, key=lambda pt: abs(pt.location - v))
+    return pt.location, pt.coalesced_state
+
+
+# -- stitched grids ---------------------------------------------------------
+
+
+def _assign(cost) -> list[tuple[int, int]]:
+    """Minimum-cost matching of the rows of ``cost`` to its columns, as
+    (row, column) pairs sorted by row; a tall matrix matches its columns.
+
+    This is the shortest-augmenting-path method of scipy's
+    ``linear_sum_assignment`` (Crouse, IEEE Trans. Aerosp. Electron. Syst.
+    52, 1679 (2016)) with its floating-point operations in its order.  A
+    brute force over the at most 24 maps finds the same optimum, but not
+    the same one of two maps whose totals differ only by rounding, as for
+    a conjugate pair of states; this way branch ids and loop permutations
+    stay those that scipy gave.
+    """
+    n_rows, n_cols = len(cost), len(cost[0])
+    if n_rows > n_cols:
+        return sorted((r, c) for c, r in _assign(list(zip(*cost))))
+    rows = cost
+    u, v = [0.0] * n_rows, [0.0] * n_cols
+    col4row, row4col, path = [-1] * n_rows, [-1] * n_cols, [-1] * n_cols
+    for current in range(n_rows):
+        # shortest augmenting path from the current row
+        remaining = list(range(n_cols - 1, -1, -1))
+        shortest = [math.inf] * n_cols
+        seen_rows, seen_cols = [False] * n_rows, [False] * n_cols
+        min_val, i, sink = 0.0, current, -1
+        while sink == -1:
+            seen_rows[i] = True
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + rows[i][j] - u[i] - v[j]
+                if r < shortest[j]:
+                    path[j], shortest[j] = i, r
+                if shortest[j] < lowest or (shortest[j] == lowest
+                                            and row4col[j] == -1):
+                    index, lowest = it, shortest[j]
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            seen_cols[j] = True
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        # dual update, then augment along the path
+        u[current] += min_val
+        for i in range(n_rows):
+            if seen_rows[i] and i != current:
+                u[i] += min_val - shortest[col4row[i]]
+        for j in range(n_cols):
+            if seen_cols[j]:
+                v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == current:
+                break
+    return list(enumerate(col4row))
+
+
+def stitched_branches(system, params, parameter, grid, cfg) -> list[Branch]:
+    """All states per grid point stitched into branches by nearest matching."""
+    branches: list[Branch] = []
+    open_ids: list[int] = []
+    prev_states: list = []
+    for value in grid:
+        states = find_all_states(
+            system, params.with_control(parameter, value), cfg
+        )
+        if not prev_states:
+            for st in states:
+                br = Branch(parameter=parameter, branch_id=len(branches))
+                br.samples.append((value, st))
+                branches.append(br)
+            open_ids = list(range(len(branches)))
+        else:
+            cost = [[state_distance(new, old) for old in prev_states]
+                    for new in states]
+            assigned = {}
+            if states:
+                for rr, cc in _assign(cost):
+                    if cost[rr][cc] < 0.5:
+                        assigned[rr] = open_ids[cc]
+            next_open = []
+            for idx, st in enumerate(states):
+                if idx in assigned:
+                    bid = assigned[idx]
+                else:
+                    bid = len(branches)
+                    branches.append(Branch(parameter=parameter, branch_id=bid))
+                branches[bid].samples.append((value, st))
+                next_open.append(bid)
+            open_ids = next_open
+        prev_states = states
+    for br in branches:
+        br.termination = "range_end"
+    return branches
 
 
 # -- export -----------------------------------------------------------------
 
 
-_BRANCH_HEADER = (
-    "param,branch_id,"
+_STATE_COLUMNS = (
     "psi1_0,psi1_1,psi1_2,psi1_3,"
     "psi2_0,psi2_1,psi2_2,psi2_3,"
     "mu_0,mu_1,mu_2,mu_3,"
-    "re_mu_0,re_mu_2,im_mu_0,im_mu_2,"
-    "is_complex_state,is_pt_symmetric"
+    "re_mu_0,re_mu_2,im_mu_0,im_mu_2"
 )
+
+
+def states_table(rows, lead: tuple[str, ...] = (),
+                 extra: tuple[str, ...] = ()) -> str:
+    """CSV text with one line per (lead cells, state, extra cells) row.
+
+    The columns are the ``lead`` ones, the state's components, mu in the
+    (re, im) complex split, the ``extra`` ones and the two flags.
+    """
+    header = [*lead, _STATE_COLUMNS, *extra,
+              "is_complex_state", "is_pt_symmetric"]
+    lines = [",".join(header)]
+    for lead_cells, st, extra_cells in rows:
+        cells = list(lead_cells)
+        # mu twice: its components, then re_mu_0, re_mu_2, im_mu_0, im_mu_2
+        for z in (st.psi1, st.psi2, st.mu, st.mu):
+            cells.extend(fmt_float(c) for c in z.as_tuple())
+        cells.extend(extra_cells)
+        cells.append("true" if st.is_complex_state else "false")
+        cells.append("true" if st.is_pt_symmetric else "false")
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
 
 
 def branches_to_csv(branches: list[Branch]) -> str:
     """Branch samples in the interchange schema (one row per sample)."""
-    lines = [_BRANCH_HEADER]
-    for br in branches:
-        for value, st in br.samples:
-            re_mu = complex(st.mu.z0, st.mu.z1)
-            im_mu = complex(st.mu.z2, st.mu.z3)
-            cells = [fmt_float(value), str(br.branch_id)]
-            for z in (st.psi1, st.psi2, st.mu):
-                cells.extend(fmt_float(c) for c in z.as_tuple())
-            cells.extend(
-                [fmt_float(re_mu.real), fmt_float(re_mu.imag),
-                 fmt_float(im_mu.real), fmt_float(im_mu.imag)]
-            )
-            cells.append("true" if st.is_complex_state else "false")
-            cells.append("true" if st.is_pt_symmetric else "false")
-            lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return states_table(
+        (((fmt_float(value), str(br.branch_id)), st, ())
+         for br in branches for value, st in br.samples),
+        lead=("param", "branch_id"),
+    )

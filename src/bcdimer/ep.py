@@ -17,10 +17,8 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-from scipy.optimize import linear_sum_assignment
-
 from .bicomplex import fmt_float
+from .continuation import _assign
 from .model import StationaryState
 from .solver import (
     GaugeDegenerate,
@@ -204,13 +202,8 @@ def _encircle_once(system, spec: LoopSpec, cfg: SolveConfig) -> LoopTrace:
         perm = [0]
         end_margin = math.inf
     else:
-        cost = np.array(
-            [[state_distance(e, s) for s in start] for e in end]
-        )
-        rows, cols = linear_sum_assignment(cost)
-        perm = [0] * n
-        for branch, target in zip(rows, cols):
-            perm[branch] = int(target)
+        cost = [[state_distance(e, s) for s in start] for e in end]
+        perm = [target for _branch, target in _assign(cost)]
         end_margin = math.inf
         for i in range(n):
             row = sorted(cost[i])

@@ -100,6 +100,17 @@ class StationaryState:
     is_pt_symmetric: bool
 
 
+@dataclass
+class BifurcationPoint:
+    kind: str  # "tangent" | "pitchfork" | "unclassified"
+    location: float
+    branch_ids: tuple[int, ...]
+    coalesced_state: StationaryState
+    detection_residual: float
+    continuing_branch_id: int | None = None
+    diagnostics: str = ""
+
+
 @dataclass(frozen=True, slots=True)
 class Observables:
     mu: Bicomplex
@@ -359,6 +370,162 @@ def _idempotent_seed(psi_plus, phi, mu_plus, nu):
     return psi, Bicomplex.from_idempotent(mu_plus, nu.conjugate())
 
 
+# -- bifurcation set -----------------------------------------------------------
+#
+# States coalesce where Q(X) (see DimerSystem) has a multiple root, that is
+# where disc_X Q = 0.  With v = 1 the discriminant is a polynomial of degree
+# 10 in gamma and 8 in s; in g it is g^4 times one of degree 8, and g^4
+# marks the linear model (Q a perfect square), not a coalescence.  At
+# s = 0 it factors as 4 g^4 (gamma^2-1)(4 gamma^2+g^2)(4 gamma^2+g^2-4)^3.
+_DISC_DEGREE = {"gamma": 10, "g": 8, "s": 8}
+_DISC_SAMPLES = 16  # circle points of the interpolation, above every degree
+_REFINE_STEPS = 20  # the tangent at |g| = 0.01 needs 16
+# a refined root is accepted when its last Newton step in the control, and
+# its imaginary part, are below these (v-scaled); refined roots closer than
+# _SAME_POINT are one point.  Near-degenerate cases (|g| ~ 0.01) stall at a
+# step of ~1e-11, and two distinct points lie >= 1e-5 apart there.
+_STEP_TOL = 1e-10
+_IMAG_TOL = 1e-9
+_SAME_POINT = 1e-8
+# the quartic vanishes identically (gamma = g = 0) below this coefficient size
+_VANISHING = 1e-8
+# Newton's Jacobian is singular at a coalescence, so the polish of a
+# back-solved coalesced state accepts it at this residual and improves it
+# where it can
+_COALESCED_TOL = 1e-8
+_KINDS = ("tangent", "pitchfork")  # a double and a triple root of Q
+# n!/(n-a)! and n-a: the a-th X derivative of X**n, for a <= 3
+_FALLING = np.array([[math.perm(n, a) for n in range(5)] for a in range(4)],
+                    dtype=float)[..., None]
+_SHIFT = np.maximum(np.arange(5) - np.arange(4)[:, None], 0)
+_DP = np.arange(1, 4)[:, None]  # d/dp of p**k, k = 1..3
+
+
+def _q_coefficients(g, gamma, s) -> np.ndarray:
+    """Coefficients of Q(X) at v = 1, lowest power first; the controls
+    broadcast, and each row has their shape."""
+    g, gamma, s = np.broadcast_arrays(
+        *(np.asarray(c) + 0j for c in (g, gamma, s)))
+    gg, g2 = gamma * gamma, g * g
+    return np.array([
+        2 * gamma + 1j * g,
+        8j * gg - 2 * gamma * g - 8 * gamma * s + 1j * g2 - 2j * g * s,
+        (-8 * gg * gamma - 16j * gg * s - 2 * gamma * g2 + 8 * gamma * s * s
+         - 4 * gamma),
+        -8j * gg - 2 * gamma * g + 8 * gamma * s - 1j * g2 - 2j * g * s,
+        2 * gamma - 1j * g,
+    ])
+
+
+def _discriminant(c) -> np.ndarray:
+    """disc_X of the quartics whose coefficient rows are c (lowest first).
+
+    The 7x7 Sylvester determinants of (Q, Q') run in one batched call;
+    disc = Res(Q, Q') / a4 for a quartic.
+    """
+    top = c[::-1].T  # highest power first, one row per quartic
+    sylvester = np.zeros((top.shape[0], 7, 7), dtype=complex)
+    for r in range(3):
+        sylvester[:, r, r:r + 5] = top
+    for r in range(4):
+        sylvester[:, 3 + r, r:r + 4] = top[:, :4] * (4, 3, 2, 1)
+    return np.linalg.det(sylvester) / top[:, 0]
+
+
+def _discriminant_roots(coeffs, parameter: str, lo: float, hi: float):
+    """Roots of disc_X Q in the control near [lo, hi] (v-scaled), where Q
+    does not vanish identically, and Q's coefficient rows there."""
+    centre = 0.5 * (lo + hi)
+    # half a step off the real axis, so that no sample lands on g = 0
+    radius = (0.5 * (hi - lo) + 1e-3 * max(1.0, abs(centre))) * np.exp(
+        1j * np.pi / _DISC_SAMPLES)
+    z = centre + radius * np.exp(
+        2j * np.pi * np.arange(_DISC_SAMPLES) / _DISC_SAMPLES)
+    disc = _discriminant(_at(coeffs, z))
+    if parameter == "g":
+        disc /= z ** 4
+    interpolant = np.fft.fft(disc)[:_DISC_DEGREE[parameter] + 1]
+    roots = centre + radius * np.roots(interpolant[::-1])
+    roots = roots[(np.abs(roots - centre) <= 1.1 * abs(radius))
+                  & (np.abs(roots.imag) <= 0.1 * abs(radius))]
+    c = _at(coeffs, roots)
+    live = np.abs(c).max(0) > _VANISHING * np.abs(coeffs).max()
+    return roots[live], c[:, live]
+
+
+def _powers(z, count: int) -> np.ndarray:
+    """Rows z**0 .. z**(count-1), by products (complex ** is slow)."""
+    out = np.ones((count, len(z)), dtype=z.dtype)
+    for k in range(1, count):
+        out[k] = out[k - 1] * z
+    return out
+
+
+def _at(coeffs, p) -> np.ndarray:
+    """Q's coefficient rows at control values p, from ``coeffs[k, n]``, the
+    coefficient of X**n p**k."""
+    return coeffs.T @ _powers(p, len(coeffs))
+
+
+def _x_derivatives(c, x) -> np.ndarray:
+    """Rows Q, Q', Q'', Q''' at x of the quartics with coefficient rows c."""
+    return (_FALLING * _powers(x, 5)[_SHIFT] * c).sum(1)
+
+
+def _newton_step(coeffs, x, p, order, f1=None, f2=None):
+    """The Newton step (dx, dp) on (d^j Q, d^(j+1) Q), j = order, and their
+    values; f1 and f2 replace those values where given."""
+    lanes = np.arange(len(x))
+    weights = _FALLING * _powers(x, 5)[_SHIFT]  # d^a X**n / dX^a
+    p_powers = _powers(p, 4)
+    q = (weights * (coeffs.T @ p_powers)).sum(1)
+    qp = (weights * ((coeffs[1:] * _DP).T @ p_powers[:3])).sum(1)
+    if f1 is None:
+        f1, f2 = q[order, lanes], q[order + 1, lanes]
+    a, b = q[order + 1, lanes], qp[order, lanes]
+    c, d = q[order + 2, lanes], qp[order + 1, lanes]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det = a * d - b * c
+        return (f1 * d - b * f2) / det, (a * f2 - c * f1) / det, f1, f2
+
+
+def _refine(coeffs, x, p, order):
+    """Newton in (X, p) on (d^j Q, d^(j+1) Q), j = order, for all lanes.
+
+    j = 0 finds a double root of Q, j = 1 a double root of Q', which is a
+    triple root of Q where Q vanishes too.  Returns x, p, the size of the
+    last step in p, the residual of the system and |Q| relative to the size
+    of its terms.
+    """
+    for _ in range(_REFINE_STEPS):
+        dx, dp, f1, f2 = _newton_step(coeffs, x, p, order)
+        ok = np.isfinite(dx) & np.isfinite(dp)
+        x, p = np.where(ok, x - dx, x), np.where(ok, p - dp, p)
+        step = np.where(ok, np.abs(dp), np.inf)
+    residual = np.maximum(np.abs(f1), np.abs(f2))
+    c = _at(coeffs, p)
+    terms = c * _powers(x, 5)
+    return x, p, step, residual, np.abs(terms.sum(0)) / np.abs(terms).sum(0)
+
+
+def _polish(coeffs, controls, parameter, x, p, order):
+    """Two last Newton steps with the residual from Q's closed-form
+    coefficients in long double, so that a location is rounded once, at
+    the end (exactly where long double is wider than double)."""
+    lanes = np.arange(len(x))
+    controls = {name: np.clongdouble(c) for name, c in controls.items()}
+    x, p = x.astype(np.clongdouble), p.astype(np.clongdouble)
+    for _ in range(2):
+        controls[parameter] = p
+        q = _x_derivatives(_q_coefficients(
+            controls["g"], controls["gamma"], controls["s"]), x)
+        dx, dp, _, _ = _newton_step(
+            coeffs, x.astype(complex), p.astype(complex), order,
+            q[order, lanes].astype(complex), q[order + 1, lanes].astype(complex))
+        x, p = x - dx, p - dp
+    return x.astype(complex), p.real
+
+
 class DimerSystem:
     """The continued nonlinear dimer behind the generic system interface.
 
@@ -380,6 +547,24 @@ class DimerSystem:
     back-solved through X^2 - (g(2a-1) + 2i gamma - 2s) X - v^2 = 0,
     Y = v^2 (1-a)/(aX), mu+ = X - ga - i gamma + s, nu = Y - ga + i gamma + s.
     So there are four states, counted with multiplicity.
+
+    Eliminating a instead leaves g X^2 Q(X) with, for v = 1 (every control
+    and mu scale with v, and X with it),
+
+        Q(X) = (2gamma - ig) X^4
+               + (-8i gamma^2 - 2gamma g + 8gamma s - ig^2 - 2igs) X^3
+               + (-8gamma^3 - 16i gamma^2 s - 2gamma g^2 + 8gamma s^2
+                  - 4gamma) X^2
+               + (8i gamma^2 - 2gamma g - 8gamma s + ig^2 - 2igs) X
+               + (2gamma + ig),
+
+    whose roots separate all four states when g != 0, back-solved through
+    a = ((X^2 - 1)/X - 2i gamma + 2s + g)/(2g) and the Y and mu relations
+    above.  States coalesce where Q has a multiple root, so the bifurcation
+    set is disc_X Q = 0 (see :meth:`bifurcation_set`).  At g = 0, Q =
+    2gamma (X^2 - 2i gamma X - 1)^2 is a perfect square and the X roots no
+    longer separate the states: there the dimer is the linear model, whose
+    states coalesce where v^2 + (i gamma - s)^2 = 0.
     """
 
     n_amplitudes = 2
@@ -409,6 +594,96 @@ class DimerSystem:
                         (1.0, x / v), (a, a * y / v),
                         x - g * a - 1j * gamma + s, y - g * a + 1j * gamma + s))
         return seeds
+
+    def bifurcation_set(self, p: DimerParams, parameter: str, lo: float,
+                        hi: float, cfg=None) -> list[BifurcationPoint]:
+        """Every point in [lo, hi] of the real control ``parameter`` where
+        states coalesce, sorted by location.
+
+        disc_X Q is sampled on a circle around the range (batched Sylvester
+        determinants), interpolated by an FFT into a polynomial in the
+        control, and each of its roots near the range is refined by Newton
+        in (X, control).  Rounding splits the multiple roots of the
+        discriminant and, at small |g|, smears them together, so the
+        refinement, not the raw root, gives the location.  A double root of
+        Q is a ``tangent`` and a triple root (the EP3) a ``pitchfork``.
+        ``coalesced_state`` is the back-solve of the multiple root, polished
+        by Newton with ``cfg``; ``detection_residual`` is the residual of
+        the (X, control) system in v-scaled units; ``branch_ids`` is empty.
+        At g = 0 the points are those of the linear model.
+        """
+        from .solver import SolveConfig, canonical_gauge, newton_solve
+
+        cfg = cfg or SolveConfig()
+        cfg = replace(cfg, residual_tol=max(cfg.residual_tol, _COALESCED_TOL))
+        v = p.v
+        plus = {name: p.control(name).to_idempotent().plus / v
+                for name in CONTROL_NAMES}
+        points = []
+        if parameter != "g" and plus["g"] == 0:
+            # the linear model coalesces where 1 + (i gamma - s)^2 = 0
+            if parameter == "gamma":
+                roots = (-1j * plus["s"] + 1, -1j * plus["s"] - 1)
+            else:
+                roots = (1j * plus["gamma"] - 1j, 1j * plus["gamma"] + 1j)
+            for root in roots:
+                location = v * root.real
+                if abs(root.imag) <= _IMAG_TOL and lo <= location <= hi:
+                    at = p.with_control(parameter, location)
+                    seed = canonical_gauge(
+                        *LinearTwoMode().candidate_states(at)[0])
+                    points.append(BifurcationPoint(
+                        "tangent", location, (),
+                        newton_solve(self, at, seed, cfg), 0.0))
+            return sorted(points, key=lambda pt: pt.location)
+
+        # Q's coefficients as polynomials in the control, of degree <= 3:
+        # coeffs[k, n] multiplies X**n p**k
+        swept = dict(plus, **{parameter: np.exp(0.5j * np.pi * np.arange(4))})
+        coeffs = np.fft.fft(_q_coefficients(swept["g"], swept["gamma"],
+                                            swept["s"]), axis=1).T / 4
+        roots, c = _discriminant_roots(coeffs, parameter, lo / v, hi / v)
+        if not len(roots):
+            return points
+        # the four roots of Q at each control seed seed both systems
+        companion = np.zeros((len(roots), 4, 4), dtype=complex)
+        companion[:, 1:, :3] = np.eye(3)
+        companion[:, :, 3] = -(c[:4] / c[4]).T
+        x0 = np.tile(np.linalg.eigvals(companion).ravel(), 2)
+        p0 = np.tile(np.repeat(roots, 4), 2)
+        order = np.repeat([0, 1], len(x0) // 2)
+        x, pv, step, residual, q_size = _refine(coeffs, x0, p0, order)
+
+        scale = np.maximum(1.0, np.abs(pv))
+        live = np.abs(_at(coeffs, pv)).max(0)
+        ok = ((step <= _STEP_TOL * scale)
+              & (np.abs(pv.imag) <= _IMAG_TOL * scale)
+              & (lo <= v * pv.real) & (v * pv.real <= hi)
+              & (live > _VANISHING * np.abs(coeffs).max())
+              & ((order == 0) | (q_size <= _VANISHING)))
+        kept = []  # triple roots first, then the best refined
+        for k in sorted(np.flatnonzero(ok),
+                        key=lambda k: (-order[k], residual[k])):
+            if all(abs(pv[k].real - pv[j].real) > _SAME_POINT * scale[k]
+                   for j in kept):
+                kept.append(k)
+        xs, values = _polish(coeffs, plus, parameter, x[kept], pv[kept],
+                             order[kept])
+        for k, xk, value in zip(kept, xs, values):
+            at = dict(plus, **{parameter: complex(value)})
+            g, gamma, s = at["g"], at["gamma"], at["s"]
+            a = ((xk * xk - 1) / xk - 2j * gamma + 2 * s + g) / (2 * g)
+            y = (1 - a) / (a * xk)
+            seed = _idempotent_seed(
+                (1.0, xk), (a, a * y), v * (xk - g * a - 1j * gamma + s),
+                v * (y - g * a + 1j * gamma + s))
+            location = float(v * value)
+            points.append(BifurcationPoint(
+                _KINDS[order[k]], location, (),
+                newton_solve(self, p.with_control(parameter, location), seed,
+                             cfg),
+                float(residual[k])))
+        return sorted(points, key=lambda pt: pt.location)
 
     def residual(self, psi, mu: Bicomplex, p: DimerParams):
         return residual(psi[0], psi[1], mu, p)

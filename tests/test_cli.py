@@ -1,13 +1,25 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bcdimer
 from bcdimer.cli import run
+from bcdimer.model import DimerParams, DimerSystem
+from bcdimer.solver import find_all_states
 
 
 def summary(capsys) -> dict:
     lines = capsys.readouterr().out.strip().splitlines()
     return json.loads(lines[-1])
+
+
+def points(capsys) -> list:
+    return [(pt["kind"], pt["location"]) for pt in summary(capsys)["points"]]
 
 
 class TestExitCodes:
@@ -80,3 +92,44 @@ class TestAnswers:
         points = [(pt["kind"], pt["location"])
                   for pt in summary(capsys)["points"]]
         assert points == [("tangent", 1.0)]
+
+    def test_bifurcations_find_the_pitchfork_near_the_tangent(self, capsys):
+        assert run(["bifurcations", "--g", "-0.4"]) == 0
+        assert points(capsys) == [("pitchfork", 0.9797958971132712),
+                                  ("tangent", 1.0)]
+
+    @pytest.mark.parametrize("g", ["1.2", "-1.2"])
+    def test_bifurcations_report_no_spurious_pitchfork(self, capsys, g):
+        assert run(["bifurcations", "--g", g]) == 0
+        assert points(capsys) == [("pitchfork", 0.8), ("tangent", 1.0)]
+
+    def test_bifurcations_report_both_folds_off_symmetry(self, capsys):
+        assert run(["bifurcations", "--g", "1.2", "--s", "0.05"]) == 0
+        found = points(capsys)
+        assert [kind for kind, _ in found] == ["tangent", "tangent"]
+        assert [round(loc, 9) for _, loc in found] == [0.951990632, 1.003563497]
+        # each fold changes the number of complex states
+        for _, loc in found:
+            counts = [
+                sum(st.is_complex_state for st in find_all_states(
+                    DimerSystem(), DimerParams(g=1.2, gamma=loc + d, s=0.05)))
+                for d in (-1e-3, 1e-3)
+            ]
+            assert counts[0] != counts[1]
+
+    def test_bifurcations_scale_with_v(self, capsys):
+        assert run(["bifurcations", "--v", "2", "--g", "1.2",
+                    "--gamma-range", "0.05:2.8:0.02"]) == 0
+        assert points(capsys) == [("pitchfork", 2 * math.sqrt(0.91)),
+                                  ("tangent", 2.0)]
+
+
+def test_cli_import_leaves_scipy_out():
+    src = Path(bcdimer.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, bcdimer.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.strip() == "False"

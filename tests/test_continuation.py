@@ -208,6 +208,14 @@ class TestLocators:
             assert found is not None
             assert abs(found[0] - pitchfork_gamma_closed_form(1.0, g)) < 1e-6
 
+    @pytest.mark.parametrize("g,tol", [(0.05, 1e-10), (-0.05, 1e-10),
+                                       (0.01, 1e-8), (-0.01, 1e-8)])
+    def test_pitchfork_location_at_small_g(self, g, tol):
+        found = locate_pitchfork_gamma(SYSTEM, DimerParams(v=1.0, g=g),
+                                       1.0, CFG)
+        assert found is not None
+        assert abs(found[0] - pitchfork_gamma_closed_form(1.0, g)) < tol
+
     def test_pitchfork_location_shrinks_towards_threshold(self):
         locs = []
         for g in (-1.0, -1.5, -1.9):
@@ -221,19 +229,17 @@ class TestLocators:
         assert ex == {-2.5: False, -1.0: True, 1.0: True, 2.5: False}
 
     def test_merger_negative_window(self):
-        g_star, gamma_star = find_merger(1.0, SYSTEM, (-2.5, -0.1), CFG,
-                                         g_tol=1e-3)
-        assert abs(g_star + 2.0) < 5e-3
+        g_star, gamma_star = find_merger(1.0, SYSTEM, (-2.5, -0.1), CFG)
+        assert abs(g_star + 2.0) < 1e-10
         assert gamma_star < 0.1
 
     def test_merger_positive_window(self):
-        g_star, gamma_star = find_merger(1.0, SYSTEM, (0.1, 2.5), CFG,
-                                         g_tol=1e-3)
-        assert abs(g_star - 2.0) < 5e-3
+        g_star, gamma_star = find_merger(1.0, SYSTEM, (0.1, 2.5), CFG)
+        assert abs(g_star - 2.0) < 1e-10
 
     def test_no_merger(self):
         with pytest.raises(NoMerger):
-            find_merger(1.0, SYSTEM, (-1.5, -0.5), CFG, g_tol=1e-2)
+            find_merger(1.0, SYSTEM, (-1.5, -0.5), CFG)
 
 
 class TestExport:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from bcdimer.model import (
     pt_classify,
     pt_reflected,
     residual,
+    _discriminant,
+    _q_coefficients,
 )
 
 R2 = 1.0 / math.sqrt(2.0)
@@ -265,3 +268,54 @@ def test_mean_field_energy_complex_criterion():
     pair = obs.e_mf.to_idempotent()
     assert abs(pair.plus - pair.minus) > 1e-3
     assert abs(obs.re_part.imag) > 1e-3 or abs(obs.im_part.imag) > 1e-3
+
+
+class TestBifurcationSet:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_discriminant_matches_its_factorization(self, seed):
+        # s = 0, v = 1: disc_X Q = 4g^4 (gamma^2-1)(4gamma^2+g^2)(4gamma^2+g^2-4)^3
+        rng = random.Random(seed)
+        g, gamma = rng.uniform(-2.5, 2.5), rng.uniform(0.0, 2.0)
+        disc = _discriminant(_q_coefficients(np.array([g]), np.array([gamma]),
+                                             np.array([0.0])))[0]
+        want = (4 * g**4 * (gamma**2 - 1) * (4 * gamma**2 + g**2)
+                * (4 * gamma**2 + g**2 - 4) ** 3)
+        assert abs(disc - want) <= 1e-9 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("v", [1.0, 2.0])
+    @pytest.mark.parametrize("g_over_v", [
+        -2.5, -2.0, -1.99, -1.2, -0.4, -0.05, -0.03, -0.01, 0.0,
+        0.01, 0.05, 0.3, 1.0, 1.5, 1.99, 2.0, 2.3,
+    ])
+    def test_gamma_points_match_the_closed_forms(self, v, g_over_v):
+        g = g_over_v * v
+        points = DimerSystem().bifurcation_set(DimerParams(v=v, g=g), "gamma",
+                                               0.01 * v, 1.5 * v)
+        tangents = [pt.location for pt in points if pt.kind == "tangent"]
+        pitchforks = [pt.location for pt in points if pt.kind == "pitchfork"]
+        assert len(tangents) + len(pitchforks) == len(points)
+        assert len(tangents) == 1
+        assert abs(tangents[0] - v) <= 1e-10
+        if 0 < abs(g_over_v) < 2:
+            tol = 1e-10 if abs(g_over_v) >= 0.05 else 1e-8
+            assert len(pitchforks) == 1
+            assert abs(pitchforks[0] - math.sqrt(v * v - g * g / 4)) <= tol
+        else:
+            assert pitchforks == []
+
+    @pytest.mark.parametrize("v", [1.0, 2.0])
+    def test_merger_in_g(self, v):
+        # at gamma = 0 the quartic vanishes identically at g = 0: no point
+        points = DimerSystem().bifurcation_set(DimerParams(v=v), "g",
+                                               -3 * v, 3 * v)
+        assert [pt.kind for pt in points] == ["pitchfork", "pitchfork"]
+        assert abs(points[0].location + 2 * v) <= 1e-10
+        assert abs(points[1].location - 2 * v) <= 1e-10
+
+    def test_coalesced_states_solve(self):
+        p = DimerParams(g=-1.0)
+        for pt in DimerSystem().bifurcation_set(p, "gamma", 0.05, 1.4):
+            st = pt.coalesced_state
+            assert st.is_complex_state and st.is_pt_symmetric
+            assert residual_norm(st.psi1, st.psi2, st.mu,
+                                 p.with_control("gamma", pt.location)) < 1e-10
