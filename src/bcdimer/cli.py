@@ -23,6 +23,7 @@ from .continuation import (
     find_merger,
     find_tangent,
     locate_pitchfork_gamma,
+    meeting_branches,
     states_table,
     stitched_branches,
 )
@@ -35,7 +36,7 @@ from .ep import (
     trace_summary_json,
     trace_to_csv,
 )
-from .model import DimerParams, DimerSystem, observables
+from .model import DimerParams, DimerSystem
 from .solver import (
     GaugeDegenerate,
     NoConvergence,
@@ -251,32 +252,6 @@ def _cmd_sweep(ns) -> dict:
     }
 
 
-def _meeting_branches(point, branches, step) -> tuple[list[int], int | None]:
-    """The branches that meet at a point and, for a pitchfork, the one that
-    carries the symmetric state through it.
-
-    They are the two (tangent) or three (pitchfork) branches whose samples
-    within one grid step of the location lie closest to the coalesced state.
-    """
-    nearest = {}
-    for br in branches:
-        dists = [state_distance(st, point.coalesced_state)
-                 for value, st in br.samples
-                 if abs(value - point.location) <= step]
-        if dists:
-            nearest[br.branch_id] = min(dists)
-    if point.kind != "pitchfork":
-        return sorted(sorted(nearest, key=nearest.get)[:2]), None
-    ids = sorted(sorted(nearest, key=nearest.get)[:3])
-    symmetric = [
-        bid for bid in ids
-        if min(branches[bid].samples,
-               key=lambda sample: abs(sample[0] - point.location))[1]
-        .is_pt_symmetric
-    ]
-    return ids, (symmetric[0] if symmetric else None)
-
-
 def _cmd_bifurcations(ns) -> dict:
     system = DimerSystem()
     params = _params(ns)
@@ -287,7 +262,7 @@ def _cmd_bifurcations(ns) -> dict:
     points = system.bifurcation_set(params, "gamma", lo, hi, cfg)
     payload = []
     for pt in points:
-        ids, continuing = _meeting_branches(pt, branches, step)
+        ids, continuing = meeting_branches(pt, branches, step)
         payload.append({
             "kind": pt.kind,
             "location": pt.location,

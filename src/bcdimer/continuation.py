@@ -3,20 +3,19 @@
 The dimer's bifurcation points come from algebra, not from sweeps:
 :meth:`~bcdimer.model.DimerSystem.bifurcation_set` finds them as the roots
 of one discriminant, and :func:`find_tangent`, :func:`locate_pitchfork_gamma`,
-:func:`pitchfork_existence` and :func:`find_merger` pick from its answer.
-Sweeps only draw branches: :func:`stitched_branches` stitches all states on
-a grid into branches, and :func:`sweep_branch` follows one branch by
-natural-parameter continuation (secant predictor, Newton corrector), which
-stops at a fold or hops onto the bicomplex partner branch that continues
-through it.  :func:`detect_bifurcations` and :func:`locate_fold` classify
-and refine coalescences among swept branches; they need no polynomial and
-serve as cross-checks of the locator.
+:func:`pitchfork_existence`, :func:`find_merger`, :func:`locate_fold` and
+:func:`detect_bifurcations` pick from its answer; the last two only name the
+branches that meet at each point.  Sweeps only draw branches:
+:func:`stitched_branches` stitches all states on a grid into branches, and
+:func:`sweep_branch` follows one branch by natural-parameter continuation
+(secant predictor, Newton corrector), which stops at a fold or hops onto
+the bicomplex partner branch that continues through it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .bicomplex import Bicomplex, J, fmt_float
 from .model import BifurcationPoint, DimerParams, StationaryState, pt_reflected
@@ -37,6 +36,7 @@ __all__ = [
     "sweep_branch",
     "detect_bifurcations",
     "locate_fold",
+    "meeting_branches",
     "pitchfork_existence",
     "find_merger",
     "find_tangent",
@@ -209,169 +209,55 @@ def locate_fold(
     state_b: StationaryState,
     value: float,
     cfg: SolveConfig | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 60,
 ):
-    """Refine the parameter where two branches coalesce.
+    """The point of the system's bifurcation set where two states coalesce.
 
-    The squared distance between the two states vanishes linearly at a fold,
-    so the location is found by re-solving both branches ever closer and
-    extrapolating d^2 to zero.  Returns (location, coalesced_state,
-    final_distance).
+    Near a fold or pitchfork the pair splits as the square root of the
+    distance to it, so the point lies within a multiple of d^2 of
+    ``value``, d the pair distance.  The set is searched within
+    max(d, d^2, 1e-6) * max(1, |value|) of ``value``, and the point whose
+    coalesced state lies nearest the pair is taken.  Returns (location,
+    coalesced_state, detection_residual).  Raises :class:`NoConvergence`
+    when there is none.
     """
-    if cfg is None:
-        cfg = SolveConfig()
-    a, b = state_a, state_b
-    d_start = state_distance(a, b)
-    if d_start <= cfg.dedup_tol:
-        return value, a, d_start  # one state: the pair already sits on the fold
-    flags = {(s.is_complex_state, s.is_pt_symmetric) for s in (a, b)}
-
-    def probe(at: float):
-        """Resolve both branch states; reject character changes and collapses.
-
-        Past a fold the corrector lands on states of a different kind
-        (symmetric vs broken, complex vs bicomplex); their classification
-        flags expose that and the probe is treated as a failure.  From a
-        pair that already sits on the fold both solves can land on the same
-        branch; a distance below the dedup tolerance then means one state,
-        not a closer approach, and the probe fails too.
-        """
-        try:
-            ta = _solve_at(system, params, parameter, at, a, cfg)
-            tb = _solve_at(system, params, parameter, at, b, cfg)
-        except (NoConvergence, GaugeDegenerate):
-            return None
-        if {(s.is_complex_state, s.is_pt_symmetric) for s in (ta, tb)} != flags:
-            return None
-        d = state_distance(ta, tb)
-        if d <= cfg.dedup_tol:
-            return None
-        return ta, tb, d
-
-    # find the descent direction of the pair distance; shrink the probe
-    # step when the fold is closer than the first guess
-    v1, d1 = value, d_start
-    v0 = d0 = None
-    for exponent in range(3, 9):
-        h = max(abs(v1), 1.0) * 10.0 ** (-exponent)
-        for cand in (1.0, -1.0):
-            r = probe(v1 + cand * h)
-            if r is not None and r[2] < d1:
-                a, b = r[0], r[1]
-                v0, d0 = v1, d1
-                v1, d1 = v1 + cand * h, r[2]
-                break
-        if v0 is not None:
-            break
-    if v0 is None:
-        return v1, _midpoint_state(a, b), d1
-
-    est = v1
-    for _ in range(max_iter):
-        denom = d0 * d0 - d1 * d1
-        if denom <= 0:
-            break
-        est = v1 + (v1 - v0) * (d1 * d1) / denom  # root of the linear d^2 fit
-        if abs(est - v1) < tol:
-            break
-        # damped approach, retreating when the fold is overshot
-        trial = v1 + 0.95 * (est - v1)
-        accepted = None
-        for _retry in range(6):
-            r = probe(trial)
-            if r is not None and r[2] < d1:
-                accepted = r
-                break
-            trial = 0.5 * (v1 + trial)
-        if accepted is None:
-            break
-        a, b = accepted[0], accepted[1]
-        v0, d0 = v1, d1
-        v1, d1 = trial, accepted[2]
-    mid = _midpoint_state(a, b)
-    return est, mid, d1
+    d = state_distance(state_a, state_b)
+    half = max(d, d * d, 1e-6) * max(1.0, abs(value))
+    points = system.bifurcation_set(params, parameter, value - half,
+                                    value + half, cfg)
+    if not points:
+        raise NoConvergence(
+            f"no bifurcation in {parameter} within {half:.3g} of {value!r}")
+    pt = min(points, key=lambda pt: state_distance(pt.coalesced_state, state_a)
+             + state_distance(pt.coalesced_state, state_b))
+    return pt.location, pt.coalesced_state, pt.detection_residual
 
 
-def _midpoint_state(a: StationaryState, b: StationaryState) -> StationaryState:
-    def avg(x: Bicomplex, y: Bicomplex) -> Bicomplex:
-        return 0.5 * (x + y)
+def meeting_branches(point, branches, step) -> tuple[list[int], int | None]:
+    """The branches that meet at a point and, for a pitchfork, the one that
+    carries the symmetric state through it.
 
-    psi, mu = canonical_gauge((avg(a.psi1, b.psi1), avg(a.psi2, b.psi2)),
-                              avg(a.mu, b.mu))
-    return StationaryState(
-        psi1=psi[0],
-        psi2=psi[1],
-        mu=mu,
-        residual_norm=max(a.residual_norm, b.residual_norm),
-        is_complex_state=a.is_complex_state and b.is_complex_state,
-        is_pt_symmetric=a.is_pt_symmetric and b.is_pt_symmetric,
-    )
-
-
-def _pair_profile(a: Branch, b: Branch):
-    """Distances between matched-parameter samples of two branches.
-
-    Samples only match when their parameter values agree within a fraction
-    of the local grid spacing, so overlapping-but-offset grids do not
-    produce fake profile points.
+    They are the two (tangent) or three (pitchfork) branches whose samples
+    within ``step`` of the location lie closest to the coalesced state; the
+    continuing one is the first of those whose sample nearest the location
+    is PT-symmetric.  Branch ids are their positions in ``branches``.
     """
-    out = []
-    jb = 0
-    bs = b.samples
-    for value, state in a.samples:
-        while jb + 1 < len(bs) and abs(bs[jb + 1][0] - value) <= abs(bs[jb][0] - value):
-            jb += 1
-        if jb + 1 < len(bs):
-            spacing = abs(bs[jb + 1][0] - bs[jb][0])
-        elif jb > 0:
-            spacing = abs(bs[jb][0] - bs[jb - 1][0])
-        else:
-            spacing = 0.0
-        window = max(0.25 * spacing, 1e-9)
-        if abs(bs[jb][0] - value) <= window:
-            out.append((value, state, bs[jb][1]))
-    return out
-
-
-def _merge_candidates(branches: list[Branch], merge_tol: float, sep_tol: float):
-    """Branch pairs that coincide on one side of a parameter and split on
-    the other: the raw signal of a pitchfork passed by natural continuation."""
-    out = []
-    for i, a in enumerate(branches):
-        for b in branches[i + 1 :]:
-            if a.parameter != b.parameter:
-                continue
-            profile = _pair_profile(a, b)
-            if len(profile) < 4:
-                continue
-            dists = [state_distance(sa, sb) for _, sa, sb in profile]
-            merged = [d < merge_tol for d in dists]
-            split = [d > sep_tol for d in dists]
-            if not (any(merged) and any(split)):
-                continue
-            # boundary between the merged and split regions
-            boundary = None
-            for k in range(len(profile) - 1):
-                if split[k] != split[k + 1] and (merged[k] or merged[k + 1]):
-                    boundary = k
-            if boundary is None:
-                for k in range(len(profile) - 1):
-                    if split[k] != split[k + 1]:
-                        boundary = k
-            if boundary is None:
-                continue
-            k_split = boundary if split[boundary] else boundary + 1
-            value, sa, sb = profile[k_split]
-            out.append(
-                {
-                    "pair": (a.branch_id, b.branch_id),
-                    "value": value,
-                    "states": (sa, sb),
-                    "separation": dists[k_split],
-                }
-            )
-    return out
+    nearest = {}
+    for br in branches:
+        dists = [state_distance(st, point.coalesced_state)
+                 for value, st in br.samples
+                 if abs(value - point.location) <= step]
+        if dists:
+            nearest[br.branch_id] = min(dists)
+    if point.kind != "pitchfork":
+        return sorted(sorted(nearest, key=nearest.get)[:2]), None
+    ids = sorted(sorted(nearest, key=nearest.get)[:3])
+    symmetric = [
+        bid for bid in ids
+        if min(branches[bid].samples,
+               key=lambda sample: abs(sample[0] - point.location))[1]
+        .is_pt_symmetric
+    ]
+    return ids, (symmetric[0] if symmetric else None)
 
 
 def detect_bifurcations(
@@ -379,120 +265,31 @@ def detect_bifurcations(
     system,
     params,
     cfg: SolveConfig | None = None,
-    cluster_window: float = 0.05,
-    merge_tol: float = 1e-6,
-    sep_tol: float = 1e-3,
 ) -> list[BifurcationPoint]:
-    """Classify coalescence events among swept branches.
+    """The bifurcation points among swept branches, sorted by location.
 
-    Tangent: two branches terminate at a common parameter with coalescing
-    states (the branch pair folds).  Pitchfork: a branch pair whose mutual
-    distance drops to zero at a parameter while a third branch continues
-    through the point; natural-parameter sweeps ride straight through a
-    pitchfork onto the continuing branch, so the merge of the swept pair is
-    the detection signal.  Everything else is reported unclassified.
+    The points are those of the system's bifurcation set over the span of
+    the branches, widened by their widest sample step so that a fold where
+    a branch stops lies inside.  Branch ids are set to the list positions;
+    ``branch_ids`` and ``continuing_branch_id`` come from
+    :func:`meeting_branches` with that step.
     """
-    if cfg is None:
-        cfg = SolveConfig()
     for i, br in enumerate(branches):
         br.branch_id = i
-    points: list[BifurcationPoint] = []
-    used: set[int] = set()
-
-    # --- folds: terminated pairs ---------------------------------------
-    ended = [
-        br
-        for br in branches
-        if br.termination == "step_underflow" and len(br.samples) >= 2
-    ]
-    for i, bi in enumerate(ended):
-        for bj in ended[i + 1 :]:
-            if bi.branch_id in used or bj.branch_id in used:
-                continue
-            if abs(bi.end - bj.end) > cluster_window:
-                continue
-            d_end = state_distance(bi.state_at_end(), bj.state_at_end())
-            if d_end > 0.5:
-                continue
-            value = 0.5 * (bi.end + bj.end)
-            loc, coalesced, resid = locate_fold(
-                system, params, bi.parameter,
-                bi.state_at_end(), bj.state_at_end(), value, cfg,
-            )
-            continuing = _find_continuing_branch(
-                branches, (bi.branch_id, bj.branch_id), loc, coalesced
-            )
-            kind = "pitchfork" if continuing is not None else "tangent"
-            points.append(
-                BifurcationPoint(
-                    kind=kind,
-                    location=loc,
-                    branch_ids=(bi.branch_id, bj.branch_id),
-                    coalesced_state=coalesced,
-                    detection_residual=resid,
-                    continuing_branch_id=continuing,
-                )
-            )
-            used.add(bi.branch_id)
-            used.add(bj.branch_id)
-    for bi in ended:
-        if bi.branch_id in used:
-            continue
-        points.append(
-            BifurcationPoint(
-                kind="unclassified",
-                location=bi.end,
-                branch_ids=(bi.branch_id,),
-                coalesced_state=bi.state_at_end(),
-                detection_residual=math.nan,
-                diagnostics="branch terminated without a coalescing partner",
-            )
-        )
-
-    # --- pitchforks: merging pairs --------------------------------------
-    candidates = _merge_candidates(branches, merge_tol, sep_tol)
-    candidates.sort(key=lambda c: (-c["separation"], c["pair"]))
-    taken_locations = [pt.location for pt in points]
-    for cand in candidates:
-        sa, sb = cand["states"]
-        loc, coalesced, resid = locate_fold(
-            system, params, branches[0].parameter, sa, sb, cand["value"], cfg
-        )
-        if any(abs(loc - seen) < 1e-4 for seen in taken_locations):
-            continue
-        continuing = _find_continuing_branch(
-            branches, cand["pair"], loc, coalesced
-        )
-        points.append(
-            BifurcationPoint(
-                kind="pitchfork",
-                location=loc,
-                branch_ids=cand["pair"],
-                coalesced_state=coalesced,
-                detection_residual=resid,
-                continuing_branch_id=continuing,
-            )
-        )
-        taken_locations.append(loc)
-
-    points.sort(key=lambda pt: pt.location)
-    return points
-
-
-def _find_continuing_branch(branches, pair_ids, location, coalesced):
-    """A branch passing through the location whose state matches there."""
-    for br in branches:
-        if br.branch_id in pair_ids or len(br.samples) < 2:
-            continue
-        lo = min(br.start, br.end)
-        hi = max(br.start, br.end)
-        margin = 1e-6 * max(1.0, abs(location))
-        if not (lo - margin <= location <= hi + margin):
-            continue
-        nearest = min(br.samples, key=lambda sv: abs(sv[0] - location))
-        if state_distance(nearest[1], coalesced) < 0.2:
-            return br.branch_id
-    return None
+    values = [value for br in branches for value, _ in br.samples]
+    if not values:
+        return []
+    step = max((abs(b[0] - a[0]) for br in branches
+                for a, b in zip(br.samples, br.samples[1:])), default=0.0)
+    points = system.bifurcation_set(params, branches[0].parameter,
+                                    min(values) - step, max(values) + step,
+                                    cfg)
+    out = []
+    for pt in points:
+        ids, continuing = meeting_branches(pt, branches, step)
+        out.append(replace(pt, branch_ids=tuple(ids),
+                           continuing_branch_id=continuing))
+    return out
 
 
 def pt_partner_check(branch_a: Branch, branch_b: Branch, tol: float = 1e-6) -> bool:

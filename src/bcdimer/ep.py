@@ -270,7 +270,7 @@ def classify_ep(
     max_pair = 0.0
     for i, a in enumerate(center_states):
         for b in center_states[i + 1 :]:
-            max_pair = max(max_pair, state_distance(a, b))
+            max_pair = max(max_pair, float(state_distance(a, b)))
     coalesce = bool(center_states) and max_pair < coalescence_tol
     summary = (
         f"EP order >= {max_cycle}"

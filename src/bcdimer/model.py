@@ -102,13 +102,12 @@ class StationaryState:
 
 @dataclass
 class BifurcationPoint:
-    kind: str  # "tangent" | "pitchfork" | "unclassified"
+    kind: str  # "tangent" | "pitchfork"
     location: float
     branch_ids: tuple[int, ...]
     coalesced_state: StationaryState
     detection_residual: float
     continuing_branch_id: int | None = None
-    diagnostics: str = ""
 
 
 @dataclass(frozen=True, slots=True)

@@ -82,6 +82,17 @@ class TestArtifacts:
         assert len(texts[0]) > 0
 
 
+    def test_classify_writes_a_json_report(self, tmp_path, capsys):
+        assert run(["classify", "--around", "pitchfork", "--g", "-1",
+                    "--track", "all", "--out", str(tmp_path)]) == 0
+        assert summary(capsys)["command"] == "classify"
+        text = (tmp_path / "ep_report.json").read_text()
+        report = json.loads(text)
+        assert report["states_coalesce"] is True
+        assert '"states_coalesce": true' in text
+        assert type(report["max_pairwise_center_distance"]) is float
+
+
 class TestAnswers:
     @pytest.mark.parametrize("g", ["2.3", "-2.3"])
     def test_bifurcations_beyond_merger_report_only_the_tangent(self, capsys,

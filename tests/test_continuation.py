@@ -1,11 +1,12 @@
 import dataclasses
+import json
 import math
 
 import pytest
 
-from bcdimer.bicomplex import Bicomplex
+from bcdimer.cli import run
 from bcdimer.model import DimerParams, DimerSystem, residual
-from bcdimer.solver import SolveConfig, find_all_states, state_distance
+from bcdimer.solver import NoConvergence, SolveConfig, find_all_states
 from bcdimer.continuation import (
     NoMerger,
     branches_to_csv,
@@ -16,6 +17,7 @@ from bcdimer.continuation import (
     locate_pitchfork_gamma,
     pitchfork_existence,
     pt_partner_check,
+    stitched_branches,
     sweep_branch,
 )
 
@@ -98,10 +100,10 @@ class TestSweep:
 
 
 class TestDetection:
-    def sweep_scenario(self, g: float):
+    def sweep_scenario(self, g: float, s: float = 0.0):
         """Branches for one nonlinearity: symmetric pair swept up, broken
         pair (when present) swept down from near the tangent."""
-        p95 = DimerParams(v=1.0, g=g, gamma=0.95)
+        p95 = DimerParams(v=1.0, g=g, gamma=0.95, s=s)
         states = [s for s in find_all_states(SYSTEM, p95, CFG) if s.is_complex_state]
         branches = []
         for st in states:
@@ -122,7 +124,8 @@ class TestDetection:
         points = detect_bifurcations(branches, SYSTEM, p, CFG)
         kinds = [pt.kind for pt in points]
         assert kinds == ["tangent"]
-        assert abs(points[0].location - 1.0) < 1e-6
+        assert type(points[0].location) is float
+        assert abs(points[0].location - 1.0) < 1e-10
 
     @pytest.mark.parametrize("g,side", [(-1.0, "upper"), (1.0, "lower")])
     def test_pitchfork_branch_side(self, g, side):
@@ -132,10 +135,11 @@ class TestDetection:
         tangents = [pt for pt in points if pt.kind == "tangent"]
         pitchforks = [pt for pt in points if pt.kind == "pitchfork"]
         assert len(tangents) == 1
-        assert abs(tangents[0].location - 1.0) < 1e-6
+        assert abs(tangents[0].location - 1.0) < 1e-10
         assert len(pitchforks) == 1
         pf = pitchforks[0]
-        assert abs(pf.location - pitchfork_gamma_closed_form(1.0, g)) < 1e-6
+        assert all(type(pt.location) is float for pt in points)
+        assert abs(pf.location - pitchfork_gamma_closed_form(1.0, g)) < 1e-10
         assert pf.continuing_branch_id is not None
         # which symmetric branch carries the pitchfork
         continuing = next(
@@ -152,6 +156,47 @@ class TestDetection:
             assert all(at_loc[1].mu.z0 > mu for mu in other_mu)
         else:
             assert all(at_loc[1].mu.z0 < mu for mu in other_mu)
+
+    @pytest.mark.parametrize("g", [1.2, -1.2])
+    def test_no_spurious_pitchfork_on_swept_branches(self, g):
+        points = detect_bifurcations(self.sweep_scenario(g), SYSTEM,
+                                     DimerParams(v=1.0, g=g), CFG)
+        assert [pt.kind for pt in points] == ["pitchfork", "tangent"]
+        assert abs(points[0].location - 0.8) < 1e-10
+        assert abs(points[1].location - 1.0) < 1e-10
+
+    def test_pitchfork_near_the_tangent_on_swept_branches(self):
+        # the broken pair is born at gamma_P = sqrt(0.96), above the 0.95
+        # seeds, so no swept branch follows it
+        points = detect_bifurcations(self.sweep_scenario(-0.4), SYSTEM,
+                                     DimerParams(v=1.0, g=-0.4), CFG)
+        assert [pt.kind for pt in points] == ["pitchfork", "tangent"]
+        assert abs(points[0].location - math.sqrt(0.96)) < 1e-10
+
+    def test_both_folds_off_symmetry_on_swept_branches(self):
+        points = detect_bifurcations(self.sweep_scenario(1.2, s=0.05), SYSTEM,
+                                     DimerParams(v=1.0, g=1.2, s=0.05), CFG)
+        assert [pt.kind for pt in points] == ["tangent", "tangent"]
+        assert [round(pt.location, 9) for pt in points] == [0.951990632,
+                                                           1.003563497]
+
+    @pytest.mark.parametrize("g", ["-1", "1.6"])
+    def test_matches_the_cli_on_its_grid(self, tmp_path, capsys, g):
+        assert run(["bifurcations", "--g", g, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        expected = json.loads((tmp_path / "bifurcations.json").read_text())
+        p = DimerParams(v=1.0, g=float(g))
+        cli_cfg = SolveConfig(residual_tol=1e-11, jacobian="analytic")
+        # the CLI's default --gamma-range 0.05:1.4:0.01
+        grid = [0.05 + k * 0.01 for k in range(136)]
+        branches = stitched_branches(SYSTEM, p, "gamma", grid, cli_cfg)
+        points = detect_bifurcations(branches, SYSTEM, p, cli_cfg)
+        assert len(points) == len(expected) > 0
+        for pt, want in zip(points, expected):
+            assert pt.kind == want["kind"]
+            assert list(pt.branch_ids) == want["branch_ids"]
+            assert pt.continuing_branch_id == want["continuing_branch_id"]
+            assert abs(pt.location - want["location"]) < 1e-12
 
     def test_broken_partners_are_pt_reflections(self):
         g = -1.0
@@ -200,6 +245,26 @@ class TestLocators:
         twin = dataclasses.replace(upper, mu=upper.mu + 1e-9)
         loc, _, _ = locate_fold(SYSTEM, p, "gamma", upper, twin, gam0, CFG)
         assert abs(loc - 1.0) < 1e-6
+
+    def test_fold_picks_the_point_nearest_the_pair(self):
+        # the broken pair at 0.85, born at gamma_P = 0.8, is searched in a
+        # window that also holds the tangent at 1.0
+        g, gam0 = 1.2, 0.85
+        p = DimerParams(v=1.0, g=g, gamma=gam0)
+        broken = [s for s in find_all_states(SYSTEM, p, CFG)
+                  if s.is_complex_state and not s.is_pt_symmetric]
+        assert len(broken) == 2
+        loc, coalesced, _ = locate_fold(SYSTEM, p, "gamma", *broken, gam0,
+                                        CFG)
+        assert type(loc) is float
+        assert abs(loc - 0.8) < 1e-10
+        assert coalesced.is_complex_state
+
+    def test_fold_without_a_point_in_reach_raises(self):
+        p = DimerParams(v=1.0, g=-1.0, gamma=0.5)
+        upper = max(symmetric_states(p), key=lambda s: s.mu.z0)
+        with pytest.raises(NoConvergence):
+            locate_fold(SYSTEM, p, "gamma", upper, upper, 0.5, CFG)
 
     def test_pitchfork_location(self):
         for g in (-1.0, 1.0, -1.5):
