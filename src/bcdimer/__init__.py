@@ -29,7 +29,6 @@ from .continuation import (
     find_tangent,
     locate_fold,
     locate_pitchfork_gamma,
-    pitchfork_existence,
     stitched_branches,
     sweep_branch,
 )

@@ -111,10 +111,6 @@ class Bicomplex:
         """Coefficient of i in z = A + i*B with A, B in the j-plane."""
         return complex(self.z2, self.z3)
 
-    def is_complex_in_i(self, tol: float = 0.0) -> bool:
-        """True when the j and k components are (within tol of) zero."""
-        return abs(self.z1) <= tol and abs(self.z3) <= tol
-
     def max_abs(self) -> float:
         return max(abs(self.z0), abs(self.z1), abs(self.z2), abs(self.z3))
 
@@ -209,10 +205,6 @@ def lift_real_control(c0: float, c1: float) -> IdempotentPair:
     two real degrees of freedom of the control.
     """
     return IdempotentPair(complex(c0, -c1), complex(c0, c1))
-
-
-def isclose(a: Bicomplex, b: Bicomplex, tol: float) -> bool:
-    return (a - b).max_abs() <= tol
 
 
 def fmt_float(x: float) -> str:

@@ -73,6 +73,8 @@ def _parse_range(text: str) -> tuple[float, float, float]:
             f"range must be lo:hi:step, got {text!r}"
         )
     lo, hi, step = (float(p) for p in parts)
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise argparse.ArgumentTypeError(f"range must be finite, got {text!r}")
     if step <= 0 or hi < lo:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return lo, hi, step
@@ -82,6 +84,11 @@ def _grid(rng: tuple[float, float, float]) -> list[float]:
     lo, hi, step = rng
     n = int(math.floor((hi - lo) / step + 1e-9))
     return [lo + k * step for k in range(n + 1)]
+
+
+_TRACK_HELP = ("complex (default): only states that exist without "
+               "continuation; all: the bicomplex ones too.  Past a tangent "
+               "at g != 0 the coalescing pair is bicomplex: use --track all")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,10 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Newton Jacobian: exact (default) or forward "
                        "differences, kept as a cross-check")
         p.add_argument("--out", type=Path, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("solve", help="find all stationary states at one point")
     common(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("sweep", help="states over a parameter range, stitched "
                        "into branches")
@@ -138,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reverse", action="store_true")
     p.add_argument("--around", choices=("tangent", "pitchfork", "merger"),
                    default=None)
-    p.add_argument("--track", choices=("complex", "all"), default="complex")
+    p.add_argument("--track", choices=("complex", "all"), default="complex",
+                   help=_TRACK_HELP)
 
     p = sub.add_parser("classify", help="combine loops over several controls "
                        "into an order statement")
@@ -149,7 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=128)
     p.add_argument("--around", choices=("tangent", "pitchfork"),
                    default="tangent")
-    p.add_argument("--track", choices=("complex", "all"), default="complex")
+    p.add_argument("--track", choices=("complex", "all"), default="complex",
+                   help=_TRACK_HELP)
     return ap
 
 
@@ -315,10 +324,24 @@ def _resolve_center(ns, system, cfg):
     return params.with_control("gamma", gamma_star), None
 
 
+def _check_loop(ns, which: str, turns: int = 1) -> None:
+    """Reject bad loop settings as usage errors, before any solving."""
+    try:
+        LoopSpec(center=_params(ns), which=which, radius=ns.radius,
+                 steps=ns.steps, turns=turns, states_to_track=[None]).validate()
+    except ValueError as exc:
+        raise _Usage(str(exc)) from exc
+
+
+def _nothing_to_track(where: str, track: str) -> NoConvergence:
+    hint = ("; --track complex skips the bicomplex states, which past a "
+            "tangent at g != 0 are the coalescing pair: try --track all"
+            if track == "complex" else "")
+    return NoConvergence(f"no states to track {where}{hint}")
+
+
 def _tracked_states(system, center, which, radius, coalesced, track, cfg):
-    spec_probe = LoopSpec(center=center, which=which, radius=radius,
-                          states_to_track=[None])
-    r = spec_probe.resolved_radius()
+    r = LoopSpec(center=center, which=which, radius=radius).resolved_radius()
     value0 = center.control(which).z0 + r
     p0 = center.with_control(which, value0)
     states = find_all_states(system, p0, cfg)
@@ -333,11 +356,12 @@ def _tracked_states(system, center, which, radius, coalesced, track, cfg):
 def _cmd_encircle(ns) -> dict:
     system = DimerSystem()
     cfg = _cfg(ns)
+    _check_loop(ns, ns.param, ns.turns)
     center, coalesced = _resolve_center(ns, system, cfg)
     tracked = _tracked_states(system, center, ns.param, ns.radius, coalesced,
                               ns.track, cfg)
     if not tracked:
-        raise NoConvergence("no states to track at the loop start")
+        raise _nothing_to_track("at the loop start", ns.track)
     spec = LoopSpec(
         center=center,
         which=ns.param,
@@ -366,13 +390,14 @@ def _cmd_classify(ns) -> dict:
     system = DimerSystem()
     cfg = _cfg(ns)
     which_list = ns.param or ["gamma", "s"]
+    _check_loop(ns, which_list[0])
     center, coalesced = _resolve_center(ns, system, cfg)
     traces = []
     for which in which_list:
         tracked = _tracked_states(system, center, which, ns.radius, coalesced,
                                   ns.track, cfg)
         if not tracked:
-            raise NoConvergence(f"no states to track for the {which} loop")
+            raise _nothing_to_track(f"for the {which} loop", ns.track)
         spec = LoopSpec(center=center, which=which, radius=ns.radius,
                         steps=ns.steps, states_to_track=tracked)
         traces.append(encircle(system, spec, cfg))

@@ -3,13 +3,13 @@
 The dimer's bifurcation points come from algebra, not from sweeps:
 :meth:`~bcdimer.model.DimerSystem.bifurcation_set` finds them as the roots
 of one discriminant, and :func:`find_tangent`, :func:`locate_pitchfork_gamma`,
-:func:`pitchfork_existence`, :func:`find_merger`, :func:`locate_fold` and
-:func:`detect_bifurcations` pick from its answer; the last two only name the
-branches that meet at each point.  Sweeps only draw branches:
-:func:`stitched_branches` stitches all states on a grid into branches, and
-:func:`sweep_branch` follows one branch by natural-parameter continuation
-(secant predictor, Newton corrector), which stops at a fold or hops onto
-the bicomplex partner branch that continues through it.
+:func:`find_merger`, :func:`locate_fold` and :func:`detect_bifurcations` pick
+from its answer; the last two only name the branches that meet at each point.
+Sweeps only draw branches.  :func:`stitched_branches` stitches all states on
+a grid into branches, and so carries every branch through its fold onto the
+bicomplex partner that continues it.  :func:`sweep_branch` follows one branch
+by natural-parameter continuation (secant predictor, Newton corrector) and
+stops at its fold.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .bicomplex import Bicomplex, J, fmt_float
+from .bicomplex import Bicomplex, fmt_float
 from .model import BifurcationPoint, DimerParams, StationaryState, pt_reflected
 from .solver import (
     GaugeDegenerate,
@@ -37,7 +37,6 @@ __all__ = [
     "detect_bifurcations",
     "locate_fold",
     "meeting_branches",
-    "pitchfork_existence",
     "find_merger",
     "find_tangent",
     "stitched_branches",
@@ -47,6 +46,7 @@ __all__ = [
 _STEP_FLOOR = 1e-9
 _GROW_AFTER = 3
 _GROW_FACTOR = 1.5
+_MAX_STEPS = 100000
 
 
 class NoMerger(RuntimeError):
@@ -60,7 +60,6 @@ class Branch:
     parameter: str
     samples: list[tuple[float, StationaryState]] = field(default_factory=list)
     termination: str = "incomplete"
-    events: list[dict] = field(default_factory=list)
     branch_id: int = 0
 
     @property
@@ -71,14 +70,6 @@ class Branch:
     def end(self) -> float:
         return self.samples[-1][0]
 
-    def state_at_end(self) -> StationaryState:
-        return self.samples[-1][1]
-
-
-def _solve_at(system, params, parameter: str, value: float, seed, cfg):
-    p = params.with_control(parameter, value, 0.0)
-    return newton_solve(system, p, seed, cfg)
-
 
 def sweep_branch(
     system,
@@ -88,19 +79,15 @@ def sweep_branch(
     stop: float,
     initial_step: float,
     cfg: SolveConfig | None = None,
-    follow_continuation: bool = False,
-    max_steps: int = 100000,
 ) -> Branch:
-    """Follow one branch from the seed state to ``stop`` (or a fold).
+    """Follow one branch from the seed state to ``stop`` or to its fold.
 
     The seed must solve at the range start (the current value of the chosen
     control in ``params``).  The predictor is the previous state, secant
     after two points; the step halves on corrector failure down to a floor
-    of 1e-9 (then the branch terminates) and grows by 1.5x after three
-    consecutive successes, capped at the initial step.
-
-    With ``follow_continuation`` the sweep reseeds with a j-perturbed state
-    after a fold and keeps going on the bicomplex partner branch.
+    of 1e-9 (then the branch terminates, as at a fold) and grows by 1.5x
+    after three consecutive successes, capped at the initial step.  To
+    carry branches through their folds, use :func:`stitched_branches`.
     """
     if cfg is None:
         cfg = SolveConfig()
@@ -113,7 +100,7 @@ def sweep_branch(
     value = start
     successes = 0
     slope = None
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         if (stop - value) * direction <= 1e-15:
             branch.termination = "range_end"
             return branch
@@ -128,7 +115,8 @@ def sweep_branch(
             seed = prev
         ok = False
         try:
-            new_state = _solve_at(system, params, parameter, target, seed, cfg)
+            new_state = newton_solve(
+                system, params.with_control(parameter, target), seed, cfg)
             jump = state_distance(new_state, prev)
             bound = _continuity_bound(h, slope)
             if jump <= bound:
@@ -148,19 +136,6 @@ def sweep_branch(
         if step > _STEP_FLOOR:
             step *= 0.5
             continue
-        if follow_continuation:
-            hop = _fold_switch(system, params, parameter, value, direction,
-                               abs(initial_step), branch.samples[-1][1], cfg)
-            if hop is not None:
-                hop_value, hop_state = hop
-                branch.events.append(
-                    {"kind": "fold_switch", "param": value, "resumed_at": hop_value}
-                )
-                branch.samples.append((hop_value, hop_state))
-                value = hop_value
-                step = abs(initial_step) / 4
-                slope = None
-                continue
         branch.termination = "step_underflow"
         return branch
     branch.termination = "max_steps"
@@ -179,23 +154,6 @@ def _extrapolate(s_prev: StationaryState, s_last: StationaryState, frac: float):
 
     psi = (ex(s_prev.psi1, s_last.psi1), ex(s_prev.psi2, s_last.psi2))
     return (psi, ex(s_prev.mu, s_last.mu))
-
-
-def _fold_switch(system, params, parameter, value, direction, step0, last, cfg):
-    """Reseed past a fold with j-perturbed copies of the last state."""
-    for offset in (step0 / 4, step0, 4 * step0):
-        target = value + direction * offset
-        kick = math.sqrt(max(offset, 1e-12))
-        for sign in (1.0, -1.0):
-            seed_mu = last.mu + sign * kick * J
-            seed = ((last.psi1, last.psi2 + 0.5 * sign * kick * J), seed_mu)
-            try:
-                st = _solve_at(system, params, parameter, target, seed, cfg)
-            except (NoConvergence, GaugeDegenerate):
-                continue
-            if state_distance(st, last) < 10 * math.sqrt(offset) + 0.1:
-                return target, st
-    return None
 
 
 # -- bifurcation location -------------------------------------------------
@@ -326,19 +284,6 @@ def locate_pitchfork_gamma(system, params, v: float,
         if pt.kind == "pitchfork" and pt.location > 0:
             return pt.location, pt.coalesced_state
     return None
-
-
-def pitchfork_existence(
-    g_values, v: float, system, params_base=None, cfg: SolveConfig | None = None
-) -> dict[float, bool]:
-    """Map g -> whether a pitchfork occurs at some gamma in (0, v]."""
-    if params_base is None:
-        params_base = DimerParams(v=v)
-    out = {}
-    for g in g_values:
-        params = params_base.with_control("g", float(g))
-        out[float(g)] = locate_pitchfork_gamma(system, params, v, cfg) is not None
-    return out
 
 
 def find_merger(

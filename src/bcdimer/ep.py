@@ -40,7 +40,8 @@ __all__ = [
     "trace_summary_json",
 ]
 
-PAPER_RADIUS_PRESETS = (1e-3, 2e-3, 1e-4)
+# tracked states re-solved at the center within this of each other coalesce
+COALESCENCE_TOL = 1e-3
 
 
 class TrackingLost(RuntimeError):
@@ -75,10 +76,14 @@ class LoopSpec:
         return 1e-3 * max(1.0, abs(self.center.control(self.which).z0))
 
     def validate(self):
-        if self.resolved_radius() <= 0:
-            raise ValueError("loop radius must be positive")
+        radius = self.resolved_radius()
+        if not (radius > 0 and math.isfinite(radius)):
+            raise ValueError(f"loop radius must be positive and finite, "
+                             f"got {radius}")
         if self.steps < 16:
             raise ValueError("a loop needs at least 16 steps")
+        if self.turns < 1:
+            raise ValueError("a loop needs at least 1 turn")
         if self.which not in ("gamma", "g", "s"):
             raise ValueError(f"cannot loop over control {self.which!r}")
         if not self.states_to_track:
@@ -227,8 +232,7 @@ class EpReport:
 
     center_controls: dict
     cycle_types: dict  # which -> sorted cycle lengths
-    max_cycle_length: int
-    order_lower_bound: int
+    order_lower_bound: int  # the longest cycle over all loops
     states_coalesce: bool
     max_pairwise_center_distance: float
     summary: str
@@ -238,7 +242,6 @@ def classify_ep(
     system,
     traces: list[LoopTrace],
     cfg: SolveConfig | None = None,
-    coalescence_tol: float = 1e-3,
 ) -> EpReport:
     """Combine loop traces around one center into an order statement.
 
@@ -271,7 +274,7 @@ def classify_ep(
     for i, a in enumerate(center_states):
         for b in center_states[i + 1 :]:
             max_pair = max(max_pair, float(state_distance(a, b)))
-    coalesce = bool(center_states) and max_pair < coalescence_tol
+    coalesce = bool(center_states) and max_pair < COALESCENCE_TOL
     summary = (
         f"EP order >= {max_cycle}"
         + ("; tracked states coalesce at center" if coalesce else
@@ -282,7 +285,6 @@ def classify_ep(
             name: center.control(name).z0 for name in ("gamma", "g", "s")
         },
         cycle_types=cycle_types,
-        max_cycle_length=max_cycle,
         order_lower_bound=max_cycle,
         states_coalesce=coalesce,
         max_pairwise_center_distance=max_pair,

@@ -58,10 +58,13 @@ class DimerParams:
         object.__setattr__(self, "g", _as_bicomplex(self.g))
         object.__setattr__(self, "gamma", _as_bicomplex(self.gamma))
         object.__setattr__(self, "s", _as_bicomplex(self.s))
-        if not self.v > 0:
-            raise ValueError(f"coupling v must be positive, got {self.v}")
+        if not (self.v > 0 and math.isfinite(self.v)):
+            raise ValueError(f"coupling v must be positive and finite, "
+                             f"got {self.v}")
         for name in CONTROL_NAMES:
             c = getattr(self, name)
+            if not (math.isfinite(c.z0) and math.isfinite(c.z1)):
+                raise ValueError(f"control {name} must be finite, got {c}")
             if c.z2 != 0.0 or c.z3 != 0.0:
                 raise ValueError(
                     f"control {name} may only have real and j components, got {c}"

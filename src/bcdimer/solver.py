@@ -64,40 +64,26 @@ class NoConvergence(RuntimeError):
     """Newton iteration failed (iteration cap or step-size underflow)."""
 
 
+MAX_ITER = 100  # Newton iterations before giving up
+FD_STEP = 1e-7  # forward-difference step of the finite-difference Jacobian
+DEDUP_TOL = 1e-7  # states closer than this (max-norm) are one state
+CLASSIFICATION_TOL = 1e-8  # j, k components below it: a complex state
+GAUGE_EPS = 1e-12  # gauge amplitude degenerate below this
+GAUGE_SITE_FLOOR = 1e-6  # canonical_gauge carries the gauge above this
+
+
 @dataclass
 class SolveConfig:
     """Solver settings."""
 
     residual_tol: float = 1e-11
-    max_iter: int = 100
     jacobian: str = "analytic"  # or "finite-difference", as a cross-check
-    fd_step: float = 1e-7
-    dedup_tol: float = 1e-7
-    classification_tol: float = 1e-8
-    gauge_eps: float = 1e-12
 
     def __post_init__(self):
         if not self.residual_tol > 0:
             raise ValueError("residual_tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
         if self.jacobian not in ("finite-difference", "analytic"):
             raise ValueError(f"unknown jacobian mode {self.jacobian!r}")
-
-
-# -- packing ------------------------------------------------------------------
-
-
-def _pack(psi, mu) -> np.ndarray:
-    parts = [c for z in psi for c in z.as_tuple()]
-    parts.extend(mu.as_tuple())
-    return np.array(parts, dtype=float)
-
-
-def _unpack(x: np.ndarray, n_amp: int):
-    psi = tuple(Bicomplex(*x[4 * k : 4 * k + 4]) for k in range(n_amp))
-    mu = Bicomplex(*x[4 * n_amp : 4 * n_amp + 4])
-    return psi, mu
 
 
 class RealSystemView:
@@ -119,10 +105,14 @@ class RealSystemView:
         self.controls = system.packed_controls(params)
 
     def pack(self, psi, mu) -> np.ndarray:
-        return _pack(psi, mu)
+        parts = [c for z in psi for c in z.as_tuple()]
+        parts.extend(mu.as_tuple())
+        return np.array(parts, dtype=float)
 
     def unpack(self, x: np.ndarray):
-        return _unpack(x, self.n_amp)
+        n = self.n_amp
+        psi = tuple(Bicomplex(*x[4 * k : 4 * k + 4]) for k in range(n))
+        return psi, Bicomplex(*x[4 * n : 4 * n + 4])
 
     def residual_vector(self, x: np.ndarray) -> np.ndarray:
         xs = x.tolist()
@@ -139,7 +129,7 @@ class RealSystemView:
         g0 = 4 * self.gauge_site
         z0, z1, z2, z3 = xs[g0 : g0 + 4]
         plus, minus = complex(z0 + z3, z2 - z1), complex(z0 - z3, z2 + z1)
-        if min(abs(plus), abs(minus)) < self.cfg.gauge_eps:
+        if min(abs(plus), abs(minus)) < GAUGE_EPS:
             raise GaugeDegenerate(
                 f"gauge amplitude {self.gauge_site} too small: "
                 f"{(z0, z1, z2, z3)}"
@@ -157,7 +147,7 @@ class RealSystemView:
     def _fd_jacobian(self, x: np.ndarray, f0: np.ndarray | None) -> np.ndarray:
         if f0 is None:
             f0 = self.residual_vector(x)
-        h = self.cfg.fd_step
+        h = FD_STEP
         n = self.n_unknowns
         jac = np.empty((n, n))
         for col in range(n):
@@ -194,7 +184,7 @@ def _gauge_transform(psi, factor_plus: complex):
     return tuple(out)
 
 
-def canonical_gauge(psi, mu, gauge_eps: float = 1e-12, site_floor: float = 1e-6):
+def canonical_gauge(psi, mu):
     """Unique gauge representative: one amplitude's plus component real and
     positive, idempotent magnitudes balanced.
 
@@ -204,7 +194,7 @@ def canonical_gauge(psi, mu, gauge_eps: float = 1e-12, site_floor: float = 1e-6)
     best = None
     for k, z in enumerate(psi):
         pair = z.to_idempotent()
-        if min(abs(pair.plus), abs(pair.minus)) >= site_floor:
+        if min(abs(pair.plus), abs(pair.minus)) >= GAUGE_SITE_FLOOR:
             best = k
             break
     if best is None:
@@ -214,7 +204,7 @@ def canonical_gauge(psi, mu, gauge_eps: float = 1e-12, site_floor: float = 1e-6)
             val = min(abs(pair.plus), abs(pair.minus))
             if val > best_val:
                 best, best_val = k, val
-        if best is None or best_val < gauge_eps:
+        if best is None or best_val < GAUGE_EPS:
             return tuple(psi), mu
     pair = psi[best].to_idempotent()
     t = math.sqrt(abs(pair.minus) / abs(pair.plus))
@@ -262,8 +252,8 @@ _POLISH_ITERS = 8
 
 def _make_state(view: RealSystemView, x: np.ndarray, rnorm: float) -> StationaryState:
     psi, mu = view.unpack(x)
-    psi, mu = canonical_gauge(psi, mu, view.cfg.gauge_eps)
-    is_c, is_pt = classify_flags(psi[0], psi[1], mu, view.cfg.classification_tol)
+    psi, mu = canonical_gauge(psi, mu)
+    is_c, is_pt = classify_flags(psi[0], psi[1], mu, CLASSIFICATION_TOL)
     return StationaryState(
         psi1=psi[0],
         psi2=psi[1],
@@ -294,7 +284,7 @@ def newton_solve(system, params, seed, cfg: SolveConfig | None = None,
         raise NoConvergence("seed has non-finite entries")
     f = view.residual_vector(x)
     fnorm = float(np.max(np.abs(f)))
-    for _ in range(cfg.max_iter):
+    for _ in range(MAX_ITER):
         if fnorm < cfg.residual_tol:
             x, f, fnorm = _polish(view, x, f, fnorm)
             return _make_state(view, x, fnorm)
@@ -321,7 +311,7 @@ def newton_solve(system, params, seed, cfg: SolveConfig | None = None,
         f, fnorm = f_new, fn_new
     if fnorm < cfg.residual_tol:
         return _make_state(view, x, fnorm)
-    raise NoConvergence(f"no convergence after {cfg.max_iter} iterations "
+    raise NoConvergence(f"no convergence after {MAX_ITER} iterations "
                         f"(residual {fnorm:.3e})")
 
 
@@ -372,4 +362,4 @@ def find_all_states(system, params, cfg: SolveConfig | None = None) -> list[Stat
                 continue
         except NoConvergence:
             continue
-    return dedup_states(found, cfg.dedup_tol)
+    return dedup_states(found, DEDUP_TOL)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import bcdimer
+from bcdimer import cli
 from bcdimer.cli import run
 from bcdimer.model import DimerParams, DimerSystem
 from bcdimer.solver import find_all_states
@@ -60,6 +61,32 @@ class TestExitCodes:
         assert run(["solve", "--help"]) == 0
         assert "--jacobian" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("args", [
+        ["solve", "--g", "nan"],
+        ["solve", "--gamma", "inf"],
+        ["solve", "--s", "nan"],
+        ["solve", "--gamma-j", "inf"],
+        ["solve", "--v", "inf"],
+        ["sweep", "--gamma-range", "0:nan:0.1"],
+        ["sweep", "--gamma-range", "0:inf:0.1"],
+        ["encircle", "--steps", "4"],
+        ["encircle", "--radius", "-1"],
+        ["encircle", "--radius", "0"],
+        ["encircle", "--radius", "nan"],
+        ["encircle", "--turns", "0"],
+        ["encircle", "--turns", "-1"],
+        ["classify", "--steps", "3"],
+        ["sweep", "--format", "json", "--gamma-range", "0:1:0.1"],
+    ])
+    def test_bad_value_is_a_usage_error(self, capsys, monkeypatch, args):
+        def no_solving(*_args, **_kwargs):
+            raise AssertionError("solved before the settings were checked")
+
+        monkeypatch.setattr(cli, "_resolve_center", no_solving)
+        monkeypatch.setattr(cli, "find_all_states", no_solving)
+        assert run(args) == 2
+        assert summary(capsys)["error"] == "usage"
+
     def test_missing_pitchfork_is_a_numerical_failure(self, capsys):
         code = run(["encircle", "--around", "pitchfork", "--g", "-2.5"])
         assert code == 3
@@ -94,6 +121,14 @@ class TestArtifacts:
 
 
 class TestAnswers:
+    def test_loop_past_a_tangent_off_g_zero_needs_track_all(self, capsys):
+        # the pair that coalesces at the g = -1 tangent is bicomplex
+        assert run(["encircle", "--around", "tangent", "--g", "-1"]) == 3
+        assert "--track all" in summary(capsys)["message"]
+        assert run(["encircle", "--around", "tangent", "--g", "-1",
+                    "--track", "all"]) == 0
+        assert summary(capsys)["cycle_type"] == [2]
+
     @pytest.mark.parametrize("g", ["2.3", "-2.3"])
     def test_bifurcations_beyond_merger_report_only_the_tangent(self, capsys,
                                                                  g):

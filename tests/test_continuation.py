@@ -15,7 +15,6 @@ from bcdimer.continuation import (
     find_tangent,
     locate_fold,
     locate_pitchfork_gamma,
-    pitchfork_existence,
     pt_partner_check,
     stitched_branches,
     sweep_branch,
@@ -55,14 +54,15 @@ class TestSweep:
         assert abs(br.end - 1.0) < 1e-3
 
     def test_continues_through_fold_onto_partner(self):
+        # stitched, the upper symmetric branch runs on past its fold
         g = -1.0
         p = DimerParams(v=1.0, g=g, gamma=0.0)
-        upper = max(symmetric_states(p), key=lambda s: s.mu.z0)
-        br = sweep_branch(
-            SYSTEM, upper, p, "gamma", 1.4, 0.01, CFG, follow_continuation=True
-        )
-        assert br.termination == "range_end"
-        assert any(ev["kind"] == "fold_switch" for ev in br.events)
+        grid = [k * 0.01 for k in range(141)]
+        branches = stitched_branches(SYSTEM, p, "gamma", grid, CFG)
+        br = max((b for b in branches if b.samples[0][1].is_pt_symmetric),
+                 key=lambda b: b.samples[0][1].mu.z0)
+        assert br.start == 0.0 and br.end == grid[-1]
+        assert br.samples[0][1].is_complex_state
         gam, st = br.samples[-1]
         w = math.sqrt(gam * gam - 1.0)
         assert not st.is_complex_state
@@ -70,22 +70,19 @@ class TestSweep:
         assert abs(abs(st.mu.z1) - w) < 1e-9
 
     def test_bicomplex_branch_crosses_tangent_smoothly(self):
-        # seeded beyond the fold, swept downward across it
+        # stitched downward across the fold from beyond it: one partner
+        # ends at the fold, the other runs on to the range end
         g, gam0 = -1.0, 1.3
         p = DimerParams(v=1.0, g=g, gamma=gam0)
-        partner = [
-            s for s in find_all_states(SYSTEM, p, CFG) if not s.is_complex_state
-        ]
-        assert len(partner) == 2
-        br = sweep_branch(
-            SYSTEM, partner[0], p, "gamma", 0.2, 0.01, CFG,
-            follow_continuation=True,
-        )
-        assert br.termination == "range_end"
-        values = [v for v, _ in br.samples]
-        assert min(values) <= 0.2 + 1e-9
+        grid = [gam0 - k * 0.01 for k in range(111)]
+        branches = stitched_branches(SYSTEM, p, "gamma", grid, CFG)
+        partners = [b for b in branches
+                    if not b.samples[0][1].is_complex_state]
+        assert len(partners) == 2
+        crossing = [b for b in partners if b.end <= 0.2 + 1e-9]
+        assert len(crossing) == 1
         # below the fold the branch rides one of the symmetric states
-        gam, st = br.samples[-1]
+        gam, st = crossing[0].samples[-1]
         assert st.is_complex_state
         assert abs(abs(st.mu.z0 - (-g / 2)) - math.sqrt(1 - gam * gam)) < 1e-8
 
@@ -290,7 +287,9 @@ class TestLocators:
         assert locs[0] > locs[1] > locs[2]
 
     def test_existence_map(self):
-        ex = pitchfork_existence([-2.5, -1.0, 1.0, 2.5], 1.0, SYSTEM, cfg=CFG)
+        ex = {g: locate_pitchfork_gamma(SYSTEM, DimerParams(v=1.0, g=g), 1.0,
+                                        CFG) is not None
+              for g in (-2.5, -1.0, 1.0, 2.5)}
         assert ex == {-2.5: False, -1.0: True, 1.0: True, 2.5: False}
 
     def test_merger_negative_window(self):

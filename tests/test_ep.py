@@ -4,7 +4,12 @@ import math
 import pytest
 
 from bcdimer.model import DimerParams, DimerSystem
-from bcdimer.solver import SolveConfig, find_all_states, state_distance
+from bcdimer.solver import (
+    DEDUP_TOL,
+    SolveConfig,
+    find_all_states,
+    state_distance,
+)
 from bcdimer.continuation import locate_pitchfork_gamma
 from bcdimer.ep import (
     AmbiguousMatch,
@@ -97,7 +102,7 @@ class TestTangentLoop:
         tr = encircle(SYSTEM, make_tangent_loop(), CFG)
         start, end = tr.start_states(), tr.end_states()
         for e in end:
-            assert min(state_distance(e, s) for s in start) < CFG.dedup_tol
+            assert min(state_distance(e, s) for s in start) < DEDUP_TOL
 
 
 class TestPitchforkLoops:
@@ -209,6 +214,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             LoopSpec(center=center, which="v", radius=0.1,
                      states_to_track=[None]).validate()
+        for radius, turns in ((math.nan, 1), (math.inf, 1), (0.1, 0),
+                              (0.1, -1)):
+            with pytest.raises(ValueError):
+                LoopSpec(center=center, which="gamma", radius=radius,
+                         turns=turns, states_to_track=[None]).validate()
 
     def test_default_radius(self):
         center = DimerParams(v=1.0, g=0.0, gamma=1.0)

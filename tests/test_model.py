@@ -59,6 +59,10 @@ class TestParams:
             DimerParams(gamma=Bicomplex(0, 0, 1, 0))
         with pytest.raises(ValueError):
             DimerParams().with_control("nope", 1.0)
+        for bad in ({"g": math.nan}, {"gamma": math.inf}, {"s": -math.inf},
+                    {"gamma": Bicomplex(0.5, math.nan)}, {"v": math.inf}):
+            with pytest.raises(ValueError):
+                DimerParams(**bad)
 
 
 class TestResidual:

@@ -16,6 +16,9 @@ from bcdimer.model import (
     residual,
 )
 from bcdimer.solver import (
+    DEDUP_TOL,
+    FD_STEP,
+    GAUGE_EPS,
     GaugeDegenerate,
     NoConvergence,
     RealSystemView,
@@ -150,7 +153,7 @@ def reference_residual_vector(view: RealSystemView, x: np.ndarray) -> np.ndarray
     assert abs(norm.z2) <= 1e-10 * scale and abs(norm.z3) <= 1e-10 * scale
     zg = psi[view.gauge_site]
     pair = zg.to_idempotent()
-    if min(abs(pair.plus), abs(pair.minus)) < view.cfg.gauge_eps:
+    if min(abs(pair.plus), abs(pair.minus)) < GAUGE_EPS:
         raise GaugeDegenerate(f"gauge amplitude {view.gauge_site} too small")
     out = np.empty(view.n_unknowns)
     for k, r in enumerate(res):
@@ -166,7 +169,7 @@ def reference_residual_vector(view: RealSystemView, x: np.ndarray) -> np.ndarray
 def reference_fd_jacobian(view: RealSystemView, x: np.ndarray) -> np.ndarray:
     """Forward differences of :func:`reference_residual_vector`."""
     f0 = reference_residual_vector(view, x)
-    h = view.cfg.fd_step
+    h = FD_STEP
     jac = np.empty((view.n_unknowns, view.n_unknowns))
     for col in range(view.n_unknowns):
         xp = x.copy()
@@ -373,7 +376,7 @@ class TestFindAllStates:
                 psi2 = Bicomplex.from_idempotent(pair2.plus * c, pair2.minus * um)
                 seeds.append(((psi1, psi2), st.mu))
         found = [newton_solve(SYSTEM, p, s, CFG) for s in seeds]
-        merged = dedup_states(list(found) + list(base), CFG.dedup_tol)
+        merged = dedup_states(list(found) + list(base), DEDUP_TOL)
         assert len(merged) == len(base)
 
     def test_sorted_by_re_mu(self):
@@ -518,4 +521,4 @@ class TestCanonicalGauge:
                 if i == j:
                     assert d == 0.0
                 else:
-                    assert d > CFG.dedup_tol
+                    assert d > DEDUP_TOL
