@@ -320,46 +320,44 @@ def classify_flags(
     return True, (m1 - m2).max_abs() < tol
 
 
-# the second root X at a root of P is seeded too when it fits the Y
-# equation this well: at a multiple root of P, never at a simple one
-_X_CONSISTENT = 1e-3
-# m roots within this many eps**(1/m) of their mean form one m-fold root
-_MULTIPLE_ROOT_SPREAD = 10.0
+# m roots within this many rounding radii (see _roots) of their mean form
+# one m-fold root; the exact multiple roots of Q measure up to 1.2
+_MULTIPLE_ROOT_SPREAD = 2.0
+# below this |g|/v the linear model's eigenpairs seed too: the back-solve
+# from Q divides by g, and the linear states are the g -> 0 limit
+_LINEAR_SEEDS = 1e-3
 
 
-def _quartic(v: float, g: complex, gamma: complex, s: complex) -> np.ndarray:
-    """Coefficients of P(a), highest power first (see DimerSystem)."""
-    g2 = g * g + 4 * gamma * gamma
-    return np.array([
-        4 * g2,
-        -8 * (g2 + g * s),
-        5 * g * g + 12 * g * s + 20 * gamma * gamma + 4 * s * s + 4 * v * v,
-        -(g2 + 4 * g * s + 4 * s * s + 4 * v * v),
-        v * v,
-    ], dtype=complex)
-
-
-def _roots(coeffs) -> np.ndarray:
+def _roots(coeffs) -> list[complex]:
     """Polynomial roots with each numerically multiple root made exact.
 
-    Rounding splits an m-fold root into m roots evenly spread on a circle of
-    radius ~eps**(1/m) (1e-4 for the quadruple root of P at the pitchfork
-    EP3), from which Newton converges only linearly.  Such a group is
-    replaced by its mean, which rounding moves by O(eps); genuinely distinct
-    roots near a multiple one are not evenly spread and stay apart.
+    Rounding splits an m-fold root r into m roots evenly spread on a circle
+    of radius (eps sum_k |c_k r^k| / |h|)**(1/m), h the leading coefficient
+    times the distances from r to the other roots (1.5e-5 for the triple
+    root of Q at the pitchfork EP3 at g = -v, 1.5e-4 at g = -1e-3 v, where
+    the fourth root is near), from which Newton converges only linearly.
+    Such a group is replaced by its mean, which rounding moves by O(eps);
+    genuinely distinct roots near a multiple one are not evenly spread and
+    stay apart.
     """
-    roots = np.roots(coeffs)
+    roots = [complex(r) for r in np.roots(coeffs)]
+    sizes = [abs(c) for c in coeffs]
+    eps = np.finfo(float).eps
     free = set(range(len(roots)))
     for m in range(len(roots), 1, -1):
-        bound = _MULTIPLE_ROOT_SPREAD * np.finfo(float).eps ** (1.0 / m)
         for group in itertools.combinations(sorted(free), m):
-            idx = list(group)
-            centre = roots[idx].mean()
-            dist = np.abs(roots[idx] - centre)
-            if (free.issuperset(idx) and dist.min() >= 0.5 * dist.max()
-                    and dist.max() <= bound * max(1.0, abs(centre))):
-                roots[idx] = centre
-                free.difference_update(idx)
+            centre = sum(roots[k] for k in group) / m
+            dist = [abs(roots[k] - centre) for k in group]
+            # the spread against the radius above, without dividing by h
+            size = sum(c * abs(centre) ** n for n, c in enumerate(sizes[::-1]))
+            h = sizes[0] * math.prod(abs(r - centre) for k, r in enumerate(roots)
+                                     if k not in group)
+            if (free.issuperset(group) and min(dist) >= 0.5 * max(dist)
+                    and h * (max(dist) / _MULTIPLE_ROOT_SPREAD) ** m
+                    <= eps * size):
+                for k in group:
+                    roots[k] = centre
+                free.difference_update(group)
     return roots
 
 
@@ -370,6 +368,16 @@ def _idempotent_seed(psi_plus, phi, mu_plus, nu):
     psi = tuple(Bicomplex.from_idempotent(c * p, (f / c).conjugate())
                 for p, f in zip(psi_plus, phi))
     return psi, Bicomplex.from_idempotent(mu_plus, nu.conjugate())
+
+
+def _back_solve(x, g, gamma, s, v):
+    """Seed (psi, mu) of the state at the root x of Q, with x and the plus
+    components g, gamma, s of the controls in units of v (see DimerSystem)."""
+    a = ((x * x - 1) / x - 2j * gamma + 2 * s + g) / (2 * g)
+    y = (1 - a) / (a * x)
+    return _idempotent_seed((1.0, x), (a, a * y),
+                            v * (x - g * a - 1j * gamma + s),
+                            v * (y - g * a + 1j * gamma + s))
 
 
 # -- bifurcation set -----------------------------------------------------------
@@ -391,9 +399,8 @@ _IMAG_TOL = 1e-9
 _SAME_POINT = 1e-8
 # the quartic vanishes identically (gamma = g = 0) below this coefficient size
 _VANISHING = 1e-8
-# Newton's Jacobian is singular at a coalescence, so the polish of a
-# back-solved coalesced state accepts it at this residual and improves it
-# where it can
+# Newton's Jacobian is singular at a coalescence, so a back-solved
+# coalesced state is accepted at this residual
 _COALESCED_TOL = 1e-8
 _KINDS = ("tangent", "pitchfork")  # a double and a triple root of Q
 # n!/(n-a)! and n-a: the a-th X derivative of X**n, for a <= 3
@@ -539,19 +546,14 @@ class DimerSystem:
         (-g*n1 + i*gamma + s - nu) phi1 + v phi2 = 0,     n1 + n2 = 1
 
     and the same two rows for site 2 with the signs of gamma and s flipped.
-    With a = n1, X = v psi2+/psi1+ and Y = v phi2/phi1 the states are the
-    roots of the quartic
+    Every control and mu scale with v; take v = 1.  With a = n1, X =
+    psi2+/psi1+ and Y = phi2/phi1 the rows give
 
-        P(a) = 4(g^2+4gamma^2) a^4 - 8(g^2+gs+4gamma^2) a^3
-               + (5g^2+12gs+20gamma^2+4s^2+4v^2) a^2
-               - (g^2+4gs+4gamma^2+4s^2+4v^2) a + v^2,
+        X^2 - (g(2a-1) + 2i gamma - 2s) X - 1 = 0,   aXY = 1 - a,
+        mu+ = X - ga - i gamma + s,   nu = Y - ga + i gamma + s,
 
-    back-solved through X^2 - (g(2a-1) + 2i gamma - 2s) X - v^2 = 0,
-    Y = v^2 (1-a)/(aX), mu+ = X - ga - i gamma + s, nu = Y - ga + i gamma + s.
-    So there are four states, counted with multiplicity.
-
-    Eliminating a instead leaves g X^2 Q(X) with, for v = 1 (every control
-    and mu scale with v, and X with it),
+    and the X equation for Y with -gamma.  Eliminating Y and a leaves
+    g X^2 Q(X) with
 
         Q(X) = (2gamma - ig) X^4
                + (-8i gamma^2 - 2gamma g + 8gamma s - ig^2 - 2igs) X^3
@@ -560,41 +562,29 @@ class DimerSystem:
                + (8i gamma^2 - 2gamma g - 8gamma s + ig^2 - 2igs) X
                + (2gamma + ig),
 
-    whose roots separate all four states when g != 0, back-solved through
-    a = ((X^2 - 1)/X - 2i gamma + 2s + g)/(2g) and the Y and mu relations
-    above.  States coalesce where Q has a multiple root, so the bifurcation
-    set is disc_X Q = 0 (see :meth:`bifurcation_set`).  At g = 0, Q =
-    2gamma (X^2 - 2i gamma X - 1)^2 is a perfect square and the X roots no
-    longer separate the states: there the dimer is the linear model, whose
-    states coalesce where v^2 + (i gamma - s)^2 = 0.
+    so there are four states, counted with multiplicity.  For g != 0 each
+    root of Q is one state, back-solved through a = ((X^2 - 1)/X - 2i gamma
+    + 2s + g)/(2g) and the relations above (:func:`_back_solve`).  States
+    coalesce where Q has a multiple root, so the bifurcation set is disc_X Q
+    = 0 (see :meth:`bifurcation_set`).  At g = 0, Q = 2gamma (X^2 - 2i gamma
+    X - 1)^2 no longer separates the states: the dimer is the linear model,
+    whose states coalesce where 1 + (i gamma - s)^2 = 0.
     """
 
     n_amplitudes = 2
 
     def candidate_states(self, p: DimerParams):
-        """Seeds (psi, mu) for every stationary state, from the roots of P.
-
-        Each root of P gets the root X that fits the Y equation; at a
-        multiple root of P (the symmetric pair's a = 1/2 at s = 0) both
-        roots X fit and both are seeded.
-        """
+        """Seeds (psi, mu) for every stationary state: one per root of Q,
+        and below |g| = 1e-3 v, where the back-solve loses the digits of g,
+        the linear model's eigenpairs too; the solver merges duplicates."""
         v = p.v
-        g, gamma, s = (c.to_idempotent().plus for c in (p.g, p.gamma, p.s))
+        g, gamma, s = (c.to_idempotent().plus / v for c in (p.g, p.gamma, p.s))
         seeds = []
-        for a in _roots(_quartic(v, g, gamma, s)):
-            b = g * (2 * a - 1) + 2j * gamma - 2 * s
-            c = g * (2 * a - 1) - 2j * gamma - 2 * s
-            ranked = []
-            for x in _roots([1.0, -b, -v * v]):
-                y = v * v * (1 - a) / (a * x)
-                miss = abs(y * y - c * y - v * v) / (abs(y) ** 2 + v * v)
-                ranked.append((miss, x, y))
-            ranked.sort(key=lambda item: item[0])
-            for k, (miss, x, y) in enumerate(ranked):
-                if k == 0 or miss <= _X_CONSISTENT:
-                    seeds.append(_idempotent_seed(
-                        (1.0, x / v), (a, a * y / v),
-                        x - g * a - 1j * gamma + s, y - g * a + 1j * gamma + s))
+        if g != 0:
+            seeds = [_back_solve(x, g, gamma, s, v)
+                     for x in _roots(_q_coefficients(g, gamma, s)[::-1])]
+        if abs(g) < _LINEAR_SEEDS:
+            seeds += LinearTwoMode().candidate_states(p)
         return seeds
 
     def bifurcation_set(self, p: DimerParams, parameter: str, lo: float,
@@ -614,7 +604,7 @@ class DimerSystem:
         the (X, control) system in v-scaled units; ``branch_ids`` is empty.
         At g = 0 the points are those of the linear model.
         """
-        from .solver import SolveConfig, canonical_gauge, newton_solve
+        from .solver import SolveConfig, newton_solve
 
         cfg = cfg or SolveConfig()
         cfg = replace(cfg, residual_tol=max(cfg.residual_tol, _COALESCED_TOL))
@@ -632,8 +622,7 @@ class DimerSystem:
                 location = v * root.real
                 if abs(root.imag) <= _IMAG_TOL and lo <= location <= hi:
                     at = p.with_control(parameter, location)
-                    seed = canonical_gauge(
-                        *LinearTwoMode().candidate_states(at)[0])
+                    seed = LinearTwoMode().candidate_states(at)[0]
                     points.append(BifurcationPoint(
                         "tangent", location, (),
                         newton_solve(self, at, seed, cfg), 0.0))
@@ -673,12 +662,7 @@ class DimerSystem:
                              order[kept])
         for k, xk, value in zip(kept, xs, values):
             at = dict(plus, **{parameter: complex(value)})
-            g, gamma, s = at["g"], at["gamma"], at["s"]
-            a = ((xk * xk - 1) / xk - 2j * gamma + 2 * s + g) / (2 * g)
-            y = (1 - a) / (a * xk)
-            seed = _idempotent_seed(
-                (1.0, xk), (a, a * y), v * (xk - g * a - 1j * gamma + s),
-                v * (y - g * a + 1j * gamma + s))
+            seed = _back_solve(xk, at["g"], at["gamma"], at["s"], v)
             location = float(v * value)
             points.append(BifurcationPoint(
                 _KINDS[order[k]], location, (),
@@ -755,5 +739,12 @@ class LinearTwoMode:
         return states
 
     def candidate_states(self, p: DimerParams):
-        """Seeds (psi, mu) for every stationary state: the eigenpairs."""
-        return [((psi1, psi2), mu) for psi1, psi2, mu in self.eigenpairs(p)]
+        """Seeds (psi, mu) for every stationary state: the eigenpairs, in
+        the balanced gauge of the dimer's seeds."""
+        seeds = []
+        for state in self.eigenpairs(p):
+            q1, q2, qm = map(Bicomplex.to_idempotent, state)
+            phi = (q1.minus.conjugate(), q2.minus.conjugate())
+            seeds.append(_idempotent_seed((q1.plus, q2.plus), phi, qm.plus,
+                                          qm.minus.conjugate()))
+        return seeds

@@ -23,9 +23,10 @@ through the model's kernel, whose rows are bit-for-bit those of the
 Bicomplex residual; Bicomplex values are the input and output type only.
 
 :func:`find_all_states` needs no seeding heuristics: the system lists a
-candidate for every state (the dimer from the roots of its quartic, see
-:class:`~bcdimer.model.DimerSystem`), and each candidate is polished by
-Newton and deduplicated up to gauge.
+candidate for every state (the dimer one per root of its quartic Q, see
+:class:`~bcdimer.model.DimerSystem`).  Each is solved by Newton, polished
+past the tolerance so that duplicates merge (nowhere else), and deduplicated
+up to gauge.
 """
 
 from __future__ import annotations
@@ -221,17 +222,10 @@ def state_distance(a: StationaryState, b: StationaryState) -> float:
 
 
 def _sort_key(state: StationaryState):
-    return (
-        state.mu.z0,
-        state.mu.z1,
-        state.mu.z2,
-        state.mu.z3,
-        state.psi1.z0,
-        state.psi1.z1,
-        state.psi1.z2,
-        state.psi1.z3,
-        state.psi2.z0,
-    )
+    """mu, then psi1 and psi2, rounded to 9 decimals, so that roundoff in a
+    vanishing component does not decide the order."""
+    return tuple(round(c, 9) for z in (state.mu, state.psi1, state.psi2)
+                 for c in z.as_tuple())
 
 
 def dedup_states(states: list[StationaryState], tol: float) -> list[StationaryState]:
@@ -251,17 +245,9 @@ _POLISH_ITERS = 8
 
 
 def _make_state(view: RealSystemView, x: np.ndarray, rnorm: float) -> StationaryState:
-    psi, mu = view.unpack(x)
-    psi, mu = canonical_gauge(psi, mu)
+    psi, mu = canonical_gauge(*view.unpack(x))
     is_c, is_pt = classify_flags(psi[0], psi[1], mu, CLASSIFICATION_TOL)
-    return StationaryState(
-        psi1=psi[0],
-        psi2=psi[1],
-        mu=mu,
-        residual_norm=rnorm,
-        is_complex_state=is_c,
-        is_pt_symmetric=is_pt,
-    )
+    return StationaryState(psi[0], psi[1], mu, rnorm, is_c, is_pt)
 
 
 def newton_solve(system, params, seed, cfg: SolveConfig | None = None,
@@ -269,7 +255,8 @@ def newton_solve(system, params, seed, cfg: SolveConfig | None = None,
     """Damped Newton from one seed; returns a converged stationary state.
 
     ``seed`` is a (psi1, psi2, mu) triple of Bicomplex values (or a
-    StationaryState).  Raises :class:`NoConvergence` on iteration cap or
+    StationaryState).  Returns the first iterate with a residual below
+    ``cfg.residual_tol``.  Raises :class:`NoConvergence` on iteration cap or
     after 30 halvings of a damped step, :class:`GaugeDegenerate` when the
     gauge amplitude vanishes at the current iterate.
     """
@@ -286,7 +273,6 @@ def newton_solve(system, params, seed, cfg: SolveConfig | None = None,
     fnorm = float(np.max(np.abs(f)))
     for _ in range(MAX_ITER):
         if fnorm < cfg.residual_tol:
-            x, f, fnorm = _polish(view, x, f, fnorm)
             return _make_state(view, x, fnorm)
         try:
             jac = view.jacobian(x, f)
@@ -315,51 +301,52 @@ def newton_solve(system, params, seed, cfg: SolveConfig | None = None,
                         f"(residual {fnorm:.3e})")
 
 
-def _polish(view: RealSystemView, x, f, fnorm):
-    """Extra full Newton steps past the tolerance.
+def _polish(system, params, state, cfg, gauge_site) -> StationaryState:
+    """The state after extra full Newton steps past the tolerance.
 
     Near-degenerate roots (close to exceptional points) leave a cloud of
     approximate solutions at distance ~sqrt(tol); polishing pulls every
-    seed down to the roundoff floor so deduplication can merge them.
+    state down to the roundoff floor so deduplication can merge them.
     """
+    view = RealSystemView(system, params, cfg, gauge_site)
+    x = view.pack((state.psi1, state.psi2), state.mu)
+    f = view.residual_vector(x)
     for _ in range(_POLISH_ITERS):
         try:
-            jac = view.jacobian(x, f)
-            step = np.linalg.solve(jac, -f)
+            step = np.linalg.solve(view.jacobian(x, f), -f)
             f_new = view.residual_vector(x + step)
         except (np.linalg.LinAlgError, GaugeDegenerate):
             break
-        fn_new = float(np.max(np.abs(f_new)))
-        if not fn_new < fnorm:
+        if not np.max(np.abs(f_new)) < np.max(np.abs(f)):
             break
-        x, f, fnorm = x + step, f_new, fn_new
-    return x, f, fnorm
+        x, f = x + step, f_new
+    return _make_state(view, x, float(np.max(np.abs(f))))
 
 
 # -- all states -----------------------------------------------------------
 
 
 def find_all_states(system, params, cfg: SolveConfig | None = None) -> list[StationaryState]:
-    """All stationary states: the system's candidates, Newton-polished,
-    deduplicated and sorted.
+    """All stationary states: the system's candidates, solved by Newton,
+    polished, deduplicated and sorted.
 
     ``system.candidate_states(params)`` lists a seed for every state (for
-    the dimer, from the roots of its quartic).  Seeds that fail to converge
-    are dropped and duplicates merged, so at an exceptional point, where
-    states coalesce, the list is shorter.  Returned states are
-    gauge-canonical and sorted by mu.
+    the dimer, one per root of its quartic Q).  Seeds that fail to converge
+    are dropped, the others polished and duplicates merged, so at an
+    exceptional point, where states coalesce, the list is shorter.  Returned
+    states are gauge-canonical and sorted by mu.
     """
     if cfg is None:
         cfg = SolveConfig()
     found: list[StationaryState] = []
     for seed in system.candidate_states(params):
-        try:
-            found.append(newton_solve(system, params, seed, cfg))
-        except GaugeDegenerate:
+        for site in (0, 1):
             try:
-                found.append(newton_solve(system, params, seed, cfg, gauge_site=1))
-            except (GaugeDegenerate, NoConvergence):
+                state = newton_solve(system, params, seed, cfg, gauge_site=site)
+                found.append(_polish(system, params, state, cfg, site))
+            except GaugeDegenerate:
                 continue
-        except NoConvergence:
-            continue
+            except NoConvergence:
+                pass
+            break
     return dedup_states(found, DEDUP_TOL)

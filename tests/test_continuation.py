@@ -54,15 +54,22 @@ class TestSweep:
         assert abs(br.end - 1.0) < 1e-3
 
     def test_continues_through_fold_onto_partner(self):
-        # stitched, the upper symmetric branch runs on past its fold
+        # stitched, one symmetric branch runs on past the fold onto a
+        # bicomplex partner and the other ends there.  The grid point
+        # gamma = 1 lies on the fold, where the pair coalesces, so which of
+        # the two runs on is a rounding tie
         g = -1.0
         p = DimerParams(v=1.0, g=g, gamma=0.0)
         grid = [k * 0.01 for k in range(141)]
         branches = stitched_branches(SYSTEM, p, "gamma", grid, CFG)
-        br = max((b for b in branches if b.samples[0][1].is_pt_symmetric),
-                 key=lambda b: b.samples[0][1].mu.z0)
-        assert br.start == 0.0 and br.end == grid[-1]
-        assert br.samples[0][1].is_complex_state
+        symmetric = [b for b in branches
+                     if b.start == 0.0 and b.samples[0][1].is_pt_symmetric]
+        assert len(symmetric) == 2
+        assert all(b.samples[0][1].is_complex_state for b in symmetric)
+        ends = sorted(symmetric, key=lambda b: b.end)
+        assert ends[0].end in (grid[99], grid[100])
+        br = ends[1]
+        assert br.end == grid[-1]
         gam, st = br.samples[-1]
         w = math.sqrt(gam * gam - 1.0)
         assert not st.is_complex_state

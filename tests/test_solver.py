@@ -1,9 +1,11 @@
 import cmath
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st_
 
 from bcdimer.bicomplex import Bicomplex, J
@@ -31,8 +33,23 @@ from bcdimer.solver import (
 )
 
 R2 = 1.0 / math.sqrt(2.0)
+SQRT3_2 = math.sqrt(3.0) / 2.0
 SYSTEM = DimerSystem()
 CFG = SolveConfig(jacobian="analytic")
+
+
+def _load_oracle():
+    """The question benchmark's state oracle, loaded by path: it enumerates
+    the states from the quartic P(a) in the population a = n1, not from the
+    quartic Q(X) that the solver is seeded from."""
+    path = Path(__file__).resolve().parents[1] / "qbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("_qbench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ORACLE = _load_oracle()
 
 
 def closed_form_mu(v: float, gamma: float) -> complex:
@@ -380,9 +397,12 @@ class TestFindAllStates:
         assert len(merged) == len(base)
 
     def test_sorted_by_re_mu(self):
+        # by mu, psi1 and psi2 rounded to 9 decimals: roundoff in a
+        # vanishing component does not decide the order
         p = DimerParams(v=1.0, g=-1.0, gamma=0.4)
         states = find_all_states(SYSTEM, p, CFG)
-        keys = [(s.mu.z0, s.mu.z1) for s in states]
+        keys = [tuple(round(c, 9) for z in (s.mu, s.psi1, s.psi2)
+                      for c in z.as_tuple()) for s in states]
         assert keys == sorted(keys)
 
 
@@ -411,7 +431,6 @@ class TestExceptionalPoints:
     """Defined behaviour where states coalesce: at most four states, all
     converged, and every closed-form mu cluster present."""
 
-    SQRT3_2 = math.sqrt(3.0) / 2.0
     POINTS = [
         # (g, gamma, closed-form mu values)
         (-1.0, SQRT3_2, (0.0, 1.0)),  # pitchfork EP3
@@ -441,6 +460,7 @@ class TestClosedFormOracle:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.filter_too_much])
     @given(g=st_.floats(-2.5, 2.5), gamma=st_.floats(0.01, 1.5))
+    @example(g=1e-9, gamma=1.5)  # the back-solve from Q divides by g
     def test_four_states_match_closed_form(self, g, gamma):
         v = 1.0
         assume(abs(gamma - v) > 0.02)
@@ -467,6 +487,96 @@ class TestClosedFormOracle:
             assert min(state_distance(image, other) for other in states) < 1e-9
 
 
+# (g, gamma, s) where states coalesce
+NEAR_EP_CENTRES = {
+    "ep3": (-1.0, SQRT3_2, 0.0),
+    "merger": (-2.0, 0.0, 0.0),
+    "tangent-g-1": (-1.0, 1.0, 0.0),
+    "tangent-g1.5": (1.5, 1.0, 0.0),
+    "tangent-g0.1": (0.1, 1.0, 0.0),
+    "linear-ep": (0.0, 1.0, 0.0),
+}
+NEAR_EP_DELTAS = [sign * 10.0 ** -k for k in range(2, 15) for sign in (1, -1)]
+
+
+class TestNearExceptionalPoints:
+    """Small offsets from a coalescence along one control: never more than
+    four converged states, and all four once the offset is 1e-3 or more,
+    except on the tangent line gamma = v, where two of them coincide."""
+
+    @pytest.mark.parametrize("axis", ["g", "gamma", "s"])
+    @pytest.mark.parametrize("centre", NEAR_EP_CENTRES.values(),
+                             ids=NEAR_EP_CENTRES.keys())
+    def test_state_count(self, centre, axis):
+        wrong = []
+        for delta in NEAR_EP_DELTAS:
+            point = dict(zip(("g", "gamma", "s"), centre))
+            point[axis] += delta
+            states = find_all_states(SYSTEM, DimerParams(v=1.0, **point), CFG)
+            assert all(st.residual_norm < CFG.residual_tol for st in states)
+            exact = abs(delta) >= 1e-3 and point["gamma"] != 1.0
+            if len(states) > 4 or (exact and len(states) != 4):
+                wrong.append((delta, len(states)))
+        assert not wrong
+
+
+def oracle_invariants(state: StationaryState):
+    """The oracle's row (psi2, phi1, phi2, mu, nu) in its gauge psi1+ = 1,
+    from a state in any gauge."""
+    q1, q2, qm = (z.to_idempotent() for z in (state.psi1, state.psi2, state.mu))
+    return np.array([q2.plus / q1.plus, q1.minus.conjugate() * q1.plus,
+                     q2.minus.conjugate() * q1.plus, qm.plus,
+                     qm.minus.conjugate()])
+
+
+class TestQuarticOracle:
+    """find_all_states against the benchmark oracle, which seeds from P(a)
+    and polishes on its own holomorphic system, over a box with s != 0."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(g=st_.floats(-2.5, 2.5).filter(lambda g: abs(g) >= 1e-3),
+           gamma=st_.floats(0.0, 1.5), s=st_.floats(-0.3, 0.3))
+    def test_states_match_oracle(self, g, gamma, s):
+        try:
+            rows = ORACLE.states(1.0, g, gamma, s)
+        except ORACLE.OracleError:
+            assume(False)
+        pairs = rows[:, 3:]
+        assume(min(np.max(np.abs(a - b))
+                   for k, a in enumerate(pairs) for b in pairs[k + 1:]) >= 0.05)
+        states = find_all_states(SYSTEM, DimerParams(v=1.0, g=g, gamma=gamma,
+                                                     s=s), CFG)
+        assert len(states) == 4
+        matched = set()
+        for st in states:
+            dist = np.max(np.abs(rows - oracle_invariants(st)), axis=1)
+            k = int(np.argmin(dist))
+            assert dist[k] < 1e-8
+            matched.add(k)
+        assert len(matched) == 4
+
+
+class TestScaling:
+    """Every control and mu scale with v, and psi does not change."""
+
+    @pytest.mark.parametrize("v", [0.5, 2.0, 3.0])
+    @pytest.mark.parametrize("g,gamma,s", [
+        (-1.0, 0.5, 0.0), (1.2, 0.97, 0.05), (-1.3, 1.2, 0.1),
+        (2.25, 1.35, -0.25), (5e-4, 0.6, 0.1),
+    ])
+    def test_states_scale_with_v(self, v, g, gamma, s):
+        unit = find_all_states(
+            SYSTEM, DimerParams(v=1.0, g=g, gamma=gamma, s=s), CFG)
+        scaled = find_all_states(
+            SYSTEM, DimerParams(v=v, g=v * g, gamma=v * gamma, s=v * s), CFG)
+        assert len(scaled) == len(unit) == 4
+        for a, b in zip(unit, scaled):
+            assert (b.mu - v * a.mu).max_abs() < 1e-12 * v
+            assert (b.psi1 - a.psi1).max_abs() < 1e-12
+            assert (b.psi2 - a.psi2).max_abs() < 1e-12
+
+
 class TestCandidates:
     def test_linear_model_enumerates_its_eigenpairs(self):
         lin = LinearTwoMode()
@@ -483,6 +593,17 @@ class TestCandidates:
         for psi, mu in seeds:
             r1, r2 = residual(psi[0], psi[1], mu, p)
             assert max(r1.max_abs(), r2.max_abs()) < 1e-12
+
+    @pytest.mark.parametrize("v,g,gamma,s,count", [
+        (1.0, -1.0, 0.5, 0.0, 4),  # s = 0: one seed per root of Q
+        (2.0, 0.0, 2.2, 0.0, 4),  # g = 0: the linear eigenpairs
+        (1.0, 1e-3, 0.7, 0.1, 4),  # the linear seeds start below |g| = 1e-3 v
+        (2.0, -1e-3, 0.7, 0.1, 8),
+    ])
+    def test_dimer_seed_count(self, v, g, gamma, s, count):
+        p = DimerParams(v=v, g=g, gamma=gamma, s=s)
+        assert len(SYSTEM.candidate_states(p)) == count
+        assert len(find_all_states(SYSTEM, p, CFG)) == 4
 
 
     @pytest.mark.parametrize("g,gamma,s", [
