@@ -340,6 +340,7 @@ def _roots(coeffs) -> list[complex]:
     genuinely distinct roots near a multiple one are not evenly spread and
     stay apart.
     """
+    coeffs = np.trim_zeros(np.asarray(coeffs, dtype=complex), "f")
     roots = [complex(r) for r in np.roots(coeffs)]
     sizes = [abs(c) for c in coeffs]
     eps = np.finfo(float).eps
@@ -581,8 +582,10 @@ class DimerSystem:
         g, gamma, s = (c.to_idempotent().plus / v for c in (p.g, p.gamma, p.s))
         seeds = []
         if g != 0:
+            # X^2 - bX - 1 = 0 rules out X = 0, a root of Q where 2gamma = -ig
             seeds = [_back_solve(x, g, gamma, s, v)
-                     for x in _roots(_q_coefficients(g, gamma, s)[::-1])]
+                     for x in _roots(_q_coefficients(g, gamma, s)[::-1])
+                     if x != 0]
         if abs(g) < _LINEAR_SEEDS:
             seeds += LinearTwoMode().candidate_states(p)
         return seeds

@@ -250,30 +250,35 @@ def _make_state(view: RealSystemView, x: np.ndarray, rnorm: float) -> Stationary
     return StationaryState(psi[0], psi[1], mu, rnorm, is_c, is_pt)
 
 
-def newton_solve(system, params, seed, cfg: SolveConfig | None = None,
-                 gauge_site: int = 0) -> StationaryState:
+def newton_solve(system, params, seed,
+                 cfg: SolveConfig | None = None) -> StationaryState:
     """Damped Newton from one seed; returns a converged stationary state.
 
     ``seed`` is a (psi1, psi2, mu) triple of Bicomplex values (or a
     StationaryState).  Returns the first iterate with a residual below
     ``cfg.residual_tol``.  Raises :class:`NoConvergence` on iteration cap or
     after 30 halvings of a damped step, :class:`GaugeDegenerate` when the
-    gauge amplitude vanishes at the current iterate.
+    gauge amplitude (site 0) vanishes at the current iterate.
     """
     if cfg is None:
         cfg = SolveConfig()
     if isinstance(seed, StationaryState):
         seed = ((seed.psi1, seed.psi2), seed.mu)
-    psi, mu = seed
-    view = RealSystemView(system, params, cfg, gauge_site)
-    x = view.pack(psi, mu)
+    view = RealSystemView(system, params, cfg)
+    x, _, fnorm = _newton(view, view.pack(*seed))
+    return _make_state(view, x, fnorm)
+
+
+def _newton(view: RealSystemView, x: np.ndarray):
+    """The damped Newton loop of :func:`newton_solve` on packed floats;
+    returns (x, f, fnorm) at the first iterate below the tolerance."""
     if not np.all(np.isfinite(x)):
         raise NoConvergence("seed has non-finite entries")
     f = view.residual_vector(x)
     fnorm = float(np.max(np.abs(f)))
     for _ in range(MAX_ITER):
-        if fnorm < cfg.residual_tol:
-            return _make_state(view, x, fnorm)
+        if fnorm < view.cfg.residual_tol:
+            return x, f, fnorm
         try:
             jac = view.jacobian(x, f)
             step = np.linalg.solve(jac, -f)
@@ -295,32 +300,31 @@ def newton_solve(system, params, seed, cfg: SolveConfig | None = None,
             raise NoConvergence("step-size underflow in damped Newton")
         x = x + t * step
         f, fnorm = f_new, fn_new
-    if fnorm < cfg.residual_tol:
-        return _make_state(view, x, fnorm)
+    if fnorm < view.cfg.residual_tol:
+        return x, f, fnorm
     raise NoConvergence(f"no convergence after {MAX_ITER} iterations "
                         f"(residual {fnorm:.3e})")
 
 
-def _polish(system, params, state, cfg, gauge_site) -> StationaryState:
-    """The state after extra full Newton steps past the tolerance.
+def _polish(view: RealSystemView, x, f, fnorm):
+    """Extra full Newton steps past the tolerance.
 
     Near-degenerate roots (close to exceptional points) leave a cloud of
     approximate solutions at distance ~sqrt(tol); polishing pulls every
-    state down to the roundoff floor so deduplication can merge them.
+    seed down to the roundoff floor so deduplication can merge them.
     """
-    view = RealSystemView(system, params, cfg, gauge_site)
-    x = view.pack((state.psi1, state.psi2), state.mu)
-    f = view.residual_vector(x)
     for _ in range(_POLISH_ITERS):
         try:
-            step = np.linalg.solve(view.jacobian(x, f), -f)
+            jac = view.jacobian(x, f)
+            step = np.linalg.solve(jac, -f)
             f_new = view.residual_vector(x + step)
         except (np.linalg.LinAlgError, GaugeDegenerate):
             break
-        if not np.max(np.abs(f_new)) < np.max(np.abs(f)):
+        fn_new = float(np.max(np.abs(f_new)))
+        if not fn_new < fnorm:
             break
-        x, f = x + step, f_new
-    return _make_state(view, x, float(np.max(np.abs(f))))
+        x, f, fnorm = x + step, f_new, fn_new
+    return x, f, fnorm
 
 
 # -- all states -----------------------------------------------------------
@@ -339,14 +343,15 @@ def find_all_states(system, params, cfg: SolveConfig | None = None) -> list[Stat
     if cfg is None:
         cfg = SolveConfig()
     found: list[StationaryState] = []
-    for seed in system.candidate_states(params):
+    for psi, mu in system.candidate_states(params):
         for site in (0, 1):
+            view = RealSystemView(system, params, cfg, site)
             try:
-                state = newton_solve(system, params, seed, cfg, gauge_site=site)
-                found.append(_polish(system, params, state, cfg, site))
+                x, _, fnorm = _polish(view, *_newton(view, view.pack(psi, mu)))
             except GaugeDegenerate:
                 continue
             except NoConvergence:
-                pass
+                break
+            found.append(_make_state(view, x, fnorm))
             break
     return dedup_states(found, DEDUP_TOL)

@@ -57,6 +57,11 @@ class TestExitCodes:
         assert out["error"] == "usage"
         assert "invalid choice: 'exact'" in out["message"]
 
+    def test_solve_where_q_has_a_double_zero_root(self, capsys):
+        # at gamma = 0, gamma_j = g/2 the two lowest coefficients of Q vanish
+        assert run(["solve", "--g", "1", "--gamma-j", "0.5"]) == 0
+        assert summary(capsys)["n_states"] == 2
+
     def test_help_exits_zero(self, capsys):
         assert run(["solve", "--help"]) == 0
         assert "--jacobian" in capsys.readouterr().out

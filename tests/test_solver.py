@@ -452,6 +452,20 @@ class TestExceptionalPoints:
         for mu in clusters:
             assert min((st.mu - mu).max_abs() for st in states) < 1e-3
 
+    @pytest.mark.parametrize("jacobian", ["analytic", "finite-difference"])
+    @pytest.mark.parametrize("g", [-0.01, -5e-3, -1e-3, -5e-4,
+                                   5e-4, 1e-3, 5e-3, 0.01])
+    def test_pitchfork_next_to_the_linear_ep(self, jacobian, g):
+        # on the exact pitchfork Q has a triple root; the nearer its fourth
+        # root (|g| -> 0), the wider rounding splits it, and the unmerged
+        # triple gives 4 or 5 states where the EP3 and its partner are 2
+        cfg = SolveConfig(jacobian=jacobian)
+        p = DimerParams(v=1.0, g=g, gamma=math.sqrt(1.0 - g * g / 4.0))
+        states = find_all_states(SYSTEM, p, cfg)
+        assert len(states) <= 4
+        if abs(g) >= 1e-3:
+            assert len(states) == 2
+
 
 class TestClosedFormOracle:
     """find_all_states against the s = 0 closed forms, independent of the
@@ -605,6 +619,25 @@ class TestCandidates:
         assert len(SYSTEM.candidate_states(p)) == count
         assert len(find_all_states(SYSTEM, p, CFG)) == 4
 
+    @pytest.mark.parametrize("gamma_j", [0.5, -0.5])
+    def test_degenerate_quartic(self, gamma_j):
+        # at gamma_j = g/2 the two lowest coefficients of Q vanish, and its
+        # double root X = 0 is no state; at gamma_j = -g/2 the two highest
+        # vanish, and Q is the quadratic X^2 + X - 1.  Two states remain
+        p = DimerParams(v=1.0, g=1.0, gamma=Bicomplex(0.0, gamma_j))
+        states = find_all_states(SYSTEM, p, CFG)
+        golden = (1.0 + math.sqrt(5.0)) / 2.0
+        assert len(states) == 2
+        for st, mu in zip(states, (-golden, golden - 1.0)):
+            assert (st.mu - mu).max_abs() < 1e-12
+            r1, r2 = residual(st.psi1, st.psi2, st.mu, p)
+            assert max(r1.max_abs(), r2.max_abs()) < CFG.residual_tol
+
+    @pytest.mark.parametrize("gamma_j", [0.5, -0.5])
+    def test_degenerate_quartic_off_s_zero(self, gamma_j):
+        # with s != 0 only one root of Q is at X = 0 or at infinity
+        p = DimerParams(v=1.0, g=1.0, gamma=Bicomplex(0.0, gamma_j), s=0.1)
+        assert len(find_all_states(SYSTEM, p, CFG)) == 3
 
     @pytest.mark.parametrize("g,gamma,s", [
         (Bicomplex(-1.0), Bicomplex(1.0, 0.05), Bicomplex()),
