@@ -11,6 +11,7 @@ identical configurations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -91,7 +92,10 @@ _TRACK_HELP = ("complex (default): only states that exist without "
                "at g != 0 the coalescing pair is bicomplex: use --track all")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and building it costs more than a small ``solve``."""
     ap = _Parser(
         prog="bcdimer",
         description="Stationary states, bifurcations and exceptional-point "

@@ -25,8 +25,9 @@ Bicomplex residual; Bicomplex values are the input and output type only.
 :func:`find_all_states` needs no seeding heuristics: the system lists a
 candidate for every state (the dimer one per root of its quartic Q, see
 :class:`~bcdimer.model.DimerSystem`).  Each is solved by Newton, polished
-past the tolerance so that duplicates merge (nowhere else), and deduplicated
-up to gauge.
+down to the roundoff floor (a few eps times the residual's scale, not just
+past the tolerance) so that duplicates merge (nowhere else), and
+deduplicated up to gauge.
 """
 
 from __future__ import annotations
@@ -115,13 +116,17 @@ class RealSystemView:
         psi = tuple(Bicomplex(*x[4 * k : 4 * k + 4]) for k in range(n))
         return psi, Bicomplex(*x[4 * n : 4 * n + 4])
 
+    def scale(self, xs: list[float]) -> float:
+        """Size of the cubic terms: max(1, largest amplitude component)^2."""
+        return max(1.0, max(map(abs, xs[: 4 * self.n_amp])) ** 2)
+
     def residual_vector(self, x: np.ndarray) -> np.ndarray:
         xs = x.tolist()
         # r1, r2 and the normalization's (1, j, i, k) components; the (i, k)
         # pair vanishes identically and gives way to the two gauge rows
         out = packed_residual(xs, self.controls)
         norm_i, norm_k = out[-2], out[-1]
-        scale = max(1.0, max(map(abs, xs[: 4 * self.n_amp])) ** 2)
+        scale = self.scale(xs)
         if abs(norm_i) > 1e-10 * scale or abs(norm_k) > 1e-10 * scale:
             raise AssertionError(
                 "normalization residual left the (1, j) plane; "
@@ -214,10 +219,12 @@ def canonical_gauge(psi, mu):
 
 
 def state_distance(a: StationaryState, b: StationaryState) -> float:
-    """Max-norm distance between gauge-canonical states."""
+    """Max-norm distance between gauge-canonical states, taken on their 12
+    floats without building Bicomplex differences."""
     d = 0.0
     for za, zb in ((a.psi1, b.psi1), (a.psi2, b.psi2), (a.mu, b.mu)):
-        d = max(d, (za - zb).max_abs())
+        d = max(d, abs(za.z0 - zb.z0), abs(za.z1 - zb.z1),
+                abs(za.z2 - zb.z2), abs(za.z3 - zb.z3))
     return d
 
 
@@ -242,6 +249,8 @@ def dedup_states(states: list[StationaryState], tol: float) -> list[StationarySt
 
 _MAX_HALVINGS = 30
 _POLISH_ITERS = 8
+# the roundoff floor of the residual, in units of RealSystemView.scale
+_POLISH_FLOOR = 4.0 * float(np.finfo(float).eps)
 
 
 def _make_state(view: RealSystemView, x: np.ndarray, rnorm: float) -> StationaryState:
@@ -307,13 +316,19 @@ def _newton(view: RealSystemView, x: np.ndarray):
 
 
 def _polish(view: RealSystemView, x, f, fnorm):
-    """Extra full Newton steps past the tolerance.
+    """Full Newton steps down to the roundoff floor, and no further.
 
     Near-degenerate roots (close to exceptional points) leave a cloud of
     approximate solutions at distance ~sqrt(tol); polishing pulls every
-    seed down to the roundoff floor so deduplication can merge them.
+    seed down to the floor, 4 eps times :meth:`RealSystemView.scale`, so
+    deduplication can merge them.  A seed already at the floor takes no
+    step; otherwise polishing stops at the floor, after 8 steps or at the
+    first step that does not lower the residual.
     """
+    floor = _POLISH_FLOOR * view.scale(x.tolist())
     for _ in range(_POLISH_ITERS):
+        if fnorm <= floor:
+            break
         try:
             jac = view.jacobian(x, f)
             step = np.linalg.solve(jac, -f)

@@ -92,6 +92,26 @@ class TestExitCodes:
         assert run(args) == 2
         assert summary(capsys)["error"] == "usage"
 
+    def test_one_parser_serves_every_call(self, capsys, monkeypatch):
+        # build_parser is cached; a run must parse as a fresh parser would,
+        # and classify's --param list must not carry over between calls
+        calls = [["solve", "--g", "-1", "--gamma", "0.5"],
+                 ["classify", "--steps", "16", "--param", "gamma",
+                  "--param", "s"],
+                 ["classify", "--steps", "16"],
+                 ["classify", "--steps", "16", "--param", "s"]]
+        assert cli.build_parser() is cli.build_parser()
+        shared = []
+        for argv in calls:
+            assert vars(cli.build_parser().parse_args(argv)) == vars(
+                cli.build_parser.__wrapped__().parse_args(argv))
+            assert run(argv) == 0
+            shared.append(summary(capsys))
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        for argv, got in zip(calls, shared):
+            assert run(argv) == 0
+            assert got == summary(capsys)
+
     def test_missing_pitchfork_is_a_numerical_failure(self, capsys):
         code = run(["encircle", "--around", "pitchfork", "--g", "-2.5"])
         assert code == 3

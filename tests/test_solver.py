@@ -571,6 +571,83 @@ class TestQuarticOracle:
         assert len(matched) == 4
 
 
+def roundoff_floor(view: RealSystemView, state: StationaryState) -> float:
+    """4 eps times max(1, largest amplitude component)^2: the residual
+    below which a Newton step changes nothing."""
+    x = view.pack((state.psi1, state.psi2), state.mu)
+    return 4.0 * float(np.finfo(float).eps) * max(1.0, np.max(np.abs(x[:8])) ** 2)
+
+
+class TestPolish:
+    """find_all_states polishes each seed to the roundoff floor and stops
+    there: a pinned Jacobian budget, and no precision lost for it."""
+
+    # the gamma grid of `bcdimer bifurcations` (0.05:1.4:0.01)
+    GRID = [0.05 + 0.01 * k for k in range(136)]
+
+    def test_at_most_one_jacobian_per_seed(self, monkeypatch):
+        counts = {"jacobians": 0, "seeds": 0}
+        jacobian = RealSystemView.jacobian
+        candidates = DimerSystem.candidate_states
+
+        def counting_jacobian(view, *args):
+            counts["jacobians"] += 1
+            return jacobian(view, *args)
+
+        def counting_candidates(system, params):
+            seeds = list(candidates(system, params))
+            counts["seeds"] += len(seeds)
+            return seeds
+
+        monkeypatch.setattr(RealSystemView, "jacobian", counting_jacobian)
+        monkeypatch.setattr(DimerSystem, "candidate_states",
+                            counting_candidates)
+        for gamma in self.GRID:
+            find_all_states(SYSTEM, DimerParams(v=1.0, g=-0.8, gamma=gamma),
+                            CFG)
+        assert counts["seeds"] == 4 * len(self.GRID)
+        assert counts["jacobians"] <= counts["seeds"]
+
+    def test_seed_at_the_floor_takes_no_step(self, monkeypatch):
+        p = DimerParams(v=1.0, g=-0.8, gamma=0.5)
+        view = RealSystemView(SYSTEM, p, CFG)
+        states = find_all_states(SYSTEM, p, CFG)
+        seeds = [((st.psi1, st.psi2), st.mu) for st in states]
+        for (psi, mu), st in zip(seeds, states):
+            x = view.pack(psi, mu)
+            assert np.max(np.abs(view.residual_vector(x))) <= roundoff_floor(
+                view, st)
+
+        def no_jacobian(*_args):
+            raise AssertionError("a Newton step from a seed at the floor")
+
+        monkeypatch.setattr(RealSystemView, "jacobian", no_jacobian)
+        monkeypatch.setattr(DimerSystem, "candidate_states",
+                            lambda _system, _params: seeds)
+        again = find_all_states(SYSTEM, p, CFG)
+        assert [st.mu for st in again] == [st.mu for st in states]
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(g=st_.floats(-2.5, 2.5).filter(lambda g: abs(g) >= 1e-3),
+           gamma=st_.floats(0.0, 1.5), s=st_.floats(-0.3, 0.3))
+    def test_states_end_at_the_floor(self, g, gamma, s):
+        # regular points only: the oracle's four states stay apart
+        try:
+            rows = ORACLE.states(1.0, g, gamma, s)
+        except ORACLE.OracleError:
+            assume(False)
+        pairs = rows[:, 3:]
+        assume(min(np.max(np.abs(a - b))
+                   for k, a in enumerate(pairs) for b in pairs[k + 1:]) >= 0.05)
+        p = DimerParams(v=1.0, g=g, gamma=gamma, s=s)
+        view = RealSystemView(SYSTEM, p, CFG)
+        states = find_all_states(SYSTEM, p, CFG)
+        assert len(states) == 4
+        for st in states:
+            assert st.residual_norm <= roundoff_floor(view, st)
+
+
 class TestScaling:
     """Every control and mu scale with v, and psi does not change."""
 
@@ -665,6 +742,20 @@ class TestCanonicalGauge:
             assert abs(pair.plus.imag) < 1e-12
             assert pair.plus.real > 0
             assert abs(abs(pair.plus) - abs(pair.minus)) < 1e-10
+
+    @given(a=st_.tuples(*[st_.floats(allow_nan=False, allow_infinity=False)] * 12),
+           b=st_.tuples(*[st_.floats(allow_nan=False, allow_infinity=False)] * 12))
+    def test_distance_is_the_bicomplex_max_norm(self, a, b):
+        def state(c):
+            return StationaryState(Bicomplex(*c[:4]), Bicomplex(*c[4:8]),
+                                   Bicomplex(*c[8:]), 0.0, True, True)
+
+        sa, sb = state(a), state(b)
+        # the formula on Bicomplex differences that the float one replaces
+        d = 0.0
+        for za, zb in ((sa.psi1, sb.psi1), (sa.psi2, sb.psi2), (sa.mu, sb.mu)):
+            d = max(d, (za - zb).max_abs())
+        assert state_distance(sa, sb).hex() == d.hex()
 
     def test_distance_zero_iff_same_state(self):
         p = DimerParams(v=1.0, g=-1.0, gamma=0.7)
