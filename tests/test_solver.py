@@ -543,9 +543,17 @@ def oracle_invariants(state: StationaryState):
                      qm.minus.conjugate()])
 
 
+def roundoff_floor(view: RealSystemView, state: StationaryState) -> float:
+    """4 eps times max(1, largest amplitude component)^2: the residual
+    below which a Newton step changes nothing."""
+    x = view.pack((state.psi1, state.psi2), state.mu)
+    return 4.0 * float(np.finfo(float).eps) * max(1.0, np.max(np.abs(x[:8])) ** 2)
+
+
 class TestQuarticOracle:
     """find_all_states against the benchmark oracle, which seeds from P(a)
-    and polishes on its own holomorphic system, over a box with s != 0."""
+    and polishes on its own holomorphic system, over a box with s != 0.
+    Every state also ends at the roundoff floor."""
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.filter_too_much])
@@ -559,11 +567,13 @@ class TestQuarticOracle:
         pairs = rows[:, 3:]
         assume(min(np.max(np.abs(a - b))
                    for k, a in enumerate(pairs) for b in pairs[k + 1:]) >= 0.05)
-        states = find_all_states(SYSTEM, DimerParams(v=1.0, g=g, gamma=gamma,
-                                                     s=s), CFG)
+        p = DimerParams(v=1.0, g=g, gamma=gamma, s=s)
+        view = RealSystemView(SYSTEM, p, CFG)
+        states = find_all_states(SYSTEM, p, CFG)
         assert len(states) == 4
         matched = set()
         for st in states:
+            assert st.residual_norm <= roundoff_floor(view, st)
             dist = np.max(np.abs(rows - oracle_invariants(st)), axis=1)
             k = int(np.argmin(dist))
             assert dist[k] < 1e-8
@@ -571,16 +581,9 @@ class TestQuarticOracle:
         assert len(matched) == 4
 
 
-def roundoff_floor(view: RealSystemView, state: StationaryState) -> float:
-    """4 eps times max(1, largest amplitude component)^2: the residual
-    below which a Newton step changes nothing."""
-    x = view.pack((state.psi1, state.psi2), state.mu)
-    return 4.0 * float(np.finfo(float).eps) * max(1.0, np.max(np.abs(x[:8])) ** 2)
-
-
 class TestPolish:
     """find_all_states polishes each seed to the roundoff floor and stops
-    there: a pinned Jacobian budget, and no precision lost for it."""
+    there (that states reach it: TestQuarticOracle)."""
 
     # the gamma grid of `bcdimer bifurcations` (0.05:1.4:0.01)
     GRID = [0.05 + 0.01 * k for k in range(136)]
@@ -626,26 +629,6 @@ class TestPolish:
                             lambda _system, _params: seeds)
         again = find_all_states(SYSTEM, p, CFG)
         assert [st.mu for st in again] == [st.mu for st in states]
-
-    @settings(max_examples=40, deadline=None,
-              suppress_health_check=[HealthCheck.filter_too_much])
-    @given(g=st_.floats(-2.5, 2.5).filter(lambda g: abs(g) >= 1e-3),
-           gamma=st_.floats(0.0, 1.5), s=st_.floats(-0.3, 0.3))
-    def test_states_end_at_the_floor(self, g, gamma, s):
-        # regular points only: the oracle's four states stay apart
-        try:
-            rows = ORACLE.states(1.0, g, gamma, s)
-        except ORACLE.OracleError:
-            assume(False)
-        pairs = rows[:, 3:]
-        assume(min(np.max(np.abs(a - b))
-                   for k, a in enumerate(pairs) for b in pairs[k + 1:]) >= 0.05)
-        p = DimerParams(v=1.0, g=g, gamma=gamma, s=s)
-        view = RealSystemView(SYSTEM, p, CFG)
-        states = find_all_states(SYSTEM, p, CFG)
-        assert len(states) == 4
-        for st in states:
-            assert st.residual_norm <= roundoff_floor(view, st)
 
 
 class TestScaling:
@@ -743,8 +726,10 @@ class TestCanonicalGauge:
             assert pair.plus.real > 0
             assert abs(abs(pair.plus) - abs(pair.minus)) < 1e-10
 
-    @given(a=st_.tuples(*[st_.floats(allow_nan=False, allow_infinity=False)] * 12),
-           b=st_.tuples(*[st_.floats(allow_nan=False, allow_infinity=False)] * 12))
+    FLOATS = st_.tuples(*[st_.floats(allow_nan=False,
+                                     allow_infinity=False)] * 12)
+
+    @given(a=FLOATS, b=FLOATS)
     def test_distance_is_the_bicomplex_max_norm(self, a, b):
         def state(c):
             return StationaryState(Bicomplex(*c[:4]), Bicomplex(*c[4:8]),

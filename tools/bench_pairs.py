@@ -5,7 +5,7 @@ Usage (from anywhere):
     python3 tools/bench_pairs.py PARENT CHANGE --workload bifurcations \
         --seed 13 --pairs 10 --out BENCH_10.json
 
-PARENT and CHANGE are two checkouts of this repository.  Each pair runs
+PARENT and CHANGE are two git checkouts of this repository.  Each pair runs
 ``qbench/run.py --trace 0`` once in each checkout, with the same workload,
 seed and run length; even pairs run the parent first, odd pairs the change.
 The record holds both checkouts' git SHAs, the Python and numpy versions,
@@ -37,7 +37,7 @@ def _git(checkout: Path, *args: str) -> str:
 
 
 def _checkout_info(checkout: Path) -> dict:
-    return {"path": str(checkout), "sha": _git(checkout, "rev-parse", "HEAD"),
+    return {"sha": _git(checkout, "rev-parse", "HEAD"),
             "dirty": bool(_git(checkout, "status", "--porcelain",
                                "--untracked-files=no"))}
 
