@@ -1,0 +1,59 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+
+def _load_bench_pairs():
+    """tools/bench_pairs.py is a script, not part of the package."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("_bench_pairs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH_PAIRS = _load_bench_pairs()
+HIGHER = {"unit": "1/s", "better": "higher", "bound": 0.25}
+LOWER = {"unit": "s", "better": "lower", "bound": 0.25}
+
+
+def verdict(spec, before, after):
+    return BENCH_PAIRS._compare(spec, before, after)["bound_verdict"]
+
+
+class TestBoundVerdict:
+    def test_small_change_with_narrow_spread_is_within(self):
+        before = [10.0, 10.1, 9.9, 10.0]
+        assert verdict(HIGHER, before, [9.5, 9.6, 9.4, 9.5]) == "within"
+        assert verdict(LOWER, before, [10.5, 10.6, 10.4, 10.5]) == "within"
+
+    def test_large_loss_with_narrow_spread_is_worse(self):
+        before = [10.0, 10.1, 9.9, 10.0]
+        assert verdict(HIGHER, before, [7.0, 7.1, 6.9, 7.0]) == "worse"
+        assert verdict(LOWER, before, [13.0, 13.1, 12.9, 13.0]) == "worse"
+
+    @pytest.mark.parametrize("spec", [HIGHER, LOWER])
+    def test_spread_wider_than_the_bound_is_unresolved(self, spec):
+        # Parent quartiles 7.5 and 12.5: IQR 5 on a median of 10, over 25 %.
+        before = [5.0, 7.5, 10.0, 12.5, 15.0]
+        assert verdict(spec, before, [10.0, 10.0, 10.0, 10.0, 10.0]) \
+            == "unresolved"
+        # Even a median that reads better stays unresolved.
+        better = 11.0 if spec["better"] == "higher" else 9.0
+        assert verdict(spec, before, [better] * 5) == "unresolved"
+
+    def test_wide_spread_is_resolved_when_every_change_run_wins(self):
+        before = [5.0, 7.5, 10.0, 12.5, 15.0]
+        assert verdict(HIGHER, before, [16.0, 17.0, 18.0, 19.0, 20.0]) \
+            == "within"
+        assert verdict(LOWER, before, [1.0, 2.0, 3.0, 4.0, 4.5]) == "within"
+
+    def test_claim_needs_nine_wins_in_ten_and_a_gain_over_the_iqr(self):
+        before = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.0, 10.1, 9.9, 10.0]
+        after = [v + 1.0 for v in before]
+        out = BENCH_PAIRS._compare(HIGHER, before, after)
+        assert out["change_wins"] == 10 and out["claim_met"]
+        after[0] = after[1] = 9.0
+        out = BENCH_PAIRS._compare(HIGHER, before, after)
+        assert out["change_wins"] == 8 and not out["claim_met"]

@@ -7,15 +7,18 @@ Usage (from anywhere):
 
 PARENT and CHANGE are two git checkouts of this repository.  Each pair runs
 ``qbench/run.py --trace 0`` once in each checkout, with the same workload,
-seed and run length; even pairs run the parent first, odd pairs the change.
-The record holds both checkouts' git SHAs, the Python and numpy versions,
-every run's output, and for each end-to-end metric of ``BENCHMARK.json``
-both sides' medians and quartiles and the number of pairs the change won
-(ties count for neither side).  ``claim_met`` applies the gain rule: the
-change wins at least nine pairs in ten and the medians differ by more than
-the parent's interquartile range.  ``within_bound`` says whether the
-change's median is no worse than the parent's by more than the metric's
-bound.
+seed and the run length ``run_seconds`` of the parent's ``BENCHMARK.json``;
+even pairs run the parent first, odd pairs the change.  The record holds
+both checkouts' git SHAs, the Python and numpy versions, every run's
+output, and for each end-to-end metric of ``BENCHMARK.json`` both sides'
+medians and quartiles and the number of pairs the change won (ties count
+for neither side).  ``claim_met`` applies the gain rule: the change wins at
+least nine pairs in ten and the medians differ by more than the parent's
+interquartile range.  ``bound_verdict`` is ``"unresolved"`` when the
+parent's interquartile range exceeds the metric's bound (relative to the
+parent's median) and not every change run beats every parent run;
+otherwise it is ``"within"`` when the change's median is no worse than the
+parent's by more than the bound, and ``"worse"`` when it is.
 """
 
 from __future__ import annotations
@@ -42,10 +45,10 @@ def _checkout_info(checkout: Path) -> dict:
                                "--untracked-files=no"))}
 
 
-def _run(checkout: Path, ns) -> dict:
+def _run(checkout: Path, ns, seconds: float) -> dict:
     proc = subprocess.run(
         [sys.executable, "qbench/run.py", "--workload", ns.workload,
-         "--seed", str(ns.seed), "--seconds", str(ns.seconds), "--trace", "0"],
+         "--seed", str(ns.seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True,
     )
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -61,7 +64,14 @@ def _compare(spec: dict, before: list[float], after: list[float]) -> dict:
     q_before, q_after = _quartiles(before), _quartiles(after)
     iqr = q_before[2] - q_before[0]
     gain = sign * (q_after[1] - q_before[1])
-    worse = -gain / abs(q_before[1]) if q_before[1] else 0.0
+    scale = abs(q_before[1])
+    worse = -gain / scale if scale else 0.0
+    beats_all = (max(after) < min(before) if sign < 0
+                 else min(after) > max(before))
+    if iqr > spec["bound"] * scale and not beats_all:
+        verdict = "unresolved"
+    else:
+        verdict = "within" if worse <= spec["bound"] else "worse"
     return {
         "unit": spec["unit"],
         "better": spec["better"],
@@ -71,7 +81,7 @@ def _compare(spec: dict, before: list[float], after: list[float]) -> dict:
         "pairs": len(before),
         "claim_met": wins >= 0.9 * len(before) and gain > iqr,
         "bound": spec["bound"],
-        "within_bound": worse <= spec["bound"],
+        "bound_verdict": verdict,
     }
 
 
@@ -83,7 +93,6 @@ def main(argv=None) -> int:
                     choices=("states", "loops", "bifurcations"))
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=10.0)
     ap.add_argument("--out", type=Path, default=None,
                     help="write the record here (default: stdout only)")
     ns = ap.parse_args(argv)
@@ -91,11 +100,12 @@ def main(argv=None) -> int:
         ap.error("--pairs must be at least 1")
     sides = {"parent": ns.parent.resolve(), "change": ns.change.resolve()}
     specs = json.loads((sides["parent"] / "BENCHMARK.json").read_text())
+    seconds = specs["run_seconds"]
     runs = {"parent": [], "change": []}
     for k in range(ns.pairs):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(_run(sides[side], ns))
+            runs[side].append(_run(sides[side], ns, seconds))
             print(f"pair {k}: {side} {json.dumps(runs[side][-1])}",
                   file=sys.stderr)
     metrics = {
@@ -107,7 +117,7 @@ def main(argv=None) -> int:
     record = {
         "workload": ns.workload,
         "seed": ns.seed,
-        "seconds": ns.seconds,
+        "run_seconds": seconds,
         "pairs": ns.pairs,
         "order": "even pairs run the parent first, odd pairs the change",
         "python": platform.python_version(),
@@ -126,7 +136,7 @@ def main(argv=None) -> int:
         ns.out.write_text(text)
     print(json.dumps({name: {key: m[key] for key in
                              ("parent_quartiles", "change_quartiles",
-                              "change_wins", "claim_met", "within_bound")}
+                              "change_wins", "claim_met", "bound_verdict")}
                       for name, m in metrics.items()}))
     return 0
 
