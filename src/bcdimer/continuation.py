@@ -7,23 +7,28 @@ of one discriminant, and :func:`find_tangent`, :func:`locate_pitchfork_gamma`,
 from its answer; the last two only name the branches that meet at each point.
 Sweeps only draw branches.  :func:`stitched_branches` stitches all states on
 a grid into branches, and so carries every branch through its fold onto the
-bicomplex partner that continues it.  :func:`sweep_branch` follows one branch
-by natural-parameter continuation (secant predictor, Newton corrector) and
-stops at its fold.
+bicomplex partner that continues it.  It matches each point's states to the
+previous point's by the least total distance over all maps.  Totals equal
+up to rounding are a tie, as at a pitchfork, where the symmetric state is
+equidistant from the mirror pair born there; a tie goes to the first map in
+the states' sorted order, so rounding cannot decide which state keeps a
+branch id.  :func:`sweep_branch` follows one branch by natural-parameter
+continuation (secant predictor, Newton corrector) and stops at its fold.
 """
 
 from __future__ import annotations
 
-import math
+import functools
+import itertools
+import operator
 from dataclasses import dataclass, field, replace
 
 from .bicomplex import Bicomplex, fmt_float
-from .model import BifurcationPoint, DimerParams, StationaryState, pt_reflected
+from .model import BifurcationPoint, DimerParams, StationaryState
 from .solver import (
     GaugeDegenerate,
     NoConvergence,
     SolveConfig,
-    canonical_gauge,
     find_all_states,
     newton_solve,
     state_distance,
@@ -47,6 +52,19 @@ _STEP_FLOOR = 1e-9
 _GROW_AFTER = 3
 _GROW_FACTOR = 1.5
 _MAX_STEPS = 100000
+# two choices (matchings, or sets of meeting branches) whose total costs
+# differ by less than this times max(1, least total) are a tie.  Rounding
+# moves a total of a few state distances by a few ulps, ~1e-15, so it
+# cannot split a tie; distinct continuations on a grid differ by far more
+_TIE_TOL = 1e-9
+
+
+def _least(choices, cost):
+    """The first of ``choices`` whose cost is the least up to a tie."""
+    costs = [cost(choice) for choice in choices]
+    least = min(costs)
+    bound = least + _TIE_TOL * max(1.0, least)
+    return next(ch for ch, c in zip(choices, costs) if c <= bound)
 
 
 class NoMerger(RuntimeError):
@@ -195,9 +213,11 @@ def meeting_branches(point, branches, step) -> tuple[list[int], int | None]:
     carries the symmetric state through it.
 
     They are the two (tangent) or three (pitchfork) branches whose samples
-    within ``step`` of the location lie closest to the coalesced state; the
-    continuing one is the first of those whose sample nearest the location
-    is PT-symmetric.  Branch ids are their positions in ``branches``.
+    within ``step`` of the location lie closest to the coalesced state, in
+    total; of equally close sets (see :func:`_assign`) the one of lowest
+    ids.  The continuing one is the first of those whose sample nearest the
+    location is PT-symmetric.  Branch ids are their positions in
+    ``branches``.
     """
     nearest = {}
     for br in branches:
@@ -206,9 +226,11 @@ def meeting_branches(point, branches, step) -> tuple[list[int], int | None]:
                  if abs(value - point.location) <= step]
         if dists:
             nearest[br.branch_id] = min(dists)
+    k = min(3 if point.kind == "pitchfork" else 2, len(nearest))
+    ids = list(_least(list(itertools.combinations(sorted(nearest), k)),
+                      lambda ids: sum(nearest[bid] for bid in ids)))
     if point.kind != "pitchfork":
-        return sorted(sorted(nearest, key=nearest.get)[:2]), None
-    ids = sorted(sorted(nearest, key=nearest.get)[:3])
+        return ids, None
     symmetric = [
         bid for bid in ids
         if min(branches[bid].samples,
@@ -248,26 +270,6 @@ def detect_bifurcations(
         out.append(replace(pt, branch_ids=tuple(ids),
                            continuing_branch_id=continuing))
     return out
-
-
-def pt_partner_check(branch_a: Branch, branch_b: Branch, tol: float = 1e-6) -> bool:
-    """True when the two branches are PT reflections of each other."""
-    n = min(len(branch_a.samples), len(branch_b.samples))
-    for k in range(0, n, max(1, n // 8)):
-        pa, sa = branch_a.samples[k]
-        pb, sb = branch_b.samples[k]
-        if abs(pa - pb) > 1e-9:
-            return False
-        psi1, psi2, mu = pt_reflected(sa.psi1, sa.psi2, sa.mu)
-        psi, mu = canonical_gauge((psi1, psi2), mu)
-        d = max(
-            (psi[0] - sb.psi1).max_abs(),
-            (psi[1] - sb.psi2).max_abs(),
-            (mu - sb.mu).max_abs(),
-        )
-        if d > tol:
-            return False
-    return True
 
 
 # -- the bifurcation set ----------------------------------------------------
@@ -332,69 +334,37 @@ def find_tangent(
 # -- stitched grids ---------------------------------------------------------
 
 
+@functools.cache
+def _maps(n_rows: int, n_cols: int) -> tuple[tuple[int, ...], ...]:
+    """Every injective map of n_rows rows into n_cols columns, as the
+    column of each row, in lexicographic order."""
+    return tuple(itertools.permutations(range(n_cols), n_rows))
+
+
 def _assign(cost) -> list[tuple[int, int]]:
     """Minimum-cost matching of the rows of ``cost`` to its columns, as
     (row, column) pairs sorted by row; a tall matrix matches its columns.
 
-    This is the shortest-augmenting-path method of scipy's
-    ``linear_sum_assignment`` (Crouse, IEEE Trans. Aerosp. Electron. Syst.
-    52, 1679 (2016)) with its floating-point operations in its order.  A
-    brute force over the at most 24 maps finds the same optimum, but not
-    the same one of two maps whose totals differ only by rounding, as for
-    a conjugate pair of states; this way branch ids and loop permutations
-    stay those that scipy gave.
+    Every injective map is tried (at most 24 for the dimer's four states).
+    Totals within a relative 1e-9 of the least are a tie, which goes to the
+    first map in lexicographic order: the first row takes the first column
+    it can.  Callers sort rows and columns by the states themselves
+    (``solver._sort_key``, as :func:`find_all_states` returns them), so a
+    tie, such as a pitchfork's symmetric state equidistant from the mirror
+    pair born there, is decided by the states, not by the last bits of the
+    costs.
     """
     n_rows, n_cols = len(cost), len(cost[0])
     if n_rows > n_cols:
         return sorted((r, c) for c, r in _assign(list(zip(*cost))))
-    rows = cost
-    u, v = [0.0] * n_rows, [0.0] * n_cols
-    col4row, row4col, path = [-1] * n_rows, [-1] * n_cols, [-1] * n_cols
-    for current in range(n_rows):
-        # shortest augmenting path from the current row
-        remaining = list(range(n_cols - 1, -1, -1))
-        shortest = [math.inf] * n_cols
-        seen_rows, seen_cols = [False] * n_rows, [False] * n_cols
-        min_val, i, sink = 0.0, current, -1
-        while sink == -1:
-            seen_rows[i] = True
-            index, lowest = -1, math.inf
-            for it, j in enumerate(remaining):
-                r = min_val + rows[i][j] - u[i] - v[j]
-                if r < shortest[j]:
-                    path[j], shortest[j] = i, r
-                if shortest[j] < lowest or (shortest[j] == lowest
-                                            and row4col[j] == -1):
-                    index, lowest = it, shortest[j]
-            min_val = lowest
-            j = remaining[index]
-            if row4col[j] == -1:
-                sink = j
-            else:
-                i = row4col[j]
-            seen_cols[j] = True
-            remaining[index] = remaining[-1]
-            remaining.pop()
-        # dual update, then augment along the path
-        u[current] += min_val
-        for i in range(n_rows):
-            if seen_rows[i] and i != current:
-                u[i] += min_val - shortest[col4row[i]]
-        for j in range(n_cols):
-            if seen_cols[j]:
-                v[j] -= min_val - shortest[j]
-        j = sink
-        while True:
-            i = path[j]
-            row4col[j] = i
-            col4row[i], j = j, col4row[i]
-            if i == current:
-                break
-    return list(enumerate(col4row))
+    cols = _least(_maps(n_rows, n_cols),
+                  lambda cols: sum(map(operator.getitem, cost, cols)))
+    return list(enumerate(cols))
 
 
 def stitched_branches(system, params, parameter, grid, cfg) -> list[Branch]:
-    """All states per grid point stitched into branches by nearest matching."""
+    """All states per grid point stitched into branches by least-distance
+    matching (see :func:`_assign`)."""
     branches: list[Branch] = []
     open_ids: list[int] = []
     prev_states: list = []

@@ -742,12 +742,15 @@ class LinearTwoMode:
         return states
 
     def candidate_states(self, p: DimerParams):
-        """Seeds (psi, mu) for every stationary state: the eigenpairs, in
-        the balanced gauge of the dimer's seeds."""
+        """Seeds (psi, mu) for every stationary state: the eigenpairs,
+        turned by the phase u that makes site 1's plus component real, as
+        the solver's gauge asks, and in the balanced gauge of the dimer's
+        seeds."""
         seeds = []
         for state in self.eigenpairs(p):
             q1, q2, qm = map(Bicomplex.to_idempotent, state)
-            phi = (q1.minus.conjugate(), q2.minus.conjugate())
-            seeds.append(_idempotent_seed((q1.plus, q2.plus), phi, qm.plus,
-                                          qm.minus.conjugate()))
+            u = abs(q1.plus) / q1.plus
+            phi = (q1.minus.conjugate() / u, q2.minus.conjugate() / u)
+            seeds.append(_idempotent_seed((q1.plus * u, q2.plus * u), phi,
+                                          qm.plus, qm.minus.conjugate()))
         return seeds

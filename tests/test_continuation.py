@@ -4,9 +4,17 @@ import math
 
 import pytest
 
+from bcdimer import continuation
+from bcdimer.bicomplex import Bicomplex
 from bcdimer.cli import run
-from bcdimer.model import DimerParams, DimerSystem, residual
-from bcdimer.solver import NoConvergence, SolveConfig, find_all_states
+from bcdimer.model import DimerParams, DimerSystem, pt_reflected, residual
+from bcdimer.solver import (
+    NoConvergence,
+    SolveConfig,
+    canonical_gauge,
+    find_all_states,
+    state_distance,
+)
 from bcdimer.continuation import (
     NoMerger,
     branches_to_csv,
@@ -15,7 +23,7 @@ from bcdimer.continuation import (
     find_tangent,
     locate_fold,
     locate_pitchfork_gamma,
-    pt_partner_check,
+    meeting_branches,
     stitched_branches,
     sweep_branch,
 )
@@ -54,10 +62,11 @@ class TestSweep:
         assert abs(br.end - 1.0) < 1e-3
 
     def test_continues_through_fold_onto_partner(self):
-        # stitched, one symmetric branch runs on past the fold onto a
-        # bicomplex partner and the other ends there.  The grid point
-        # gamma = 1 lies on the fold, where the pair coalesces, so which of
-        # the two runs on is a rounding tie
+        # stitched, the lower symmetric branch runs on past the fold onto a
+        # bicomplex partner and the upper one ends there.  The grid point
+        # gamma = 1 lies on the fold, where the coalesced state is
+        # equidistant from both; the tie goes to the branch whose state
+        # sorts first
         g = -1.0
         p = DimerParams(v=1.0, g=g, gamma=0.0)
         grid = [k * 0.01 for k in range(141)]
@@ -66,11 +75,10 @@ class TestSweep:
                      if b.start == 0.0 and b.samples[0][1].is_pt_symmetric]
         assert len(symmetric) == 2
         assert all(b.samples[0][1].is_complex_state for b in symmetric)
-        ends = sorted(symmetric, key=lambda b: b.end)
-        assert ends[0].end in (grid[99], grid[100])
-        br = ends[1]
-        assert br.end == grid[-1]
-        gam, st = br.samples[-1]
+        lower, upper = sorted(symmetric, key=lambda b: b.samples[0][1].mu.z0)
+        assert upper.end == grid[99]
+        assert lower.end == grid[-1]
+        gam, st = lower.samples[-1]
         w = math.sqrt(gam * gam - 1.0)
         assert not st.is_complex_state
         assert abs(st.mu.z0 - (-g / 2)) < 1e-9
@@ -204,16 +212,124 @@ class TestDetection:
 
     def test_broken_partners_are_pt_reflections(self):
         g = -1.0
-        p9 = DimerParams(v=1.0, g=g, gamma=0.9)
-        broken = [
-            s
-            for s in find_all_states(SYSTEM, p9, CFG)
-            if s.is_complex_state and not s.is_pt_symmetric
-        ]
+        p = DimerParams(v=1.0, g=g, gamma=0.9)
+        grid = [0.9 + k * 0.01 for k in range(21)]
+        branches = stitched_branches(SYSTEM, p, "gamma", grid, CFG)
+        broken = [b for b in branches if b.samples[0][1].is_complex_state
+                  and not b.samples[0][1].is_pt_symmetric]
         assert len(broken) == 2
-        a = sweep_branch(SYSTEM, broken[0], p9, "gamma", 1.1, 0.01, CFG)
-        b = sweep_branch(SYSTEM, broken[1], p9, "gamma", 1.1, 0.01, CFG)
-        assert pt_partner_check(a, b)
+        a, b = broken
+        assert [value for value, _ in a.samples] == grid
+        assert [value for value, _ in b.samples] == grid
+        for (_, sa), (_, sb) in zip(a.samples, b.samples):
+            psi1, psi2, mu = pt_reflected(sa.psi1, sa.psi2, sa.mu)
+            (psi1, psi2), mu = canonical_gauge((psi1, psi2), mu)
+            reflected = dataclasses.replace(sa, psi1=psi1, psi2=psi2, mu=mu)
+            assert state_distance(reflected, sb) < 1e-12
+
+
+class TestBranchIdentity:
+    """Branch ids are decided by the states, not by their last bits."""
+
+    # (controls, parameter, lo, step, grid points, bifurcation points?): the
+    # two `sweep` commands of test_sweep_ids and four `bifurcations` scans
+    # (default gamma range)
+    GRIDS = {
+        "sweep --g -1": ({"g": -1.0}, "gamma", 0.0, 0.01, 141, False),
+        "sweep --gamma 0.5": ({"gamma": 0.5}, "g", -2.5, 0.05, 101, False),
+        **{f"bifurcations --g {g}" + (f" --s {s}" if s else ""):
+           ({"g": g, "s": s}, "gamma", 0.05, 0.01, 136, True)
+           for g, s in [(0.01, 0.0), (-0.4, 0.0), (1.2, 0.0), (-1.5, 0.05)]},
+    }
+    # the CLI's solver settings
+    CLI_CFG = SolveConfig(residual_tol=1e-11, jacobian="analytic")
+    # every grid's states, solved once per grid point
+    _solved: dict = {}
+
+    @staticmethod
+    def _nudged(states, ulps: int):
+        """The states with the k-th float of the n-th state moved by
+        (-1)^(n + k) ulps units in the last place."""
+        def nudge(z, sign):
+            return Bicomplex(*(c + (-1) ** k * sign * ulps * math.ulp(c)
+                               for k, c in enumerate(z.as_tuple())))
+
+        return [dataclasses.replace(st, psi1=nudge(st.psi1, (-1) ** n),
+                                    psi2=nudge(st.psi2, (-1) ** n),
+                                    mu=nudge(st.mu, (-1) ** n))
+                for n, st in enumerate(states)]
+
+    def ids(self, monkeypatch, grid, ulps=0):
+        """The branch id of each state, keyed by its grid value and its
+        place in find_all_states' list, and each bifurcation point's branch
+        ids and continuing branch, as `bcdimer sweep` and `bcdimer
+        bifurcations` find them."""
+        controls, parameter, lo, step, n, with_points = self.GRIDS[grid]
+        params = DimerParams(v=1.0, **controls)
+        place = {}
+
+        def solved(system, p, cfg):
+            if p not in self._solved:
+                self._solved[p] = find_all_states(system, p, cfg)
+            states = self._nudged(self._solved[p], ulps)
+            place.update((id(st), k) for k, st in enumerate(states))
+            return states
+
+        monkeypatch.setattr(continuation, "find_all_states", solved)
+        values = [lo + k * step for k in range(n)]
+        branches = stitched_branches(SYSTEM, params, parameter, values,
+                                     self.CLI_CFG)
+        ids = {(value, place[id(st)]): br.branch_id
+               for br in branches for value, st in br.samples}
+        points = []
+        if with_points:
+            points = [meeting_branches(pt, branches, step)
+                      for pt in SYSTEM.bifurcation_set(
+                          params, parameter, values[0], values[-1],
+                          self.CLI_CFG)]
+        return ids, points
+
+    @pytest.mark.parametrize("ulps", [-8, -3, 3, 8])
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_nudged_states_keep_their_ids(self, monkeypatch, grid, ulps):
+        ids, points = self.ids(monkeypatch, grid)
+        assert len(set(ids.values())) >= 4
+        assert self.ids(monkeypatch, grid, ulps) == (ids, points)
+
+    @pytest.mark.parametrize("args,ends", [
+        # the mirror pair born at the pitchfork (gamma = sqrt(3)/2) runs to
+        # the range end on branches 1 and 2; at the tangent the symmetric
+        # branch 0 runs on onto a bicomplex state, branch 3 ends and the
+        # bicomplex branch 4 begins
+        (["sweep", "--g", "-1", "--gamma-range", "0:1.4:0.01"],
+         {0: (0.0, 1.4, 0.5, -0.979796, 0.0),
+          1: (0.0, 1.4, 1.0, 0.0, 1.035916),
+          2: (0.0, 1.4, 1.0, 0.0, -1.035916),
+          3: (0.0, 0.99, 0.641067, 0.0, 0.0),
+          4: (1.01, 1.4, 0.5, 0.979796, 0.0)}),
+        # past the pitchfork at g = sqrt(3) the broken state with Im mu < 0
+        # carries branch 2
+        (["sweep", "--gamma", "0.5", "--g-range=-2.5:2.5:0.05"],
+         {0: (-2.5, 2.5, -2.116025, 0.0, 0.0),
+          1: (-2.5, 2.5, -0.383975, 0.0, 0.0),
+          2: (-2.5, 2.5, -2.5, 0.0, -0.334767),
+          3: (-2.5, 2.5, -2.5, 0.0, 0.334767)}),
+    ], ids=["gamma", "g"])
+    def test_sweep_ids(self, tmp_path, capsys, args, ends):
+        # each branch id's first and last value and its last mu (the 1, j
+        # and i components, to 6 decimals)
+        assert run([*args, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        lines = (tmp_path / "branches.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        found = {}
+        for line in lines[1:]:
+            row = dict(zip(header, line.split(",")))
+            bid, value = int(row["branch_id"]), float(row["param"])
+            found[bid] = (found.get(bid, (value,))[0], round(value, 9),
+                          *(round(float(row[f"mu_{k}"]), 6)
+                            for k in range(3)))
+        assert found == ends
 
 
 class TestLocators:

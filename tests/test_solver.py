@@ -605,11 +605,15 @@ class TestPolish:
         monkeypatch.setattr(RealSystemView, "jacobian", counting_jacobian)
         monkeypatch.setattr(DimerSystem, "candidate_states",
                             counting_candidates)
-        for gamma in self.GRID:
-            find_all_states(SYSTEM, DimerParams(v=1.0, g=-0.8, gamma=gamma),
-                            CFG)
-        assert counts["seeds"] == 4 * len(self.GRID)
-        assert counts["jacobians"] <= counts["seeds"]
+        # at g = 0 the seeds are the linear model's eigenpairs, which must
+        # come in the solver's phase gauge
+        for g in (-0.8, 0.0):
+            counts.update(jacobians=0, seeds=0)
+            for gamma in self.GRID:
+                find_all_states(SYSTEM, DimerParams(v=1.0, g=g, gamma=gamma),
+                                CFG)
+            assert counts["seeds"] == 4 * len(self.GRID)
+            assert counts["jacobians"] <= counts["seeds"]
 
     def test_seed_at_the_floor_takes_no_step(self, monkeypatch):
         p = DimerParams(v=1.0, g=-0.8, gamma=0.5)
