@@ -54,9 +54,12 @@ _GROW_FACTOR = 1.5
 _MAX_STEPS = 100000
 # two choices (matchings, or sets of meeting branches) whose total costs
 # differ by less than this times max(1, least total) are a tie.  Rounding
-# moves a total of a few state distances by a few ulps, ~1e-15, so it
-# cannot split a tie; distinct continuations on a grid differ by far more
-_TIE_TOL = 1e-9
+# moves a total of a few state distances by a few ulps, and a state on an
+# exact EP carries a Newton error of ~sqrt(eps) * scale (1.9e-9 in the j
+# part of the tangent state at g = 0.01, gamma = 1), which splits a tie by
+# a few times that; neither may decide one.  Distinct continuations on nine
+# reference scans (`sweep`, `bifurcations`) differ by 9e-5 or more
+_TIE_TOL = 1e-7
 
 
 def _least(choices, cost):
@@ -346,13 +349,13 @@ def _assign(cost) -> list[tuple[int, int]]:
     (row, column) pairs sorted by row; a tall matrix matches its columns.
 
     Every injective map is tried (at most 24 for the dimer's four states).
-    Totals within a relative 1e-9 of the least are a tie, which goes to the
+    Totals within a relative 1e-7 of the least are a tie, which goes to the
     first map in lexicographic order: the first row takes the first column
-    it can.  Callers sort rows and columns by the states themselves
-    (``solver._sort_key``, as :func:`find_all_states` returns them), so a
-    tie, such as a pitchfork's symmetric state equidistant from the mirror
-    pair born there, is decided by the states, not by the last bits of the
-    costs.
+    it can.  In :func:`stitched_branches` rows and columns are states in the
+    order of ``solver._sort_key``, as :func:`find_all_states` returns them,
+    so a tie, such as a pitchfork's symmetric state equidistant from the
+    mirror pair born there, is decided by the states, not by the last bits
+    of the costs.
     """
     n_rows, n_cols = len(cost), len(cost[0])
     if n_rows > n_cols:

@@ -247,11 +247,11 @@ class TestBranchIdentity:
     _solved: dict = {}
 
     @staticmethod
-    def _nudged(states, ulps: int):
-        """The states with the k-th float of the n-th state moved by
-        (-1)^(n + k) ulps units in the last place."""
+    def _nudged(states, step):
+        """The states with the k-th float c of the n-th state moved by
+        (-1)^(n + k) step(c)."""
         def nudge(z, sign):
-            return Bicomplex(*(c + (-1) ** k * sign * ulps * math.ulp(c)
+            return Bicomplex(*(c + (-1) ** k * sign * step(c)
                                for k, c in enumerate(z.as_tuple())))
 
         return [dataclasses.replace(st, psi1=nudge(st.psi1, (-1) ** n),
@@ -259,31 +259,31 @@ class TestBranchIdentity:
                                     mu=nudge(st.mu, (-1) ** n))
                 for n, st in enumerate(states)]
 
-    def ids(self, monkeypatch, grid, ulps=0):
+    def ids(self, monkeypatch, grid, step=lambda c: 0.0):
         """The branch id of each state, keyed by its grid value and its
         place in find_all_states' list, and each bifurcation point's branch
         ids and continuing branch, as `bcdimer sweep` and `bcdimer
-        bifurcations` find them."""
-        controls, parameter, lo, step, n, with_points = self.GRIDS[grid]
+        bifurcations` find them, with the states nudged by ``step``."""
+        controls, parameter, lo, step_size, n, with_points = self.GRIDS[grid]
         params = DimerParams(v=1.0, **controls)
         place = {}
 
         def solved(system, p, cfg):
             if p not in self._solved:
                 self._solved[p] = find_all_states(system, p, cfg)
-            states = self._nudged(self._solved[p], ulps)
+            states = self._nudged(self._solved[p], step)
             place.update((id(st), k) for k, st in enumerate(states))
             return states
 
         monkeypatch.setattr(continuation, "find_all_states", solved)
-        values = [lo + k * step for k in range(n)]
+        values = [lo + k * step_size for k in range(n)]
         branches = stitched_branches(SYSTEM, params, parameter, values,
                                      self.CLI_CFG)
         ids = {(value, place[id(st)]): br.branch_id
                for br in branches for value, st in br.samples}
         points = []
         if with_points:
-            points = [meeting_branches(pt, branches, step)
+            points = [meeting_branches(pt, branches, step_size)
                       for pt in SYSTEM.bifurcation_set(
                           params, parameter, values[0], values[-1],
                           self.CLI_CFG)]
@@ -294,7 +294,17 @@ class TestBranchIdentity:
     def test_nudged_states_keep_their_ids(self, monkeypatch, grid, ulps):
         ids, points = self.ids(monkeypatch, grid)
         assert len(set(ids.values())) >= 4
-        assert self.ids(monkeypatch, grid, ulps) == (ids, points)
+        assert self.ids(monkeypatch, grid,
+                        lambda c: ulps * math.ulp(c)) == (ids, points)
+
+    # a state on an exact EP carries a Newton error of ~sqrt(eps) * scale
+    # (1.9e-9 in the j part of the tangent state at g = 0.01, gamma = 1)
+    @pytest.mark.parametrize("size", [-3e-9, 3e-9])
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_states_moved_by_their_error_at_an_ep_keep_their_ids(
+            self, monkeypatch, grid, size):
+        assert (self.ids(monkeypatch, grid, lambda c: size)
+                == self.ids(monkeypatch, grid))
 
     @pytest.mark.parametrize("args,ends", [
         # the mirror pair born at the pitchfork (gamma = sqrt(3)/2) runs to
