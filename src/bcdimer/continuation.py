@@ -9,10 +9,10 @@ Sweeps only draw branches.  :func:`stitched_branches` stitches all states on
 a grid into branches, and so carries every branch through its fold onto the
 bicomplex partner that continues it.  It matches each point's states to the
 previous point's by the least total distance over all maps.  Totals equal
-up to rounding are a tie, as at a pitchfork, where the symmetric state is
-equidistant from the mirror pair born there; a tie goes to the first map in
-the states' sorted order, so rounding cannot decide which state keeps a
-branch id.  :func:`sweep_branch` follows one branch by natural-parameter
+up to rounding, or up to a state's Newton error on an exact EP, are a tie,
+as at a pitchfork, where the symmetric state is equidistant from the mirror
+pair born there; a tie goes to the first map in the states' sorted order,
+so neither decides which state keeps a branch id.  :func:`sweep_branch` follows one branch by natural-parameter
 continuation (secant predictor, Newton corrector) and stops at its fold.
 """
 
