@@ -387,6 +387,7 @@ def _cmd_encircle(ns) -> dict:
         "cycle_type": trace.cycle_type,
         "permutation": trace.permutation,
         "match_margin": trace.match_margin,
+        "fallback_steps": trace.fallback_steps,
     }
 
 

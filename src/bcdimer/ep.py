@@ -2,9 +2,14 @@
 
 A candidate exceptional point is encircled by complexifying exactly one
 scalar control with the j unit: ``c(phi) = center + r*(cos(phi) + j*sin(phi))``.
-Each tracked state is re-solved step by step around the loop; at closure the
-final states are matched to the starting set and the resulting permutation's
-cycle structure bounds the order of the exceptional point from below.
+At each loop point the system lists a seed for every state
+(``candidate_states``); each tracked state continues from the seed whose mu
+is nearest its mu one step back, confirmed by Newton.  Where that seed
+fails, two states claim the same one, or the state lands nearer another
+state's previous value, the state is instead re-solved by Newton from its
+previous value, bisecting the step.  At closure the final states are
+matched to the starting set and the resulting permutation's cycle structure
+bounds the order of the exceptional point from below.
 
 Loops around different controls can show different exchange behaviour, so
 the classifier reports per-control cycle types plus a wave-function
@@ -16,6 +21,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .bicomplex import fmt_float
 from .continuation import _assign
@@ -99,6 +106,7 @@ class LoopTrace:
     cycle_type: list[int]
     match_margin: float
     reliable: bool
+    fallback_steps: int  # branch steps re-solved from the previous state
 
     def start_states(self) -> list[StationaryState]:
         return self.states[0]
@@ -129,15 +137,54 @@ def _track_segment(system, spec, state, phi0, phi1, cfg, depth=0):
         return _track_segment(system, spec, half, mid, phi1, cfg, depth + 1)
 
 
-def _match_margin(new_states, old_states) -> float:
-    """Smallest second-nearest/nearest ratio over the new states."""
+def _step(system, spec, current, phi0, phi1, cfg):
+    """Every tracked state at phi1, each one's distances to every state in
+    ``current``, and how many states took the fallback.
+
+    Each state is solved by Newton from the candidate seed whose mu is
+    nearest its own in the max-norm of mu's 4 floats (mu is gauge-free,
+    and duplicate seeds of one state are harmless).  A state is continued
+    by :func:`_track_segment` instead when its seed fails, when another
+    state picked the same seed, or when the solved state lies nearer
+    another state's previous value than its own: states with equal mu,
+    such as a mirror pair, can swap seeds.
+    """
+    params = _loop_params(spec, phi1)
+    seeds = system.candidate_states(params)
+    picks = [None] * len(current)
+    if seeds:
+        seed_mu = np.array([mu.as_tuple() for _psi, mu in seeds])
+        mu = np.array([st.mu.as_tuple() for st in current])
+        picks = np.abs(mu[:, None] - seed_mu).max(axis=2).argmin(axis=1)
+        picks = picks.tolist()
+    new, dists, fallbacks = [], [], 0
+    for i, (st, pick) in enumerate(zip(current, picks)):
+        state = row = None
+        if pick is not None and picks.count(pick) == 1:
+            try:
+                state = newton_solve(system, params, seeds[pick], cfg)
+            except (NoConvergence, GaugeDegenerate):
+                pass
+            else:
+                row = [state_distance(state, old) for old in current]
+        if row is None or row.index(min(row)) != i:
+            fallbacks += 1
+            state = _track_segment(system, spec, st, phi0, phi1, cfg)
+            row = [state_distance(state, old) for old in current]
+        new.append(state)
+        dists.append(row)
+    return new, dists, fallbacks
+
+
+def _match_margin(dists) -> float:
+    """Smallest second-nearest/nearest ratio over rows of distances from
+    each new state to the old ones."""
     worst = math.inf
-    for i, ns in enumerate(new_states):
-        dists = sorted(state_distance(ns, os) for os in old_states)
-        if len(dists) < 2:
+    for row in dists:
+        if len(row) < 2:
             continue
-        nearest = max(dists[0], 1e-300)
-        worst = min(worst, dists[1] / nearest)
+        nearest, second = sorted(row)[:2]
+        worst = min(worst, second / max(nearest, 1e-300))
     return worst
 
 
@@ -161,11 +208,16 @@ def _cycles(perm: list[int]) -> list[int]:
 def encircle(system, spec: LoopSpec, cfg: SolveConfig | None = None) -> LoopTrace:
     """Drive all tracked states around the loop and read off the permutation.
 
-    The permutation maps the index of each starting state to the index of
-    the starting state its continuation lands on after a full loop.  The
-    match margin is the smallest ratio of second-nearest to nearest match
-    distance seen at any step; a trace with margin <= 2 retries once at
-    doubled resolution and then raises :class:`AmbiguousMatch`.
+    At each loop point every tracked state continues from the system's
+    candidate seed nearest it in mu, confirmed by Newton.  A state whose
+    seed fails, is claimed twice or lands nearer another state is instead
+    re-solved by Newton from its previous value, bisecting the step in phi;
+    ``fallback_steps`` counts those.  The permutation maps the index of
+    each starting state to the index of the starting state its
+    continuation lands on after a full loop.  The match margin is the
+    smallest ratio of second-nearest to nearest match distance seen at any
+    step; a trace with margin <= 2 retries once at doubled resolution and
+    then raises :class:`AmbiguousMatch`.
     """
     if cfg is None:
         cfg = SolveConfig()
@@ -192,28 +244,17 @@ def _encircle_once(system, spec: LoopSpec, cfg: SolveConfig) -> LoopTrace:
     ]
     per_step = [list(current)]
     margin = math.inf
+    fallback_steps = 0
     for k in range(1, len(phis)):
-        new = [
-            _track_segment(system, spec, st, phis[k - 1], phis[k], cfg)
-            for st in current
-        ]
-        if len(new) > 1:
-            margin = min(margin, _match_margin(new, current))
-        per_step.append(list(new))
-        current = new
+        current, dists, fallbacks = _step(system, spec, current,
+                                          phis[k - 1], phis[k], cfg)
+        margin = min(margin, _match_margin(dists))
+        fallback_steps += fallbacks
+        per_step.append(current)
     start, end = per_step[0], per_step[-1]
-    n = len(start)
-    if n == 1:
-        perm = [0]
-        end_margin = math.inf
-    else:
-        cost = [[state_distance(e, s) for s in start] for e in end]
-        perm = [target for _branch, target in _assign(cost)]
-        end_margin = math.inf
-        for i in range(n):
-            row = sorted(cost[i])
-            end_margin = min(end_margin, row[1] / max(row[0], 1e-300))
-    margin = float(min(margin, end_margin))
+    cost = [[state_distance(e, s) for s in start] for e in end]
+    perm = [target for _branch, target in _assign(cost)]
+    margin = float(min(margin, _match_margin(cost)))
     reliable = bool(margin > 2.0)
     return LoopTrace(
         spec=spec,
@@ -223,6 +264,7 @@ def _encircle_once(system, spec: LoopSpec, cfg: SolveConfig) -> LoopTrace:
         cycle_type=_cycles(perm),
         match_margin=margin,
         reliable=reliable,
+        fallback_steps=fallback_steps,
     )
 
 

@@ -152,7 +152,19 @@ class TestAnswers:
         assert "--track all" in summary(capsys)["message"]
         assert run(["encircle", "--around", "tangent", "--g", "-1",
                     "--track", "all"]) == 0
-        assert summary(capsys)["cycle_type"] == [2]
+        out = summary(capsys)
+        assert out["cycle_type"] == [2]
+        assert out["fallback_steps"] == 0
+
+    def test_merger_gamma_loop_needs_no_doubled_retry(self, capsys, tmp_path):
+        assert run(["encircle", "--around", "merger", "--track", "all",
+                    "--param", "gamma", "--out", str(tmp_path)]) == 0
+        assert summary(capsys)["permutation"] == [0, 1, 2, 3]
+        loop = json.loads((tmp_path / "trace_summary.json").read_text())
+        assert loop["steps"] == 128
+        assert loop["match_margin"] > 2
+        rows = (tmp_path / "trace.csv").read_text().splitlines()
+        assert len(rows) == 1 + 128 + 1  # header, steps, closing point
 
     @pytest.mark.parametrize("g", ["2.3", "-2.3"])
     def test_bifurcations_beyond_merger_report_only_the_tangent(self, capsys,

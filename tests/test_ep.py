@@ -10,15 +10,17 @@ from bcdimer.solver import (
     find_all_states,
     state_distance,
 )
-from bcdimer.continuation import locate_pitchfork_gamma
+from bcdimer.continuation import find_merger, locate_pitchfork_gamma
 from bcdimer.ep import (
     AmbiguousMatch,
     LoopSpec,
+    _loop_params,
     classify_ep,
     encircle,
     trace_summary_json,
     trace_to_csv,
 )
+from bcdimer.solver import newton_solve
 
 SYSTEM = DimerSystem()
 CFG = SolveConfig(jacobian="analytic")
@@ -161,6 +163,121 @@ class TestPitchforkLoops:
         squared = [single.permutation[j] for j in single.permutation]
         assert double.permutation == squared
         assert double.cycle_type == [3]
+
+
+def ep3_loop(pitchfork_setup, which, radius):
+    center, coalesced = pitchfork_setup
+    return LoopSpec(center=center, which=which, radius=radius, steps=128,
+                    states_to_track=participating(center, coalesced, which,
+                                                  radius))
+
+
+def all_states_loop(center, which, radius=None):
+    spec = LoopSpec(center=center, which=which, radius=radius)
+    value0 = center.control(which).z0 + spec.resolved_radius()
+    spec.states_to_track = find_all_states(
+        SYSTEM, center.with_control(which, value0), CFG)
+    return spec
+
+
+class TestSeededSteps:
+    """Each loop step starts from the system's candidate seeds; the states
+    must be those Newton reaches from the previous step's states."""
+
+    @pytest.mark.parametrize("loop, cycle_type, permutation", [
+        ("tangent", [2], [1, 0]),
+        ("ep3 gamma", [2, 1], [0, 2, 1]),
+        ("ep3 g", [2, 1], [1, 0, 2]),
+        ("ep3 s", [3], [1, 2, 0]),
+        # 8 seeds per point: Q's roots and the linear eigenpairs
+        ("tangent g=5e-4", [2, 2], [1, 0, 3, 2]),
+    ])
+    def test_same_continuation_as_newton_tracking(
+            self, pitchfork_setup, loop, cycle_type, permutation):
+        if loop == "tangent":
+            spec = make_tangent_loop()
+        elif loop.startswith("ep3"):
+            which = loop.split()[1]
+            spec = ep3_loop(pitchfork_setup, which,
+                            1e-4 if which == "s" else 2e-3)
+        else:
+            spec = all_states_loop(DimerParams(v=1.0, g=5e-4, gamma=1.0),
+                                   "gamma", 0.01)
+        tr = encircle(SYSTEM, spec, CFG)
+        assert tr.cycle_type == cycle_type
+        assert tr.permutation == permutation
+        assert tr.fallback_steps == 0
+        for k in range(1, len(tr.phis)):
+            params = _loop_params(tr.spec, tr.phis[k])
+            for prev, state in zip(tr.states[k - 1], tr.states[k]):
+                tracked = newton_solve(SYSTEM, params, prev, CFG)
+                assert state_distance(state, tracked) < 1e-9
+
+    def test_merger_gamma_loop_keeps_its_states_apart(self):
+        # Newton from the previous step let three branches land on one
+        # state at 128 steps (margin 1), and only the doubled loop passed
+        g_star, gamma_star = find_merger(1.0, SYSTEM, cfg=CFG)
+        center = DimerParams(v=1.0, g=g_star, gamma=gamma_star)
+        tr = encircle(SYSTEM, all_states_loop(center, "gamma"), CFG)
+        assert tr.spec.steps == 128
+        assert tr.permutation == [0, 1, 2, 3]
+        assert tr.match_margin > 2
+        end = tr.end_states()
+        assert len(end) == 4
+        for i, a in enumerate(end):
+            for b in end[i + 1:]:
+                assert state_distance(a, b) > DEDUP_TOL
+
+    def test_mirror_pair_with_equal_mu_falls_back(self):
+        # at gamma = s = 0 the two mirror states share mu all round a g-loop,
+        # so both pick one seed and both are tracked by Newton instead
+        g_star, gamma_star = find_merger(1.0, SYSTEM, cfg=CFG)
+        center = DimerParams(v=1.0, g=g_star, gamma=gamma_star)
+        tr = encircle(SYSTEM, all_states_loop(center, "g"), CFG)
+        assert tr.cycle_type == [2, 1, 1]
+        assert tr.permutation == [0, 2, 1, 3]
+        assert tr.match_margin > 2
+        assert tr.fallback_steps == 2 * tr.spec.steps
+
+    @pytest.mark.parametrize("loop, permutation, margin", [
+        ("tangent", [1, 0], 77.44059782946478),
+        ("ep3 s", [1, 2, 0], 77.58454861025903),
+    ])
+    def test_without_candidates_every_step_falls_back(
+            self, pitchfork_setup, monkeypatch, loop, permutation, margin):
+        # the permutation and margin of Newton tracking alone, as recorded
+        # before the seeded steps
+        spec = (make_tangent_loop() if loop == "tangent"
+                else ep3_loop(pitchfork_setup, "s", 1e-4))
+        monkeypatch.setattr(SYSTEM, "candidate_states", lambda params: [])
+        tr = encircle(SYSTEM, spec, CFG)
+        assert tr.fallback_steps == len(spec.states_to_track) * spec.steps
+        assert tr.permutation == permutation
+        assert tr.match_margin == pytest.approx(margin, rel=1e-9)
+
+    def test_seeds_that_swap_states_fall_back(self, pitchfork_setup,
+                                              monkeypatch):
+        # each seed carries the mu of another state, so every state picks a
+        # seed that solves to another tracked state, as a mirror pair with
+        # equal mu can; the swap must be caught, not tracked
+        center, _coalesced = pitchfork_setup
+        spec = all_states_loop(center, "s", 1e-4)
+        assert len(spec.states_to_track) == 4
+        seeded = encircle(SYSTEM, spec, CFG)
+        real = SYSTEM.candidate_states
+
+        def mislabelled(params):
+            seeds = real(params)
+            mus = [mu for _psi, mu in seeds][::-1]
+            return [(psi, mu) for (psi, _mu), mu in zip(seeds, mus)]
+
+        monkeypatch.setattr(SYSTEM, "candidate_states", mislabelled)
+        swapped = encircle(SYSTEM, spec, CFG)
+        monkeypatch.setattr(SYSTEM, "candidate_states", lambda params: [])
+        tracked = encircle(SYSTEM, spec, CFG)
+        assert swapped.fallback_steps == 4 * spec.steps
+        assert swapped.permutation == tracked.permutation == seeded.permutation
+        assert swapped.match_margin == tracked.match_margin
 
 
 class TestClassify:
