@@ -159,7 +159,7 @@ def _step(system, spec, current, phi0, phi1, cfg):
         picks = picks.tolist()
     new, dists, fallbacks = [], [], 0
     for i, (st, pick) in enumerate(zip(current, picks)):
-        state = row = None
+        row = None
         if pick is not None and picks.count(pick) == 1:
             try:
                 state = newton_solve(system, params, seeds[pick], cfg)
