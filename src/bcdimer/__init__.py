@@ -64,7 +64,9 @@ from .solver import (
     SolveConfig,
     canonical_gauge,
     find_all_states,
+    find_states_along,
     newton_solve,
+    newton_solve_each,
     state_distance,
 )
 

@@ -29,7 +29,7 @@ from .solver import (
     GaugeDegenerate,
     NoConvergence,
     SolveConfig,
-    find_all_states,
+    find_states_along,
     newton_solve,
     state_distance,
 )
@@ -367,14 +367,19 @@ def _assign(cost) -> list[tuple[int, int]]:
 
 def stitched_branches(system, params, parameter, grid, cfg) -> list[Branch]:
     """All states per grid point stitched into branches by least-distance
-    matching (see :func:`_assign`)."""
+    matching (see :func:`_assign`).
+
+    The states of the whole grid come from one call of
+    :func:`~bcdimer.solver.find_states_along`, which solves every seed of
+    every point at once; they equal :func:`find_all_states`' point by
+    point.
+    """
     branches: list[Branch] = []
     open_ids: list[int] = []
     prev_states: list = []
-    for value in grid:
-        states = find_all_states(
-            system, params.with_control(parameter, value), cfg
-        )
+    along = find_states_along(
+        system, [params.with_control(parameter, value) for value in grid], cfg)
+    for value, states in zip(grid, along):
         if not prev_states:
             for st in states:
                 br = Branch(parameter=parameter, branch_id=len(branches))

@@ -32,6 +32,7 @@ from .solver import (
     NoConvergence,
     SolveConfig,
     newton_solve,
+    newton_solve_each,
     state_distance,
 )
 
@@ -143,11 +144,12 @@ def _step(system, spec, current, phi0, phi1, cfg):
 
     Each state is solved by Newton from the candidate seed whose mu is
     nearest its own in the max-norm of mu's 4 floats (mu is gauge-free,
-    and duplicate seeds of one state are harmless).  A state is continued
-    by :func:`_track_segment` instead when its seed fails, when another
-    state picked the same seed, or when the solved state lies nearer
-    another state's previous value than its own: states with equal mu,
-    such as a mirror pair, can swap seeds.
+    and duplicate seeds of one state are harmless), all of them in one
+    batched pass (:func:`~bcdimer.solver.newton_solve_each`).  A state is
+    continued by :func:`_track_segment` instead when its seed fails, when
+    another state picked the same seed, or when the solved state lies
+    nearer another state's previous value than its own: states with equal
+    mu, such as a mirror pair, can swap seeds.
     """
     params = _loop_params(spec, phi1)
     seeds = system.candidate_states(params)
@@ -157,16 +159,16 @@ def _step(system, spec, current, phi0, phi1, cfg):
         mu = np.array([st.mu.as_tuple() for st in current])
         picks = np.abs(mu[:, None] - seed_mu).max(axis=2).argmin(axis=1)
         picks = picks.tolist()
+    own = [i for i, pick in enumerate(picks)
+           if pick is not None and picks.count(pick) == 1]
+    solved = dict(zip(own, newton_solve_each(
+        system, params, [seeds[picks[i]] for i in own], cfg)))
     new, dists, fallbacks = [], [], 0
-    for i, (st, pick) in enumerate(zip(current, picks)):
+    for i, st in enumerate(current):
         row = None
-        if pick is not None and picks.count(pick) == 1:
-            try:
-                state = newton_solve(system, params, seeds[pick], cfg)
-            except (NoConvergence, GaugeDegenerate):
-                pass
-            else:
-                row = [state_distance(state, old) for old in current]
+        state = solved.get(i)
+        if state is not None:
+            row = [state_distance(state, old) for old in current]
         if row is None or row.index(min(row)) != i:
             fallbacks += 1
             state = _track_segment(system, spec, st, phi0, phi1, cfg)

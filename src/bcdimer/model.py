@@ -153,6 +153,10 @@ def normalization_residual(psi1: Bicomplex, psi2: Bicomplex) -> Bicomplex:
 # k rows and the Jacobian couplings between (z0, z2) and (z1, z3) are exactly
 # 0.0, so Newton never leaves the complex-in-i subspace and a symmetric
 # branch stops at its fold instead of riding on to its bicomplex partner.
+#
+# The kernel runs unchanged on numpy lanes: with each of the 12 floats, and
+# each control component, an (N,) array, it gives N residuals (or Jacobians)
+# at once, each bit-for-bit the one it gives on that lane's floats.
 
 
 def packed_controls(p: DimerParams, g: Bicomplex | None = None):
@@ -225,20 +229,22 @@ def _amplitude_block(d, n, a):
 
     The product rule gives M(d) + M(n) D(a), with M(b) the matrix of
     z -> b*z.  D(a), the derivative of conj(a)*a, has the rows e and f below
-    as its (1, j) components and zero rows as its (i, k) components.
+    as its (1, j) components and zero rows as its (i, k) components.  The
+    sums are new values, not in-place additions: on numpy lanes one array
+    sits on all four diagonal entries of M(d).
     """
     a0, a1, a2, a3 = a
     e = (2 * a0, -2 * a1, 2 * a2, -2 * a3)
     f = (2 * a1, 2 * a0, 2 * a3, 2 * a2)
     n0, n1, n2, n3 = n
-    rows = _mult_rows(d)
+    r0, r1, r2, r3 = _mult_rows(d)
     for c in range(4):
         ec, fc = e[c], f[c]
-        rows[0][c] += n0 * ec - n1 * fc
-        rows[1][c] += n0 * fc + n1 * ec
-        rows[2][c] += n2 * ec - n3 * fc
-        rows[3][c] += n3 * ec + n2 * fc
-    return rows, e, f
+        r0[c] = r0[c] + (n0 * ec - n1 * fc)
+        r1[c] = r1[c] + (n0 * fc + n1 * ec)
+        r2[c] = r2[c] + (n2 * ec - n3 * fc)
+        r3[c] = r3[c] + (n3 * ec + n2 * fc)
+    return (r0, r1, r2, r3), e, f
 
 
 def packed_jacobian(x, controls) -> list[list[float]]:
@@ -326,6 +332,10 @@ _MULTIPLE_ROOT_SPREAD = 2.0
 # below this |g|/v the linear model's eigenpairs seed too: the back-solve
 # from Q divides by g, and the linear states are the g -> 0 limit
 _LINEAR_SEEDS = 1e-3
+# from this many roots on, the back-solve runs once on numpy lanes
+# (_ComplexLanes), below it root by root on Python complex numbers: 3.8 us
+# a root against 220 us + 0.9 us a root (numpy 2.4, Xeon, one thread)
+_LANES_MIN = 80
 
 
 def _roots(coeffs) -> list[complex]:
@@ -341,13 +351,22 @@ def _roots(coeffs) -> list[complex]:
     stay apart.
     """
     coeffs = np.trim_zeros(np.asarray(coeffs, dtype=complex), "f")
-    roots = [complex(r) for r in np.roots(coeffs)]
+    return _merged([complex(r) for r in np.roots(coeffs)], coeffs)
+
+
+def _merged(roots: list[complex], coeffs) -> list[complex]:
+    """The roots of the polynomial ``coeffs`` (highest power first, no
+    leading zero) with each group that :func:`_roots` merges merged."""
     sizes = [abs(c) for c in coeffs]
     eps = np.finfo(float).eps
     free = set(range(len(roots)))
     for m in range(len(roots), 1, -1):
         for group in itertools.combinations(sorted(free), m):
-            centre = sum(roots[k] for k in group) / m
+            # a plain running sum, as _could_merge adds
+            centre = roots[group[0]]
+            for k in group[1:]:
+                centre += roots[k]
+            centre /= m
             dist = [abs(roots[k] - centre) for k in group]
             # the spread against the radius above, without dividing by h
             size = sum(c * abs(centre) ** n for n, c in enumerate(sizes[::-1]))
@@ -362,6 +381,223 @@ def _roots(coeffs) -> list[complex]:
     return roots
 
 
+def _group_index(m):
+    """Every group of m of a quartic's four roots, and the rest of each."""
+    groups = list(itertools.combinations(range(4), m))
+    rest = [[k for k in range(4) if k not in group] for group in groups]
+    return (np.array(groups),
+            np.array(rest, dtype=int).reshape(len(groups), 4 - m))
+
+
+_GROUPS = {m: _group_index(m) for m in (2, 3, 4)}
+
+
+def _could_merge(roots, top) -> np.ndarray:
+    """Where :func:`_merged` could merge a group of the quartics' roots.
+
+    ``roots`` holds four roots per row, ``top`` the coefficients, highest
+    power first.  _merged merges a group G of m roots with centre c (their
+    mean) only if (a) min |r - c| >= max |r - c| / 2 over G and (b)
+    h (max |r - c| / 2)^m <= eps size(c), h = |lead| times prod |r_k - c|
+    over the roots not in G.  Its first merge at a point is of a group that
+    passes both on the unmerged roots, so a point where no group passes
+    keeps its roots.  This tests every group at every point at once: c and
+    |r - c| are computed as _merged computes them (a running sum divided by
+    m; hypot), so (a) is exact; in (b) powers and sums may round
+    differently, by far less than the factor 2 of slack below.  So this is
+    a superset of _merged's test, and a False row is proven unmerged.  A
+    bound on the closest pair of roots alone would not be: a root outside
+    G near c makes h, and so (b), vanish however far apart G's roots are.
+    """
+    eps = np.finfo(float).eps
+    sizes = np.abs(top)
+    re, im = roots.real, roots.imag
+    flag = np.zeros(len(roots), dtype=bool)
+    for m, (group, rest) in _GROUPS.items():
+        cr, ci = re[:, group[:, 0]], im[:, group[:, 0]]
+        for j in range(1, m):
+            cr, ci = cr + re[:, group[:, j]], ci + im[:, group[:, j]]
+        cr, ci = (cr / m)[..., None], (ci / m)[..., None]
+        dist = np.hypot(re[:, group] - cr, im[:, group] - ci)
+        far = dist.max(-1)
+        h = sizes[:, :1] * np.prod(
+            np.hypot(re[:, rest] - cr, im[:, rest] - ci), -1)
+        radius = np.hypot(cr, ci)[..., 0]
+        size = sizes[:, -1:] + 0.0 * radius
+        power = np.ones_like(radius)
+        for n in range(1, 5):
+            power = power * radius
+            size = size + sizes[:, 4 - n, None] * power
+        flag |= ((dist.min(-1) >= 0.5 * far)
+                 & (h * (far / _MULTIPLE_ROOT_SPREAD) ** m <= 2 * eps * size)
+                 ).any(-1)
+    return flag
+
+
+def _q_roots(g, gamma, s) -> list[list[complex]]:
+    """The roots of Q at each point, as :func:`_roots` gives them, and none
+    where g = 0.  ``g``, ``gamma`` and ``s`` are arrays of the controls'
+    plus components in units of v.
+
+    Where Q is a quartic with Q(0) != 0 the roots come from one batched
+    ``eigvals`` of the companion matrices that ``np.roots`` builds, which
+    gives its roots bit for bit, and _roots' merge runs only where
+    :func:`_could_merge` says it could merge.  Elsewhere _roots runs.
+    A single point takes _roots itself, which costs less than the batched
+    set-up (200 against 400 us); at complex (j-continued) controls numpy's
+    scalar complex arithmetic also rounds Q's coefficients differently
+    from its array loops, so one-point calls keep the bits they had.
+    """
+    if len(g) == 1:
+        g0, gamma0, s0 = g.item(), gamma.item(), s.item()
+        return [_roots(_q_coefficients(g0, gamma0, s0)[::-1]) if g0 != 0
+                else []]
+    top = _q_coefficients(g, gamma, s)[::-1].T
+    out = [[] for _ in range(len(top))]
+    quartic = (g != 0) & (top[:, 0] != 0) & (top[:, -1] != 0)
+    k = np.flatnonzero(quartic)
+    if len(k):
+        companion = np.zeros((len(k), 4, 4), dtype=complex)
+        companion[:, 1:, :3] = np.eye(3)
+        companion[:, 0, :] = -top[k, 1:] / top[k, :1]
+        roots = np.linalg.eigvals(companion)
+        merge = _could_merge(roots, top[k])
+        for kk, row, m in zip(k.tolist(), roots.tolist(), merge.tolist()):
+            out[kk] = _merged(row, top[kk]) if m else row
+    for kk in np.flatnonzero(~quartic & (g != 0)).tolist():
+        out[kk] = _roots(top[kk])
+    return out
+
+
+class _ComplexLanes:
+    """Complex numbers on numpy lanes, with CPython's complex arithmetic.
+
+    ``re`` and ``im`` are float arrays (or floats).  numpy's complex ``*``,
+    ``/`` and ``abs`` round differently from CPython's; these operators
+    spell out CPython's (a real or complex operand converted to complex,
+    Smith's division, hypot) on the real parts, so a formula gives on each
+    lane the bits it gives on that lane's Python complex numbers.  Division
+    by zero gives inf or nan, not an exception.
+    """
+
+    __slots__ = ("re", "im")
+    __array_ufunc__ = None  # ndarray op lanes defers to the reflected op
+
+    def __init__(self, re, im):
+        self.re, self.im = re, im
+
+    @staticmethod
+    def _of(z):
+        if isinstance(z, _ComplexLanes):
+            return z.re, z.im
+        if isinstance(z, np.ndarray):
+            return z, 0.0
+        z = complex(z)
+        return z.real, z.imag
+
+    @property
+    def real(self):
+        return self.re
+
+    @property
+    def imag(self):
+        return self.im
+
+    def conjugate(self):
+        return _ComplexLanes(self.re, -self.im)
+
+    def __abs__(self):
+        return np.hypot(self.re, self.im)
+
+    def __add__(self, other):
+        br, bi = self._of(other)
+        return _ComplexLanes(self.re + br, self.im + bi)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        br, bi = self._of(other)
+        return _ComplexLanes(self.re - br, self.im - bi)
+
+    def __rsub__(self, other):
+        ar, ai = self._of(other)
+        return _ComplexLanes(ar - self.re, ai - self.im)
+
+    def __mul__(self, other):
+        br, bi = self._of(other)
+        ar, ai = self.re, self.im
+        return _ComplexLanes(ar * br - ai * bi, ar * bi + ai * br)
+
+    __rmul__ = __mul__
+
+    @staticmethod
+    def _quotient(ar, ai, br, bi):
+        wide = np.abs(br) >= np.abs(bi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(wide, bi / br, br / bi)
+            denom = np.where(wide, br + bi * ratio, br * ratio + bi)
+            return _ComplexLanes(
+                np.where(wide, ar + ai * ratio, ar * ratio + ai) / denom,
+                np.where(wide, ai - ar * ratio, ai * ratio - ar) / denom)
+
+    def __truediv__(self, other):
+        return self._quotient(self.re, self.im, *self._of(other))
+
+    def __rtruediv__(self, other):
+        return self._quotient(*self._of(other), self.re, self.im)
+
+
+def _back_solve(x, g, gamma, s, v):
+    """The packed seed (12 components of psi1, psi2 and mu) of the state
+    at the root x of Q, with x and the plus components g, gamma, s of the
+    controls in units of v (see DimerSystem).
+
+    The arguments are Python numbers, giving floats, or one of them
+    :class:`_ComplexLanes` (and ``v`` an array or a float), giving arrays,
+    bit-for-bit the floats of each lane; with a numpy scalar x, as
+    :meth:`DimerSystem.bifurcation_set` passes, numpy's scalar arithmetic
+    runs.  With a = n1 and Y = phi2/phi1 the
+    seed is psi+ = c (1, x), phi = conj(psi-) = (a, a y)/c, mu+ and nu =
+    conj(mu-), in the gauge c = sqrt|a| that balances site 1.
+    """
+    a = ((x * x - 1) / x - 2j * gamma + 2 * s + g) / (2 * g)
+    y = (1 - a) / (a * x)
+    c = np.sqrt(abs(a)) if isinstance(a, _ComplexLanes) else math.sqrt(abs(a))
+    pairs = ((c * 1.0, (a / c).conjugate()), (c * x, (a * y / c).conjugate()),
+             (v * (x - g * a - 1j * gamma + s),
+              (v * (y - g * a + 1j * gamma + s)).conjugate()))
+    out = []
+    for plus, minus in pairs:  # IdempotentPair.to_bicomplex
+        pr, pi, mr, mi = plus.real, plus.imag, minus.real, minus.imag
+        out += [0.5 * (pr + mr), 0.5 * (mi - pi), 0.5 * (pi + mi),
+                0.5 * (pr - mr)]
+    return out
+
+
+def _back_solved(x, controls, v) -> np.ndarray:
+    """Rows of :func:`_back_solve` at the roots x (Python complex numbers),
+    each with its (g, gamma, s) in ``controls`` and its v: root by root
+    below _LANES_MIN roots, at once on lanes from there; a root where
+    CPython divides by zero gives nan."""
+    if len(x) >= _LANES_MIN:
+        lanes = [_ComplexLanes(np.array([z.real for z in zs]),
+                               np.array([z.imag for z in zs]))
+                 for zs in (x, *zip(*controls))]
+        return np.array(_back_solve(*lanes, np.array(v, dtype=float))).T
+    rows = np.empty((len(x), 12))
+    for k, (xk, c, vk) in enumerate(zip(x, controls, v)):
+        try:
+            rows[k] = _back_solve(xk, *c, vk)
+        except ZeroDivisionError:
+            rows[k] = math.nan
+    return rows
+
+
+def _as_seed(row):
+    """(psi, mu) Bicomplex seed from a packed row of 12 floats."""
+    return ((Bicomplex(*row[0:4]), Bicomplex(*row[4:8])), Bicomplex(*row[8:12]))
+
+
 def _idempotent_seed(psi_plus, phi, mu_plus, nu):
     """Bicomplex (psi, mu) from psi+, phi = conj(psi-), mu+ and nu = conj(mu-),
     in the gauge psi+ -> c*psi+, phi -> phi/c that balances site 1."""
@@ -369,16 +605,6 @@ def _idempotent_seed(psi_plus, phi, mu_plus, nu):
     psi = tuple(Bicomplex.from_idempotent(c * p, (f / c).conjugate())
                 for p, f in zip(psi_plus, phi))
     return psi, Bicomplex.from_idempotent(mu_plus, nu.conjugate())
-
-
-def _back_solve(x, g, gamma, s, v):
-    """Seed (psi, mu) of the state at the root x of Q, with x and the plus
-    components g, gamma, s of the controls in units of v (see DimerSystem)."""
-    a = ((x * x - 1) / x - 2j * gamma + 2 * s + g) / (2 * g)
-    y = (1 - a) / (a * x)
-    return _idempotent_seed((1.0, x), (a, a * y),
-                            v * (x - g * a - 1j * gamma + s),
-                            v * (y - g * a + 1j * gamma + s))
 
 
 # -- bifurcation set -----------------------------------------------------------
@@ -577,18 +803,37 @@ class DimerSystem:
     def candidate_states(self, p: DimerParams):
         """Seeds (psi, mu) for every stationary state: one per root of Q,
         and below |g| = 1e-3 v, where the back-solve loses the digits of g,
-        the linear model's eigenpairs too; the solver merges duplicates."""
-        v = p.v
-        g, gamma, s = (c.to_idempotent().plus / v for c in (p.g, p.gamma, p.s))
-        seeds = []
-        if g != 0:
-            # X^2 - bX - 1 = 0 rules out X = 0, a root of Q where 2gamma = -ig
-            seeds = [_back_solve(x, g, gamma, s, v)
-                     for x in _roots(_q_coefficients(g, gamma, s)[::-1])
-                     if x != 0]
-        if abs(g) < _LINEAR_SEEDS:
-            seeds += LinearTwoMode().candidate_states(p)
-        return seeds
+        the linear model's eigenpairs too; the solver merges duplicates.
+        The one-point call of :meth:`packed_candidates`."""
+        rows, _ = self.packed_candidates([p])
+        return [_as_seed(row) for row in rows.tolist()]
+
+    def packed_candidates(self, points):
+        """The seeds of :meth:`candidate_states` at every point, packed:
+        an (n, 12) array with one seed (psi1, psi2 and mu components) per
+        row, grouped by point in the order of ``points``, and the index of
+        each row's point.
+
+        Q's roots come from one batched eigenvalue call (see
+        :func:`_q_roots`) and are back-solved straight into rows; the
+        exact root X = 0, which is no state (X^2 - bX - 1 = 0 rules it
+        out), is skipped.
+        """
+        plus = [[c.to_idempotent().plus / p.v for c in (p.g, p.gamma, p.s)]
+                for p in points]
+        roots = _q_roots(*np.array(plus, dtype=complex).reshape(-1, 3).T)
+        at = [k for k, xs in enumerate(roots) for x in xs if x != 0]
+        rows = _back_solved([x for xs in roots for x in xs if x != 0],
+                            [plus[k] for k in at], [points[k].v for k in at])
+        linear = [(k, [c for z in (*psi, mu) for c in z.as_tuple()])
+                  for k, row in enumerate(plus) if abs(row[0]) < _LINEAR_SEEDS
+                  for psi, mu in LinearTwoMode().candidate_states(points[k])]
+        if not linear:
+            return rows, np.array(at, dtype=int)
+        at += [k for k, _ in linear]
+        order = np.argsort(at, kind="stable")
+        rows = np.concatenate([rows, np.array([row for _, row in linear])])
+        return rows[order], np.array(at)[order]
 
     def bifurcation_set(self, p: DimerParams, parameter: str, lo: float,
                         hi: float, cfg=None) -> list[BifurcationPoint]:
@@ -669,8 +914,8 @@ class DimerSystem:
             location = float(v * value)
             points.append(BifurcationPoint(
                 _KINDS[order[k]], location, (),
-                newton_solve(self, p.with_control(parameter, location), seed,
-                             cfg),
+                newton_solve(self, p.with_control(parameter, location),
+                             _as_seed(seed), cfg),
                 float(residual[k])))
         return sorted(points, key=lambda pt: pt.location)
 

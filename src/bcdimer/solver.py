@@ -22,12 +22,23 @@ cross-check, a forward-difference one.  Both run on the 12 packed floats
 through the model's kernel, whose rows are bit-for-bit those of the
 Bicomplex residual; Bicomplex values are the input and output type only.
 
-:func:`find_all_states` needs no seeding heuristics: the system lists a
-candidate for every state (the dimer one per root of its quartic Q, see
-:class:`~bcdimer.model.DimerSystem`).  Each is solved by Newton, polished
-down to the roundoff floor (a few eps times the residual's scale, not just
-past the tolerance) so that duplicates merge (nowhere else), and
-deduplicated up to gauge.
+There is one Newton loop and one polish, and both run on lanes: an
+(N, 12) batch of seeds, each at its own point and on its own gauge site,
+with a status per lane (converged, :class:`NoConvergence`, or
+:class:`GaugeDegenerate`).  The kernel evaluates a batch lane by lane on
+Python floats below 16 lanes and once on numpy arrays from there, with the
+same bits; the linear solves are one batched ``np.linalg.solve``.
+:func:`newton_solve` is the one-lane call and :func:`newton_solve_each`
+the call for several seeds at one point.
+
+:func:`find_states_along` finds all states at every point of a grid in one
+batched pass per block of points; :func:`find_all_states` is its one-point
+call.  It needs no seeding heuristics: the system lists a candidate for
+every state (the dimer one per root of its quartic Q, for a whole grid at
+once, see :meth:`~bcdimer.model.DimerSystem.packed_candidates`).  Each is
+solved by Newton, polished down to the roundoff floor (a few eps times the
+residual's scale, not just past the tolerance) so that duplicates merge
+(nowhere else), and deduplicated up to gauge.
 """
 
 from __future__ import annotations
@@ -52,7 +63,9 @@ __all__ = [
     "SolveConfig",
     "RealSystemView",
     "newton_solve",
+    "newton_solve_each",
     "find_all_states",
+    "find_states_along",
     "canonical_gauge",
     "state_distance",
 ]
@@ -245,12 +258,264 @@ def dedup_states(states: list[StationaryState], tol: float) -> list[StationarySt
     return kept
 
 
-# -- Newton iteration -----------------------------------------------------
+# -- Newton iteration on lanes ---------------------------------------------
 
 _MAX_HALVINGS = 30
 _POLISH_ITERS = 8
 # the roundoff floor of the residual, in units of RealSystemView.scale
 _POLISH_FLOOR = 4.0 * float(np.finfo(float).eps)
+# below this many lanes the kernel runs lane by lane on Python floats, from
+# it on once on numpy lanes.  Measured (numpy 2.4, one thread of a shared
+# 2-vCPU Xeon): a residual costs 13-18 us a lane on floats against 250 us
+# + 0.5 us a lane on arrays, an analytic Jacobian 25-40 us against 530 us +
+# 0.7 us; both cross at 16 to 20 lanes
+_CROSSOVER = 16
+# grid points per batched pass, so that a long grid keeps bounded memory
+_BLOCK = 128
+
+
+class _Lanes:
+    """The seeds of one batched solve: lane k is a row of packed floats at
+    ``points[owner[k]]``, solved on gauge site ``site[k]``.
+
+    :meth:`residuals` and :meth:`jacobians` evaluate the kernel on a subset
+    of lanes: below _CROSSOVER lanes through each lane's
+    :class:`RealSystemView` on Python floats, from it on once with each of
+    the 12 floats and each control component an array of lanes.  Both give
+    the same bits, and flag the lanes whose gauge amplitude vanishes.
+    """
+
+    def __init__(self, system, points, owner, cfg: SolveConfig):
+        self.system, self.points, self.cfg = system, points, cfg
+        self.owner = np.asarray(owner, dtype=int)
+        self.site = np.zeros(len(self.owner), dtype=int)
+        self._views = {}
+        self._controls = None
+
+    def view(self, lane) -> RealSystemView:
+        key = (int(self.owner[lane]), int(self.site[lane]))
+        if key not in self._views:
+            self._views[key] = RealSystemView(
+                self.system, self.points[key[0]], self.cfg, key[1])
+        return self._views[key]
+
+    def residuals(self, lanes, x):
+        """Residual rows at the rows of x, and the positions (in
+        ``lanes``) of the lanes whose gauge amplitude vanishes there."""
+        if len(lanes) >= _CROSSOVER:
+            return self._on_arrays(lanes, x)
+        rows, bad = [], []
+        for k, lane in enumerate(lanes.tolist()):
+            try:
+                rows.append(self.view(lane).residual_vector(x[k]))
+            except GaugeDegenerate:
+                rows.append(np.full(x.shape[1], np.nan))
+                bad.append(k)
+        return np.array(rows).reshape(x.shape), bad
+
+    def jacobians(self, lanes, x, f):
+        """Jacobians at the rows of x (residual rows f), and the positions
+        of the lanes whose gauge amplitude vanishes at a difference
+        point."""
+        n, width = x.shape
+        if n < _CROSSOVER:
+            out, bad = np.empty((n, width, width)), []
+            for k, lane in enumerate(lanes.tolist()):
+                try:
+                    out[k] = self.view(lane).jacobian(x[k], f[k])
+                except GaugeDegenerate:
+                    bad.append(k)
+            return out, bad
+        if self.cfg.jacobian == "analytic":
+            return self._analytic(lanes, x), []
+        out, bad = np.empty((n, width, width)), set()
+        for col in range(width):  # as RealSystemView._fd_jacobian
+            xp = x.copy()
+            xp[:, col] += FD_STEP
+            fp, col_bad = self._on_arrays(lanes, xp)
+            bad.update(col_bad)
+            out[:, :, col] = (fp - f) / FD_STEP
+        return out, sorted(bad)
+
+    def _columns(self, lanes, x):
+        """The 12 floats and the kernel's controls, each an array of lanes,
+        and each lane's gauge amplitude (z0, z1, z2, z3)."""
+        if self._controls is None:
+            self._controls = np.array([
+                [v, *g, *ih, *s] for v, g, ih, s in
+                (self.system.packed_controls(p) for p in self.points)])
+        c = self._controls[self.owner[lanes]].T
+        controls = c[0], tuple(c[1:5]), tuple(c[5:9]), tuple(c[9:13])
+        xs = list(np.ascontiguousarray(x.T))
+        site = self.site[lanes]
+        gauge = [np.where(site == 0, xs[k], xs[4 + k]) for k in range(4)]
+        return xs, controls, gauge
+
+    def _on_arrays(self, lanes, x):
+        """RealSystemView.residual_vector on every lane at once."""
+        xs, controls, (z0, z1, z2, z3) = self._columns(lanes, x)
+        with np.errstate(over="ignore", invalid="ignore"):  # as on floats
+            out = packed_residual(xs, controls)
+            # RealSystemView.scale, but x*x where it takes x**2: the
+            # threshold of this invariant check may move by an ulp
+            m = np.abs(x[:, :8]).max(1)
+            scale = np.maximum(1.0, m * m)
+            if np.any((np.abs(out[-2]) > 1e-10 * scale)
+                      | (np.abs(out[-1]) > 1e-10 * scale)):
+                raise AssertionError(
+                    "normalization residual left the (1, j) plane; "
+                    "conjugation-swap symmetry violated")
+            bad = np.minimum(np.hypot(z0 + z3, z2 - z1),
+                             np.hypot(z0 - z3, z2 + z1)) < GAUGE_EPS
+            out[-2] = z2 - z1
+            out[-1] = 4.0 * (z0 * z3 - z1 * z2)
+        return np.stack(out, axis=1), np.flatnonzero(bad).tolist()
+
+    def _analytic(self, lanes, x):
+        """RealSystemView._analytic_jacobian on every lane at once."""
+        xs, controls, (z0, z1, z2, z3) = self._columns(lanes, x)
+        n, width = x.shape
+        jac = np.zeros((width, width, n))
+        with np.errstate(over="ignore", invalid="ignore"):  # as on floats
+            rows = packed_jacobian(xs, controls)
+        for r, row in enumerate(rows):
+            for c, entry in enumerate(row):
+                jac[r, c] = entry
+        g0, every = 4 * self.site[lanes], np.arange(n)
+        jac[-2, g0 + 1, every] = -1.0
+        jac[-2, g0 + 2, every] = 1.0
+        for k, entry in enumerate((4.0 * z3, -4.0 * z2, -4.0 * z1, 4.0 * z0)):
+            jac[-1, g0 + k, every] = entry
+        return jac.transpose(2, 0, 1)
+
+
+def _solve(jac, rhs):
+    """np.linalg.solve on each lane's system, in one batched call; a lane
+    whose matrix is singular gets a nan step and its error."""
+    try:
+        return np.linalg.solve(jac, rhs[..., None])[..., 0], {}
+    except np.linalg.LinAlgError:
+        out = np.full_like(rhs, np.nan)
+        errors = {}
+        for k in range(len(rhs)):
+            try:
+                out[k] = np.linalg.solve(jac[k], rhs[k])
+            except np.linalg.LinAlgError as exc:
+                errors[k] = NoConvergence(f"singular jacobian: {exc}")
+        return out, errors
+
+
+def _gauge_error(lanes: _Lanes, lane, x) -> GaugeDegenerate:
+    site = int(lanes.site[lane])
+    return GaugeDegenerate(f"gauge amplitude {site} too small: "
+                           f"{tuple(x[4 * site: 4 * site + 4].tolist())}")
+
+
+def _newton(lanes: _Lanes, idx, x):
+    """Damped Newton on the lanes ``idx`` from the rows of x, all at once.
+
+    Returns the rows, their residual rows, their residuals (max-norm) and
+    the error of each failed lane by its position: :class:`NoConvergence`
+    for a non-finite seed or step, a singular Jacobian, 30 halvings of a
+    damped step without descent, or 100 iterations;
+    :class:`GaugeDegenerate` when the gauge amplitude vanishes at an
+    iterate.  Every other lane stops at its first iterate with a residual
+    below ``cfg.residual_tol``.
+    """
+    tol = lanes.cfg.residual_tol
+    x = np.array(x, dtype=float)
+    failed = np.zeros(len(x), dtype=bool)
+    errors = {}
+
+    def fail(new: dict):
+        if new:
+            errors.update(new)
+            failed[list(new)] = True
+
+    if not np.isfinite(x).all():
+        fail({k: NoConvergence("seed has non-finite entries")
+              for k in np.flatnonzero(~np.isfinite(x).all(1)).tolist()})
+    f, bad = lanes.residuals(idx, x)
+    fail({k: _gauge_error(lanes, idx[k], x[k]) for k in bad if not failed[k]})
+    fnorm = np.abs(f).max(1)
+    for _ in range(MAX_ITER):
+        done = fnorm < tol
+        if done.all():
+            break
+        todo = np.flatnonzero(~(done | failed))
+        if not len(todo):
+            break
+        jac, bad = lanes.jacobians(idx[todo], x[todo], f[todo])
+        fail({k: _gauge_error(lanes, idx[k], x[k]) for k in todo[bad].tolist()})
+        todo, jac = _without(bad, todo, jac)
+        step, singular = _solve(jac, -f[todo])
+        finite = np.isfinite(step).all(1)
+        fail({todo[k]: singular.get(k, NoConvergence("non-finite Newton step"))
+              for k in np.flatnonzero(~finite).tolist()})
+        todo, step = todo[finite], step[finite]
+        t = np.ones(len(todo))
+        for _halving in range(_MAX_HALVINGS + 1):
+            trial = x[todo] + t[:, None] * step
+            f_new, bad = lanes.residuals(idx[todo], trial)
+            fn_new = np.abs(f_new).max(1)
+            fn_new[bad] = math.inf
+            down = fn_new < fnorm[todo]
+            moved = todo[down]
+            x[moved], f[moved], fnorm[moved] = trial[down], f_new[down], fn_new[down]
+            todo, step, t = todo[~down], step[~down], 0.5 * t[~down]
+            if not len(todo):
+                break
+        fail({k: NoConvergence("step-size underflow in damped Newton")
+              for k in todo.tolist()})
+    else:
+        fail({k: NoConvergence(f"no convergence after {MAX_ITER} iterations "
+                               f"(residual {fnorm[k]:.3e})")
+              for k in np.flatnonzero(~(fnorm < tol) & ~failed).tolist()})
+    return x, f, fnorm, errors
+
+
+def _without(positions, *arrays):
+    """The arrays without the rows at ``positions``."""
+    if not len(positions):
+        return arrays
+    keep = np.ones(len(arrays[0]), dtype=bool)
+    keep[list(positions)] = False
+    return tuple(a[keep] for a in arrays)
+
+
+def _polish(lanes: _Lanes, idx, x, f, fnorm):
+    """Full Newton steps down to the roundoff floor, and no further, on the
+    lanes ``idx`` at once; returns the rows and their residuals.
+
+    Near-degenerate roots (close to exceptional points) leave a cloud of
+    approximate solutions at distance ~sqrt(tol); polishing pulls every
+    seed down to the floor, 4 eps times :meth:`RealSystemView.scale`, so
+    deduplication can merge them.  A seed already at the floor takes no
+    step; otherwise a lane stops at the floor, after 8 steps, or at the
+    first step that does not lower its residual or that meets a singular
+    Jacobian or a vanishing gauge amplitude.
+    """
+    x, f, fnorm = x.copy(), f.copy(), fnorm.copy()
+    # RealSystemView.scale lane by lane, with its float power
+    floor = _POLISH_FLOOR * np.array(
+        [max(1.0, m ** 2) for m in np.abs(x[:, :8]).max(1).tolist()])
+    active = np.flatnonzero(~(fnorm <= floor))
+    for _ in range(_POLISH_ITERS):
+        if not len(active):
+            break
+        jac, bad = lanes.jacobians(idx[active], x[active], f[active])
+        active, jac = _without(bad, active, jac)
+        step, singular = _solve(jac, -f[active])
+        active, step = _without(list(singular), active, step)
+        trial = x[active] + step
+        f_new, bad = lanes.residuals(idx[active], trial)
+        fn_new = np.abs(f_new).max(1)
+        fn_new[bad] = math.inf
+        down = fn_new < fnorm[active]
+        active = active[down]
+        x[active], f[active], fnorm[active] = trial[down], f_new[down], fn_new[down]
+        active = active[~(fnorm[active] <= floor[active])]
+    return x, fnorm
 
 
 def _make_state(view: RealSystemView, x: np.ndarray, rnorm: float) -> StationaryState:
@@ -267,106 +532,117 @@ def newton_solve(system, params, seed,
     StationaryState).  Returns the first iterate with a residual below
     ``cfg.residual_tol``.  Raises :class:`NoConvergence` on iteration cap or
     after 30 halvings of a damped step, :class:`GaugeDegenerate` when the
-    gauge amplitude (site 0) vanishes at the current iterate.
+    gauge amplitude (site 0) vanishes at the current iterate.  The one-lane
+    call of the batched Newton loop.
     """
+    view, x, fnorm, errors = _from_seeds(system, params, [seed], cfg)
+    if errors:
+        raise errors[0]
+    return _make_state(view, x[0], float(fnorm[0]))
+
+
+def newton_solve_each(system, params, seeds,
+                      cfg: SolveConfig | None = None
+                      ) -> list[StationaryState | None]:
+    """:func:`newton_solve` from each of ``seeds`` at one point, as lanes
+    of one batched Newton pass: each seed's state, or None where
+    newton_solve raises :class:`NoConvergence` or :class:`GaugeDegenerate`.
+    """
+    if not seeds:
+        return []
+    view, x, fnorm, errors = _from_seeds(system, params, seeds, cfg)
+    return [None if k in errors else _make_state(view, x[k], float(fnorm[k]))
+            for k in range(len(seeds))]
+
+
+def _from_seeds(system, params, seeds, cfg):
+    """The batched Newton loop from Bicomplex seeds at one point, on
+    gauge site 0: the point's view, the rows, their residuals and the
+    errors of the failed lanes."""
     if cfg is None:
         cfg = SolveConfig()
-    if isinstance(seed, StationaryState):
-        seed = ((seed.psi1, seed.psi2), seed.mu)
-    view = RealSystemView(system, params, cfg)
-    x, _, fnorm = _newton(view, view.pack(*seed))
-    return _make_state(view, x, fnorm)
-
-
-def _newton(view: RealSystemView, x: np.ndarray):
-    """The damped Newton loop of :func:`newton_solve` on packed floats;
-    returns (x, f, fnorm) at the first iterate below the tolerance."""
-    if not np.all(np.isfinite(x)):
-        raise NoConvergence("seed has non-finite entries")
-    f = view.residual_vector(x)
-    fnorm = float(np.max(np.abs(f)))
-    for _ in range(MAX_ITER):
-        if fnorm < view.cfg.residual_tol:
-            return x, f, fnorm
-        try:
-            jac = view.jacobian(x, f)
-            step = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(f"singular jacobian: {exc}") from exc
-        if not np.all(np.isfinite(step)):
-            raise NoConvergence("non-finite Newton step")
-        t = 1.0
-        for _halving in range(_MAX_HALVINGS + 1):
-            try:
-                f_new = view.residual_vector(x + t * step)
-                fn_new = float(np.max(np.abs(f_new)))
-            except GaugeDegenerate:
-                fn_new = math.inf
-            if fn_new < fnorm:
-                break
-            t *= 0.5
-        else:
-            raise NoConvergence("step-size underflow in damped Newton")
-        x = x + t * step
-        f, fnorm = f_new, fn_new
-    if fnorm < view.cfg.residual_tol:
-        return x, f, fnorm
-    raise NoConvergence(f"no convergence after {MAX_ITER} iterations "
-                        f"(residual {fnorm:.3e})")
-
-
-def _polish(view: RealSystemView, x, f, fnorm):
-    """Full Newton steps down to the roundoff floor, and no further.
-
-    Near-degenerate roots (close to exceptional points) leave a cloud of
-    approximate solutions at distance ~sqrt(tol); polishing pulls every
-    seed down to the floor, 4 eps times :meth:`RealSystemView.scale`, so
-    deduplication can merge them.  A seed already at the floor takes no
-    step; otherwise polishing stops at the floor, after 8 steps or at the
-    first step that does not lower the residual.
-    """
-    floor = _POLISH_FLOOR * view.scale(x.tolist())
-    for _ in range(_POLISH_ITERS):
-        if fnorm <= floor:
-            break
-        try:
-            jac = view.jacobian(x, f)
-            step = np.linalg.solve(jac, -f)
-            f_new = view.residual_vector(x + step)
-        except (np.linalg.LinAlgError, GaugeDegenerate):
-            break
-        fn_new = float(np.max(np.abs(f_new)))
-        if not fn_new < fnorm:
-            break
-        x, f, fnorm = x + step, f_new, fn_new
-    return x, f, fnorm
+    lanes = _Lanes(system, [params], [0] * len(seeds), cfg)
+    view = lanes.view(0) if seeds else None
+    rows = [view.pack((seed.psi1, seed.psi2), seed.mu)
+            if isinstance(seed, StationaryState) else view.pack(*seed)
+            for seed in seeds]
+    x, _, fnorm, errors = _newton(lanes, np.arange(len(seeds)),
+                                  np.array(rows).reshape(len(seeds), -1))
+    return view, x, fnorm, errors
 
 
 # -- all states -----------------------------------------------------------
+
+
+def _seeds(system, points):
+    """Packed seeds at every point and the index of each seed's point:
+    ``system.packed_candidates`` where the system has it, else its
+    ``candidate_states`` point by point."""
+    if hasattr(system, "packed_candidates"):
+        return system.packed_candidates(points)
+    rows, owner = [], []
+    for k, p in enumerate(points):
+        for psi, mu in system.candidate_states(p):
+            rows.append([c for z in (*psi, mu) for c in z.as_tuple()])
+            owner.append(k)
+    return (np.array(rows, dtype=float).reshape(-1, 4 * system.n_amplitudes + 4),
+            np.array(owner, dtype=int))
+
+
+def find_states_along(system, points, cfg: SolveConfig | None = None
+                      ) -> list[list[StationaryState]]:
+    """All stationary states at each of ``points``, as
+    :func:`find_all_states` finds them, in one batched pass per block of
+    128 points.
+
+    Every seed of the block is a lane: the seeds come from one call of the
+    system's ``packed_candidates`` (one batched root finding and
+    back-solve, for the dimer), and Newton, the retry of a lane whose
+    gauge amplitude vanishes on gauge site 1, and the polish run on all
+    lanes at once.  The states are then made gauge-canonical, flagged and
+    deduplicated point by point.
+    """
+    if cfg is None:
+        cfg = SolveConfig()
+    points = list(points)
+    out = []
+    for start in range(0, len(points), _BLOCK):
+        out += _find_block(system, points[start:start + _BLOCK], cfg)
+    return out
+
+
+def _find_block(system, points, cfg: SolveConfig):
+    seeds, owner = _seeds(system, points)
+    lanes = _Lanes(system, points, owner, cfg)
+    idx = np.arange(len(seeds))
+    x, f, fnorm, errors = _newton(lanes, idx, seeds)
+    retry = np.array([k for k, exc in errors.items()
+                      if isinstance(exc, GaugeDegenerate)], dtype=int)
+    if len(retry):
+        lanes.site[retry] = 1
+        x[retry], f[retry], fnorm[retry], again = _newton(lanes, retry,
+                                                          seeds[retry])
+        for k in retry.tolist():
+            del errors[k]
+        errors.update({int(retry[k]): exc for k, exc in again.items()})
+    ok = np.array([k for k in idx.tolist() if k not in errors], dtype=int)
+    x, fnorm = _polish(lanes, ok, x[ok], f[ok], fnorm[ok])
+    found = [[] for _ in points]
+    for lane, row, rnorm in zip(ok.tolist(), x, fnorm.tolist()):
+        found[lanes.owner[lane]].append(_make_state(lanes.view(lane), row, rnorm))
+    return [dedup_states(states, DEDUP_TOL) for states in found]
 
 
 def find_all_states(system, params, cfg: SolveConfig | None = None) -> list[StationaryState]:
     """All stationary states: the system's candidates, solved by Newton,
     polished, deduplicated and sorted.
 
-    ``system.candidate_states(params)`` lists a seed for every state (for
-    the dimer, one per root of its quartic Q).  Seeds that fail to converge
+    The system lists a seed for every state (``packed_candidates``, or
+    ``candidate_states``; for the dimer, one per root of its quartic Q).
+    Seeds that fail to converge
     are dropped, the others polished and duplicates merged, so at an
     exceptional point, where states coalesce, the list is shorter.  Returned
-    states are gauge-canonical and sorted by mu.
+    states are gauge-canonical and sorted by mu.  The one-point call of
+    :func:`find_states_along`: its few lanes run on Python floats.
     """
-    if cfg is None:
-        cfg = SolveConfig()
-    found: list[StationaryState] = []
-    for psi, mu in system.candidate_states(params):
-        for site in (0, 1):
-            view = RealSystemView(system, params, cfg, site)
-            try:
-                x, _, fnorm = _polish(view, *_newton(view, view.pack(psi, mu)))
-            except GaugeDegenerate:
-                continue
-            except NoConvergence:
-                break
-            found.append(_make_state(view, x, fnorm))
-            break
-    return dedup_states(found, DEDUP_TOL)
+    return find_states_along(system, [params], cfg)[0]

@@ -4,15 +4,22 @@ import math
 
 import pytest
 
-from bcdimer import continuation
+from bcdimer import continuation, solver
 from bcdimer.bicomplex import Bicomplex
 from bcdimer.cli import run
-from bcdimer.model import DimerParams, DimerSystem, pt_reflected, residual
+from bcdimer.model import (
+    DimerParams,
+    DimerSystem,
+    LinearTwoMode,
+    pt_reflected,
+    residual,
+)
 from bcdimer.solver import (
     NoConvergence,
     SolveConfig,
     canonical_gauge,
     find_all_states,
+    find_states_along,
     state_distance,
 )
 from bcdimer.continuation import (
@@ -261,21 +268,23 @@ class TestBranchIdentity:
 
     def ids(self, monkeypatch, grid, step=lambda c: 0.0):
         """The branch id of each state, keyed by its grid value and its
-        place in find_all_states' list, and each bifurcation point's branch
+        place in its point's list, and each bifurcation point's branch
         ids and continuing branch, as `bcdimer sweep` and `bcdimer
         bifurcations` find them, with the states nudged by ``step``."""
         controls, parameter, lo, step_size, n, with_points = self.GRIDS[grid]
         params = DimerParams(v=1.0, **controls)
         place = {}
 
-        def solved(system, p, cfg):
-            if p not in self._solved:
-                self._solved[p] = find_all_states(system, p, cfg)
-            states = self._nudged(self._solved[p], step)
-            place.update((id(st), k) for k, st in enumerate(states))
-            return states
+        def solved(system, points, cfg):
+            missing = [p for p in points if p not in self._solved]
+            self._solved.update(zip(missing,
+                                    find_states_along(system, missing, cfg)))
+            along = [self._nudged(self._solved[p], step) for p in points]
+            place.update((id(st), k) for states in along
+                         for k, st in enumerate(states))
+            return along
 
-        monkeypatch.setattr(continuation, "find_all_states", solved)
+        monkeypatch.setattr(continuation, "find_states_along", solved)
         values = [lo + k * step_size for k in range(n)]
         branches = stitched_branches(SYSTEM, params, parameter, values,
                                      self.CLI_CFG)
@@ -305,6 +314,45 @@ class TestBranchIdentity:
             self, monkeypatch, grid, size):
         assert (self.ids(monkeypatch, grid, lambda c: size)
                 == self.ids(monkeypatch, grid))
+
+    # the grids above, bifurcations scans at g = 0 and at g = 5e-4 (where
+    # every state has two seeds), the linear model, and a gamma grid of
+    # 2 * 128 + 7 points, longer than one block of the batched pass
+    ALONG = {
+        **{grid: (SYSTEM, *spec[:5]) for grid, spec in GRIDS.items()},
+        **{f"bifurcations --g {g}": (SYSTEM, {"g": g}, "gamma", 0.05, 0.01,
+                                     136) for g in (0.0, 5e-4)},
+        "linear": (LinearTwoMode(), {}, "gamma", 0.05, 0.01, 136),
+        "long": (SYSTEM, {"g": -0.85}, "gamma", 0.0, 1.4 / 262, 263),
+    }
+
+    @pytest.mark.parametrize("grid", ALONG)
+    def test_grid_pass_matches_point_by_point(self, monkeypatch, grid):
+        """stitched_branches solves its grid in one batched pass; the
+        states, flags and ids are those of find_all_states point by
+        point."""
+        system, controls, parameter, lo, step_size, n = self.ALONG[grid]
+        params = DimerParams(v=1.0, **controls)
+        values = [lo + k * step_size for k in range(n)]
+        if grid == "long":
+            assert n > solver._BLOCK
+        along = stitched_branches(system, params, parameter, values,
+                                  self.CLI_CFG)
+        monkeypatch.setattr(
+            continuation, "find_states_along",
+            lambda system, points, cfg: [find_all_states(system, p, cfg)
+                                         for p in points])
+        each = stitched_branches(system, params, parameter, values,
+                                 self.CLI_CFG)
+        assert len(along) == len(each) >= 4
+        for a, b in zip(along, each):
+            assert a.branch_id == b.branch_id
+            assert [value for value, _ in a.samples] == [
+                value for value, _ in b.samples]
+            for (_, sa), (_, sb) in zip(a.samples, b.samples):
+                assert state_distance(sa, sb) <= 1e-12
+                assert (sa.is_complex_state, sa.is_pt_symmetric) == (
+                    sb.is_complex_state, sb.is_pt_symmetric)
 
     @pytest.mark.parametrize("args,ends", [
         # the mirror pair born at the pitchfork (gamma = sqrt(3)/2) runs to

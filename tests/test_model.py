@@ -4,9 +4,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
 from bcdimer.bicomplex import Bicomplex, J, K
 from bcdimer.model import (
+    _LANES_MIN,
     DimerParams,
     DimerSystem,
     LinearTwoMode,
@@ -15,12 +18,21 @@ from bcdimer.model import (
     mean_field_energy,
     normalization_residual,
     observables,
+    packed_controls,
+    packed_jacobian,
+    packed_residual,
     populations,
     pt_classify,
     pt_reflected,
     residual,
+    _back_solve,
+    _back_solved,
+    _could_merge,
     _discriminant,
+    _idempotent_seed,
     _q_coefficients,
+    _q_roots,
+    _roots,
 )
 
 R2 = 1.0 / math.sqrt(2.0)
@@ -323,3 +335,197 @@ class TestBifurcationSet:
             assert st.is_complex_state and st.is_pt_symmetric
             assert residual_norm(st.psi1, st.psi2, st.mu,
                                  p.with_control("gamma", pt.location)) < 1e-10
+
+
+def _bits(values) -> np.ndarray:
+    return np.ascontiguousarray(values, dtype=float).view(np.int64)
+
+
+_UNIT = st_.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+
+
+@st_.composite
+def _lanes(draw):
+    """1 to 6 lanes of packed floats with their kernel controls; in a lane
+    that is complex in i the amplitudes and mu have no j or k part and the
+    controls are real."""
+    n = draw(st_.integers(1, 6))
+    rows, controls, complex_in_i = [], [], []
+    for _ in range(n):
+        real = draw(st_.booleans())
+        jpart = (lambda: 0.0) if real else (lambda: draw(_UNIT))
+        p = DimerParams(v=draw(st_.floats(0.5, 2.0)),
+                        g=Bicomplex(draw(_UNIT), jpart()),
+                        gamma=Bicomplex(draw(_UNIT), jpart()),
+                        s=Bicomplex(draw(_UNIT), jpart()))
+        x = draw(st_.lists(_UNIT, min_size=12, max_size=12))
+        if real:
+            x[1::2] = [0.0] * 6
+        rows.append(x)
+        controls.append(packed_controls(p))
+        complex_in_i.append(real)
+    return rows, controls, complex_in_i
+
+
+def _columns(rows, controls):
+    """The lanes as the kernel takes them: each of the 12 floats and each
+    control component an array over the lanes."""
+    xs = [np.array(col) for col in zip(*rows)]
+    v = np.array([c[0] for c in controls])
+    parts = [tuple(np.array(col) for col in zip(*(c[k] for c in controls)))
+             for k in (1, 2, 3)]
+    return xs, (v, *parts)
+
+
+class TestLaneKernel:
+    """packed_residual and packed_jacobian on numpy lanes give, lane by
+    lane, the bits they give on that lane's floats."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_lanes())
+    def test_lanes_match_floats_bit_for_bit(self, case):
+        rows, controls, complex_in_i = case
+        xs, lane_controls = _columns(rows, controls)
+        res = packed_residual(xs, lane_controls)
+        jac = packed_jacobian(xs, lane_controls)
+        n = len(rows)
+        for k, (x, c, real) in enumerate(zip(rows, controls, complex_in_i)):
+            want_res = packed_residual(x, c)
+            got_res = [r[k] for r in res]
+            assert np.array_equal(_bits(got_res), _bits(want_res))
+            want_jac = np.array(packed_jacobian(x, c))
+            got_jac = np.array([[np.broadcast_to(e, n)[k] for e in row]
+                                for row in jac])
+            assert np.array_equal(_bits(got_jac), _bits(want_jac))
+            if real:
+                # the j and k rows, and the couplings between (z0, z2) and
+                # (z1, z3), are exactly zero
+                odd = np.arange(12) % 2 == 1
+                assert np.all(np.array(got_res)[odd] == 0.0)
+                assert np.all(got_jac[np.ix_(odd[:10], ~odd)] == 0.0)
+                assert np.all(got_jac[np.ix_(~odd[:10], odd)] == 0.0)
+
+
+def _reference_back_solve(x, g, gamma, s, v):
+    """The seed at the root x of Q through Bicomplex values, as seeds were
+    built before they were packed."""
+    a = ((x * x - 1) / x - 2j * gamma + 2 * s + g) / (2 * g)
+    y = (1 - a) / (a * x)
+    psi, mu = _idempotent_seed((1.0, x), (a, a * y),
+                               v * (x - g * a - 1j * gamma + s),
+                               v * (y - g * a + 1j * gamma + s))
+    return [c for z in (*psi, mu) for c in z.as_tuple()]
+
+
+class TestBackSolve:
+    """The packed back-solve gives the Bicomplex seeds' bits, root by root
+    on Python complex numbers and at once on numpy lanes."""
+
+    @staticmethod
+    def roots(n, seed):
+        rng = np.random.default_rng(seed)
+        out = []
+        while len(out) < n:
+            jpart = rng.uniform(-0.3, 0.3, 3) * (rng.random() < 0.5)
+            g, gamma, s = (complex(rng.uniform(lo, hi), j) for (lo, hi), j in
+                           zip([(-2.5, 2.5), (0.0, 1.5), (-0.3, 0.3)], jpart))
+            v = rng.uniform(0.5, 2.0)
+            for x in _roots(_q_coefficients(g, gamma, s)[::-1]):
+                out.append((x, (g, gamma, s), v))
+        return out[:n]
+
+    def test_floats_match_bicomplex_seeds(self):
+        for x, c, v in self.roots(400, 3):
+            assert np.array_equal(_bits(_back_solve(x, *c, v)),
+                                  _bits(_reference_back_solve(x, *c, v)))
+
+    def test_lanes_match_floats(self):
+        roots = self.roots(3 * _LANES_MIN, 4)
+        x, controls, v = (list(col) for col in zip(*roots))
+        lanes = _back_solved(x, controls, v)
+        floats = _back_solved(x[:_LANES_MIN - 1], controls[:_LANES_MIN - 1],
+                              v[:_LANES_MIN - 1])
+        assert np.array_equal(_bits(lanes[:_LANES_MIN - 1]), _bits(floats))
+        for row, args in zip(lanes, roots):
+            assert np.array_equal(_bits(row),
+                                  _bits(_back_solve(args[0], *args[1], args[2])))
+
+    def test_candidate_states_are_the_packed_rows(self):
+        system = DimerSystem()
+        points = [DimerParams(v=1.0, g=g, gamma=gamma)
+                  for g in (-0.85, 5e-4, 0.0) for gamma in (0.3, 1.2)]
+        rows, owner = system.packed_candidates(points)
+        for k, p in enumerate(points):
+            seeds = [[c for z in (*psi, mu) for c in z.as_tuple()]
+                     for psi, mu in system.candidate_states(p)]
+            assert np.array_equal(_bits(rows[owner == k]), _bits(seeds))
+        # 4 seeds from Q, 4 more from the linear model below |g| = 1e-3
+        assert np.bincount(owner).tolist() == [4, 4, 8, 8, 4, 4]
+
+
+def _grid_controls():
+    """(g, gamma, s) rows of the scan grids the merge prefilter must
+    reproduce _roots on: fifteen gamma grids of `bifurcations` (0.05 to
+    1.4, step 0.01), the two `sweep` grids and the s = 0.05 scan, a
+    delta-sweep around six coalescences, and the exact tangent (gamma = v)
+    and pitchfork (g^2 + 4 gamma^2 = 4 v^2) lines for 1e-4 <= |g| <= 2."""
+    gammas = 0.05 + 0.01 * np.arange(136)
+    grids = {f"g={g}": [(g, gamma, 0.0) for gamma in gammas]
+             for g in (-2.5, -2.0, -1.5, -1.2, -1.0, -0.85, -0.4, -0.1,
+                       0.01, 5e-4, 0.1, 0.5, 1.2, 1.5, 2.3)}
+    grids["sweep --g -1"] = [(-1.0, 0.01 * k, 0.0) for k in range(141)]
+    grids["sweep --gamma 0.5"] = [(-2.5 + 0.05 * k, 0.5, 0.0)
+                                  for k in range(101)]
+    grids["bifurcations --g -1.5 --s 0.05"] = [(-1.5, gamma, 0.05)
+                                               for gamma in gammas]
+    centres = [(-1.0, math.sqrt(3.0) / 2.0, 0.0), (-2.0, 0.0, 0.0),
+               (-1.0, 1.0, 0.0), (1.5, 1.0, 0.0), (0.1, 1.0, 0.0),
+               (0.0, 1.0, 0.0)]
+    deltas = [sign * 10.0 ** -k for k in range(2, 15) for sign in (1, -1)]
+    grids["delta-sweep"] = [
+        tuple(c + (delta if axis == k else 0.0) for k, c in enumerate(centre))
+        for centre in centres for axis in range(3) for delta in deltas]
+    sizes = np.geomspace(1e-4, 2.0, 60)
+    grids["tangent line"] = [(sign * g, 1.0, 0.0) for g in sizes
+                             for sign in (1, -1)]
+    grids["pitchfork line"] = [(sign * g, math.sqrt(4.0 - g * g) / 2.0, 0.0)
+                               for g in sizes for sign in (1, -1)]
+    return grids
+
+
+class TestMergePrefilter:
+    """Q's roots from one batched eigenvalue call, merged only where
+    _could_merge flags a point, equal _roots point by point, bit for bit."""
+
+    GRIDS = _grid_controls()
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_batched_roots_equal_roots(self, grid):
+        g, gamma, s = (np.array(col, dtype=complex)
+                       for col in zip(*self.GRIDS[grid]))
+        top = _q_coefficients(g, gamma, s)[::-1].T
+        got = _q_roots(g, gamma, s)
+        for k in range(len(top)):
+            want = _roots(top[k]) if g[k] != 0 else []
+            assert np.array_equal(np.array(got[k], dtype=complex).view(float),
+                                  np.array(want, dtype=complex).view(float))
+
+    def test_flags_every_merge_and_few_others(self):
+        merged = flagged = total = 0
+        for grid in self.GRIDS.values():
+            g, gamma, s = (np.array(col, dtype=complex) for col in zip(*grid))
+            top = _q_coefficients(g, gamma, s)[::-1].T
+            live = (g != 0) & (top[:, 0] != 0) & (top[:, -1] != 0)
+            top = top[live]
+            raw = np.array([np.roots(row) for row in top])
+            flags = _could_merge(raw, top)
+            for row, roots, flag in zip(top, raw, flags):
+                moved = _roots(row) != roots.tolist()
+                assert flag or not moved
+                merged += moved
+            flagged += int(flags.sum())
+            total += len(top)
+        # the lines and the delta-sweep hold exact multiple roots (480 of
+        # 3073 points merge); the search runs at few points that do not
+        assert merged >= 300
+        assert flagged - merged <= 0.01 * total

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st_
 
+from bcdimer import solver
 from bcdimer.bicomplex import Bicomplex, J
 from bcdimer.model import (
     DimerParams,
@@ -28,6 +29,7 @@ from bcdimer.solver import (
     canonical_gauge,
     dedup_states,
     find_all_states,
+    find_states_along,
     newton_solve,
     state_distance,
 )
@@ -590,30 +592,34 @@ class TestPolish:
 
     def test_at_most_one_jacobian_per_seed(self, monkeypatch):
         counts = {"jacobians": 0, "seeds": 0}
-        jacobian = RealSystemView.jacobian
-        candidates = DimerSystem.candidate_states
+        jacobians = solver._Lanes.jacobians
+        candidates = DimerSystem.packed_candidates
 
-        def counting_jacobian(view, *args):
-            counts["jacobians"] += 1
-            return jacobian(view, *args)
+        def counting_jacobians(lanes, idx, *args):
+            counts["jacobians"] += len(idx)
+            return jacobians(lanes, idx, *args)
 
-        def counting_candidates(system, params):
-            seeds = list(candidates(system, params))
+        def counting_candidates(system, points):
+            seeds, owner = candidates(system, points)
             counts["seeds"] += len(seeds)
-            return seeds
+            return seeds, owner
 
-        monkeypatch.setattr(RealSystemView, "jacobian", counting_jacobian)
-        monkeypatch.setattr(DimerSystem, "candidate_states",
+        monkeypatch.setattr(solver._Lanes, "jacobians", counting_jacobians)
+        monkeypatch.setattr(DimerSystem, "packed_candidates",
                             counting_candidates)
         # at g = 0 the seeds are the linear model's eigenpairs, which must
-        # come in the solver's phase gauge
+        # come in the solver's phase gauge; point by point the lanes run on
+        # floats, along the grid on arrays
         for g in (-0.8, 0.0):
-            counts.update(jacobians=0, seeds=0)
-            for gamma in self.GRID:
-                find_all_states(SYSTEM, DimerParams(v=1.0, g=g, gamma=gamma),
-                                CFG)
-            assert counts["seeds"] == 4 * len(self.GRID)
-            assert counts["jacobians"] <= counts["seeds"]
+            points = [DimerParams(v=1.0, g=g, gamma=gamma)
+                      for gamma in self.GRID]
+            for solve in (lambda: [find_all_states(SYSTEM, p, CFG)
+                                   for p in points],
+                          lambda: find_states_along(SYSTEM, points, CFG)):
+                counts.update(jacobians=0, seeds=0)
+                solve()
+                assert counts["seeds"] == 4 * len(self.GRID)
+                assert counts["jacobians"] <= counts["seeds"]
 
     def test_seed_at_the_floor_takes_no_step(self, monkeypatch):
         p = DimerParams(v=1.0, g=-0.8, gamma=0.5)
@@ -628,11 +634,80 @@ class TestPolish:
         def no_jacobian(*_args):
             raise AssertionError("a Newton step from a seed at the floor")
 
-        monkeypatch.setattr(RealSystemView, "jacobian", no_jacobian)
-        monkeypatch.setattr(DimerSystem, "candidate_states",
-                            lambda _system, _params: seeds)
+        packed = np.array([view.pack(psi, mu) for psi, mu in seeds])
+        monkeypatch.setattr(solver._Lanes, "jacobians", no_jacobian)
+        monkeypatch.setattr(
+            DimerSystem, "packed_candidates",
+            lambda _system, points: (np.tile(packed, (len(points), 1)),
+                                     np.repeat(np.arange(len(points)),
+                                               len(packed))))
         again = find_all_states(SYSTEM, p, CFG)
         assert [st.mu for st in again] == [st.mu for st in states]
+        # and on numpy lanes
+        along = find_states_along(SYSTEM, [p] * 8, CFG)
+        assert all([st.mu for st in row] == [st.mu for st in states]
+                   for row in along)
+
+
+class _DegenerateSite0(DimerSystem):
+    """The dimer with psi1 of every seed set to zero, so that every lane
+    is degenerate on gauge site 0 and is retried on site 1."""
+
+    def packed_candidates(self, points):
+        rows, owner = super().packed_candidates(points)
+        rows = rows.copy()
+        rows[:, 0:4] = 0.0
+        return rows, owner
+
+
+class TestFindStatesAlong:
+    """The batched pass over many points against find_all_states point by
+    point, whose few lanes run on floats."""
+
+    @staticmethod
+    def same(along, each):
+        assert [len(states) for states in along] == [len(s) for s in each]
+        for states, others in zip(along, each):
+            for a, b in zip(states, others):
+                assert state_distance(a, b) <= 1e-12
+                assert (a.is_complex_state, a.is_pt_symmetric) == (
+                    b.is_complex_state, b.is_pt_symmetric)
+
+    @pytest.mark.parametrize("jacobian", ["analytic", "finite-difference"])
+    def test_random_points_with_continued_controls(self, jacobian):
+        cfg = SolveConfig(jacobian=jacobian)
+        rng = np.random.default_rng(23)
+        points = []
+        for k in range(40):
+            jpart = rng.uniform(-0.3, 0.3, 3) * (k % 2)
+            points.append(DimerParams(
+                v=rng.uniform(0.5, 2.0),
+                g=Bicomplex(rng.uniform(-2.5, 2.5), jpart[0]),
+                gamma=Bicomplex(rng.uniform(0.0, 1.5), jpart[1]),
+                s=Bicomplex(rng.uniform(-0.3, 0.3), jpart[2])))
+        self.same(find_states_along(SYSTEM, points, cfg),
+                  [find_all_states(SYSTEM, p, cfg) for p in points])
+
+    @pytest.mark.parametrize("jacobian", ["analytic", "finite-difference"])
+    def test_degenerate_lanes_retry_on_site_1(self, jacobian):
+        cfg = SolveConfig(jacobian=jacobian)
+        system = _DegenerateSite0()
+        points = [DimerParams(v=1.0, g=-0.85, gamma=0.05 + 0.05 * k)
+                  for k in range(20)]
+        along = find_states_along(system, points, cfg)
+        self.same(along, [find_all_states(system, p, cfg) for p in points])
+        assert sum(map(len, along)) >= 40
+        with pytest.raises(GaugeDegenerate):
+            newton_solve(system, points[0],
+                         _seed_of(system.packed_candidates(points[:1])[0][0]),
+                         cfg)
+
+    def test_no_points(self):
+        assert find_states_along(SYSTEM, [], CFG) == []
+
+
+def _seed_of(row):
+    return ((Bicomplex(*row[0:4]), Bicomplex(*row[4:8])), Bicomplex(*row[8:12]))
 
 
 class TestScaling:
