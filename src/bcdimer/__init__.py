@@ -66,7 +66,6 @@ from .solver import (
     find_all_states,
     find_states_along,
     newton_solve,
-    newton_solve_each,
     state_distance,
 )
 

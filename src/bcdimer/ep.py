@@ -31,8 +31,8 @@ from .solver import (
     GaugeDegenerate,
     NoConvergence,
     SolveConfig,
+    _newton_solve_each,
     newton_solve,
-    newton_solve_each,
     state_distance,
 )
 
@@ -145,7 +145,7 @@ def _step(system, spec, current, phi0, phi1, cfg):
     Each state is solved by Newton from the candidate seed whose mu is
     nearest its own in the max-norm of mu's 4 floats (mu is gauge-free,
     and duplicate seeds of one state are harmless), all of them in one
-    batched pass (:func:`~bcdimer.solver.newton_solve_each`).  A state is
+    batched pass (:func:`~bcdimer.solver._newton_solve_each`).  A state is
     continued by :func:`_track_segment` instead when its seed fails, when
     another state picked the same seed, or when the solved state lies
     nearer another state's previous value than its own: states with equal
@@ -161,7 +161,7 @@ def _step(system, spec, current, phi0, phi1, cfg):
         picks = picks.tolist()
     own = [i for i, pick in enumerate(picks)
            if pick is not None and picks.count(pick) == 1]
-    solved = dict(zip(own, newton_solve_each(
+    solved = dict(zip(own, _newton_solve_each(
         system, params, [seeds[picks[i]] for i in own], cfg)))
     new, dists, fallbacks = [], [], 0
     for i, st in enumerate(current):

@@ -332,10 +332,6 @@ _MULTIPLE_ROOT_SPREAD = 2.0
 # below this |g|/v the linear model's eigenpairs seed too: the back-solve
 # from Q divides by g, and the linear states are the g -> 0 limit
 _LINEAR_SEEDS = 1e-3
-# from this many roots on, the back-solve runs once on numpy lanes
-# (_ComplexLanes), below it root by root on Python complex numbers: 3.8 us
-# a root against 220 us + 0.9 us a root (numpy 2.4, Xeon, one thread)
-_LANES_MIN = 80
 
 
 def _roots(coeffs) -> list[complex]:
@@ -469,100 +465,18 @@ def _q_roots(g, gamma, s) -> list[list[complex]]:
     return out
 
 
-class _ComplexLanes:
-    """Complex numbers on numpy lanes, with CPython's complex arithmetic.
-
-    ``re`` and ``im`` are float arrays (or floats).  numpy's complex ``*``,
-    ``/`` and ``abs`` round differently from CPython's; these operators
-    spell out CPython's (a real or complex operand converted to complex,
-    Smith's division, hypot) on the real parts, so a formula gives on each
-    lane the bits it gives on that lane's Python complex numbers.  Division
-    by zero gives inf or nan, not an exception.
-    """
-
-    __slots__ = ("re", "im")
-    __array_ufunc__ = None  # ndarray op lanes defers to the reflected op
-
-    def __init__(self, re, im):
-        self.re, self.im = re, im
-
-    @staticmethod
-    def _of(z):
-        if isinstance(z, _ComplexLanes):
-            return z.re, z.im
-        if isinstance(z, np.ndarray):
-            return z, 0.0
-        z = complex(z)
-        return z.real, z.imag
-
-    @property
-    def real(self):
-        return self.re
-
-    @property
-    def imag(self):
-        return self.im
-
-    def conjugate(self):
-        return _ComplexLanes(self.re, -self.im)
-
-    def __abs__(self):
-        return np.hypot(self.re, self.im)
-
-    def __add__(self, other):
-        br, bi = self._of(other)
-        return _ComplexLanes(self.re + br, self.im + bi)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        br, bi = self._of(other)
-        return _ComplexLanes(self.re - br, self.im - bi)
-
-    def __rsub__(self, other):
-        ar, ai = self._of(other)
-        return _ComplexLanes(ar - self.re, ai - self.im)
-
-    def __mul__(self, other):
-        br, bi = self._of(other)
-        ar, ai = self.re, self.im
-        return _ComplexLanes(ar * br - ai * bi, ar * bi + ai * br)
-
-    __rmul__ = __mul__
-
-    @staticmethod
-    def _quotient(ar, ai, br, bi):
-        wide = np.abs(br) >= np.abs(bi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(wide, bi / br, br / bi)
-            denom = np.where(wide, br + bi * ratio, br * ratio + bi)
-            return _ComplexLanes(
-                np.where(wide, ar + ai * ratio, ar * ratio + ai) / denom,
-                np.where(wide, ai - ar * ratio, ai * ratio - ar) / denom)
-
-    def __truediv__(self, other):
-        return self._quotient(self.re, self.im, *self._of(other))
-
-    def __rtruediv__(self, other):
-        return self._quotient(*self._of(other), self.re, self.im)
-
-
 def _back_solve(x, g, gamma, s, v):
     """The packed seed (12 components of psi1, psi2 and mu) of the state
     at the root x of Q, with x and the plus components g, gamma, s of the
     controls in units of v (see DimerSystem).
 
-    The arguments are Python numbers, giving floats, or one of them
-    :class:`_ComplexLanes` (and ``v`` an array or a float), giving arrays,
-    bit-for-bit the floats of each lane; with a numpy scalar x, as
-    :meth:`DimerSystem.bifurcation_set` passes, numpy's scalar arithmetic
-    runs.  With a = n1 and Y = phi2/phi1 the
-    seed is psi+ = c (1, x), phi = conj(psi-) = (a, a y)/c, mu+ and nu =
-    conj(mu-), in the gauge c = sqrt|a| that balances site 1.
+    With a = n1 and Y = phi2/phi1 the seed is psi+ = c (1, x), phi =
+    conj(psi-) = (a, a y)/c, mu+ and nu = conj(mu-), in the gauge c =
+    sqrt|a| that balances site 1.
     """
     a = ((x * x - 1) / x - 2j * gamma + 2 * s + g) / (2 * g)
     y = (1 - a) / (a * x)
-    c = np.sqrt(abs(a)) if isinstance(a, _ComplexLanes) else math.sqrt(abs(a))
+    c = math.sqrt(abs(a))
     pairs = ((c * 1.0, (a / c).conjugate()), (c * x, (a * y / c).conjugate()),
              (v * (x - g * a - 1j * gamma + s),
               (v * (y - g * a + 1j * gamma + s)).conjugate()))
@@ -576,14 +490,8 @@ def _back_solve(x, g, gamma, s, v):
 
 def _back_solved(x, controls, v) -> np.ndarray:
     """Rows of :func:`_back_solve` at the roots x (Python complex numbers),
-    each with its (g, gamma, s) in ``controls`` and its v: root by root
-    below _LANES_MIN roots, at once on lanes from there; a root where
-    CPython divides by zero gives nan."""
-    if len(x) >= _LANES_MIN:
-        lanes = [_ComplexLanes(np.array([z.real for z in zs]),
-                               np.array([z.imag for z in zs]))
-                 for zs in (x, *zip(*controls))]
-        return np.array(_back_solve(*lanes, np.array(v, dtype=float))).T
+    each with its (g, gamma, s) in ``controls`` and its v; a root where the
+    back-solve divides by zero gives nan, which Newton drops."""
     rows = np.empty((len(x), 12))
     for k, (xk, c, vk) in enumerate(zip(x, controls, v)):
         try:

@@ -28,7 +28,7 @@ with a status per lane (converged, :class:`NoConvergence`, or
 :class:`GaugeDegenerate`).  The kernel evaluates a batch lane by lane on
 Python floats below 16 lanes and once on numpy arrays from there, with the
 same bits; the linear solves are one batched ``np.linalg.solve``.
-:func:`newton_solve` is the one-lane call and :func:`newton_solve_each`
+:func:`newton_solve` is the one-lane call and :func:`_newton_solve_each`
 the call for several seeds at one point.
 
 :func:`find_states_along` finds all states at every point of a grid in one
@@ -63,7 +63,6 @@ __all__ = [
     "SolveConfig",
     "RealSystemView",
     "newton_solve",
-    "newton_solve_each",
     "find_all_states",
     "find_states_along",
     "canonical_gauge",
@@ -130,32 +129,20 @@ class RealSystemView:
         return psi, Bicomplex(*x[4 * n : 4 * n + 4])
 
     def scale(self, xs: list[float]) -> float:
-        """Size of the cubic terms: max(1, largest amplitude component)^2."""
-        return max(1.0, max(map(abs, xs[: 4 * self.n_amp])) ** 2)
+        """Size of the cubic terms: max(1, largest amplitude component)^2,
+        squared as numpy squares lanes (float ``**`` can round otherwise)."""
+        m = max(map(abs, xs[: 4 * self.n_amp]))
+        return max(1.0, m * m)
 
     def residual_vector(self, x: np.ndarray) -> np.ndarray:
         xs = x.tolist()
-        # r1, r2 and the normalization's (1, j, i, k) components; the (i, k)
-        # pair vanishes identically and gives way to the two gauge rows
         out = packed_residual(xs, self.controls)
-        norm_i, norm_k = out[-2], out[-1]
-        scale = self.scale(xs)
-        if abs(norm_i) > 1e-10 * scale or abs(norm_k) > 1e-10 * scale:
-            raise AssertionError(
-                "normalization residual left the (1, j) plane; "
-                "conjugation-swap symmetry violated"
-            )
         g0 = 4 * self.gauge_site
-        z0, z1, z2, z3 = xs[g0 : g0 + 4]
-        plus, minus = complex(z0 + z3, z2 - z1), complex(z0 - z3, z2 + z1)
-        if min(abs(plus), abs(minus)) < GAUGE_EPS:
+        if _close(out, xs[g0 : g0 + 4], self.scale(xs)):
             raise GaugeDegenerate(
                 f"gauge amplitude {self.gauge_site} too small: "
-                f"{(z0, z1, z2, z3)}"
+                f"{tuple(xs[g0 : g0 + 4])}"
             )
-        # gauge: plus component i-real, idempotent magnitudes balanced
-        out[-2] = z2 - z1
-        out[-1] = 4.0 * (z0 * z3 - z1 * z2)
         return np.array(out)
 
     def jacobian(self, x: np.ndarray, f0: np.ndarray | None = None) -> np.ndarray:
@@ -166,26 +153,79 @@ class RealSystemView:
     def _fd_jacobian(self, x: np.ndarray, f0: np.ndarray | None) -> np.ndarray:
         if f0 is None:
             f0 = self.residual_vector(x)
-        h = FD_STEP
-        n = self.n_unknowns
-        jac = np.empty((n, n))
-        for col in range(n):
-            xp = x.copy()
-            xp[col] += h
-            jac[:, col] = (self.residual_vector(xp) - f0) / h
+        # residual_vector raises where the gauge amplitude vanishes
+        jac, _ = _forward_differences(
+            lambda xp: (self.residual_vector(xp), False), x, f0)
         return jac
 
     def _analytic_jacobian(self, x: np.ndarray) -> np.ndarray:
         xs = x.tolist()
         rows = packed_jacobian(xs, self.controls)
         g0 = 4 * self.gauge_site
-        z0, z1, z2, z3 = xs[g0 : g0 + 4]
-        phase = [0.0] * self.n_unknowns
-        phase[g0 + 1 : g0 + 3] = [-1.0, 1.0]
-        balance = [0.0] * self.n_unknowns
-        balance[g0 : g0 + 4] = [4.0 * z3, -4.0 * z2, -4.0 * z1, 4.0 * z0]
+        phase, balance = [0.0] * self.n_unknowns, [0.0] * self.n_unknowns
+        phase[g0 : g0 + 4], balance[g0 : g0 + 4] = _gauge_derivatives(
+            xs[g0 : g0 + 4])
         rows += [phase, balance]
         return np.array(rows)
+
+
+# -- closing the kernel into the square system, on floats or on lanes ------
+#
+# Each of these runs unchanged on Python floats (one seed) and on numpy
+# arrays of lanes (one entry per seed), like the kernel itself.
+
+
+def _any(mask) -> bool:
+    """Whether a check holds: a bool on floats, any lane's on lanes."""
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else mask
+
+
+def _close(out, gauge, scale):
+    """Close the kernel's residual ``out`` into the square system, in place.
+
+    The kernel's last two rows, the normalization's (i, k) components,
+    vanish identically; they are checked against ``scale`` (see
+    :meth:`RealSystemView.scale`) and give way to the two gauge rows of the
+    gauge amplitude ``gauge`` = (z0, z1, z2, z3): its plus component
+    i-real, its idempotent magnitudes balanced.  Returns whether the gauge
+    amplitude is degenerate, where those rows are not well posed.
+    """
+    norm_i, norm_k = out[-2], out[-1]
+    if _any((abs(norm_i) > 1e-10 * scale) | (abs(norm_k) > 1e-10 * scale)):
+        raise AssertionError(
+            "normalization residual left the (1, j) plane; "
+            "conjugation-swap symmetry violated"
+        )
+    z0, z1, z2, z3 = gauge
+    plus, minus = (z0 + z3) + 1j * (z2 - z1), (z0 - z3) + 1j * (z2 + z1)
+    out[-2] = z2 - z1
+    out[-1] = 4.0 * (z0 * z3 - z1 * z2)
+    return (abs(plus) < GAUGE_EPS) | (abs(minus) < GAUGE_EPS)
+
+
+def _gauge_derivatives(gauge):
+    """The derivatives of the two gauge rows of :func:`_close` by the gauge
+    amplitude's components (z0, z1, z2, z3)."""
+    z0, z1, z2, z3 = gauge
+    return (0.0, -1.0, 1.0, 0.0), (4.0 * z3, -4.0 * z2, -4.0 * z1, 4.0 * z0)
+
+
+def _forward_differences(residual, x, f0):
+    """Forward-difference Jacobian at x, one row or rows of lanes, of
+    ``residual``, which gives the residual rows and where the gauge
+    amplitude is degenerate; f0 is the rows at x.  Returns the Jacobian
+    and where the gauge amplitude is degenerate at a difference point."""
+    jac = np.empty(x.shape + x.shape[-1:])
+    degenerate = False
+    # .T[col]: component col of the row, or of every lane; column col of
+    # the Jacobian, or of every lane's
+    for col in range(x.shape[-1]):
+        xp = x.copy()
+        xp.T[col] += FD_STEP
+        fp, bad = residual(xp)
+        degenerate = degenerate | bad
+        jac.T[col] = ((fp - f0) / FD_STEP).T
+    return jac, degenerate
 
 
 # -- gauge alignment and distances ---------------------------------------
@@ -303,7 +343,8 @@ class _Lanes:
         """Residual rows at the rows of x, and the positions (in
         ``lanes``) of the lanes whose gauge amplitude vanishes there."""
         if len(lanes) >= _CROSSOVER:
-            return self._on_arrays(lanes, x)
+            f, bad = self._on_arrays(lanes, x)
+            return f, np.flatnonzero(bad).tolist()
         rows, bad = [], []
         for k, lane in enumerate(lanes.tolist()):
             try:
@@ -328,18 +369,18 @@ class _Lanes:
             return out, bad
         if self.cfg.jacobian == "analytic":
             return self._analytic(lanes, x), []
-        out, bad = np.empty((n, width, width)), set()
-        for col in range(width):  # as RealSystemView._fd_jacobian
-            xp = x.copy()
-            xp[:, col] += FD_STEP
-            fp, col_bad = self._on_arrays(lanes, xp)
-            bad.update(col_bad)
-            out[:, :, col] = (fp - f) / FD_STEP
-        return out, sorted(bad)
+        out, bad = _forward_differences(
+            lambda xp: self._on_arrays(lanes, xp), x, f)
+        return out, np.flatnonzero(bad).tolist()
+
+    def scale(self, x):
+        """:meth:`RealSystemView.scale` of every row of x at once."""
+        m = np.abs(x[:, : 4 * self.system.n_amplitudes]).max(1)
+        return np.maximum(1.0, m * m)
 
     def _columns(self, lanes, x):
-        """The 12 floats and the kernel's controls, each an array of lanes,
-        and each lane's gauge amplitude (z0, z1, z2, z3)."""
+        """The packed floats and the kernel's controls, each an array of
+        lanes, and each lane's gauge amplitude (z0, z1, z2, z3)."""
         if self._controls is None:
             self._controls = np.array([
                 [v, *g, *ih, *s] for v, g, ih, s in
@@ -347,33 +388,22 @@ class _Lanes:
         c = self._controls[self.owner[lanes]].T
         controls = c[0], tuple(c[1:5]), tuple(c[5:9]), tuple(c[9:13])
         xs = list(np.ascontiguousarray(x.T))
-        site = self.site[lanes]
-        gauge = [np.where(site == 0, xs[k], xs[4 + k]) for k in range(4)]
+        first = 4 * self.site[lanes]
+        gauge = tuple(x[np.arange(len(x)), first + k] for k in range(4))
         return xs, controls, gauge
 
     def _on_arrays(self, lanes, x):
-        """RealSystemView.residual_vector on every lane at once."""
-        xs, controls, (z0, z1, z2, z3) = self._columns(lanes, x)
+        """RealSystemView.residual_vector on every lane at once, and where
+        the gauge amplitude is degenerate."""
+        xs, controls, gauge = self._columns(lanes, x)
         with np.errstate(over="ignore", invalid="ignore"):  # as on floats
             out = packed_residual(xs, controls)
-            # RealSystemView.scale, but x*x where it takes x**2: the
-            # threshold of this invariant check may move by an ulp
-            m = np.abs(x[:, :8]).max(1)
-            scale = np.maximum(1.0, m * m)
-            if np.any((np.abs(out[-2]) > 1e-10 * scale)
-                      | (np.abs(out[-1]) > 1e-10 * scale)):
-                raise AssertionError(
-                    "normalization residual left the (1, j) plane; "
-                    "conjugation-swap symmetry violated")
-            bad = np.minimum(np.hypot(z0 + z3, z2 - z1),
-                             np.hypot(z0 - z3, z2 + z1)) < GAUGE_EPS
-            out[-2] = z2 - z1
-            out[-1] = 4.0 * (z0 * z3 - z1 * z2)
-        return np.stack(out, axis=1), np.flatnonzero(bad).tolist()
+            bad = _close(out, gauge, self.scale(x))
+        return np.stack(out, axis=1), bad
 
     def _analytic(self, lanes, x):
         """RealSystemView._analytic_jacobian on every lane at once."""
-        xs, controls, (z0, z1, z2, z3) = self._columns(lanes, x)
+        xs, controls, gauge = self._columns(lanes, x)
         n, width = x.shape
         jac = np.zeros((width, width, n))
         with np.errstate(over="ignore", invalid="ignore"):  # as on floats
@@ -381,11 +411,10 @@ class _Lanes:
         for r, row in enumerate(rows):
             for c, entry in enumerate(row):
                 jac[r, c] = entry
-        g0, every = 4 * self.site[lanes], np.arange(n)
-        jac[-2, g0 + 1, every] = -1.0
-        jac[-2, g0 + 2, every] = 1.0
-        for k, entry in enumerate((4.0 * z3, -4.0 * z2, -4.0 * z1, 4.0 * z0)):
-            jac[-1, g0 + k, every] = entry
+        first, every = 4 * self.site[lanes], np.arange(n)
+        for k, (phase, balance) in enumerate(zip(*_gauge_derivatives(gauge))):
+            jac[-2, first + k, every] = phase
+            jac[-1, first + k, every] = balance
         return jac.transpose(2, 0, 1)
 
 
@@ -496,9 +525,7 @@ def _polish(lanes: _Lanes, idx, x, f, fnorm):
     Jacobian or a vanishing gauge amplitude.
     """
     x, f, fnorm = x.copy(), f.copy(), fnorm.copy()
-    # RealSystemView.scale lane by lane, with its float power
-    floor = _POLISH_FLOOR * np.array(
-        [max(1.0, m ** 2) for m in np.abs(x[:, :8]).max(1).tolist()])
+    floor = _POLISH_FLOOR * lanes.scale(x)
     active = np.flatnonzero(~(fnorm <= floor))
     for _ in range(_POLISH_ITERS):
         if not len(active):
@@ -541,9 +568,9 @@ def newton_solve(system, params, seed,
     return _make_state(view, x[0], float(fnorm[0]))
 
 
-def newton_solve_each(system, params, seeds,
-                      cfg: SolveConfig | None = None
-                      ) -> list[StationaryState | None]:
+def _newton_solve_each(system, params, seeds,
+                       cfg: SolveConfig | None = None
+                       ) -> list[StationaryState | None]:
     """:func:`newton_solve` from each of ``seeds`` at one point, as lanes
     of one batched Newton pass: each seed's state, or None where
     newton_solve raises :class:`NoConvergence` or :class:`GaugeDegenerate`.

@@ -9,7 +9,6 @@ from hypothesis import strategies as st_
 
 from bcdimer.bicomplex import Bicomplex, J, K
 from bcdimer.model import (
-    _LANES_MIN,
     DimerParams,
     DimerSystem,
     LinearTwoMode,
@@ -26,7 +25,6 @@ from bcdimer.model import (
     pt_reflected,
     residual,
     _back_solve,
-    _back_solved,
     _could_merge,
     _discriminant,
     _idempotent_seed,
@@ -418,8 +416,7 @@ def _reference_back_solve(x, g, gamma, s, v):
 
 
 class TestBackSolve:
-    """The packed back-solve gives the Bicomplex seeds' bits, root by root
-    on Python complex numbers and at once on numpy lanes."""
+    """The packed back-solve gives the Bicomplex seeds' bits."""
 
     @staticmethod
     def roots(n, seed):
@@ -438,17 +435,6 @@ class TestBackSolve:
         for x, c, v in self.roots(400, 3):
             assert np.array_equal(_bits(_back_solve(x, *c, v)),
                                   _bits(_reference_back_solve(x, *c, v)))
-
-    def test_lanes_match_floats(self):
-        roots = self.roots(3 * _LANES_MIN, 4)
-        x, controls, v = (list(col) for col in zip(*roots))
-        lanes = _back_solved(x, controls, v)
-        floats = _back_solved(x[:_LANES_MIN - 1], controls[:_LANES_MIN - 1],
-                              v[:_LANES_MIN - 1])
-        assert np.array_equal(_bits(lanes[:_LANES_MIN - 1]), _bits(floats))
-        for row, args in zip(lanes, roots):
-            assert np.array_equal(_bits(row),
-                                  _bits(_back_solve(args[0], *args[1], args[2])))
 
     def test_candidate_states_are_the_packed_rows(self):
         system = DimerSystem()

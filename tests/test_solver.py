@@ -706,6 +706,46 @@ class TestFindStatesAlong:
         assert find_states_along(SYSTEM, [], CFG) == []
 
 
+class TestLaneContainers:
+    """The square system closed on numpy lanes equals the one closed lane
+    by lane on floats, bit for bit: residual rows with their gauge rows,
+    both Jacobians, and the lanes flagged for a degenerate gauge
+    amplitude."""
+
+    @pytest.mark.parametrize("jacobian", ["analytic", "finite-difference"])
+    def test_arrays_match_floats(self, jacobian):
+        rng = np.random.default_rng(31)
+        points = [DimerParams(v=rng.uniform(0.5, 2.0),
+                              g=Bicomplex(rng.uniform(-2.5, 2.5), j),
+                              gamma=Bicomplex(rng.uniform(0.0, 1.5), j),
+                              s=Bicomplex(rng.uniform(-0.3, 0.3), j))
+                  for j in (0.0, 0.2, 0.0, -0.1, 0.0)]
+        n = 3 * solver._CROSSOVER
+        lanes = solver._Lanes(SYSTEM, points, rng.integers(0, 5, n),
+                              SolveConfig(jacobian=jacobian))
+        lanes.site[:] = rng.integers(0, 2, n)
+        x = rng.uniform(-1, 1, (n, 12))
+        x[1::2, 1::2] = 0.0  # complex-in-i lanes
+        degenerate = [3, 10, 29]
+        for k in degenerate:
+            x[k, 4 * lanes.site[k]: 4 * lanes.site[k] + 4] = 0.0
+        idx = np.arange(n)
+        f, bad = lanes.residuals(idx, x)
+        assert bad == degenerate
+        good = np.setdiff1d(idx, degenerate)
+        for k in good.tolist():
+            fk, bad_k = lanes.residuals(idx[k:k + 1], x[k:k + 1])
+            assert bad_k == [] and np.array_equal(_bits(fk[0]), _bits(f[k]))
+        for k in degenerate:
+            assert lanes.residuals(idx[k:k + 1], x[k:k + 1])[1] == [0]
+        jac, bad = lanes.jacobians(good, x[good], f[good])
+        assert bad == []
+        for k, lane in enumerate(good.tolist()):
+            one, _ = lanes.jacobians(good[k:k + 1], x[lane:lane + 1],
+                                     f[lane:lane + 1])
+            assert np.array_equal(_bits(one[0]), _bits(jac[k]))
+
+
 def _seed_of(row):
     return ((Bicomplex(*row[0:4]), Bicomplex(*row[4:8])), Bicomplex(*row[8:12]))
 
