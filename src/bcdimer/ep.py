@@ -2,14 +2,17 @@
 
 A candidate exceptional point is encircled by complexifying exactly one
 scalar control with the j unit: ``c(phi) = center + r*(cos(phi) + j*sin(phi))``.
-At each loop point the system lists a seed for every state
-(``candidate_states``); each tracked state continues from the seed whose mu
-is nearest its mu one step back, confirmed by Newton.  Where that seed
-fails, two states claim the same one, or the state lands nearer another
-state's previous value, the state is instead re-solved by Newton from its
-previous value, bisecting the step.  At closure the final states are
-matched to the starting set and the resulting permutation's cycle structure
-bounds the order of the exceptional point from below.
+The loop points are known before the first step, so the system lists a
+seed for every state at a whole block of them at once
+(``packed_candidates``, or ``candidate_states`` point by point), and Newton
+solves all of those seeds in one batched pass.  At each loop point each
+tracked state then continues from the solved seed whose mu is nearest its
+mu one step back.  Where Newton failed from that seed, two states claim the
+same one, or the state lands nearer another state's previous value, the
+state is instead re-solved by Newton from its previous value, bisecting the
+step.  At closure the final states are matched to the starting set and the
+resulting permutation's cycle structure bounds the order of the exceptional
+point from below.
 
 Loops around different controls can show different exchange behaviour, so
 the classifier reports per-control cycle types plus a wave-function
@@ -31,7 +34,7 @@ from .solver import (
     GaugeDegenerate,
     NoConvergence,
     SolveConfig,
-    _newton_solve_each,
+    _candidate_solves,
     newton_solve,
     state_distance,
 )
@@ -138,35 +141,32 @@ def _track_segment(system, spec, state, phi0, phi1, cfg, depth=0):
         return _track_segment(system, spec, half, mid, phi1, cfg, depth + 1)
 
 
-def _step(system, spec, current, phi0, phi1, cfg):
+def _step(system, spec, current, phi0, phi1, seeded, cfg):
     """Every tracked state at phi1, each one's distances to every state in
     ``current``, and how many states took the fallback.
 
-    Each state is solved by Newton from the candidate seed whose mu is
-    nearest its own in the max-norm of mu's 4 floats (mu is gauge-free,
-    and duplicate seeds of one state are harmless), all of them in one
-    batched pass (:func:`~bcdimer.solver._newton_solve_each`).  A state is
-    continued by :func:`_track_segment` instead when its seed fails, when
-    another state picked the same seed, or when the solved state lies
-    nearer another state's previous value than its own: states with equal
-    mu, such as a mirror pair, can swap seeds.
+    ``seeded`` is the candidate seeds at phi1 as
+    :func:`~bcdimer.solver._candidate_solves` gives them: their mu, and the
+    state Newton reached from each, solved once for a whole block of loop
+    points.  Each state takes the seed whose mu is nearest its own in the
+    max-norm of mu's 4 floats (mu is gauge-free, and duplicate seeds of one
+    state are harmless).  A state is continued by :func:`_track_segment`
+    instead when Newton failed from its seed, when another state picked the
+    same seed, or when the solved state lies nearer another state's
+    previous value than its own: states with equal mu, such as a mirror
+    pair, can swap seeds.
     """
-    params = _loop_params(spec, phi1)
-    seeds = system.candidate_states(params)
+    seed_mu, solved = seeded
     picks = [None] * len(current)
-    if seeds:
-        seed_mu = np.array([mu.as_tuple() for _psi, mu in seeds])
+    if len(seed_mu):
         mu = np.array([st.mu.as_tuple() for st in current])
         picks = np.abs(mu[:, None] - seed_mu).max(axis=2).argmin(axis=1)
         picks = picks.tolist()
-    own = [i for i, pick in enumerate(picks)
-           if pick is not None and picks.count(pick) == 1]
-    solved = dict(zip(own, _newton_solve_each(
-        system, params, [seeds[picks[i]] for i in own], cfg)))
     new, dists, fallbacks = [], [], 0
-    for i, st in enumerate(current):
-        row = None
-        state = solved.get(i)
+    for i, (st, pick) in enumerate(zip(current, picks)):
+        row = state = None
+        if pick is not None and picks.count(pick) == 1:
+            state = solved(pick)
         if state is not None:
             row = [state_distance(state, old) for old in current]
         if row is None or row.index(min(row)) != i:
@@ -211,11 +211,12 @@ def encircle(system, spec: LoopSpec, cfg: SolveConfig | None = None) -> LoopTrac
     """Drive all tracked states around the loop and read off the permutation.
 
     At each loop point every tracked state continues from the system's
-    candidate seed nearest it in mu, confirmed by Newton.  A state whose
-    seed fails, is claimed twice or lands nearer another state is instead
-    re-solved by Newton from its previous value, bisecting the step in phi;
-    ``fallback_steps`` counts those.  The permutation maps the index of
-    each starting state to the index of the starting state its
+    candidate seed nearest it in mu, confirmed by Newton; the seeds and
+    Newton from them run once per block of loop points (see :func:`_step`).
+    A state whose seed fails, is claimed twice or lands nearer another
+    state is instead re-solved by Newton from its previous value, bisecting
+    the step in phi; ``fallback_steps`` counts those.  The permutation maps
+    the index of each starting state to the index of the starting state its
     continuation lands on after a full loop.  The match margin is the
     smallest ratio of second-nearest to nearest match distance seen at any
     step; a trace with margin <= 2 retries once at doubled resolution and
@@ -247,9 +248,11 @@ def _encircle_once(system, spec: LoopSpec, cfg: SolveConfig) -> LoopTrace:
     per_step = [list(current)]
     margin = math.inf
     fallback_steps = 0
-    for k in range(1, len(phis)):
-        current, dists, fallbacks = _step(system, spec, current,
-                                          phis[k - 1], phis[k], cfg)
+    seeded = _candidate_solves(
+        system, (_loop_params(spec, phi) for phi in phis[1:]), cfg)
+    for k, at_phi in enumerate(seeded, start=1):
+        current, dists, fallbacks = _step(system, spec, current, phis[k - 1],
+                                          phis[k], at_phi, cfg)
         margin = min(margin, _match_margin(dists))
         fallback_steps += fallbacks
         per_step.append(current)

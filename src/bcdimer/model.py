@@ -477,15 +477,29 @@ def _back_solve(x, g, gamma, s, v):
     a = ((x * x - 1) / x - 2j * gamma + 2 * s + g) / (2 * g)
     y = (1 - a) / (a * x)
     c = math.sqrt(abs(a))
-    pairs = ((c * 1.0, (a / c).conjugate()), (c * x, (a * y / c).conjugate()),
-             (v * (x - g * a - 1j * gamma + s),
-              (v * (y - g * a + 1j * gamma + s)).conjugate()))
+    return _packed([(c * 1.0, (a / c).conjugate()),
+                    (c * x, (a * y / c).conjugate()),
+                    (v * (x - g * a - 1j * gamma + s),
+                     (v * (y - g * a + 1j * gamma + s)).conjugate())])
+
+
+def _packed(pairs) -> list[float]:
+    """The packed floats of the Bicomplex values whose idempotent
+    components are the (plus, minus) ``pairs``, rounded as
+    :meth:`~bcdimer.bicomplex.IdempotentPair.to_bicomplex` rounds them."""
     out = []
-    for plus, minus in pairs:  # IdempotentPair.to_bicomplex
+    for plus, minus in pairs:
         pr, pi, mr, mi = plus.real, plus.imag, minus.real, minus.imag
         out += [0.5 * (pr + mr), 0.5 * (mi - pi), 0.5 * (pi + mi),
                 0.5 * (pr - mr)]
     return out
+
+
+def _stored(plus, minus) -> tuple[complex, complex]:
+    """The idempotent components of the Bicomplex value with components
+    (plus, minus), as rounding through its four floats leaves them."""
+    z0, z1, z2, z3 = _packed([(plus, minus)])
+    return complex(z0 + z3, z2 - z1), complex(z0 - z3, z2 + z1)
 
 
 def _back_solved(x, controls, v) -> np.ndarray:
@@ -504,15 +518,6 @@ def _back_solved(x, controls, v) -> np.ndarray:
 def _as_seed(row):
     """(psi, mu) Bicomplex seed from a packed row of 12 floats."""
     return ((Bicomplex(*row[0:4]), Bicomplex(*row[4:8])), Bicomplex(*row[8:12]))
-
-
-def _idempotent_seed(psi_plus, phi, mu_plus, nu):
-    """Bicomplex (psi, mu) from psi+, phi = conj(psi-), mu+ and nu = conj(mu-),
-    in the gauge psi+ -> c*psi+, phi -> phi/c that balances site 1."""
-    c = math.sqrt(abs(phi[0]) / abs(psi_plus[0]))
-    psi = tuple(Bicomplex.from_idempotent(c * p, (f / c).conjugate())
-                for p, f in zip(psi_plus, phi))
-    return psi, Bicomplex.from_idempotent(mu_plus, nu.conjugate())
 
 
 # -- bifurcation set -----------------------------------------------------------
@@ -733,9 +738,9 @@ class DimerSystem:
         at = [k for k, xs in enumerate(roots) for x in xs if x != 0]
         rows = _back_solved([x for xs in roots for x in xs if x != 0],
                             [plus[k] for k in at], [points[k].v for k in at])
-        linear = [(k, [c for z in (*psi, mu) for c in z.as_tuple()])
-                  for k, row in enumerate(plus) if abs(row[0]) < _LINEAR_SEEDS
-                  for psi, mu in LinearTwoMode().candidate_states(points[k])]
+        linear = [(k, row) for k, c in enumerate(plus)
+                  if abs(c[0]) < _LINEAR_SEEDS
+                  for row in LinearTwoMode()._seed_rows(points[k])]
         if not linear:
             return rows, np.array(at, dtype=int)
         at += [k for k, _ in linear]
@@ -867,18 +872,15 @@ class LinearTwoMode:
         disc = cmath.sqrt(v * v + (1j * gamma_sector - s_sector) ** 2)
         return disc, -disc
 
-    def eigenpairs(self, p: DimerParams):
-        """All stationary states as idempotent-sector eigenpair combinations.
-
-        Returns a list of (psi1, psi2, mu) triples, normalized so that the
-        continued norm equals one.  Combinations whose normalization is
-        singular (at exceptional points) are skipped.
-        """
+    def _sector_pairs(self, p: DimerParams):
+        """psi1, psi2 and mu of every eigenpair combination as idempotent
+        (plus, minus) pairs, the continued norm equal to one; combinations
+        whose normalization is singular (at exceptional points) are
+        skipped."""
         gp = p.gamma.to_idempotent()
         sp = p.s.to_idempotent()
         lam_plus = self.sector_eigenvalues(p.v, gp.plus, sp.plus)
         lam_minus = self.sector_eigenvalues(p.v, gp.minus, sp.minus)
-        states = []
         for lp in lam_plus:
             for lm in lam_minus:
                 # row-1 eigenvector (1, (mu + i*gamma - s)/v) per sector
@@ -888,22 +890,41 @@ class LinearTwoMode:
                 if abs(norm) < 1e-12:
                     continue
                 scale = 1.0 / norm
-                psi1 = Bicomplex.from_idempotent(scale, 1.0)
-                psi2 = Bicomplex.from_idempotent(scale * rp, rm)
-                mu = Bicomplex.from_idempotent(lp, lm)
-                states.append((psi1, psi2, mu))
-        return states
+                yield (scale, 1.0), (scale * rp, rm), (lp, lm)
+
+    def eigenpairs(self, p: DimerParams):
+        """All stationary states as idempotent-sector eigenpair combinations.
+
+        Returns a list of (psi1, psi2, mu) triples, normalized so that the
+        continued norm equals one.  Combinations whose normalization is
+        singular (at exceptional points) are skipped.
+        """
+        return [tuple(Bicomplex.from_idempotent(*pair) for pair in pairs)
+                for pairs in self._sector_pairs(p)]
+
+    def _seed_rows(self, p: DimerParams) -> list[list[float]]:
+        """The seeds of :meth:`candidate_states` as packed rows of 12
+        floats, with the bits of the eigenpairs' Bicomplex values and no
+        Bicomplex value built.
+
+        Each eigenpair is turned by the phase u that makes site 1's plus
+        component real, as the solver's gauge asks, and put in the gauge
+        psi+ -> c psi+, phi = conj(psi-) -> phi/c that balances site 1, as
+        :func:`_back_solve` puts the dimer's seeds.
+        """
+        rows = []
+        for pairs in self._sector_pairs(p):
+            (p1, m1), (p2, m2), mu = (_stored(*pair) for pair in pairs)
+            u = abs(p1) / p1
+            plus1, plus2 = p1 * u, p2 * u
+            phi1, phi2 = m1.conjugate() / u, m2.conjugate() / u
+            c = math.sqrt(abs(phi1) / abs(plus1))
+            rows.append(_packed([(c * plus1, (phi1 / c).conjugate()),
+                                 (c * plus2, (phi2 / c).conjugate()), mu]))
+        return rows
 
     def candidate_states(self, p: DimerParams):
-        """Seeds (psi, mu) for every stationary state: the eigenpairs,
-        turned by the phase u that makes site 1's plus component real, as
-        the solver's gauge asks, and in the balanced gauge of the dimer's
-        seeds."""
-        seeds = []
-        for state in self.eigenpairs(p):
-            q1, q2, qm = map(Bicomplex.to_idempotent, state)
-            u = abs(q1.plus) / q1.plus
-            phi = (q1.minus.conjugate() / u, q2.minus.conjugate() / u)
-            seeds.append(_idempotent_seed((q1.plus * u, q2.plus * u), phi,
-                                          qm.plus, qm.minus.conjugate()))
-        return seeds
+        """Seeds (psi, mu) for every stationary state: the eigenpairs, in
+        the solver's phase gauge and the balanced gauge of the dimer's
+        seeds (see :meth:`_seed_rows`)."""
+        return [_as_seed(row) for row in self._seed_rows(p)]

@@ -28,8 +28,9 @@ with a status per lane (converged, :class:`NoConvergence`, or
 :class:`GaugeDegenerate`).  The kernel evaluates a batch lane by lane on
 Python floats below 16 lanes and once on numpy arrays from there, with the
 same bits; the linear solves are one batched ``np.linalg.solve``.
-:func:`newton_solve` is the one-lane call and :func:`_newton_solve_each`
-the call for several seeds at one point.
+:func:`newton_solve` is the one-lane call.  The loop steps of
+:func:`~bcdimer.ep.encircle` solve every candidate seed of a block of loop
+points in one Newton pass (:func:`_candidate_solves`).
 
 :func:`find_states_along` finds all states at every point of a grid in one
 batched pass per block of points; :func:`find_all_states` is its one-point
@@ -44,6 +45,8 @@ residual's scale, not just past the tolerance) so that duplicates merge
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -562,40 +565,45 @@ def newton_solve(system, params, seed,
     gauge amplitude (site 0) vanishes at the current iterate.  The one-lane
     call of the batched Newton loop.
     """
-    view, x, fnorm, errors = _from_seeds(system, params, [seed], cfg)
+    if cfg is None:
+        cfg = SolveConfig()
+    if isinstance(seed, StationaryState):
+        seed = (seed.psi1, seed.psi2), seed.mu
+    lanes = _Lanes(system, [params], [0], cfg)
+    view = lanes.view(0)
+    x, _, fnorm, errors = _newton(lanes, np.arange(1), view.pack(*seed)[None])
     if errors:
         raise errors[0]
     return _make_state(view, x[0], float(fnorm[0]))
 
 
-def _newton_solve_each(system, params, seeds,
-                       cfg: SolveConfig | None = None
-                       ) -> list[StationaryState | None]:
-    """:func:`newton_solve` from each of ``seeds`` at one point, as lanes
-    of one batched Newton pass: each seed's state, or None where
-    newton_solve raises :class:`NoConvergence` or :class:`GaugeDegenerate`.
+def _candidate_solves(system, points, cfg: SolveConfig):
+    """Newton from every candidate seed at each of ``points``, as lanes of
+    one batched pass per block of _BLOCK points, on gauge site 0 with no
+    retry and no polish; a block is solved when the iteration reaches it.
+
+    Yields, point by point, the mu of its seeds (an (n, 4) array of the
+    packed rows of :func:`_seeds`) and a function giving the state Newton
+    reaches from its seed k, or None where :func:`newton_solve` from that
+    seed would raise.
     """
-    if not seeds:
-        return []
-    view, x, fnorm, errors = _from_seeds(system, params, seeds, cfg)
-    return [None if k in errors else _make_state(view, x[k], float(fnorm[k]))
-            for k in range(len(seeds))]
+    points = iter(points)
+    while block := list(itertools.islice(points, _BLOCK)):
+        seeds, owner = _seeds(system, block)
+        lanes = _Lanes(system, block, owner, cfg)
+        x, _, fnorm, errors = _newton(lanes, np.arange(len(seeds)), seeds)
+        first = np.searchsorted(owner, np.arange(len(block) + 1)).tolist()
+        for lo, hi in zip(first, first[1:]):
+            yield seeds[lo:hi, -4:], functools.partial(
+                _solved, lanes, x, fnorm, errors, lo)
 
 
-def _from_seeds(system, params, seeds, cfg):
-    """The batched Newton loop from Bicomplex seeds at one point, on
-    gauge site 0: the point's view, the rows, their residuals and the
-    errors of the failed lanes."""
-    if cfg is None:
-        cfg = SolveConfig()
-    lanes = _Lanes(system, [params], [0] * len(seeds), cfg)
-    view = lanes.view(0) if seeds else None
-    rows = [view.pack((seed.psi1, seed.psi2), seed.mu)
-            if isinstance(seed, StationaryState) else view.pack(*seed)
-            for seed in seeds]
-    x, _, fnorm, errors = _newton(lanes, np.arange(len(seeds)),
-                                  np.array(rows).reshape(len(seeds), -1))
-    return view, x, fnorm, errors
+def _solved(lanes: _Lanes, x, fnorm, errors, first: int, k: int):
+    """The state :func:`_newton` reached on lane first + k, or None."""
+    lane = first + k
+    if lane in errors:
+        return None
+    return _make_state(lanes.view(lane), x[lane], float(fnorm[lane]))
 
 
 # -- all states -----------------------------------------------------------

@@ -1,8 +1,11 @@
 import json
 import math
+import warnings
 
+import numpy as np
 import pytest
 
+from bcdimer import solver
 from bcdimer.model import DimerParams, DimerSystem
 from bcdimer.solver import (
     DEDUP_TOL,
@@ -180,6 +183,11 @@ def all_states_loop(center, which, radius=None):
     return spec
 
 
+def no_candidates(points):
+    """packed_candidates listing no seed at any point."""
+    return np.empty((0, 12)), np.empty(0, dtype=int)
+
+
 class TestSeededSteps:
     """Each loop step starts from the system's candidate seeds; the states
     must be those Newton reaches from the previous step's states."""
@@ -249,7 +257,7 @@ class TestSeededSteps:
         # before the seeded steps
         spec = (make_tangent_loop() if loop == "tangent"
                 else ep3_loop(pitchfork_setup, "s", 1e-4))
-        monkeypatch.setattr(SYSTEM, "candidate_states", lambda params: [])
+        monkeypatch.setattr(SYSTEM, "packed_candidates", no_candidates)
         tr = encircle(SYSTEM, spec, CFG)
         assert tr.fallback_steps == len(spec.states_to_track) * spec.steps
         assert tr.permutation == permutation
@@ -264,20 +272,115 @@ class TestSeededSteps:
         spec = all_states_loop(center, "s", 1e-4)
         assert len(spec.states_to_track) == 4
         seeded = encircle(SYSTEM, spec, CFG)
-        real = SYSTEM.candidate_states
+        real = SYSTEM.packed_candidates
 
-        def mislabelled(params):
-            seeds = real(params)
-            mus = [mu for _psi, mu in seeds][::-1]
-            return [(psi, mu) for (psi, _mu), mu in zip(seeds, mus)]
+        def mislabelled(points):
+            rows, owner = real(points)
+            for k in range(len(points)):
+                at = np.flatnonzero(owner == k)
+                rows[at, 8:12] = rows[at[::-1], 8:12]
+            return rows, owner
 
-        monkeypatch.setattr(SYSTEM, "candidate_states", mislabelled)
+        monkeypatch.setattr(SYSTEM, "packed_candidates", mislabelled)
         swapped = encircle(SYSTEM, spec, CFG)
-        monkeypatch.setattr(SYSTEM, "candidate_states", lambda params: [])
+        monkeypatch.setattr(SYSTEM, "packed_candidates", no_candidates)
         tracked = encircle(SYSTEM, spec, CFG)
         assert swapped.fallback_steps == 4 * spec.steps
         assert swapped.permutation == tracked.permutation == seeded.permutation
         assert swapped.match_margin == tracked.match_margin
+
+
+def trace_bits(trace):
+    """Every per-step state of a trace: its 12 floats, residual and flags."""
+    return [[(*s.psi1.as_tuple(), *s.psi2.as_tuple(), *s.mu.as_tuple(),
+              s.residual_norm, s.is_complex_state, s.is_pt_symmetric)
+             for s in row] for row in trace.states]
+
+
+class CandidatesOnly:
+    """The dimer through the generic system interface alone: one point's
+    seeds at a time, and no packed_candidates."""
+
+    n_amplitudes = 2
+
+    def candidate_states(self, p):
+        return SYSTEM.candidate_states(p)
+
+    def residual(self, psi, mu, p):
+        return SYSTEM.residual(psi, mu, p)
+
+    def packed_controls(self, p):
+        return SYSTEM.packed_controls(p)
+
+
+class TestBlockedSteps:
+    """The seeds of a block of loop points and Newton from them run once
+    for the whole block; a loop's states must not depend on the blocks."""
+
+    @pytest.fixture(params=["tangent", "ep3 s"])
+    def spec(self, request, pitchfork_setup):
+        if request.param == "tangent":
+            return make_tangent_loop()
+        return ep3_loop(pitchfork_setup, "s", 1e-4)
+
+    def test_small_blocks_give_the_same_bits(self, spec, monkeypatch):
+        whole = encircle(SYSTEM, spec, CFG)
+        monkeypatch.setattr(solver, "_BLOCK", 7)
+        blocked = encircle(SYSTEM, spec, CFG)
+        assert trace_bits(blocked) == trace_bits(whole)
+        assert blocked.permutation == whole.permutation
+        assert blocked.match_margin == whole.match_margin
+        assert blocked.fallback_steps == whole.fallback_steps == 0
+
+    def test_loop_longer_than_a_block(self, monkeypatch):
+        spec = make_tangent_loop(steps=300)
+        assert spec.steps > solver._BLOCK
+        tr = encircle(SYSTEM, spec, CFG)
+        assert len(tr.states) == 301
+        assert tr.permutation == [1, 0]
+        assert tr.fallback_steps == 0
+        monkeypatch.setattr(solver, "_BLOCK", 512)
+        assert trace_bits(encircle(SYSTEM, spec, CFG)) == trace_bits(tr)
+
+    @pytest.mark.parametrize("loop", ["tangent", "ep3 s",
+                                      "tangent g=5e-4"])
+    def test_system_without_packed_candidates(self, pitchfork_setup, loop):
+        # the generic path: candidate_states point by point
+        if loop == "tangent":
+            spec = make_tangent_loop()
+        elif loop == "ep3 s":
+            spec = ep3_loop(pitchfork_setup, "s", 1e-4)
+        else:
+            spec = all_states_loop(DimerParams(v=1.0, g=5e-4, gamma=1.0),
+                                   "gamma", 0.01)
+        generic = encircle(CandidatesOnly(), spec, CFG)
+        packed = encircle(SYSTEM, spec, CFG)
+        assert trace_bits(generic) == trace_bits(packed)
+        assert generic.permutation == packed.permutation
+        assert generic.match_margin == packed.match_margin
+
+    def test_nan_seed_falls_back(self, monkeypatch):
+        spec = make_tangent_loop()
+        clean = encircle(SYSTEM, spec, CFG)
+        real = SYSTEM.packed_candidates
+
+        def with_nan(points):
+            rows, owner = real(points)
+            rows[np.flatnonzero(owner == 5)[1]] = math.nan
+            return rows, owner
+
+        monkeypatch.setattr(SYSTEM, "packed_candidates", with_nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = encircle(SYSTEM, spec, CFG)
+        # mu's max-norm to a nan seed is nan, which argmin picks, so both
+        # states claim the nan seed at loop point 6 and fall back there
+        assert tr.fallback_steps == 2
+        assert tr.permutation == clean.permutation
+        bits, clean_bits = trace_bits(tr), trace_bits(clean)
+        assert bits[:6] == clean_bits[:6] and bits[7:] == clean_bits[7:]
+        for state, seeded in zip(tr.states[6], clean.states[6]):
+            assert state_distance(state, seeded) < 1e-9
 
 
 class TestClassify:

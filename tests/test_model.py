@@ -27,7 +27,6 @@ from bcdimer.model import (
     _back_solve,
     _could_merge,
     _discriminant,
-    _idempotent_seed,
     _q_coefficients,
     _q_roots,
     _roots,
@@ -404,6 +403,17 @@ class TestLaneKernel:
                 assert np.all(got_jac[np.ix_(~odd[:10], odd)] == 0.0)
 
 
+def _idempotent_seed(psi_plus, phi, mu_plus, nu):
+    """Bicomplex (psi, mu) from psi+, phi = conj(psi-), mu+ and nu =
+    conj(mu-), in the gauge psi+ -> c*psi+, phi -> phi/c that balances site
+    1: the seed construction through Bicomplex values that the packed rows
+    replace."""
+    c = math.sqrt(abs(phi[0]) / abs(psi_plus[0]))
+    psi = tuple(Bicomplex.from_idempotent(c * p, (f / c).conjugate())
+                for p, f in zip(psi_plus, phi))
+    return psi, Bicomplex.from_idempotent(mu_plus, nu.conjugate())
+
+
 def _reference_back_solve(x, g, gamma, s, v):
     """The seed at the root x of Q through Bicomplex values, as seeds were
     built before they were packed."""
@@ -447,6 +457,61 @@ class TestBackSolve:
             assert np.array_equal(_bits(rows[owner == k]), _bits(seeds))
         # 4 seeds from Q, 4 more from the linear model below |g| = 1e-3
         assert np.bincount(owner).tolist() == [4, 4, 8, 8, 4, 4]
+
+
+def _reference_linear_seeds(p):
+    """The linear model's seeds through Bicomplex values, as they were
+    built before they were packed: each eigenpair turned by the phase u
+    that makes site 1's plus component real, in the balanced gauge."""
+    seeds = []
+    for state in LinearTwoMode().eigenpairs(p):
+        q1, q2, qm = map(Bicomplex.to_idempotent, state)
+        u = abs(q1.plus) / q1.plus
+        phi = (q1.minus.conjugate() / u, q2.minus.conjugate() / u)
+        psi, mu = _idempotent_seed((q1.plus * u, q2.plus * u), phi,
+                                   qm.plus, qm.minus.conjugate())
+        seeds.append([c for z in (*psi, mu) for c in z.as_tuple()])
+    return seeds
+
+
+_CONTROL = st_.floats(-2.5, 2.5, allow_nan=False, allow_infinity=False)
+
+
+@st_.composite
+def _linear_points(draw):
+    """A point of the linear model (g = 0), real or j-continued."""
+    real = draw(st_.booleans())
+    jpart = (lambda: 0.0) if real else (lambda: draw(_CONTROL))
+    return DimerParams(v=draw(st_.floats(0.25, 4.0)),
+                       g=Bicomplex(0.0, 0.0),
+                       gamma=Bicomplex(draw(_CONTROL), jpart()),
+                       s=Bicomplex(draw(_CONTROL), jpart()))
+
+
+class TestLinearSeedRows:
+    """The linear model's seeds are written as packed rows with the bits
+    the Bicomplex construction gives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_linear_points())
+    def test_rows_match_bicomplex_seeds(self, p):
+        rows = LinearTwoMode()._seed_rows(p)
+        assert np.array_equal(_bits(rows).reshape(-1, 12),
+                              _bits(_reference_linear_seeds(p)).reshape(-1, 12))
+        seeds = [[c for z in (*psi, mu) for c in z.as_tuple()]
+                 for psi, mu in LinearTwoMode().candidate_states(p)]
+        assert np.array_equal(_bits(seeds).reshape(-1, 12),
+                              _bits(rows).reshape(-1, 12))
+
+    def test_dimer_takes_them_below_the_linear_threshold(self):
+        points = [DimerParams(v=1.0, g=g, gamma=Bicomplex(1.0, 0.01))
+                  for g in (0.0, 5e-4)]
+        rows, owner = DimerSystem().packed_candidates(points)
+        assert np.array_equal(_bits(rows[owner == 0]),
+                              _bits(_reference_linear_seeds(points[0])))
+        # Q's four roots first, then the linear model's four seeds
+        assert np.array_equal(_bits(rows[owner == 1][4:]),
+                              _bits(_reference_linear_seeds(points[1])))
 
 
 def _grid_controls():

@@ -29,8 +29,10 @@ import tempfile
 from pathlib import Path
 
 # the reference commands: every subcommand at the settings the change notes
-# cite, the two `sweep` grids, and `bifurcations` scans on both sides of
-# the merger, near the linear model, off symmetry and at v != 1
+# cite, the two `sweep` grids, `bifurcations` scans on both sides of the
+# merger, near the linear model, off symmetry and at v != 1, and loops of
+# two turns, reversed, in s around the EP3 and longer than one block of
+# loop points
 COMMANDS = {
     "solve-ep3-json": ["solve", "--g", "-1", "--gamma", "0.8660254037844386",
                        "--format", "json"],
@@ -52,6 +54,14 @@ COMMANDS = {
     "encircle-pitchfork": ["encircle", "--around", "pitchfork", "--g", "-1",
                            "--track", "all"],
     "encircle-merger": ["encircle", "--around", "merger", "--param", "gamma"],
+    "encircle-tangent-turns2": ["encircle", "--around", "tangent", "--g", "0",
+                                "--turns", "2"],
+    "encircle-tangent-reverse": ["encircle", "--around", "tangent", "--g",
+                                 "0.1", "--track", "all", "--reverse"],
+    "encircle-ep3-s": ["encircle", "--around", "pitchfork", "--g", "-1",
+                       "--param", "s", "--track", "all"],
+    "encircle-steps300": ["encircle", "--around", "tangent", "--g", "0.5",
+                          "--track", "all", "--steps", "300"],
     "classify-pitchfork": ["classify", "--around", "pitchfork", "--g", "-1",
                            "--track", "all"],
     "classify-s": ["classify", "--param", "s"],
