@@ -29,6 +29,8 @@ from .solver import (
     GaugeDegenerate,
     NoConvergence,
     SolveConfig,
+    _distances,
+    _rows,
     find_states_along,
     newton_solve,
     state_distance,
@@ -372,7 +374,8 @@ def stitched_branches(system, params, parameter, grid, cfg) -> list[Branch]:
     The states of the whole grid come from one call of
     :func:`~bcdimer.solver.find_states_along`, which solves every seed of
     every point at once; they equal :func:`find_all_states`' point by
-    point.
+    point.  Each point's cost matrix is one max-norm over the states' 12
+    floats (:func:`~bcdimer.solver._distances`), state_distance's bits.
     """
     branches: list[Branch] = []
     open_ids: list[int] = []
@@ -380,6 +383,7 @@ def stitched_branches(system, params, parameter, grid, cfg) -> list[Branch]:
     along = find_states_along(
         system, [params.with_control(parameter, value) for value in grid], cfg)
     for value, states in zip(grid, along):
+        rows = _rows(states)
         if not prev_states:
             for st in states:
                 br = Branch(parameter=parameter, branch_id=len(branches))
@@ -387,8 +391,7 @@ def stitched_branches(system, params, parameter, grid, cfg) -> list[Branch]:
                 branches.append(br)
             open_ids = list(range(len(branches)))
         else:
-            cost = [[state_distance(new, old) for old in prev_states]
-                    for new in states]
+            cost = _distances(rows, prev_rows).tolist()
             assigned = {}
             if states:
                 for rr, cc in _assign(cost):
@@ -404,7 +407,7 @@ def stitched_branches(system, params, parameter, grid, cfg) -> list[Branch]:
                 branches[bid].samples.append((value, st))
                 next_open.append(bid)
             open_ids = next_open
-        prev_states = states
+        prev_states, prev_rows = states, rows
     for br in branches:
         br.termination = "range_end"
     return branches
@@ -432,11 +435,12 @@ def states_table(rows, lead: tuple[str, ...] = (),
               "is_complex_state", "is_pt_symmetric"]
     lines = [",".join(header)]
     for lead_cells, st, extra_cells in rows:
-        cells = list(lead_cells)
-        # mu twice: its components, then re_mu_0, re_mu_2, im_mu_0, im_mu_2
-        for z in (st.psi1, st.psi2, st.mu, st.mu):
-            cells.extend(fmt_float(c) for c in z.as_tuple())
-        cells.extend(extra_cells)
+        mu = st.mu.as_tuple()
+        # mu twice: its components, then re_mu_0, re_mu_2, im_mu_0, im_mu_2;
+        # repr of a float is fmt_float
+        cells = [*lead_cells, *map(repr, (*st.psi1.as_tuple(),
+                                          *st.psi2.as_tuple(), *mu, *mu)),
+                 *extra_cells]
         cells.append("true" if st.is_complex_state else "false")
         cells.append("true" if st.is_pt_symmetric else "false")
         lines.append(",".join(cells))

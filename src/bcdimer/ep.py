@@ -35,6 +35,8 @@ from .solver import (
     NoConvergence,
     SolveConfig,
     _candidate_solves,
+    _distances,
+    _rows,
     newton_solve,
     state_distance,
 )
@@ -141,41 +143,44 @@ def _track_segment(system, spec, state, phi0, phi1, cfg, depth=0):
         return _track_segment(system, spec, half, mid, phi1, cfg, depth + 1)
 
 
-def _step(system, spec, current, phi0, phi1, seeded, cfg):
-    """Every tracked state at phi1, each one's distances to every state in
-    ``current``, and how many states took the fallback.
+def _step(system, spec, current, rows, phi0, phi1, seeded, cfg):
+    """Every tracked state at phi1, their rows, each one's distances to
+    every state in ``current``, and how many states took the fallback.
 
     ``seeded`` is the candidate seeds at phi1 as
-    :func:`~bcdimer.solver._candidate_solves` gives them: their mu, and the
-    state Newton reached from each, solved once for a whole block of loop
-    points.  Each state takes the seed whose mu is nearest its own in the
-    max-norm of mu's 4 floats (mu is gauge-free, and duplicate seeds of one
-    state are harmless).  A state is continued by :func:`_track_segment`
-    instead when Newton failed from its seed, when another state picked the
-    same seed, or when the solved state lies nearer another state's
-    previous value than its own: states with equal mu, such as a mirror
-    pair, can swap seeds.
+    :func:`~bcdimer.solver._candidate_solves` gives them: their mu, the
+    state Newton reached from each and its row, solved once for a whole
+    block of loop points.  Each state takes the seed whose mu is nearest
+    its own in the max-norm of mu's 4 floats (mu is gauge-free, and
+    duplicate seeds of one state are harmless).  ``rows`` holds the 12
+    floats of each state in ``current``; the distances of every picked
+    state to them are one max-norm (:func:`~bcdimer.solver._distances`),
+    with state_distance's bits, and so are a fallback state's.
+
+    A state is continued by :func:`_track_segment` instead when Newton
+    failed from its seed, when another state picked the same seed, or when
+    the solved state lies nearer another state's previous value than its
+    own: states with equal mu, such as a mirror pair, can swap seeds.
     """
-    seed_mu, solved = seeded
+    seed_mu, solved, solved_rows = seeded
     picks = [None] * len(current)
     if len(seed_mu):
-        mu = np.array([st.mu.as_tuple() for st in current])
-        picks = np.abs(mu[:, None] - seed_mu).max(axis=2).argmin(axis=1)
-        picks = picks.tolist()
-    new, dists, fallbacks = [], [], 0
+        picks = _distances(rows[:, 8:12], seed_mu).argmin(axis=1).tolist()
+        near = _distances(solved_rows[picks], rows)
+    new, new_rows, dists, fallbacks = [], [], [], 0
     for i, (st, pick) in enumerate(zip(current, picks)):
-        row = state = None
+        state = None
         if pick is not None and picks.count(pick) == 1:
-            state = solved(pick)
-        if state is not None:
-            row = [state_distance(state, old) for old in current]
-        if row is None or row.index(min(row)) != i:
+            state, row, dist = solved[pick], solved_rows[pick], near[i]
+        if state is None or dist.argmin() != i:
             fallbacks += 1
             state = _track_segment(system, spec, st, phi0, phi1, cfg)
-            row = [state_distance(state, old) for old in current]
+            row = _rows([state])[0]
+            dist = _distances(row, rows)
         new.append(state)
-        dists.append(row)
-    return new, dists, fallbacks
+        new_rows.append(row)
+        dists.append(dist.tolist())
+    return new, np.array(new_rows), dists, fallbacks
 
 
 def _match_margin(dists) -> float:
@@ -245,19 +250,19 @@ def _encircle_once(system, spec: LoopSpec, cfg: SolveConfig) -> LoopTrace:
         newton_solve(system, _loop_params(spec, 0.0), st, cfg)
         for st in spec.states_to_track
     ]
+    rows = start_rows = _rows(current)
     per_step = [list(current)]
     margin = math.inf
     fallback_steps = 0
     seeded = _candidate_solves(
         system, (_loop_params(spec, phi) for phi in phis[1:]), cfg)
     for k, at_phi in enumerate(seeded, start=1):
-        current, dists, fallbacks = _step(system, spec, current, phis[k - 1],
-                                          phis[k], at_phi, cfg)
+        current, rows, dists, fallbacks = _step(
+            system, spec, current, rows, phis[k - 1], phis[k], at_phi, cfg)
         margin = min(margin, _match_margin(dists))
         fallback_steps += fallbacks
         per_step.append(current)
-    start, end = per_step[0], per_step[-1]
-    cost = [[state_distance(e, s) for s in start] for e in end]
+    cost = _distances(rows, start_rows).tolist()
     perm = [target for _branch, target in _assign(cost)]
     margin = float(min(margin, _match_margin(cost)))
     reliable = bool(margin > 2.0)

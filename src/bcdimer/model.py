@@ -317,13 +317,32 @@ def pt_reflected(
 def classify_flags(
     psi1: Bicomplex, psi2: Bicomplex, mu: Bicomplex, tol: float
 ) -> tuple[bool, bool]:
-    is_complex = all(
-        abs(z.z1) < tol and abs(z.z3) < tol for z in (psi1, psi2, mu)
-    )
-    if not is_complex:
-        return False, False
-    m1, m2 = populations(psi1, psi2)
-    return True, (m1 - m2).max_abs() < tol
+    """(is_complex_state, is_pt_symmetric) of a state, as
+    :class:`StationaryState` defines them: every j and k component below
+    ``tol``, and then equal populations within ``tol`` in every component.
+    The one-row call of :func:`_flags`."""
+    return _flags([*psi1.as_tuple(), *psi2.as_tuple(), *mu.as_tuple()], tol)
+
+
+def _any(mask) -> bool:
+    """Whether a check holds: a bool on floats, any lane's on lanes."""
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else mask
+
+
+def _flags(x, tol):
+    """:func:`classify_flags` on the 12 packed floats of a state, or with
+    each an array of lanes: ``&`` of comparisons is a bool on floats and a
+    mask on lanes.  A max-norm of finite values is below ``tol`` when every
+    component is."""
+    is_complex = True
+    for c in x[1::2]:  # the j and k components of psi1, psi2 and mu
+        is_complex = is_complex & (abs(c) < tol)
+    if not _any(is_complex):
+        return is_complex, is_complex
+    is_pt = is_complex
+    for a, b in zip(_modulus_squared(x[0:4]), _modulus_squared(x[4:8])):
+        is_pt = is_pt & (abs(a - b) < tol)
+    return is_complex, is_pt
 
 
 # m roots within this many rounding radii (see _roots) of their mean form

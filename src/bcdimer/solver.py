@@ -40,12 +40,18 @@ once, see :meth:`~bcdimer.model.DimerSystem.packed_candidates`).  Each is
 solved by Newton, polished down to the roundoff floor (a few eps times the
 residual's scale, not just past the tolerance) so that duplicates merge
 (nowhere else), and deduplicated up to gauge.
+
+States are made from the solved rows, not from Bicomplex values: the
+canonical gauge and the two flags of every row of a block come from one
+:func:`_canonical_rows` call, which, like the kernel, runs row by row on
+Python floats below 16 rows and once on numpy lanes from there, with the
+bits of the Bicomplex arithmetic it replaces.  The distances that match
+and deduplicate states are max-norms over those rows (:func:`_distances`),
+with :func:`state_distance`'s bits.
 """
 
 from __future__ import annotations
 
-import cmath
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -55,7 +61,8 @@ import numpy as np
 from .bicomplex import Bicomplex
 from .model import (
     StationaryState,
-    classify_flags,
+    _any,
+    _flags,
     packed_jacobian,
     packed_residual,
 )
@@ -178,11 +185,6 @@ class RealSystemView:
 # arrays of lanes (one entry per seed), like the kernel itself.
 
 
-def _any(mask) -> bool:
-    """Whether a check holds: a bool on floats, any lane's on lanes."""
-    return bool(mask.any()) if isinstance(mask, np.ndarray) else mask
-
-
 def _close(out, gauge, scale):
     """Close the kernel's residual ``out`` into the square system, in place.
 
@@ -232,46 +234,133 @@ def _forward_differences(residual, x, f0):
 
 
 # -- gauge alignment and distances ---------------------------------------
+#
+# The canonical gauge runs unchanged on the 12 floats of one state and on
+# numpy lanes, like _close, with the bits of Python's complex arithmetic:
+# abs(complex) is libm hypot, as np.hypot is (math.hypot rounds otherwise);
+# atan2, cos and sin come from math on every lane (numpy's may be SIMD
+# versions that round otherwise); and products and the quotient are spelled
+# out as CPython 3.11 rounds them.
 
 
-def _gauge_transform(psi, factor_plus: complex):
-    """Apply the continued phase/boost factor (u+, u-) = (c, 1/conj(c))."""
-    u_minus = 1.0 / factor_plus.conjugate()
+def _where(mask, a, b):
+    """a where ``mask`` holds, else b: a branch on floats, np.where on
+    lanes."""
+    if isinstance(mask, np.ndarray):
+        return np.where(mask, a, b)
+    return a if mask else b
+
+
+def _abs(re, im):
+    """abs(complex(re, im)), on floats or on lanes."""
+    if isinstance(re, np.ndarray):
+        return np.hypot(re, im)
+    return abs(complex(re, im))
+
+
+def _math(fn, *args):
+    """A function of the math module on floats, or mapped over lanes."""
+    if isinstance(args[0], np.ndarray):
+        return np.array(list(map(fn, *(a.tolist() for a in args))))
+    return fn(*args)
+
+
+def _gauge(x):
+    """:func:`canonical_gauge` on the 12 packed floats of a state, or with
+    each an array of lanes; returns the 12 canonical floats (or arrays).
+
+    The gauge site is the first amplitude whose smaller idempotent
+    magnitude reaches GAUGE_SITE_FLOOR, else the one where it is largest
+    (site 0 on a tie); where that is below GAUGE_EPS the state is left as
+    it is.  The factor (c, 1/conj c) with c = t*exp(-i*theta) makes the
+    site's plus component real and positive and balances its magnitudes.
+    On lanes the kept ones run through the arithmetic too, and are put
+    back at the end.
+    """
+    sites = []
+    for z0, z1, z2, z3 in (x[0:4], x[4:8]):
+        # the idempotent components (plus, minus), their magnitudes and
+        # the smaller of those, as min() takes it
+        pr, pi, mr, mi = z0 + z3, z2 - z1, z0 - z3, z2 + z1
+        a_plus, a_minus = _abs(pr, pi), _abs(mr, mi)
+        sites.append((pr, pi, mr, mi, a_plus, a_minus,
+                      _where(a_minus < a_plus, a_minus, a_plus)))
+    low0, low1 = sites[0][-1], sites[1][-1]
+    on1 = (low0 < GAUGE_SITE_FLOOR) & (low1 > low0)
+    pr, pi, _, _, a_plus, a_minus, low = _where(on1, sites[1], sites[0])
+    keep = low < GAUGE_EPS
+    if not isinstance(keep, np.ndarray) and keep:
+        return list(x)
+    t = _math(math.sqrt, a_minus / a_plus)
+    theta = _math(math.atan2, pi, pr)
+    er, ei = _math(math.cos, -theta), _math(math.sin, -theta)
+    # c = t * cmath.exp(-1j*theta): the float t enters as (t, 0.0)
+    cr, ci = t * er - 0.0 * ei, t * ei + 0.0 * er
+    # u = 1.0 / c.conjugate(), by CPython's _Py_c_quot: numerator (1, 0),
+    # top and bottom divided by the larger part of the denominator (br, bi)
+    br, bi = cr, -ci
+    by_re = abs(br) >= abs(bi)
+    num, den = _where(by_re, (bi, br), (br, bi))
+    ratio = num / den
+    denom, ur, ui = _where(
+        by_re, (br + bi * ratio, 1.0 + 0.0 * ratio, 0.0 - 1.0 * ratio),
+        (br * ratio + bi, 1.0 * ratio + 0.0, 0.0 * ratio - 1.0))
+    ur, ui = ur / denom, ui / denom
     out = []
-    for z in psi:
-        pair = z.to_idempotent()
-        out.append(
-            Bicomplex.from_idempotent(pair.plus * factor_plus, pair.minus * u_minus)
-        )
-    return tuple(out)
+    for pr, pi, mr, mi, *_ in sites:
+        # (plus * c, minus * u), back from the idempotent basis
+        qr, qi = pr * cr - pi * ci, pr * ci + pi * cr
+        nr, ni = mr * ur - mi * ui, mr * ui + mi * ur
+        out += [0.5 * (qr + nr), 0.5 * (ni - qi), 0.5 * (qi + ni),
+                0.5 * (qr - nr)]
+    return [*_where(keep, x[0:8], out), *x[8:12]]
+
+
+def _canonical_rows(x):
+    """The canonical gauge (:func:`_gauge`) and the flags
+    (:func:`~bcdimer.model.classify_flags` at CLASSIFICATION_TOL) of every
+    row of the (N, 12) array x of solved states: below _CROSSOVER rows row
+    by row on Python floats, from it on once on numpy lanes, with the same
+    bits.  Returns the canonical rows (lists of 12 floats), and the
+    is_complex_state and is_pt_symmetric flags (lists of bools)."""
+    if len(x) < _CROSSOVER:
+        rows = [_gauge(row) for row in x.tolist()]
+        flags = [_flags(row, CLASSIFICATION_TOL) for row in rows]
+        return rows, [c for c, _ in flags], [p for _, p in flags]
+    # kept lanes (a degenerate gauge site) run through the arithmetic too
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cols = _gauge(list(np.ascontiguousarray(x.T)))
+    is_complex, is_pt = _flags(cols, CLASSIFICATION_TOL)
+    return (np.stack(cols, axis=1).tolist(), is_complex.tolist(),
+            is_pt.tolist())
+
+
+def _make_states(x, fnorm) -> tuple[list[StationaryState], np.ndarray]:
+    """Gauge-canonical, flagged states from the (N, 12) array x of solved
+    rows and their residuals ``fnorm``, with one :func:`_canonical_rows`
+    call for all of them; returns the states and their canonical rows, an
+    (N, 12) array."""
+    rows, is_complex, is_pt = _canonical_rows(x)
+    states = [
+        StationaryState(Bicomplex(*row[0:4]), Bicomplex(*row[4:8]),
+                        Bicomplex(*row[8:12]), rnorm, c, p)
+        for row, rnorm, c, p in zip(rows, fnorm.tolist(), is_complex, is_pt)]
+    return states, np.array(rows).reshape(x.shape)
 
 
 def canonical_gauge(psi, mu):
-    """Unique gauge representative: one amplitude's plus component real and
-    positive, idempotent magnitudes balanced.
+    """Unique gauge representative of a dimer state (psi1, psi2), mu: one
+    amplitude's plus component real and positive, idempotent magnitudes
+    balanced.
 
     The first amplitude above the floor is the gauge carrier, so the choice
     does not flicker between sites for states with comparable magnitudes.
+    The one-row call of the gauge that :func:`_canonical_rows` gives
+    solved states on lanes.
     """
-    best = None
-    for k, z in enumerate(psi):
-        pair = z.to_idempotent()
-        if min(abs(pair.plus), abs(pair.minus)) >= GAUGE_SITE_FLOOR:
-            best = k
-            break
-    if best is None:
-        best_val = -1.0
-        for k, z in enumerate(psi):
-            pair = z.to_idempotent()
-            val = min(abs(pair.plus), abs(pair.minus))
-            if val > best_val:
-                best, best_val = k, val
-        if best is None or best_val < GAUGE_EPS:
-            return tuple(psi), mu
-    pair = psi[best].to_idempotent()
-    t = math.sqrt(abs(pair.minus) / abs(pair.plus))
-    c = t * cmath.exp(-1j * cmath.phase(pair.plus))
-    return _gauge_transform(psi, c), mu
+    psi1, psi2 = psi
+    row = _gauge([*psi1.as_tuple(), *psi2.as_tuple(), *mu.as_tuple()])
+    return (Bicomplex(*row[0:4]), Bicomplex(*row[4:8])), mu
 
 
 def state_distance(a: StationaryState, b: StationaryState) -> float:
@@ -284,21 +373,42 @@ def state_distance(a: StationaryState, b: StationaryState) -> float:
     return d
 
 
-def _sort_key(state: StationaryState):
+def _rows(states) -> np.ndarray:
+    """The 12 packed floats of each state, an (n, 12) array."""
+    return np.array([(*st.psi1.as_tuple(), *st.psi2.as_tuple(),
+                      *st.mu.as_tuple()) for st in states]).reshape(-1, 12)
+
+
+def _distances(rows, others) -> np.ndarray:
+    """:func:`state_distance` from a row (12,) or from each of rows (n, 12)
+    to each of ``others`` (m, 12), as an (m,) or (n, m) array.  A max of
+    absolute differences is exact, so every entry has its bits."""
+    return np.abs(rows[..., None, :] - others).max(-1)
+
+
+def _sort_key(row: list[float]):
     """mu, then psi1 and psi2, rounded to 9 decimals, so that roundoff in a
     vanishing component does not decide the order."""
-    return tuple(round(c, 9) for z in (state.mu, state.psi1, state.psi2)
-                 for c in z.as_tuple())
+    return tuple(round(c, 9) for c in row[8:12] + row[0:8])
 
 
-def dedup_states(states: list[StationaryState], tol: float) -> list[StationaryState]:
-    """Drop near-duplicates, keeping the lowest-residual representative."""
-    kept: list[StationaryState] = []
-    for st in sorted(states, key=lambda s: s.residual_norm):
-        if all(state_distance(st, other) > tol for other in kept):
-            kept.append(st)
-    kept.sort(key=_sort_key)
-    return kept
+def dedup_states(states: list[StationaryState], tol: float,
+                 rows: np.ndarray | None = None) -> list[StationaryState]:
+    """Drop near-duplicates (states within ``tol`` of one kept before),
+    keeping the lowest-residual representative; sorted by mu, psi1 and
+    psi2 (:func:`_sort_key`).  ``rows`` are the states' 12 floats
+    (:func:`_rows`); their pairwise distances are one :func:`_distances`
+    call."""
+    if rows is None:
+        rows = _rows(states)
+    far = (_distances(rows, rows) > tol).tolist()
+    kept: list[int] = []
+    for k in sorted(range(len(states)), key=lambda k: states[k].residual_norm):
+        if all(far[k][j] for j in kept):
+            kept.append(k)
+    listed = rows.tolist()
+    kept.sort(key=lambda k: _sort_key(listed[k]))
+    return [states[k] for k in kept]
 
 
 # -- Newton iteration on lanes ---------------------------------------------
@@ -311,7 +421,9 @@ _POLISH_FLOOR = 4.0 * float(np.finfo(float).eps)
 # it on once on numpy lanes.  Measured (numpy 2.4, one thread of a shared
 # 2-vCPU Xeon): a residual costs 13-18 us a lane on floats against 250 us
 # + 0.5 us a lane on arrays, an analytic Jacobian 25-40 us against 530 us +
-# 0.7 us; both cross at 16 to 20 lanes
+# 0.7 us; both cross at 16 to 20 lanes.  Gauge and flags (_canonical_rows)
+# cost 13-16 us a row on floats against 240 us + 1 us a lane on arrays,
+# and cross at 18 rows
 _CROSSOVER = 16
 # grid points per batched pass, so that a long grid keeps bounded memory
 _BLOCK = 128
@@ -548,12 +660,6 @@ def _polish(lanes: _Lanes, idx, x, f, fnorm):
     return x, fnorm
 
 
-def _make_state(view: RealSystemView, x: np.ndarray, rnorm: float) -> StationaryState:
-    psi, mu = canonical_gauge(*view.unpack(x))
-    is_c, is_pt = classify_flags(psi[0], psi[1], mu, CLASSIFICATION_TOL)
-    return StationaryState(psi[0], psi[1], mu, rnorm, is_c, is_pt)
-
-
 def newton_solve(system, params, seed,
                  cfg: SolveConfig | None = None) -> StationaryState:
     """Damped Newton from one seed; returns a converged stationary state.
@@ -570,11 +676,11 @@ def newton_solve(system, params, seed,
     if isinstance(seed, StationaryState):
         seed = (seed.psi1, seed.psi2), seed.mu
     lanes = _Lanes(system, [params], [0], cfg)
-    view = lanes.view(0)
-    x, _, fnorm, errors = _newton(lanes, np.arange(1), view.pack(*seed)[None])
+    x, _, fnorm, errors = _newton(lanes, np.arange(1),
+                                  lanes.view(0).pack(*seed)[None])
     if errors:
         raise errors[0]
-    return _make_state(view, x[0], float(fnorm[0]))
+    return _make_states(x, fnorm)[0][0]
 
 
 def _candidate_solves(system, points, cfg: SolveConfig):
@@ -583,27 +689,24 @@ def _candidate_solves(system, points, cfg: SolveConfig):
     retry and no polish; a block is solved when the iteration reaches it.
 
     Yields, point by point, the mu of its seeds (an (n, 4) array of the
-    packed rows of :func:`_seeds`) and a function giving the state Newton
-    reaches from its seed k, or None where :func:`newton_solve` from that
-    seed would raise.
+    packed rows of :func:`_seeds`), the state Newton reaches from each
+    seed, or None where :func:`newton_solve` from that seed would raise,
+    and their canonical rows (an (n, 12) array, nan where None).  The
+    states of a block come from one :func:`_make_states` call.
     """
     points = iter(points)
     while block := list(itertools.islice(points, _BLOCK)):
         seeds, owner = _seeds(system, block)
         lanes = _Lanes(system, block, owner, cfg)
         x, _, fnorm, errors = _newton(lanes, np.arange(len(seeds)), seeds)
+        solved = [k for k in range(len(seeds)) if k not in errors]
+        states, rows = [None] * len(seeds), np.full(x.shape, np.nan)
+        made, rows[solved] = _make_states(x[solved], fnorm[solved])
+        for k, state in zip(solved, made):
+            states[k] = state
         first = np.searchsorted(owner, np.arange(len(block) + 1)).tolist()
         for lo, hi in zip(first, first[1:]):
-            yield seeds[lo:hi, -4:], functools.partial(
-                _solved, lanes, x, fnorm, errors, lo)
-
-
-def _solved(lanes: _Lanes, x, fnorm, errors, first: int, k: int):
-    """The state :func:`_newton` reached on lane first + k, or None."""
-    lane = first + k
-    if lane in errors:
-        return None
-    return _make_state(lanes.view(lane), x[lane], float(fnorm[lane]))
+            yield seeds[lo:hi, -4:], states[lo:hi], rows[lo:hi]
 
 
 # -- all states -----------------------------------------------------------
@@ -662,10 +765,10 @@ def _find_block(system, points, cfg: SolveConfig):
         errors.update({int(retry[k]): exc for k, exc in again.items()})
     ok = np.array([k for k in idx.tolist() if k not in errors], dtype=int)
     x, fnorm = _polish(lanes, ok, x[ok], f[ok], fnorm[ok])
-    found = [[] for _ in points]
-    for lane, row, rnorm in zip(ok.tolist(), x, fnorm.tolist()):
-        found[lanes.owner[lane]].append(_make_state(lanes.view(lane), row, rnorm))
-    return [dedup_states(states, DEDUP_TOL) for states in found]
+    states, rows = _make_states(x, fnorm)
+    first = np.searchsorted(lanes.owner[ok], np.arange(len(points) + 1))
+    return [dedup_states(states[lo:hi], DEDUP_TOL, rows[lo:hi])
+            for lo, hi in zip(first.tolist(), first[1:].tolist())]
 
 
 def find_all_states(system, params, cfg: SolveConfig | None = None) -> list[StationaryState]:

@@ -871,3 +871,214 @@ class TestCanonicalGauge:
                     assert d == 0.0
                 else:
                     assert d > DEDUP_TOL
+
+
+# -- the canonical gauge and the flags on rows -------------------------------
+
+
+def _reference_canonical(row):
+    """The canonical gauge and the flags of a row of 12 floats as
+    ``canonical_gauge`` and ``classify_flags`` computed them on Bicomplex
+    values and idempotent pairs before they ran on rows: the reference
+    that the row spelling matches bit for bit."""
+    psi = (Bicomplex(*row[0:4]), Bicomplex(*row[4:8]))
+    mu = Bicomplex(*row[8:12])
+
+    def gauge(psi):
+        best = None
+        for k, z in enumerate(psi):
+            pair = z.to_idempotent()
+            if min(abs(pair.plus), abs(pair.minus)) >= solver.GAUGE_SITE_FLOOR:
+                best = k
+                break
+        if best is None:
+            best_val = -1.0
+            for k, z in enumerate(psi):
+                pair = z.to_idempotent()
+                val = min(abs(pair.plus), abs(pair.minus))
+                if val > best_val:
+                    best, best_val = k, val
+            if best is None or best_val < GAUGE_EPS:
+                return psi
+        pair = psi[best].to_idempotent()
+        t = math.sqrt(abs(pair.minus) / abs(pair.plus))
+        c = t * cmath.exp(-1j * cmath.phase(pair.plus))
+        u_minus = 1.0 / c.conjugate()
+        out = []
+        for z in psi:
+            pair = z.to_idempotent()
+            out.append(Bicomplex.from_idempotent(pair.plus * c,
+                                                 pair.minus * u_minus))
+        return out
+
+    psi1, psi2 = gauge(psi)
+    tol = solver.CLASSIFICATION_TOL
+    flags = False, False
+    if all(abs(z.z1) < tol and abs(z.z3) < tol for z in (psi1, psi2, mu)):
+        m1, m2 = psi1.modulus_squared(), psi2.modulus_squared()
+        flags = True, (m1 - m2).max_abs() < tol
+    return [float(c) for z in (psi1, psi2, mu) for c in z.as_tuple()], flags
+
+
+def _boosted(psi, c: complex):
+    """psi under the continued phase/boost (c, 1/conj(c)) of its idempotent
+    components."""
+    u = 1.0 / c.conjugate()
+    return tuple(Bicomplex.from_idempotent(z.to_idempotent().plus * c,
+                                           z.to_idempotent().minus * u)
+                 for z in psi)
+
+
+def _row_of(state) -> list[float]:
+    return [c for z in (state.psi1, state.psi2, state.mu) for c in z.as_tuple()]
+
+
+# the row on which math.hypot, in place of abs(complex), rounds otherwise
+HYPOT_ROW = [0.6332345645750606, -1.5145042565022473, 1.2691107335055054,
+             1.2344077117831422, 1.8036022120207436, 0.16141893568940394,
+             2.342079531496904, 1.0902388599897685, 1.3804389988207624,
+             1.0684943535862146, 0.24721890270677185, -0.6029185744979203]
+
+
+class TestCanonicalRows:
+    """solver._canonical_rows against the Bicomplex reference, bit for bit,
+    on floats (fewer than _CROSSOVER rows) and on lanes (more)."""
+
+    @staticmethod
+    def check(rows):
+        x = np.array(rows, dtype=float).reshape(-1, 12)
+        lanes = np.resize(x, (max(len(x), 2 * solver._CROSSOVER), 12))
+        for batch in (x[:1], x[:solver._CROSSOVER - 1], lanes):
+            got, is_complex, is_pt = solver._canonical_rows(batch)
+            assert len(got) == len(is_complex) == len(is_pt) == len(batch)
+            for row, c, p, seed in zip(got, is_complex, is_pt, batch.tolist()):
+                want, flags = _reference_canonical(seed)
+                assert [v.hex() for v in row] == [v.hex() for v in want]
+                assert (c, p) == flags
+                assert type(c) is bool and type(p) is bool
+
+    COMPONENT = st_.floats(-1e3, 1e3, allow_nan=False)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st_.lists(st_.tuples(st_.tuples(*[COMPONENT] * 12),
+                                     st_.integers(-14, 0), st_.booleans()),
+                          min_size=1, max_size=24))
+    def test_random_rows(self, rows):
+        out = []
+        for row, exponent, complex_in_i in rows:
+            row = [c * 10.0 ** exponent for c in row]
+            if complex_in_i:
+                row[1::2] = [0.0] * 6
+            out.append(row)
+        self.check(out)
+
+    def test_gauge_on_site_1(self):
+        rng = np.random.default_rng(41)
+        x = rng.uniform(-1, 1, (60, 12))
+        x[:20, 0:4] *= 1e-8  # psi1's idempotent parts below the floor
+        # psi1's minus part exactly zero: z0 = z3, z2 = -z1
+        x[20:40, 3], x[20:40, 2] = x[20:40, 0], -x[20:40, 1]
+        # a tie: psi2 = conj(psi1), whose idempotent magnitudes are psi1's
+        # swapped, goes to site 0
+        x[40:, 4:8] = x[40:, 0:4] * [1.0, 1.0, -1.0, -1.0]
+        x[40:, 0:8] *= 1e-8
+        self.check(x)
+
+    def test_both_sites_degenerate_leave_the_row(self):
+        rng = np.random.default_rng(43)
+        x = rng.uniform(-1, 1, (40, 12))
+        x[:, 0:8] *= 1e-13
+        x[::3, 0:8] = 0.0
+        self.check(x)
+        got, _, _ = solver._canonical_rows(x)
+        assert np.array_equal(_bits(np.array(got)), _bits(x))
+        # the larger smaller idempotent magnitude on either side of GAUGE_EPS
+        x[:, 0:8] *= rng.uniform(5.0, 30.0, (40, 1))
+        self.check(x)
+
+    def test_complex_in_i_rows_with_signed_zeros(self):
+        rng = np.random.default_rng(47)
+        x = rng.uniform(-1, 1, (40, 12))
+        x[:, 1::2] = rng.choice([0.0, -0.0], (40, 6))
+        x[::4, 2] = -0.0  # an exactly real plus component of psi1
+        x[1::4, 0] = -0.0
+        # psi1's plus component real and positive, with a +0.0 or -0.0
+        # imaginary part, as on canonical rows
+        x[2::4, 0] = np.abs(x[2::4, 0]) + 1.0
+        x[2::4, 1:3] = rng.choice([0.0, -0.0], (10, 2))
+        self.check(x)
+
+    def test_pt_symmetric_and_j_continued_states(self):
+        # solved states under random phases (PT-symmetric ones stay complex
+        # in i) and random boosts (bicomplex ones)
+        rng = np.random.default_rng(53)
+        rows = []
+        for p in (DimerParams(v=1.0, g=-1.0, gamma=0.3),
+                  DimerParams(v=1.0, g=0.5, gamma=0.9),
+                  DimerParams(v=1.0, g=Bicomplex(-1.3, 0.1),
+                              gamma=Bicomplex(0.6, -0.1), s=Bicomplex(0.2, 0.15))):
+            for st in find_all_states(SYSTEM, p, CFG):
+                for k in range(6):
+                    c = cmath.rect(1.0 if k % 2 else rng.uniform(0.5, 2.0),
+                                   rng.uniform(-math.pi, math.pi))
+                    psi = _boosted((st.psi1, st.psi2), c)
+                    rows.append([c for z in (*psi, st.mu) for c in z.as_tuple()])
+        self.check(rows)
+        flags = [_reference_canonical(row)[1] for row in rows]
+        assert (True, True) in flags and (False, False) in flags
+
+    def test_the_row_math_hypot_rounds_otherwise(self):
+        self.check([HYPOT_ROW])
+
+    FLOATS = st_.tuples(*[st_.floats(allow_nan=False,
+                                     allow_infinity=False)] * 12)
+
+    @given(a=FLOATS, b=st_.lists(FLOATS, min_size=1, max_size=5))
+    def test_row_distances_are_state_distance(self, a, b):
+        def state(c):
+            return StationaryState(Bicomplex(*c[:4]), Bicomplex(*c[4:8]),
+                                   Bicomplex(*c[8:]), 0.0, True, True)
+
+        others = np.array(b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            one = solver._distances(np.array(a), others).tolist()
+            many = solver._distances(np.array([a, *b]), others).tolist()
+        want = [state_distance(state(a), state(c)).hex() for c in b]
+        assert [d.hex() for d in one] == want
+        assert [d.hex() for d in many[0]] == want
+        for row, c in zip(many[1:], b):
+            assert [d.hex() for d in row] == [
+                state_distance(state(c), state(o)).hex() for o in b]
+
+
+class TestGaugeInvariance:
+    """A continued phase/boost (c, 1/conj c) of a state's idempotent parts
+    is a gauge: canonicalising undoes it, and Newton from the boosted state
+    returns the state."""
+
+    POINTS = [DimerParams(v=1.0, g=-1.0, gamma=0.3),
+              DimerParams(v=1.0, g=-1.0, gamma=1.2),
+              DimerParams(v=1.0, g=0.5, gamma=0.9, s=0.1),
+              DimerParams(v=1.0, g=Bicomplex(-1.3, 0.1),
+                          gamma=Bicomplex(0.6, -0.1), s=Bicomplex(0.2, 0.15))]
+    _states: dict = {}
+
+    def states(self, k):
+        if k not in self._states:
+            self._states[k] = find_all_states(SYSTEM, self.POINTS[k], CFG)
+        return self._states[k]
+
+    @settings(max_examples=40, deadline=None)
+    @given(point=st_.integers(0, len(POINTS) - 1), which=st_.integers(0, 3),
+           log_t=st_.floats(-1.0, 1.0), phase=st_.floats(-math.pi, math.pi))
+    def test_boost_is_undone(self, point, which, log_t, phase):
+        states = self.states(point)
+        st = states[which % len(states)]
+        psi = _boosted((st.psi1, st.psi2), cmath.rect(math.exp(log_t), phase))
+        row = _row_of(st)
+        scale = max(1.0, max(map(abs, row)))
+        canonical, mu = canonical_gauge(psi, st.mu)
+        back = [c for z in (*canonical, mu) for c in z.as_tuple()]
+        assert max(abs(a - b) for a, b in zip(back, row)) <= 1e-12 * scale
+        solved = newton_solve(SYSTEM, self.POINTS[point], (psi, st.mu), CFG)
+        assert state_distance(solved, st) < 1e-9
