@@ -381,8 +381,8 @@ def _rows(states) -> np.ndarray:
 
 def _distances(rows, others) -> np.ndarray:
     """:func:`state_distance` from a row (12,) or from each of rows (n, 12)
-    to each of ``others`` (m, 12), as an (m,) or (n, m) array.  A max of
-    absolute differences is exact, so every entry has its bits."""
+    to each of ``others`` (m, 12), as an (m,) or (n, m) array: the same
+    subtractions and an exact max, so every entry has its bits."""
     return np.abs(rows[..., None, :] - others).max(-1)
 
 
