@@ -5,12 +5,13 @@ scalar control with the j unit: ``c(phi) = center + r*(cos(phi) + j*sin(phi))``.
 The loop points are known before the first step, so the system lists a
 seed for every state at a whole block of them at once
 (``packed_candidates``, or ``candidate_states`` point by point), and Newton
-solves all of those seeds in one batched pass.  At each loop point each
-tracked state then continues from the solved seed whose mu is nearest its
-mu one step back.  Where Newton failed from that seed, two states claim the
-same one, or the state lands nearer another state's previous value, the
-state is instead re-solved by Newton from its previous value, bisecting the
-step.  At closure the final states are matched to the starting set and the
+solves all of those seeds in one batched pass.  At each loop point a
+tracked state continues as the solved state that is nearest it one step
+back, in all 12 floats, when it is also that solved state's nearest tracked
+state.  mu alone is no label: the mirror pair shares it at gamma = s = 0.
+A state with no such partner, as when a seed misses it, is instead
+re-solved by Newton from its previous value, bisecting the step.  At
+closure the final states are matched to the starting set and the
 resulting permutation's cycle structure bounds the order of the exceptional
 point from below.
 
@@ -148,31 +149,29 @@ def _step(system, spec, current, rows, phi0, phi1, seeded, cfg):
     every state in ``current``, and how many states took the fallback.
 
     ``seeded`` is the candidate seeds at phi1 as
-    :func:`~bcdimer.solver._candidate_solves` gives them: their mu, the
-    state Newton reached from each and its row, solved once for a whole
-    block of loop points.  Each state takes the seed whose mu is nearest
-    its own in the max-norm of mu's 4 floats (mu is gauge-free, and
-    duplicate seeds of one state are harmless).  ``rows`` holds the 12
-    floats of each state in ``current``; the distances of every picked
-    state to them are one max-norm (:func:`~bcdimer.solver._distances`),
-    with state_distance's bits, and so are a fallback state's.
-
-    A state is continued by :func:`_track_segment` instead when Newton
-    failed from its seed, when another state picked the same seed, or when
-    the solved state lies nearer another state's previous value than its
-    own: states with equal mu, such as a mirror pair, can swap seeds.
+    :func:`~bcdimer.solver._candidate_solves` gives them: the state Newton
+    reached from each and its row, solved once for a whole block of loop
+    points.  ``rows`` holds the 12 floats of each state in ``current``, and
+    one max-norm matrix (:func:`~bcdimer.solver._distances`, with
+    state_distance's bits) holds their distances to every solved row.
+    State i continues as solved row j when j is its nearest row and i is
+    j's nearest state; duplicate seeds of one state are harmless.  Any
+    other state, one whose seed failed or went to another state, is
+    continued by :func:`_track_segment`.
     """
-    seed_mu, solved, solved_rows = seeded
-    picks = [None] * len(current)
-    if len(seed_mu):
-        picks = _distances(rows[:, 8:12], seed_mu).argmin(axis=1).tolist()
-        near = _distances(solved_rows[picks], rows)
+    solved, solved_rows = seeded
+    live = np.flatnonzero(~np.isnan(solved_rows[:, 0]))
+    near = _distances(rows, solved_rows[live])
+    nearest = mutual = [None] * len(current)
+    if len(live):
+        nearest = near.argmin(1)
+        mutual = near.argmin(0)[nearest]
     new, new_rows, dists, fallbacks = [], [], [], 0
-    for i, (st, pick) in enumerate(zip(current, picks)):
-        state = None
-        if pick is not None and picks.count(pick) == 1:
-            state, row, dist = solved[pick], solved_rows[pick], near[i]
-        if state is None or dist.argmin() != i:
+    for i, st in enumerate(current):
+        if mutual[i] == i:
+            j = live[nearest[i]]
+            state, row, dist = solved[j], solved_rows[j], near[:, nearest[i]]
+        else:
             fallbacks += 1
             state = _track_segment(system, spec, st, phi0, phi1, cfg)
             row = _rows([state])[0]
@@ -215,12 +214,12 @@ def _cycles(perm: list[int]) -> list[int]:
 def encircle(system, spec: LoopSpec, cfg: SolveConfig | None = None) -> LoopTrace:
     """Drive all tracked states around the loop and read off the permutation.
 
-    At each loop point every tracked state continues from the system's
-    candidate seed nearest it in mu, confirmed by Newton; the seeds and
-    Newton from them run once per block of loop points (see :func:`_step`).
-    A state whose seed fails, is claimed twice or lands nearer another
-    state is instead re-solved by Newton from its previous value, bisecting
-    the step in phi; ``fallback_steps`` counts those.  The permutation maps
+    At each loop point every tracked state continues as the state Newton
+    reached from one of the system's candidate seeds, the two being each
+    other's nearest; the seeds and Newton from them run once per block of
+    loop points (see :func:`_step`).  A state without such a partner is
+    instead re-solved by Newton from its previous value, bisecting the
+    step in phi; ``fallback_steps`` counts those.  The permutation maps
     the index of each starting state to the index of the starting state its
     continuation lands on after a full loop.  The match margin is the
     smallest ratio of second-nearest to nearest match distance seen at any

@@ -30,7 +30,8 @@ Python floats below 16 lanes and once on numpy arrays from there, with the
 same bits; the linear solves are one batched ``np.linalg.solve``.
 :func:`newton_solve` is the one-lane call.  The loop steps of
 :func:`~bcdimer.ep.encircle` solve every candidate seed of a block of loop
-points in one Newton pass (:func:`_candidate_solves`).
+points in one Newton pass (:func:`_candidate_solves`) and match the
+tracked states to the solved rows, not to the seeds.
 
 :func:`find_states_along` finds all states at every point of a grid in one
 batched pass per block of points; :func:`find_all_states` is its one-point
@@ -688,9 +689,8 @@ def _candidate_solves(system, points, cfg: SolveConfig):
     one batched pass per block of _BLOCK points, on gauge site 0 with no
     retry and no polish; a block is solved when the iteration reaches it.
 
-    Yields, point by point, the mu of its seeds (an (n, 4) array of the
-    packed rows of :func:`_seeds`), the state Newton reaches from each
-    seed, or None where :func:`newton_solve` from that seed would raise,
+    Yields, point by point, the state Newton reaches from each of its
+    seeds, or None where :func:`newton_solve` from that seed would raise,
     and their canonical rows (an (n, 12) array, nan where None).  The
     states of a block come from one :func:`_make_states` call.
     """
@@ -706,7 +706,7 @@ def _candidate_solves(system, points, cfg: SolveConfig):
             states[k] = state
         first = np.searchsorted(owner, np.arange(len(block) + 1)).tolist()
         for lo, hi in zip(first, first[1:]):
-            yield seeds[lo:hi, -4:], states[lo:hi], rows[lo:hi]
+            yield states[lo:hi], rows[lo:hi]
 
 
 # -- all states -----------------------------------------------------------

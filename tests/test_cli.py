@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import bcdimer
-from bcdimer import cli
+from bcdimer import cli, ep
 from bcdimer.cli import run
 from bcdimer.model import DimerParams, DimerSystem
 from bcdimer.solver import find_all_states
@@ -117,6 +117,16 @@ class TestExitCodes:
         assert code == 3
         assert summary(capsys)["error"] == "NoConvergence"
 
+    def test_ambiguous_loop_is_a_numerical_failure(self, capsys,
+                                                   monkeypatch):
+        # no margin above 2 at either resolution
+        monkeypatch.setattr(ep, "_match_margin", lambda dists: 1.0)
+        assert run(["encircle", "--around", "tangent", "--g", "0",
+                    "--steps", "16"]) == 3
+        out = summary(capsys)
+        assert out["error"] == "AmbiguousMatch"
+        assert "doubled resolution" in out["message"]
+
 
 class TestArtifacts:
     @pytest.mark.parametrize("fmt,name", [("csv", "states.csv"),
@@ -165,6 +175,14 @@ class TestAnswers:
         assert loop["match_margin"] > 2
         rows = (tmp_path / "trace.csv").read_text().splitlines()
         assert len(rows) == 1 + 128 + 1  # header, steps, closing point
+
+    def test_merger_g_loop_needs_no_fallback(self, capsys):
+        # the mirror pair shares mu all round this loop; their rows do not
+        assert run(["encircle", "--around", "merger", "--param", "g",
+                    "--track", "all"]) == 0
+        out = summary(capsys)
+        assert out["cycle_type"] == [2, 1, 1]
+        assert out["fallback_steps"] == 0
 
     @pytest.mark.parametrize("g", ["2.3", "-2.3"])
     def test_bifurcations_beyond_merger_report_only_the_tangent(self, capsys,

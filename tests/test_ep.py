@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bcdimer import solver
+from bcdimer import ep, solver
 from bcdimer.model import DimerParams, DimerSystem
 from bcdimer.solver import (
     DEDUP_TOL,
@@ -199,6 +199,8 @@ class TestSeededSteps:
         ("ep3 s", [3], [1, 2, 0]),
         # 8 seeds per point: Q's roots and the linear eigenpairs
         ("tangent g=5e-4", [2, 2], [1, 0, 3, 2]),
+        # the mirror pair shares mu all round the loop
+        ("merger g", [2, 1, 1], [0, 2, 1, 3]),
     ])
     def test_same_continuation_as_newton_tracking(
             self, pitchfork_setup, loop, cycle_type, permutation):
@@ -208,6 +210,10 @@ class TestSeededSteps:
             which = loop.split()[1]
             spec = ep3_loop(pitchfork_setup, which,
                             1e-4 if which == "s" else 2e-3)
+        elif loop == "merger g":
+            g_star, gamma_star = find_merger(1.0, SYSTEM, cfg=CFG)
+            spec = all_states_loop(
+                DimerParams(v=1.0, g=g_star, gamma=gamma_star), "g")
         else:
             spec = all_states_loop(DimerParams(v=1.0, g=5e-4, gamma=1.0),
                                    "gamma", 0.01)
@@ -236,16 +242,16 @@ class TestSeededSteps:
             for b in end[i + 1:]:
                 assert state_distance(a, b) > DEDUP_TOL
 
-    def test_mirror_pair_with_equal_mu_falls_back(self):
-        # at gamma = s = 0 the two mirror states share mu all round a g-loop,
-        # so both pick one seed and both are tracked by Newton instead
+    def test_mirror_pair_with_equal_mu_needs_no_fallback(self):
+        # at gamma = s = 0 the two mirror states share mu all round a g-loop;
+        # their rows still tell them apart, so neither needs Newton tracking
         g_star, gamma_star = find_merger(1.0, SYSTEM, cfg=CFG)
         center = DimerParams(v=1.0, g=g_star, gamma=gamma_star)
         tr = encircle(SYSTEM, all_states_loop(center, "g"), CFG)
         assert tr.cycle_type == [2, 1, 1]
         assert tr.permutation == [0, 2, 1, 3]
         assert tr.match_margin > 2
-        assert tr.fallback_steps == 2 * tr.spec.steps
+        assert tr.fallback_steps == 0
 
     @pytest.mark.parametrize("loop, permutation, margin", [
         ("tangent", [1, 0], 77.44059782946478),
@@ -263,11 +269,11 @@ class TestSeededSteps:
         assert tr.permutation == permutation
         assert tr.match_margin == pytest.approx(margin, rel=1e-9)
 
-    def test_seeds_that_swap_states_fall_back(self, pitchfork_setup,
-                                              monkeypatch):
-        # each seed carries the mu of another state, so every state picks a
-        # seed that solves to another tracked state, as a mirror pair with
-        # equal mu can; the swap must be caught, not tracked
+    def test_seeds_with_swapped_mu_change_nothing(self, pitchfork_setup,
+                                                  monkeypatch):
+        # each seed carries the mu of another state; Newton still solves
+        # every seed to some state, and the states are matched on their
+        # solved rows, so the mislabelled mu must not matter
         center, _coalesced = pitchfork_setup
         spec = all_states_loop(center, "s", 1e-4)
         assert len(spec.states_to_track) == 4
@@ -285,9 +291,11 @@ class TestSeededSteps:
         swapped = encircle(SYSTEM, spec, CFG)
         monkeypatch.setattr(SYSTEM, "packed_candidates", no_candidates)
         tracked = encircle(SYSTEM, spec, CFG)
-        assert swapped.fallback_steps == 4 * spec.steps
+        assert swapped.fallback_steps == 0
         assert swapped.permutation == tracked.permutation == seeded.permutation
-        assert swapped.match_margin == tracked.match_margin
+        for row, clean in zip(swapped.states, seeded.states):
+            for state, expected in zip(row, clean):
+                assert state_distance(state, expected) < 1e-9
 
 
 def trace_bits(trace):
@@ -373,14 +381,42 @@ class TestBlockedSteps:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             tr = encircle(SYSTEM, spec, CFG)
-        # mu's max-norm to a nan seed is nan, which argmin picks, so both
-        # states claim the nan seed at loop point 6 and fall back there
-        assert tr.fallback_steps == 2
+        # the nan seed solves to no row, so the one state it would have
+        # given has no partner at loop point 6 and falls back there
+        assert tr.fallback_steps == 1
         assert tr.permutation == clean.permutation
         bits, clean_bits = trace_bits(tr), trace_bits(clean)
         assert bits[:6] == clean_bits[:6] and bits[7:] == clean_bits[7:]
         for state, seeded in zip(tr.states[6], clean.states[6]):
             assert state_distance(state, seeded) < 1e-9
+
+
+class TestDoubledRetry:
+    """A loop whose match margin is <= 2 runs once more at twice the steps;
+    if that pass is no better, encircle raises AmbiguousMatch."""
+
+    def test_unreliable_first_pass_retries_at_double_steps(self,
+                                                           monkeypatch):
+        spec = make_tangent_loop(steps=64)
+        doubled = encircle(SYSTEM, make_tangent_loop(steps=128), CFG)
+        real, calls = ep._match_margin, []
+
+        def first_call_ambiguous(dists):
+            calls.append(dists)
+            return 1.0 if len(calls) == 1 else real(dists)
+
+        monkeypatch.setattr(ep, "_match_margin", first_call_ambiguous)
+        tr = encircle(SYSTEM, spec, CFG)
+        assert tr.spec.steps == 2 * spec.steps
+        assert len(tr.phis) == len(tr.states) == 2 * spec.steps + 1
+        assert tr.reliable and tr.match_margin > 2
+        assert tr.permutation == [1, 0]
+        assert trace_bits(tr) == trace_bits(doubled)
+
+    def test_unreliable_both_passes_raise(self, monkeypatch):
+        monkeypatch.setattr(ep, "_match_margin", lambda dists: 1.0)
+        with pytest.raises(AmbiguousMatch, match="doubled resolution"):
+            encircle(SYSTEM, make_tangent_loop(steps=16), CFG)
 
 
 class TestClassify:

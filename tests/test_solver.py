@@ -929,6 +929,22 @@ def _boosted(psi, c: complex):
                  for z in psi)
 
 
+class _BoostedSeeds(DimerSystem):
+    """The dimer with every candidate seed of ``packed_candidates`` moved by
+    one continued phase/boost c."""
+
+    def __init__(self, c: complex):
+        self.c = c
+
+    def packed_candidates(self, points):
+        rows, owner = super().packed_candidates(points)
+        for row in rows:
+            psi = _boosted((Bicomplex(*row[0:4]), Bicomplex(*row[4:8])),
+                           self.c)
+            row[0:8] = [c for z in psi for c in z.as_tuple()]
+        return rows, owner
+
+
 def _row_of(state) -> list[float]:
     return [c for z in (state.psi1, state.psi2, state.mu) for c in z.as_tuple()]
 
@@ -1082,3 +1098,14 @@ class TestGaugeInvariance:
         assert max(abs(a - b) for a, b in zip(back, row)) <= 1e-12 * scale
         solved = newton_solve(SYSTEM, self.POINTS[point], (psi, st.mu), CFG)
         assert state_distance(solved, st) < 1e-9
+
+    @settings(max_examples=20, deadline=None)
+    @given(point=st_.integers(0, len(POINTS) - 1),
+           log_t=st_.floats(-1.0, 1.0), phase=st_.floats(-math.pi, math.pi))
+    def test_boosted_seeds_give_the_same_states(self, point, log_t, phase):
+        boosted = _BoostedSeeds(cmath.rect(math.exp(log_t), phase))
+        got = find_all_states(boosted, self.POINTS[point], CFG)
+        expected = self.states(point)
+        assert len(got) == len(expected)
+        for st in got:
+            assert min(state_distance(st, e) for e in expected) < 1e-9

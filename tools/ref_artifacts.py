@@ -31,8 +31,8 @@ from pathlib import Path
 # the reference commands: every subcommand at the settings the change notes
 # cite, the two `sweep` grids, `bifurcations` scans on both sides of the
 # merger, near the linear model, off symmetry and at v != 1, and loops of
-# two turns, reversed, in s around the EP3 and longer than one block of
-# loop points
+# two turns, reversed, in s around the EP3, in g around the merger (where
+# the mirror pair shares mu) and longer than one block of loop points
 COMMANDS = {
     "solve-ep3-json": ["solve", "--g", "-1", "--gamma", "0.8660254037844386",
                        "--format", "json"],
@@ -54,6 +54,8 @@ COMMANDS = {
     "encircle-pitchfork": ["encircle", "--around", "pitchfork", "--g", "-1",
                            "--track", "all"],
     "encircle-merger": ["encircle", "--around", "merger", "--param", "gamma"],
+    "encircle-merger-g": ["encircle", "--around", "merger", "--param", "g",
+                          "--track", "all"],
     "encircle-tangent-turns2": ["encircle", "--around", "tangent", "--g", "0",
                                 "--turns", "2"],
     "encircle-tangent-reverse": ["encircle", "--around", "tangent", "--g",
