@@ -111,10 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--s", type=float, default=0.0)
         p.add_argument("--s-j", type=float, default=0.0)
         p.add_argument("--tol", type=float, default=1e-11)
-        p.add_argument("--jacobian", choices=("analytic", "finite-difference"),
+        p.add_argument("--jacobian", choices=("analytic",),
                        default="analytic",
-                       help="Newton Jacobian: exact (default) or forward "
-                       "differences, kept as a cross-check")
+                       help="Newton Jacobian: the exact one, the only mode")
         p.add_argument("--out", type=Path, default=None)
 
     p = sub.add_parser("solve", help="find all stationary states at one point")

@@ -149,28 +149,28 @@ def _step(system, spec, current, rows, phi0, phi1, seeded, cfg):
     every state in ``current``, and how many states took the fallback.
 
     ``seeded`` is the candidate seeds at phi1 as
-    :func:`~bcdimer.solver._candidate_solves` gives them: the state Newton
-    reached from each and its row, solved once for a whole block of loop
-    points.  ``rows`` holds the 12 floats of each state in ``current``, and
-    one max-norm matrix (:func:`~bcdimer.solver._distances`, with
-    state_distance's bits) holds their distances to every solved row.
+    :func:`~bcdimer.solver._candidate_solves` gives them: the states Newton
+    reached from the seeds it solved and their rows, solved once for a
+    whole block of loop points.  ``rows`` holds the 12 floats of each state
+    in ``current``, and one max-norm matrix
+    (:func:`~bcdimer.solver._distances`, with state_distance's bits) holds
+    their distances to every solved row.
     State i continues as solved row j when j is its nearest row and i is
     j's nearest state; duplicate seeds of one state are harmless.  Any
     other state, one whose seed failed or went to another state, is
     continued by :func:`_track_segment`.
     """
     solved, solved_rows = seeded
-    live = np.flatnonzero(~np.isnan(solved_rows[:, 0]))
-    near = _distances(rows, solved_rows[live])
+    near = _distances(rows, solved_rows)
     nearest = mutual = [None] * len(current)
-    if len(live):
+    if len(solved):
         nearest = near.argmin(1)
         mutual = near.argmin(0)[nearest]
     new, new_rows, dists, fallbacks = [], [], [], 0
     for i, st in enumerate(current):
         if mutual[i] == i:
-            j = live[nearest[i]]
-            state, row, dist = solved[j], solved_rows[j], near[:, nearest[i]]
+            j = nearest[i]
+            state, row, dist = solved[j], solved_rows[j], near[:, j]
         else:
             fallbacks += 1
             state = _track_segment(system, spec, st, phi0, phi1, cfg)

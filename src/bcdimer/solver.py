@@ -17,10 +17,10 @@ the two component magnitudes.  Bicomplex-only states carry an irreducible
 relative phase between their idempotent components, so demanding that both
 components be real would make them unreachable; the balance row avoids that.
 
-Solves use damped Newton with the analytic Jacobian (default) or, as a
-cross-check, a forward-difference one.  Both run on the 12 packed floats
-through the model's kernel, whose rows are bit-for-bit those of the
-Bicomplex residual; Bicomplex values are the input and output type only.
+Solves use damped Newton with the analytic Jacobian.  Residual and
+Jacobian run on the 12 packed floats through the model's kernel, whose rows
+are bit-for-bit those of the Bicomplex residual; Bicomplex values are the
+input and output type only.
 
 There is one Newton loop and one polish, and both run on lanes: an
 (N, 12) batch of seeds, each at its own point and on its own gauge site,
@@ -90,7 +90,6 @@ class NoConvergence(RuntimeError):
 
 
 MAX_ITER = 100  # Newton iterations before giving up
-FD_STEP = 1e-7  # forward-difference step of the finite-difference Jacobian
 DEDUP_TOL = 1e-7  # states closer than this (max-norm) are one state
 CLASSIFICATION_TOL = 1e-8  # j, k components below it: a complex state
 GAUGE_EPS = 1e-12  # gauge amplitude degenerate below this
@@ -102,12 +101,12 @@ class SolveConfig:
     """Solver settings."""
 
     residual_tol: float = 1e-11
-    jacobian: str = "analytic"  # or "finite-difference", as a cross-check
+    jacobian: str = "analytic"  # the only mode: the exact Jacobian
 
     def __post_init__(self):
         if not self.residual_tol > 0:
             raise ValueError("residual_tol must be positive")
-        if self.jacobian not in ("finite-difference", "analytic"):
+        if self.jacobian != "analytic":
             raise ValueError(f"unknown jacobian mode {self.jacobian!r}")
 
 
@@ -156,20 +155,7 @@ class RealSystemView:
             )
         return np.array(out)
 
-    def jacobian(self, x: np.ndarray, f0: np.ndarray | None = None) -> np.ndarray:
-        if self.cfg.jacobian == "analytic":
-            return self._analytic_jacobian(x)
-        return self._fd_jacobian(x, f0)
-
-    def _fd_jacobian(self, x: np.ndarray, f0: np.ndarray | None) -> np.ndarray:
-        if f0 is None:
-            f0 = self.residual_vector(x)
-        # residual_vector raises where the gauge amplitude vanishes
-        jac, _ = _forward_differences(
-            lambda xp: (self.residual_vector(xp), False), x, f0)
-        return jac
-
-    def _analytic_jacobian(self, x: np.ndarray) -> np.ndarray:
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
         xs = x.tolist()
         rows = packed_jacobian(xs, self.controls)
         g0 = 4 * self.gauge_site
@@ -214,24 +200,6 @@ def _gauge_derivatives(gauge):
     amplitude's components (z0, z1, z2, z3)."""
     z0, z1, z2, z3 = gauge
     return (0.0, -1.0, 1.0, 0.0), (4.0 * z3, -4.0 * z2, -4.0 * z1, 4.0 * z0)
-
-
-def _forward_differences(residual, x, f0):
-    """Forward-difference Jacobian at x, one row or rows of lanes, of
-    ``residual``, which gives the residual rows and where the gauge
-    amplitude is degenerate; f0 is the rows at x.  Returns the Jacobian
-    and where the gauge amplitude is degenerate at a difference point."""
-    jac = np.empty(x.shape + x.shape[-1:])
-    degenerate = False
-    # .T[col]: component col of the row, or of every lane; column col of
-    # the Jacobian, or of every lane's
-    for col in range(x.shape[-1]):
-        xp = x.copy()
-        xp.T[col] += FD_STEP
-        fp, bad = residual(xp)
-        degenerate = degenerate | bad
-        jac.T[col] = ((fp - f0) / FD_STEP).T
-    return jac, degenerate
 
 
 # -- gauge alignment and distances ---------------------------------------
@@ -438,7 +406,8 @@ class _Lanes:
     of lanes: below _CROSSOVER lanes through each lane's
     :class:`RealSystemView` on Python floats, from it on once with each of
     the 12 floats and each control component an array of lanes.  Both give
-    the same bits, and flag the lanes whose gauge amplitude vanishes.
+    the same bits; :meth:`residuals` also flags the lanes whose gauge
+    amplitude vanishes.
     """
 
     def __init__(self, system, points, owner, cfg: SolveConfig):
@@ -470,24 +439,27 @@ class _Lanes:
                 bad.append(k)
         return np.array(rows).reshape(x.shape), bad
 
-    def jacobians(self, lanes, x, f):
-        """Jacobians at the rows of x (residual rows f), and the positions
-        of the lanes whose gauge amplitude vanishes at a difference
-        point."""
+    def jacobians(self, lanes, x):
+        """:meth:`RealSystemView.jacobian` at every row of x, an (n, 12, 12)
+        array."""
         n, width = x.shape
         if n < _CROSSOVER:
-            out, bad = np.empty((n, width, width)), []
+            out = np.empty((n, width, width))
             for k, lane in enumerate(lanes.tolist()):
-                try:
-                    out[k] = self.view(lane).jacobian(x[k], f[k])
-                except GaugeDegenerate:
-                    bad.append(k)
-            return out, bad
-        if self.cfg.jacobian == "analytic":
-            return self._analytic(lanes, x), []
-        out, bad = _forward_differences(
-            lambda xp: self._on_arrays(lanes, xp), x, f)
-        return out, np.flatnonzero(bad).tolist()
+                out[k] = self.view(lane).jacobian(x[k])
+            return out
+        xs, controls, gauge = self._columns(lanes, x)
+        jac = np.zeros((width, width, n))
+        with np.errstate(over="ignore", invalid="ignore"):  # as on floats
+            rows = packed_jacobian(xs, controls)
+        for r, row in enumerate(rows):
+            for c, entry in enumerate(row):
+                jac[r, c] = entry
+        first, every = 4 * self.site[lanes], np.arange(n)
+        for k, (phase, balance) in enumerate(zip(*_gauge_derivatives(gauge))):
+            jac[-2, first + k, every] = phase
+            jac[-1, first + k, every] = balance
+        return jac.transpose(2, 0, 1)
 
     def scale(self, x):
         """:meth:`RealSystemView.scale` of every row of x at once."""
@@ -516,22 +488,6 @@ class _Lanes:
             out = packed_residual(xs, controls)
             bad = _close(out, gauge, self.scale(x))
         return np.stack(out, axis=1), bad
-
-    def _analytic(self, lanes, x):
-        """RealSystemView._analytic_jacobian on every lane at once."""
-        xs, controls, gauge = self._columns(lanes, x)
-        n, width = x.shape
-        jac = np.zeros((width, width, n))
-        with np.errstate(over="ignore", invalid="ignore"):  # as on floats
-            rows = packed_jacobian(xs, controls)
-        for r, row in enumerate(rows):
-            for c, entry in enumerate(row):
-                jac[r, c] = entry
-        first, every = 4 * self.site[lanes], np.arange(n)
-        for k, (phase, balance) in enumerate(zip(*_gauge_derivatives(gauge))):
-            jac[-2, first + k, every] = phase
-            jac[-1, first + k, every] = balance
-        return jac.transpose(2, 0, 1)
 
 
 def _solve(jac, rhs):
@@ -590,10 +546,7 @@ def _newton(lanes: _Lanes, idx, x):
         todo = np.flatnonzero(~(done | failed))
         if not len(todo):
             break
-        jac, bad = lanes.jacobians(idx[todo], x[todo], f[todo])
-        fail({k: _gauge_error(lanes, idx[k], x[k]) for k in todo[bad].tolist()})
-        todo, jac = _without(bad, todo, jac)
-        step, singular = _solve(jac, -f[todo])
+        step, singular = _solve(lanes.jacobians(idx[todo], x[todo]), -f[todo])
         finite = np.isfinite(step).all(1)
         fail({todo[k]: singular.get(k, NoConvergence("non-finite Newton step"))
               for k in np.flatnonzero(~finite).tolist()})
@@ -619,15 +572,6 @@ def _newton(lanes: _Lanes, idx, x):
     return x, f, fnorm, errors
 
 
-def _without(positions, *arrays):
-    """The arrays without the rows at ``positions``."""
-    if not len(positions):
-        return arrays
-    keep = np.ones(len(arrays[0]), dtype=bool)
-    keep[list(positions)] = False
-    return tuple(a[keep] for a in arrays)
-
-
 def _polish(lanes: _Lanes, idx, x, f, fnorm):
     """Full Newton steps down to the roundoff floor, and no further, on the
     lanes ``idx`` at once; returns the rows and their residuals.
@@ -646,10 +590,9 @@ def _polish(lanes: _Lanes, idx, x, f, fnorm):
     for _ in range(_POLISH_ITERS):
         if not len(active):
             break
-        jac, bad = lanes.jacobians(idx[active], x[active], f[active])
-        active, jac = _without(bad, active, jac)
-        step, singular = _solve(jac, -f[active])
-        active, step = _without(list(singular), active, step)
+        step, _ = _solve(lanes.jacobians(idx[active], x[active]), -f[active])
+        finite = np.isfinite(step).all(1)
+        active, step = active[finite], step[finite]
         trial = x[active] + step
         f_new, bad = lanes.residuals(idx[active], trial)
         fn_new = np.abs(f_new).max(1)
@@ -689,22 +632,20 @@ def _candidate_solves(system, points, cfg: SolveConfig):
     one batched pass per block of _BLOCK points, on gauge site 0 with no
     retry and no polish; a block is solved when the iteration reaches it.
 
-    Yields, point by point, the state Newton reaches from each of its
-    seeds, or None where :func:`newton_solve` from that seed would raise,
-    and their canonical rows (an (n, 12) array, nan where None).  The
-    states of a block come from one :func:`_make_states` call.
+    Yields, point by point, the states Newton reaches from its seeds, in
+    seed order, and their canonical rows (an (n, 12) array); a seed from
+    which :func:`newton_solve` would raise yields nothing.  The states of
+    a block come from one :func:`_make_states` call.
     """
     points = iter(points)
     while block := list(itertools.islice(points, _BLOCK)):
         seeds, owner = _seeds(system, block)
         lanes = _Lanes(system, block, owner, cfg)
         x, _, fnorm, errors = _newton(lanes, np.arange(len(seeds)), seeds)
-        solved = [k for k in range(len(seeds)) if k not in errors]
-        states, rows = [None] * len(seeds), np.full(x.shape, np.nan)
-        made, rows[solved] = _make_states(x[solved], fnorm[solved])
-        for k, state in zip(solved, made):
-            states[k] = state
-        first = np.searchsorted(owner, np.arange(len(block) + 1)).tolist()
+        ok = np.array([k for k in range(len(seeds)) if k not in errors],
+                      dtype=int)
+        states, rows = _make_states(x[ok], fnorm[ok])
+        first = np.searchsorted(owner[ok], np.arange(len(block) + 1)).tolist()
         for lo, hi in zip(first, first[1:]):
             yield states[lo:hi], rows[lo:hi]
 

@@ -57,6 +57,12 @@ class TestExitCodes:
         assert out["error"] == "usage"
         assert "invalid choice: 'exact'" in out["message"]
 
+    def test_finite_difference_jacobian_is_a_usage_error(self, capsys):
+        assert run(["solve", "--jacobian", "finite-difference"]) == 2
+        out = summary(capsys)
+        assert out["error"] == "usage"
+        assert "invalid choice: 'finite-difference'" in out["message"]
+
     def test_solve_where_q_has_a_double_zero_root(self, capsys):
         # at gamma = 0, gamma_j = g/2 the two lowest coefficients of Q vanish
         assert run(["solve", "--g", "1", "--gamma-j", "0.5"]) == 0

@@ -20,7 +20,6 @@ from bcdimer.model import (
 )
 from bcdimer.solver import (
     DEDUP_TOL,
-    FD_STEP,
     GAUGE_EPS,
     GaugeDegenerate,
     NoConvergence,
@@ -105,7 +104,7 @@ class TestRealView:
         for _ in range(10):
             x = rng.uniform(-1, 1, 12)
             x[0] += 2.0  # keep the gauge amplitude healthy
-            ja = view._analytic_jacobian(x)
+            ja = view.jacobian(x)
             h = 1e-6
             jc = np.empty((12, 12))
             for col in range(12):
@@ -136,7 +135,7 @@ class TestRealView:
             x = rng.uniform(-1, 1, 12)
             x[odd] = 0.0
             x[4 * site] += 2.0
-            jac = view._analytic_jacobian(x)
+            jac = view.jacobian(x)
             even_rows = np.flatnonzero(~odd)
             even_rows = even_rows[even_rows != 10]  # the gauge phase row
             assert np.all(jac[np.ix_(even_rows, odd)] == 0.0)
@@ -183,18 +182,6 @@ def reference_residual_vector(view: RealSystemView, x: np.ndarray) -> np.ndarray
     out[base + 2] = zg.z2 - zg.z1
     out[base + 3] = 4.0 * (zg.z0 * zg.z3 - zg.z1 * zg.z2)
     return out
-
-
-def reference_fd_jacobian(view: RealSystemView, x: np.ndarray) -> np.ndarray:
-    """Forward differences of :func:`reference_residual_vector`."""
-    f0 = reference_residual_vector(view, x)
-    h = FD_STEP
-    jac = np.empty((view.n_unknowns, view.n_unknowns))
-    for col in range(view.n_unknowns):
-        xp = x.copy()
-        xp[col] += h
-        jac[:, col] = (reference_residual_vector(view, xp) - f0) / h
-    return jac
 
 
 def reference_analytic_jacobian(view: RealSystemView, x: np.ndarray) -> np.ndarray:
@@ -266,16 +253,9 @@ class TestKernelParity:
             assert np.array_equal(got, ref)
             assert np.array_equal(_bits(got), _bits(ref))
 
-    def test_finite_difference_jacobian_is_bit_identical(self):
-        for view, x in self.cases(200, 6):
-            got = view._fd_jacobian(x, None)
-            ref = reference_fd_jacobian(view, x)
-            assert np.array_equal(got, ref)
-            assert np.array_equal(_bits(got), _bits(ref))
-
     def test_analytic_jacobian_matches_reference(self):
         for view, x in self.cases(400, 7):
-            got = view._analytic_jacobian(x)
+            got = view.jacobian(x)
             ref = reference_analytic_jacobian(view, x)
             scale = max(1.0, np.max(np.abs(ref)))
             assert np.max(np.abs(got - ref)) / scale < 1e-13
@@ -293,6 +273,10 @@ class TestNewton:
         assert abs(st.mu.z0 - target) < 1e-10
         assert st.residual_norm < CFG.residual_tol
         assert st.is_complex_state and st.is_pt_symmetric
+
+    def test_exact_jacobian_is_the_only_mode(self):
+        with pytest.raises(ValueError, match="unknown jacobian mode"):
+            SolveConfig(jacobian="finite-difference")
 
     def test_seed_must_be_finite(self):
         p = DimerParams(v=1.0)
@@ -323,6 +307,15 @@ class TestNewton:
 
 
 class TestFindAllStates:
+    @pytest.mark.xfail(strict=True, reason="one state found twice, 1.13e-7 "
+                       "apart, above the absolute DEDUP_TOL (ROADMAP "
+                       "direction 4)")
+    def test_no_duplicate_at_tiny_g(self):
+        # two seeds reach the state with |psi| ~ 354 on either side of the
+        # dedup tolerance, so it is listed twice among 5 states
+        p = DimerParams(v=1.0, g=-1e-9, gamma=1e-6)
+        assert len(find_all_states(SYSTEM, p, CFG)) <= 4
+
     def test_linear_below_tangent(self):
         p = DimerParams(v=1.0, g=0.0, gamma=0.5)
         states = find_all_states(SYSTEM, p, CFG)
@@ -442,28 +435,24 @@ class TestExceptionalPoints:
         (0.0, 1.0, (0.0,)),  # linear tangent: all four states coalesce
     ]
 
-    @pytest.mark.parametrize("jacobian", ["analytic", "finite-difference"])
     @pytest.mark.parametrize("g,gamma,clusters", POINTS)
-    def test_states_at_exceptional_point(self, jacobian, g, gamma, clusters):
-        cfg = SolveConfig(jacobian=jacobian)
+    def test_states_at_exceptional_point(self, g, gamma, clusters):
         p = DimerParams(v=1.0, g=g, gamma=gamma)
-        states = find_all_states(SYSTEM, p, cfg)
+        states = find_all_states(SYSTEM, p, CFG)
         assert 1 <= len(states) <= 4
         for st in states:
-            assert st.residual_norm < cfg.residual_tol
+            assert st.residual_norm < CFG.residual_tol
         for mu in clusters:
             assert min((st.mu - mu).max_abs() for st in states) < 1e-3
 
-    @pytest.mark.parametrize("jacobian", ["analytic", "finite-difference"])
     @pytest.mark.parametrize("g", [-0.01, -5e-3, -1e-3, -5e-4,
                                    5e-4, 1e-3, 5e-3, 0.01])
-    def test_pitchfork_next_to_the_linear_ep(self, jacobian, g):
+    def test_pitchfork_next_to_the_linear_ep(self, g):
         # on the exact pitchfork Q has a triple root; the nearer its fourth
         # root (|g| -> 0), the wider rounding splits it, and the unmerged
         # triple gives 4 or 5 states where the EP3 and its partner are 2
-        cfg = SolveConfig(jacobian=jacobian)
         p = DimerParams(v=1.0, g=g, gamma=math.sqrt(1.0 - g * g / 4.0))
-        states = find_all_states(SYSTEM, p, cfg)
+        states = find_all_states(SYSTEM, p, CFG)
         assert len(states) <= 4
         if abs(g) >= 1e-3:
             assert len(states) == 2
@@ -673,9 +662,7 @@ class TestFindStatesAlong:
                 assert (a.is_complex_state, a.is_pt_symmetric) == (
                     b.is_complex_state, b.is_pt_symmetric)
 
-    @pytest.mark.parametrize("jacobian", ["analytic", "finite-difference"])
-    def test_random_points_with_continued_controls(self, jacobian):
-        cfg = SolveConfig(jacobian=jacobian)
+    def test_random_points_with_continued_controls(self):
         rng = np.random.default_rng(23)
         points = []
         for k in range(40):
@@ -685,22 +672,20 @@ class TestFindStatesAlong:
                 g=Bicomplex(rng.uniform(-2.5, 2.5), jpart[0]),
                 gamma=Bicomplex(rng.uniform(0.0, 1.5), jpart[1]),
                 s=Bicomplex(rng.uniform(-0.3, 0.3), jpart[2])))
-        self.same(find_states_along(SYSTEM, points, cfg),
-                  [find_all_states(SYSTEM, p, cfg) for p in points])
+        self.same(find_states_along(SYSTEM, points, CFG),
+                  [find_all_states(SYSTEM, p, CFG) for p in points])
 
-    @pytest.mark.parametrize("jacobian", ["analytic", "finite-difference"])
-    def test_degenerate_lanes_retry_on_site_1(self, jacobian):
-        cfg = SolveConfig(jacobian=jacobian)
+    def test_degenerate_lanes_retry_on_site_1(self):
         system = _DegenerateSite0()
         points = [DimerParams(v=1.0, g=-0.85, gamma=0.05 + 0.05 * k)
                   for k in range(20)]
-        along = find_states_along(system, points, cfg)
-        self.same(along, [find_all_states(system, p, cfg) for p in points])
+        along = find_states_along(system, points, CFG)
+        self.same(along, [find_all_states(system, p, CFG) for p in points])
         assert sum(map(len, along)) >= 40
         with pytest.raises(GaugeDegenerate):
             newton_solve(system, points[0],
                          _seed_of(system.packed_candidates(points[:1])[0][0]),
-                         cfg)
+                         CFG)
 
     def test_no_points(self):
         assert find_states_along(SYSTEM, [], CFG) == []
@@ -709,11 +694,10 @@ class TestFindStatesAlong:
 class TestLaneContainers:
     """The square system closed on numpy lanes equals the one closed lane
     by lane on floats, bit for bit: residual rows with their gauge rows,
-    both Jacobians, and the lanes flagged for a degenerate gauge
-    amplitude."""
+    the lanes flagged for a degenerate gauge amplitude, and the
+    Jacobians."""
 
-    @pytest.mark.parametrize("jacobian", ["analytic", "finite-difference"])
-    def test_arrays_match_floats(self, jacobian):
+    def test_arrays_match_floats(self):
         rng = np.random.default_rng(31)
         points = [DimerParams(v=rng.uniform(0.5, 2.0),
                               g=Bicomplex(rng.uniform(-2.5, 2.5), j),
@@ -721,8 +705,7 @@ class TestLaneContainers:
                               s=Bicomplex(rng.uniform(-0.3, 0.3), j))
                   for j in (0.0, 0.2, 0.0, -0.1, 0.0)]
         n = 3 * solver._CROSSOVER
-        lanes = solver._Lanes(SYSTEM, points, rng.integers(0, 5, n),
-                              SolveConfig(jacobian=jacobian))
+        lanes = solver._Lanes(SYSTEM, points, rng.integers(0, 5, n), CFG)
         lanes.site[:] = rng.integers(0, 2, n)
         x = rng.uniform(-1, 1, (n, 12))
         x[1::2, 1::2] = 0.0  # complex-in-i lanes
@@ -738,11 +721,12 @@ class TestLaneContainers:
             assert bad_k == [] and np.array_equal(_bits(fk[0]), _bits(f[k]))
         for k in degenerate:
             assert lanes.residuals(idx[k:k + 1], x[k:k + 1])[1] == [0]
-        jac, bad = lanes.jacobians(good, x[good], f[good])
-        assert bad == []
-        for k, lane in enumerate(good.tolist()):
-            one, _ = lanes.jacobians(good[k:k + 1], x[lane:lane + 1],
-                                     f[lane:lane + 1])
+        # the exact Jacobian takes no residual, so it is defined on the
+        # degenerate lanes too
+        jac = lanes.jacobians(idx, x)
+        assert jac.shape == (n, 12, 12)
+        for k in idx.tolist():
+            one = lanes.jacobians(idx[k:k + 1], x[k:k + 1])
             assert np.array_equal(_bits(one[0]), _bits(jac[k]))
 
 
