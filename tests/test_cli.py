@@ -63,6 +63,14 @@ class TestExitCodes:
         assert out["error"] == "usage"
         assert "invalid choice: 'finite-difference'" in out["message"]
 
+    @pytest.mark.parametrize("g,gamma", [("-1", "0.5"), ("0.5", "1.2")])
+    def test_explicit_analytic_jacobian_is_the_default(self, capsys, g, gamma):
+        assert run(["solve", "--g", g, "--gamma", gamma]) == 0
+        default = summary(capsys)
+        assert run(["solve", "--g", g, "--gamma", gamma,
+                    "--jacobian", "analytic"]) == 0
+        assert summary(capsys) == default
+
     def test_solve_where_q_has_a_double_zero_root(self, capsys):
         # at gamma = 0, gamma_j = g/2 the two lowest coefficients of Q vanish
         assert run(["solve", "--g", "1", "--gamma-j", "0.5"]) == 0

@@ -117,6 +117,47 @@ class TestRealView:
             scale = max(1.0, np.max(np.abs(jc)))
             assert np.max(np.abs(ja - jc)) / scale < 1e-5
 
+    @pytest.mark.parametrize("jpart", [0.0, 0.2])
+    @pytest.mark.parametrize("site", [0, 1])
+    def test_central_differences_on_each_site(self, site, jpart):
+        # the exact Jacobian is Newton's only one: check it, gauge rows
+        # included, on either gauge site and at j-continued controls
+        rng = np.random.default_rng(11 + site)
+        p = DimerParams(v=1.2, g=Bicomplex(0.9, jpart),
+                        gamma=Bicomplex(0.7, -jpart), s=Bicomplex(-0.1, jpart))
+        view = RealSystemView(SYSTEM, p, CFG, gauge_site=site)
+        h = 1e-6
+        for _ in range(5):
+            x = rng.uniform(-1, 1, 12)
+            x[4 * site] += 2.0
+            jc = np.empty((12, 12))
+            for col in range(12):
+                xp, xm = x.copy(), x.copy()
+                xp[col] += h
+                xm[col] -= h
+                jc[:, col] = (
+                    view.residual_vector(xp) - view.residual_vector(xm)
+                ) / (2 * h)
+            scale = max(1.0, np.max(np.abs(jc)))
+            assert np.max(np.abs(view.jacobian(x) - jc)) / scale < 1e-5
+
+    @pytest.mark.parametrize("site", [0, 1])
+    def test_jacobian_at_a_degenerate_gauge_amplitude(self, site):
+        # the residual refuses a vanishing gauge amplitude; the exact
+        # Jacobian needs no residual and is defined there
+        view = RealSystemView(SYSTEM, DimerParams(v=1.0, g=-0.5, gamma=0.3),
+                              CFG, gauge_site=site)
+        x = np.random.default_rng(5).uniform(-1, 1, 12)
+        x[4 * site:4 * site + 4] = 0.0
+        with pytest.raises(GaugeDegenerate):
+            view.residual_vector(x)
+        jac = view.jacobian(x)
+        assert jac.shape == (12, 12) and np.isfinite(jac).all()
+        cols = slice(4 * site, 4 * site + 4)
+        assert jac[-2, cols].tolist() == [0.0, -1.0, 1.0, 0.0]
+        assert np.all(jac[-1] == 0.0) and np.all(np.delete(jac[-2], [
+            4 * site + 1, 4 * site + 2]) == 0.0)
+
     def test_complex_in_i_subspace_is_invariant(self):
         # at complex-in-i points with real controls the analytic Jacobian
         # does not couple (z0, z2) with (z1, z3), and the j and k rows are
@@ -274,9 +315,11 @@ class TestNewton:
         assert st.residual_norm < CFG.residual_tol
         assert st.is_complex_state and st.is_pt_symmetric
 
-    def test_exact_jacobian_is_the_only_mode(self):
+    @pytest.mark.parametrize("mode", ["finite-difference", "fd", "Analytic",
+                                      " analytic", ""])
+    def test_exact_jacobian_is_the_only_mode(self, mode):
         with pytest.raises(ValueError, match="unknown jacobian mode"):
-            SolveConfig(jacobian="finite-difference")
+            SolveConfig(jacobian=mode)
 
     def test_seed_must_be_finite(self):
         p = DimerParams(v=1.0)
@@ -691,6 +734,56 @@ class TestFindStatesAlong:
         assert find_states_along(SYSTEM, [], CFG) == []
 
 
+class TestCandidateSolves:
+    """The loop pass yields, point by point, the states that
+    :func:`newton_solve` reaches from each seed, in seed order, with their
+    rows, and nothing for a seed from which it raises."""
+
+    @staticmethod
+    def each_seed(system, p):
+        seeds, _ = solver._seeds(system, [p])
+        out = []
+        for row in seeds:
+            try:
+                out.append(newton_solve(system, p, _seed_of(row), CFG))
+            except (NoConvergence, GaugeDegenerate):
+                pass
+        return out
+
+    @pytest.mark.parametrize("case", ["generic", "exceptional",
+                                      "degenerate", "across blocks"])
+    def test_states_are_newton_solve_per_seed(self, case, monkeypatch):
+        system = SYSTEM
+        if case == "generic":
+            points = [DimerParams(v=1.0, g=-0.8, gamma=0.05 + 0.07 * k)
+                      for k in range(20)]
+        elif case == "exceptional":
+            points = [DimerParams(v=1.0, g=g, gamma=gamma)
+                      for g, gamma, _ in TestExceptionalPoints.POINTS]
+        elif case == "degenerate":
+            system = _DegenerateSite0()
+            points = [DimerParams(v=1.0, g=-0.85, gamma=0.1 * k)
+                      for k in range(1, 6)]
+        else:
+            monkeypatch.setattr(solver, "_BLOCK", 3)
+            points = [DimerParams(v=1.0, g=0.6, gamma=0.2 * k, s=0.05)
+                      for k in range(8)]
+        got = list(solver._candidate_solves(system, points, CFG))
+        assert len(got) == len(points)
+        for p, (states, rows) in zip(points, got):
+            want = self.each_seed(system, p)
+            assert len(states) == len(rows) == len(want)
+            assert np.isfinite(rows).all()
+            assert np.array_equal(_bits(rows), _bits(solver._rows(states)))
+            assert np.array_equal(_bits(solver._rows(states)),
+                                  _bits(solver._rows(want)))
+            assert [st.residual_norm for st in states] == [
+                st.residual_norm for st in want]
+            assert all(st.residual_norm < CFG.residual_tol for st in states)
+        if case == "degenerate":
+            assert all(len(states) == 0 for states, _ in got)
+
+
 class TestLaneContainers:
     """The square system closed on numpy lanes equals the one closed lane
     by lane on floats, bit for bit: residual rows with their gauge rows,
@@ -728,6 +821,34 @@ class TestLaneContainers:
         for k in idx.tolist():
             one = lanes.jacobians(idx[k:k + 1], x[k:k + 1])
             assert np.array_equal(_bits(one[0]), _bits(jac[k]))
+
+
+    @pytest.mark.parametrize("n_points", [2, 4, 8])
+    def test_newton_and_polish_on_lanes_match_one_lane(self, n_points):
+        # 8, 16 and 32 lanes, below, at and above _CROSSOVER: every lane
+        # takes the steps it takes alone, to the bit
+        rng = np.random.default_rng(41)
+        points = [DimerParams(v=rng.uniform(0.5, 2.0),
+                              g=Bicomplex(rng.uniform(-2.5, 2.5), j),
+                              gamma=Bicomplex(rng.uniform(0.0, 1.5), -j),
+                              s=Bicomplex(rng.uniform(-0.3, 0.3), j))
+                  for j in (0.0, 0.2, 0.0, -0.1, 0.0, 0.0, 0.1, 0.0)[:n_points]]
+        seeds, owner = SYSTEM.packed_candidates(points)
+        seeds = seeds + rng.normal(0.0, 1e-2, seeds.shape)
+        idx = np.arange(len(seeds))
+        lanes = solver._Lanes(SYSTEM, points, owner, CFG)
+        x, f, fnorm, errors = solver._newton(lanes, idx, seeds)
+        assert errors == {} and np.all(np.abs(x - seeds).max(1) > 0)
+        px, pnorm = solver._polish(lanes, idx, x, f, fnorm)
+        for k in idx.tolist():
+            one = idx[k:k + 1]
+            x1, f1, fnorm1, errors1 = solver._newton(lanes, one, seeds[one])
+            assert errors1 == {}
+            assert np.array_equal(_bits(x1[0]), _bits(x[k]))
+            assert fnorm1[0] == fnorm[k]
+            px1, pnorm1 = solver._polish(lanes, one, x1, f1, fnorm1)
+            assert np.array_equal(_bits(px1[0]), _bits(px[k]))
+            assert pnorm1[0] == pnorm[k]
 
 
 def _seed_of(row):
