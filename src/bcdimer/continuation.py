@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .bicomplex import Bicomplex, fmt_float
 from .model import BifurcationPoint, DimerParams, StationaryState
@@ -340,10 +341,30 @@ def find_tangent(
 
 
 @functools.cache
-def _maps(n_rows: int, n_cols: int) -> tuple[tuple[int, ...], ...]:
+def _maps(n_rows: int, n_cols: int) -> np.ndarray:
     """Every injective map of n_rows rows into n_cols columns, as the
-    column of each row, in lexicographic order."""
-    return tuple(itertools.permutations(range(n_cols), n_rows))
+    column of each row, in lexicographic order: a (maps, n_rows) array."""
+    return np.array(list(itertools.permutations(range(n_cols), n_rows)))
+
+
+def _assign_many(cost: np.ndarray) -> np.ndarray:
+    """:func:`_assign` on each matrix of the (m, n_rows, n_cols) stack
+    ``cost``: the column of each row, an (m, n_rows) array, -1 for a row of
+    a tall matrix left out.  A map's total adds its costs row by row, as
+    ``sum`` does, so every pick is the one-matrix pick."""
+    m, n_rows, n_cols = cost.shape
+    if n_rows > n_cols:
+        out = np.full((m, n_rows), -1)
+        np.put_along_axis(out, _assign_many(cost.transpose(0, 2, 1)),
+                          np.arange(n_cols)[None], 1)
+        return out
+    maps = _maps(n_rows, n_cols)
+    totals = cost[:, 0, maps[:, 0]]
+    for r in range(1, n_rows):
+        totals = totals + cost[:, r, maps[:, r]]
+    least = totals.min(1)
+    bound = least + _TIE_TOL * np.maximum(1.0, least)
+    return maps[(totals <= bound[:, None]).argmax(1)]
 
 
 def _assign(cost) -> list[tuple[int, int]]:
@@ -357,14 +378,10 @@ def _assign(cost) -> list[tuple[int, int]]:
     order of ``solver._sort_key``, as :func:`find_all_states` returns them,
     so a tie, such as a pitchfork's symmetric state equidistant from the
     mirror pair born there, is decided by the states, not by the last bits
-    of the costs.
+    of the costs.  The one-matrix call of :func:`_assign_many`.
     """
-    n_rows, n_cols = len(cost), len(cost[0])
-    if n_rows > n_cols:
-        return sorted((r, c) for c, r in _assign(list(zip(*cost))))
-    cols = _least(_maps(n_rows, n_cols),
-                  lambda cols: sum(map(operator.getitem, cost, cols)))
-    return list(enumerate(cols))
+    cols = _assign_many(np.array(cost, dtype=float)[None])[0].tolist()
+    return [(r, c) for r, c in enumerate(cols) if c >= 0]
 
 
 def stitched_branches(system, params, parameter, grid, cfg) -> list[Branch]:
@@ -375,39 +392,40 @@ def stitched_branches(system, params, parameter, grid, cfg) -> list[Branch]:
     :func:`~bcdimer.solver.find_states_along`, which solves every seed of
     every point at once; they equal :func:`find_all_states`' point by
     point.  Each point's cost matrix is one max-norm over the states' 12
-    floats (:func:`~bcdimer.solver._distances`), state_distance's bits.
+    floats (:func:`~bcdimer.solver._distances`), state_distance's bits, and
+    the matrices of one shape are matched in one :func:`_assign_many` call.
+    A state opens a branch where its match is 0.5 or more away, and after
+    a point with no states.
     """
-    branches: list[Branch] = []
-    open_ids: list[int] = []
-    prev_states: list = []
     along = find_states_along(
         system, [params.with_control(parameter, value) for value in grid], cfg)
-    for value, states in zip(grid, along):
-        rows = _rows(states)
-        if not prev_states:
-            for st in states:
-                br = Branch(parameter=parameter, branch_id=len(branches))
-                br.samples.append((value, st))
-                branches.append(br)
-            open_ids = list(range(len(branches)))
-        else:
-            cost = _distances(rows, prev_rows).tolist()
-            assigned = {}
-            if states:
-                for rr, cc in _assign(cost):
-                    if cost[rr][cc] < 0.5:
-                        assigned[rr] = open_ids[cc]
-            next_open = []
-            for idx, st in enumerate(states):
-                if idx in assigned:
-                    bid = assigned[idx]
-                else:
-                    bid = len(branches)
-                    branches.append(Branch(parameter=parameter, branch_id=bid))
-                branches[bid].samples.append((value, st))
-                next_open.append(bid)
-            open_ids = next_open
-        prev_states, prev_rows = states, rows
+    rows = _rows([st for states in along for st in states])
+    first = np.cumsum([0, *map(len, along)])
+    # the previous point's state matched to each state, -1 for none
+    match = np.full(len(rows), -1)
+    shapes: dict = {}
+    for k in range(1, len(along)):
+        if along[k] and along[k - 1]:
+            shapes.setdefault((len(along[k]), len(along[k - 1])), []).append(k)
+    for (n_rows, n_cols), ks in shapes.items():
+        now = first[ks][:, None] + np.arange(n_rows)
+        before = first[np.array(ks) - 1][:, None] + np.arange(n_cols)
+        cost = _distances(rows[now], rows[before][:, None])
+        cols = _assign_many(cost)
+        near = np.take_along_axis(cost, np.maximum(cols, 0)[..., None], 2)
+        match[now] = np.where((cols >= 0) & (near[..., 0] < 0.5), cols, -1)
+    match = match.tolist()
+    branches: list[Branch] = []
+    open_ids: list[int] = []
+    for value, states, lo in zip(grid, along, first.tolist()):
+        ids = []
+        for st, col in zip(states, match[lo:lo + len(states)]):
+            bid = open_ids[col] if col >= 0 else len(branches)
+            if bid == len(branches):
+                branches.append(Branch(parameter=parameter, branch_id=bid))
+            branches[bid].samples.append((value, st))
+            ids.append(bid)
+        open_ids = ids
     for br in branches:
         br.termination = "range_end"
     return branches
@@ -435,15 +453,15 @@ def states_table(rows, lead: tuple[str, ...] = (),
               "is_complex_state", "is_pt_symmetric"]
     lines = [",".join(header)]
     for lead_cells, st, extra_cells in rows:
-        mu = st.mu.as_tuple()
         # mu twice: its components, then re_mu_0, re_mu_2, im_mu_0, im_mu_2;
-        # repr of a float is fmt_float
-        cells = [*lead_cells, *map(repr, (*st.psi1.as_tuple(),
-                                          *st.psi2.as_tuple(), *mu, *mu)),
-                 *extra_cells]
-        cells.append("true" if st.is_complex_state else "false")
-        cells.append("true" if st.is_pt_symmetric else "false")
-        lines.append(",".join(cells))
+        # %r of a float is its repr, fmt_float
+        mu = "%r,%r,%r,%r" % st.mu.as_tuple()
+        cells = "%r,%r,%r,%r,%r,%r,%r,%r,%s,%s" % (
+            *st.psi1.as_tuple(), *st.psi2.as_tuple(), mu, mu)
+        lines.append(",".join([
+            *lead_cells, cells, *extra_cells,
+            "true" if st.is_complex_state else "false",
+            "true" if st.is_pt_symmetric else "false"]))
     return "\n".join(lines) + "\n"
 
 

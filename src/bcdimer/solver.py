@@ -40,7 +40,9 @@ every state (the dimer one per root of its quartic Q, for a whole grid at
 once, see :meth:`~bcdimer.model.DimerSystem.packed_candidates`).  Each is
 solved by Newton, polished down to the roundoff floor (a few eps times the
 residual's scale, not just past the tolerance) so that duplicates merge
-(nowhere else), and deduplicated up to gauge.
+(nowhere else), and deduplicated up to gauge: only the points where one
+array pass finds two close rows run the dedup rule, and only kept rows
+become states.
 
 States are made from the solved rows, not from Bicomplex values: the
 canonical gauge and the two flags of every row of a block come from one
@@ -304,16 +306,21 @@ def _canonical_rows(x):
             is_pt.tolist())
 
 
+def _states(rows, fnorm, is_complex, is_pt, order) -> list[StationaryState]:
+    """The states of the rows ``order`` of :func:`_canonical_rows`' output,
+    with their residuals ``fnorm`` (a list)."""
+    return [StationaryState(Bicomplex(*rows[k][0:4]), Bicomplex(*rows[k][4:8]),
+                            Bicomplex(*rows[k][8:12]), fnorm[k], is_complex[k],
+                            is_pt[k]) for k in order]
+
+
 def _make_states(x, fnorm) -> tuple[list[StationaryState], np.ndarray]:
     """Gauge-canonical, flagged states from the (N, 12) array x of solved
     rows and their residuals ``fnorm``, with one :func:`_canonical_rows`
     call for all of them; returns the states and their canonical rows, an
     (N, 12) array."""
     rows, is_complex, is_pt = _canonical_rows(x)
-    states = [
-        StationaryState(Bicomplex(*row[0:4]), Bicomplex(*row[4:8]),
-                        Bicomplex(*row[8:12]), rnorm, c, p)
-        for row, rnorm, c, p in zip(rows, fnorm.tolist(), is_complex, is_pt)]
+    states = _states(rows, fnorm.tolist(), is_complex, is_pt, range(len(rows)))
     return states, np.array(rows).reshape(x.shape)
 
 
@@ -361,23 +368,35 @@ def _sort_key(row: list[float]):
     return tuple(round(c, 9) for c in row[8:12] + row[0:8])
 
 
-def dedup_states(states: list[StationaryState], tol: float,
-                 rows: np.ndarray | None = None) -> list[StationaryState]:
-    """Drop near-duplicates (states within ``tol`` of one kept before),
-    keeping the lowest-residual representative; sorted by mu, psi1 and
-    psi2 (:func:`_sort_key`).  ``rows`` are the states' 12 floats
-    (:func:`_rows`); their pairwise distances are one :func:`_distances`
-    call."""
-    if rows is None:
-        rows = _rows(states)
+def _ordered(rows: list[list[float]], kept) -> list[int]:
+    """``kept`` (indices into ``rows``) sorted by :func:`_sort_key`, stably,
+    rounding only mu unless two rounded mu tie.  (Rows whose whole keys tie
+    are within DEDUP_TOL, so only a deduplicated point can hold a tie.)"""
+    keys = [tuple(round(c, 9) for c in rows[k][8:12]) for k in kept]
+    if len(set(keys)) < len(keys):
+        keys = [_sort_key(rows[k]) for k in kept]
+    return [kept[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
+
+
+def _dedup(rows: np.ndarray, fnorm: list[float], tol: float) -> list[int]:
+    """The rows (an (n, 12) array) not within ``tol`` of a row kept before
+    them, in order of residual ``fnorm``."""
     far = (_distances(rows, rows) > tol).tolist()
     kept: list[int] = []
-    for k in sorted(range(len(states)), key=lambda k: states[k].residual_norm):
+    for k in sorted(range(len(rows)), key=fnorm.__getitem__):
         if all(far[k][j] for j in kept):
             kept.append(k)
-    listed = rows.tolist()
-    kept.sort(key=lambda k: _sort_key(listed[k]))
-    return [states[k] for k in kept]
+    return kept
+
+
+def dedup_states(states: list[StationaryState],
+                 tol: float) -> list[StationaryState]:
+    """Drop near-duplicates (states within ``tol`` of one kept before),
+    keeping the lowest-residual representative; sorted by mu, psi1 and
+    psi2 (:func:`_sort_key`)."""
+    rows = _rows(states)
+    kept = _dedup(rows, [st.residual_norm for st in states], tol)
+    return [states[k] for k in _ordered(rows.tolist(), kept)]
 
 
 # -- Newton iteration on lanes ---------------------------------------------
@@ -394,8 +413,9 @@ _POLISH_FLOOR = 4.0 * float(np.finfo(float).eps)
 # cost 13-16 us a row on floats against 240 us + 1 us a lane on arrays,
 # and cross at 18 rows
 _CROSSOVER = 16
-# grid points per batched pass, so that a long grid keeps bounded memory
-_BLOCK = 128
+# grid points per batched pass: 256 points of 8 lanes bound the Jacobians
+# to 2.4 MB, and the default `bifurcations` and `sweep` grids take one pass
+_BLOCK = 256
 
 
 class _Lanes:
@@ -672,14 +692,16 @@ def find_states_along(system, points, cfg: SolveConfig | None = None
                       ) -> list[list[StationaryState]]:
     """All stationary states at each of ``points``, as
     :func:`find_all_states` finds them, in one batched pass per block of
-    128 points.
+    _BLOCK (256) points.
 
     Every seed of the block is a lane: the seeds come from one call of the
     system's ``packed_candidates`` (one batched root finding and
     back-solve, for the dimer), and Newton, the retry of a lane whose
     gauge amplitude vanishes on gauge site 1, and the polish run on all
-    lanes at once.  The states are then made gauge-canonical, flagged and
-    deduplicated point by point.
+    lanes at once.  The rows are made gauge-canonical and flagged in one
+    call.  Only the points with two rows within DEDUP_TOL, found in one
+    array pass, run :func:`dedup_states`' rule; the kept rows are sorted
+    (:func:`_ordered`) and made states.
     """
     if cfg is None:
         cfg = SolveConfig()
@@ -706,10 +728,26 @@ def _find_block(system, points, cfg: SolveConfig):
         errors.update({int(retry[k]): exc for k, exc in again.items()})
     ok = np.array([k for k in idx.tolist() if k not in errors], dtype=int)
     x, fnorm = _polish(lanes, ok, x[ok], f[ok], fnorm[ok])
-    states, rows = _make_states(x, fnorm)
-    first = np.searchsorted(lanes.owner[ok], np.arange(len(points) + 1))
-    return [dedup_states(states[lo:hi], DEDUP_TOL, rows[lo:hi])
-            for lo, hi in zip(first.tolist(), first[1:].tolist())]
+    rows, is_complex, is_pt = _canonical_rows(x)
+    arr = np.array(rows).reshape(x.shape)
+    owner, fnorm = lanes.owner[ok], fnorm.tolist()
+    first = np.searchsorted(owner, np.arange(len(points) + 1)).tolist()
+    # the points with two rows within DEDUP_TOL (a nan distance counts, as
+    # in _dedup): a point's rows are adjacent, so each row is compared with
+    # the next d rows, for d below the widest point
+    close = set()
+    for d in range(1, np.diff(first).max(initial=0)):
+        near = ~(np.abs(arr[d:] - arr[:-d]).max(1) > DEDUP_TOL)
+        close.update(owner[d:][near & (owner[d:] == owner[:-d])].tolist())
+    out = []
+    for k, (lo, hi) in enumerate(zip(first, first[1:])):
+        kept = range(lo, hi)
+        if k in close:
+            kept = [lo + j for j in _dedup(arr[lo:hi], fnorm[lo:hi],
+                                           DEDUP_TOL)]
+        out.append(_states(rows, fnorm, is_complex, is_pt,
+                           _ordered(rows, kept)))
+    return out
 
 
 def find_all_states(system, params, cfg: SolveConfig | None = None) -> list[StationaryState]:

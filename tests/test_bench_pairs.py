@@ -57,3 +57,20 @@ class TestBoundVerdict:
         after[0] = after[1] = 9.0
         out = BENCH_PAIRS._compare(HIGHER, before, after)
         assert out["change_wins"] == 8 and not out["claim_met"]
+
+
+class TestBytecode:
+    def test_records_the_setting_and_each_sides_pycache(self, tmp_path,
+                                                        monkeypatch):
+        sides = {"parent": tmp_path / "a", "change": tmp_path / "b"}
+        for path in sides.values():
+            (path / "src" / "bcdimer").mkdir(parents=True)
+        (sides["change"] / "src" / "bcdimer" / "__pycache__").mkdir()
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+        assert BENCH_PAIRS._bytecode(sides) == {
+            "PYTHONDONTWRITEBYTECODE": "1",
+            "pycache": {"parent": False, "change": True}}
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+        out = BENCH_PAIRS._bytecode(sides)
+        assert out["PYTHONDONTWRITEBYTECODE"] is None
+        assert out["pycache"] == {"parent": False, "change": True}

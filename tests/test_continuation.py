@@ -1,7 +1,10 @@
 import dataclasses
+import itertools
 import json
 import math
+import operator
 
+import numpy as np
 import pytest
 
 from bcdimer import continuation, solver
@@ -11,6 +14,7 @@ from bcdimer.model import (
     DimerParams,
     DimerSystem,
     LinearTwoMode,
+    StationaryState,
     pt_reflected,
     residual,
 )
@@ -317,7 +321,7 @@ class TestBranchIdentity:
 
     # the grids above, bifurcations scans at g = 0 and at g = 5e-4 (where
     # every state has two seeds), the linear model, and a gamma grid of
-    # 2 * 128 + 7 points, longer than one block of the batched pass
+    # 256 + 7 points, longer than one block of the batched pass
     ALONG = {
         **{grid: (SYSTEM, *spec[:5]) for grid, spec in GRIDS.items()},
         **{f"bifurcations --g {g}": (SYSTEM, {"g": g}, "gamma", 0.05, 0.01,
@@ -388,6 +392,169 @@ class TestBranchIdentity:
                           *(round(float(row[f"mu_{k}"]), 6)
                             for k in range(3)))
         assert found == ends
+
+
+class TestEmptyPoint:
+    def test_states_after_a_point_with_none_keep_their_new_branches(
+            self, monkeypatch):
+        # the states at 0.23 removed: the states at 0.24 open branches 4-7
+        # and run on to the range end on them; branches 0-3 end at 0.22
+        grid = [0.20 + 0.01 * k for k in range(8)]
+        solve = continuation.find_states_along
+
+        def without_0_23(system, points, cfg):
+            along = solve(system, points, cfg)
+            along[3] = []
+            return along
+
+        monkeypatch.setattr(continuation, "find_states_along", without_0_23)
+        branches = stitched_branches(SYSTEM, DimerParams(v=1.0, g=-0.8),
+                                     "gamma", grid, CFG)
+        assert [br.branch_id for br in branches] == list(range(8))
+        for br in branches[:4]:
+            assert [value for value, _ in br.samples] == grid[:3]
+        for br in branches[4:]:
+            assert [value for value, _ in br.samples] == grid[4:]
+
+
+class TestScanCounts:
+    """Where a scan of the CLI's default gamma grid holds fewer than four
+    states: only where states coalesce on a grid point, by the closed
+    forms, at the tangent gamma = v (three states) and at the pitchfork
+    g^2 + 4 gamma^2 = 4 v^2 (two)."""
+
+    GAMMAS = [0.05 + k * 0.01 for k in range(136)]
+
+    @staticmethod
+    def along(g):
+        points = [DimerParams(v=1.0, g=g, gamma=gamma)
+                  for gamma in TestScanCounts.GAMMAS]
+        return points, find_states_along(SYSTEM, points, CFG)
+
+    @pytest.mark.parametrize("g", [-0.85, 1.2, -1.2, 1.6, 2.25, -0.4])
+    def test_four_states_except_where_they_coalesce(self, g):
+        pitchfork = (pitchfork_gamma_closed_form(1.0, g) if abs(g) < 2.0
+                     else math.nan)
+        counts = {}
+        for gamma, states in zip(self.GAMMAS, self.along(g)[1]):
+            if len(states) != 4:
+                counts[gamma] = len(states)
+        want = {1.0: 3}
+        want.update({gamma: 2 for gamma in self.GAMMAS
+                     if abs(gamma - pitchfork) < 1e-9})
+        assert counts == want
+        assert (abs(g) in (1.2, 1.6)) == (len(want) == 2)
+
+    def test_two_seeds_per_state_below_the_linear_scale(self):
+        # below |g| = 1e-3 v every state has two seeds, so every point
+        # deduplicates; away from the tangent four states remain
+        points, along = self.along(5e-4)
+        _, owner = solver._seeds(SYSTEM, points)
+        assert set(np.bincount(owner).tolist()) == {8}
+        for gamma, states in zip(self.GAMMAS, along):
+            assert 1 <= len(states) <= 4
+            if abs(gamma - 1.0) > 0.005:
+                assert len(states) == 4
+
+
+def _reference_assign(cost):
+    """The one-matrix match before the batched one: the first map whose
+    ``sum`` of costs is within the tie bound of the least."""
+    n_rows, n_cols = len(cost), len(cost[0])
+    if n_rows > n_cols:
+        return sorted((r, c) for c, r in _reference_assign(list(zip(*cost))))
+    maps = list(itertools.permutations(range(n_cols), n_rows))
+    costs = [sum(map(operator.getitem, cost, cols)) for cols in maps]
+    least = min(costs)
+    bound = least + continuation._TIE_TOL * max(1.0, least)
+    return list(enumerate(next(ch for ch, c in zip(maps, costs)
+                               if c <= bound)))
+
+
+class TestAssignMany:
+    SHAPES = [(1, 1), (1, 4), (4, 1), (2, 4), (4, 2), (3, 4), (4, 3), (4, 4),
+              (4, 5), (5, 4)]
+
+    @staticmethod
+    def check(stack):
+        got = continuation._assign_many(stack)
+        assert got.shape == stack.shape[:2]
+        for cost, cols in zip(stack.tolist(), got.tolist()):
+            want = _reference_assign(cost)
+            assert [(r, c) for r, c in enumerate(cols) if c >= 0] == want
+            assert continuation._assign(cost) == want
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_random(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        self.check(rng.uniform(0.0, 2.0, (40, *shape)))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_equal_totals(self, shape, scale):
+        rng = np.random.default_rng(7 * sum(shape))
+        self.check(scale * rng.integers(0, 3, (60, *shape)).astype(float))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_totals_within_the_tie_bound(self, shape, scale):
+        # totals a few 1e-8 apart, relative, on both sides of the bound
+        rng = np.random.default_rng(11 * sum(shape))
+        base = rng.integers(1, 3, (200, *shape)).astype(float)
+        nudge = rng.choice([-1.0, 0.0, 1.0], base.shape) * rng.choice(
+            [2e-8, 3e-8, 5e-8, 9.9e-8, 1e-7, 1.01e-7], base.shape)
+        self.check(scale * base * (1.0 + nudge))
+
+
+def _reference_states_table(rows, lead=(), extra=()):
+    """states_table as it was, with one repr per cell."""
+    header = [*lead, continuation._STATE_COLUMNS, *extra,
+              "is_complex_state", "is_pt_symmetric"]
+    lines = [",".join(header)]
+    for lead_cells, st, extra_cells in rows:
+        mu = st.mu.as_tuple()
+        cells = [*lead_cells, *map(repr, (*st.psi1.as_tuple(),
+                                          *st.psi2.as_tuple(), *mu, *mu)),
+                 *extra_cells]
+        cells.append("true" if st.is_complex_state else "false")
+        cells.append("true" if st.is_pt_symmetric else "false")
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+class TestStatesTable:
+    def test_scan(self):
+        branches = stitched_branches(SYSTEM, DimerParams(v=1.0, g=-1.0),
+                                     "gamma", [0.9 + 0.01 * k
+                                               for k in range(21)], CFG)
+        rows = [((repr(value), str(br.branch_id)), st, ())
+                for br in branches for value, st in br.samples]
+        want = _reference_states_table(rows, lead=("param", "branch_id"))
+        assert continuation.states_table(rows, lead=("param", "branch_id")) \
+            == want == branches_to_csv(branches)
+
+    def test_numpy_components_and_extra_cells(self):
+        rng = np.random.default_rng(3)
+        rows = []
+        for k in range(12):
+            z = [Bicomplex(*rng.normal(size=4) * 10.0 ** rng.integers(-20, 20))
+                 for _ in range(3)]
+            z[k % 3] = Bicomplex(*np.array([0.0, -0.0, 1e-300, np.inf]))
+            st = StationaryState(*z, float(rng.uniform()), bool(k % 2),
+                                 np.bool_(k % 3 == 0))
+            assert isinstance(st.mu.z0, np.float64)
+            rows.append(((), st, (repr(st.residual_norm), "x")))
+        extra = ("residual_norm", "tag")
+        got = continuation.states_table(rows, extra=extra)
+        assert got == _reference_states_table(rows, extra=extra)
+        assert "np.float64" not in got
+
+    def test_empty(self):
+        for lead in ((), ("param", "branch_id")):
+            assert continuation.states_table([], lead=lead) == \
+                _reference_states_table([], lead=lead)
+        assert branches_to_csv([]) == _reference_states_table(
+            [], lead=("param", "branch_id"))
 
 
 class TestLocators:

@@ -1,5 +1,6 @@
 import cmath
 import importlib.util
+import itertools
 import math
 from pathlib import Path
 
@@ -732,6 +733,125 @@ class TestFindStatesAlong:
 
     def test_no_points(self):
         assert find_states_along(SYSTEM, [], CFG) == []
+
+
+def _reference_find_block(system, points, cfg):
+    """The batched pass as it was before the block-level dedup: states made
+    for every solved lane, then deduplicated and sorted point by point by
+    the old ``dedup_states``, which rounds all 12 floats of every state."""
+
+    def sort_key(row):
+        return tuple(round(c, 9) for c in row[8:12] + row[0:8])
+
+    def dedup(states, tol, rows):
+        far = (np.abs(rows[:, None, :] - rows).max(-1) > tol).tolist()
+        kept = []
+        for k in sorted(range(len(states)),
+                        key=lambda k: states[k].residual_norm):
+            if all(far[k][j] for j in kept):
+                kept.append(k)
+        listed = rows.tolist()
+        kept.sort(key=lambda k: sort_key(listed[k]))
+        return [states[k] for k in kept]
+
+    seeds, owner = solver._seeds(system, points)
+    lanes = solver._Lanes(system, points, owner, cfg)
+    idx = np.arange(len(seeds))
+    x, f, fnorm, errors = solver._newton(lanes, idx, seeds)
+    retry = np.array([k for k, exc in errors.items()
+                      if isinstance(exc, GaugeDegenerate)], dtype=int)
+    if len(retry):
+        lanes.site[retry] = 1
+        x[retry], f[retry], fnorm[retry], again = solver._newton(
+            lanes, retry, seeds[retry])
+        for k in retry.tolist():
+            del errors[k]
+        errors.update({int(retry[k]): exc for k, exc in again.items()})
+    ok = np.array([k for k in idx.tolist() if k not in errors], dtype=int)
+    x, fnorm = solver._polish(lanes, ok, x[ok], f[ok], fnorm[ok])
+    states, rows = solver._make_states(x, fnorm)
+    first = np.searchsorted(lanes.owner[ok], np.arange(len(points) + 1))
+    return [dedup(states[lo:hi], DEDUP_TOL, rows[lo:hi])
+            for lo, hi in zip(first.tolist(), first[1:].tolist())]
+
+
+class TestBlockDedup:
+    """Dedup and order on the block's arrays give, point by point, the
+    states, order, residuals and flags of the old per-point dedup_states."""
+
+    GAMMAS = [0.05 + k * 0.01 for k in range(136)]  # `bifurcations`' grid
+    # exceptional points on and off the grid: the tangent, pitchforks that
+    # fall on a grid point, the EP3s, the merger and the linear EP, and the
+    # point where one state is found twice (the strict xfail above)
+    EPS = [(g, gamma) for g, gamma, _ in TestExceptionalPoints.POINTS] + [
+        (-0.85, 1.0), (1.2, 0.8), (-1.2, 0.8), (1.6, 0.6000000000000001),
+        (5e-4, 1.0), (-1e-9, 1e-6)]
+
+    @staticmethod
+    def same(got, want):
+        assert [len(states) for states in got] == [len(s) for s in want]
+        for states, others in zip(got, want):
+            assert np.array_equal(_bits(solver._rows(states)),
+                                  _bits(solver._rows(others)))
+            assert [(st.residual_norm, st.is_complex_state, st.is_pt_symmetric)
+                    for st in states] == [
+                (st.residual_norm, st.is_complex_state, st.is_pt_symmetric)
+                for st in others]
+
+    def test_every_point_deduplicates_at_g_5e_4(self):
+        points = [DimerParams(v=1.0, g=5e-4, gamma=gamma)
+                  for gamma in self.GAMMAS]
+        got = find_states_along(SYSTEM, points, CFG)
+        self.same(got, _reference_find_block(SYSTEM, points, CFG))
+        _, owner = solver._seeds(SYSTEM, points)
+        seeds = np.bincount(owner, minlength=len(points))
+        assert all(len(states) < n for states, n in zip(got, seeds))
+
+    @pytest.mark.parametrize("offset", [1.05e-7, 1.2e-7, 1.5e-7, 1.7e-7])
+    def test_duplicates_near_the_tolerance(self, monkeypatch, offset):
+        # lane k's mu.z0 (which the gauge leaves as it is) moved by
+        # offset * (k % 8) / 7, so the two seeds of a state at g = 5e-4 end
+        # up from 0.15 to 1.7 times 1e-7 apart, on both sides of DEDUP_TOL
+        polish = solver._polish
+
+        def nudged(lanes, idx, x, f, fnorm):
+            x, fnorm = polish(lanes, idx, x, f, fnorm)
+            x[:, 8] += offset * (np.arange(len(x)) % 8) / 7
+            return x, fnorm
+
+        monkeypatch.setattr(solver, "_polish", nudged)
+        points = [DimerParams(v=1.0, g=5e-4, gamma=gamma)
+                  for gamma in self.GAMMAS[::3]]
+        self.same(find_states_along(SYSTEM, points, CFG),
+                  _reference_find_block(SYSTEM, points, CFG))
+
+    def test_exceptional_points(self):
+        points = [DimerParams(v=1.0, g=g, gamma=gamma) for g, gamma in self.EPS]
+        want = _reference_find_block(SYSTEM, points, CFG)
+        self.same(find_states_along(SYSTEM, points, CFG), want)
+        # one point at a time, on Python floats
+        self.same([find_all_states(SYSTEM, p, CFG) for p in points],
+                  [_reference_find_block(SYSTEM, [p], CFG)[0]
+                   for p in points])
+        assert len(want[-1]) == 5  # the strict xfail's duplicate stays
+
+    def test_grid_without_duplicates(self):
+        # from gamma = 0, where the mirror pair shares mu
+        points = [DimerParams(v=1.0, g=-0.85, gamma=0.01 * k)
+                  for k in range(141)]
+        self.same(find_states_along(SYSTEM, points, CFG),
+                  _reference_find_block(SYSTEM, points, CFG))
+
+    def test_mirror_pair_is_ordered_by_the_full_key(self):
+        p = DimerParams(v=1.0, g=-0.85, gamma=0.0)
+        rows = solver._rows(find_all_states(SYSTEM, p, CFG)).tolist()
+        mu_keys = [tuple(round(c, 9) for c in row[8:12]) for row in rows]
+        assert len(set(mu_keys)) < len(mu_keys)
+        for kept in itertools.permutations(range(len(rows))):
+            assert solver._ordered(rows, list(kept)) == sorted(
+                kept, key=lambda k: solver._sort_key(rows[k]))
+        assert solver._ordered(rows, list(range(len(rows)))) == list(
+            range(len(rows)))
 
 
 class TestCandidateSolves:

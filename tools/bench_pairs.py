@@ -19,12 +19,16 @@ parent's interquartile range exceeds the metric's bound (relative to the
 parent's median) and not every change run beats every parent run;
 otherwise it is ``"within"`` when the change's median is no worse than the
 parent's by more than the bound, and ``"worse"`` when it is.
+``bytecode`` says whether a run's ``setup_s`` may include compiling the
+package: the ``PYTHONDONTWRITEBYTECODE`` setting, and whether each side
+has ``src/bcdimer/__pycache__``, before the first run and after the last.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import subprocess
 import sys
@@ -43,6 +47,16 @@ def _checkout_info(checkout: Path) -> dict:
     return {"sha": _git(checkout, "rev-parse", "HEAD"),
             "dirty": bool(_git(checkout, "status", "--porcelain",
                                "--untracked-files=no"))}
+
+
+def _bytecode(sides: dict[str, Path]) -> dict:
+    """The PYTHONDONTWRITEBYTECODE setting and, for each side, whether its
+    package has compiled bytecode that a run would load."""
+    return {"PYTHONDONTWRITEBYTECODE":
+            os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            "pycache": {side: (path / "src" / "bcdimer" /
+                               "__pycache__").is_dir()
+                        for side, path in sides.items()}}
 
 
 def _run(checkout: Path, ns, seconds: float) -> dict:
@@ -102,12 +116,14 @@ def main(argv=None) -> int:
     specs = json.loads((sides["parent"] / "BENCHMARK.json").read_text())
     seconds = specs["run_seconds"]
     runs = {"parent": [], "change": []}
+    bytecode = {"before": _bytecode(sides)}
     for k in range(ns.pairs):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in order:
             runs[side].append(_run(sides[side], ns, seconds))
             print(f"pair {k}: {side} {json.dumps(runs[side][-1])}",
                   file=sys.stderr)
+    bytecode["after"] = _bytecode(sides)
     metrics = {
         spec["name"]: _compare(
             spec, *([r["metrics"][spec["name"]]["value"] for r in runs[side]]
@@ -125,6 +141,7 @@ def main(argv=None) -> int:
         "machine": platform.machine(),
         "parent": _checkout_info(sides["parent"]),
         "change": _checkout_info(sides["change"]),
+        "bytecode": bytecode,
         "failed": {side: sum(r["failed"] for r in runs[side]) for side in runs},
         "correct": {side: all(r["correct"] for r in runs[side])
                     for side in runs},
