@@ -81,10 +81,20 @@ def _parse_range(text: str) -> tuple[float, float, float]:
     return lo, hi, step
 
 
+_MAX_POINTS = 100_000  # more grid or loop points: a usage error, at once
+
+
+def _check_points(n, what: str) -> None:
+    if n > _MAX_POINTS:
+        raise _Usage(f"{what} has {n:.17g} points, more than {_MAX_POINTS}")
+
+
 def _grid(rng: tuple[float, float, float]) -> list[float]:
     lo, hi, step = rng
-    n = int(math.floor((hi - lo) / step + 1e-9))
-    return [lo + k * step for k in range(n + 1)]
+    last = (hi - lo) / step + 1e-9
+    _check_points(math.floor(last) + 1 if last < math.inf else last,
+                  f"range {lo!r}:{hi!r}:{step!r}")
+    return [lo + k * step for k in range(int(math.floor(last)) + 1)]
 
 
 _TRACK_HELP = ("complex (default): only states that exist without "
@@ -334,6 +344,8 @@ def _check_loop(ns, which: str, turns: int = 1) -> None:
                  steps=ns.steps, turns=turns, states_to_track=[None]).validate()
     except ValueError as exc:
         raise _Usage(str(exc)) from exc
+    _check_points(ns.steps * turns + 1,
+                  f"a loop of {ns.steps} steps x {turns} turn(s)")
 
 
 def _nothing_to_track(where: str, track: str) -> NoConvergence:

@@ -67,14 +67,6 @@ _MAX_STEPS = 100000
 _TIE_TOL = 1e-7
 
 
-def _least(choices, cost):
-    """The first of ``choices`` whose cost is the least up to a tie."""
-    costs = [cost(choice) for choice in choices]
-    least = min(costs)
-    bound = least + _TIE_TOL * max(1.0, least)
-    return next(ch for ch, c in zip(choices, costs) if c <= bound)
-
-
 class NoMerger(RuntimeError):
     """The scanned interval contains no pitchfork-disappearance crossing."""
 
@@ -223,7 +215,9 @@ def meeting_branches(point, branches, step) -> tuple[list[int], int | None]:
     They are the two (tangent) or three (pitchfork) branches whose samples
     within ``step`` of the location lie closest to the coalesced state, in
     total; of equally close sets (see :func:`_assign`) the one of lowest
-    ids.  The continuing one is the first of those whose sample nearest the
+    ids: :func:`_assign_many` matches k equal rows of those distances to
+    the branches in id order, and its first map in the tie bound is sorted.
+    The continuing one is the first of those whose sample nearest the
     location is PT-symmetric.  Branch ids are their positions in
     ``branches``.
     """
@@ -234,9 +228,10 @@ def meeting_branches(point, branches, step) -> tuple[list[int], int | None]:
                  if abs(value - point.location) <= step]
         if dists:
             nearest[br.branch_id] = min(dists)
-    k = min(3 if point.kind == "pitchfork" else 2, len(nearest))
-    ids = list(_least(list(itertools.combinations(sorted(nearest), k)),
-                      lambda ids: sum(nearest[bid] for bid in ids)))
+    ids = sorted(nearest)
+    k = min(3 if point.kind == "pitchfork" else 2, len(ids))
+    cost = np.tile([nearest[bid] for bid in ids], (1, k, 1))
+    ids = [ids[c] for c in _assign_many(cost)[0].tolist()] if k else []
     if point.kind != "pitchfork":
         return ids, None
     symmetric = [

@@ -22,8 +22,8 @@ Jacobian run on the 12 packed floats through the model's kernel, whose rows
 are bit-for-bit those of the Bicomplex residual; Bicomplex values are the
 input and output type only.
 
-There is one Newton loop and one polish, and both run on lanes: an
-(N, 12) batch of seeds, each at its own point and on its own gauge site,
+There is one Newton loop, and the polish runs it too.  It runs on lanes:
+an (N, 12) batch of seeds, each at its own point and on its own gauge site,
 with a status per lane (converged, :class:`NoConvergence`, or
 :class:`GaugeDegenerate`).  The kernel evaluates a batch lane by lane on
 Python floats below 16 lanes and once on numpy arrays from there, with the
@@ -151,10 +151,7 @@ class RealSystemView:
         out = packed_residual(xs, self.controls)
         g0 = 4 * self.gauge_site
         if _close(out, xs[g0 : g0 + 4], self.scale(xs)):
-            raise GaugeDegenerate(
-                f"gauge amplitude {self.gauge_site} too small: "
-                f"{tuple(xs[g0 : g0 + 4])}"
-            )
+            raise _gauge_error(self.gauge_site, xs)
         return np.array(out)
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
@@ -389,16 +386,6 @@ def _dedup(rows: np.ndarray, fnorm: list[float], tol: float) -> list[int]:
     return kept
 
 
-def dedup_states(states: list[StationaryState],
-                 tol: float) -> list[StationaryState]:
-    """Drop near-duplicates (states within ``tol`` of one kept before),
-    keeping the lowest-residual representative; sorted by mu, psi1 and
-    psi2 (:func:`_sort_key`)."""
-    rows = _rows(states)
-    kept = _dedup(rows, [st.residual_norm for st in states], tol)
-    return [states[k] for k in _ordered(rows.tolist(), kept)]
-
-
 # -- Newton iteration on lanes ---------------------------------------------
 
 _MAX_HALVINGS = 30
@@ -526,24 +513,24 @@ def _solve(jac, rhs):
         return out, errors
 
 
-def _gauge_error(lanes: _Lanes, lane, x) -> GaugeDegenerate:
-    site = int(lanes.site[lane])
+def _gauge_error(site, x) -> GaugeDegenerate:
     return GaugeDegenerate(f"gauge amplitude {site} too small: "
-                           f"{tuple(x[4 * site: 4 * site + 4].tolist())}")
+                           f"{tuple(map(float, x[4 * site: 4 * site + 4]))}")
 
 
-def _newton(lanes: _Lanes, idx, x):
-    """Damped Newton on the lanes ``idx`` from the rows of x, all at once.
+def _newton(lanes: _Lanes, idx, x, tol, iterations=MAX_ITER,
+            halvings=_MAX_HALVINGS, f=None):
+    """Damped Newton on the lanes ``idx`` from the rows of x, all at once;
+    ``f``, if given, holds the residual rows at x.
 
     Returns the rows, their residual rows, their residuals (max-norm) and
     the error of each failed lane by its position: :class:`NoConvergence`
-    for a non-finite seed or step, a singular Jacobian, 30 halvings of a
-    damped step without descent, or 100 iterations;
+    for a non-finite seed or step, a singular Jacobian, ``halvings``
+    halvings of a damped step without descent, or ``iterations`` iterations;
     :class:`GaugeDegenerate` when the gauge amplitude vanishes at an
     iterate.  Every other lane stops at its first iterate with a residual
-    below ``cfg.residual_tol``.
+    below ``tol``, a number or one per lane.
     """
-    tol = lanes.cfg.residual_tol
     x = np.array(x, dtype=float)
     failed = np.zeros(len(x), dtype=bool)
     errors = {}
@@ -556,14 +543,12 @@ def _newton(lanes: _Lanes, idx, x):
     if not np.isfinite(x).all():
         fail({k: NoConvergence("seed has non-finite entries")
               for k in np.flatnonzero(~np.isfinite(x).all(1)).tolist()})
-    f, bad = lanes.residuals(idx, x)
-    fail({k: _gauge_error(lanes, idx[k], x[k]) for k in bad if not failed[k]})
+    f, bad = lanes.residuals(idx, x) if f is None else (f.copy(), [])
+    fail({k: _gauge_error(lanes.site[idx[k]], x[k]) for k in bad
+          if not failed[k]})
     fnorm = np.abs(f).max(1)
-    for _ in range(MAX_ITER):
-        done = fnorm < tol
-        if done.all():
-            break
-        todo = np.flatnonzero(~(done | failed))
+    for _ in range(iterations):
+        todo = np.flatnonzero(~((fnorm < tol) | failed))
         if not len(todo):
             break
         step, singular = _solve(lanes.jacobians(idx[todo], x[todo]), -f[todo])
@@ -572,7 +557,7 @@ def _newton(lanes: _Lanes, idx, x):
               for k in np.flatnonzero(~finite).tolist()})
         todo, step = todo[finite], step[finite]
         t = np.ones(len(todo))
-        for _halving in range(_MAX_HALVINGS + 1):
+        for _halving in range(halvings + 1):
             trial = x[todo] + t[:, None] * step
             f_new, bad = lanes.residuals(idx[todo], trial)
             fn_new = np.abs(f_new).max(1)
@@ -586,41 +571,27 @@ def _newton(lanes: _Lanes, idx, x):
         fail({k: NoConvergence("step-size underflow in damped Newton")
               for k in todo.tolist()})
     else:
-        fail({k: NoConvergence(f"no convergence after {MAX_ITER} iterations "
-                               f"(residual {fnorm[k]:.3e})")
+        fail({k: NoConvergence(f"no convergence after {iterations} "
+                               f"iterations (residual {fnorm[k]:.3e})")
               for k in np.flatnonzero(~(fnorm < tol) & ~failed).tolist()})
     return x, f, fnorm, errors
 
 
 def _polish(lanes: _Lanes, idx, x, f, fnorm):
     """Full Newton steps down to the roundoff floor, and no further, on the
-    lanes ``idx`` at once; returns the rows and their residuals.
+    lanes ``idx`` at once, from the rows x and their residual rows f;
+    returns the rows and their residuals.
 
     Near-degenerate roots (close to exceptional points) leave a cloud of
     approximate solutions at distance ~sqrt(tol); polishing pulls every
     seed down to the floor, 4 eps times :meth:`RealSystemView.scale`, so
-    deduplication can merge them.  A seed already at the floor takes no
-    step; otherwise a lane stops at the floor, after 8 steps, or at the
-    first step that does not lower its residual or that meets a singular
-    Jacobian or a vanishing gauge amplitude.
+    deduplication can merge them.  It is :func:`_newton` down to the floor
+    (a lane at it is done) in 8 iterations without halving; a lane that
+    fails keeps the row it has.
     """
-    x, f, fnorm = x.copy(), f.copy(), fnorm.copy()
-    floor = _POLISH_FLOOR * lanes.scale(x)
-    active = np.flatnonzero(~(fnorm <= floor))
-    for _ in range(_POLISH_ITERS):
-        if not len(active):
-            break
-        step, _ = _solve(lanes.jacobians(idx[active], x[active]), -f[active])
-        finite = np.isfinite(step).all(1)
-        active, step = active[finite], step[finite]
-        trial = x[active] + step
-        f_new, bad = lanes.residuals(idx[active], trial)
-        fn_new = np.abs(f_new).max(1)
-        fn_new[bad] = math.inf
-        down = fn_new < fnorm[active]
-        active = active[down]
-        x[active], f[active], fnorm[active] = trial[down], f_new[down], fn_new[down]
-        active = active[~(fnorm[active] <= floor[active])]
+    tol = np.nextafter(_POLISH_FLOOR * lanes.scale(x), np.inf)
+    x, _, fnorm, _ = _newton(lanes, idx, x, tol, _POLISH_ITERS, halvings=0,
+                             f=f)
     return x, fnorm
 
 
@@ -641,7 +612,8 @@ def newton_solve(system, params, seed,
         seed = (seed.psi1, seed.psi2), seed.mu
     lanes = _Lanes(system, [params], [0], cfg)
     x, _, fnorm, errors = _newton(lanes, np.arange(1),
-                                  lanes.view(0).pack(*seed)[None])
+                                  lanes.view(0).pack(*seed)[None],
+                                  cfg.residual_tol)
     if errors:
         raise errors[0]
     return _make_states(x, fnorm)[0][0]
@@ -661,7 +633,8 @@ def _candidate_solves(system, points, cfg: SolveConfig):
     while block := list(itertools.islice(points, _BLOCK)):
         seeds, owner = _seeds(system, block)
         lanes = _Lanes(system, block, owner, cfg)
-        x, _, fnorm, errors = _newton(lanes, np.arange(len(seeds)), seeds)
+        x, _, fnorm, errors = _newton(lanes, np.arange(len(seeds)), seeds,
+                                      cfg.residual_tol)
         ok = np.array([k for k in range(len(seeds)) if k not in errors],
                       dtype=int)
         states, rows = _make_states(x[ok], fnorm[ok])
@@ -700,8 +673,8 @@ def find_states_along(system, points, cfg: SolveConfig | None = None
     gauge amplitude vanishes on gauge site 1, and the polish run on all
     lanes at once.  The rows are made gauge-canonical and flagged in one
     call.  Only the points with two rows within DEDUP_TOL, found in one
-    array pass, run :func:`dedup_states`' rule; the kept rows are sorted
-    (:func:`_ordered`) and made states.
+    array pass, run the dedup rule (:func:`_dedup`); the kept rows are
+    sorted (:func:`_ordered`) and made states.
     """
     if cfg is None:
         cfg = SolveConfig()
@@ -716,13 +689,13 @@ def _find_block(system, points, cfg: SolveConfig):
     seeds, owner = _seeds(system, points)
     lanes = _Lanes(system, points, owner, cfg)
     idx = np.arange(len(seeds))
-    x, f, fnorm, errors = _newton(lanes, idx, seeds)
+    x, f, fnorm, errors = _newton(lanes, idx, seeds, cfg.residual_tol)
     retry = np.array([k for k, exc in errors.items()
                       if isinstance(exc, GaugeDegenerate)], dtype=int)
     if len(retry):
         lanes.site[retry] = 1
-        x[retry], f[retry], fnorm[retry], again = _newton(lanes, retry,
-                                                          seeds[retry])
+        x[retry], f[retry], fnorm[retry], again = _newton(
+            lanes, retry, seeds[retry], cfg.residual_tol)
         for k in retry.tolist():
             del errors[k]
         errors.update({int(retry[k]): exc for k, exc in again.items()})

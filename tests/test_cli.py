@@ -106,6 +106,39 @@ class TestExitCodes:
         assert run(args) == 2
         assert summary(capsys)["error"] == "usage"
 
+    # far more grid or loop points than the cap: rejected with the count
+    # before any point is made, where 1e12 points would exhaust memory
+    @pytest.mark.parametrize("args,count", [
+        (["sweep", "--gamma-range", "0:1:1e-12"], "1000000000001"),
+        (["sweep", "--g-range=-1e308:1e308:1e-300"], "inf"),
+        (["bifurcations", "--gamma-range", "0:1:1e-12"], "1000000000001"),
+        (["encircle", "--steps", "1000000000000"], "1000000000001"),
+        (["encircle", "--steps", "50000", "--turns", "3"], "150001"),
+        (["classify", "--steps", "1000000000000"], "1000000000001"),
+    ])
+    def test_too_many_points_is_a_usage_error(self, capsys, monkeypatch,
+                                              args, count):
+        def no_solving(*_args, **_kwargs):
+            raise AssertionError("solved before the points were counted")
+
+        for name in ("_resolve_center", "find_all_states",
+                     "stitched_branches"):
+            monkeypatch.setattr(cli, name, no_solving)
+        assert run(args) == 2
+        out = summary(capsys)
+        assert out["error"] == "usage"
+        assert f"has {count} points, more than 100000" in out["message"]
+
+    def test_point_cap_is_inclusive(self):
+        assert len(cli._grid((0.0, 99999.0, 1.0))) == cli._MAX_POINTS
+        with pytest.raises(cli._Usage, match="has 100001 points"):
+            cli._grid((0.0, 100000.0, 1.0))
+
+    def test_merger_window_is_not_a_grid(self, capsys):
+        # merger's lo:hi:step keeps the syntax; its step makes no points
+        assert run(["merger", "--g-range=-2.5:-0.1:1e-12"]) == 0
+        assert summary(capsys)["g_star"] == pytest.approx(-2.0)
+
     def test_one_parser_serves_every_call(self, capsys, monkeypatch):
         # build_parser is cached; a run must parse as a fresh parser would,
         # and classify's --param list must not carry over between calls

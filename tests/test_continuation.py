@@ -11,6 +11,7 @@ from bcdimer import continuation, solver
 from bcdimer.bicomplex import Bicomplex
 from bcdimer.cli import run
 from bcdimer.model import (
+    BifurcationPoint,
     DimerParams,
     DimerSystem,
     LinearTwoMode,
@@ -504,6 +505,98 @@ class TestAssignMany:
         nudge = rng.choice([-1.0, 0.0, 1.0], base.shape) * rng.choice(
             [2e-8, 3e-8, 5e-8, 9.9e-8, 1e-7, 1.01e-7], base.shape)
         self.check(scale * base * (1.0 + nudge))
+
+
+def _reference_meeting_branches(point, branches, step):
+    """meeting_branches with its old tie rule: of every sorted combination
+    of branch ids, the first whose ``sum`` of nearest distances is within
+    the tie bound of the least."""
+    nearest = {}
+    for br in branches:
+        dists = [state_distance(st, point.coalesced_state)
+                 for value, st in br.samples
+                 if abs(value - point.location) <= step]
+        if dists:
+            nearest[br.branch_id] = min(dists)
+    k = min(3 if point.kind == "pitchfork" else 2, len(nearest))
+    choices = list(itertools.combinations(sorted(nearest), k))
+    costs = [sum(nearest[bid] for bid in ids) for ids in choices]
+    least = min(costs)
+    bound = least + continuation._TIE_TOL * max(1.0, least)
+    ids = list(next(ch for ch, c in zip(choices, costs) if c <= bound))
+    if point.kind != "pitchfork":
+        return ids, None
+    symmetric = [
+        bid for bid in ids
+        if min(branches[bid].samples,
+               key=lambda sample: abs(sample[0] - point.location))[1]
+        .is_pt_symmetric]
+    return ids, (symmetric[0] if symmetric else None)
+
+
+class TestMeetingBranches:
+    """The branches through a point, picked by _assign_many from equal rows
+    of nearest distances, are those the old combination rule picked."""
+
+    # the `bifurcations` reference scans: (v, g, s, gamma range)
+    SCANS = [*((1.0, g, 0.0, (0.05, 1.4, 0.01))
+               for g in (0.0, 0.01, -0.4, -0.8, 1.2, 5e-4)),
+             (1.0, -1.5, 0.05, (0.05, 1.4, 0.01)),
+             (2.0, 1.2, 0.0, (0.05, 2.8, 0.02))]
+
+    @pytest.mark.parametrize("scan", SCANS)
+    def test_reference_scans(self, scan):
+        v, g, s, (lo, hi, step) = scan
+        params = DimerParams(v=v, g=g, s=s)
+        n = int(math.floor((hi - lo) / step + 1e-9))
+        branches = stitched_branches(SYSTEM, params, "gamma",
+                                     [lo + k * step for k in range(n + 1)],
+                                     CFG)
+        points = SYSTEM.bifurcation_set(params, "gamma", lo, hi, CFG)
+        assert points or g == 0.0
+        for pt in points:
+            assert meeting_branches(pt, branches, step) == (
+                _reference_meeting_branches(pt, branches, step))
+
+    @staticmethod
+    def branches(dists, rng):
+        """One branch per distance, whose sample at 0 lies that far from
+        the zero state, and one more after each with no sample within 0.5
+        of 0 (None: only that one); PT flags drawn at random."""
+        zero = Bicomplex(0.0, 0.0, 0.0, 0.0)
+        out = []
+        for d in dists:
+            for value, dist in ((0.0, d), (2.0, 1e-3)):
+                if value == 0.0 and d is None:
+                    continue
+                st = StationaryState(Bicomplex(dist, 0.0, 0.0, 0.0), zero,
+                                     zero, 0.0, True,
+                                     bool(rng.integers(0, 2)))
+                out.append(continuation.Branch(
+                    parameter="gamma", samples=[(value, st)],
+                    branch_id=len(out)))
+        return out
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("kind", ["tangent", "pitchfork"])
+    @pytest.mark.parametrize("n_near", [0, 1, 2, 3, 4, 5])
+    def test_ties_near_the_bound(self, n_near, kind, scale):
+        # distances a few 1e-8 apart, relative, on both sides of the tie
+        # bound; k = min(2 or 3, n_near) branches are picked
+        rng = np.random.default_rng(100 * n_near + len(kind))
+        zero = Bicomplex(0.0, 0.0, 0.0, 0.0)
+        point = BifurcationPoint(kind, 0.0, (), StationaryState(
+            zero, zero, zero, 0.0, True, True), 0.0)
+        for _ in range(60):
+            base = rng.integers(1, 3, n_near).astype(float)
+            nudge = rng.choice([-1.0, 0.0, 1.0], n_near) * rng.choice(
+                [2e-8, 5e-8, 9.9e-8, 1e-7, 1.01e-7, 2e-7], n_near)
+            dists = (scale * base * (1.0 + nudge)).tolist() or [None]
+            branches = self.branches(dists, rng)
+            ids, continuing = meeting_branches(point, branches, 0.5)
+            assert (ids, continuing) == _reference_meeting_branches(
+                point, branches, 0.5)
+            assert len(ids) == min(3 if kind == "pitchfork" else 2, n_near)
 
 
 def _reference_states_table(rows, lead=(), extra=()):

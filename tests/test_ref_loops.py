@@ -1,0 +1,122 @@
+import importlib.util
+import json
+from pathlib import Path
+from types import SimpleNamespace
+
+from bcdimer.bicomplex import Bicomplex
+from bcdimer.model import StationaryState
+
+
+def _load_ref_loops():
+    """tools/ref_loops.py is a script, not part of the package."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "ref_loops.py"
+    spec = importlib.util.spec_from_file_location("_ref_loops", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+REF = _load_ref_loops()
+
+STATE = StationaryState(Bicomplex(0.5, 0.0, 0.1, 0.0),
+                        Bicomplex(0.5, 0.0, -0.1, 0.0),
+                        Bicomplex(1.0, 0.0, 0.0, 0.0), 1e-16, True, True)
+OTHER = StationaryState(Bicomplex(0.5, 0.0, 0.1, 0.0),
+                        Bicomplex(-0.5, 0.0, 0.1, 0.0),
+                        Bicomplex(-1.0, 0.0, 0.0, 0.0), 2e-16, True, False)
+TRACE = SimpleNamespace(phis=[0.0, 3.141592653589793, 6.283185307179586],
+                        states=[[STATE, OTHER], [OTHER, STATE],
+                                [STATE, OTHER]],
+                        permutation=[0, 1], cycle_type=[1, 1],
+                        match_margin=12.5, reliable=True, fallback_steps=0)
+
+
+def record(**loops):
+    """A record of the loop TRACE under the name "a", a failed loop "b",
+    and one grid of two points; ``loops`` replaces or adds loops."""
+    out = {"loops": {"a": REF.trace_record(TRACE),
+                     "b": {"error": "TrackingLost: state lost"}},
+           "grids": {"g": [[REF.state_record(STATE)],
+                           [REF.state_record(STATE),
+                            REF.state_record(OTHER)]]}}
+    out["loops"].update(loops)
+    return json.loads(json.dumps(out))  # as read back from a process
+
+
+def nudged(value: float) -> StationaryState:
+    """STATE with the first component of mu moved to ``value``."""
+    return StationaryState(STATE.psi1, STATE.psi2, Bicomplex(value, 0, 0, 0),
+                           STATE.residual_norm, True, True)
+
+
+class TestRecords:
+    def test_floats_are_exact(self):
+        row = REF.state_record(STATE)
+        assert [float.fromhex(c) for c in row[:13]] == [
+            *STATE.psi1.as_tuple(), *STATE.psi2.as_tuple(),
+            *STATE.mu.as_tuple(), STATE.residual_norm]
+        assert row[13:] == [True, True]
+        assert REF.state_record(nudged(1.0000000000000002)) != row
+
+    def test_trace_fields(self):
+        rec = REF.trace_record(TRACE)
+        assert rec["permutation"] == [0, 1] and rec["cycle_type"] == [1, 1]
+        assert float.fromhex(rec["match_margin"]) == 12.5
+        assert len(rec["phis"]) == len(rec["states"]) == 3
+        assert rec["reliable"] is True and rec["fallback_steps"] == 0
+
+
+class TestCompare:
+    def test_identical(self):
+        comparison = REF.compare(record(), record())
+        assert comparison == {"loops/a": {"identical": True},
+                              "loops/b": {"identical": True},
+                              "grids/g": {"identical": True}}
+        assert REF.verdict(record(), comparison) == {
+            "loops": 2, "loop_steps": 3, "grids": 1, "grid_points": 2,
+            "not_identical": [], "missing": []}
+
+    def test_one_bit_of_one_state(self):
+        trace = SimpleNamespace(**vars(TRACE))
+        trace.states = [[STATE, OTHER], [OTHER, nudged(1.0000000000000002)],
+                        [STATE, OTHER]]
+        comparison = REF.compare(record(),
+                                 record(a=REF.trace_record(trace)))
+        assert comparison["loops/a"] == {"identical": False,
+                                         "at": "/states/1/1/8"}
+        assert REF.verdict(record(), comparison)["not_identical"] == [
+            "loops/a"]
+
+    def test_permutation_margin_and_fallbacks(self):
+        for field, value, at in [("permutation", [1, 0], "/permutation/0"),
+                                 ("match_margin", 12.500000000000002,
+                                  "/match_margin"),
+                                 ("fallback_steps", 1, "/fallback_steps"),
+                                 ("reliable", False, "/reliable")]:
+            trace = SimpleNamespace(**vars(TRACE))
+            setattr(trace, field, value)
+            assert REF.compare(record(), record(a=REF.trace_record(trace)))[
+                "loops/a"] == {"identical": False, "at": at}
+
+    def test_a_lost_state_and_an_error(self):
+        trace = SimpleNamespace(**vars(TRACE))
+        trace.states = [[STATE, OTHER], [OTHER], [STATE, OTHER]]
+        comparison = REF.compare(
+            record(), record(a=REF.trace_record(trace),
+                             b=REF.trace_record(TRACE)))
+        assert comparison["loops/a"] == {"identical": False,
+                                         "at": "/states/1 (length 2 != 1)"}
+        assert comparison["loops/b"] == {"identical": False, "at": " (keys)"}
+
+    def test_flag_is_not_a_number(self):
+        changed = record()
+        changed["grids"]["g"][1][1][-1] = 0  # False, as an integer
+        assert REF.compare(record(), changed)["grids/g"] == {
+            "identical": False, "at": "/1/1/14"}
+
+    def test_missing_on_one_side(self):
+        extra = record(c=REF.trace_record(TRACE))
+        comparison = REF.compare(record(), extra)
+        assert comparison["loops/c"] == {"identical": False, "missing": True}
+        out = REF.verdict(record(), comparison)
+        assert out["missing"] == ["loops/c"] and out["not_identical"] == []

@@ -27,7 +27,6 @@ from bcdimer.solver import (
     RealSystemView,
     SolveConfig,
     canonical_gauge,
-    dedup_states,
     find_all_states,
     find_states_along,
     newton_solve,
@@ -431,9 +430,11 @@ class TestFindAllStates:
                 psi1 = Bicomplex.from_idempotent(pair1.plus * c, pair1.minus * um)
                 psi2 = Bicomplex.from_idempotent(pair2.plus * c, pair2.minus * um)
                 seeds.append(((psi1, psi2), st.mu))
-        found = [newton_solve(SYSTEM, p, s, CFG) for s in seeds]
-        merged = dedup_states(list(found) + list(base), DEDUP_TOL)
-        assert len(merged) == len(base)
+        states = [newton_solve(SYSTEM, p, s, CFG) for s in seeds] + base
+        rows = solver._rows(states)
+        kept = solver._dedup(rows, [st.residual_norm for st in states],
+                             DEDUP_TOL)
+        assert len(solver._ordered(rows.tolist(), kept)) == len(base)
 
     def test_sorted_by_re_mu(self):
         # by mu, psi1 and psi2 rounded to 9 decimals: roundoff in a
@@ -616,6 +617,52 @@ class TestQuarticOracle:
         assert len(matched) == 4
 
 
+def _reference_polish(lanes, idx, x, f, fnorm):
+    """The polish as its own loop, before it ran through ``_newton``."""
+    x, f, fnorm = x.copy(), f.copy(), fnorm.copy()
+    floor = solver._POLISH_FLOOR * lanes.scale(x)
+    active = np.flatnonzero(~(fnorm <= floor))
+    for _ in range(solver._POLISH_ITERS):
+        if not len(active):
+            break
+        step, _ = solver._solve(lanes.jacobians(idx[active], x[active]),
+                                -f[active])
+        finite = np.isfinite(step).all(1)
+        active, step = active[finite], step[finite]
+        trial = x[active] + step
+        f_new, bad = lanes.residuals(idx[active], trial)
+        fn_new = np.abs(f_new).max(1)
+        fn_new[bad] = math.inf
+        down = fn_new < fnorm[active]
+        active = active[down]
+        x[active], f[active], fnorm[active] = (trial[down], f_new[down],
+                                               fn_new[down])
+        active = active[~(fnorm[active] <= floor[active])]
+    return x, fnorm
+
+
+def _newton_lanes(system, points, cfg):
+    """The lanes of one batched pass after Newton and the retry on gauge
+    site 1, as ``_find_block`` takes them to the polish: the lanes, and
+    the positions, rows, residual rows and residuals of the converged
+    ones."""
+    seeds, owner = solver._seeds(system, points)
+    lanes = solver._Lanes(system, points, owner, cfg)
+    idx = np.arange(len(seeds))
+    x, f, fnorm, errors = solver._newton(lanes, idx, seeds, cfg.residual_tol)
+    retry = np.array([k for k, exc in errors.items()
+                      if isinstance(exc, GaugeDegenerate)], dtype=int)
+    if len(retry):
+        lanes.site[retry] = 1
+        x[retry], f[retry], fnorm[retry], again = solver._newton(
+            lanes, retry, seeds[retry], cfg.residual_tol)
+        for k in retry.tolist():
+            del errors[k]
+        errors.update({int(retry[k]): exc for k, exc in again.items()})
+    ok = np.array([k for k in idx.tolist() if k not in errors], dtype=int)
+    return lanes, ok, x[ok], f[ok], fnorm[ok]
+
+
 class TestPolish:
     """find_all_states polishes each seed to the roundoff floor and stops
     there (that states reach it: TestQuarticOracle)."""
@@ -680,6 +727,71 @@ class TestPolish:
         along = find_states_along(SYSTEM, [p] * 8, CFG)
         assert all([st.mu for st in row] == [st.mu for st in states]
                    for row in along)
+
+    # the polish is the Newton loop with the floor as tolerance, 8
+    # iterations and no halving: it takes the old loop's steps, to the bit
+
+    @staticmethod
+    def same_as_the_old_loop(lanes, idx, x, f, fnorm):
+        want_x, want_norm = _reference_polish(lanes, idx, x, f, fnorm)
+        got_x, got_norm = solver._polish(lanes, idx, x, f, fnorm)
+        assert np.array_equal(_bits(got_x), _bits(want_x))
+        assert np.array_equal(_bits(got_norm), _bits(want_norm))
+        return got_x, got_norm
+
+    @pytest.mark.parametrize("noise", [1e-2, 0.3])
+    @pytest.mark.parametrize("n_points", [2, 4, 8])
+    def test_perturbed_lanes_match_the_old_loop(self, n_points, noise):
+        # 8, 16 and 32 lanes, below, at and above _CROSSOVER, from Newton's
+        # rows and from the perturbed seeds themselves, where at the larger
+        # noise steps fail to descend and lanes run out of iterations
+        rng = np.random.default_rng(43)
+        points = [DimerParams(v=rng.uniform(0.5, 2.0),
+                              g=Bicomplex(rng.uniform(-2.5, 2.5), j),
+                              gamma=Bicomplex(rng.uniform(0.0, 1.5), -j),
+                              s=Bicomplex(rng.uniform(-0.3, 0.3), j))
+                  for j in (0.0, 0.2, 0.0, -0.1, 0.0, 0.0, 0.1, 0.0)[:n_points]]
+        seeds, owner = SYSTEM.packed_candidates(points)
+        seeds = seeds + rng.normal(0.0, noise, seeds.shape)
+        idx = np.arange(len(seeds))
+        lanes = solver._Lanes(SYSTEM, points, owner, CFG)
+        x, f, fnorm, errors = solver._newton(lanes, idx, seeds,
+                                             CFG.residual_tol)
+        ok = np.array([k for k in idx.tolist() if k not in errors], dtype=int)
+        self.same_as_the_old_loop(lanes, ok, x[ok], f[ok], fnorm[ok])
+        f, bad = lanes.residuals(idx, seeds)
+        ok = np.setdiff1d(idx, bad)
+        _, pnorm = self.same_as_the_old_loop(lanes, ok, seeds[ok], f[ok],
+                                             np.abs(f[ok]).max(1))
+        floor = solver._POLISH_FLOOR * lanes.scale(seeds[ok])
+        if noise > 0.1:  # lanes that stopped above the floor
+            assert (pnorm > floor).any()
+
+    def test_exceptional_points_match_the_old_loop(self):
+        points = [DimerParams(v=1.0, g=g, gamma=gamma)
+                  for g, gamma in TestBlockDedup.EPS]
+        self.same_as_the_old_loop(*_newton_lanes(SYSTEM, points, CFG))
+        for p in points:  # one point at a time, on Python floats
+            self.same_as_the_old_loop(*_newton_lanes(SYSTEM, [p], CFG))
+
+    def test_residual_on_its_floor_and_a_float_above(self, monkeypatch):
+        # the floor is a power of two times the scale, so a scale can put
+        # it exactly on a lane's residual (lane 0), or a float below it
+        # (lane 1); lanes 2 and 3 keep their own scale.  Below _CROSSOVER
+        # lanes only the polish asks for _Lanes.scale
+        assert solver._POLISH_FLOOR == 2.0 ** -50
+        p = DimerParams(v=1.0, g=-0.8, gamma=0.5)
+        lanes, ok, x, f, fnorm = _newton_lanes(SYSTEM, [p], CFG)
+        assert len(ok) == 4 < solver._CROSSOVER
+        scale = solver._Lanes.scale(lanes, x)
+        scale[0] = fnorm[0] / solver._POLISH_FLOOR
+        scale[1] = np.nextafter(fnorm[1], 0.0) / solver._POLISH_FLOOR
+        assert solver._POLISH_FLOOR * scale[0] == fnorm[0]
+        assert np.nextafter(solver._POLISH_FLOOR * scale[1], 1.0) == fnorm[1]
+        monkeypatch.setattr(solver._Lanes, "scale", lambda _lanes, _x: scale)
+        px, pnorm = self.same_as_the_old_loop(lanes, ok, x, f, fnorm)
+        assert np.array_equal(_bits(px[0]), _bits(x[0]))
+        assert pnorm[0] == fnorm[0] and pnorm[1] < fnorm[1]
 
 
 class _DegenerateSite0(DimerSystem):
@@ -754,21 +866,8 @@ def _reference_find_block(system, points, cfg):
         kept.sort(key=lambda k: sort_key(listed[k]))
         return [states[k] for k in kept]
 
-    seeds, owner = solver._seeds(system, points)
-    lanes = solver._Lanes(system, points, owner, cfg)
-    idx = np.arange(len(seeds))
-    x, f, fnorm, errors = solver._newton(lanes, idx, seeds)
-    retry = np.array([k for k, exc in errors.items()
-                      if isinstance(exc, GaugeDegenerate)], dtype=int)
-    if len(retry):
-        lanes.site[retry] = 1
-        x[retry], f[retry], fnorm[retry], again = solver._newton(
-            lanes, retry, seeds[retry])
-        for k in retry.tolist():
-            del errors[k]
-        errors.update({int(retry[k]): exc for k, exc in again.items()})
-    ok = np.array([k for k in idx.tolist() if k not in errors], dtype=int)
-    x, fnorm = solver._polish(lanes, ok, x[ok], f[ok], fnorm[ok])
+    lanes, ok, x, f, fnorm = _newton_lanes(system, points, cfg)
+    x, fnorm = solver._polish(lanes, ok, x, f, fnorm)
     states, rows = solver._make_states(x, fnorm)
     first = np.searchsorted(lanes.owner[ok], np.arange(len(points) + 1))
     return [dedup(states[lo:hi], DEDUP_TOL, rows[lo:hi])
@@ -957,12 +1056,14 @@ class TestLaneContainers:
         seeds = seeds + rng.normal(0.0, 1e-2, seeds.shape)
         idx = np.arange(len(seeds))
         lanes = solver._Lanes(SYSTEM, points, owner, CFG)
-        x, f, fnorm, errors = solver._newton(lanes, idx, seeds)
+        x, f, fnorm, errors = solver._newton(lanes, idx, seeds,
+                                             CFG.residual_tol)
         assert errors == {} and np.all(np.abs(x - seeds).max(1) > 0)
         px, pnorm = solver._polish(lanes, idx, x, f, fnorm)
         for k in idx.tolist():
             one = idx[k:k + 1]
-            x1, f1, fnorm1, errors1 = solver._newton(lanes, one, seeds[one])
+            x1, f1, fnorm1, errors1 = solver._newton(lanes, one, seeds[one],
+                                                     CFG.residual_tol)
             assert errors1 == {}
             assert np.array_equal(_bits(x1[0]), _bits(x[k]))
             assert fnorm1[0] == fnorm[k]

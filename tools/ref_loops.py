@@ -1,0 +1,192 @@
+"""Loop traces and grid states of two checkouts, compared bit for bit.
+
+Usage (from anywhere):
+
+    python3 tools/ref_loops.py PARENT CHANGE --out LOOPS.json
+
+PARENT and CHANGE are two checkouts of this repository.  Each is recorded
+in its own process, which imports ``bcdimer`` from the checkout's ``src/``
+and the question benchmark from its ``qbench/``:
+
+* the 48 loops of the benchmark's ``loops`` workload (seeds 5, 17 and 41,
+  two rounds of eight loops each), each through ``ep.encircle``: every
+  step's phi and states, with their residuals and flags, the permutation,
+  cycle type, match margin, reliability and fallback count, or the error
+  the loop raised;
+* the grids of ``GRIDS`` through ``solver.find_states_along``: every
+  point's states, with their residuals and flags.
+
+Floats are recorded as ``float.hex``, so equal records mean equal bits.
+The record written to ``--out`` holds, for each loop and grid, whether the
+two checkouts' are identical and, where not, the first place where they
+differ.  The last line of standard output is a one-line verdict: how many
+loops, loop steps, grids and grid points were compared, the ones that are
+not identical and the ones that one side lacks.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SEEDS = (5, 17, 41)
+ROUNDS = 2
+# the grids of the stitched-scan tests (tests/test_continuation.py): the
+# reference `sweep` grids, `bifurcations` scans (at g = 5e-4 every state
+# has two seeds), the linear model, and a grid longer than one block of
+# the batched pass; (system, controls, parameter, first value, step, points)
+GRIDS = {
+    "sweep --g -1": ("dimer", {"g": -1.0}, "gamma", 0.0, 0.01, 141),
+    "sweep --gamma 0.5": ("dimer", {"gamma": 0.5}, "g", -2.5, 0.05, 101),
+    **{f"bifurcations --g {g}" + (f" --s {s}" if s else ""):
+       ("dimer", {"g": g, "s": s}, "gamma", 0.05, 0.01, 136)
+       for g, s in [(0.01, 0.0), (-0.4, 0.0), (1.2, 0.0), (-1.5, 0.05),
+                    (0.0, 0.0), (5e-4, 0.0)]},
+    "linear": ("linear", {}, "gamma", 0.05, 0.01, 136),
+    "long": ("dimer", {"g": -0.85}, "gamma", 0.0, 1.4 / 262, 263),
+}
+# one BLAS thread in the recording processes, as in the benchmark
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+               "NUMEXPR_NUM_THREADS")
+
+
+def state_record(st) -> list:
+    """A state's 12 floats and residual, as hex, and its two flags."""
+    return [*(float(c).hex() for z in (st.psi1, st.psi2, st.mu)
+              for c in z.as_tuple()),
+            float(st.residual_norm).hex(), st.is_complex_state,
+            st.is_pt_symmetric]
+
+
+def trace_record(trace) -> dict:
+    return {"phis": [float(phi).hex() for phi in trace.phis],
+            "states": [[state_record(st) for st in step]
+                       for step in trace.states],
+            "permutation": list(trace.permutation),
+            "cycle_type": list(trace.cycle_type),
+            "match_margin": float(trace.match_margin).hex(),
+            "reliable": trace.reliable,
+            "fallback_steps": trace.fallback_steps}
+
+
+def _record(checkout: Path) -> dict:
+    """The loops and grids of ``checkout``, run in this process."""
+    sys.path[:0] = [str(checkout / "src"), str(checkout / "qbench")]
+    import bcdimer
+    if Path(bcdimer.__file__).resolve().parent != checkout / "src" / "bcdimer":
+        sys.exit(f"ref_loops: imported bcdimer from {bcdimer.__file__}")
+    import workloads
+    from bcdimer.model import DimerParams, DimerSystem, LinearTwoMode
+    from bcdimer.solver import SolveConfig, find_states_along
+
+    loops = {}
+    for seed in SEEDS:
+        for r, round_ in enumerate(workloads.build_loops(seed, ROUNDS).rounds):
+            for k, q in enumerate(round_):
+                try:
+                    out = trace_record(q.ask(None))
+                except Exception as exc:  # noqa: BLE001 - recorded, compared
+                    out = {"error": f"{type(exc).__name__}: {exc}"}
+                loops[f"seed {seed} round {r} loop {k}: {q.label}"] = out
+    systems = {"dimer": DimerSystem(), "linear": LinearTwoMode()}
+    cfg = SolveConfig(residual_tol=1e-11)
+    grids = {}
+    for name, (system, controls, parameter, lo, step, n) in GRIDS.items():
+        params = DimerParams(v=1.0, **controls)
+        points = [params.with_control(parameter, lo + k * step)
+                  for k in range(n)]
+        grids[name] = [[state_record(st) for st in states] for states in
+                       find_states_along(systems[system], points, cfg)]
+    return {"loops": loops, "grids": grids}
+
+
+def _run(checkout: Path) -> dict:
+    env = dict(os.environ, **dict.fromkeys(THREAD_VARS, "1"))
+    env.pop("PYTHONPATH", None)
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--record",
+         str(checkout)], env=env, capture_output=True, text=True)
+    if proc.returncode:
+        sys.exit(f"ref_loops: recording {checkout} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def first_difference(a, b, path: str = ""):
+    """Where two JSON values first differ, as a path of keys and indices
+    ("" for the values themselves), or None when they are equal."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if sorted(a) != sorted(b):
+            return path + " (keys)"
+        return next((d for key in sorted(a) if (d := first_difference(
+            a[key], b[key], f"{path}/{key}")) is not None), None)
+    if isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return f"{path} (length {len(a)} != {len(b)})"
+        return next((d for k, (x, y) in enumerate(zip(a, b)) if (
+            d := first_difference(x, y, f"{path}/{k}")) is not None), None)
+    return None if type(a) is type(b) and a == b else path
+
+
+def compare(a: dict, b: dict) -> dict:
+    """For each loop and grid of either record, keyed "loops/NAME" and
+    "grids/NAME": {"identical": True}, or where the two first differ, or
+    that one record lacks it."""
+    out = {}
+    for kind in ("loops", "grids"):
+        ka, kb = a.get(kind, {}), b.get(kind, {})
+        for name in sorted(set(ka) | set(kb)):
+            if name not in ka or name not in kb:
+                out[f"{kind}/{name}"] = {"identical": False, "missing": True}
+                continue
+            at = first_difference(ka[name], kb[name])
+            out[f"{kind}/{name}"] = ({"identical": True} if at is None
+                                     else {"identical": False, "at": at})
+    return out
+
+
+def verdict(a: dict, comparison: dict) -> dict:
+    """The one-line summary: what was compared, in the first record, and
+    which entries are not identical or missing on one side."""
+    loops, grids = a.get("loops", {}), a.get("grids", {})
+    return {
+        "loops": len(loops),
+        "loop_steps": sum(len(t.get("phis", ())) for t in loops.values()),
+        "grids": len(grids),
+        "grid_points": sum(map(len, grids.values())),
+        "not_identical": sorted(name for name, c in comparison.items()
+                                if not c["identical"] and "missing" not in c),
+        "missing": sorted(name for name, c in comparison.items()
+                          if "missing" in c),
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--record", type=Path, default=None,
+                    help=argparse.SUPPRESS)
+    ap.add_argument("parent", type=Path, nargs="?")
+    ap.add_argument("change", type=Path, nargs="?")
+    ap.add_argument("--out", type=Path, default=None,
+                    help="write the comparison here (default: stdout only)")
+    ns = ap.parse_args(argv)
+    if ns.record is not None:
+        json.dump(_record(ns.record.resolve()), sys.stdout)
+        return 0
+    if ns.parent is None or ns.change is None:
+        ap.error("PARENT and CHANGE are required")
+    a, b = _run(ns.parent.resolve()), _run(ns.change.resolve())
+    comparison = compare(a, b)
+    if ns.out is not None:
+        ns.out.write_text(json.dumps(comparison, indent=1, sort_keys=True)
+                          + "\n")
+    print(json.dumps(verdict(a, comparison)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
