@@ -556,16 +556,16 @@ def _newton(lanes: _Lanes, idx, x, tol, iterations=MAX_ITER,
         fail({todo[k]: singular.get(k, NoConvergence("non-finite Newton step"))
               for k in np.flatnonzero(~finite).tolist()})
         todo, step = todo[finite], step[finite]
-        t = np.ones(len(todo))
+        t = 1.0  # the lanes left halve together
         for _halving in range(halvings + 1):
-            trial = x[todo] + t[:, None] * step
+            trial = x[todo] + t * step
             f_new, bad = lanes.residuals(idx[todo], trial)
             fn_new = np.abs(f_new).max(1)
             fn_new[bad] = math.inf
             down = fn_new < fnorm[todo]
             moved = todo[down]
             x[moved], f[moved], fnorm[moved] = trial[down], f_new[down], fn_new[down]
-            todo, step, t = todo[~down], step[~down], 0.5 * t[~down]
+            todo, step, t = todo[~down], step[~down], 0.5 * t
             if not len(todo):
                 break
         fail({k: NoConvergence("step-size underflow in damped Newton")
