@@ -133,8 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="states over a parameter range, stitched "
                        "into branches")
     common(p)
-    p.add_argument("--gamma-range", type=_parse_range, default=None)
-    p.add_argument("--g-range", type=_parse_range, default=None)
+    rng = p.add_mutually_exclusive_group(required=True)
+    rng.add_argument("--gamma-range", type=_parse_range)
+    rng.add_argument("--g-range", type=_parse_range)
 
     p = sub.add_parser("bifurcations", help="locate the tangents and "
                        "pitchforks over a gamma range, and the branches "
@@ -251,12 +252,8 @@ def _cmd_sweep(ns) -> dict:
     system = DimerSystem()
     params = _params(ns)
     cfg = _cfg(ns)
-    if ns.gamma_range is not None:
-        parameter, rng = "gamma", ns.gamma_range
-    elif ns.g_range is not None:
-        parameter, rng = "g", ns.g_range
-    else:
-        raise _Usage("sweep needs --gamma-range or --g-range")
+    parameter, rng = (("g", ns.g_range) if ns.gamma_range is None
+                      else ("gamma", ns.gamma_range))
     grid = _grid(rng)
     branches = stitched_branches(system, params, parameter, grid, cfg)
     _write(ns.out, "branches.csv", branches_to_csv(branches))
@@ -332,68 +329,58 @@ def _resolve_center(ns, system, cfg):
             raise NoConvergence("no pitchfork in (0, v] at these parameters")
         loc, coalesced = found
         return params.with_control("gamma", loc), coalesced
-    g_star, gamma_star = find_merger(ns.v, system, cfg=cfg)
-    params = params.with_control("g", g_star)
-    return params.with_control("gamma", gamma_star), None
+    g_star, _ = find_merger(ns.v, system, cfg=cfg, params_base=params)
+    return params.with_control("g", g_star), None
 
 
-def _check_loop(ns, which: str, turns: int = 1) -> None:
-    """Reject bad loop settings as usage errors, before any solving."""
+def _traces(ns, system, cfg, which_list, turns=1, reverse=False):
+    """One loop of each control in ``which_list`` around the ``--around``
+    center.  The loop settings are checked as usage errors before any
+    solving.  Each loop tracks the states at its start: the complex ones
+    unless ``--track all``, and only those near the coalesced state where
+    the center has one."""
     try:
-        LoopSpec(center=_params(ns), which=which, radius=ns.radius,
+        LoopSpec(center=_params(ns), which=which_list[0], radius=ns.radius,
                  steps=ns.steps, turns=turns, states_to_track=[None]).validate()
     except ValueError as exc:
         raise _Usage(str(exc)) from exc
     _check_points(ns.steps * turns + 1,
                   f"a loop of {ns.steps} steps x {turns} turn(s)")
-
-
-def _nothing_to_track(where: str, track: str) -> NoConvergence:
-    hint = ("; --track complex skips the bicomplex states, which past a "
-            "tangent at g != 0 are the coalescing pair: try --track all"
-            if track == "complex" else "")
-    return NoConvergence(f"no states to track {where}{hint}")
-
-
-def _tracked_states(system, center, which, radius, coalesced, track, cfg):
-    r = LoopSpec(center=center, which=which, radius=radius).resolved_radius()
-    value0 = center.control(which).z0 + r
-    p0 = center.with_control(which, value0)
-    states = find_all_states(system, p0, cfg)
-    if track == "complex":
-        states = [s for s in states if s.is_complex_state]
-    if coalesced is not None:
+    center, coalesced = _resolve_center(ns, system, cfg)
+    traces = []
+    for which in which_list:
+        spec = LoopSpec(center=center, which=which, radius=ns.radius,
+                        steps=ns.steps, turns=turns, reverse=reverse)
+        r = spec.resolved_radius()
+        states = find_all_states(
+            system, center.with_control(which, center.control(which).z0 + r),
+            cfg)
         thr = max(0.25, 4.0 * math.sqrt(r))
-        states = [s for s in states if state_distance(s, coalesced) < thr]
-    return states
+        spec.states_to_track = [
+            s for s in states
+            if (ns.track == "all" or s.is_complex_state)
+            and (coalesced is None or state_distance(s, coalesced) < thr)]
+        if not spec.states_to_track:
+            hint = ("; --track complex skips the bicomplex states, which past "
+                    "a tangent at g != 0 are the coalescing pair: try --track "
+                    "all" if ns.track == "complex" else "")
+            raise NoConvergence(f"no states to track for the {which} loop"
+                                f"{hint}")
+        traces.append(encircle(system, spec, cfg))
+    return traces
 
 
 def _cmd_encircle(ns) -> dict:
-    system = DimerSystem()
-    cfg = _cfg(ns)
-    _check_loop(ns, ns.param, ns.turns)
-    center, coalesced = _resolve_center(ns, system, cfg)
-    tracked = _tracked_states(system, center, ns.param, ns.radius, coalesced,
-                              ns.track, cfg)
-    if not tracked:
-        raise _nothing_to_track("at the loop start", ns.track)
-    spec = LoopSpec(
-        center=center,
-        which=ns.param,
-        radius=ns.radius,
-        steps=ns.steps,
-        states_to_track=tracked,
-        turns=ns.turns,
-        reverse=ns.reverse,
-    )
-    trace = encircle(system, spec, cfg)
+    (trace,) = _traces(ns, DimerSystem(), _cfg(ns), [ns.param], ns.turns,
+                       ns.reverse)
     _write(ns.out, "trace.csv", trace_to_csv(trace))
     _write(ns.out, "trace_summary.json", trace_summary_json(trace) + "\n")
     return {
         "command": "encircle",
         "which": ns.param,
         "center": {
-            name: center.control(name).z0 for name in ("gamma", "g", "s")
+            name: trace.spec.center.control(name).z0
+            for name in ("gamma", "g", "s")
         },
         "cycle_type": trace.cycle_type,
         "permutation": trace.permutation,
@@ -405,18 +392,7 @@ def _cmd_encircle(ns) -> dict:
 def _cmd_classify(ns) -> dict:
     system = DimerSystem()
     cfg = _cfg(ns)
-    which_list = ns.param or ["gamma", "s"]
-    _check_loop(ns, which_list[0])
-    center, coalesced = _resolve_center(ns, system, cfg)
-    traces = []
-    for which in which_list:
-        tracked = _tracked_states(system, center, which, ns.radius, coalesced,
-                                  ns.track, cfg)
-        if not tracked:
-            raise _nothing_to_track(f"for the {which} loop", ns.track)
-        spec = LoopSpec(center=center, which=which, radius=ns.radius,
-                        steps=ns.steps, states_to_track=tracked)
-        traces.append(encircle(system, spec, cfg))
+    traces = _traces(ns, system, cfg, ns.param or ["gamma", "s"])
     report = classify_ep(system, traces, cfg)
     _write(
         ns.out,

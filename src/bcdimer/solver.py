@@ -120,10 +120,9 @@ class RealSystemView:
     Bicomplex value is built inside the Newton loop.
     """
 
-    def __init__(self, system, params, cfg: SolveConfig, gauge_site: int = 0):
+    def __init__(self, system, params, *, gauge_site: int = 0):
         self.system = system
         self.params = params
-        self.cfg = cfg
         self.gauge_site = gauge_site
         self.n_amp = system.n_amplitudes
         self.n_unknowns = 4 * self.n_amp + 4
@@ -417,8 +416,8 @@ class _Lanes:
     amplitude vanishes.
     """
 
-    def __init__(self, system, points, owner, cfg: SolveConfig):
-        self.system, self.points, self.cfg = system, points, cfg
+    def __init__(self, system, points, owner):
+        self.system, self.points = system, points
         self.owner = np.asarray(owner, dtype=int)
         self.site = np.zeros(len(self.owner), dtype=int)
         self._views = {}
@@ -428,7 +427,7 @@ class _Lanes:
         key = (int(self.owner[lane]), int(self.site[lane]))
         if key not in self._views:
             self._views[key] = RealSystemView(
-                self.system, self.points[key[0]], self.cfg, key[1])
+                self.system, self.points[key[0]], gauge_site=key[1])
         return self._views[key]
 
     def residuals(self, lanes, x):
@@ -577,7 +576,7 @@ def _newton(lanes: _Lanes, idx, x, tol, iterations=MAX_ITER,
     return x, f, fnorm, errors
 
 
-def _polish(lanes: _Lanes, idx, x, f, fnorm):
+def _polish(lanes: _Lanes, idx, x, f):
     """Full Newton steps down to the roundoff floor, and no further, on the
     lanes ``idx`` at once, from the rows x and their residual rows f;
     returns the rows and their residuals.
@@ -610,7 +609,7 @@ def newton_solve(system, params, seed,
         cfg = SolveConfig()
     if isinstance(seed, StationaryState):
         seed = (seed.psi1, seed.psi2), seed.mu
-    lanes = _Lanes(system, [params], [0], cfg)
+    lanes = _Lanes(system, [params], [0])
     x, _, fnorm, errors = _newton(lanes, np.arange(1),
                                   lanes.view(0).pack(*seed)[None],
                                   cfg.residual_tol)
@@ -632,7 +631,7 @@ def _candidate_solves(system, points, cfg: SolveConfig):
     points = iter(points)
     while block := list(itertools.islice(points, _BLOCK)):
         seeds, owner = _seeds(system, block)
-        lanes = _Lanes(system, block, owner, cfg)
+        lanes = _Lanes(system, block, owner)
         x, _, fnorm, errors = _newton(lanes, np.arange(len(seeds)), seeds,
                                       cfg.residual_tol)
         ok = np.array([k for k in range(len(seeds)) if k not in errors],
@@ -687,7 +686,7 @@ def find_states_along(system, points, cfg: SolveConfig | None = None
 
 def _find_block(system, points, cfg: SolveConfig):
     seeds, owner = _seeds(system, points)
-    lanes = _Lanes(system, points, owner, cfg)
+    lanes = _Lanes(system, points, owner)
     idx = np.arange(len(seeds))
     x, f, fnorm, errors = _newton(lanes, idx, seeds, cfg.residual_tol)
     retry = np.array([k for k, exc in errors.items()
@@ -700,7 +699,7 @@ def _find_block(system, points, cfg: SolveConfig):
             del errors[k]
         errors.update({int(retry[k]): exc for k, exc in again.items()})
     ok = np.array([k for k in idx.tolist() if k not in errors], dtype=int)
-    x, fnorm = _polish(lanes, ok, x[ok], f[ok], fnorm[ok])
+    x, fnorm = _polish(lanes, ok, x[ok], f[ok])
     rows, is_complex, is_pt = _canonical_rows(x)
     arr = np.array(rows).reshape(x.shape)
     owner, fnorm = lanes.owner[ok], fnorm.tolist()

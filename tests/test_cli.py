@@ -159,6 +159,20 @@ class TestExitCodes:
             assert run(argv) == 0
             assert got == summary(capsys)
 
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--gamma-range", "0:1:0.5", "--g-range=-1:1:1"],
+        ["sweep", "--g", "1"],
+    ])
+    def test_sweep_takes_exactly_one_range(self, capsys, monkeypatch, args):
+        def no_solving(*_args, **_kwargs):
+            raise AssertionError("swept with a range left out")
+
+        monkeypatch.setattr(cli, "stitched_branches", no_solving)
+        assert run(args) == 2
+        out = summary(capsys)
+        assert out["error"] == "usage"
+        assert "--g-range" in out["message"]
+
     def test_missing_pitchfork_is_a_numerical_failure(self, capsys):
         code = run(["encircle", "--around", "pitchfork", "--g", "-2.5"])
         assert code == 3
@@ -230,6 +244,27 @@ class TestAnswers:
         out = summary(capsys)
         assert out["cycle_type"] == [2, 1, 1]
         assert out["fallback_steps"] == 0
+
+    @pytest.mark.parametrize("v,gamma", [("1", "0.3"), ("1.2", "0.9")])
+    def test_merger_loop_centers_at_the_given_gamma(self, capsys, v, gamma):
+        # the pitchfork reaches gamma at |g| = 2 sqrt(v^2 - gamma^2)
+        assert run(["encircle", "--around", "merger", "--v", v,
+                    "--gamma", gamma, "--track", "all"]) == 0
+        out = summary(capsys)
+        v, gamma = float(v), float(gamma)
+        assert out["center"]["gamma"] == gamma
+        assert abs(out["center"]["g"]
+                   + 2 * math.sqrt(v * v - gamma * gamma)) < 1e-12
+        assert out["cycle_type"] == [2, 1, 1]
+
+    def test_merger_loop_off_symmetry_has_no_merger(self, capsys):
+        # at s != 0 the pitchfork unfolds: there is no merger to loop around,
+        # as `bcdimer merger --s 0.05` reports too
+        args = ["--s", "0.05"]
+        assert run(["merger"] + args) == 3
+        assert summary(capsys)["error"] == "NoMerger"
+        assert run(["encircle", "--around", "merger"] + args) == 3
+        assert summary(capsys)["error"] == "NoMerger"
 
     @pytest.mark.parametrize("g", ["2.3", "-2.3"])
     def test_bifurcations_beyond_merger_report_only_the_tangent(self, capsys,

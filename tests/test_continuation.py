@@ -7,7 +7,7 @@ import operator
 import numpy as np
 import pytest
 
-from bcdimer import continuation, solver
+from bcdimer import cli, continuation, solver
 from bcdimer.bicomplex import Bicomplex
 from bcdimer.cli import run
 from bcdimer.model import (
@@ -57,13 +57,54 @@ def symmetric_states(params):
     ]
 
 
-class TestSweep:
-    def test_tracks_closed_form(self):
-        p = DimerParams(v=1.0, g=0.0, gamma=0.0)
+# the two sources of branches: sweep_branch from single states, and
+# stitched_branches on the grid of `bcdimer bifurcations`
+SOURCES = ["swept", "stitched"]
+CLI_RANGE = (0.05, 1.4, 0.01)  # the CLI's default --gamma-range
+
+
+def stitched_scenario(g: float, s: float = 0.0):
+    """Branches stitched on the CLI's gamma grid at v = 1, and the
+    bifurcation points with the branches that meet there, as
+    ``bcdimer bifurcations`` gets them."""
+    p = DimerParams(v=1.0, g=g, s=s)
+    lo, hi, step = CLI_RANGE
+    branches = stitched_branches(SYSTEM, p, "gamma", cli._grid(CLI_RANGE),
+                                 CFG)
+    points = []
+    for pt in SYSTEM.bifurcation_set(p, "gamma", lo, hi, CFG):
+        ids, continuing = meeting_branches(pt, branches, step)
+        points.append(dataclasses.replace(pt, branch_ids=tuple(ids),
+                                          continuing_branch_id=continuing))
+    return branches, points
+
+
+def upper_symmetric_samples(source: str, g: float, hi: float, step: float):
+    """The samples up to ``hi`` of the upper PT-symmetric branch at v = 1:
+    swept from gamma = 0 in steps of ``step``, or stitched on the CLI's
+    grid.  Either reaches ``hi``."""
+    if source == "swept":
+        p = DimerParams(v=1.0, g=g, gamma=0.0)
         upper = max(symmetric_states(p), key=lambda s: s.mu.z0)
-        br = sweep_branch(SYSTEM, upper, p, "gamma", 0.99, 0.01, CFG)
+        br = sweep_branch(SYSTEM, upper, p, "gamma", hi, step, CFG)
         assert br.termination == "range_end"
-        for gam, st in br.samples:
+    else:
+        grid = cli._grid(CLI_RANGE)
+        p = DimerParams(v=1.0, g=g)
+        symmetric = [b for b in stitched_branches(SYSTEM, p, "gamma", grid,
+                                                  CFG)
+                     if b.start == grid[0] and b.samples[0][1].is_complex_state
+                     and b.samples[0][1].is_pt_symmetric]
+        br = max(symmetric, key=lambda b: b.samples[0][1].mu.z0)
+    samples = [(gam, st) for gam, st in br.samples if gam <= hi + 1e-9]
+    assert abs(samples[-1][0] - hi) < 1e-9
+    return samples
+
+
+class TestSweep:
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_tracks_closed_form(self, source):
+        for gam, st in upper_symmetric_samples(source, 0.0, 0.99, 0.01):
             assert abs(st.mu.z0 - math.sqrt(1 - gam * gam)) < 1e-9
 
     def test_terminates_at_fold(self):
@@ -113,11 +154,10 @@ class TestSweep:
         assert st.is_complex_state
         assert abs(abs(st.mu.z0 - (-g / 2)) - math.sqrt(1 - gam * gam)) < 1e-8
 
-    def test_every_sample_reverifies(self):
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_every_sample_reverifies(self, source):
         p = DimerParams(v=1.0, g=-1.0, gamma=0.0)
-        upper = max(symmetric_states(p), key=lambda s: s.mu.z0)
-        br = sweep_branch(SYSTEM, upper, p, "gamma", 0.9, 0.02, CFG)
-        for gam, st in br.samples:
+        for gam, st in upper_symmetric_samples(source, -1.0, 0.9, 0.02):
             r1, r2 = residual(st.psi1, st.psi2, st.mu,
                               p.with_control("gamma", gam))
             assert max(r1.max_abs(), r2.max_abs()) < CFG.residual_tol
@@ -139,23 +179,34 @@ class TestDetection:
             )
         return branches
 
-    def test_linear_has_one_tangent_no_pitchfork(self):
+    def scenario(self, source: str, g: float, s: float = 0.0):
+        """Branches and the bifurcation points detected on them."""
+        if source == "stitched":
+            return stitched_scenario(g, s)
+        branches = self.sweep_scenario(g, s)
+        return branches, detect_bifurcations(
+            branches, SYSTEM, DimerParams(v=1.0, g=g, s=s), CFG)
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_linear_has_one_tangent_no_pitchfork(self, source):
         p = DimerParams(v=1.0, g=0.0, gamma=0.0)
-        branches = [
-            sweep_branch(SYSTEM, st, p, "gamma", 1.4, 0.01, CFG)
-            for st in symmetric_states(p)
-        ]
-        points = detect_bifurcations(branches, SYSTEM, p, CFG)
+        if source == "stitched":
+            _, points = stitched_scenario(0.0)
+        else:
+            branches = [
+                sweep_branch(SYSTEM, st, p, "gamma", 1.4, 0.01, CFG)
+                for st in symmetric_states(p)
+            ]
+            points = detect_bifurcations(branches, SYSTEM, p, CFG)
         kinds = [pt.kind for pt in points]
         assert kinds == ["tangent"]
         assert type(points[0].location) is float
         assert abs(points[0].location - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("source", SOURCES)
     @pytest.mark.parametrize("g,side", [(-1.0, "upper"), (1.0, "lower")])
-    def test_pitchfork_branch_side(self, g, side):
-        branches = self.sweep_scenario(g)
-        p = DimerParams(v=1.0, g=g)
-        points = detect_bifurcations(branches, SYSTEM, p, CFG)
+    def test_pitchfork_branch_side(self, source, g, side):
+        branches, points = self.scenario(source, g)
         tangents = [pt for pt in points if pt.kind == "tangent"]
         pitchforks = [pt for pt in points if pt.kind == "pitchfork"]
         assert len(tangents) == 1
@@ -181,25 +232,25 @@ class TestDetection:
         else:
             assert all(at_loc[1].mu.z0 < mu for mu in other_mu)
 
+    @pytest.mark.parametrize("source", SOURCES)
     @pytest.mark.parametrize("g", [1.2, -1.2])
-    def test_no_spurious_pitchfork_on_swept_branches(self, g):
-        points = detect_bifurcations(self.sweep_scenario(g), SYSTEM,
-                                     DimerParams(v=1.0, g=g), CFG)
+    def test_no_spurious_pitchfork_on_swept_branches(self, source, g):
+        _, points = self.scenario(source, g)
         assert [pt.kind for pt in points] == ["pitchfork", "tangent"]
         assert abs(points[0].location - 0.8) < 1e-10
         assert abs(points[1].location - 1.0) < 1e-10
 
-    def test_pitchfork_near_the_tangent_on_swept_branches(self):
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_pitchfork_near_the_tangent_on_swept_branches(self, source):
         # the broken pair is born at gamma_P = sqrt(0.96), above the 0.95
-        # seeds, so no swept branch follows it
-        points = detect_bifurcations(self.sweep_scenario(-0.4), SYSTEM,
-                                     DimerParams(v=1.0, g=-0.4), CFG)
+        # seeds, so no swept branch follows it; a stitched one does
+        _, points = self.scenario(source, -0.4)
         assert [pt.kind for pt in points] == ["pitchfork", "tangent"]
         assert abs(points[0].location - math.sqrt(0.96)) < 1e-10
 
-    def test_both_folds_off_symmetry_on_swept_branches(self):
-        points = detect_bifurcations(self.sweep_scenario(1.2, s=0.05), SYSTEM,
-                                     DimerParams(v=1.0, g=1.2, s=0.05), CFG)
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_both_folds_off_symmetry_on_swept_branches(self, source):
+        _, points = self.scenario(source, 1.2, s=0.05)
         assert [pt.kind for pt in points] == ["tangent", "tangent"]
         assert [round(pt.location, 9) for pt in points] == [0.951990632,
                                                            1.003563497]

@@ -59,7 +59,7 @@ def closed_form_mu(v: float, gamma: float) -> complex:
 
 class TestRealView:
     def test_counts(self):
-        view = RealSystemView(SYSTEM, DimerParams(v=1.0), CFG)
+        view = RealSystemView(SYSTEM, DimerParams(v=1.0))
         assert view.n_unknowns == 12
         assert view.n_equations == 12
         x = view.pack((Bicomplex(R2), Bicomplex(R2)), Bicomplex(1.0))
@@ -67,7 +67,7 @@ class TestRealView:
 
     def test_complex_seed_has_zero_jk_rows(self):
         p = DimerParams(v=1.0, g=-1.0, gamma=0.3)
-        view = RealSystemView(SYSTEM, p, CFG)
+        view = RealSystemView(SYSTEM, p)
         x = view.pack(
             (Bicomplex.from_complex(0.6 + 0.1j), Bicomplex.from_complex(0.7 - 0.2j)),
             Bicomplex.from_complex(0.5 + 0.05j),
@@ -92,7 +92,7 @@ class TestRealView:
 
     def test_gauge_degenerate(self):
         p = DimerParams(v=1.0)
-        view = RealSystemView(SYSTEM, p, CFG)
+        view = RealSystemView(SYSTEM, p)
         x = view.pack((Bicomplex(0.0), Bicomplex(1.0)), Bicomplex(0.0))
         with pytest.raises(GaugeDegenerate):
             view.residual_vector(x)
@@ -100,7 +100,7 @@ class TestRealView:
     def test_analytic_matches_central_differences(self):
         rng = np.random.default_rng(3)
         p = DimerParams(v=1.0, g=-1.3, gamma=0.4, s=0.05)
-        view = RealSystemView(SYSTEM, p, CFG)
+        view = RealSystemView(SYSTEM, p)
         for _ in range(10):
             x = rng.uniform(-1, 1, 12)
             x[0] += 2.0  # keep the gauge amplitude healthy
@@ -125,7 +125,7 @@ class TestRealView:
         rng = np.random.default_rng(11 + site)
         p = DimerParams(v=1.2, g=Bicomplex(0.9, jpart),
                         gamma=Bicomplex(0.7, -jpart), s=Bicomplex(-0.1, jpart))
-        view = RealSystemView(SYSTEM, p, CFG, gauge_site=site)
+        view = RealSystemView(SYSTEM, p, gauge_site=site)
         h = 1e-6
         for _ in range(5):
             x = rng.uniform(-1, 1, 12)
@@ -146,7 +146,7 @@ class TestRealView:
         # the residual refuses a vanishing gauge amplitude; the exact
         # Jacobian needs no residual and is defined there
         view = RealSystemView(SYSTEM, DimerParams(v=1.0, g=-0.5, gamma=0.3),
-                              CFG, gauge_site=site)
+                              gauge_site=site)
         x = np.random.default_rng(5).uniform(-1, 1, 12)
         x[4 * site:4 * site + 4] = 0.0
         with pytest.raises(GaugeDegenerate):
@@ -172,7 +172,7 @@ class TestRealView:
             p = DimerParams(v=1.0, g=rng.uniform(-2.5, 2.5),
                             gamma=rng.uniform(0, 1.5), s=rng.uniform(-0.5, 0.5))
             site = k % 2
-            view = RealSystemView(SYSTEM, p, CFG, gauge_site=site)
+            view = RealSystemView(SYSTEM, p, gauge_site=site)
             x = rng.uniform(-1, 1, 12)
             x[odd] = 0.0
             x[4 * site] += 2.0
@@ -285,7 +285,7 @@ class TestKernelParity:
             if k % 4 == 3:
                 x[1::2] = 0.0  # complex-in-i amplitudes and mu
             x[4 * site] += 2.0
-            yield RealSystemView(SYSTEM, p, CFG, gauge_site=site), x
+            yield RealSystemView(SYSTEM, p, gauge_site=site), x
 
     def test_residual_is_bit_identical(self):
         for view, x in self.cases(400, 5):
@@ -604,7 +604,7 @@ class TestQuarticOracle:
         assume(min(np.max(np.abs(a - b))
                    for k, a in enumerate(pairs) for b in pairs[k + 1:]) >= 0.05)
         p = DimerParams(v=1.0, g=g, gamma=gamma, s=s)
-        view = RealSystemView(SYSTEM, p, CFG)
+        view = RealSystemView(SYSTEM, p)
         states = find_all_states(SYSTEM, p, CFG)
         assert len(states) == 4
         matched = set()
@@ -647,7 +647,7 @@ def _newton_lanes(system, points, cfg):
     the positions, rows, residual rows and residuals of the converged
     ones."""
     seeds, owner = solver._seeds(system, points)
-    lanes = solver._Lanes(system, points, owner, cfg)
+    lanes = solver._Lanes(system, points, owner)
     idx = np.arange(len(seeds))
     x, f, fnorm, errors = solver._newton(lanes, idx, seeds, cfg.residual_tol)
     retry = np.array([k for k, exc in errors.items()
@@ -703,7 +703,7 @@ class TestPolish:
 
     def test_seed_at_the_floor_takes_no_step(self, monkeypatch):
         p = DimerParams(v=1.0, g=-0.8, gamma=0.5)
-        view = RealSystemView(SYSTEM, p, CFG)
+        view = RealSystemView(SYSTEM, p)
         states = find_all_states(SYSTEM, p, CFG)
         seeds = [((st.psi1, st.psi2), st.mu) for st in states]
         for (psi, mu), st in zip(seeds, states):
@@ -734,7 +734,7 @@ class TestPolish:
     @staticmethod
     def same_as_the_old_loop(lanes, idx, x, f, fnorm):
         want_x, want_norm = _reference_polish(lanes, idx, x, f, fnorm)
-        got_x, got_norm = solver._polish(lanes, idx, x, f, fnorm)
+        got_x, got_norm = solver._polish(lanes, idx, x, f)
         assert np.array_equal(_bits(got_x), _bits(want_x))
         assert np.array_equal(_bits(got_norm), _bits(want_norm))
         return got_x, got_norm
@@ -754,7 +754,7 @@ class TestPolish:
         seeds, owner = SYSTEM.packed_candidates(points)
         seeds = seeds + rng.normal(0.0, noise, seeds.shape)
         idx = np.arange(len(seeds))
-        lanes = solver._Lanes(SYSTEM, points, owner, CFG)
+        lanes = solver._Lanes(SYSTEM, points, owner)
         x, f, fnorm, errors = solver._newton(lanes, idx, seeds,
                                              CFG.residual_tol)
         ok = np.array([k for k in idx.tolist() if k not in errors], dtype=int)
@@ -867,7 +867,7 @@ def _reference_find_block(system, points, cfg):
         return [states[k] for k in kept]
 
     lanes, ok, x, f, fnorm = _newton_lanes(system, points, cfg)
-    x, fnorm = solver._polish(lanes, ok, x, f, fnorm)
+    x, fnorm = solver._polish(lanes, ok, x, f)
     states, rows = solver._make_states(x, fnorm)
     first = np.searchsorted(lanes.owner[ok], np.arange(len(points) + 1))
     return [dedup(states[lo:hi], DEDUP_TOL, rows[lo:hi])
@@ -913,8 +913,8 @@ class TestBlockDedup:
         # up from 0.15 to 1.7 times 1e-7 apart, on both sides of DEDUP_TOL
         polish = solver._polish
 
-        def nudged(lanes, idx, x, f, fnorm):
-            x, fnorm = polish(lanes, idx, x, f, fnorm)
+        def nudged(lanes, idx, x, f):
+            x, fnorm = polish(lanes, idx, x, f)
             x[:, 8] += offset * (np.arange(len(x)) % 8) / 7
             return x, fnorm
 
@@ -1017,7 +1017,7 @@ class TestLaneContainers:
                               s=Bicomplex(rng.uniform(-0.3, 0.3), j))
                   for j in (0.0, 0.2, 0.0, -0.1, 0.0)]
         n = 3 * solver._CROSSOVER
-        lanes = solver._Lanes(SYSTEM, points, rng.integers(0, 5, n), CFG)
+        lanes = solver._Lanes(SYSTEM, points, rng.integers(0, 5, n))
         lanes.site[:] = rng.integers(0, 2, n)
         x = rng.uniform(-1, 1, (n, 12))
         x[1::2, 1::2] = 0.0  # complex-in-i lanes
@@ -1055,11 +1055,11 @@ class TestLaneContainers:
         seeds, owner = SYSTEM.packed_candidates(points)
         seeds = seeds + rng.normal(0.0, 1e-2, seeds.shape)
         idx = np.arange(len(seeds))
-        lanes = solver._Lanes(SYSTEM, points, owner, CFG)
+        lanes = solver._Lanes(SYSTEM, points, owner)
         x, f, fnorm, errors = solver._newton(lanes, idx, seeds,
                                              CFG.residual_tol)
         assert errors == {} and np.all(np.abs(x - seeds).max(1) > 0)
-        px, pnorm = solver._polish(lanes, idx, x, f, fnorm)
+        px, pnorm = solver._polish(lanes, idx, x, f)
         for k in idx.tolist():
             one = idx[k:k + 1]
             x1, f1, fnorm1, errors1 = solver._newton(lanes, one, seeds[one],
@@ -1067,7 +1067,7 @@ class TestLaneContainers:
             assert errors1 == {}
             assert np.array_equal(_bits(x1[0]), _bits(x[k]))
             assert fnorm1[0] == fnorm[k]
-            px1, pnorm1 = solver._polish(lanes, one, x1, f1, fnorm1)
+            px1, pnorm1 = solver._polish(lanes, one, x1, f1)
             assert np.array_equal(_bits(px1[0]), _bits(px[k]))
             assert pnorm1[0] == pnorm[k]
 

@@ -32,7 +32,9 @@ from pathlib import Path
 # cite, the two `sweep` grids, `bifurcations` scans on both sides of the
 # merger, near the linear model, off symmetry and at v != 1, and loops of
 # two turns, reversed, in s around the EP3, in g around the merger (where
-# the mirror pair shares mu) and longer than one block of loop points
+# the mirror pair shares mu), around the merger at gamma != 0, around no
+# critical point, and longer than one block of loop points; one loop with
+# nothing to track and one sweep given both ranges (both fail)
 COMMANDS = {
     "solve-ep3-json": ["solve", "--g", "-1", "--gamma", "0.8660254037844386",
                        "--format", "json"],
@@ -67,6 +69,14 @@ COMMANDS = {
     "classify-pitchfork": ["classify", "--around", "pitchfork", "--g", "-1",
                            "--track", "all"],
     "classify-s": ["classify", "--param", "s"],
+    "encircle-no-center": ["encircle", "--g", "0.5", "--gamma", "0.3",
+                           "--track", "all"],
+    "encircle-merger-gamma": ["encircle", "--around", "merger", "--gamma",
+                              "0.3", "--track", "all"],
+    "encircle-nothing-to-track": ["encircle", "--around", "tangent", "--g",
+                                  "-1"],
+    "sweep-both-ranges": ["sweep", "--gamma-range", "0:1.4:0.01",
+                          "--g-range=-2.5:2.5:0.05"],
 }
 ID_COLUMN = "branch_id"
 ID_KEYS = (ID_COLUMN, "branch_ids", "continuing_branch_id")
