@@ -145,9 +145,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("merger", help="locate the pitchfork disappearance in g")
     common(p)
-    p.add_argument("--g-range", type=_parse_range, default=(-2.5, -0.1, 1e-4),
-                   help="lo:hi:step window to search; the step is unused "
-                   "(the locator is exact) and kept so the syntax stays")
+    p.add_argument("--g-range", type=_parse_range, default=None,
+                   help="lo:hi:step window to search, -2.5v:-0.1v by "
+                   "default; the step is unused (the locator is exact) and "
+                   "kept so the syntax stays")
 
     p = sub.add_parser("encircle", help="loop one control around a critical "
                        "point and report the state permutation")
@@ -231,10 +232,7 @@ def _emit(summary: dict) -> None:
     print(json.dumps(summary, sort_keys=True, separators=(",", ":")))
 
 
-def _cmd_solve(ns) -> dict:
-    system = DimerSystem()
-    params = _params(ns)
-    cfg = _cfg(ns)
+def _cmd_solve(ns, system, params, cfg) -> dict:
     states = find_all_states(system, params, cfg)
     if ns.format == "csv":
         _write(ns.out, "states.csv", _states_csv(states))
@@ -248,10 +246,7 @@ def _cmd_solve(ns) -> dict:
     }
 
 
-def _cmd_sweep(ns) -> dict:
-    system = DimerSystem()
-    params = _params(ns)
-    cfg = _cfg(ns)
+def _cmd_sweep(ns, system, params, cfg) -> dict:
     parameter, rng = (("g", ns.g_range) if ns.gamma_range is None
                       else ("gamma", ns.gamma_range))
     grid = _grid(rng)
@@ -271,10 +266,7 @@ def _cmd_sweep(ns) -> dict:
     }
 
 
-def _cmd_bifurcations(ns) -> dict:
-    system = DimerSystem()
-    params = _params(ns)
-    cfg = _cfg(ns)
+def _cmd_bifurcations(ns, system, params, cfg) -> dict:
     lo, hi, step = ns.gamma_range
     branches = stitched_branches(system, params, "gamma",
                                  _grid(ns.gamma_range), cfg)
@@ -301,14 +293,9 @@ def _cmd_bifurcations(ns) -> dict:
     }
 
 
-def _cmd_merger(ns) -> dict:
-    system = DimerSystem()
-    cfg = _cfg(ns)
-    lo, hi, _step = ns.g_range
-    g_star, gamma_star = find_merger(
-        ns.v, system, (lo, hi), cfg,
-        params_base=_params(ns).with_control("g", lo),
-    )
+def _cmd_merger(ns, system, params, cfg) -> dict:
+    window = None if ns.g_range is None else ns.g_range[:2]
+    g_star, gamma_star = find_merger(system, params, window, cfg)
     return {
         "command": "merger",
         "g_star": g_star,
@@ -316,8 +303,7 @@ def _cmd_merger(ns) -> dict:
     }
 
 
-def _resolve_center(ns, system, cfg):
-    params = _params(ns)
+def _resolve_center(ns, system, params, cfg):
     if ns.around is None:
         return params, None
     if ns.around == "tangent":
@@ -329,24 +315,33 @@ def _resolve_center(ns, system, cfg):
             raise NoConvergence("no pitchfork in (0, v] at these parameters")
         loc, coalesced = found
         return params.with_control("gamma", loc), coalesced
-    g_star, _ = find_merger(ns.v, system, cfg=cfg, params_base=params)
+    g_star, _ = find_merger(system, params, cfg=cfg)
     return params.with_control("g", g_star), None
 
 
-def _traces(ns, system, cfg, which_list, turns=1, reverse=False):
+def _traces(ns, system, params, cfg, which_list, turns=1, reverse=False):
     """One loop of each control in ``which_list`` around the ``--around``
     center.  The loop settings are checked as usage errors before any
-    solving.  Each loop tracks the states at its start: the complex ones
+    solving: a control looped twice, and a j part that the loop or the
+    real-axis locators of ``--around tangent|pitchfork`` would drop, are
+    among them.  Each loop tracks the states at its start: the complex ones
     unless ``--track all``, and only those near the coalesced state where
     the center has one."""
+    if len(set(which_list)) < len(which_list):
+        raise _Usage(f"--param repeats a control: {which_list}")
+    if ns.around in ("tangent", "pitchfork") and ns.gamma_j != 0:
+        raise _Usage(f"--around {ns.around} locates a real gamma; "
+                     f"--gamma-j must be 0, got {ns.gamma_j!r}")
     try:
-        LoopSpec(center=_params(ns), which=which_list[0], radius=ns.radius,
-                 steps=ns.steps, turns=turns, states_to_track=[None]).validate()
+        for which in which_list:
+            LoopSpec(center=params, which=which, radius=ns.radius,
+                     steps=ns.steps, turns=turns,
+                     states_to_track=[None]).validate()
     except ValueError as exc:
         raise _Usage(str(exc)) from exc
     _check_points(ns.steps * turns + 1,
                   f"a loop of {ns.steps} steps x {turns} turn(s)")
-    center, coalesced = _resolve_center(ns, system, cfg)
+    center, coalesced = _resolve_center(ns, system, params, cfg)
     traces = []
     for which in which_list:
         spec = LoopSpec(center=center, which=which, radius=ns.radius,
@@ -370,8 +365,8 @@ def _traces(ns, system, cfg, which_list, turns=1, reverse=False):
     return traces
 
 
-def _cmd_encircle(ns) -> dict:
-    (trace,) = _traces(ns, DimerSystem(), _cfg(ns), [ns.param], ns.turns,
+def _cmd_encircle(ns, system, params, cfg) -> dict:
+    (trace,) = _traces(ns, system, params, cfg, [ns.param], ns.turns,
                        ns.reverse)
     _write(ns.out, "trace.csv", trace_to_csv(trace))
     _write(ns.out, "trace_summary.json", trace_summary_json(trace) + "\n")
@@ -389,10 +384,8 @@ def _cmd_encircle(ns) -> dict:
     }
 
 
-def _cmd_classify(ns) -> dict:
-    system = DimerSystem()
-    cfg = _cfg(ns)
-    traces = _traces(ns, system, cfg, ns.param or ["gamma", "s"])
+def _cmd_classify(ns, system, params, cfg) -> dict:
+    traces = _traces(ns, system, params, cfg, ns.param or ["gamma", "s"])
     report = classify_ep(system, traces, cfg)
     _write(
         ns.out,
@@ -433,7 +426,8 @@ _HANDLERS = {
 def run(argv=None) -> int:
     try:
         ns = build_parser().parse_args(argv)
-        summary = _HANDLERS[ns.command](ns)
+        summary = _HANDLERS[ns.command](ns, DimerSystem(), _params(ns),
+                                        _cfg(ns))
     except SystemExit as exc:  # --help, after printing the help text
         return 0 if exc.code in (0, None) else 2
     except _Usage as exc:

@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 
 from .bicomplex import Bicomplex, fmt_float
-from .model import BifurcationPoint, DimerParams, StationaryState
+from .model import BifurcationPoint, StationaryState
 from .solver import (
     GaugeDegenerate,
     NoConvergence,
@@ -291,27 +291,21 @@ def locate_pitchfork_gamma(system, params, v: float,
     return None
 
 
-def find_merger(
-    v: float,
-    system,
-    g_window: tuple[float, float] = (-2.5, -0.1),
-    cfg: SolveConfig | None = None,
-    params_base=None,
-):
-    """Critical nonlinearity where the pitchfork reaches the base gamma.
+def find_merger(system, params, g_window: tuple[float, float] | None = None,
+                cfg: SolveConfig | None = None):
+    """Critical nonlinearity where the pitchfork reaches the given gamma.
 
-    The pitchfork of the bifurcation set in g over the window, at the gamma
-    of ``params_base`` (0 by default, where the pitchfork leaves the gamma
-    axis: the merger, |g| = 2v).  Returns (g_star, gamma_star) with
-    gamma_star that base gamma.  Raises :class:`NoMerger` when the window
-    holds no such point.
+    The pitchfork of the bifurcation set in g over the window, (-2.5v,
+    -0.1v) by default, at the gamma of ``params`` (at gamma = 0 the
+    pitchfork leaves the gamma axis: the merger, |g| = 2v).  Returns
+    (g_star, gamma_star) with gamma_star that gamma.  Raises
+    :class:`NoMerger` when the window holds no such point.
     """
-    if params_base is None:
-        params_base = DimerParams(v=v)
-    lo, hi = sorted(g_window)
-    for pt in system.bifurcation_set(params_base, "g", lo, hi, cfg):
+    v = params.v
+    lo, hi = sorted(g_window or (-2.5 * v, -0.1 * v))
+    for pt in system.bifurcation_set(params, "g", lo, hi, cfg):
         if pt.kind == "pitchfork":
-            return pt.location, params_base.gamma.z0
+            return pt.location, params.gamma.z0
     raise NoMerger(f"no pitchfork over g in [{lo}, {hi}]")
 
 

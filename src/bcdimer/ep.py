@@ -71,9 +71,9 @@ class LoopSpec:
     """One parameter loop around a candidate exceptional point.
 
     ``which`` selects the control (gamma, g or s) whose j-component follows
-    the circle; ``states_to_track`` must solve at phi = 0, i.e. at the
-    control value ``center + radius``.  A radius of None picks
-    1e-3 * max(1, |center value|).
+    the circle, and which must be real at the center; ``states_to_track``
+    must solve at phi = 0, i.e. at the control value ``center + radius``.
+    A radius of None picks 1e-3 * max(1, |center value|).
     """
 
     center: object  # DimerParams
@@ -100,6 +100,9 @@ class LoopSpec:
             raise ValueError("a loop needs at least 1 turn")
         if self.which not in ("gamma", "g", "s"):
             raise ValueError(f"cannot loop over control {self.which!r}")
+        if self.center.control(self.which).z1 != 0:
+            raise ValueError(f"the looped control {self.which} has a j part "
+                             f"at the center, which the loop would drop")
         if not self.states_to_track:
             raise ValueError("no states to track")
 

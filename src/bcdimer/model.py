@@ -730,8 +730,6 @@ class DimerSystem:
     whose states coalesce where 1 + (i gamma - s)^2 = 0.
     """
 
-    n_amplitudes = 2
-
     def candidate_states(self, p: DimerParams):
         """Seeds (psi, mu) for every stationary state: one per root of Q,
         and below |g| = 1e-3 v, where the back-solve loses the digits of g,
@@ -854,9 +852,6 @@ class DimerSystem:
     def residual(self, psi, mu: Bicomplex, p: DimerParams):
         return residual(psi[0], psi[1], mu, p)
 
-    def normalization_residual(self, psi) -> Bicomplex:
-        return normalization_residual(psi[0], psi[1])
-
     def packed_controls(self, p: DimerParams):
         """Controls for the packed kernel that the Newton solver calls."""
         return packed_controls(p)
@@ -870,16 +865,11 @@ class LinearTwoMode:
     sector in the idempotent basis.
     """
 
-    n_amplitudes = 2
-
     def residual(self, psi, mu: Bicomplex, p: DimerParams):
         igamma = I_UNIT * p.gamma
         r1 = (-igamma + p.s - mu) * psi[0] + p.v * psi[1]
         r2 = p.v * psi[0] + (igamma - p.s - mu) * psi[1]
         return r1, r2
-
-    def normalization_residual(self, psi) -> Bicomplex:
-        return psi[0].modulus_squared() + psi[1].modulus_squared() - 1
 
     def packed_controls(self, p: DimerParams):
         """The dimer's packed-kernel controls at g = 0."""

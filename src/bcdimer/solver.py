@@ -1,10 +1,10 @@
 """Stationary-state solver for continued systems.
 
-A bicomplex stationary problem with N amplitudes is solved as a square real
-system in 4N + 4 unknowns (four real components per amplitude plus four for
-the nonlinear eigenvalue mu).  The equation stack is
+A bicomplex stationary problem with two amplitudes is solved as a square
+real system in 12 unknowns (four real components per amplitude plus four
+for the nonlinear eigenvalue mu).  The equation stack is
 
-* 4 real components per amplitude residual,
+* 4 real components of each amplitude's residual,
 * 2 real components of the normalization residual (its i and k components
   vanish identically by the conjugation-swap symmetry and are asserted, not
   assumed),
@@ -124,9 +124,6 @@ class RealSystemView:
         self.system = system
         self.params = params
         self.gauge_site = gauge_site
-        self.n_amp = system.n_amplitudes
-        self.n_unknowns = 4 * self.n_amp + 4
-        self.n_equations = self.n_unknowns
         self.controls = system.packed_controls(params)
 
     def pack(self, psi, mu) -> np.ndarray:
@@ -135,14 +132,12 @@ class RealSystemView:
         return np.array(parts, dtype=float)
 
     def unpack(self, x: np.ndarray):
-        n = self.n_amp
-        psi = tuple(Bicomplex(*x[4 * k : 4 * k + 4]) for k in range(n))
-        return psi, Bicomplex(*x[4 * n : 4 * n + 4])
+        return (Bicomplex(*x[0:4]), Bicomplex(*x[4:8])), Bicomplex(*x[8:12])
 
     def scale(self, xs: list[float]) -> float:
         """Size of the cubic terms: max(1, largest amplitude component)^2,
         squared as numpy squares lanes (float ``**`` can round otherwise)."""
-        m = max(map(abs, xs[: 4 * self.n_amp]))
+        m = max(map(abs, xs[:8]))
         return max(1.0, m * m)
 
     def residual_vector(self, x: np.ndarray) -> np.ndarray:
@@ -157,7 +152,7 @@ class RealSystemView:
         xs = x.tolist()
         rows = packed_jacobian(xs, self.controls)
         g0 = 4 * self.gauge_site
-        phase, balance = [0.0] * self.n_unknowns, [0.0] * self.n_unknowns
+        phase, balance = [0.0] * 12, [0.0] * 12
         phase[g0 : g0 + 4], balance[g0 : g0 + 4] = _gauge_derivatives(
             xs[g0 : g0 + 4])
         rows += [phase, balance]
@@ -469,7 +464,7 @@ class _Lanes:
 
     def scale(self, x):
         """:meth:`RealSystemView.scale` of every row of x at once."""
-        m = np.abs(x[:, : 4 * self.system.n_amplitudes]).max(1)
+        m = np.abs(x[:, :8]).max(1)
         return np.maximum(1.0, m * m)
 
     def _columns(self, lanes, x):
@@ -656,7 +651,7 @@ def _seeds(system, points):
         for psi, mu in system.candidate_states(p):
             rows.append([c for z in (*psi, mu) for c in z.as_tuple()])
             owner.append(k)
-    return (np.array(rows, dtype=float).reshape(-1, 4 * system.n_amplitudes + 4),
+    return (np.array(rows, dtype=float).reshape(-1, 12),
             np.array(owner, dtype=int))
 
 

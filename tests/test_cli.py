@@ -96,6 +96,18 @@ class TestExitCodes:
         ["encircle", "--turns", "-1"],
         ["classify", "--steps", "3"],
         ["sweep", "--format", "json", "--gamma-range", "0:1:0.1"],
+        # a j part that the loop, or the real-gamma locators, would drop
+        ["encircle", "--g", "0.5", "--gamma", "0.3", "--gamma-j", "0.2",
+         "--track", "all"],
+        ["encircle", "--s-j", "0.1", "--param", "s"],
+        ["encircle", "--around", "tangent", "--g", "0.5", "--gamma-j", "0.2",
+         "--track", "all"],
+        ["encircle", "--around", "pitchfork", "--g", "-1", "--gamma-j",
+         "0.2", "--param", "s", "--track", "all"],
+        ["classify", "--param", "gamma", "--param", "s", "--s-j", "0.1"],
+        # a control looped twice
+        ["classify", "--param", "gamma", "--param", "gamma", "--around",
+         "pitchfork", "--g", "-1", "--track", "all"],
     ])
     def test_bad_value_is_a_usage_error(self, capsys, monkeypatch, args):
         def no_solving(*_args, **_kwargs):
@@ -133,6 +145,18 @@ class TestExitCodes:
         assert len(cli._grid((0.0, 99999.0, 1.0))) == cli._MAX_POINTS
         with pytest.raises(cli._Usage, match="has 100001 points"):
             cli._grid((0.0, 100000.0, 1.0))
+
+    @pytest.mark.parametrize("command", ["solve", "merger", "encircle",
+                                         "classify"])
+    def test_controls_are_checked_before_the_tolerance(self, capsys,
+                                                       command):
+        assert run([command, "--tol", "0", "--v", "-1"]) == 2
+        assert "coupling v must be positive" in summary(capsys)["message"]
+
+    def test_loop_keeps_the_j_part_of_another_control(self, capsys):
+        assert run(["encircle", "--g", "0.5", "--gamma", "0.3", "--gamma-j",
+                    "0.2", "--param", "s", "--track", "all"]) == 0
+        assert summary(capsys)["which"] == "s"
 
     def test_merger_window_is_not_a_grid(self, capsys):
         # merger's lo:hi:step keeps the syntax; its step makes no points
@@ -256,6 +280,15 @@ class TestAnswers:
         assert abs(out["center"]["g"]
                    + 2 * math.sqrt(v * v - gamma * gamma)) < 1e-12
         assert out["cycle_type"] == [2, 1, 1]
+
+    @pytest.mark.parametrize("v", ["0.5", "2"])
+    def test_merger_window_scales_with_v(self, capsys, v):
+        # the merger is at g = -2v, outside (-2.5, -0.1) for v > 1.25
+        assert run(["merger", "--v", v]) == 0
+        assert abs(summary(capsys)["g_star"] + 2 * float(v)) < 1e-12
+        assert run(["encircle", "--around", "merger", "--v", v,
+                    "--track", "all"]) == 0
+        assert abs(summary(capsys)["center"]["g"] + 2 * float(v)) < 1e-12
 
     def test_merger_loop_off_symmetry_has_no_merger(self, capsys):
         # at s != 0 the pitchfork unfolds: there is no merger to loop around,

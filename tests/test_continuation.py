@@ -63,14 +63,13 @@ SOURCES = ["swept", "stitched"]
 CLI_RANGE = (0.05, 1.4, 0.01)  # the CLI's default --gamma-range
 
 
-def stitched_scenario(g: float, s: float = 0.0):
-    """Branches stitched on the CLI's gamma grid at v = 1, and the
-    bifurcation points with the branches that meet there, as
+def stitched_scenario(g: float, s: float = 0.0, rng=CLI_RANGE):
+    """Branches stitched on a gamma grid at v = 1, the CLI's by default,
+    and the bifurcation points with the branches that meet there, as
     ``bcdimer bifurcations`` gets them."""
     p = DimerParams(v=1.0, g=g, s=s)
-    lo, hi, step = CLI_RANGE
-    branches = stitched_branches(SYSTEM, p, "gamma", cli._grid(CLI_RANGE),
-                                 CFG)
+    lo, hi, step = rng
+    branches = stitched_branches(SYSTEM, p, "gamma", cli._grid(rng), CFG)
     points = []
     for pt in SYSTEM.bifurcation_set(p, "gamma", lo, hi, CFG):
         ids, continuing = meeting_branches(pt, branches, step)
@@ -709,18 +708,24 @@ class TestLocators:
             assert abs(loc - 1.0) < 1e-6
             assert coalesced.is_pt_symmetric
 
-    def test_tangent_invariant_under_sweep_step(self):
-        # the located fold does not depend on how the seeds were produced
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_tangent_invariant_under_sweep_step(self, source):
+        # the first located point, the pitchfork at sqrt(3)/2, does not
+        # depend on how the branches were produced
         p = DimerParams(v=1.0, g=-1.0, gamma=0.0)
         locs = []
         for step in (0.02, 0.01):
-            upper = max(symmetric_states(p), key=lambda s: s.mu.z0)
-            br = sweep_branch(SYSTEM, upper, p, "gamma", 1.4, step, CFG)
-            points = detect_bifurcations([br,
-                sweep_branch(SYSTEM,
-                             min(symmetric_states(p), key=lambda s: s.mu.z0),
-                             p, "gamma", 1.4, step, CFG)],
-                SYSTEM, p, CFG)
+            if source == "stitched":
+                _, points = stitched_scenario(-1.0, rng=(0.0, 1.4, step))
+            else:
+                upper = max(symmetric_states(p), key=lambda s: s.mu.z0)
+                br = sweep_branch(SYSTEM, upper, p, "gamma", 1.4, step, CFG)
+                points = detect_bifurcations([br,
+                    sweep_branch(SYSTEM,
+                                 min(symmetric_states(p),
+                                     key=lambda s: s.mu.z0),
+                                 p, "gamma", 1.4, step, CFG)],
+                    SYSTEM, p, CFG)
             locs.append(points[0].location)
         assert abs(locs[0] - locs[1]) < 1e-8
 
@@ -785,24 +790,35 @@ class TestLocators:
         assert ex == {-2.5: False, -1.0: True, 1.0: True, 2.5: False}
 
     def test_merger_negative_window(self):
-        g_star, gamma_star = find_merger(1.0, SYSTEM, (-2.5, -0.1), CFG)
+        g_star, gamma_star = find_merger(SYSTEM, DimerParams(v=1.0),
+                                         (-2.5, -0.1), CFG)
         assert abs(g_star + 2.0) < 1e-10
         assert gamma_star < 0.1
 
     def test_merger_positive_window(self):
-        g_star, gamma_star = find_merger(1.0, SYSTEM, (0.1, 2.5), CFG)
+        g_star, gamma_star = find_merger(SYSTEM, DimerParams(v=1.0),
+                                         (0.1, 2.5), CFG)
         assert abs(g_star - 2.0) < 1e-10
 
     def test_no_merger(self):
         with pytest.raises(NoMerger):
-            find_merger(1.0, SYSTEM, (-1.5, -0.5), CFG)
+            find_merger(SYSTEM, DimerParams(v=1.0), (-1.5, -0.5), CFG)
 
 
 class TestExport:
-    def test_branch_csv_schema(self):
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_branch_csv_schema(self, source):
         p = DimerParams(v=1.0, g=0.0, gamma=0.0)
-        upper = max(symmetric_states(p), key=lambda s: s.mu.z0)
-        br = sweep_branch(SYSTEM, upper, p, "gamma", 0.2, 0.05, CFG)
+        if source == "stitched":
+            # the upper symmetric branch, stitched on the same grid
+            br = max((b for b in stitched_branches(
+                          SYSTEM, p, "gamma", cli._grid((0.0, 0.2, 0.05)),
+                          CFG)
+                      if b.samples[0][1].is_pt_symmetric),
+                     key=lambda b: b.samples[0][1].mu.z0)
+        else:
+            upper = max(symmetric_states(p), key=lambda s: s.mu.z0)
+            br = sweep_branch(SYSTEM, upper, p, "gamma", 0.2, 0.05, CFG)
         text = branches_to_csv([br])
         lines = text.strip().split("\n")
         header = lines[0].split(",")
@@ -815,6 +831,7 @@ class TestExport:
         assert len(lines) == 1 + len(br.samples)
         row = lines[1].split(",")
         assert len(row) == len(header)
+        assert row[1] == str(br.branch_id)
         # floats round-trip
         assert float(row[0]) == br.samples[0][0]
         # re/im columns mirror the mu components

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import warnings
@@ -175,8 +176,8 @@ def ep3_loop(pitchfork_setup, which, radius):
                                                   radius))
 
 
-def all_states_loop(center, which, radius=None):
-    spec = LoopSpec(center=center, which=which, radius=radius)
+def all_states_loop(center, which, radius=None, **loop):
+    spec = LoopSpec(center=center, which=which, radius=radius, **loop)
     value0 = center.control(which).z0 + spec.resolved_radius()
     spec.states_to_track = find_all_states(
         SYSTEM, center.with_control(which, value0), CFG)
@@ -211,7 +212,8 @@ class TestSeededSteps:
             spec = ep3_loop(pitchfork_setup, which,
                             1e-4 if which == "s" else 2e-3)
         elif loop == "merger g":
-            g_star, gamma_star = find_merger(1.0, SYSTEM, cfg=CFG)
+            g_star, gamma_star = find_merger(SYSTEM, DimerParams(v=1.0),
+                                             cfg=CFG)
             spec = all_states_loop(
                 DimerParams(v=1.0, g=g_star, gamma=gamma_star), "g")
         else:
@@ -230,7 +232,8 @@ class TestSeededSteps:
     def test_merger_gamma_loop_keeps_its_states_apart(self):
         # Newton from the previous step let three branches land on one
         # state at 128 steps (margin 1), and only the doubled loop passed
-        g_star, gamma_star = find_merger(1.0, SYSTEM, cfg=CFG)
+        g_star, gamma_star = find_merger(SYSTEM, DimerParams(v=1.0),
+                                         cfg=CFG)
         center = DimerParams(v=1.0, g=g_star, gamma=gamma_star)
         tr = encircle(SYSTEM, all_states_loop(center, "gamma"), CFG)
         assert tr.spec.steps == 128
@@ -245,7 +248,8 @@ class TestSeededSteps:
     def test_mirror_pair_with_equal_mu_needs_no_fallback(self):
         # at gamma = s = 0 the two mirror states share mu all round a g-loop;
         # their rows still tell them apart, so neither needs Newton tracking
-        g_star, gamma_star = find_merger(1.0, SYSTEM, cfg=CFG)
+        g_star, gamma_star = find_merger(SYSTEM, DimerParams(v=1.0),
+                                         cfg=CFG)
         center = DimerParams(v=1.0, g=g_star, gamma=gamma_star)
         tr = encircle(SYSTEM, all_states_loop(center, "g"), CFG)
         assert tr.cycle_type == [2, 1, 1]
@@ -308,8 +312,6 @@ def trace_bits(trace):
 class CandidatesOnly:
     """The dimer through the generic system interface alone: one point's
     seeds at a time, and no packed_candidates."""
-
-    n_amplitudes = 2
 
     def candidate_states(self, p):
         return SYSTEM.candidate_states(p)
@@ -458,6 +460,79 @@ class TestClassify:
             classify_ep(SYSTEM, [a, b], CFG)
 
 
+def q_roots(p):
+    """The four roots of the dimer's quartic Q at the plus components of
+    the controls of p (in units of v), Q's coefficients written out here
+    from the quartic in :class:`~bcdimer.model.DimerSystem`'s docstring."""
+    g, gamma, s = (p.control(name).to_idempotent().plus / p.v
+                   for name in ("g", "gamma", "s"))
+    gg, g2 = gamma * gamma, g * g
+    return np.roots([
+        2 * gamma - 1j * g,
+        -8j * gg - 2 * gamma * g + 8 * gamma * s - 1j * g2 - 2j * g * s,
+        (-8 * gg * gamma - 16j * gg * s - 2 * gamma * g2 + 8 * gamma * s * s
+         - 4 * gamma),
+        8j * gg - 2 * gamma * g - 8 * gamma * s + 1j * g2 - 2j * g * s,
+        2 * gamma + 1j * g,
+    ])
+
+
+def root_cycle_type(spec, max_halvings=7):
+    """The cycle type of the permutation of Q's four roots around the loop
+    of ``spec``, with no Newton, gauge or state: at g != 0 each root is one
+    state.  Roots are matched from one loop point to the next by the least
+    total distance; the phi step halves, for the rest of the loop, while 4
+    times the largest move exceeds the smallest gap between the roots."""
+    total = (-1.0 if spec.reverse else 1.0) * 2 * math.pi * spec.turns
+    maps = [list(m) for m in itertools.permutations(range(4))]
+    start = current = q_roots(_loop_params(spec, 0.0))
+    n, k, halvings = spec.steps * spec.turns, 0, 0
+    while k < n:
+        roots = q_roots(_loop_params(spec, total * (k + 1) / n))
+        moved = min((roots[m] for m in maps),
+                    key=lambda r: np.abs(r - current).sum())
+        gap = min(abs(a - b) for a, b in itertools.combinations(current, 2))
+        if 4 * np.abs(moved - current).max() > gap:
+            assert halvings < max_halvings, "the roots crowd"
+            n, k, halvings = 2 * n, 2 * k, halvings + 1
+            continue
+        current, k = moved, k + 1
+    perm = [int(np.abs(start - x).argmin()) for x in current]
+    assert sorted(perm) == [0, 1, 2, 3]
+    return ep._cycles(perm)
+
+
+EP3_GAMMA = math.sqrt(3) / 2  # the pitchfork at g = -1
+
+
+class TestRootMonodromy:
+    """Q's roots followed around a loop give its permutation without
+    Newton; every loop of the direction-1 table in ROADMAP.md with
+    |g| >= 0.05 v (below that the roots crowd as Q tends to a square)."""
+
+    @pytest.mark.parametrize("g, gamma, which, radius, loop, cycle_type", [
+        (0.1, 1.0, "gamma", 0.01, {}, [2, 2]),
+        (-1.0, 1.0, "gamma", 1e-3, {}, [2, 1, 1]),
+        (-1.0, 1.0, "gamma", 1e-3, {"turns": 2}, [1, 1, 1, 1]),
+        (-1.0, 1.0, "gamma", 1e-3, {"reverse": True}, [2, 1, 1]),
+        (-1.0, EP3_GAMMA, "gamma", 1e-3, {}, [2, 1, 1]),
+        (-1.0, EP3_GAMMA, "s", 1e-3, {}, [3, 1]),
+        (-1.0, EP3_GAMMA, "g", 1e-3, {}, [2, 1, 1]),
+        (-2.0, 0.0, "gamma", 2e-3, {}, [1, 1, 1, 1]),
+        (-2.0, 0.0, "s", 2e-3, {}, [3, 1]),
+        (-2.0, 0.0, "g", 2e-3, {}, [2, 1, 1]),
+        (-1.0, 0.5, "gamma", 0.05, {}, [1, 1, 1, 1]),
+        (0.05, 1.0, "gamma", 0.01, {}, [2, 2]),
+    ])
+    def test_same_cycle_type_as_encircle(self, g, gamma, which, radius, loop,
+                                         cycle_type):
+        spec = all_states_loop(DimerParams(v=1.0, g=g, gamma=gamma), which,
+                               radius, **loop)
+        assert len(spec.states_to_track) == 4
+        assert root_cycle_type(spec) == cycle_type
+        assert encircle(SYSTEM, spec, CFG).cycle_type == cycle_type
+
+
 class TestSpecValidation:
     def test_spec_invariants(self):
         center = DimerParams(v=1.0, g=0.0, gamma=1.0)
@@ -475,6 +550,23 @@ class TestSpecValidation:
             with pytest.raises(ValueError):
                 LoopSpec(center=center, which="gamma", radius=radius,
                          turns=turns, states_to_track=[None]).validate()
+
+    @pytest.mark.parametrize("which", ["gamma", "g", "s"])
+    def test_looped_control_must_be_real_at_the_center(self, which):
+        # the loop sets the looped control's j part: one at the center
+        # would be dropped without a word
+        center = DimerParams(v=1.0, g=0.5, gamma=0.3, s=0.1)
+        value = center.control(which).z0
+        spec = LoopSpec(center=center.with_control(which, value, 0.2),
+                        which=which, radius=0.01, states_to_track=[None])
+        with pytest.raises(ValueError, match="j part"):
+            spec.validate()
+        with pytest.raises(ValueError, match="j part"):
+            encircle(SYSTEM, spec, CFG)
+        # the loop keeps the j part of every other control
+        other = next(name for name in ("gamma", "g", "s") if name != which)
+        LoopSpec(center=center.with_control(other, 0.3, 0.2), which=which,
+                 radius=0.01, states_to_track=[None]).validate()
 
     def test_default_radius(self):
         center = DimerParams(v=1.0, g=0.0, gamma=1.0)

@@ -254,7 +254,7 @@ class TestSystems:
             for psi1, psi2, mu in states:
                 r1, r2 = lin.residual((psi1, psi2), mu, p)
                 assert max(r1.max_abs(), r2.max_abs()) < 1e-12
-                assert lin.normalization_residual((psi1, psi2)).max_abs() < 1e-12
+                assert normalization_residual(psi1, psi2).max_abs() < 1e-12
 
     def test_linear_eigenpairs_match_dimer_at_g0(self):
         lin = LinearTwoMode()

@@ -34,7 +34,10 @@ from pathlib import Path
 # two turns, reversed, in s around the EP3, in g around the merger (where
 # the mirror pair shares mu), around the merger at gamma != 0, around no
 # critical point, and longer than one block of loop points; one loop with
-# nothing to track and one sweep given both ranges (both fail)
+# nothing to track and one sweep given both ranges (both fail); the merger
+# at v = 2, outside the v = 1 window, and a loop around it; and three usage
+# errors: a loop whose control has a j part, a control looped twice, and a
+# bad coupling given with a bad tolerance
 COMMANDS = {
     "solve-ep3-json": ["solve", "--g", "-1", "--gamma", "0.8660254037844386",
                        "--format", "json"],
@@ -77,6 +80,15 @@ COMMANDS = {
                                   "-1"],
     "sweep-both-ranges": ["sweep", "--gamma-range", "0:1.4:0.01",
                           "--g-range=-2.5:2.5:0.05"],
+    "merger-v2": ["merger", "--v", "2"],
+    "encircle-merger-v2": ["encircle", "--around", "merger", "--v", "2",
+                           "--track", "all"],
+    "encircle-gamma-j": ["encircle", "--g", "0.5", "--gamma", "0.3",
+                         "--gamma-j", "0.2", "--track", "all"],
+    "classify-gamma-twice": ["classify", "--param", "gamma", "--param",
+                             "gamma", "--around", "pitchfork", "--g", "-1",
+                             "--track", "all"],
+    "merger-bad-tol-and-v": ["merger", "--tol", "0", "--v", "-1"],
 }
 ID_COLUMN = "branch_id"
 ID_KEYS = (ID_COLUMN, "branch_ids", "continuing_branch_id")
