@@ -379,7 +379,8 @@ def _cmd_encircle(ns, system, params, cfg) -> dict:
         },
         "cycle_type": trace.cycle_type,
         "permutation": trace.permutation,
-        "match_margin": trace.match_margin,
+        "match_margin": (None if math.isinf(trace.match_margin)
+                         else trace.match_margin),
         "fallback_steps": trace.fallback_steps,
     }
 

@@ -2,18 +2,21 @@
 
 A candidate exceptional point is encircled by complexifying exactly one
 scalar control with the j unit: ``c(phi) = center + r*(cos(phi) + j*sin(phi))``.
-The loop points are known before the first step, so the system lists a
-seed for every state at a whole block of them at once
-(``packed_candidates``, or ``candidate_states`` point by point), and Newton
-solves all of those seeds in one batched pass.  At each loop point a
-tracked state continues as the solved state that is nearest it one step
-back, in all 12 floats, when it is also that solved state's nearest tracked
-state.  mu alone is no label: the mirror pair shares it at gamma = s = 0.
-A state with no such partner, as when a seed misses it, is instead
+The loop points are known before the first step: they are computed once,
+as rows of control components (``model.control_rows``, no DimerParams a
+point), and the system lists a seed for every state at a whole block of
+them at once (``packed_candidates``, or ``candidate_states`` point by
+point), which Newton solves in one batched pass.  Each step is carried as
+solved rows (12 canonical floats, residual and flags): at each loop point
+a tracked state continues as the solved row that is nearest it one step
+back, in all 12 floats, when it is also that row's nearest tracked state.
+mu alone is no label: the mirror pair shares it at gamma = s = 0.  A
+state with no such partner, as when a seed misses it, is instead
 re-solved by Newton from its previous value, bisecting the step.  At
 closure the final states are matched to the starting set and the
 resulting permutation's cycle structure bounds the order of the exceptional
-point from below.
+point from below.  A step's StationaryStates are built only when the
+trace's ``states`` are read.
 
 Loops around different controls can show different exchange behaviour, so
 the classifier reports per-control cycle types plus a wave-function
@@ -24,13 +27,14 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .bicomplex import fmt_float
 from .continuation import _assign
-from .model import StationaryState
+from .model import StationaryState, control_rows, params_at
 from .solver import (
     GaugeDegenerate,
     NoConvergence,
@@ -38,6 +42,8 @@ from .solver import (
     _candidate_solves,
     _distances,
     _rows,
+    _solve_at,
+    _states,
     newton_solve,
     state_distance,
 )
@@ -107,11 +113,35 @@ class LoopSpec:
             raise ValueError("no states to track")
 
 
+class _Steps(Sequence):
+    """The tracked states of every loop step ([step][branch]), each step's
+    built from its solved rows (:func:`~bcdimer.solver._solved`) when it
+    is first read."""
+
+    def __init__(self, rows: list[np.ndarray]):
+        self._rows = rows
+        self._states = [None] * len(rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        if self._states[k] is None:
+            self._states[k] = _states(self._rows[k].tolist())
+        return self._states[k]
+
+
 @dataclass
 class LoopTrace:
+    """One loop around a center.  ``states[step][branch]`` is the state of
+    each tracked branch at ``phis[step]``; it reads as a list of lists, but
+    a step's states are built only when that step is first read."""
+
     spec: LoopSpec
     phis: list[float]
-    states: list[list[StationaryState]]  # [step][branch]
+    states: Sequence[list[StationaryState]]  # [step][branch]
     permutation: list[int]
     cycle_type: list[int]
     match_margin: float
@@ -125,76 +155,80 @@ class LoopTrace:
         return self.states[-1]
 
 
-def _loop_params(spec: LoopSpec, phi: float):
+def _loop_controls(spec: LoopSpec, phis) -> np.ndarray:
+    """The loop points at ``phis`` as rows of
+    :func:`~bcdimer.model.control_rows`: the looped control is (center +
+    r cos(phi)) + j r sin(phi), with math's cos and sin."""
     r = spec.resolved_radius()
-    center_value = spec.center.control(spec.which).z0
-    return spec.center.with_control(
-        spec.which, center_value + r * math.cos(phi), r * math.sin(phi)
-    )
+    col = 1 + 4 * ("g", "gamma", "s").index(spec.which)
+    out = np.repeat(control_rows([spec.center]), len(phis), axis=0)
+    out[:, col] += r * np.array([math.cos(phi) for phi in phis])
+    out[:, col + 1] = r * np.array([math.sin(phi) for phi in phis])
+    out[:, col + 2:col + 4] = 0.0
+    return out
 
 
-def _track_segment(system, spec, state, phi0, phi1, cfg, depth=0):
-    """Continue one state from phi0 to phi1, bisecting in phi on failure."""
+def _loop_params(spec: LoopSpec, phi: float):
+    """The loop point at phi (see :func:`_loop_controls`)."""
+    return params_at(_loop_controls(spec, [phi])[0])
+
+
+def _track_segment(system, spec, row, phi0, phi1, cfg, depth=0):
+    """Continue the state of the solved row ``row`` from phi0 to phi1,
+    bisecting in phi on failure; returns its solved row at phi1."""
     try:
-        return newton_solve(system, _loop_params(spec, phi1), state, cfg)
+        return _solve_at(system, _loop_controls(spec, [phi1]),
+                         row[None, :12], cfg)[0]
     except (NoConvergence, GaugeDegenerate):
         if depth >= 8:
             raise TrackingLost(
                 f"state lost between phi={phi0:.4f} and phi={phi1:.4f}"
             )
         mid = 0.5 * (phi0 + phi1)
-        half = _track_segment(system, spec, state, phi0, mid, cfg, depth + 1)
+        half = _track_segment(system, spec, row, phi0, mid, cfg, depth + 1)
         return _track_segment(system, spec, half, mid, phi1, cfg, depth + 1)
 
 
-def _step(system, spec, current, rows, phi0, phi1, seeded, cfg):
-    """Every tracked state at phi1, their rows, each one's distances to
-    every state in ``current``, and how many states took the fallback.
+def _step(system, spec, rows, seeded, phi0, phi1, cfg):
+    """The solved rows of every tracked state at phi1, each one's distances
+    to every row of ``rows``, and how many states took the fallback.
 
-    ``seeded`` is the candidate seeds at phi1 as
-    :func:`~bcdimer.solver._candidate_solves` gives them: the states Newton
-    reached from the seeds it solved and their rows, solved once for a
-    whole block of loop points.  ``rows`` holds the 12 floats of each state
-    in ``current``, and one max-norm matrix
+    ``rows`` and ``seeded`` are :func:`~bcdimer.solver._solved` rows: the
+    tracked states at phi0, and the rows Newton reached from the candidate
+    seeds at phi1, as :func:`~bcdimer.solver._candidate_solves` gives them
+    for a whole block of loop points.  One max-norm matrix
     (:func:`~bcdimer.solver._distances`, with state_distance's bits) holds
-    their distances to every solved row.
-    State i continues as solved row j when j is its nearest row and i is
-    j's nearest state; duplicate seeds of one state are harmless.  Any
-    other state, one whose seed failed or went to another state, is
-    continued by :func:`_track_segment`.
+    the distances between the two.  State i continues as solved row j when
+    j is its nearest row and i is j's nearest state; duplicate seeds of one
+    state are harmless.  Any other state, one whose seed failed or went to
+    another state, is continued by :func:`_track_segment`.
     """
-    solved, solved_rows = seeded
-    near = _distances(rows, solved_rows)
-    nearest = mutual = [None] * len(current)
-    if len(solved):
-        nearest = near.argmin(1)
-        mutual = near.argmin(0)[nearest]
-    new, new_rows, dists, fallbacks = [], [], [], 0
-    for i, st in enumerate(current):
-        if mutual[i] == i:
-            j = nearest[i]
-            state, row, dist = solved[j], solved_rows[j], near[:, j]
-        else:
-            fallbacks += 1
-            state = _track_segment(system, spec, st, phi0, phi1, cfg)
-            row = _rows([state])[0]
-            dist = _distances(row, rows)
-        new.append(state)
-        new_rows.append(row)
-        dists.append(dist.tolist())
-    return new, np.array(new_rows), dists, fallbacks
+    n = len(rows)
+    near = _distances(rows[:, :12], seeded[:, :12])
+    new, dists = np.empty(rows.shape), np.empty((n, n))
+    mutual = np.zeros(n, dtype=bool)
+    if len(seeded):
+        pick = near.argmin(1)
+        mutual = near.argmin(0)[pick] == np.arange(n)
+        if mutual.all():
+            return seeded[pick], near[:, pick].T, 0
+        new[mutual], dists[mutual] = (seeded[pick[mutual]],
+                                      near[:, pick[mutual]].T)
+    lost = np.flatnonzero(~mutual).tolist()
+    for i in lost:
+        new[i] = _track_segment(system, spec, rows[i], phi0, phi1, cfg)
+        dists[i] = _distances(new[i, :12], rows[:, :12])
+    return new, dists, len(lost)
 
 
 def _match_margin(dists) -> float:
-    """Smallest second-nearest/nearest ratio over rows of distances from
-    each new state to the old ones."""
-    worst = math.inf
-    for row in dists:
-        if len(row) < 2:
-            continue
-        nearest, second = sorted(row)[:2]
-        worst = min(worst, second / max(nearest, 1e-300))
-    return worst
+    """Smallest second-nearest/nearest ratio over the rows (last axis) of
+    an array of distances from each new state to the old ones; inf with
+    fewer than two old states."""
+    if dists.shape[-1] < 2:
+        return math.inf
+    two = np.partition(dists, 1, axis=-1)
+    return float((two[..., 1] / np.maximum(two[..., 0], 1e-300)).min())
 
 
 def _cycles(perm: list[int]) -> list[int]:
@@ -244,34 +278,30 @@ def encircle(system, spec: LoopSpec, cfg: SolveConfig | None = None) -> LoopTrac
 
 
 def _encircle_once(system, spec: LoopSpec, cfg: SolveConfig) -> LoopTrace:
+    """One pass around the loop, carried as solved rows; the margin comes
+    from the distances of every step and of the closure at once."""
     sign = -1.0 if spec.reverse else 1.0
     total = 2.0 * math.pi * spec.turns
     n_steps = spec.steps * spec.turns
     phis = [sign * total * k / n_steps for k in range(n_steps + 1)]
-    current = [
-        newton_solve(system, _loop_params(spec, 0.0), st, cfg)
-        for st in spec.states_to_track
-    ]
-    rows = start_rows = _rows(current)
-    per_step = [list(current)]
-    margin = math.inf
-    fallback_steps = 0
-    seeded = _candidate_solves(
-        system, (_loop_params(spec, phi) for phi in phis[1:]), cfg)
+    controls = _loop_controls(spec, [0.0, *phis[1:]])
+    rows = _solve_at(system, controls[:1], _rows(spec.states_to_track), cfg)
+    steps, dists, fallback_steps = [rows], [], 0
+    seeded = _candidate_solves(system, controls[1:], cfg)
     for k, at_phi in enumerate(seeded, start=1):
-        current, rows, dists, fallbacks = _step(
-            system, spec, current, rows, phis[k - 1], phis[k], at_phi, cfg)
-        margin = min(margin, _match_margin(dists))
+        rows, near, fallbacks = _step(system, spec, rows, at_phi,
+                                      phis[k - 1], phis[k], cfg)
+        steps.append(rows)
+        dists.append(near)
         fallback_steps += fallbacks
-        per_step.append(current)
-    cost = _distances(rows, start_rows).tolist()
-    perm = [target for _branch, target in _assign(cost)]
-    margin = float(min(margin, _match_margin(cost)))
+    cost = _distances(rows[:, :12], steps[0][:, :12])
+    perm = [target for _branch, target in _assign(cost.tolist())]
+    margin = _match_margin(np.array([*dists, cost]))
     reliable = bool(margin > 2.0)
     return LoopTrace(
         spec=spec,
         phis=phis,
-        states=per_step,
+        states=_Steps(steps),
         permutation=perm,
         cycle_type=_cycles(perm),
         match_margin=margin,
@@ -394,7 +424,9 @@ def trace_summary_json(trace: LoopTrace) -> str:
             "reverse": trace.spec.reverse,
             "permutation": trace.permutation,
             "cycle_type": trace.cycle_type,
-            "match_margin": trace.match_margin,
+            # one tracked state has no second-nearest: JSON has no inf
+            "match_margin": (None if math.isinf(trace.match_margin)
+                             else trace.match_margin),
             "reliable": trace.reliable,
         },
         sort_keys=True,

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bicomplex import I as I_UNIT
-from .bicomplex import Bicomplex
+from .bicomplex import Bicomplex, IdempotentPair
 
 CONTROL_NAMES = ("gamma", "g", "s")
 
@@ -166,6 +166,21 @@ def packed_controls(p: DimerParams, g: Bicomplex | None = None):
     """
     g = p.g if g is None else g
     return float(p.v), g.as_tuple(), (I_UNIT * p.gamma).as_tuple(), p.s.as_tuple()
+
+
+def control_rows(points) -> np.ndarray:
+    """v and the components of g, gamma and s of each of ``points``, one
+    row of 13 floats a point: the form the solver takes points in."""
+    return np.array([(p.v, *p.g.as_tuple(), *p.gamma.as_tuple(),
+                      *p.s.as_tuple()) for p in points],
+                    dtype=float).reshape(-1, 13)
+
+
+def params_at(row) -> DimerParams:
+    """The point of one row of :func:`control_rows`."""
+    v, *c = row.tolist()
+    return DimerParams(v, Bicomplex(*c[0:4]), Bicomplex(*c[4:8]),
+                       Bicomplex(*c[8:12]))
 
 
 def _mul(a, b):
@@ -345,6 +360,21 @@ def _flags(x, tol):
     return is_complex, is_pt
 
 
+# below this many lanes (Newton's seeds, rows or roots) a batch runs lane
+# by lane on Python numbers, from it on once on numpy lanes, with the same
+# bits.  Measured (numpy 2.4, one thread of a shared 2-vCPU Xeon): a
+# residual costs 13-18 us a lane on floats against 250 us + 0.5 us a lane
+# on arrays, an analytic Jacobian 25-40 us against 530 us + 0.7 us; both
+# cross at 16 to 20 lanes.  Gauge and flags (solver._canonical_rows) cost
+# 13-16 us a row on floats against 240 us + 1 us a lane on arrays, and
+# cross at 18 rows
+_CROSSOVER = 16
+# below this many roots (or points) the back-solve (or the controls' plus
+# components), and below _LINEAR_LANES points the linear model's seeds, run
+# on Python complex numbers, from there on once on _ComplexLanes.  Measured
+# as above: 8 us a root against 400 us, 60-75 us a point against 550-900 us
+_COMPLEX_LANES = 48
+_LINEAR_LANES = 12
 # m roots within this many rounding radii (see _roots) of their mean form
 # one m-fold root; the exact multiple roots of Q measure up to 1.2
 _MULTIPLE_ROOT_SPREAD = 2.0
@@ -484,10 +514,82 @@ def _q_roots(g, gamma, s) -> list[list[complex]]:
     return out
 
 
+class _ComplexLanes:
+    """Complex numbers on numpy lanes (``real`` and ``imag`` float arrays)
+    with CPython 3.11's complex arithmetic, which numpy's complex ``*``,
+    ``/`` and ``abs`` do not round alike: a real operand becomes (x, 0.0),
+    products are _Py_c_prod, quotients Smith's _Py_c_quot, abs is hypot.
+    So a formula gives each lane the bits it gives on Python numbers; a
+    division by zero gives a non-finite lane where Python raises."""
+
+    __slots__ = ("real", "imag")
+    __array_ufunc__ = None  # an ndarray operand defers to the reflected op
+
+    def __init__(self, real, imag):
+        self.real, self.imag = real, imag
+
+    @staticmethod
+    def _parts(z):
+        if isinstance(z, np.ndarray):
+            return z, 0.0
+        z = z if isinstance(z, _ComplexLanes) else complex(z)
+        return z.real, z.imag
+
+    def complex(self) -> np.ndarray:
+        out = np.empty(self.real.shape, dtype=complex)
+        out.real, out.imag = self.real, self.imag
+        return out
+
+    def conjugate(self):
+        return _ComplexLanes(self.real, -self.imag)
+
+    def __abs__(self):
+        return np.hypot(self.real, self.imag)
+
+    def __add__(self, other):
+        br, bi = self._parts(other)
+        return _ComplexLanes(self.real + br, self.imag + bi)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        br, bi = self._parts(other)
+        return _ComplexLanes(self.real - br, self.imag - bi)
+
+    def __rsub__(self, other):
+        ar, ai = self._parts(other)
+        return _ComplexLanes(ar - self.real, ai - self.imag)
+
+    def __mul__(self, other):
+        (ar, ai), (br, bi) = (self.real, self.imag), self._parts(other)
+        return _ComplexLanes(ar * br - ai * bi, ar * bi + ai * br)
+
+    __rmul__ = __mul__
+
+    @staticmethod
+    def _quotient(ar, ai, br, bi):
+        wide = np.abs(br) >= np.abs(bi)
+        ratio = np.where(wide, bi / br, br / bi)
+        denom = np.where(wide, br + bi * ratio, br * ratio + bi)
+        return _ComplexLanes(
+            np.where(wide, ar + ai * ratio, ar * ratio + ai) / denom,
+            np.where(wide, ai - ar * ratio, ai * ratio - ar) / denom)
+
+    def __truediv__(self, other):
+        return self._quotient(self.real, self.imag, *self._parts(other))
+
+    def __neg__(self):
+        return _ComplexLanes(-self.real, -self.imag)
+
+    def __rtruediv__(self, other):
+        return self._quotient(*self._parts(other), self.real, self.imag)
+
+
 def _back_solve(x, g, gamma, s, v):
     """The packed seed (12 components of psi1, psi2 and mu) of the state
     at the root x of Q, with x and the plus components g, gamma, s of the
-    controls in units of v (see DimerSystem).
+    controls in units of v (see DimerSystem); all Python numbers, or on
+    :class:`_ComplexLanes` (and v an array).
 
     With a = n1 and Y = phi2/phi1 the seed is psi+ = c (1, x), phi =
     conj(psi-) = (a, a y)/c, mu+ and nu = conj(mu-), in the gauge c =
@@ -495,7 +597,7 @@ def _back_solve(x, g, gamma, s, v):
     """
     a = ((x * x - 1) / x - 2j * gamma + 2 * s + g) / (2 * g)
     y = (1 - a) / (a * x)
-    c = math.sqrt(abs(a))
+    c = _sqrt(abs(a))
     return _packed([(c * 1.0, (a / c).conjugate()),
                     (c * x, (a * y / c).conjugate()),
                     (v * (x - g * a - 1j * gamma + s),
@@ -514,19 +616,59 @@ def _packed(pairs) -> list[float]:
     return out
 
 
+def _idempotent(z0, z1, z2, z3) -> IdempotentPair:
+    """Bicomplex.to_idempotent of the components z, floats or lanes."""
+    kind = _ComplexLanes if isinstance(z0, np.ndarray) else complex
+    return IdempotentPair(kind(z0 + z3, z2 - z1), kind(z0 - z3, z2 + z1))
+
+
 def _stored(plus, minus) -> tuple[complex, complex]:
     """The idempotent components of the Bicomplex value with components
     (plus, minus), as rounding through its four floats leaves them."""
-    z0, z1, z2, z3 = _packed([(plus, minus)])
-    return complex(z0 + z3, z2 - z1), complex(z0 - z3, z2 + z1)
+    pair = _idempotent(*_packed([(plus, minus)]))
+    return pair.plus, pair.minus
+
+
+def _plus(controls) -> np.ndarray:
+    """The plus components of g, gamma and s in units of v at every row of
+    :func:`control_rows`, an (N, 3) complex array with the bits of
+    ``to_idempotent().plus / v``: on Python numbers below _COMPLEX_LANES
+    rows, from it on once on lanes."""
+    if len(controls) < _COMPLEX_LANES:
+        return np.array([[_idempotent(*row[k:k + 4]).plus / row[0]
+                          for k in (1, 5, 9)] for row in controls.tolist()],
+                        dtype=complex).reshape(-1, 3)
+    with np.errstate(all="ignore"):  # _ComplexLanes divides by (v, 0)
+        return np.stack([(_idempotent(*controls[:, k:k + 4].T).plus
+                          / controls[:, 0]).complex() for k in (1, 5, 9)], 1)
+
+
+def _sqrt(x):
+    """math.sqrt, or np.sqrt (which rounds alike) on lanes."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _csqrt(z):
+    """cmath.sqrt, mapped over lanes."""
+    if not isinstance(z, _ComplexLanes):
+        return cmath.sqrt(z)
+    out = np.array([cmath.sqrt(w) for w in z.complex().tolist()])
+    return _ComplexLanes(out.real, out.imag)
 
 
 def _back_solved(x, controls, v) -> np.ndarray:
-    """Rows of :func:`_back_solve` at the roots x (Python complex numbers),
-    each with its (g, gamma, s) in ``controls`` and its v; a root where the
-    back-solve divides by zero gives nan, which Newton drops."""
+    """Rows of :func:`_back_solve` at the roots x (an array), each with its
+    (g, gamma, s) in the rows of ``controls`` (an (n, 3) array) and its v:
+    below _COMPLEX_LANES roots on Python numbers, from it on once on lanes,
+    with the same bits.  A root where the back-solve divides by zero gives
+    nan, or on lanes a row that is not finite; Newton drops either."""
+    if len(x) >= _COMPLEX_LANES:
+        with np.errstate(all="ignore"):
+            return np.stack(_back_solve(*(_ComplexLanes(z.real, z.imag)
+                                          for z in (x, *controls.T)), v), 1)
     rows = np.empty((len(x), 12))
-    for k, (xk, c, vk) in enumerate(zip(x, controls, v)):
+    for k, (xk, c, vk) in enumerate(zip(x.tolist(), controls.tolist(),
+                                        v.tolist())):
         try:
             rows[k] = _back_solve(xk, *c, vk)
         except ZeroDivisionError:
@@ -735,35 +877,36 @@ class DimerSystem:
         and below |g| = 1e-3 v, where the back-solve loses the digits of g,
         the linear model's eigenpairs too; the solver merges duplicates.
         The one-point call of :meth:`packed_candidates`."""
-        rows, _ = self.packed_candidates([p])
+        rows, _ = self.packed_candidates(control_rows([p]))
         return [_as_seed(row) for row in rows.tolist()]
 
-    def packed_candidates(self, points):
+    def packed_candidates(self, controls):
         """The seeds of :meth:`candidate_states` at every point, packed:
         an (n, 12) array with one seed (psi1, psi2 and mu components) per
-        row, grouped by point in the order of ``points``, and the index of
-        each row's point.
+        row, grouped by point in the order of ``controls`` (the rows of
+        :func:`control_rows`), and the index of each row's point.
 
-        Q's roots come from one batched eigenvalue call (see
-        :func:`_q_roots`) and are back-solved straight into rows; the
-        exact root X = 0, which is no state (X^2 - bX - 1 = 0 rules it
+        The plus components of the controls are taken on lanes, Q's roots
+        come from one batched eigenvalue call (see :func:`_q_roots`), and
+        they are back-solved straight into rows (:func:`_back_solved`);
+        the exact root X = 0, which is no state (X^2 - bX - 1 = 0 rules it
         out), is skipped.
         """
-        plus = [[c.to_idempotent().plus / p.v for c in (p.g, p.gamma, p.s)]
-                for p in points]
-        roots = _q_roots(*np.array(plus, dtype=complex).reshape(-1, 3).T)
-        at = [k for k, xs in enumerate(roots) for x in xs if x != 0]
-        rows = _back_solved([x for xs in roots for x in xs if x != 0],
-                            [plus[k] for k in at], [points[k].v for k in at])
-        linear = [(k, row) for k, c in enumerate(plus)
-                  if abs(c[0]) < _LINEAR_SEEDS
-                  for row in LinearTwoMode()._seed_rows(points[k])]
-        if not linear:
-            return rows, np.array(at, dtype=int)
-        at += [k for k, _ in linear]
+        plus = _plus(controls)
+        roots = _q_roots(*plus.T)
+        at = np.array([k for k, xs in enumerate(roots) for x in xs if x != 0],
+                      dtype=int)
+        rows = _back_solved(
+            np.array([x for xs in roots for x in xs if x != 0], dtype=complex),
+            plus[at], controls[at, 0])
+        linear = np.flatnonzero(
+            np.hypot(plus[:, 0].real, plus[:, 0].imag) < _LINEAR_SEEDS)
+        if not len(linear):
+            return rows, at
+        seeds, owner = LinearTwoMode().packed_candidates(controls[linear])
+        at = np.concatenate([at, linear[owner]])
         order = np.argsort(at, kind="stable")
-        rows = np.concatenate([rows, np.array([row for _, row in linear])])
-        return rows[order], np.array(at)[order]
+        return np.concatenate([rows, seeds])[order], at[order]
 
     def bifurcation_set(self, p: DimerParams, parameter: str, lo: float,
                         hi: float, cfg=None) -> list[BifurcationPoint]:
@@ -856,6 +999,12 @@ class DimerSystem:
         """Controls for the packed kernel that the Newton solver calls."""
         return packed_controls(p)
 
+    def lane_controls(self, c):
+        """:meth:`packed_controls` at the point of a row c of
+        :func:`control_rows` (a list), or on lanes of its 13 columns: the
+        13 values v, g, i*gamma and s, with their bits."""
+        return [*c[0:5], *_mul(I_UNIT.as_tuple(), c[5:9]), *c[9:13]]
+
 
 class LinearTwoMode:
     """Two-level model without nonlinearity, with closed-form eigenpairs.
@@ -875,31 +1024,46 @@ class LinearTwoMode:
         """The dimer's packed-kernel controls at g = 0."""
         return packed_controls(p, Bicomplex())
 
+    def lane_controls(self, c):
+        """The dimer's :meth:`~DimerSystem.lane_controls` at g = 0."""
+        return [c[0], 0.0, 0.0, 0.0, 0.0, *DimerSystem().lane_controls(c)[5:]]
+
     @staticmethod
     def sector_eigenvalues(v: float, gamma_sector: complex, s_sector: complex = 0j):
-        """Eigenvalues of [[-i*g + s, v], [v, i*g - s]] in one sector."""
-        disc = cmath.sqrt(v * v + (1j * gamma_sector - s_sector) ** 2)
+        """Eigenvalues of [[-i*g + s, v], [v, i*g - s]] in one sector, on
+        Python numbers or on lanes; 1 * (w * w) is CPython's w ** 2."""
+        w = 1j * gamma_sector - s_sector
+        disc = _csqrt(v * v + 1 * (w * w))
         return disc, -disc
 
-    def _sector_pairs(self, p: DimerParams):
-        """psi1, psi2 and mu of every eigenpair combination as idempotent
-        (plus, minus) pairs, the continued norm equal to one; combinations
-        whose normalization is singular (at exceptional points) are
+    @staticmethod
+    def _pairs(v, gp, sp, lp, lm):
+        """psi1, psi2 and mu of the eigenpair combination of lp and lm as
+        idempotent (plus, minus) pairs, the continued norm equal to one, at
+        v and the idempotent pairs gp, sp of gamma and s, and whether its
+        normalization is singular (at exceptional points), where on Python
+        numbers it gives no pairs."""
+        # row-1 eigenvector (1, (mu + i*gamma - s)/v) per sector
+        rp = (lp + 1j * gp.plus - sp.plus) / v
+        rm = (lm + 1j * gp.minus - sp.minus) / v
+        norm = 1 + rm.conjugate() * rp
+        singular = abs(norm) < 1e-12
+        if singular is True:
+            return None, True
+        scale = 1.0 / norm
+        return ((scale, 1.0), (scale * rp, rm), (lp, lm)), singular
+
+    def _sector_pairs(self, v, gp, sp):
+        """The :meth:`_pairs` of every eigenpair combination at one point,
+        in the order (+, +), (+, -), (-, +), (-, -); singular ones are
         skipped."""
-        gp = p.gamma.to_idempotent()
-        sp = p.s.to_idempotent()
-        lam_plus = self.sector_eigenvalues(p.v, gp.plus, sp.plus)
-        lam_minus = self.sector_eigenvalues(p.v, gp.minus, sp.minus)
+        lam_plus = self.sector_eigenvalues(v, gp.plus, sp.plus)
+        lam_minus = self.sector_eigenvalues(v, gp.minus, sp.minus)
         for lp in lam_plus:
             for lm in lam_minus:
-                # row-1 eigenvector (1, (mu + i*gamma - s)/v) per sector
-                rp = (lp + 1j * gp.plus - sp.plus) / p.v
-                rm = (lm + 1j * gp.minus - sp.minus) / p.v
-                norm = 1 + rm.conjugate() * rp
-                if abs(norm) < 1e-12:
-                    continue
-                scale = 1.0 / norm
-                yield (scale, 1.0), (scale * rp, rm), (lp, lm)
+                pairs, singular = self._pairs(v, gp, sp, lp, lm)
+                if not singular:
+                    yield pairs
 
     def eigenpairs(self, p: DimerParams):
         """All stationary states as idempotent-sector eigenpair combinations.
@@ -909,31 +1073,60 @@ class LinearTwoMode:
         singular (at exceptional points) are skipped.
         """
         return [tuple(Bicomplex.from_idempotent(*pair) for pair in pairs)
-                for pairs in self._sector_pairs(p)]
+                for pairs in self._sector_pairs(
+                    p.v, p.gamma.to_idempotent(), p.s.to_idempotent())]
 
-    def _seed_rows(self, p: DimerParams) -> list[list[float]]:
-        """The seeds of :meth:`candidate_states` as packed rows of 12
-        floats, with the bits of the eigenpairs' Bicomplex values and no
-        Bicomplex value built.
+    def packed_candidates(self, controls):
+        """The seeds of :meth:`candidate_states` at every row of
+        ``controls``, packed as :meth:`DimerSystem.packed_candidates` packs
+        them: below _LINEAR_LANES points point by point on Python numbers,
+        from it on once on lanes, one a combination and point, with the
+        same bits."""
+        if len(controls) < _LINEAR_LANES:
+            seeds = [(self._seed_row(pairs), k)
+                     for k, row in enumerate(controls.tolist())
+                     for pairs in self._sector_pairs(
+                         row[0], _idempotent(*row[5:9]),
+                         _idempotent(*row[9:13]))]
+            return (np.array([seed for seed, _ in seeds]).reshape(-1, 12),
+                    np.array([k for _, k in seeds], dtype=int))
+        lanes = np.repeat(controls, 4, axis=0).T  # lane 4k + c: point k
+        v, gp, sp = lanes[0], _idempotent(*lanes[5:9]), _idempotent(
+            *lanes[9:13])
+        combination = np.arange(4 * len(controls)) % 4  # _sector_pairs' order
+        with np.errstate(all="ignore"):
+            lp, lm = (_ComplexLanes(np.where(second, b.real, a.real),
+                                    np.where(second, b.imag, a.imag))
+                      for (a, b), second in zip(
+                          (self.sector_eigenvalues(v, gp.plus, sp.plus),
+                           self.sector_eigenvalues(v, gp.minus, sp.minus)),
+                          (combination >= 2, combination % 2 == 1)))
+            pairs, singular = self._pairs(v, gp, sp, lp, lm)
+            rows = np.stack(self._seed_row(pairs), 1)
+        return rows[~singular], np.flatnonzero(~singular) // 4
 
-        Each eigenpair is turned by the phase u that makes site 1's plus
+    @staticmethod
+    def _seed_row(pairs) -> list[float]:
+        """The seed of :meth:`candidate_states` of the :meth:`_pairs` of an
+        eigenpair (or of lanes of them) as 12 packed floats, with the bits
+        of the eigenpair's Bicomplex values.
+
+        The eigenpair is turned by the phase u that makes site 1's plus
         component real, as the solver's gauge asks, and put in the gauge
         psi+ -> c psi+, phi = conj(psi-) -> phi/c that balances site 1, as
         :func:`_back_solve` puts the dimer's seeds.
         """
-        rows = []
-        for pairs in self._sector_pairs(p):
-            (p1, m1), (p2, m2), mu = (_stored(*pair) for pair in pairs)
-            u = abs(p1) / p1
-            plus1, plus2 = p1 * u, p2 * u
-            phi1, phi2 = m1.conjugate() / u, m2.conjugate() / u
-            c = math.sqrt(abs(phi1) / abs(plus1))
-            rows.append(_packed([(c * plus1, (phi1 / c).conjugate()),
-                                 (c * plus2, (phi2 / c).conjugate()), mu]))
-        return rows
+        (p1, m1), (p2, m2), mu = (_stored(*pair) for pair in pairs)
+        u = abs(p1) / p1
+        plus1, plus2 = p1 * u, p2 * u
+        phi1, phi2 = m1.conjugate() / u, m2.conjugate() / u
+        c = _sqrt(abs(phi1) / abs(plus1))
+        return _packed([(c * plus1, (phi1 / c).conjugate()),
+                        (c * plus2, (phi2 / c).conjugate()), mu])
 
     def candidate_states(self, p: DimerParams):
         """Seeds (psi, mu) for every stationary state: the eigenpairs, in
         the solver's phase gauge and the balanced gauge of the dimer's
-        seeds (see :meth:`_seed_rows`)."""
-        return [_as_seed(row) for row in self._seed_rows(p)]
+        seeds (see :meth:`_seed_row`)."""
+        rows, _ = self.packed_candidates(control_rows([p]))
+        return [_as_seed(row) for row in rows.tolist()]

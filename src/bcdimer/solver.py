@@ -28,10 +28,12 @@ with a status per lane (converged, :class:`NoConvergence`, or
 :class:`GaugeDegenerate`).  The kernel evaluates a batch lane by lane on
 Python floats below 16 lanes and once on numpy arrays from there, with the
 same bits; the linear solves are one batched ``np.linalg.solve``.
-:func:`newton_solve` is the one-lane call.  The loop steps of
-:func:`~bcdimer.ep.encircle` solve every candidate seed of a block of loop
-points in one Newton pass (:func:`_candidate_solves`) and match the
-tracked states to the solved rows, not to the seeds.
+:func:`newton_solve` is the one-lane call.  Points enter as rows of their
+control components (:func:`~bcdimer.model.control_rows`), from which the
+seeds and the kernel's controls of a whole block come in one call each.
+The loop steps of :func:`~bcdimer.ep.encircle` solve every candidate seed
+of a block of loop points in one Newton pass (:func:`_candidate_solves`),
+which yields solved rows, and match the tracked states to those rows.
 
 :func:`find_states_along` finds all states at every point of a grid in one
 batched pass per block of points; :func:`find_all_states` is its one-point
@@ -44,18 +46,18 @@ residual's scale, not just past the tolerance) so that duplicates merge
 array pass finds two close rows run the dedup rule, and only kept rows
 become states.
 
-States are made from the solved rows, not from Bicomplex values: the
-canonical gauge and the two flags of every row of a block come from one
-:func:`_canonical_rows` call, which, like the kernel, runs row by row on
-Python floats below 16 rows and once on numpy lanes from there, with the
-bits of the Bicomplex arithmetic it replaces.  The distances that match
-and deduplicate states are max-norms over those rows (:func:`_distances`),
+States are made from the solved rows, not from Bicomplex values, and only
+where a function returns them: the canonical gauge and the two flags of
+every row of a block come from one :func:`_canonical_rows` call
+(:func:`_solved`), which, like the kernel, runs row by row on Python
+floats below 16 rows and once on numpy lanes from there, with the bits of
+the Bicomplex arithmetic it replaces.  The distances that match and
+deduplicate states are max-norms over those rows (:func:`_distances`),
 with :func:`state_distance`'s bits.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -64,10 +66,15 @@ import numpy as np
 from .bicomplex import Bicomplex
 from .model import (
     StationaryState,
+    _CROSSOVER,
+    _ComplexLanes,
     _any,
     _flags,
+    _sqrt,
+    control_rows,
     packed_jacobian,
     packed_residual,
+    params_at,
 )
 
 __all__ = [
@@ -117,14 +124,17 @@ class RealSystemView:
 
     The residual and the analytic Jacobian run on the packed floats through
     the system's kernel (:func:`~bcdimer.model.packed_residual`); no
-    Bicomplex value is built inside the Newton loop.
+    Bicomplex value is built inside the Newton loop.  ``controls``, where
+    given, are the kernel's controls at ``params``, which is then not read.
     """
 
-    def __init__(self, system, params, *, gauge_site: int = 0):
+    def __init__(self, system, params, *, gauge_site: int = 0,
+                 controls=None):
         self.system = system
         self.params = params
         self.gauge_site = gauge_site
-        self.controls = system.packed_controls(params)
+        self.controls = (system.packed_controls(params) if controls is None
+                         else controls)
 
     def pack(self, psi, mu) -> np.ndarray:
         parts = [c for z in psi for c in z.as_tuple()]
@@ -199,10 +209,9 @@ def _gauge_derivatives(gauge):
 #
 # The canonical gauge runs unchanged on the 12 floats of one state and on
 # numpy lanes, like _close, with the bits of Python's complex arithmetic:
-# abs(complex) is libm hypot, as np.hypot is (math.hypot rounds otherwise);
-# atan2, cos and sin come from math on every lane (numpy's may be SIMD
-# versions that round otherwise); and products and the quotient are spelled
-# out as CPython 3.11 rounds them.
+# on lanes its complex numbers are model._ComplexLanes; atan2, cos and sin
+# come from math on every lane (numpy's may be SIMD versions that round
+# otherwise).
 
 
 def _where(mask, a, b):
@@ -211,13 +220,6 @@ def _where(mask, a, b):
     if isinstance(mask, np.ndarray):
         return np.where(mask, a, b)
     return a if mask else b
-
-
-def _abs(re, im):
-    """abs(complex(re, im)), on floats or on lanes."""
-    if isinstance(re, np.ndarray):
-        return np.hypot(re, im)
-    return abs(complex(re, im))
 
 
 def _math(fn, *args):
@@ -239,42 +241,33 @@ def _gauge(x):
     On lanes the kept ones run through the arithmetic too, and are put
     back at the end.
     """
+    lanes = isinstance(x[0], np.ndarray)
+    Z = _ComplexLanes if lanes else complex
     sites = []
     for z0, z1, z2, z3 in (x[0:4], x[4:8]):
         # the idempotent components (plus, minus), their magnitudes and
         # the smaller of those, as min() takes it
         pr, pi, mr, mi = z0 + z3, z2 - z1, z0 - z3, z2 + z1
-        a_plus, a_minus = _abs(pr, pi), _abs(mr, mi)
+        a_plus, a_minus = abs(Z(pr, pi)), abs(Z(mr, mi))
         sites.append((pr, pi, mr, mi, a_plus, a_minus,
                       _where(a_minus < a_plus, a_minus, a_plus)))
     low0, low1 = sites[0][-1], sites[1][-1]
     on1 = (low0 < GAUGE_SITE_FLOOR) & (low1 > low0)
     pr, pi, _, _, a_plus, a_minus, low = _where(on1, sites[1], sites[0])
     keep = low < GAUGE_EPS
-    if not isinstance(keep, np.ndarray) and keep:
+    if not lanes and keep:
         return list(x)
-    t = _math(math.sqrt, a_minus / a_plus)
     theta = _math(math.atan2, pi, pr)
-    er, ei = _math(math.cos, -theta), _math(math.sin, -theta)
-    # c = t * cmath.exp(-1j*theta): the float t enters as (t, 0.0)
-    cr, ci = t * er - 0.0 * ei, t * ei + 0.0 * er
-    # u = 1.0 / c.conjugate(), by CPython's _Py_c_quot: numerator (1, 0),
-    # top and bottom divided by the larger part of the denominator (br, bi)
-    br, bi = cr, -ci
-    by_re = abs(br) >= abs(bi)
-    num, den = _where(by_re, (bi, br), (br, bi))
-    ratio = num / den
-    denom, ur, ui = _where(
-        by_re, (br + bi * ratio, 1.0 + 0.0 * ratio, 0.0 - 1.0 * ratio),
-        (br * ratio + bi, 1.0 * ratio + 0.0, 0.0 * ratio - 1.0))
-    ur, ui = ur / denom, ui / denom
+    # c = t * cmath.exp(-1j*theta) and u = 1/conj(c)
+    c = _sqrt(a_minus / a_plus) * Z(_math(math.cos, -theta),
+                                    _math(math.sin, -theta))
+    u = 1.0 / c.conjugate()
     out = []
     for pr, pi, mr, mi, *_ in sites:
         # (plus * c, minus * u), back from the idempotent basis
-        qr, qi = pr * cr - pi * ci, pr * ci + pi * cr
-        nr, ni = mr * ur - mi * ui, mr * ui + mi * ur
-        out += [0.5 * (qr + nr), 0.5 * (ni - qi), 0.5 * (qi + ni),
-                0.5 * (qr - nr)]
+        q, n = Z(pr, pi) * c, Z(mr, mi) * u
+        out += [0.5 * (q.real + n.real), 0.5 * (n.imag - q.imag),
+                0.5 * (q.imag + n.imag), 0.5 * (q.real - n.real)]
     return [*_where(keep, x[0:8], out), *x[8:12]]
 
 
@@ -297,22 +290,20 @@ def _canonical_rows(x):
             is_pt.tolist())
 
 
-def _states(rows, fnorm, is_complex, is_pt, order) -> list[StationaryState]:
-    """The states of the rows ``order`` of :func:`_canonical_rows`' output,
-    with their residuals ``fnorm`` (a list)."""
-    return [StationaryState(Bicomplex(*rows[k][0:4]), Bicomplex(*rows[k][4:8]),
-                            Bicomplex(*rows[k][8:12]), fnorm[k], is_complex[k],
-                            is_pt[k]) for k in order]
-
-
-def _make_states(x, fnorm) -> tuple[list[StationaryState], np.ndarray]:
-    """Gauge-canonical, flagged states from the (N, 12) array x of solved
-    rows and their residuals ``fnorm``, with one :func:`_canonical_rows`
-    call for all of them; returns the states and their canonical rows, an
-    (N, 12) array."""
+def _solved(x, fnorm) -> np.ndarray:
+    """The solved rows x (N, 12) with residuals ``fnorm`` as states in an
+    (N, 15) array, from one :func:`_canonical_rows` call: the 12 canonical
+    floats, the residual and the two flags (1.0 or 0.0) of each."""
     rows, is_complex, is_pt = _canonical_rows(x)
-    states = _states(rows, fnorm.tolist(), is_complex, is_pt, range(len(rows)))
-    return states, np.array(rows).reshape(x.shape)
+    return np.column_stack([np.reshape(rows, (-1, 12)), fnorm, is_complex,
+                            is_pt])
+
+
+def _states(solved) -> list[StationaryState]:
+    """The states of a list of :func:`_solved` rows."""
+    return [StationaryState(Bicomplex(*r[0:4]), Bicomplex(*r[4:8]),
+                            Bicomplex(*r[8:12]), r[12], bool(r[13]),
+                            bool(r[14])) for r in solved]
 
 
 def canonical_gauge(psi, mu):
@@ -341,9 +332,12 @@ def state_distance(a: StationaryState, b: StationaryState) -> float:
 
 
 def _rows(states) -> np.ndarray:
-    """The 12 packed floats of each state, an (n, 12) array."""
-    return np.array([(*st.psi1.as_tuple(), *st.psi2.as_tuple(),
-                      *st.mu.as_tuple()) for st in states]).reshape(-1, 12)
+    """The 12 packed floats of each state, or of each (psi, mu) seed, an
+    (n, 12) array."""
+    seeds = [((st.psi1, st.psi2), st.mu) if isinstance(st, StationaryState)
+             else st for st in states]
+    return np.array([(*psi[0].as_tuple(), *psi[1].as_tuple(), *mu.as_tuple())
+                     for psi, mu in seeds]).reshape(-1, 12)
 
 
 def _distances(rows, others) -> np.ndarray:
@@ -386,14 +380,6 @@ _MAX_HALVINGS = 30
 _POLISH_ITERS = 8
 # the roundoff floor of the residual, in units of RealSystemView.scale
 _POLISH_FLOOR = 4.0 * float(np.finfo(float).eps)
-# below this many lanes the kernel runs lane by lane on Python floats, from
-# it on once on numpy lanes.  Measured (numpy 2.4, one thread of a shared
-# 2-vCPU Xeon): a residual costs 13-18 us a lane on floats against 250 us
-# + 0.5 us a lane on arrays, an analytic Jacobian 25-40 us against 530 us +
-# 0.7 us; both cross at 16 to 20 lanes.  Gauge and flags (_canonical_rows)
-# cost 13-16 us a row on floats against 240 us + 1 us a lane on arrays,
-# and cross at 18 rows
-_CROSSOVER = 16
 # grid points per batched pass: 256 points of 8 lanes bound the Jacobians
 # to 2.4 MB, and the default `bifurcations` and `sweep` grids take one pass
 _BLOCK = 256
@@ -401,28 +387,40 @@ _BLOCK = 256
 
 class _Lanes:
     """The seeds of one batched solve: lane k is a row of packed floats at
-    ``points[owner[k]]``, solved on gauge site ``site[k]``.
+    the point ``controls[owner[k]]`` (a row of
+    :func:`~bcdimer.model.control_rows`), solved on gauge site ``site[k]``.
 
-    :meth:`residuals` and :meth:`jacobians` evaluate the kernel on a subset
-    of lanes: below _CROSSOVER lanes through each lane's
-    :class:`RealSystemView` on Python floats, from it on once with each of
-    the 12 floats and each control component an array of lanes.  Both give
-    the same bits; :meth:`residuals` also flags the lanes whose gauge
-    amplitude vanishes.
+    The kernel's controls come from one ``system.lane_controls`` call, or
+    ``packed_controls`` point by point.  :meth:`residuals` and
+    :meth:`jacobians` evaluate the kernel on a subset of lanes: below
+    _CROSSOVER lanes through each lane's :class:`RealSystemView` on Python
+    floats, from it on once with each of the 12 floats and each control
+    component an array of lanes.  Both give the same bits;
+    :meth:`residuals` also flags the lanes whose gauge amplitude vanishes.
     """
 
-    def __init__(self, system, points, owner):
-        self.system, self.points = system, points
+    def __init__(self, system, controls, owner):
+        self.system, self.controls = system, controls
         self.owner = np.asarray(owner, dtype=int)
         self.site = np.zeros(len(self.owner), dtype=int)
         self._views = {}
-        self._controls = None
+        self._kernel = None
+
+    def _kernel_controls(self, row) -> list:
+        """The kernel's 13 controls at the point of ``row`` (of
+        control_rows): (v, g, i*gamma, s)."""
+        if hasattr(self.system, "lane_controls"):
+            return self.system.lane_controls(row.tolist())
+        v, g, ih, s = self.system.packed_controls(params_at(row))
+        return [v, *g, *ih, *s]
 
     def view(self, lane) -> RealSystemView:
         key = (int(self.owner[lane]), int(self.site[lane]))
         if key not in self._views:
+            v, *c = self._kernel_controls(self.controls[key[0]])
             self._views[key] = RealSystemView(
-                self.system, self.points[key[0]], gauge_site=key[1])
+                self.system, None, gauge_site=key[1],
+                controls=(v, tuple(c[0:4]), tuple(c[4:8]), tuple(c[8:12])))
         return self._views[key]
 
     def residuals(self, lanes, x):
@@ -470,11 +468,13 @@ class _Lanes:
     def _columns(self, lanes, x):
         """The packed floats and the kernel's controls, each an array of
         lanes, and each lane's gauge amplitude (z0, z1, z2, z3)."""
-        if self._controls is None:
-            self._controls = np.array([
-                [v, *g, *ih, *s] for v, g, ih, s in
-                (self.system.packed_controls(p) for p in self.points)])
-        c = self._controls[self.owner[lanes]].T
+        if self._kernel is None and hasattr(self.system, "lane_controls"):
+            self._kernel = np.stack(np.broadcast_arrays(
+                *self.system.lane_controls(list(self.controls.T))), 1)
+        elif self._kernel is None:  # every point's, once
+            self._kernel = np.array([self._kernel_controls(row)
+                                     for row in self.controls])
+        c = self._kernel[self.owner[lanes]].T
         controls = c[0], tuple(c[1:5]), tuple(c[5:9]), tuple(c[9:13])
         xs = list(np.ascontiguousarray(x.T))
         first = 4 * self.site[lanes]
@@ -602,53 +602,62 @@ def newton_solve(system, params, seed,
     """
     if cfg is None:
         cfg = SolveConfig()
-    if isinstance(seed, StationaryState):
-        seed = (seed.psi1, seed.psi2), seed.mu
-    lanes = _Lanes(system, [params], [0])
-    x, _, fnorm, errors = _newton(lanes, np.arange(1),
-                                  lanes.view(0).pack(*seed)[None],
+    row = _solve_at(system, control_rows([params]), _rows([seed]), cfg)
+    return _states(row.tolist())[0]
+
+
+def _solve_at(system, controls, seeds, cfg: SolveConfig) -> np.ndarray:
+    """:func:`newton_solve` from each of the packed seeds (n, 12) at the
+    point ``controls`` (one row of :func:`~bcdimer.model.control_rows`), in
+    one pass; returns their :func:`_solved` rows, or raises the error of
+    the first seed that fails.  Lanes stop independently, so each has the
+    bits it has alone."""
+    lanes = _Lanes(system, controls, np.zeros(len(seeds), dtype=int))
+    x, _, fnorm, errors = _newton(lanes, np.arange(len(seeds)), seeds,
                                   cfg.residual_tol)
     if errors:
-        raise errors[0]
-    return _make_states(x, fnorm)[0][0]
+        raise errors[min(errors)]
+    return _solved(x, fnorm)
 
 
-def _candidate_solves(system, points, cfg: SolveConfig):
-    """Newton from every candidate seed at each of ``points``, as lanes of
-    one batched pass per block of _BLOCK points, on gauge site 0 with no
-    retry and no polish; a block is solved when the iteration reaches it.
+def _candidate_solves(system, controls, cfg: SolveConfig):
+    """Newton from every candidate seed at each point of ``controls``
+    (rows of :func:`~bcdimer.model.control_rows`), as lanes of one batched
+    pass per block of _BLOCK points, on gauge site 0 with no retry and no
+    polish; a block is solved when the iteration reaches it.
 
-    Yields, point by point, the states Newton reaches from its seeds, in
-    seed order, and their canonical rows (an (n, 12) array); a seed from
-    which :func:`newton_solve` would raise yields nothing.  The states of
-    a block come from one :func:`_make_states` call.
+    Yields, point by point, the :func:`_solved` rows (canonical floats,
+    residual and flags) Newton reaches from its seeds, in seed order; a
+    seed from which :func:`newton_solve` would raise yields nothing.  No
+    state is built.
     """
-    points = iter(points)
-    while block := list(itertools.islice(points, _BLOCK)):
+    for start in range(0, len(controls), _BLOCK):
+        block = controls[start:start + _BLOCK]
         seeds, owner = _seeds(system, block)
         lanes = _Lanes(system, block, owner)
         x, _, fnorm, errors = _newton(lanes, np.arange(len(seeds)), seeds,
                                       cfg.residual_tol)
         ok = np.array([k for k in range(len(seeds)) if k not in errors],
                       dtype=int)
-        states, rows = _make_states(x[ok], fnorm[ok])
+        solved = _solved(x[ok], fnorm[ok])
         first = np.searchsorted(owner[ok], np.arange(len(block) + 1)).tolist()
         for lo, hi in zip(first, first[1:]):
-            yield states[lo:hi], rows[lo:hi]
+            yield solved[lo:hi]
 
 
 # -- all states -----------------------------------------------------------
 
 
-def _seeds(system, points):
-    """Packed seeds at every point and the index of each seed's point:
-    ``system.packed_candidates`` where the system has it, else its
+def _seeds(system, controls):
+    """Packed seeds at every point of ``controls`` (rows of
+    :func:`~bcdimer.model.control_rows`) and the index of each seed's
+    point: ``system.packed_candidates`` where the system has it, else its
     ``candidate_states`` point by point."""
     if hasattr(system, "packed_candidates"):
-        return system.packed_candidates(points)
+        return system.packed_candidates(controls)
     rows, owner = [], []
-    for k, p in enumerate(points):
-        for psi, mu in system.candidate_states(p):
+    for k, row in enumerate(controls):
+        for psi, mu in system.candidate_states(params_at(row)):
             rows.append([c for z in (*psi, mu) for c in z.as_tuple()])
             owner.append(k)
     return (np.array(rows, dtype=float).reshape(-1, 12),
@@ -672,16 +681,16 @@ def find_states_along(system, points, cfg: SolveConfig | None = None
     """
     if cfg is None:
         cfg = SolveConfig()
-    points = list(points)
+    controls = control_rows(points)
     out = []
-    for start in range(0, len(points), _BLOCK):
-        out += _find_block(system, points[start:start + _BLOCK], cfg)
+    for start in range(0, len(controls), _BLOCK):
+        out += _find_block(system, controls[start:start + _BLOCK], cfg)
     return out
 
 
-def _find_block(system, points, cfg: SolveConfig):
-    seeds, owner = _seeds(system, points)
-    lanes = _Lanes(system, points, owner)
+def _find_block(system, controls, cfg: SolveConfig):
+    seeds, owner = _seeds(system, controls)
+    lanes = _Lanes(system, controls, owner)
     idx = np.arange(len(seeds))
     x, f, fnorm, errors = _newton(lanes, idx, seeds, cfg.residual_tol)
     retry = np.array([k for k, exc in errors.items()
@@ -695,10 +704,10 @@ def _find_block(system, points, cfg: SolveConfig):
         errors.update({int(retry[k]): exc for k, exc in again.items()})
     ok = np.array([k for k in idx.tolist() if k not in errors], dtype=int)
     x, fnorm = _polish(lanes, ok, x[ok], f[ok])
-    rows, is_complex, is_pt = _canonical_rows(x)
-    arr = np.array(rows).reshape(x.shape)
+    solved = _solved(x, fnorm)
+    arr, rows = solved[:, :12], solved.tolist()
     owner, fnorm = lanes.owner[ok], fnorm.tolist()
-    first = np.searchsorted(owner, np.arange(len(points) + 1)).tolist()
+    first = np.searchsorted(owner, np.arange(len(controls) + 1)).tolist()
     # the points with two rows within DEDUP_TOL (a nan distance counts, as
     # in _dedup): a point's rows are adjacent, so each row is compared with
     # the next d rows, for d below the widest point
@@ -712,8 +721,7 @@ def _find_block(system, points, cfg: SolveConfig):
         if k in close:
             kept = [lo + j for j in _dedup(arr[lo:hi], fnorm[lo:hi],
                                            DEDUP_TOL)]
-        out.append(_states(rows, fnorm, is_complex, is_pt,
-                           _ordered(rows, kept)))
+        out.append(_states([rows[k] for k in _ordered(rows, kept)]))
     return out
 
 

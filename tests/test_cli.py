@@ -261,6 +261,20 @@ class TestAnswers:
         rows = (tmp_path / "trace.csv").read_text().splitlines()
         assert len(rows) == 1 + 128 + 1  # header, steps, closing point
 
+    def test_one_tracked_state_writes_valid_json(self, capsys, tmp_path):
+        # one tracked state has no second-nearest state, so the library's
+        # match margin is inf; JSON (RFC 8259) has no token for it
+        def strict(token):
+            raise ValueError(f"{token} is not JSON")
+
+        assert run(["encircle", "--around", "tangent", "--g", "0.5",
+                    "--out", str(tmp_path)]) == 0
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        for text in (line, (tmp_path / "trace_summary.json").read_text()):
+            loop = json.loads(text, parse_constant=strict)
+            assert loop["match_margin"] is None
+            assert loop["permutation"] == [0] and loop["cycle_type"] == [1]
+
     def test_merger_g_loop_needs_no_fallback(self, capsys):
         # the mirror pair shares mu all round this loop; their rows do not
         assert run(["encircle", "--around", "merger", "--param", "g",

@@ -2,12 +2,14 @@ import itertools
 import json
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from bcdimer import ep, solver
-from bcdimer.model import DimerParams, DimerSystem
+from bcdimer.bicomplex import Bicomplex
+from bcdimer.model import DimerParams, DimerSystem, control_rows
 from bcdimer.solver import (
     DEDUP_TOL,
     SolveConfig,
@@ -223,6 +225,8 @@ class TestSeededSteps:
         assert tr.cycle_type == cycle_type
         assert tr.permutation == permutation
         assert tr.fallback_steps == 0
+        if loop == "merger g":  # all four states, |g| >= 0.05 v
+            assert root_cycle_type(spec) == tr.cycle_type
         for k in range(1, len(tr.phis)):
             params = _loop_params(tr.spec, tr.phis[k])
             for prev, state in zip(tr.states[k - 1], tr.states[k]):
@@ -235,9 +239,11 @@ class TestSeededSteps:
         g_star, gamma_star = find_merger(SYSTEM, DimerParams(v=1.0),
                                          cfg=CFG)
         center = DimerParams(v=1.0, g=g_star, gamma=gamma_star)
-        tr = encircle(SYSTEM, all_states_loop(center, "gamma"), CFG)
+        spec = all_states_loop(center, "gamma")
+        tr = encircle(SYSTEM, spec, CFG)
         assert tr.spec.steps == 128
         assert tr.permutation == [0, 1, 2, 3]
+        assert root_cycle_type(spec) == tr.cycle_type
         assert tr.match_margin > 2
         end = tr.end_states()
         assert len(end) == 4
@@ -251,9 +257,11 @@ class TestSeededSteps:
         g_star, gamma_star = find_merger(SYSTEM, DimerParams(v=1.0),
                                          cfg=CFG)
         center = DimerParams(v=1.0, g=g_star, gamma=gamma_star)
-        tr = encircle(SYSTEM, all_states_loop(center, "g"), CFG)
+        spec = all_states_loop(center, "g")
+        tr = encircle(SYSTEM, spec, CFG)
         assert tr.cycle_type == [2, 1, 1]
         assert tr.permutation == [0, 2, 1, 3]
+        assert root_cycle_type(spec) == tr.cycle_type
         assert tr.match_margin > 2
         assert tr.fallback_steps == 0
 
@@ -282,6 +290,7 @@ class TestSeededSteps:
         spec = all_states_loop(center, "s", 1e-4)
         assert len(spec.states_to_track) == 4
         seeded = encircle(SYSTEM, spec, CFG)
+        assert root_cycle_type(spec) == seeded.cycle_type
         real = SYSTEM.packed_candidates
 
         def mislabelled(points):
@@ -391,6 +400,67 @@ class TestBlockedSteps:
         assert bits[:6] == clean_bits[:6] and bits[7:] == clean_bits[7:]
         for state, seeded in zip(tr.states[6], clean.states[6]):
             assert state_distance(state, seeded) < 1e-9
+
+
+class TestLoopPoints:
+    """A loop's points are carried as control rows from the loop to the
+    matched rows, and its states are built only where they are read."""
+
+    @pytest.mark.parametrize("which, loop", [
+        ("gamma", {}), ("s", {"turns": 2}), ("g", {"reverse": True})])
+    def test_controls_are_the_loop_params(self, which, loop):
+        center = DimerParams(v=2.0, g=-1.0, gamma=Bicomplex(0.3, 0.2),
+                             s=Bicomplex(0.05, -0.0))
+        spec = LoopSpec(center=center, which=which, radius=1e-3, steps=64,
+                        states_to_track=[None], **loop)
+        total = (-1.0 if spec.reverse else 1.0) * 2 * math.pi * spec.turns
+        phis = [total * k / 128 for k in range(129)] + [0.0, -0.0]
+        value = center.control(which).z0
+        want = control_rows([
+            center.with_control(which, value + 1e-3 * math.cos(phi),
+                                1e-3 * math.sin(phi)) for phi in phis])
+        got = ep._loop_controls(spec, phis)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_loop_builds_no_params_per_point(self, monkeypatch):
+        spec = all_states_loop(DimerParams(v=1.0, g=-1.0, gamma=0.5),
+                               "gamma", 0.05, steps=64)
+        calls = {"with_control": 0, "built": 0}
+        with_control, post_init = (DimerParams.with_control,
+                                   DimerParams.__post_init__)
+
+        def counting_with_control(self, *args):
+            calls["with_control"] += 1
+            return with_control(self, *args)
+
+        def counting_post_init(self):
+            calls["built"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(DimerParams, "with_control",
+                            counting_with_control)
+        monkeypatch.setattr(DimerParams, "__post_init__", counting_post_init)
+        tr = encircle(SYSTEM, spec, CFG)
+        assert tr.fallback_steps == 0 and len(tr.states) == 65
+        assert calls == {"with_control": 0, "built": 0}
+
+    def test_states_read_in_any_order_have_the_same_bits(self):
+        spec = all_states_loop(DimerParams(v=1.0, g=-1.0, gamma=EP3_GAMMA),
+                               "s", 1e-3, steps=64)
+        whole = trace_bits(encircle(SYSTEM, spec, CFG))
+        tr = encircle(SYSTEM, spec, CFG)
+        order = np.random.default_rng(5).permutation(len(whole)).tolist()
+        by_step = {}
+        for k in order:
+            step = tr.states[k - len(whole) if k % 2 else k]
+            assert tr.states[k] is step  # built once
+            by_step[k] = trace_bits(SimpleNamespace(states=[step]))[0]
+        assert [by_step[k] for k in range(len(whole))] == whole
+        assert trace_bits(SimpleNamespace(states=tr.states[2:9:3])) == (
+            whole[2:9:3])
+        assert tr.start_states() is tr.states[0]
+        assert tr.end_states() is tr.states[-1]
+        assert trace_bits(tr) == whole
 
 
 class TestDoubledRetry:

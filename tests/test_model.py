@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
+from bcdimer import model, solver
 from bcdimer.bicomplex import Bicomplex, J, K
 from bcdimer.model import (
     DimerParams,
@@ -14,19 +15,23 @@ from bcdimer.model import (
     LinearTwoMode,
     StationaryState,
     classify_flags,
+    control_rows,
     mean_field_energy,
     normalization_residual,
     observables,
     packed_controls,
     packed_jacobian,
     packed_residual,
+    params_at,
     populations,
     pt_classify,
     pt_reflected,
     residual,
     _back_solve,
+    _back_solved,
     _could_merge,
     _discriminant,
+    _plus,
     _q_coefficients,
     _q_roots,
     _roots,
@@ -450,7 +455,7 @@ class TestBackSolve:
         system = DimerSystem()
         points = [DimerParams(v=1.0, g=g, gamma=gamma)
                   for g in (-0.85, 5e-4, 0.0) for gamma in (0.3, 1.2)]
-        rows, owner = system.packed_candidates(points)
+        rows, owner = system.packed_candidates(control_rows(points))
         for k, p in enumerate(points):
             seeds = [[c for z in (*psi, mu) for c in z.as_tuple()]
                      for psi, mu in system.candidate_states(p)]
@@ -488,6 +493,89 @@ def _linear_points(draw):
                        s=Bicomplex(draw(_CONTROL), jpart()))
 
 
+def _hex(values) -> list[str]:
+    return [float(c).hex() for c in values]
+
+
+class TestArrayForms:
+    """The block forms of the controls and of the back-solve give, lane by
+    lane, the bits of the point-by-point forms they stand for."""
+
+    @staticmethod
+    def points(n=60, seed=11):
+        """Real and j-continued points at several v, with signed zeros in
+        every component."""
+        rng = np.random.default_rng(seed)
+        out = []
+        for k in range(n):
+            j = (0.0, -0.0, 0.2, -0.3)[k % 4]
+            zero = (0.0, -0.0)[k % 2]
+            out.append(DimerParams(
+                v=(1.0, 2.0, 0.7)[k % 3],
+                g=Bicomplex(rng.uniform(-2.5, 2.5), j, zero, zero),
+                gamma=Bicomplex((rng.uniform(0, 1.5), -0.0)[k % 5 == 0],
+                                -j, 0.0, zero),
+                s=Bicomplex(rng.uniform(-0.3, 0.3) if k % 3 else zero, j)))
+        return out
+
+    def test_controls_and_plus_components(self):
+        points = self.points()
+        controls = control_rows(points)
+        for system in (DimerSystem(), LinearTwoMode()):
+            lanes = np.stack(np.broadcast_arrays(
+                *system.lane_controls(list(controls.T))), 1)
+            for k, p in enumerate(points):
+                v, g, ih, s = system.packed_controls(p)
+                want = _hex([v, *g, *ih, *s])
+                assert _hex(lanes[k]) == want
+                assert _hex(system.lane_controls(controls[k].tolist())) == want
+        # on Python numbers below _COMPLEX_LANES points, on lanes from it
+        assert len(points) >= model._COMPLEX_LANES
+        for plus in (_plus(controls), np.concatenate(
+                [_plus(controls[k:k + 1]) for k in range(len(points))])):
+            for k, p in enumerate(points):
+                assert _hex(control_rows([params_at(controls[k])])[0]) == (
+                    _hex(controls[k]))
+                want = [p.control(name).to_idempotent().plus / p.v
+                        for name in ("g", "gamma", "s")]
+                assert _hex(plus[k].view(float)) == _hex(
+                    np.array(want).view(float))
+
+    def test_back_solve_on_lanes(self):
+        roots = TestBackSolve.roots(10_000, 7)
+        roots += [(x, c, 2.0) for x, c, _ in roots[:500]]
+        # signed zeros, and three roots where the back-solve divides by
+        # zero: at a = 0 (x = 1, g + 2 s = 0) and at g = 0
+        roots += [(complex(x, zero), (complex(g, zero), complex(0.5, -zero),
+                                      complex(-0.0, zero)), 1.0)
+                  for x in (0.5, -1.5) for g in (0.3, -0.7)
+                  for zero in (0.0, -0.0)]
+        roots += [(complex(1.0, zero), (complex(1.0, zero), complex(zero, 0.0),
+                                        complex(-0.5, zero)), 1.0)
+                  for zero in (0.0, -0.0)]
+        roots += [(1.5 + 0.5j, (0j, 0.5 + 0j, 0j), 1.0)]
+        x, controls, v = zip(*roots)
+        got = _back_solved(np.array(x), np.array(controls), np.array(v))
+        assert len(roots) > 10_000 >= model._COMPLEX_LANES
+        raised = []
+        for k, (xk, c, vk) in enumerate(roots):
+            try:
+                want = _back_solve(xk, *c, vk)
+            except ZeroDivisionError:
+                raised.append(k)
+                assert not np.isfinite(got[k]).all()
+                continue
+            assert _hex(got[k]) == _hex(want)
+        assert raised == [len(roots) - 3, len(roots) - 2, len(roots) - 1]
+        # Newton drops those rows
+        lanes = solver._Lanes(DimerSystem(), control_rows([DimerParams()]),
+                              np.zeros(len(raised), dtype=int))
+        *_, errors = solver._newton(lanes, np.arange(len(raised)), got[raised],
+                                    1e-11)
+        assert sorted(errors) == list(range(len(raised)))
+        assert all("non-finite" in str(exc) for exc in errors.values())
+
+
 class TestLinearSeedRows:
     """The linear model's seeds are written as packed rows with the bits
     the Bicomplex construction gives."""
@@ -495,7 +583,7 @@ class TestLinearSeedRows:
     @settings(max_examples=300, deadline=None)
     @given(_linear_points())
     def test_rows_match_bicomplex_seeds(self, p):
-        rows = LinearTwoMode()._seed_rows(p)
+        rows, _ = LinearTwoMode().packed_candidates(control_rows([p]))
         assert np.array_equal(_bits(rows).reshape(-1, 12),
                               _bits(_reference_linear_seeds(p)).reshape(-1, 12))
         seeds = [[c for z in (*psi, mu) for c in z.as_tuple()]
@@ -503,10 +591,35 @@ class TestLinearSeedRows:
         assert np.array_equal(_bits(seeds).reshape(-1, 12),
                               _bits(rows).reshape(-1, 12))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st_.lists(_linear_points(), min_size=12, max_size=24))
+    def test_rows_on_lanes_match_bicomplex_seeds(self, points):
+        self.check_lanes(points)
+
+    def test_rows_on_lanes_skip_singular_combinations(self):
+        # at gamma = 0 two of the four eigenpair combinations have a
+        # vanishing continued norm and are skipped; the linear EP is at
+        # gamma = v
+        owner = self.check_lanes([DimerParams(v=v, gamma=gamma * v, s=s)
+                                  for v in (1.0, 2.0)
+                                  for gamma in (0.0, -0.0, 0.5, 1.0)
+                                  for s in (0.0, 0.1)])
+        assert np.bincount(owner).tolist() == [2, 2, 2, 2, 4, 4, 4, 4] * 2
+
+    @staticmethod
+    def check_lanes(points):
+        rows, owner = LinearTwoMode().packed_candidates(control_rows(points))
+        assert len(points) >= model._LINEAR_LANES
+        for k, p in enumerate(points):
+            assert np.array_equal(
+                _bits(rows[owner == k]).reshape(-1, 12),
+                _bits(_reference_linear_seeds(p)).reshape(-1, 12))
+        return owner
+
     def test_dimer_takes_them_below_the_linear_threshold(self):
         points = [DimerParams(v=1.0, g=g, gamma=Bicomplex(1.0, 0.01))
                   for g in (0.0, 5e-4)]
-        rows, owner = DimerSystem().packed_candidates(points)
+        rows, owner = DimerSystem().packed_candidates(control_rows(points))
         assert np.array_equal(_bits(rows[owner == 0]),
                               _bits(_reference_linear_seeds(points[0])))
         # Q's four roots first, then the linear model's four seeds

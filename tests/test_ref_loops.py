@@ -3,8 +3,10 @@ import json
 from pathlib import Path
 from types import SimpleNamespace
 
+from bcdimer import solver
 from bcdimer.bicomplex import Bicomplex
-from bcdimer.model import StationaryState
+from bcdimer.ep import encircle
+from bcdimer.model import DimerSystem, StationaryState
 
 
 def _load_ref_loops():
@@ -120,3 +122,27 @@ class TestCompare:
         assert comparison["loops/c"] == {"identical": False, "missing": True}
         out = REF.verdict(record(), comparison)
         assert out["missing"] == ["loops/c"] and out["not_identical"] == []
+
+
+class TestLoops:
+    """The loops of LOOPS take the seed paths that the workload's loops do
+    not, and each runs round without a fallback."""
+
+    def test_seed_paths_and_answers(self):
+        system = DimerSystem()
+        specs = {name: REF.loop_spec(name) for name in REF.LOOPS}
+        seeds = {name: len(system.candidate_states(spec.center))
+                 for name, spec in specs.items()}
+        assert seeds["tangent g=5e-4"] == 8  # Q's roots and the linear model
+        assert not specs["s-loop at gamma=0.3+0.2j"].center.is_physical()
+        assert specs["pitchfork v=2"].center.v == 2.0
+        assert specs["tangent g=-1, 300 steps"].steps > solver._BLOCK
+        cycle_types = {"tangent g=5e-4": [2, 2],
+                       "s-loop at gamma=0.3+0.2j": [1, 1, 1, 1],
+                       "pitchfork v=2": [2, 1, 1],
+                       "tangent g=-1, 300 steps": [2, 1, 1]}
+        for name, spec in specs.items():
+            assert len(spec.states_to_track) == 4
+            trace = encircle(system, spec)
+            assert trace.cycle_type == cycle_types[name]
+            assert trace.reliable and trace.fallback_steps == 0

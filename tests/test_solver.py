@@ -16,6 +16,7 @@ from bcdimer.model import (
     DimerSystem,
     LinearTwoMode,
     StationaryState,
+    control_rows,
     normalization_residual,
     pt_reflected,
     residual,
@@ -643,8 +644,9 @@ def _newton_lanes(system, points, cfg):
     site 1, as ``_find_block`` takes them to the polish: the lanes, and
     the positions, rows, residual rows and residuals of the converged
     ones."""
-    seeds, owner = solver._seeds(system, points)
-    lanes = solver._Lanes(system, points, owner)
+    controls = control_rows(points)
+    seeds, owner = solver._seeds(system, controls)
+    lanes = solver._Lanes(system, controls, owner)
     idx = np.arange(len(seeds))
     x, f, fnorm, errors = solver._newton(lanes, idx, seeds, cfg.residual_tol)
     retry = np.array([k for k, exc in errors.items()
@@ -748,10 +750,10 @@ class TestPolish:
                               gamma=Bicomplex(rng.uniform(0.0, 1.5), -j),
                               s=Bicomplex(rng.uniform(-0.3, 0.3), j))
                   for j in (0.0, 0.2, 0.0, -0.1, 0.0, 0.0, 0.1, 0.0)[:n_points]]
-        seeds, owner = SYSTEM.packed_candidates(points)
+        seeds, owner = SYSTEM.packed_candidates(control_rows(points))
         seeds = seeds + rng.normal(0.0, noise, seeds.shape)
         idx = np.arange(len(seeds))
-        lanes = solver._Lanes(SYSTEM, points, owner)
+        lanes = solver._Lanes(SYSTEM, control_rows(points), owner)
         x, f, fnorm, errors = solver._newton(lanes, idx, seeds,
                                              CFG.residual_tol)
         ok = np.array([k for k in idx.tolist() if k not in errors], dtype=int)
@@ -837,7 +839,8 @@ class TestFindStatesAlong:
         assert sum(map(len, along)) >= 40
         with pytest.raises(GaugeDegenerate):
             newton_solve(system, points[0],
-                         _seed_of(system.packed_candidates(points[:1])[0][0]),
+                         _seed_of(system.packed_candidates(
+                             control_rows(points[:1]))[0][0]),
                          CFG)
 
     def test_no_points(self):
@@ -865,7 +868,8 @@ def _reference_find_block(system, points, cfg):
 
     lanes, ok, x, f, fnorm = _newton_lanes(system, points, cfg)
     x, fnorm = solver._polish(lanes, ok, x, f)
-    states, rows = solver._make_states(x, fnorm)
+    solved = solver._solved(x, fnorm)
+    states, rows = solver._states(solved.tolist()), solved[:, :12]
     first = np.searchsorted(lanes.owner[ok], np.arange(len(points) + 1))
     return [dedup(states[lo:hi], DEDUP_TOL, rows[lo:hi])
             for lo, hi in zip(first.tolist(), first[1:].tolist())]
@@ -899,7 +903,7 @@ class TestBlockDedup:
                   for gamma in self.GAMMAS]
         got = find_states_along(SYSTEM, points, CFG)
         self.same(got, _reference_find_block(SYSTEM, points, CFG))
-        _, owner = solver._seeds(SYSTEM, points)
+        _, owner = solver._seeds(SYSTEM, control_rows(points))
         seeds = np.bincount(owner, minlength=len(points))
         assert all(len(states) < n for states, n in zip(got, seeds))
 
@@ -957,7 +961,7 @@ class TestCandidateSolves:
 
     @staticmethod
     def each_seed(system, p):
-        seeds, _ = solver._seeds(system, [p])
+        seeds, _ = solver._seeds(system, control_rows([p]))
         out = []
         for row in seeds:
             try:
@@ -984,7 +988,8 @@ class TestCandidateSolves:
             monkeypatch.setattr(solver, "_BLOCK", 3)
             points = [DimerParams(v=1.0, g=0.6, gamma=0.2 * k, s=0.05)
                       for k in range(8)]
-        got = list(solver._candidate_solves(system, points, CFG))
+        got = [(solver._states(solved.tolist()), solved[:, :12]) for solved
+               in solver._candidate_solves(system, control_rows(points), CFG)]
         assert len(got) == len(points)
         for p, (states, rows) in zip(points, got):
             want = self.each_seed(system, p)
@@ -1014,7 +1019,8 @@ class TestLaneContainers:
                               s=Bicomplex(rng.uniform(-0.3, 0.3), j))
                   for j in (0.0, 0.2, 0.0, -0.1, 0.0)]
         n = 3 * solver._CROSSOVER
-        lanes = solver._Lanes(SYSTEM, points, rng.integers(0, 5, n))
+        lanes = solver._Lanes(SYSTEM, control_rows(points),
+                              rng.integers(0, 5, n))
         lanes.site[:] = rng.integers(0, 2, n)
         x = rng.uniform(-1, 1, (n, 12))
         x[1::2, 1::2] = 0.0  # complex-in-i lanes
@@ -1049,10 +1055,10 @@ class TestLaneContainers:
                               gamma=Bicomplex(rng.uniform(0.0, 1.5), -j),
                               s=Bicomplex(rng.uniform(-0.3, 0.3), j))
                   for j in (0.0, 0.2, 0.0, -0.1, 0.0, 0.0, 0.1, 0.0)[:n_points]]
-        seeds, owner = SYSTEM.packed_candidates(points)
+        seeds, owner = SYSTEM.packed_candidates(control_rows(points))
         seeds = seeds + rng.normal(0.0, 1e-2, seeds.shape)
         idx = np.arange(len(seeds))
-        lanes = solver._Lanes(SYSTEM, points, owner)
+        lanes = solver._Lanes(SYSTEM, control_rows(points), owner)
         x, f, fnorm, errors = solver._newton(lanes, idx, seeds,
                                              CFG.residual_tol)
         assert errors == {} and np.all(np.abs(x - seeds).max(1) > 0)

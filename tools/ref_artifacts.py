@@ -35,9 +35,10 @@ from pathlib import Path
 # the mirror pair shares mu), around the merger at gamma != 0, around no
 # critical point, and longer than one block of loop points; one loop with
 # nothing to track and one sweep given both ranges (both fail); the merger
-# at v = 2, outside the v = 1 window, and a loop around it; and three usage
+# at v = 2, outside the v = 1 window, and a loop around it; three usage
 # errors: a loop whose control has a j part, a control looped twice, and a
-# bad coupling given with a bad tolerance
+# bad coupling given with a bad tolerance; and a loop that tracks one state,
+# whose match margin is infinite
 COMMANDS = {
     "solve-ep3-json": ["solve", "--g", "-1", "--gamma", "0.8660254037844386",
                        "--format", "json"],
@@ -89,6 +90,7 @@ COMMANDS = {
                              "gamma", "--around", "pitchfork", "--g", "-1",
                              "--track", "all"],
     "merger-bad-tol-and-v": ["merger", "--tol", "0", "--v", "-1"],
+    "encircle-one-state": ["encircle", "--around", "tangent", "--g", "0.5"],
 }
 ID_COLUMN = "branch_id"
 ID_KEYS = (ID_COLUMN, "branch_ids", "continuing_branch_id")

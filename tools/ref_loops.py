@@ -9,10 +9,11 @@ in its own process, which imports ``bcdimer`` from the checkout's ``src/``
 and the question benchmark from its ``qbench/``:
 
 * the 48 loops of the benchmark's ``loops`` workload (seeds 5, 17 and 41,
-  two rounds of eight loops each), each through ``ep.encircle``: every
-  step's phi and states, with their residuals and flags, the permutation,
-  cycle type, match margin, reliability and fallback count, or the error
-  the loop raised;
+  two rounds of eight loops each), and the loops of ``LOOPS``, which take
+  the seed paths that workload does not, each through ``ep.encircle``:
+  every step's phi and states, with their residuals and flags, the
+  permutation, cycle type, match margin, reliability and fallback count,
+  or the error the loop raised;
 * the grids of ``GRIDS`` through ``solver.find_states_along``: every
   point's states, with their residuals and flags.
 
@@ -49,6 +50,21 @@ GRIDS = {
     "linear": ("linear", {}, "gamma", 0.05, 0.01, 136),
     "long": ("dimer", {"g": -0.85}, "gamma", 0.0, 1.4 / 262, 263),
 }
+# loops that track all states at the start, on the seed paths the
+# workload's loops miss: below |g| = 1e-3 v, where Q's roots and the linear
+# eigenpairs both seed (8 lanes a point); a j-continued center; v != 1; and
+# more steps than one block of loop points (solver._BLOCK = 256).
+# (controls of the center, a (real, j) pair for a continued one; the looped
+# control; radius; steps)
+LOOPS = {
+    "tangent g=5e-4": ({"g": 5e-4, "gamma": 1.0}, "gamma", 0.01, 128),
+    "s-loop at gamma=0.3+0.2j": ({"g": -0.8, "gamma": (0.3, 0.2)}, "s",
+                                 0.01, 128),
+    "pitchfork v=2": ({"v": 2.0, "g": -2.0, "gamma": 3.0 ** 0.5}, "gamma",
+                      2e-3, 128),
+    "tangent g=-1, 300 steps": ({"g": -1.0, "gamma": 1.0}, "gamma", 1e-3,
+                                300),
+}
 # one BLAS thread in the recording processes, as in the benchmark
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
@@ -74,6 +90,23 @@ def trace_record(trace) -> dict:
             "fallback_steps": trace.fallback_steps}
 
 
+def loop_spec(name: str):
+    """The LoopSpec of ``LOOPS[name]``, tracking every state that
+    ``find_all_states`` finds at its start, from the bcdimer imported."""
+    from bcdimer.bicomplex import Bicomplex
+    from bcdimer.ep import LoopSpec
+    from bcdimer.model import DimerParams, DimerSystem
+    from bcdimer.solver import SolveConfig, find_all_states
+
+    controls, which, radius, steps = LOOPS[name]
+    center = DimerParams(**{k: Bicomplex(*c) if isinstance(c, tuple) else c
+                            for k, c in controls.items()})
+    start = center.with_control(which, center.control(which).z0 + radius)
+    return LoopSpec(center=center, which=which, radius=radius, steps=steps,
+                    states_to_track=find_all_states(DimerSystem(), start,
+                                                    SolveConfig()))
+
+
 def _record(checkout: Path) -> dict:
     """The loops and grids of ``checkout``, run in this process."""
     sys.path[:0] = [str(checkout / "src"), str(checkout / "qbench")]
@@ -81,18 +114,23 @@ def _record(checkout: Path) -> dict:
     if Path(bcdimer.__file__).resolve().parent != checkout / "src" / "bcdimer":
         sys.exit(f"ref_loops: imported bcdimer from {bcdimer.__file__}")
     import workloads
+    from bcdimer.ep import encircle
     from bcdimer.model import DimerParams, DimerSystem, LinearTwoMode
     from bcdimer.solver import SolveConfig, find_states_along
 
+    asks = {f"seed {seed} round {r} loop {k}: {q.label}": q.ask
+            for seed in SEEDS
+            for r, round_ in enumerate(workloads.build_loops(seed,
+                                                             ROUNDS).rounds)
+            for k, q in enumerate(round_)}
+    asks.update({name: lambda _out, name=name: encircle(
+        DimerSystem(), loop_spec(name)) for name in LOOPS})
     loops = {}
-    for seed in SEEDS:
-        for r, round_ in enumerate(workloads.build_loops(seed, ROUNDS).rounds):
-            for k, q in enumerate(round_):
-                try:
-                    out = trace_record(q.ask(None))
-                except Exception as exc:  # noqa: BLE001 - recorded, compared
-                    out = {"error": f"{type(exc).__name__}: {exc}"}
-                loops[f"seed {seed} round {r} loop {k}: {q.label}"] = out
+    for name, ask in asks.items():
+        try:
+            loops[name] = trace_record(ask(None))
+        except Exception as exc:  # noqa: BLE001 - recorded, compared
+            loops[name] = {"error": f"{type(exc).__name__}: {exc}"}
     systems = {"dimer": DimerSystem(), "linear": LinearTwoMode()}
     cfg = SolveConfig(residual_tol=1e-11)
     grids = {}
