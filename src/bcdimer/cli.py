@@ -300,6 +300,7 @@ def _cmd_merger(ns, system, params, cfg) -> dict:
         "command": "merger",
         "g_star": g_star,
         "gamma_star": gamma_star,
+        "gamma_star_j": params.gamma.z1,
     }
 
 

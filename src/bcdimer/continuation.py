@@ -298,7 +298,8 @@ def find_merger(system, params, g_window: tuple[float, float] | None = None,
     The pitchfork of the bifurcation set in g over the window, (-2.5v,
     -0.1v) by default, at the gamma of ``params`` (at gamma = 0 the
     pitchfork leaves the gamma axis: the merger, |g| = 2v).  Returns
-    (g_star, gamma_star) with gamma_star that gamma.  Raises
+    (g_star, gamma_star) with gamma_star the real part of that gamma; the
+    pitchfork is located at the whole gamma, j part included.  Raises
     :class:`NoMerger` when the window holds no such point.
     """
     v = params.v

@@ -5,9 +5,9 @@ scalar control with the j unit: ``c(phi) = center + r*(cos(phi) + j*sin(phi))``.
 The loop points are known before the first step: they are computed once,
 as rows of control components (``model.control_rows``, no DimerParams a
 point), and the system lists a seed for every state at a whole block of
-them at once (``packed_candidates``, or ``candidate_states`` point by
-point), which Newton solves in one batched pass.  Each step is carried as
-solved rows (12 canonical floats, residual and flags): at each loop point
+them in one ``packed_candidates`` call (which may list them point by
+point), and Newton solves them in one batched pass.  Each step is carried
+as solved rows (12 canonical floats, residual and flags): at each loop point
 a tracked state continues as the solved row that is nearest it one step
 back, in all 12 floats, when it is also that row's nearest tracked state.
 mu alone is no label: the mirror pair shares it at gamma = s = 0.  A

@@ -11,10 +11,11 @@ symmetry; it is the probe parameter for exceptional-point loops.
 Two systems implement the small continued-system interface used by the
 solver: :class:`DimerSystem` (the full nonlinear model) and
 :class:`LinearTwoMode` (the g = 0 model with closed-form eigenpairs, kept as
-an independent oracle).  Each lists candidate seeds for all of its
-stationary states, so the solver needs no multistart, and gives the controls
-of the one packed residual kernel that Newton runs on; the linear model is
-its g = 0 case.
+an independent oracle).  At rows of control components
+(:func:`control_rows`) each gives ``packed_candidates``, a seed for every
+stationary state, so the solver needs no multistart, and ``lane_controls``,
+the controls of the one packed residual kernel that Newton runs on; the
+linear model is its g = 0 case.
 """
 
 from __future__ import annotations
@@ -159,15 +160,6 @@ def normalization_residual(psi1: Bicomplex, psi2: Bicomplex) -> Bicomplex:
 # at once, each bit-for-bit the one it gives on that lane's floats.
 
 
-def packed_controls(p: DimerParams, g: Bicomplex | None = None):
-    """(v, g, i*gamma, s) as component tuples for the packed kernel.
-
-    ``g`` overrides ``p.g``; the linear model passes zero.
-    """
-    g = p.g if g is None else g
-    return float(p.v), g.as_tuple(), (I_UNIT * p.gamma).as_tuple(), p.s.as_tuple()
-
-
 def control_rows(points) -> np.ndarray:
     """v and the components of g, gamma and s of each of ``points``, one
     row of 13 floats a point: the form the solver takes points in."""
@@ -218,9 +210,9 @@ def _diagonals(psi1, psi2, mu, controls):
 def packed_residual(x, controls) -> list[float]:
     """residual() and normalization_residual() on the 12 packed floats.
 
-    ``x`` is a sequence of 12 floats and ``controls`` comes from
-    :func:`packed_controls`.  Returns the components of r1, r2 and the
-    normalization residual, 12 floats in all.
+    ``x`` is a sequence of 12 floats and ``controls`` (v, g, i*gamma, s)
+    come from a system's ``lane_controls``.  Returns the components of r1,
+    r2 and the normalization residual, 12 floats in all.
     """
     psi1, psi2, mu = x[0:4], x[4:8], x[8:12]
     v = (controls[0], 0.0, 0.0, 0.0)
@@ -995,14 +987,10 @@ class DimerSystem:
     def residual(self, psi, mu: Bicomplex, p: DimerParams):
         return residual(psi[0], psi[1], mu, p)
 
-    def packed_controls(self, p: DimerParams):
-        """Controls for the packed kernel that the Newton solver calls."""
-        return packed_controls(p)
-
     def lane_controls(self, c):
-        """:meth:`packed_controls` at the point of a row c of
+        """The kernel's controls at the point of a row c of
         :func:`control_rows` (a list), or on lanes of its 13 columns: the
-        13 values v, g, i*gamma and s, with their bits."""
+        13 values v, g, i*gamma and s, with the Bicomplex product's bits."""
         return [*c[0:5], *_mul(I_UNIT.as_tuple(), c[5:9]), *c[9:13]]
 
 
@@ -1019,10 +1007,6 @@ class LinearTwoMode:
         r1 = (-igamma + p.s - mu) * psi[0] + p.v * psi[1]
         r2 = p.v * psi[0] + (igamma - p.s - mu) * psi[1]
         return r1, r2
-
-    def packed_controls(self, p: DimerParams):
-        """The dimer's packed-kernel controls at g = 0."""
-        return packed_controls(p, Bicomplex())
 
     def lane_controls(self, c):
         """The dimer's :meth:`~DimerSystem.lane_controls` at g = 0."""

@@ -29,8 +29,9 @@ with a status per lane (converged, :class:`NoConvergence`, or
 Python floats below 16 lanes and once on numpy arrays from there, with the
 same bits; the linear solves are one batched ``np.linalg.solve``.
 :func:`newton_solve` is the one-lane call.  Points enter as rows of their
-control components (:func:`~bcdimer.model.control_rows`), from which the
-seeds and the kernel's controls of a whole block come in one call each.
+control components (:func:`~bcdimer.model.control_rows`), at which a
+system gives the seeds (``packed_candidates``) and the kernel's controls
+(``lane_controls``) of a whole block in one call each.
 The loop steps of :func:`~bcdimer.ep.encircle` solve every candidate seed
 of a block of loop points in one Newton pass (:func:`_candidate_solves`),
 which yields solved rows, and match the tracked states to those rows.
@@ -74,7 +75,6 @@ from .model import (
     control_rows,
     packed_jacobian,
     packed_residual,
-    params_at,
 )
 
 __all__ = [
@@ -125,7 +125,7 @@ class RealSystemView:
     The residual and the analytic Jacobian run on the packed floats through
     the system's kernel (:func:`~bcdimer.model.packed_residual`); no
     Bicomplex value is built inside the Newton loop.  ``controls``, where
-    given, are the kernel's controls at ``params``, which is then not read.
+    given, replace the system's ``lane_controls`` at ``params``.
     """
 
     def __init__(self, system, params, *, gauge_site: int = 0,
@@ -133,16 +133,9 @@ class RealSystemView:
         self.system = system
         self.params = params
         self.gauge_site = gauge_site
-        self.controls = (system.packed_controls(params) if controls is None
-                         else controls)
-
-    def pack(self, psi, mu) -> np.ndarray:
-        parts = [c for z in psi for c in z.as_tuple()]
-        parts.extend(mu.as_tuple())
-        return np.array(parts, dtype=float)
-
-    def unpack(self, x: np.ndarray):
-        return (Bicomplex(*x[0:4]), Bicomplex(*x[4:8])), Bicomplex(*x[8:12])
+        self.controls = (_kernel_controls(system.lane_controls(
+            control_rows([params])[0].tolist())) if controls is None
+            else controls)
 
     def scale(self, xs: list[float]) -> float:
         """Size of the cubic terms: max(1, largest amplitude component)^2,
@@ -173,6 +166,12 @@ class RealSystemView:
 #
 # Each of these runs unchanged on Python floats (one seed) and on numpy
 # arrays of lanes (one entry per seed), like the kernel itself.
+
+
+def _kernel_controls(c):
+    """The kernel's controls (v, g, i*gamma, s) from the 13 values of a
+    system's ``lane_controls``, floats or lanes."""
+    return c[0], tuple(c[1:5]), tuple(c[5:9]), tuple(c[9:13])
 
 
 def _close(out, gauge, scale):
@@ -390,8 +389,9 @@ class _Lanes:
     the point ``controls[owner[k]]`` (a row of
     :func:`~bcdimer.model.control_rows`), solved on gauge site ``site[k]``.
 
-    The kernel's controls come from one ``system.lane_controls`` call, or
-    ``packed_controls`` point by point.  :meth:`residuals` and
+    The kernel's controls come from ``system.lane_controls``, at one row
+    for a :meth:`view`, at every row's columns at once for the arrays.
+    :meth:`residuals` and
     :meth:`jacobians` evaluate the kernel on a subset of lanes: below
     _CROSSOVER lanes through each lane's :class:`RealSystemView` on Python
     floats, from it on once with each of the 12 floats and each control
@@ -406,21 +406,13 @@ class _Lanes:
         self._views = {}
         self._kernel = None
 
-    def _kernel_controls(self, row) -> list:
-        """The kernel's 13 controls at the point of ``row`` (of
-        control_rows): (v, g, i*gamma, s)."""
-        if hasattr(self.system, "lane_controls"):
-            return self.system.lane_controls(row.tolist())
-        v, g, ih, s = self.system.packed_controls(params_at(row))
-        return [v, *g, *ih, *s]
-
     def view(self, lane) -> RealSystemView:
         key = (int(self.owner[lane]), int(self.site[lane]))
         if key not in self._views:
-            v, *c = self._kernel_controls(self.controls[key[0]])
             self._views[key] = RealSystemView(
                 self.system, None, gauge_site=key[1],
-                controls=(v, tuple(c[0:4]), tuple(c[4:8]), tuple(c[8:12])))
+                controls=_kernel_controls(self.system.lane_controls(
+                    self.controls[key[0]].tolist())))
         return self._views[key]
 
     def residuals(self, lanes, x):
@@ -468,14 +460,10 @@ class _Lanes:
     def _columns(self, lanes, x):
         """The packed floats and the kernel's controls, each an array of
         lanes, and each lane's gauge amplitude (z0, z1, z2, z3)."""
-        if self._kernel is None and hasattr(self.system, "lane_controls"):
+        if self._kernel is None:  # every point's, once
             self._kernel = np.stack(np.broadcast_arrays(
                 *self.system.lane_controls(list(self.controls.T))), 1)
-        elif self._kernel is None:  # every point's, once
-            self._kernel = np.array([self._kernel_controls(row)
-                                     for row in self.controls])
-        c = self._kernel[self.owner[lanes]].T
-        controls = c[0], tuple(c[1:5]), tuple(c[5:9]), tuple(c[9:13])
+        controls = _kernel_controls(self._kernel[self.owner[lanes]].T)
         xs = list(np.ascontiguousarray(x.T))
         first = 4 * self.site[lanes]
         gauge = tuple(x[np.arange(len(x)), first + k] for k in range(4))
@@ -633,7 +621,7 @@ def _candidate_solves(system, controls, cfg: SolveConfig):
     """
     for start in range(0, len(controls), _BLOCK):
         block = controls[start:start + _BLOCK]
-        seeds, owner = _seeds(system, block)
+        seeds, owner = system.packed_candidates(block)
         lanes = _Lanes(system, block, owner)
         x, _, fnorm, errors = _newton(lanes, np.arange(len(seeds)), seeds,
                                       cfg.residual_tol)
@@ -646,22 +634,6 @@ def _candidate_solves(system, controls, cfg: SolveConfig):
 
 
 # -- all states -----------------------------------------------------------
-
-
-def _seeds(system, controls):
-    """Packed seeds at every point of ``controls`` (rows of
-    :func:`~bcdimer.model.control_rows`) and the index of each seed's
-    point: ``system.packed_candidates`` where the system has it, else its
-    ``candidate_states`` point by point."""
-    if hasattr(system, "packed_candidates"):
-        return system.packed_candidates(controls)
-    rows, owner = [], []
-    for k, row in enumerate(controls):
-        for psi, mu in system.candidate_states(params_at(row)):
-            rows.append([c for z in (*psi, mu) for c in z.as_tuple()])
-            owner.append(k)
-    return (np.array(rows, dtype=float).reshape(-1, 12),
-            np.array(owner, dtype=int))
 
 
 def find_states_along(system, points, cfg: SolveConfig | None = None
@@ -689,7 +661,7 @@ def find_states_along(system, points, cfg: SolveConfig | None = None
 
 
 def _find_block(system, controls, cfg: SolveConfig):
-    seeds, owner = _seeds(system, controls)
+    seeds, owner = system.packed_candidates(controls)
     lanes = _Lanes(system, controls, owner)
     idx = np.arange(len(seeds))
     x, f, fnorm, errors = _newton(lanes, idx, seeds, cfg.residual_tol)
@@ -729,9 +701,8 @@ def find_all_states(system, params, cfg: SolveConfig | None = None) -> list[Stat
     """All stationary states: the system's candidates, solved by Newton,
     polished, deduplicated and sorted.
 
-    The system lists a seed for every state (``packed_candidates``, or
-    ``candidate_states``; for the dimer, one per root of its quartic Q).
-    Seeds that fail to converge
+    The system lists a seed for every state (``packed_candidates``; for
+    the dimer, one per root of its quartic Q).  Seeds that fail to converge
     are dropped, the others polished and duplicates merged, so at an
     exceptional point, where states coalesce, the list is shorter.  Returned
     states are gauge-canonical and sorted by mu.  The one-point call of

@@ -304,6 +304,16 @@ class TestAnswers:
                     "--track", "all"]) == 0
         assert abs(summary(capsys)["center"]["g"] + 2 * float(v)) < 1e-12
 
+    def test_merger_reports_the_j_part_of_gamma(self, capsys):
+        # the pitchfork reaches gamma = 0.2j at |g| = 2 sqrt(1 + 0.2^2)
+        assert run(["merger", "--gamma-j", "0.2"]) == 0
+        out = summary(capsys)
+        assert (out["gamma_star"], out["gamma_star_j"]) == (0.0, 0.2)
+        assert out["g_star"] == -2.039607805437114
+        assert abs(out["g_star"] + 2 * math.sqrt(1.04)) < 1e-12
+        assert run(["merger"]) == 0
+        assert summary(capsys)["gamma_star_j"] == 0.0
+
     def test_merger_loop_off_symmetry_has_no_merger(self, capsys):
         # at s != 0 the pitchfork unfolds: there is no merger to loop around,
         # as `bcdimer merger --s 0.05` reports too
@@ -332,6 +342,32 @@ class TestAnswers:
     def test_bifurcations_report_no_spurious_pitchfork(self, capsys, g):
         assert run(["bifurcations", "--g", g]) == 0
         assert points(capsys) == [("pitchfork", 0.8), ("tangent", 1.0)]
+
+    @pytest.mark.xfail(strict=True, reason="three branches meet at the "
+                       "pitchfork, but it names two branch_ids, [0, 3] "
+                       "(ROADMAP direction 4)")
+    @pytest.mark.parametrize("g", ["1.2", "-1.2"])
+    def test_pitchfork_names_three_branches(self, capsys, tmp_path, g):
+        assert run(["bifurcations", "--g", g, "--out", str(tmp_path)]) == 0
+        found = json.loads((tmp_path / "bifurcations.json").read_text())
+        pitchfork, = [pt for pt in found if pt["kind"] == "pitchfork"]
+        assert pitchfork["location"] == 0.8
+        assert len(pitchfork["branch_ids"]) == 3
+
+    @pytest.mark.xfail(strict=True, reason="at g = 0.002 the scan misses "
+                       "the tangent at gamma = 1 and reports only the "
+                       "pitchfork at 0.999999499999875 (ROADMAP direction "
+                       "7)")
+    def test_bifurcations_find_the_tangent_at_small_g(self, capsys):
+        assert run(["bifurcations", "--g", "0.002"]) == 0
+        assert any(kind == "tangent" and abs(loc - 1.0) < 1e-9
+                   for kind, loc in points(capsys))
+
+    @pytest.mark.xfail(strict=True, reason="at g = 0.001 the tangent "
+                       "locator finds no tangent and the loop exits 3 with "
+                       "NoConvergence (ROADMAP direction 7)")
+    def test_loop_around_the_tangent_at_small_g(self, capsys):
+        assert run(["encircle", "--around", "tangent", "--g", "0.001"]) == 0
 
     def test_bifurcations_report_both_folds_off_symmetry(self, capsys):
         assert run(["bifurcations", "--g", "1.2", "--s", "0.05"]) == 0

@@ -501,7 +501,7 @@ class TestScanCounts:
         # below |g| = 1e-3 v every state has two seeds, so every point
         # deduplicates; away from the tangent four states remain
         points, along = self.along(5e-4)
-        _, owner = solver._seeds(SYSTEM, control_rows(points))
+        _, owner = SYSTEM.packed_candidates(control_rows(points))
         assert set(np.bincount(owner).tolist()) == {8}
         for gamma, states in zip(self.GAMMAS, along):
             assert 1 <= len(states) <= 4

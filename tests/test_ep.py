@@ -9,11 +9,12 @@ import pytest
 
 from bcdimer import ep, solver
 from bcdimer.bicomplex import Bicomplex
-from bcdimer.model import DimerParams, DimerSystem, control_rows
+from bcdimer.model import DimerParams, DimerSystem, control_rows, params_at
 from bcdimer.solver import (
     DEDUP_TOL,
     SolveConfig,
     find_all_states,
+    find_states_along,
     state_distance,
 )
 from bcdimer.continuation import find_merger, locate_pitchfork_gamma
@@ -311,25 +312,30 @@ class TestSeededSteps:
                 assert state_distance(state, expected) < 1e-9
 
 
+def state_bits(states):
+    """The 12 floats, residual and flags of each state."""
+    return [(*s.psi1.as_tuple(), *s.psi2.as_tuple(), *s.mu.as_tuple(),
+             s.residual_norm, s.is_complex_state, s.is_pt_symmetric)
+            for s in states]
+
+
 def trace_bits(trace):
-    """Every per-step state of a trace: its 12 floats, residual and flags."""
-    return [[(*s.psi1.as_tuple(), *s.psi2.as_tuple(), *s.mu.as_tuple(),
-              s.residual_norm, s.is_complex_state, s.is_pt_symmetric)
-             for s in row] for row in trace.states]
+    """The :func:`state_bits` of every step of a trace."""
+    return [state_bits(row) for row in trace.states]
 
 
 class CandidatesOnly:
-    """The dimer through the generic system interface alone: one point's
-    seeds at a time, and no packed_candidates."""
+    """The dimer through the system interface alone, as a system without a
+    polynomial to batch: its packed_candidates lists each point's seeds on
+    their own, from the one-point candidate_states."""
 
-    def candidate_states(self, p):
-        return SYSTEM.candidate_states(p)
+    def packed_candidates(self, controls):
+        seeds = [SYSTEM.candidate_states(params_at(row)) for row in controls]
+        return (solver._rows([seed for at in seeds for seed in at]),
+                np.repeat(np.arange(len(seeds)), [len(at) for at in seeds]))
 
-    def residual(self, psi, mu, p):
-        return SYSTEM.residual(psi, mu, p)
-
-    def packed_controls(self, p):
-        return SYSTEM.packed_controls(p)
+    def lane_controls(self, c):
+        return SYSTEM.lane_controls(c)
 
 
 class TestBlockedSteps:
@@ -363,8 +369,7 @@ class TestBlockedSteps:
 
     @pytest.mark.parametrize("loop", ["tangent", "ep3 s",
                                       "tangent g=5e-4"])
-    def test_system_without_packed_candidates(self, pitchfork_setup, loop):
-        # the generic path: candidate_states point by point
+    def test_system_with_seeds_point_by_point(self, pitchfork_setup, loop):
         if loop == "tangent":
             spec = make_tangent_loop()
         elif loop == "ep3 s":
@@ -377,6 +382,31 @@ class TestBlockedSteps:
         assert trace_bits(generic) == trace_bits(packed)
         assert generic.permutation == packed.permutation
         assert generic.match_margin == packed.match_margin
+
+    def test_point_by_point_seeds_solve_alike(self):
+        # find_states_along on more lanes than _CROSSOVER, where the kernel
+        # runs on arrays, and on one point, where it runs on floats; below
+        # |g| = 1e-3 v (8 seeds a point), at g = 0, off symmetry, at a
+        # j-continued gamma and at v = 2
+        generic = CandidatesOnly()
+        points = [DimerParams(v=v, g=g, gamma=Bicomplex(gamma, j), s=s)
+                  for v, g, j, s in [(1.0, -0.85, 0.0, 0.0),
+                                     (1.0, 5e-4, 0.0, 0.0),
+                                     (1.0, 0.0, 0.1, 0.05),
+                                     (2.0, 1.2, 0.2, -0.1)]
+                  for gamma in (0.1, 0.5, 0.9, 1.3)]
+        along = find_states_along(generic, points, CFG)
+        assert sum(map(len, along)) > solver._CROSSOVER
+        assert ([state_bits(states) for states in along]
+                == [state_bits(states) for states in
+                    find_states_along(SYSTEM, points, CFG)])
+        for p in points[::3]:
+            states = find_all_states(generic, p, CFG)
+            assert state_bits(states) == state_bits(
+                find_all_states(SYSTEM, p, CFG))
+            for seed in SYSTEM.candidate_states(p)[:2]:
+                assert state_bits([newton_solve(generic, p, seed, CFG)]) == (
+                    state_bits([newton_solve(SYSTEM, p, seed, CFG)]))
 
     def test_nan_seed_falls_back(self, monkeypatch):
         spec = make_tangent_loop()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from bcdimer import model, solver
-from bcdimer.bicomplex import Bicomplex, J, K
+from bcdimer.bicomplex import I, Bicomplex, J, K
 from bcdimer.model import (
     DimerParams,
     DimerSystem,
@@ -19,7 +19,6 @@ from bcdimer.model import (
     mean_field_energy,
     normalization_residual,
     observables,
-    packed_controls,
     packed_jacobian,
     packed_residual,
     params_at,
@@ -346,6 +345,15 @@ def _bits(values) -> np.ndarray:
 _UNIT = st_.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
 
 
+def _reference_controls(p, g=None):
+    """The kernel's controls (v, g, i*gamma, s) at p through Bicomplex
+    values, the last three as component tuples: the formula whose bits a
+    system's ``lane_controls`` gives.  ``g`` overrides ``p.g``; the linear
+    model's is zero."""
+    g = p.g if g is None else g
+    return float(p.v), g.as_tuple(), (I * p.gamma).as_tuple(), p.s.as_tuple()
+
+
 @st_.composite
 def _lanes(draw):
     """1 to 6 lanes of packed floats with their kernel controls; in a lane
@@ -364,7 +372,7 @@ def _lanes(draw):
         if real:
             x[1::2] = [0.0] * 6
         rows.append(x)
-        controls.append(packed_controls(p))
+        controls.append(_reference_controls(p))
         complex_in_i.append(real)
     return rows, controls, complex_in_i
 
@@ -521,12 +529,13 @@ class TestArrayForms:
     def test_controls_and_plus_components(self):
         points = self.points()
         controls = control_rows(points)
-        for system in (DimerSystem(), LinearTwoMode()):
+        for system, g in ((DimerSystem(), None),
+                          (LinearTwoMode(), Bicomplex())):
             lanes = np.stack(np.broadcast_arrays(
                 *system.lane_controls(list(controls.T))), 1)
             for k, p in enumerate(points):
-                v, g, ih, s = system.packed_controls(p)
-                want = _hex([v, *g, *ih, *s])
+                v, gk, ih, s = _reference_controls(p, g)
+                want = _hex([v, *gk, *ih, *s])
                 assert _hex(lanes[k]) == want
                 assert _hex(system.lane_controls(controls[k].tolist())) == want
         # on Python numbers below _COMPLEX_LANES points, on lanes from it

@@ -3,10 +3,13 @@ import json
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
+
 from bcdimer import solver
 from bcdimer.bicomplex import Bicomplex
 from bcdimer.ep import encircle
-from bcdimer.model import DimerSystem, StationaryState
+from bcdimer.model import (DimerParams, DimerSystem, StationaryState,
+                           control_rows)
 
 
 def _load_ref_loops():
@@ -130,6 +133,7 @@ class TestLoops:
 
     def test_seed_paths_and_answers(self):
         system = DimerSystem()
+        systems = REF.systems()
         specs = {name: REF.loop_spec(name) for name in REF.LOOPS}
         seeds = {name: len(system.candidate_states(spec.center))
                  for name, spec in specs.items()}
@@ -138,11 +142,38 @@ class TestLoops:
         assert specs["pitchfork v=2"].center.v == 2.0
         assert specs["tangent g=-1, 300 steps"].steps > solver._BLOCK
         cycle_types = {"tangent g=5e-4": [2, 2],
+                       "tangent g=5e-4, point by point": [2, 2],
                        "s-loop at gamma=0.3+0.2j": [1, 1, 1, 1],
                        "pitchfork v=2": [2, 1, 1],
                        "tangent g=-1, 300 steps": [2, 1, 1]}
+        traces = {}
         for name, spec in specs.items():
             assert len(spec.states_to_track) == 4
-            trace = encircle(system, spec)
+            trace = encircle(systems[REF.LOOPS[name][0]], spec)
             assert trace.cycle_type == cycle_types[name]
             assert trace.reliable and trace.fallback_steps == 0
+            traces[name] = REF.trace_record(trace)
+        # seeds listed point by point give the batched seeds' bits
+        assert (traces["tangent g=5e-4, point by point"]
+                == traces["tangent g=5e-4"])
+
+
+class TestPointByPoint:
+    """The tool's system lists each point's seeds on their own, with the
+    bits of the dimer's batched seeds."""
+
+    def test_seeds_one_point_at_a_time(self, monkeypatch):
+        points = [DimerParams(v=1.0, g=g, gamma=Bicomplex(gamma, 0.1))
+                  for g in (5e-4, -0.85) for gamma in (0.3, 0.9, 1.2)]
+        controls = control_rows(points)
+        calls = []
+        one_point = DimerSystem.candidate_states
+        monkeypatch.setattr(DimerSystem, "candidate_states",
+                            lambda self, p: calls.append(p) or one_point(
+                                self, p))
+        rows, owner = REF.PointByPoint().packed_candidates(controls)
+        assert len(calls) == len(points)
+        want, want_owner = DimerSystem().packed_candidates(controls)
+        assert rows.tobytes() == want.tobytes()
+        assert owner.tolist() == want_owner.tolist()
+        assert np.bincount(owner).tolist() == [8, 8, 8, 4, 4, 4]

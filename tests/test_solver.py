@@ -16,6 +16,7 @@ from bcdimer.model import (
     DimerSystem,
     LinearTwoMode,
     StationaryState,
+    _as_seed,
     control_rows,
     normalization_residual,
     pt_reflected,
@@ -62,17 +63,18 @@ def closed_form_mu(v: float, gamma: float) -> complex:
 class TestRealView:
     def test_counts(self):
         view = RealSystemView(SYSTEM, DimerParams(v=1.0))
-        x = view.pack((Bicomplex(R2), Bicomplex(R2)), Bicomplex(1.0))
+        x = solver._rows([((Bicomplex(R2), Bicomplex(R2)), Bicomplex(1.0))])[0]
         assert view.residual_vector(x).shape == (12,)
         assert view.jacobian(x).shape == (12, 12)
 
     def test_complex_seed_has_zero_jk_rows(self):
         p = DimerParams(v=1.0, g=-1.0, gamma=0.3)
         view = RealSystemView(SYSTEM, p)
-        x = view.pack(
-            (Bicomplex.from_complex(0.6 + 0.1j), Bicomplex.from_complex(0.7 - 0.2j)),
+        x = solver._rows([(
+            (Bicomplex.from_complex(0.6 + 0.1j),
+             Bicomplex.from_complex(0.7 - 0.2j)),
             Bicomplex.from_complex(0.5 + 0.05j),
-        )
+        )])[0]
         f = view.residual_vector(x)
         # j and k components of both residual rows
         for base in (0, 4):
@@ -92,7 +94,8 @@ class TestRealView:
     def test_gauge_degenerate(self):
         p = DimerParams(v=1.0)
         view = RealSystemView(SYSTEM, p)
-        x = view.pack((Bicomplex(0.0), Bicomplex(1.0)), Bicomplex(0.0))
+        x = solver._rows([((Bicomplex(0.0), Bicomplex(1.0)),
+                            Bicomplex(0.0))])[0]
         with pytest.raises(GaugeDegenerate):
             view.residual_vector(x)
 
@@ -204,7 +207,7 @@ def _reference_modulus_derivative(z: Bicomplex) -> np.ndarray:
 
 def reference_residual_vector(view: RealSystemView, x: np.ndarray) -> np.ndarray:
     """The Newton residual computed with Bicomplex values."""
-    psi, mu = view.unpack(x)
+    psi, mu = _as_seed(x)
     res = view.system.residual(psi, mu, view.params)
     norm = normalization_residual(*psi)
     scale = max(1.0, max(z.max_abs() for z in psi) ** 2)
@@ -226,7 +229,7 @@ def reference_residual_vector(view: RealSystemView, x: np.ndarray) -> np.ndarray
 
 def reference_analytic_jacobian(view: RealSystemView, x: np.ndarray) -> np.ndarray:
     """The dimer's analytic Jacobian assembled from Bicomplex 4x4 blocks."""
-    psi, mu = view.unpack(x)
+    psi, mu = _as_seed(x)
     p = view.params
     igamma = Bicomplex(0.0, 0.0, 1.0, 0.0) * p.gamma
     diag = (
@@ -356,6 +359,14 @@ class TestFindAllStates:
         # dedup tolerance, so it is listed twice among 5 states
         p = DimerParams(v=1.0, g=-1e-9, gamma=1e-6)
         assert len(find_all_states(SYSTEM, p, CFG)) <= 4
+
+    @pytest.mark.xfail(strict=True, reason="a state is missed at small |g| "
+                       "on the symmetry line: 3 states, not 4 (ROADMAP "
+                       "direction 5)")
+    @pytest.mark.parametrize("g", [-1e-5, -1e-6, 1e-7])
+    def test_four_states_at_small_g(self, g):
+        p = DimerParams(v=1.0, g=g)
+        assert len(find_all_states(SYSTEM, p, CFG)) == 4
 
     def test_linear_below_tangent(self):
         p = DimerParams(v=1.0, g=0.0, gamma=0.5)
@@ -577,10 +588,10 @@ def oracle_invariants(state: StationaryState):
                      qm.minus.conjugate()])
 
 
-def roundoff_floor(view: RealSystemView, state: StationaryState) -> float:
+def roundoff_floor(state: StationaryState) -> float:
     """4 eps times max(1, largest amplitude component)^2: the residual
     below which a Newton step changes nothing."""
-    x = view.pack((state.psi1, state.psi2), state.mu)
+    x = solver._rows([state])[0]
     return 4.0 * float(np.finfo(float).eps) * max(1.0, np.max(np.abs(x[:8])) ** 2)
 
 
@@ -602,12 +613,11 @@ class TestQuarticOracle:
         assume(min(np.max(np.abs(a - b))
                    for k, a in enumerate(pairs) for b in pairs[k + 1:]) >= 0.05)
         p = DimerParams(v=1.0, g=g, gamma=gamma, s=s)
-        view = RealSystemView(SYSTEM, p)
         states = find_all_states(SYSTEM, p, CFG)
         assert len(states) == 4
         matched = set()
         for st in states:
-            assert st.residual_norm <= roundoff_floor(view, st)
+            assert st.residual_norm <= roundoff_floor(st)
             dist = np.max(np.abs(rows - oracle_invariants(st)), axis=1)
             k = int(np.argmin(dist))
             assert dist[k] < 1e-8
@@ -645,7 +655,7 @@ def _newton_lanes(system, points, cfg):
     the positions, rows, residual rows and residuals of the converged
     ones."""
     controls = control_rows(points)
-    seeds, owner = solver._seeds(system, controls)
+    seeds, owner = system.packed_candidates(controls)
     lanes = solver._Lanes(system, controls, owner)
     idx = np.arange(len(seeds))
     x, f, fnorm, errors = solver._newton(lanes, idx, seeds, cfg.residual_tol)
@@ -706,14 +716,14 @@ class TestPolish:
         states = find_all_states(SYSTEM, p, CFG)
         seeds = [((st.psi1, st.psi2), st.mu) for st in states]
         for (psi, mu), st in zip(seeds, states):
-            x = view.pack(psi, mu)
-            assert np.max(np.abs(view.residual_vector(x))) <= roundoff_floor(
-                view, st)
+            x = solver._rows([(psi, mu)])[0]
+            assert np.max(np.abs(view.residual_vector(x))) <= (
+                roundoff_floor(st))
 
         def no_jacobian(*_args):
             raise AssertionError("a Newton step from a seed at the floor")
 
-        packed = np.array([view.pack(psi, mu) for psi, mu in seeds])
+        packed = solver._rows(seeds)
         monkeypatch.setattr(solver._Lanes, "jacobians", no_jacobian)
         monkeypatch.setattr(
             DimerSystem, "packed_candidates",
@@ -903,7 +913,7 @@ class TestBlockDedup:
                   for gamma in self.GAMMAS]
         got = find_states_along(SYSTEM, points, CFG)
         self.same(got, _reference_find_block(SYSTEM, points, CFG))
-        _, owner = solver._seeds(SYSTEM, control_rows(points))
+        _, owner = SYSTEM.packed_candidates(control_rows(points))
         seeds = np.bincount(owner, minlength=len(points))
         assert all(len(states) < n for states, n in zip(got, seeds))
 
@@ -961,7 +971,7 @@ class TestCandidateSolves:
 
     @staticmethod
     def each_seed(system, p):
-        seeds, _ = solver._seeds(system, control_rows([p]))
+        seeds, _ = system.packed_candidates(control_rows([p]))
         out = []
         for row in seeds:
             try:

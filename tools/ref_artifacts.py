@@ -37,8 +37,9 @@ from pathlib import Path
 # nothing to track and one sweep given both ranges (both fail); the merger
 # at v = 2, outside the v = 1 window, and a loop around it; three usage
 # errors: a loop whose control has a j part, a control looped twice, and a
-# bad coupling given with a bad tolerance; and a loop that tracks one state,
-# whose match margin is infinite
+# bad coupling given with a bad tolerance; a loop that tracks one state,
+# whose match margin is infinite; and the merger at a j-continued gamma,
+# whose summary reports the j part
 COMMANDS = {
     "solve-ep3-json": ["solve", "--g", "-1", "--gamma", "0.8660254037844386",
                        "--format", "json"],
@@ -91,6 +92,7 @@ COMMANDS = {
                              "--track", "all"],
     "merger-bad-tol-and-v": ["merger", "--tol", "0", "--v", "-1"],
     "encircle-one-state": ["encircle", "--around", "tangent", "--g", "0.5"],
+    "merger-gamma-j": ["merger", "--gamma-j", "0.2"],
 }
 ID_COLUMN = "branch_id"
 ID_KEYS = (ID_COLUMN, "branch_ids", "continuing_branch_id")

@@ -17,6 +17,11 @@ and the question benchmark from its ``qbench/``:
 * the grids of ``GRIDS`` through ``solver.find_states_along``: every
   point's states, with their residuals and flags.
 
+One loop and one grid run on :class:`PointByPoint`, the dimer with its
+seeds listed one point at a time, as a system without a polynomial to
+batch lists them; so the record also covers the solver's path for such a
+system.
+
 Floats are recorded as ``float.hex``, so equal records mean equal bits.
 The record written to ``--out`` holds, for each loop and grid, whether the
 two checkouts' are identical and, where not, the first place where they
@@ -38,8 +43,9 @@ SEEDS = (5, 17, 41)
 ROUNDS = 2
 # the grids of the stitched-scan tests (tests/test_continuation.py): the
 # reference `sweep` grids, `bifurcations` scans (at g = 5e-4 every state
-# has two seeds), the linear model, and a grid longer than one block of
-# the batched pass; (system, controls, parameter, first value, step, points)
+# has two seeds, also listed point by point), the linear model, and a grid
+# longer than one block of the batched pass; (system, controls, parameter,
+# first value, step, points)
 GRIDS = {
     "sweep --g -1": ("dimer", {"g": -1.0}, "gamma", 0.0, 0.01, 141),
     "sweep --gamma 0.5": ("dimer", {"gamma": 0.5}, "g", -2.5, 0.05, 101),
@@ -47,28 +53,70 @@ GRIDS = {
        ("dimer", {"g": g, "s": s}, "gamma", 0.05, 0.01, 136)
        for g, s in [(0.01, 0.0), (-0.4, 0.0), (1.2, 0.0), (-1.5, 0.05),
                     (0.0, 0.0), (5e-4, 0.0)]},
+    "bifurcations --g 0.0005, point by point": (
+        "point by point", {"g": 5e-4}, "gamma", 0.05, 0.01, 136),
     "linear": ("linear", {}, "gamma", 0.05, 0.01, 136),
     "long": ("dimer", {"g": -0.85}, "gamma", 0.0, 1.4 / 262, 263),
 }
 # loops that track all states at the start, on the seed paths the
 # workload's loops miss: below |g| = 1e-3 v, where Q's roots and the linear
 # eigenpairs both seed (8 lanes a point); a j-continued center; v != 1; and
-# more steps than one block of loop points (solver._BLOCK = 256).
-# (controls of the center, a (real, j) pair for a continued one; the looped
-# control; radius; steps)
+# more steps than one block of loop points (solver._BLOCK = 256); and the
+# first of these with its seeds listed point by point.
+# (system; controls of the center, a (real, j) pair for a continued one;
+# the looped control; radius; steps)
 LOOPS = {
-    "tangent g=5e-4": ({"g": 5e-4, "gamma": 1.0}, "gamma", 0.01, 128),
-    "s-loop at gamma=0.3+0.2j": ({"g": -0.8, "gamma": (0.3, 0.2)}, "s",
-                                 0.01, 128),
-    "pitchfork v=2": ({"v": 2.0, "g": -2.0, "gamma": 3.0 ** 0.5}, "gamma",
-                      2e-3, 128),
-    "tangent g=-1, 300 steps": ({"g": -1.0, "gamma": 1.0}, "gamma", 1e-3,
-                                300),
+    "tangent g=5e-4": ("dimer", {"g": 5e-4, "gamma": 1.0}, "gamma", 0.01,
+                       128),
+    "tangent g=5e-4, point by point": ("point by point",
+                                       {"g": 5e-4, "gamma": 1.0}, "gamma",
+                                       0.01, 128),
+    "s-loop at gamma=0.3+0.2j": ("dimer", {"g": -0.8, "gamma": (0.3, 0.2)},
+                                 "s", 0.01, 128),
+    "pitchfork v=2": ("dimer", {"v": 2.0, "g": -2.0, "gamma": 3.0 ** 0.5},
+                      "gamma", 2e-3, 128),
+    "tangent g=-1, 300 steps": ("dimer", {"g": -1.0, "gamma": 1.0}, "gamma",
+                                1e-3, 300),
 }
 # one BLAS thread in the recording processes, as in the benchmark
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
                "NUMEXPR_NUM_THREADS")
+
+
+class PointByPoint:
+    """The dimer through the solver's system interface alone, with its
+    seeds listed one point at a time from the one-point
+    ``candidate_states``, as a system without a polynomial to batch would
+    list them."""
+
+    def __init__(self):
+        from bcdimer.model import DimerSystem
+
+        self.dimer = DimerSystem()
+
+    def packed_candidates(self, controls):
+        import numpy as np
+        from bcdimer.model import params_at
+
+        seeds = [self.dimer.candidate_states(params_at(row))
+                 for row in controls]
+        rows = [[c for z in (*psi, mu) for c in z.as_tuple()]
+                for at in seeds for psi, mu in at]
+        return (np.array(rows, dtype=float).reshape(-1, 12),
+                np.repeat(np.arange(len(seeds)), [len(at) for at in seeds]))
+
+    def lane_controls(self, c):
+        return self.dimer.lane_controls(c)
+
+
+def systems() -> dict:
+    """The systems that ``GRIDS`` and ``LOOPS`` name, from the bcdimer
+    imported."""
+    from bcdimer.model import DimerSystem, LinearTwoMode
+
+    return {"dimer": DimerSystem(), "linear": LinearTwoMode(),
+            "point by point": PointByPoint()}
 
 
 def state_record(st) -> list:
@@ -98,7 +146,7 @@ def loop_spec(name: str):
     from bcdimer.model import DimerParams, DimerSystem
     from bcdimer.solver import SolveConfig, find_all_states
 
-    controls, which, radius, steps = LOOPS[name]
+    _system, controls, which, radius, steps = LOOPS[name]
     center = DimerParams(**{k: Bicomplex(*c) if isinstance(c, tuple) else c
                             for k, c in controls.items()})
     start = center.with_control(which, center.control(which).z0 + radius)
@@ -115,23 +163,23 @@ def _record(checkout: Path) -> dict:
         sys.exit(f"ref_loops: imported bcdimer from {bcdimer.__file__}")
     import workloads
     from bcdimer.ep import encircle
-    from bcdimer.model import DimerParams, DimerSystem, LinearTwoMode
+    from bcdimer.model import DimerParams
     from bcdimer.solver import SolveConfig, find_states_along
 
+    by_name = systems()
     asks = {f"seed {seed} round {r} loop {k}: {q.label}": q.ask
             for seed in SEEDS
             for r, round_ in enumerate(workloads.build_loops(seed,
                                                              ROUNDS).rounds)
             for k, q in enumerate(round_)}
     asks.update({name: lambda _out, name=name: encircle(
-        DimerSystem(), loop_spec(name)) for name in LOOPS})
+        by_name[LOOPS[name][0]], loop_spec(name)) for name in LOOPS})
     loops = {}
     for name, ask in asks.items():
         try:
             loops[name] = trace_record(ask(None))
         except Exception as exc:  # noqa: BLE001 - recorded, compared
             loops[name] = {"error": f"{type(exc).__name__}: {exc}"}
-    systems = {"dimer": DimerSystem(), "linear": LinearTwoMode()}
     cfg = SolveConfig(residual_tol=1e-11)
     grids = {}
     for name, (system, controls, parameter, lo, step, n) in GRIDS.items():
@@ -139,7 +187,7 @@ def _record(checkout: Path) -> dict:
         points = [params.with_control(parameter, lo + k * step)
                   for k in range(n)]
         grids[name] = [[state_record(st) for st in states] for states in
-                       find_states_along(systems[system], points, cfg)]
+                       find_states_along(by_name[system], points, cfg)]
     return {"loops": loops, "grids": grids}
 
 
