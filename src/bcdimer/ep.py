@@ -34,7 +34,7 @@ import numpy as np
 
 from .bicomplex import fmt_float
 from .continuation import _assign
-from .model import StationaryState, _as_seed, control_rows, params_at
+from .model import StationaryState, control_rows
 from .solver import (
     GaugeDegenerate,
     NoConvergence,
@@ -168,22 +168,19 @@ def _loop_controls(spec: LoopSpec, phis) -> np.ndarray:
     return out
 
 
-def _loop_params(spec: LoopSpec, phi: float):
-    """The loop point at phi (see :func:`_loop_controls`)."""
-    return params_at(_loop_controls(spec, [phi])[0])
-
-
-def _track_segment(system, spec, state, phi0, phi1, cfg, depth=0):
-    """Continue one state from phi0 to phi1, bisecting in phi on failure."""
+def _track_segment(system, spec, row, phi0, phi1, cfg, depth=0):
+    """Continue one solved row from phi0 to phi1 by Newton from its 12
+    floats, bisecting in phi on failure; returns the solved row."""
     try:
-        return newton_solve(system, _loop_params(spec, phi1), state, cfg)
+        return _solve_at(system, _loop_controls(spec, [phi1]),
+                         row[None, :12], cfg)[0]
     except (NoConvergence, GaugeDegenerate):
         if depth >= 8:
             raise TrackingLost(
                 f"state lost between phi={phi0:.4f} and phi={phi1:.4f}"
             )
         mid = 0.5 * (phi0 + phi1)
-        half = _track_segment(system, spec, state, phi0, mid, cfg, depth + 1)
+        half = _track_segment(system, spec, row, phi0, mid, cfg, depth + 1)
         return _track_segment(system, spec, half, mid, phi1, cfg, depth + 1)
 
 
@@ -214,10 +211,7 @@ def _step(system, spec, rows, seeded, phi0, phi1, cfg):
                                       near[:, pick[mutual]].T)
     lost = np.flatnonzero(~mutual).tolist()
     for i in lost:
-        st = _track_segment(system, spec, _as_seed(rows[i].tolist()), phi0,
-                            phi1, cfg)
-        new[i] = [*_rows([st])[0], st.residual_norm, st.is_complex_state,
-                  st.is_pt_symmetric]
+        new[i] = _track_segment(system, spec, rows[i], phi0, phi1, cfg)
         dists[i] = _distances(new[i, :12], rows[:, :12])
     return new, dists, len(lost)
 

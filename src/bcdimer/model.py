@@ -168,13 +168,6 @@ def control_rows(points) -> np.ndarray:
                     dtype=float).reshape(-1, 13)
 
 
-def params_at(row) -> DimerParams:
-    """The point of one row of :func:`control_rows`."""
-    v, *c = row.tolist()
-    return DimerParams(v, Bicomplex(*c[0:4]), Bicomplex(*c[4:8]),
-                       Bicomplex(*c[8:12]))
-
-
 def _mul(a, b):
     """Bicomplex.__mul__ on component tuples."""
     a0, a1, a2, a3 = a
@@ -357,7 +350,7 @@ def _flags(x, tol):
 # bits.  Measured (numpy 2.4, one thread of a shared 2-vCPU Xeon): a
 # residual costs 13-18 us a lane on floats against 250 us + 0.5 us a lane
 # on arrays, an analytic Jacobian 25-40 us against 530 us + 0.7 us; both
-# cross at 16 to 20 lanes.  Gauge and flags (solver._canonical_rows) cost
+# cross at 16 to 20 lanes.  Gauge and flags (solver._solved) cost
 # 13-16 us a row on floats against 240 us + 1 us a lane on arrays, and
 # cross at 18 rows
 _CROSSOVER = 16
@@ -864,19 +857,14 @@ class DimerSystem:
     whose states coalesce where 1 + (i gamma - s)^2 = 0.
     """
 
-    def candidate_states(self, p: DimerParams):
-        """Seeds (psi, mu) for every stationary state: one per root of Q,
-        and below |g| = 1e-3 v, where the back-solve loses the digits of g,
-        the linear model's eigenpairs too; the solver merges duplicates.
-        The one-point call of :meth:`packed_candidates`."""
-        rows, _ = self.packed_candidates(control_rows([p]))
-        return [_as_seed(row) for row in rows.tolist()]
-
     def packed_candidates(self, controls):
-        """The seeds of :meth:`candidate_states` at every point, packed:
-        an (n, 12) array with one seed (psi1, psi2 and mu components) per
-        row, grouped by point in the order of ``controls`` (the rows of
-        :func:`control_rows`), and the index of each row's point.
+        """Seeds for every stationary state at every point: one per root
+        of Q, and below |g| = 1e-3 v, where the back-solve loses the digits
+        of g, the linear model's eigenpairs too; the solver merges
+        duplicates.  Packed as an (n, 12) array with one seed (psi1, psi2
+        and mu components) per row, grouped by point in the order of
+        ``controls`` (the rows of :func:`control_rows`), and the index of
+        each row's point.
 
         The plus components of the controls are taken on lanes, Q's roots
         come from one batched eigenvalue call (see :func:`_q_roots`), and
@@ -935,10 +923,12 @@ class DimerSystem:
                 location = v * root.real
                 if abs(root.imag) <= _IMAG_TOL and lo <= location <= hi:
                     at = p.with_control(parameter, location)
-                    seed = LinearTwoMode().candidate_states(at)[0]
+                    seeds, _ = LinearTwoMode().packed_candidates(
+                        control_rows([at]))
                     points.append(BifurcationPoint(
                         "tangent", location, (),
-                        newton_solve(self, at, seed, cfg), 0.0))
+                        newton_solve(self, at, _as_seed(seeds[0].tolist()),
+                                     cfg), 0.0))
             return sorted(points, key=lambda pt: pt.location)
 
         # Q's coefficients as polynomials in the control, of degree <= 3:
@@ -1061,11 +1051,12 @@ class LinearTwoMode:
                     p.v, p.gamma.to_idempotent(), p.s.to_idempotent())]
 
     def packed_candidates(self, controls):
-        """The seeds of :meth:`candidate_states` at every row of
-        ``controls``, packed as :meth:`DimerSystem.packed_candidates` packs
-        them: below _LINEAR_LANES points point by point on Python numbers,
-        from it on once on lanes, one a combination and point, with the
-        same bits."""
+        """Seeds for every stationary state at every row of ``controls``:
+        the eigenpairs, in the solver's phase gauge and the balanced gauge
+        of the dimer's seeds (see :meth:`_seed_row`), packed as
+        :meth:`DimerSystem.packed_candidates` packs them: below
+        _LINEAR_LANES points point by point on Python numbers, from it on
+        once on lanes, one a combination and point, with the same bits."""
         if len(controls) < _LINEAR_LANES:
             seeds = [(self._seed_row(pairs), k)
                      for k, row in enumerate(controls.tolist())
@@ -1091,7 +1082,7 @@ class LinearTwoMode:
 
     @staticmethod
     def _seed_row(pairs) -> list[float]:
-        """The seed of :meth:`candidate_states` of the :meth:`_pairs` of an
+        """The seed of :meth:`packed_candidates` of the :meth:`_pairs` of an
         eigenpair (or of lanes of them) as 12 packed floats, with the bits
         of the eigenpair's Bicomplex values.
 
@@ -1107,10 +1098,3 @@ class LinearTwoMode:
         c = _sqrt(abs(phi1) / abs(plus1))
         return _packed([(c * plus1, (phi1 / c).conjugate()),
                         (c * plus2, (phi2 / c).conjugate()), mu])
-
-    def candidate_states(self, p: DimerParams):
-        """Seeds (psi, mu) for every stationary state: the eigenpairs, in
-        the solver's phase gauge and the balanced gauge of the dimer's
-        seeds (see :meth:`_seed_row`)."""
-        rows, _ = self.packed_candidates(control_rows([p]))
-        return [_as_seed(row) for row in rows.tolist()]

@@ -49,12 +49,11 @@ become states.
 
 States are made from the solved rows, not from Bicomplex values, and only
 where a function returns them: the canonical gauge and the two flags of
-every row of a block come from one :func:`_canonical_rows` call
-(:func:`_solved`), which, like the kernel, runs row by row on Python
-floats below 16 rows and once on numpy lanes from there, with the bits of
-the Bicomplex arithmetic it replaces.  The distances that match and
-deduplicate states are max-norms over those rows (:func:`_distances`),
-with :func:`state_distance`'s bits.
+every row of a block come from one :func:`_solved` call, which, like the
+kernel, runs row by row on Python floats below 16 rows and once on numpy
+lanes from there, with the bits of the Bicomplex arithmetic it replaces.
+The distances that match and deduplicate states are max-norms over those
+rows (:func:`_distances`), with :func:`state_distance`'s bits.
 """
 
 from __future__ import annotations
@@ -131,7 +130,6 @@ class RealSystemView:
     def __init__(self, system, params, *, gauge_site: int = 0,
                  controls=None):
         self.system = system
-        self.params = params
         self.gauge_site = gauge_site
         self.controls = (_kernel_controls(system.lane_controls(
             control_rows([params])[0].tolist())) if controls is None
@@ -270,32 +268,22 @@ def _gauge(x):
     return [*_where(keep, x[0:8], out), *x[8:12]]
 
 
-def _canonical_rows(x):
-    """The canonical gauge (:func:`_gauge`) and the flags
-    (:func:`~bcdimer.model.classify_flags` at CLASSIFICATION_TOL) of every
-    row of the (N, 12) array x of solved states: below _CROSSOVER rows row
-    by row on Python floats, from it on once on numpy lanes, with the same
-    bits.  Returns the canonical rows (lists of 12 floats), and the
-    is_complex_state and is_pt_symmetric flags (lists of bools)."""
+def _solved(x, fnorm) -> np.ndarray:
+    """The solved rows x (N, 12) with residuals ``fnorm`` as states in an
+    (N, 15) array: the 12 floats in the canonical gauge (:func:`_gauge`),
+    the residual, and the flags is_complex_state and is_pt_symmetric
+    (:func:`~bcdimer.model.classify_flags` at CLASSIFICATION_TOL, 1.0 or
+    0.0) of each.  Below _CROSSOVER rows row by row on Python floats,
+    from it on once on numpy lanes, with the same bits."""
     if len(x) < _CROSSOVER:
         rows = [_gauge(row) for row in x.tolist()]
         flags = [_flags(row, CLASSIFICATION_TOL) for row in rows]
-        return rows, [c for c, _ in flags], [p for _, p in flags]
+        return np.column_stack([np.reshape(rows, (-1, 12)), fnorm,
+                                np.reshape(flags, (-1, 2))])
     # kept lanes (a degenerate gauge site) run through the arithmetic too
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         cols = _gauge(list(np.ascontiguousarray(x.T)))
-    is_complex, is_pt = _flags(cols, CLASSIFICATION_TOL)
-    return (np.stack(cols, axis=1).tolist(), is_complex.tolist(),
-            is_pt.tolist())
-
-
-def _solved(x, fnorm) -> np.ndarray:
-    """The solved rows x (N, 12) with residuals ``fnorm`` as states in an
-    (N, 15) array, from one :func:`_canonical_rows` call: the 12 canonical
-    floats, the residual and the two flags (1.0 or 0.0) of each."""
-    rows, is_complex, is_pt = _canonical_rows(x)
-    return np.column_stack([np.reshape(rows, (-1, 12)), fnorm, is_complex,
-                            is_pt])
+    return np.column_stack([*cols, fnorm, *_flags(cols, CLASSIFICATION_TOL)])
 
 
 def _states(solved) -> list[StationaryState]:
@@ -312,8 +300,8 @@ def canonical_gauge(psi, mu):
 
     The first amplitude above the floor is the gauge carrier, so the choice
     does not flicker between sites for states with comparable magnitudes.
-    The one-row call of the gauge that :func:`_canonical_rows` gives
-    solved states on lanes.
+    The one-row call of the gauge that :func:`_solved` gives solved
+    states on lanes.
     """
     psi1, psi2 = psi
     row = _gauge([*psi1.as_tuple(), *psi2.as_tuple(), *mu.as_tuple()])
@@ -581,8 +569,8 @@ def newton_solve(system, params, seed,
                  cfg: SolveConfig | None = None) -> StationaryState:
     """Damped Newton from one seed; returns a converged stationary state.
 
-    ``seed`` is a (psi1, psi2, mu) triple of Bicomplex values (or a
-    StationaryState).  Returns the first iterate with a residual below
+    ``seed`` is a ((psi1, psi2), mu) pair of Bicomplex values, or a
+    StationaryState.  Returns the first iterate with a residual below
     ``cfg.residual_tol``.  Raises :class:`NoConvergence` on iteration cap or
     after 30 halvings of a damped step, :class:`GaugeDegenerate` when the
     gauge amplitude (site 0) vanishes at the current iterate.  The one-lane

@@ -1,7 +1,9 @@
+import importlib.util
 import itertools
 import json
 import math
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 
 from bcdimer import ep, solver
 from bcdimer.bicomplex import Bicomplex
-from bcdimer.model import DimerParams, DimerSystem, control_rows, params_at
+from bcdimer.model import DimerParams, DimerSystem, _as_seed, control_rows
 from bcdimer.solver import (
     DEDUP_TOL,
     SolveConfig,
@@ -21,7 +23,6 @@ from bcdimer.continuation import find_merger, locate_pitchfork_gamma
 from bcdimer.ep import (
     AmbiguousMatch,
     LoopSpec,
-    _loop_params,
     classify_ep,
     encircle,
     trace_summary_json,
@@ -31,6 +32,25 @@ from bcdimer.solver import newton_solve
 
 SYSTEM = DimerSystem()
 CFG = SolveConfig(jacobian="analytic")
+
+
+def _load_ref_loops():
+    """tools/ref_loops.py is a script, not part of the package; its
+    PointByPoint is the dimer with its seeds listed point by point."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "ref_loops.py"
+    spec = importlib.util.spec_from_file_location("_ref_loops", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+REF = _load_ref_loops()
+
+
+def loop_point(spec, phi):
+    """The loop point at phi as DimerParams, from its control row."""
+    v, *c = ep._loop_controls(spec, [phi])[0].tolist()
+    return DimerParams(v, *(Bicomplex(*c[k:k + 4]) for k in (0, 4, 8)))
 
 
 def make_tangent_loop(radius=0.1, steps=128, turns=1, reverse=False):
@@ -229,7 +249,7 @@ class TestSeededSteps:
         if loop == "merger g":  # all four states, |g| >= 0.05 v
             assert root_cycle_type(spec) == tr.cycle_type
         for k in range(1, len(tr.phis)):
-            params = _loop_params(tr.spec, tr.phis[k])
+            params = loop_point(tr.spec, tr.phis[k])
             for prev, state in zip(tr.states[k - 1], tr.states[k]):
                 tracked = newton_solve(SYSTEM, params, prev, CFG)
                 assert state_distance(state, tracked) < 1e-9
@@ -324,20 +344,6 @@ def trace_bits(trace):
     return [state_bits(row) for row in trace.states]
 
 
-class CandidatesOnly:
-    """The dimer through the system interface alone, as a system without a
-    polynomial to batch: its packed_candidates lists each point's seeds on
-    their own, from the one-point candidate_states."""
-
-    def packed_candidates(self, controls):
-        seeds = [SYSTEM.candidate_states(params_at(row)) for row in controls]
-        return (solver._rows([seed for at in seeds for seed in at]),
-                np.repeat(np.arange(len(seeds)), [len(at) for at in seeds]))
-
-    def lane_controls(self, c):
-        return SYSTEM.lane_controls(c)
-
-
 class TestBlockedSteps:
     """The seeds of a block of loop points and Newton from them run once
     for the whole block; a loop's states must not depend on the blocks."""
@@ -377,7 +383,7 @@ class TestBlockedSteps:
         else:
             spec = all_states_loop(DimerParams(v=1.0, g=5e-4, gamma=1.0),
                                    "gamma", 0.01)
-        generic = encircle(CandidatesOnly(), spec, CFG)
+        generic = encircle(REF.PointByPoint(), spec, CFG)
         packed = encircle(SYSTEM, spec, CFG)
         assert trace_bits(generic) == trace_bits(packed)
         assert generic.permutation == packed.permutation
@@ -388,7 +394,7 @@ class TestBlockedSteps:
         # runs on arrays, and on one point, where it runs on floats; below
         # |g| = 1e-3 v (8 seeds a point), at g = 0, off symmetry, at a
         # j-continued gamma and at v = 2
-        generic = CandidatesOnly()
+        generic = REF.PointByPoint()
         points = [DimerParams(v=v, g=g, gamma=Bicomplex(gamma, j), s=s)
                   for v, g, j, s in [(1.0, -0.85, 0.0, 0.0),
                                      (1.0, 5e-4, 0.0, 0.0),
@@ -404,7 +410,8 @@ class TestBlockedSteps:
             states = find_all_states(generic, p, CFG)
             assert state_bits(states) == state_bits(
                 find_all_states(SYSTEM, p, CFG))
-            for seed in SYSTEM.candidate_states(p)[:2]:
+            seeds, _ = SYSTEM.packed_candidates(control_rows([p]))
+            for seed in map(_as_seed, seeds[:2].tolist()):
                 assert state_bits([newton_solve(generic, p, seed, CFG)]) == (
                     state_bits([newton_solve(SYSTEM, p, seed, CFG)]))
 
@@ -452,9 +459,14 @@ class TestLoopPoints:
         got = ep._loop_controls(spec, phis)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
-    def test_loop_builds_no_params_per_point(self, monkeypatch):
+    @pytest.mark.parametrize("seeded", [True, False])
+    def test_loop_builds_no_params_per_point(self, monkeypatch, seeded):
+        # without seeds every step falls back to Newton from the previous
+        # step's row, which builds no params either
         spec = all_states_loop(DimerParams(v=1.0, g=-1.0, gamma=0.5),
                                "gamma", 0.05, steps=64)
+        if not seeded:
+            monkeypatch.setattr(SYSTEM, "packed_candidates", no_candidates)
         calls = {"with_control": 0, "built": 0}
         with_control, post_init = (DimerParams.with_control,
                                    DimerParams.__post_init__)
@@ -471,7 +483,8 @@ class TestLoopPoints:
                             counting_with_control)
         monkeypatch.setattr(DimerParams, "__post_init__", counting_post_init)
         tr = encircle(SYSTEM, spec, CFG)
-        assert tr.fallback_steps == 0 and len(tr.states) == 65
+        assert len(tr.states) == 65
+        assert tr.fallback_steps == (0 if seeded else 64 * 4)
         assert calls == {"with_control": 0, "built": 0}
 
     def test_states_read_in_any_order_have_the_same_bits(self):
@@ -585,10 +598,10 @@ def root_cycle_type(spec, max_halvings=7):
     times the largest move exceeds the smallest gap between the roots."""
     total = (-1.0 if spec.reverse else 1.0) * 2 * math.pi * spec.turns
     maps = [list(m) for m in itertools.permutations(range(4))]
-    start = current = q_roots(_loop_params(spec, 0.0))
+    start = current = q_roots(loop_point(spec, 0.0))
     n, k, halvings = spec.steps * spec.turns, 0, 0
     while k < n:
-        roots = q_roots(_loop_params(spec, total * (k + 1) / n))
+        roots = q_roots(loop_point(spec, total * (k + 1) / n))
         moved = min((roots[m] for m in maps),
                     key=lambda r: np.abs(r - current).sum())
         gap = min(abs(a - b) for a, b in itertools.combinations(current, 2))

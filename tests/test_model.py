@@ -21,7 +21,6 @@ from bcdimer.model import (
     observables,
     packed_jacobian,
     packed_residual,
-    params_at,
     populations,
     pt_classify,
     pt_reflected,
@@ -459,14 +458,14 @@ class TestBackSolve:
             assert np.array_equal(_bits(_back_solve(x, *c, v)),
                                   _bits(_reference_back_solve(x, *c, v)))
 
-    def test_candidate_states_are_the_packed_rows(self):
+    def test_one_point_seeds_are_the_packed_rows(self):
         system = DimerSystem()
         points = [DimerParams(v=1.0, g=g, gamma=gamma)
                   for g in (-0.85, 5e-4, 0.0) for gamma in (0.3, 1.2)]
-        rows, owner = system.packed_candidates(control_rows(points))
-        for k, p in enumerate(points):
-            seeds = [[c for z in (*psi, mu) for c in z.as_tuple()]
-                     for psi, mu in system.candidate_states(p)]
+        controls = control_rows(points)
+        rows, owner = system.packed_candidates(controls)
+        for k in range(len(points)):
+            seeds, _ = system.packed_candidates(controls[k:k + 1])
             assert np.array_equal(_bits(rows[owner == k]), _bits(seeds))
         # 4 seeds from Q, 4 more from the linear model below |g| = 1e-3
         assert np.bincount(owner).tolist() == [4, 4, 8, 8, 4, 4]
@@ -543,8 +542,6 @@ class TestArrayForms:
         for plus in (_plus(controls), np.concatenate(
                 [_plus(controls[k:k + 1]) for k in range(len(points))])):
             for k, p in enumerate(points):
-                assert _hex(control_rows([params_at(controls[k])])[0]) == (
-                    _hex(controls[k]))
                 want = [p.control(name).to_idempotent().plus / p.v
                         for name in ("g", "gamma", "s")]
                 assert _hex(plus[k].view(float)) == _hex(
@@ -595,10 +592,6 @@ class TestLinearSeedRows:
         rows, _ = LinearTwoMode().packed_candidates(control_rows([p]))
         assert np.array_equal(_bits(rows).reshape(-1, 12),
                               _bits(_reference_linear_seeds(p)).reshape(-1, 12))
-        seeds = [[c for z in (*psi, mu) for c in z.as_tuple()]
-                 for psi, mu in LinearTwoMode().candidate_states(p)]
-        assert np.array_equal(_bits(seeds).reshape(-1, 12),
-                              _bits(rows).reshape(-1, 12))
 
     @settings(max_examples=60, deadline=None)
     @given(st_.lists(_linear_points(), min_size=12, max_size=24))

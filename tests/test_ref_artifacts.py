@@ -97,6 +97,33 @@ class TestCompareJson:
             "kind", "pitchfork"))
         assert not out["other_equal"] and out["flags_equal"]
 
+    def test_key_added_at_the_top_level(self):
+        out = self.changed(lambda r: r.__setitem__("gamma_star_j", 0.2))
+        assert out["keys_added"] == ["/gamma_star_j"]
+        assert out["keys_removed"] == []
+        assert out["rows_equal"] and out["max_abs_diff"] == 0.0
+        assert out["ids_equal"] and out["flags_equal"] and out["other_equal"]
+
+    def test_key_added_and_removed_in_a_nested_object(self):
+        def edit(r):
+            r["points"][0]["gamma_star_j"] = 0.0
+            del r["states"][0]["residual_norm"]
+
+        out = self.changed(edit)
+        assert out["keys_added"] == ["/points/0/gamma_star_j"]
+        assert out["keys_removed"] == ["/states/0/residual_norm"]
+        assert out["rows_equal"] and out["other_equal"]
+
+    def test_number_beside_an_added_key_is_measured(self):
+        def edit(r):
+            r["points"][0]["gamma_star_j"] = 0.2
+            r["points"][0]["location"] = 1.5
+
+        out = self.changed(edit)
+        assert out["keys_added"] == ["/points/0/gamma_star_j"]
+        assert out["max_abs_diff"] == 0.5
+        assert out["rows_equal"] and out["ids_equal"]
+
     def test_structure(self):
         out = self.changed(lambda r: r["points"].append(r["points"][0]))
         assert not out["rows_equal"]

@@ -129,14 +129,15 @@ class TestCompare:
 
 class TestLoops:
     """The loops of LOOPS take the seed paths that the workload's loops do
-    not, and each runs round without a fallback."""
+    not; each seeded one runs round without a fallback, and each seedless
+    one falls back at every step of every tracked state."""
 
     def test_seed_paths_and_answers(self):
         system = DimerSystem()
         systems = REF.systems()
         specs = {name: REF.loop_spec(name) for name in REF.LOOPS}
-        seeds = {name: len(system.candidate_states(spec.center))
-                 for name, spec in specs.items()}
+        seeds = {name: len(system.packed_candidates(
+            control_rows([spec.center]))[0]) for name, spec in specs.items()}
         assert seeds["tangent g=5e-4"] == 8  # Q's roots and the linear model
         assert not specs["s-loop at gamma=0.3+0.2j"].center.is_physical()
         assert specs["pitchfork v=2"].center.v == 2.0
@@ -145,13 +146,24 @@ class TestLoops:
                        "tangent g=5e-4, point by point": [2, 2],
                        "s-loop at gamma=0.3+0.2j": [1, 1, 1, 1],
                        "pitchfork v=2": [2, 1, 1],
-                       "tangent g=-1, 300 steps": [2, 1, 1]}
+                       "tangent g=-1, 300 steps": [2, 1, 1],
+                       "tangent g=-1, no seeds": [2, 1, 1],
+                       "EP3 s-loop, no seeds": [3, 1],
+                       "no EP, no seeds": [1, 1, 1, 1]}
         traces = {}
         for name, spec in specs.items():
             assert len(spec.states_to_track) == 4
             trace = encircle(systems[REF.LOOPS[name][0]], spec)
             assert trace.cycle_type == cycle_types[name]
-            assert trace.reliable and trace.fallback_steps == 0
+            assert trace.reliable
+            if REF.LOOPS[name][0] == "no seeds":
+                assert trace.fallback_steps == trace.spec.steps * 4
+                # Newton from the previous step reaches the seeded states
+                seeded = encircle(system, spec)
+                assert seeded.fallback_steps == 0
+                assert trace.permutation == seeded.permutation
+            else:
+                assert trace.fallback_steps == 0
             traces[name] = REF.trace_record(trace)
         # seeds listed point by point give the batched seeds' bits
         assert (traces["tangent g=5e-4, point by point"]
@@ -167,13 +179,15 @@ class TestPointByPoint:
                   for g in (5e-4, -0.85) for gamma in (0.3, 0.9, 1.2)]
         controls = control_rows(points)
         calls = []
-        one_point = DimerSystem.candidate_states
-        monkeypatch.setattr(DimerSystem, "candidate_states",
-                            lambda self, p: calls.append(p) or one_point(
-                                self, p))
+        batched = DimerSystem.packed_candidates
+        monkeypatch.setattr(DimerSystem, "packed_candidates",
+                            lambda self, c: calls.append(len(c)) or batched(
+                                self, c))
         rows, owner = REF.PointByPoint().packed_candidates(controls)
-        assert len(calls) == len(points)
+        assert calls == [1] * len(points)
+        calls.clear()
         want, want_owner = DimerSystem().packed_candidates(controls)
+        assert calls == [len(points)]
         assert rows.tobytes() == want.tobytes()
         assert owner.tolist() == want_owner.tolist()
         assert np.bincount(owner).tolist() == [8, 8, 8, 4, 4, 4]

@@ -205,10 +205,11 @@ def _reference_modulus_derivative(z: Bicomplex) -> np.ndarray:
     return _reference_mult_matrix(z) @ conj + _reference_mult_matrix(z.conj())
 
 
-def reference_residual_vector(view: RealSystemView, x: np.ndarray) -> np.ndarray:
-    """The Newton residual computed with Bicomplex values."""
+def reference_residual_vector(view: RealSystemView, p: DimerParams,
+                              x: np.ndarray) -> np.ndarray:
+    """The Newton residual at p computed with Bicomplex values."""
     psi, mu = _as_seed(x)
-    res = view.system.residual(psi, mu, view.params)
+    res = view.system.residual(psi, mu, p)
     norm = normalization_residual(*psi)
     scale = max(1.0, max(z.max_abs() for z in psi) ** 2)
     assert abs(norm.z2) <= 1e-10 * scale and abs(norm.z3) <= 1e-10 * scale
@@ -227,10 +228,11 @@ def reference_residual_vector(view: RealSystemView, x: np.ndarray) -> np.ndarray
     return out
 
 
-def reference_analytic_jacobian(view: RealSystemView, x: np.ndarray) -> np.ndarray:
-    """The dimer's analytic Jacobian assembled from Bicomplex 4x4 blocks."""
+def reference_analytic_jacobian(view: RealSystemView, p: DimerParams,
+                                x: np.ndarray) -> np.ndarray:
+    """The dimer's analytic Jacobian at p assembled from Bicomplex 4x4
+    blocks."""
     psi, mu = _as_seed(x)
-    p = view.params
     igamma = Bicomplex(0.0, 0.0, 1.0, 0.0) * p.gamma
     diag = (
         -(p.g * psi[0].modulus_squared()) - igamma + p.s - mu,
@@ -286,19 +288,19 @@ class TestKernelParity:
             if k % 4 == 3:
                 x[1::2] = 0.0  # complex-in-i amplitudes and mu
             x[4 * site] += 2.0
-            yield RealSystemView(SYSTEM, p, gauge_site=site), x
+            yield RealSystemView(SYSTEM, p, gauge_site=site), p, x
 
     def test_residual_is_bit_identical(self):
-        for view, x in self.cases(400, 5):
+        for view, p, x in self.cases(400, 5):
             got = view.residual_vector(x)
-            ref = reference_residual_vector(view, x)
+            ref = reference_residual_vector(view, p, x)
             assert np.array_equal(got, ref)
             assert np.array_equal(_bits(got), _bits(ref))
 
     def test_analytic_jacobian_matches_reference(self):
-        for view, x in self.cases(400, 7):
+        for view, p, x in self.cases(400, 7):
             got = view.jacobian(x)
-            ref = reference_analytic_jacobian(view, x)
+            ref = reference_analytic_jacobian(view, p, x)
             scale = max(1.0, np.max(np.abs(ref)))
             assert np.max(np.abs(got - ref)) / scale < 1e-13
 
@@ -315,6 +317,24 @@ class TestNewton:
         assert abs(st.mu.z0 - target) < 1e-10
         assert st.residual_norm < CFG.residual_tol
         assert st.is_complex_state and st.is_pt_symmetric
+
+    @pytest.mark.parametrize("p", [
+        DimerParams(v=1.0, g=-1.3, gamma=0.4, s=0.05),
+        DimerParams(v=2.0, g=Bicomplex(0.9, 0.1), gamma=Bicomplex(0.7, -0.2)),
+    ])
+    def test_seed_forms_give_the_same_state(self, p):
+        # a ((psi1, psi2), mu) pair and a StationaryState with its floats
+        rows, _ = SYSTEM.packed_candidates(control_rows([p]))
+        for (psi1, psi2), mu in map(_as_seed, rows.tolist()):
+            pair = newton_solve(SYSTEM, p, ((psi1, psi2), mu), CFG)
+            state = newton_solve(SYSTEM, p, StationaryState(
+                psi1, psi2, mu, math.inf, False, False), CFG)
+            assert _bits(solver._rows([state])).tolist() == (
+                _bits(solver._rows([pair])).tolist())
+            assert (pair.residual_norm.hex(), pair.is_complex_state,
+                    pair.is_pt_symmetric) == (state.residual_norm.hex(),
+                                              state.is_complex_state,
+                                              state.is_pt_symmetric)
 
     @pytest.mark.parametrize("mode", ["finite-difference", "fd", "Analytic",
                                       " analytic", ""])
@@ -1120,9 +1140,9 @@ class TestCandidates:
 
     def test_dimer_seeds_are_states_at_a_generic_point(self):
         p = DimerParams(v=1.0, g=-1.3, gamma=0.4, s=0.05)
-        seeds = SYSTEM.candidate_states(p)
-        assert len(seeds) == 4
-        for psi, mu in seeds:
+        rows, _ = SYSTEM.packed_candidates(control_rows([p]))
+        assert len(rows) == 4
+        for psi, mu in map(_as_seed, rows.tolist()):
             r1, r2 = residual(psi[0], psi[1], mu, p)
             assert max(r1.max_abs(), r2.max_abs()) < 1e-12
 
@@ -1134,7 +1154,7 @@ class TestCandidates:
     ])
     def test_dimer_seed_count(self, v, g, gamma, s, count):
         p = DimerParams(v=v, g=g, gamma=gamma, s=s)
-        assert len(SYSTEM.candidate_states(p)) == count
+        assert len(SYSTEM.packed_candidates(control_rows([p]))[0]) == count
         assert len(find_all_states(SYSTEM, p, CFG)) == 4
 
     @pytest.mark.parametrize("gamma_j", [0.5, -0.5])
@@ -1296,21 +1316,24 @@ HYPOT_ROW = [0.6332345645750606, -1.5145042565022473, 1.2691107335055054,
 
 
 class TestCanonicalRows:
-    """solver._canonical_rows against the Bicomplex reference, bit for bit,
-    on floats (fewer than _CROSSOVER rows) and on lanes (more)."""
+    """The canonical gauge and the flags of solver._solved against the
+    Bicomplex reference, bit for bit, on floats (fewer than _CROSSOVER
+    rows) and on lanes (more)."""
 
     @staticmethod
     def check(rows):
         x = np.array(rows, dtype=float).reshape(-1, 12)
         lanes = np.resize(x, (max(len(x), 2 * solver._CROSSOVER), 12))
         for batch in (x[:1], x[:solver._CROSSOVER - 1], lanes):
-            got, is_complex, is_pt = solver._canonical_rows(batch)
-            assert len(got) == len(is_complex) == len(is_pt) == len(batch)
-            for row, c, p, seed in zip(got, is_complex, is_pt, batch.tolist()):
+            fnorm = np.arange(len(batch)) * 1e-16
+            got = solver._solved(batch, fnorm)
+            assert got.shape == (len(batch), 15)
+            assert np.array_equal(_bits(got[:, 12]), _bits(fnorm))
+            for row, seed in zip(got.tolist(), batch.tolist()):
                 want, flags = _reference_canonical(seed)
-                assert [v.hex() for v in row] == [v.hex() for v in want]
-                assert (c, p) == flags
-                assert type(c) is bool and type(p) is bool
+                assert [v.hex() for v in row[:12]] == [v.hex() for v in want]
+                assert tuple(row[13:]) == flags
+                assert set(row[13:]) <= {0.0, 1.0}
 
     COMPONENT = st_.floats(-1e3, 1e3, allow_nan=False)
 
@@ -1345,8 +1368,8 @@ class TestCanonicalRows:
         x[:, 0:8] *= 1e-13
         x[::3, 0:8] = 0.0
         self.check(x)
-        got, _, _ = solver._canonical_rows(x)
-        assert np.array_equal(_bits(np.array(got)), _bits(x))
+        got = solver._solved(x, np.zeros(len(x)))[:, :12]
+        assert np.array_equal(_bits(got), _bits(x))
         # the larger smaller idempotent magnitude on either side of GAUGE_EPS
         x[:, 0:8] *= rng.uniform(5.0, 30.0, (40, 1))
         self.check(x)

@@ -10,8 +10,9 @@ checkout's ``src/``, in a fresh directory.  For every command the record
 holds both exit codes and, for each file it writes plus its one-line
 summary (``summary.json``), whether the bytes are identical; where they
 are not, the largest difference of any number, and whether the rows (or
-the JSON structure), the ``branch_id`` column, the two flag columns and
-every other non-numeric value are equal.  The last line of standard output
+the JSON lists' lengths), the ``branch_id`` column, the two flag columns
+and every other non-numeric value are equal; for JSON also the path of
+each key that the change adds or removes.  The last line of standard output
 is a one-line verdict: the commands whose artifacts are not byte-identical.
 """
 
@@ -141,21 +142,24 @@ def _compare_csv(a: str, b: str) -> dict:
     return out
 
 
-def _walk(a, b, out: dict, key=None):
+def _walk(a, b, out: dict, key=None, path=""):
     """Compare two JSON values: numbers by difference, the rest exactly;
-    ``key`` is the name of the member they are (or are items of)."""
+    ``key`` is the name of the member they are (or are items of), and
+    ``path`` where they sit ("/points/0/mu").  A key of one side only goes
+    by its path into ``keys_added`` (b's) or ``keys_removed`` (a's); the
+    keys both sides have are still compared."""
     if isinstance(a, dict) and isinstance(b, dict):
-        if sorted(a) != sorted(b):
-            out["rows_equal"] = False
-            return
+        out["keys_removed"] += [f"{path}/{k}" for k in a if k not in b]
+        out["keys_added"] += [f"{path}/{k}" for k in b if k not in a]
         for k in a:
-            _walk(a[k], b[k], out, k)
+            if k in b:
+                _walk(a[k], b[k], out, k, f"{path}/{k}")
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             out["rows_equal"] = False
             return
-        for x, y in zip(a, b):
-            _walk(x, y, out, key)
+        for i, (x, y) in enumerate(zip(a, b)):
+            _walk(x, y, out, key, f"{path}/{i}")
     elif key in ID_KEYS:
         out["ids_equal"] &= a == b
     elif key in FLAG_COLUMNS:
@@ -169,7 +173,8 @@ def _walk(a, b, out: dict, key=None):
 def compare(name: str, a: bytes, b: bytes) -> dict:
     """How the artifact ``name`` differs between two runs: ``identical``
     when the bytes are; otherwise the largest numeric difference and
-    whether rows, branch ids, flags and everything else are equal."""
+    whether rows, branch ids, flags and everything else are equal, and for
+    JSON the keys added and removed."""
     if a == b:
         return {"identical": True}
     text_a, text_b = a.decode(), b.decode()
@@ -177,7 +182,8 @@ def compare(name: str, a: bytes, b: bytes) -> dict:
         out = _compare_csv(text_a, text_b)
     else:
         out = {"max_abs_diff": 0.0, "rows_equal": True, "ids_equal": True,
-               "flags_equal": True, "other_equal": True}
+               "flags_equal": True, "other_equal": True, "keys_added": [],
+               "keys_removed": []}
         try:
             _walk(json.loads(text_a), json.loads(text_b), out)
         except json.JSONDecodeError:

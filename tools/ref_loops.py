@@ -20,7 +20,9 @@ and the question benchmark from its ``qbench/``:
 One loop and one grid run on :class:`PointByPoint`, the dimer with its
 seeds listed one point at a time, as a system without a polynomial to
 batch lists them; so the record also covers the solver's path for such a
-system.
+system.  Three loops run on :class:`NoSeeds`, the dimer with no seeds at
+all, so that every step of them takes the loop's fallback, Newton from
+the previous step's state.
 
 Floats are recorded as ``float.hex``, so equal records mean equal bits.
 The record written to ``--out`` holds, for each loop and grid, whether the
@@ -61,8 +63,9 @@ GRIDS = {
 # loops that track all states at the start, on the seed paths the
 # workload's loops miss: below |g| = 1e-3 v, where Q's roots and the linear
 # eigenpairs both seed (8 lanes a point); a j-continued center; v != 1; and
-# more steps than one block of loop points (solver._BLOCK = 256); and the
-# first of these with its seeds listed point by point.
+# more steps than one block of loop points (solver._BLOCK = 256); the
+# first of these with its seeds listed point by point; and a tangent, an
+# EP3 and a loop around no EP with no seeds, where every step falls back.
 # (system; controls of the center, a (real, j) pair for a continued one;
 # the looped control; radius; steps)
 LOOPS = {
@@ -77,6 +80,12 @@ LOOPS = {
                       "gamma", 2e-3, 128),
     "tangent g=-1, 300 steps": ("dimer", {"g": -1.0, "gamma": 1.0}, "gamma",
                                 1e-3, 300),
+    "tangent g=-1, no seeds": ("no seeds", {"g": -1.0, "gamma": 1.0},
+                               "gamma", 1e-3, 64),
+    "EP3 s-loop, no seeds": ("no seeds", {"g": -1.0, "gamma": 3.0 ** 0.5 / 2},
+                             "s", 1e-3, 64),
+    "no EP, no seeds": ("no seeds", {"g": -1.0, "gamma": 0.5}, "gamma", 0.05,
+                        64),
 }
 # one BLAS thread in the recording processes, as in the benchmark
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -86,9 +95,9 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 class PointByPoint:
     """The dimer through the solver's system interface alone, with its
-    seeds listed one point at a time from the one-point
-    ``candidate_states``, as a system without a polynomial to batch would
-    list them."""
+    seeds listed one point at a time, each from a one-row
+    ``packed_candidates`` call, as a system without a polynomial to batch
+    would list them."""
 
     def __init__(self):
         from bcdimer.model import DimerSystem
@@ -97,17 +106,24 @@ class PointByPoint:
 
     def packed_candidates(self, controls):
         import numpy as np
-        from bcdimer.model import params_at
 
-        seeds = [self.dimer.candidate_states(params_at(row))
-                 for row in controls]
-        rows = [[c for z in (*psi, mu) for c in z.as_tuple()]
-                for at in seeds for psi, mu in at]
-        return (np.array(rows, dtype=float).reshape(-1, 12),
+        seeds = [self.dimer.packed_candidates(controls[k:k + 1])[0]
+                 for k in range(len(controls))]
+        return (np.concatenate([np.empty((0, 12)), *seeds]),
                 np.repeat(np.arange(len(seeds)), [len(at) for at in seeds]))
 
     def lane_controls(self, c):
         return self.dimer.lane_controls(c)
+
+
+class NoSeeds(PointByPoint):
+    """The dimer with no seed at any point: a loop on it continues every
+    state by Newton from the previous step's state."""
+
+    def packed_candidates(self, controls):
+        import numpy as np
+
+        return np.empty((0, 12)), np.empty(0, dtype=int)
 
 
 def systems() -> dict:
@@ -116,7 +132,7 @@ def systems() -> dict:
     from bcdimer.model import DimerSystem, LinearTwoMode
 
     return {"dimer": DimerSystem(), "linear": LinearTwoMode(),
-            "point by point": PointByPoint()}
+            "point by point": PointByPoint(), "no seeds": NoSeeds()}
 
 
 def state_record(st) -> list:
