@@ -60,7 +60,13 @@ class _Usage(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument errors become usage errors with a JSON summary line."""
+    """Argument errors become usage errors with a JSON summary line.  "-"
+    and a digit, as -1e-3 or -2.5:-0.1:0.1, starts a value, not an option."""
+
+    def __init__(self, *args, **kwargs):
+        import re  # loaded by argparse
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -254,7 +260,7 @@ def _cmd_sweep(ns, system, params, cfg) -> dict:
     _write(ns.out, "branches.csv", branches_to_csv(branches))
     counts = {}
     for br in branches:
-        for value, _ in br.samples:
+        for value in br.values:
             counts[value] = counts.get(value, 0) + 1
     count_values = sorted(set(counts.values()))
     return {

@@ -23,14 +23,15 @@ import itertools
 from dataclasses import dataclass, field, replace
 
 from .bicomplex import Bicomplex, fmt_float
-from .model import BifurcationPoint, StationaryState
+from .model import BifurcationPoint, StationaryState, control_rows
 from .solver import (
     GaugeDegenerate,
     NoConvergence,
     SolveConfig,
+    _Lazy,
     _distances,
-    _rows,
-    find_states_along,
+    _find_rows,
+    _states,
     newton_solve,
     state_distance,
 )
@@ -71,9 +72,20 @@ class NoMerger(RuntimeError):
     """The scanned interval contains no pitchfork-disappearance crossing."""
 
 
+class _Samples(_Lazy):
+    """A stitched branch's (value, state) samples from the ``values`` and
+    the solved ``rows`` of their states, each state built when read."""
+
+    def __init__(self, values: list[float], rows):
+        super().__init__(len(values), lambda k: (
+            values[k], _states([rows[k].tolist()])[0]))
+        self.values, self.rows = values, rows
+
+
 @dataclass
 class Branch:
-    """One swept solution branch over a real control parameter."""
+    """One swept solution branch over a real control parameter; a stitched
+    branch builds the state of a (value, state) sample when it is read."""
 
     parameter: str
     samples: list[tuple[float, StationaryState]] = field(default_factory=list)
@@ -81,12 +93,19 @@ class Branch:
     branch_id: int = 0
 
     @property
+    def values(self) -> list[float]:
+        """The control value of each sample, read without its state."""
+        if isinstance(self.samples, _Samples):
+            return self.samples.values
+        return [value for value, _ in self.samples]
+
+    @property
     def start(self) -> float:
-        return self.samples[0][0]
+        return self.values[0]
 
     @property
     def end(self) -> float:
-        return self.samples[-1][0]
+        return self.values[-1]
 
 
 def sweep_branch(
@@ -223,8 +242,8 @@ def meeting_branches(point, branches, step) -> tuple[list[int], int | None]:
     """
     nearest = {}
     for br in branches:
-        dists = [state_distance(st, point.coalesced_state)
-                 for value, st in br.samples
+        dists = [state_distance(br.samples[k][1], point.coalesced_state)
+                 for k, value in enumerate(br.values)
                  if abs(value - point.location) <= step]
         if dists:
             nearest[br.branch_id] = min(dists)
@@ -234,12 +253,12 @@ def meeting_branches(point, branches, step) -> tuple[list[int], int | None]:
     ids = [ids[c] for c in _assign_many(cost)[0].tolist()] if k else []
     if point.kind != "pitchfork":
         return ids, None
-    symmetric = [
-        bid for bid in ids
-        if min(branches[bid].samples,
-               key=lambda sample: abs(sample[0] - point.location))[1]
-        .is_pt_symmetric
-    ]
+    symmetric = []
+    for bid in ids:
+        values = branches[bid].values
+        k = values.index(min(values, key=lambda v: abs(v - point.location)))
+        if branches[bid].samples[k][1].is_pt_symmetric:
+            symmetric.append(bid)
     return ids, (symmetric[0] if symmetric else None)
 
 
@@ -259,11 +278,11 @@ def detect_bifurcations(
     """
     for i, br in enumerate(branches):
         br.branch_id = i
-    values = [value for br in branches for value, _ in br.samples]
+    values = [value for br in branches for value in br.values]
     if not values:
         return []
-    step = max((abs(b[0] - a[0]) for br in branches
-                for a, b in zip(br.samples, br.samples[1:])), default=0.0)
+    step = max((abs(b - a) for br in branches
+                for a, b in zip(br.values, br.values[1:])), default=0.0)
     points = system.bifurcation_set(params, branches[0].parameter,
                                     min(values) - step, max(values) + step,
                                     cfg)
@@ -380,47 +399,47 @@ def stitched_branches(system, params, parameter, grid, cfg) -> list[Branch]:
     """All states per grid point stitched into branches by least-distance
     matching (see :func:`_assign`).
 
-    The states of the whole grid come from one call of
-    :func:`~bcdimer.solver.find_states_along`, which solves every seed of
+    The grid's points are control rows, with no DimerParams a point, and
+    its states the solved rows of one :func:`~bcdimer.solver._find_rows`
+    call, which solves every seed of
     every point at once; they equal :func:`find_all_states`' point by
-    point.  Each point's cost matrix is one max-norm over the states' 12
+    point.  Each point's cost matrix is one max-norm over the rows' 12
     floats (:func:`~bcdimer.solver._distances`), state_distance's bits, and
     the matrices of one shape are matched in one :func:`_assign_many` call.
     A state opens a branch where its match is 0.5 or more away, and after
-    a point with no states.
+    a point with no states.  A sample's state is built when it is read.
     """
-    along = find_states_along(
-        system, [params.with_control(parameter, value) for value in grid], cfg)
-    rows = _rows([st for states in along for st in states])
-    first = np.cumsum([0, *map(len, along)])
+    controls = np.repeat(control_rows([params]), len(grid), axis=0)
+    col = 1 + 4 * ("g", "gamma", "s").index(parameter)
+    controls[:, col], controls[:, col + 1:col + 4] = grid, 0.0
+    rows, counts = _find_rows(system, controls, cfg)
+    first = np.cumsum([0, *counts])
     # the previous point's state matched to each state, -1 for none
     match = np.full(len(rows), -1)
     shapes: dict = {}
-    for k in range(1, len(along)):
-        if along[k] and along[k - 1]:
-            shapes.setdefault((len(along[k]), len(along[k - 1])), []).append(k)
+    for k in range(1, len(counts)):
+        if counts[k] and counts[k - 1]:
+            shapes.setdefault((counts[k], counts[k - 1]), []).append(k)
     for (n_rows, n_cols), ks in shapes.items():
         now = first[ks][:, None] + np.arange(n_rows)
         before = first[np.array(ks) - 1][:, None] + np.arange(n_cols)
-        cost = _distances(rows[now], rows[before][:, None])
+        cost = _distances(rows[now, :12], rows[before][:, None, :, :12])
         cols = _assign_many(cost)
         near = np.take_along_axis(cost, np.maximum(cols, 0)[..., None], 2)
         match[now] = np.where((cols >= 0) & (near[..., 0] < 0.5), cols, -1)
     match = match.tolist()
-    branches: list[Branch] = []
-    open_ids: list[int] = []
-    for value, states, lo in zip(grid, along, first.tolist()):
-        ids = []
-        for st, col in zip(states, match[lo:lo + len(states)]):
-            bid = open_ids[col] if col >= 0 else len(branches)
-            if bid == len(branches):
-                branches.append(Branch(parameter=parameter, branch_id=bid))
-            branches[bid].samples.append((value, st))
-            ids.append(bid)
-        open_ids = ids
-    for br in branches:
-        br.termination = "range_end"
-    return branches
+    # the branch of each row: its match's, or a new one
+    branch_of, ids, count = [], [], 0
+    for lo, n in zip(first.tolist(), counts):
+        ids = [ids[col] if col >= 0 else (count := count + 1) - 1
+               for col in match[lo:lo + n]]
+        branch_of += ids
+    values = [value for value, n in zip(grid, counts) for _ in range(n)]
+    branch_of = np.array(branch_of, dtype=int)
+    return [Branch(parameter, _Samples([values[k] for k in at], rows[at]),
+                   "range_end", bid)
+            for bid, at in enumerate(np.flatnonzero(branch_of == b)
+                                     for b in range(count))]
 
 
 # -- export -----------------------------------------------------------------
@@ -439,28 +458,33 @@ def states_table(rows, lead: tuple[str, ...] = (),
     """CSV text with one line per (lead cells, state, extra cells) row.
 
     The columns are the ``lead`` ones, the state's components, mu in the
-    (re, im) complex split, the ``extra`` ones and the two flags.
+    (re, im) complex split, the ``extra`` ones and the two flags.  A state
+    is a StationaryState or its 15 values, as in a solved row.
     """
     header = [*lead, _STATE_COLUMNS, *extra,
               "is_complex_state", "is_pt_symmetric"]
     lines = [",".join(header)]
     for lead_cells, st, extra_cells in rows:
+        if isinstance(st, StationaryState):
+            st = (*st.psi1.as_tuple(), *st.psi2.as_tuple(), *st.mu.as_tuple(),
+                  st.residual_norm, st.is_complex_state, st.is_pt_symmetric)
         # mu twice: its components, then re_mu_0, re_mu_2, im_mu_0, im_mu_2;
         # %r of a float is its repr, fmt_float
-        mu = "%r,%r,%r,%r" % st.mu.as_tuple()
-        cells = "%r,%r,%r,%r,%r,%r,%r,%r,%s,%s" % (
-            *st.psi1.as_tuple(), *st.psi2.as_tuple(), mu, mu)
+        mu = "%r,%r,%r,%r" % tuple(st[8:12])
+        cells = "%r,%r,%r,%r,%r,%r,%r,%r,%s,%s" % (*st[0:8], mu, mu)
         lines.append(",".join([
             *lead_cells, cells, *extra_cells,
-            "true" if st.is_complex_state else "false",
-            "true" if st.is_pt_symmetric else "false"]))
+            "true" if st[13] else "false",
+            "true" if st[14] else "false"]))
     return "\n".join(lines) + "\n"
 
 
 def branches_to_csv(branches: list[Branch]) -> str:
-    """Branch samples in the interchange schema (one row per sample)."""
+    """Branch samples in the interchange schema (one row per sample); a
+    stitched branch's are written from its rows, building no state."""
     return states_table(
         (((fmt_float(value), str(br.branch_id)), st, ())
-         for br in branches for value, st in br.samples),
-        lead=("param", "branch_id"),
-    )
+         for br in branches for value, st in zip(br.values, (
+             br.samples.rows.tolist() if isinstance(br.samples, _Samples)
+             else (st for _, st in br.samples)))),
+        lead=("param", "branch_id"))

@@ -40,6 +40,7 @@ from .solver import (
     NoConvergence,
     SolveConfig,
     _candidate_solves,
+    _Lazy,
     _distances,
     _rows,
     _solve_at,
@@ -113,26 +114,6 @@ class LoopSpec:
             raise ValueError("no states to track")
 
 
-class _Steps(Sequence):
-    """The tracked states of every loop step ([step][branch]), each step's
-    built from its solved rows (:func:`~bcdimer.solver._solved`) when it
-    is first read."""
-
-    def __init__(self, rows: list[np.ndarray]):
-        self._rows = rows
-        self._states = [None] * len(rows)
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(*k.indices(len(self)))]
-        if self._states[k] is None:
-            self._states[k] = _states(self._rows[k].tolist())
-        return self._states[k]
-
-
 @dataclass
 class LoopTrace:
     """One loop around a center.  ``states[step][branch]`` is the state of
@@ -186,7 +167,8 @@ def _track_segment(system, spec, row, phi0, phi1, cfg, depth=0):
 
 def _step(system, spec, rows, seeded, phi0, phi1, cfg):
     """The solved rows of every tracked state at phi1, each one's distances
-    to every row of ``rows``, and how many states took the fallback.
+    to every row of ``rows``, and the row of ``seeded`` that each state
+    continues as, -1 for a state that took the fallback.
 
     ``rows`` and ``seeded`` are :func:`~bcdimer.solver._solved` rows: the
     tracked states at phi0, and the rows Newton reached from the candidate
@@ -200,20 +182,20 @@ def _step(system, spec, rows, seeded, phi0, phi1, cfg):
     """
     n = len(rows)
     near = _distances(rows[:, :12], seeded[:, :12])
-    new, dists = np.empty(rows.shape), np.empty((n, n))
-    mutual = np.zeros(n, dtype=bool)
+    pick = np.full(n, -1)
     if len(seeded):
-        pick = near.argmin(1)
-        mutual = near.argmin(0)[pick] == np.arange(n)
+        best = near.argmin(1)
+        mutual = near.argmin(0)[best] == np.arange(n)
         if mutual.all():
-            return seeded[pick], near[:, pick].T, 0
-        new[mutual], dists[mutual] = (seeded[pick[mutual]],
-                                      near[:, pick[mutual]].T)
-    lost = np.flatnonzero(~mutual).tolist()
-    for i in lost:
+            return seeded[best], near[:, best].T, best
+        pick[mutual] = best[mutual]
+    new, dists = np.empty(rows.shape), np.empty((n, n))
+    kept = pick >= 0
+    new[kept], dists[kept] = seeded[pick[kept]], near[:, pick[kept]].T
+    for i in np.flatnonzero(~kept).tolist():
         new[i] = _track_segment(system, spec, rows[i], phi0, phi1, cfg)
         dists[i] = _distances(new[i, :12], rows[:, :12])
-    return new, dists, len(lost)
+    return new, dists, pick
 
 
 def _match_margin(dists) -> float:
@@ -274,29 +256,57 @@ def encircle(system, spec: LoopSpec, cfg: SolveConfig | None = None) -> LoopTrac
 
 def _encircle_once(system, spec: LoopSpec, cfg: SolveConfig) -> LoopTrace:
     """One pass around the loop, carried as solved rows; the margin comes
-    from the distances of every step and of the closure at once."""
+    from the distances of every step and of the closure at once.  Where a
+    block has one row a point per state, one array pass gives the distances
+    between consecutive points' rows; a step whose picks there are all
+    mutual, with no tie, chains the states' row indices from a point of the
+    block, and a run of such steps gathers its rows and distances in one
+    fancy index, with :func:`_step`'s bits.  Other steps run _step."""
     sign = -1.0 if spec.reverse else 1.0
     total = 2.0 * math.pi * spec.turns
     n_steps = spec.steps * spec.turns
     phis = [sign * total * k / n_steps for k in range(n_steps + 1)]
     controls = _loop_controls(spec, [0.0, *phis[1:]])
     rows = _solve_at(system, controls[:1], _rows(spec.states_to_track), cfg)
-    steps, dists, fallback_steps = [rows], [], 0
-    seeded = _candidate_solves(system, controls[1:], cfg)
-    for k, at_phi in enumerate(seeded, start=1):
-        rows, near, fallbacks = _step(system, spec, rows, at_phi,
-                                      phis[k - 1], phis[k], cfg)
-        steps.append(rows)
-        dists.append(near)
-        fallback_steps += fallbacks
+    n, steps, dists, fallback_steps = len(rows), [rows], [], 0
+    for solved, first in _candidate_solves(system, controls[1:], cfg):
+        m, ok = len(first) - 1, []
+        if (np.diff(first) == n).all():
+            at = solved.reshape(m, n, -1)
+            # near[j - 1][a, b]: row a at point j - 1 to row b at point j
+            near = _distances(at[:-1, :, :12], at[1:, None, :, :12])
+            best, back = near.argmin(2), near.argmin(1)
+            ok = ((np.take_along_axis(back, best, 1) == np.arange(n)).all(1)
+                  & ((near == near.min(1, keepdims=True)).sum(1) == 1).all(1))
+            best, ok = best.tolist(), ok.tolist()
+        idx, run = None, []  # the states' rows at point j - 1; chained steps
+        for j in range(m + 1):
+            if j < m and idx is not None and ok[j - 1]:
+                run.append((j, idx, [best[j - 1][a] for a in idx]))
+                idx = run[-1][2]
+                continue
+            if run:
+                js, was, now = (np.array(c) for c in zip(*run))
+                steps.extend(at[js[:, None], now])
+                dists.append(near[js[:, None, None] - 1, was[:, None, :],
+                                  now[:, :, None]])
+                rows, run = steps[-1], []
+            if j < m:
+                rows, near_j, pick = _step(
+                    system, spec, rows, solved[first[j]:first[j + 1]],
+                    phis[len(steps) - 1], phis[len(steps)], cfg)
+                steps.append(rows)
+                dists.append(near_j[None])
+                fallback_steps += int((pick < 0).sum())
+                idx = pick.tolist() if ok and (pick >= 0).all() else None
     cost = _distances(rows[:, :12], steps[0][:, :12])
     perm = [target for _branch, target in _assign(cost.tolist())]
-    margin = _match_margin(np.array([*dists, cost]))
+    margin = _match_margin(np.concatenate([*dists, cost[None]]))
     reliable = bool(margin > 2.0)
     return LoopTrace(
         spec=spec,
         phis=phis,
-        states=_Steps(steps),
+        states=_Lazy(len(steps), lambda k: _states(steps[k].tolist())),
         permutation=perm,
         cycle_type=_cycles(perm),
         match_margin=margin,

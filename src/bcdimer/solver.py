@@ -293,6 +293,23 @@ def _states(solved) -> list[StationaryState]:
                             bool(r[14])) for r in solved]
 
 
+class _Lazy:
+    """A sequence of ``make(k)``, each item made when first read."""
+
+    def __init__(self, n: int, make):
+        self._make, self._items = make, [None] * n
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        if self._items[k] is None:
+            self._items[k] = self._make(k)
+        return self._items[k]
+
+
 def canonical_gauge(psi, mu):
     """Unique gauge representative of a dimer state (psi1, psi2), mu: one
     amplitude's plus component real and positive, idempotent magnitudes
@@ -348,6 +365,39 @@ def _ordered(rows: list[list[float]], kept) -> list[int]:
     if len(set(keys)) < len(keys):
         keys = [_sort_key(rows[k]) for k in kept]
     return [kept[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
+
+
+def _block_order(rows: np.ndarray, first):
+    """The indices of the :func:`_solved` rows (n, 15) of a block that
+    :func:`_dedup` keeps and :func:`_ordered` sorts at each point, point k
+    at first[k]:first[k + 1], and each point's count.
+
+    Only points with two rows within DEDUP_TOL (a nan distance counts)
+    need the dedup.  At the others, one lexsort on (point, mu) gives
+    _ordered's order where every two mu differ, each component equal or
+    more than 2e-9 apart, so that round(c, 9) orders them alike.  The
+    rest, and a one-point block, run _dedup and _ordered.  Each row is
+    compared with the next d rows, for d below the widest point."""
+    counts = np.diff(first).tolist()
+    slow, order = {0}, np.arange(len(rows))
+    if len(counts) > 1:
+        owner, slow = np.repeat(np.arange(len(counts)), counts), set()
+        for d in range(1, max(counts)):
+            with np.errstate(invalid="ignore"):  # inf - inf: slow anyway
+                gap = np.abs(rows[d:, :12] - rows[:-d, :12])
+            mu = gap[:, 8:12]
+            near = (~(gap.max(1) > DEDUP_TOL) | (mu == 0).all(1)
+                    | ((mu > 0) & (mu <= 2e-9)).any(1))
+            slow.update(owner[d:][near & (owner[d:] == owner[:-d])].tolist())
+        order = np.lexsort((*rows[:, 11:7:-1].T, owner))
+    pieces, at = [], 0
+    for k in sorted(slow):
+        lo, hi = first[k], first[k + 1]
+        local = _ordered(rows[lo:hi].tolist(), _dedup(
+            rows[lo:hi, :12], rows[lo:hi, 12].tolist(), DEDUP_TOL))
+        pieces += [order[at:lo], np.array(local, dtype=int) + lo]
+        counts[k], at = len(local), hi
+    return np.concatenate([*pieces, order[at:]]), counts
 
 
 def _dedup(rows: np.ndarray, fnorm: list[float], tol: float) -> list[int]:
@@ -602,10 +652,10 @@ def _candidate_solves(system, controls, cfg: SolveConfig):
     pass per block of _BLOCK points, on gauge site 0 with no retry and no
     polish; a block is solved when the iteration reaches it.
 
-    Yields, point by point, the :func:`_solved` rows (canonical floats,
-    residual and flags) Newton reaches from its seeds, in seed order; a
-    seed from which :func:`newton_solve` would raise yields nothing.  No
-    state is built.
+    Yields, block by block, the :func:`_solved` rows Newton reaches from
+    its seeds, point after point in seed order, and each point's offset
+    in them; a seed from which :func:`newton_solve` would raise yields no
+    row.  No state is built.
     """
     for start in range(0, len(controls), _BLOCK):
         block = controls[start:start + _BLOCK]
@@ -615,10 +665,8 @@ def _candidate_solves(system, controls, cfg: SolveConfig):
                                       cfg.residual_tol)
         ok = np.array([k for k in range(len(seeds)) if k not in errors],
                       dtype=int)
-        solved = _solved(x[ok], fnorm[ok])
-        first = np.searchsorted(owner[ok], np.arange(len(block) + 1)).tolist()
-        for lo, hi in zip(first, first[1:]):
-            yield solved[lo:hi]
+        yield (_solved(x[ok], fnorm[ok]),
+               np.searchsorted(owner[ok], np.arange(len(block) + 1)))
 
 
 # -- all states -----------------------------------------------------------
@@ -627,25 +675,32 @@ def _candidate_solves(system, controls, cfg: SolveConfig):
 def find_states_along(system, points, cfg: SolveConfig | None = None
                       ) -> list[list[StationaryState]]:
     """All stationary states at each of ``points``, as
-    :func:`find_all_states` finds them, in one batched pass per block of
-    _BLOCK (256) points.
+    :func:`find_all_states` finds them: the rows of :func:`_find_rows`,
+    made states point by point."""
+    rows, counts = _find_rows(system, control_rows(points),
+                              cfg or SolveConfig())
+    states = _states(rows.tolist())
+    first = np.cumsum([0, *counts]).tolist()
+    return [states[lo:hi] for lo, hi in zip(first, first[1:])]
+
+
+def _find_rows(system, controls, cfg: SolveConfig):
+    """All stationary states at each point of ``controls`` (rows of
+    :func:`~bcdimer.model.control_rows`) as :func:`_solved` rows, in one
+    batched pass per block of _BLOCK (256) points: an (n, 15) array, point
+    after point, and each point's count.
 
     Every seed of the block is a lane: the seeds come from one call of the
     system's ``packed_candidates`` (one batched root finding and
     back-solve, for the dimer), and Newton, the retry of a lane whose
     gauge amplitude vanishes on gauge site 1, and the polish run on all
     lanes at once.  The rows are made gauge-canonical and flagged in one
-    call.  Only the points with two rows within DEDUP_TOL, found in one
-    array pass, run the dedup rule (:func:`_dedup`); the kept rows are
-    sorted (:func:`_ordered`) and made states.
+    call, and deduplicated and sorted by :func:`_block_order`.
     """
-    if cfg is None:
-        cfg = SolveConfig()
-    controls = control_rows(points)
-    out = []
-    for start in range(0, len(controls), _BLOCK):
-        out += _find_block(system, controls[start:start + _BLOCK], cfg)
-    return out
+    blocks = [_find_block(system, controls[start:start + _BLOCK], cfg)
+              for start in range(0, len(controls), _BLOCK)]
+    return (np.concatenate([np.empty((0, 15)), *(b for b, _ in blocks)]),
+            [n for _, counts in blocks for n in counts])
 
 
 def _find_block(system, controls, cfg: SolveConfig):
@@ -665,24 +720,9 @@ def _find_block(system, controls, cfg: SolveConfig):
     ok = np.array([k for k in idx.tolist() if k not in errors], dtype=int)
     x, fnorm = _polish(lanes, ok, x[ok], f[ok])
     solved = _solved(x, fnorm)
-    arr, rows = solved[:, :12], solved.tolist()
-    owner, fnorm = lanes.owner[ok], fnorm.tolist()
-    first = np.searchsorted(owner, np.arange(len(controls) + 1)).tolist()
-    # the points with two rows within DEDUP_TOL (a nan distance counts, as
-    # in _dedup): a point's rows are adjacent, so each row is compared with
-    # the next d rows, for d below the widest point
-    close = set()
-    for d in range(1, np.diff(first).max(initial=0)):
-        near = ~(np.abs(arr[d:] - arr[:-d]).max(1) > DEDUP_TOL)
-        close.update(owner[d:][near & (owner[d:] == owner[:-d])].tolist())
-    out = []
-    for k, (lo, hi) in enumerate(zip(first, first[1:])):
-        kept = range(lo, hi)
-        if k in close:
-            kept = [lo + j for j in _dedup(arr[lo:hi], fnorm[lo:hi],
-                                           DEDUP_TOL)]
-        out.append(_states([rows[k] for k in _ordered(rows, kept)]))
-    return out
+    order, counts = _block_order(solved, np.searchsorted(
+        lanes.owner[ok], np.arange(len(controls) + 1)).tolist())
+    return solved[order], counts
 
 
 def find_all_states(system, params, cfg: SolveConfig | None = None) -> list[StationaryState]:

@@ -58,6 +58,24 @@ def symmetric_states(params):
     ]
 
 
+def point_of(row) -> DimerParams:
+    """The DimerParams of a row of control_rows."""
+    v, *c = row
+    return DimerParams(v, *(Bicomplex(*c[k:k + 4]) for k in (0, 4, 8)))
+
+
+def solved_rows(states) -> np.ndarray:
+    """The 15 values of each state as a solved row holds them: its 12
+    floats, its residual and its two flags."""
+    return np.array([(*state_floats(st), st.residual_norm,
+                      st.is_complex_state, st.is_pt_symmetric)
+                     for st in states], dtype=float).reshape(-1, 15)
+
+
+def state_floats(st) -> tuple:
+    return (*st.psi1.as_tuple(), *st.psi2.as_tuple(), *st.mu.as_tuple())
+
+
 # the two sources of branches: sweep_branch from single states, and
 # stitched_branches on the grid of `bcdimer bifurcations`
 SOURCES = ["swept", "stitched"]
@@ -306,21 +324,18 @@ class TestBranchIdentity:
     }
     # the CLI's solver settings
     CLI_CFG = SolveConfig(residual_tol=1e-11, jacobian="analytic")
-    # every grid's states, solved once per grid point
+    # every grid's solved rows, found once per grid point
     _solved: dict = {}
 
     @staticmethod
-    def _nudged(states, step):
-        """The states with the k-th float c of the n-th state moved by
-        (-1)^(n + k) step(c)."""
-        def nudge(z, sign):
-            return Bicomplex(*(c + (-1) ** k * sign * step(c)
-                               for k, c in enumerate(z.as_tuple())))
-
-        return [dataclasses.replace(st, psi1=nudge(st.psi1, (-1) ** n),
-                                    psi2=nudge(st.psi2, (-1) ** n),
-                                    mu=nudge(st.mu, (-1) ** n))
-                for n, st in enumerate(states)]
+    def _nudged(rows, step):
+        """The solved rows of one point's states with the k-th float c of
+        psi1, psi2 and mu of the n-th state moved by (-1)^(n + k) step(c)."""
+        out = rows.tolist()
+        for n, row in enumerate(out):
+            row[:12] = [c + (-1) ** (k % 4) * (-1) ** n * step(c)
+                        for k, c in enumerate(row[:12])]
+        return np.array(out).reshape(-1, 15)
 
     def ids(self, monkeypatch, grid, step=lambda c: 0.0):
         """The branch id of each state, keyed by its grid value and its
@@ -329,22 +344,27 @@ class TestBranchIdentity:
         bifurcations` find them, with the states nudged by ``step``."""
         controls, parameter, lo, step_size, n, with_points = self.GRIDS[grid]
         params = DimerParams(v=1.0, **controls)
-        place = {}
+        values = [lo + k * step_size for k in range(n)]
+        find_rows, place = solver._find_rows, {}
 
         def solved(system, points, cfg):
-            missing = [p for p in points if p not in self._solved]
-            self._solved.update(zip(missing,
-                                    find_states_along(system, missing, cfg)))
-            along = [self._nudged(self._solved[p], step) for p in points]
-            place.update((id(st), k) for states in along
-                         for k, st in enumerate(states))
-            return along
+            keys = [tuple(row) for row in points.tolist()]
+            missing = [key for key in keys if key not in self._solved]
+            if missing:
+                rows, counts = find_rows(system, np.array(missing), cfg)
+                self._solved.update(zip(missing, np.split(
+                    rows, np.cumsum(counts)[:-1].astype(int))))
+            along = [self._nudged(self._solved[key], step) for key in keys]
+            place.update(((value, tuple(row[:12])), k)
+                         for value, rows in zip(values, along)
+                         for k, row in enumerate(rows.tolist()))
+            return (np.concatenate([np.empty((0, 15)), *along]),
+                    [len(rows) for rows in along])
 
-        monkeypatch.setattr(continuation, "find_states_along", solved)
-        values = [lo + k * step_size for k in range(n)]
+        monkeypatch.setattr(continuation, "_find_rows", solved)
         branches = stitched_branches(SYSTEM, params, parameter, values,
                                      self.CLI_CFG)
-        ids = {(value, place[id(st)]): br.branch_id
+        ids = {(value, place[value, state_floats(st)]): br.branch_id
                for br in branches for value, st in br.samples}
         points = []
         if with_points:
@@ -394,10 +414,14 @@ class TestBranchIdentity:
             assert n > solver._BLOCK
         along = stitched_branches(system, params, parameter, values,
                                   self.CLI_CFG)
-        monkeypatch.setattr(
-            continuation, "find_states_along",
-            lambda system, points, cfg: [find_all_states(system, p, cfg)
-                                         for p in points])
+
+        def point_by_point(system, points, cfg):
+            states = [find_all_states(system, point_of(row), cfg)
+                      for row in points.tolist()]
+            return (solved_rows([st for at in states for st in at]),
+                    list(map(len, states)))
+
+        monkeypatch.setattr(continuation, "_find_rows", point_by_point)
         each = stitched_branches(system, params, parameter, values,
                                  self.CLI_CFG)
         assert len(along) == len(each) >= 4
@@ -452,14 +476,15 @@ class TestEmptyPoint:
         # the states at 0.23 removed: the states at 0.24 open branches 4-7
         # and run on to the range end on them; branches 0-3 end at 0.22
         grid = [0.20 + 0.01 * k for k in range(8)]
-        solve = continuation.find_states_along
+        find_rows = continuation._find_rows
 
         def without_0_23(system, points, cfg):
-            along = solve(system, points, cfg)
-            along[3] = []
-            return along
+            rows, counts = find_rows(system, points, cfg)
+            lo = sum(counts[:3])
+            return (np.delete(rows, range(lo, lo + counts[3]), axis=0),
+                    [*counts[:3], 0, *counts[4:]])
 
-        monkeypatch.setattr(continuation, "find_states_along", without_0_23)
+        monkeypatch.setattr(continuation, "_find_rows", without_0_23)
         branches = stitched_branches(SYSTEM, DimerParams(v=1.0, g=-0.8),
                                      "gamma", grid, CFG)
         assert [br.branch_id for br in branches] == list(range(8))
@@ -467,6 +492,49 @@ class TestEmptyPoint:
             assert [value for value, _ in br.samples] == grid[:3]
         for br in branches[4:]:
             assert [value for value, _ in br.samples] == grid[4:]
+
+
+class TestScanObjects:
+    """A scan carries its grid as control rows and its states as solved
+    rows: it builds no DimerParams, and a StationaryState only for the
+    samples that are read."""
+
+    @pytest.mark.parametrize("g", [-1.0, 1.2, 0.01])
+    def test_scan_builds_only_the_states_it_reads(self, monkeypatch, g):
+        params = DimerParams(v=1.0, g=g)
+        lo, hi, step = CLI_RANGE
+        points = SYSTEM.bifurcation_set(params, "gamma", lo, hi, CFG)
+        built = {"params": 0, "states": 0}
+        post_init, init = DimerParams.__post_init__, StationaryState.__init__
+
+        def counting_post_init(self):
+            built["params"] += 1
+            post_init(self)
+
+        def counting_init(self, *args):
+            built["states"] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(DimerParams, "__post_init__", counting_post_init)
+        monkeypatch.setattr(StationaryState, "__init__", counting_init)
+        branches = stitched_branches(SYSTEM, params, "gamma",
+                                     cli._grid(CLI_RANGE), CFG)
+        meeting = [meeting_branches(pt, branches, step) for pt in points]
+        text = branches_to_csv(branches)
+        monkeypatch.undo()
+        # the samples meeting_branches reads: those within a step of a
+        # point, and at a pitchfork each meeting branch's nearest one
+        read = {(br.branch_id, k) for pt in points for br in branches
+                for k, value in enumerate(br.values)
+                if abs(value - pt.location) <= step}
+        read |= {(bid, min(range(len(branches[bid].values)), key=lambda k:
+                           abs(branches[bid].values[k] - pt.location)))
+                 for pt, (ids, _) in zip(points, meeting)
+                 if pt.kind == "pitchfork" for bid in ids}
+        samples = sum(len(br.samples) for br in branches)
+        assert built == {"params": 0, "states": len(read)}
+        assert 0 < len(read) < samples / 10
+        assert len(text.splitlines()) == 1 + samples
 
 
 class TestScanCounts:

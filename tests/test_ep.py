@@ -45,6 +45,7 @@ def _load_ref_loops():
 
 
 REF = _load_ref_loops()
+EP3_GAMMA = math.sqrt(3) / 2  # the pitchfork at g = -1
 
 
 def loop_point(spec, phi):
@@ -327,6 +328,8 @@ class TestSeededSteps:
         tracked = encircle(SYSTEM, spec, CFG)
         assert swapped.fallback_steps == 0
         assert swapped.permutation == tracked.permutation == seeded.permutation
+        assert root_cycle_type(spec) == swapped.cycle_type == (
+            tracked.cycle_type)
         for row, clean in zip(swapped.states, seeded.states):
             for state, expected in zip(row, clean):
                 assert state_distance(state, expected) < 1e-9
@@ -439,6 +442,128 @@ class TestBlockedSteps:
             assert state_distance(state, seeded) < 1e-9
 
 
+def stepwise(system, spec, cfg=CFG):
+    """One pass around the loop of ``spec`` with every step through
+    ep._step, from the rows of its own loop point: each step's solved rows,
+    the distances the margin is taken over (the closure's last), the margin
+    and the fallback count."""
+    sign = -1.0 if spec.reverse else 1.0
+    n = spec.steps * spec.turns
+    phis = [sign * 2.0 * math.pi * spec.turns * k / n for k in range(n + 1)]
+    controls = ep._loop_controls(spec, [0.0, *phis[1:]])
+    rows = solver._solve_at(system, controls[:1],
+                            solver._rows(spec.states_to_track), cfg)
+    steps, dists, fallbacks = [rows], [], 0
+    at_points = (solved[lo:hi] for solved, first
+                 in solver._candidate_solves(system, controls[1:], cfg)
+                 for lo, hi in zip(first.tolist(), first[1:].tolist()))
+    for k, seeded in enumerate(at_points, start=1):
+        rows, near, pick = ep._step(system, spec, rows, seeded, phis[k - 1],
+                                    phis[k], cfg)
+        steps.append(rows)
+        dists.append(near)
+        fallbacks += int((pick < 0).sum())
+    dists.append(solver._distances(rows[:, :12], steps[0][:, :12]))
+    dists = np.array(dists)
+    return steps, dists, ep._match_margin(dists), fallbacks
+
+
+class TestBlockLoopPath:
+    """Steps chained on the rows of a block of loop points give the bits
+    of ep._step at every step."""
+
+    LOOPS = {
+        "tangent g=-1, all states": ({"g": -1.0, "gamma": 1.0}, "gamma",
+                                     1e-3, {}),
+        "EP3 s-loop, all states": ({"g": -1.0, "gamma": EP3_GAMMA}, "s",
+                                   1e-3, {}),
+        "tangent g=0.1, reversed": ({"g": 0.1, "gamma": 1.0}, "gamma", 0.01,
+                                    {"reverse": True}),
+        "tangent g=-1, two turns": ({"g": -1.0, "gamma": 1.0}, "gamma", 1e-3,
+                                    {"turns": 2}),
+        "tangent g=-1, 300 steps": ({"g": -1.0, "gamma": 1.0}, "gamma", 1e-3,
+                                    {"steps": 300}),
+        # 8 rows a point: Q's roots and the linear eigenpairs
+        "tangent g=5e-4, duplicate seeds": ({"g": 5e-4, "gamma": 1.0},
+                                            "gamma", 0.01, {}),
+        "tangent g=0, complex states": "tangent",
+        "EP3 gamma-loop, complex states": "ep3 gamma",
+        "tangent g=-1, no seeds": ({"g": -1.0, "gamma": 1.0}, "gamma", 1e-3,
+                                   {"steps": 32}),
+        # loop point 6 lists one state's seed twice and another's not: that
+        # state falls back there, with as many rows as states
+        "tangent g=-1, a seed doubled": ({"g": -1.0, "gamma": 1.0}, "gamma",
+                                         1e-3, {"steps": 32}),
+        # four tracked states, one of them twice: one row a point each, and
+        # the second copy falls back at every step
+        "tangent g=-1, a state tracked twice": ({"g": -1.0, "gamma": 1.0},
+                                                "gamma", 1e-3, {"steps": 32}),
+    }
+    # ep._step calls: each block's first step where every point has one row
+    # per tracked state, and there also the doubled seed's step and the next
+    STEP_CALLS = {"tangent g=-1, 300 steps": 2, "tangent g=-1, a seed doubled": 3,
+                  **dict.fromkeys(["tangent g=-1, all states",
+                                   "EP3 s-loop, all states",
+                                   "tangent g=0.1, reversed",
+                                   "tangent g=-1, two turns"], 1)}
+
+    def spec(self, name, pitchfork_setup):
+        loop = self.LOOPS[name]
+        if loop == "tangent":
+            return make_tangent_loop()
+        if loop == "ep3 gamma":
+            return ep3_loop(pitchfork_setup, "gamma", 2e-3)
+        controls, which, radius, options = loop
+        spec = all_states_loop(DimerParams(v=1.0, **controls), which, radius,
+                               **options)
+        if "twice" in name:
+            spec.states_to_track[3] = spec.states_to_track[0]
+        return spec
+
+    @pytest.mark.parametrize("name", LOOPS)
+    def test_same_bits_as_every_step_through_step(
+            self, name, pitchfork_setup, monkeypatch):
+        spec = self.spec(name, pitchfork_setup)
+        system = REF.NoSeeds() if "no seeds" in name else SYSTEM
+        if "doubled" in name:
+            real = SYSTEM.packed_candidates
+
+            def doubled(points):
+                rows, owner = real(points)
+                at = np.flatnonzero(owner == 5)
+                rows[at[1]] = rows[at[0]]
+                return rows, owner
+
+            monkeypatch.setattr(SYSTEM, "packed_candidates", doubled)
+        steps, dists, margin, fallbacks = stepwise(system, spec)
+        margins, calls, real_step = [], [], ep._step
+
+        def recording(dists):
+            margins.append(dists)
+            return ep_margin(dists)
+
+        def counting(*args):
+            calls.append(args)
+            return real_step(*args)
+
+        ep_margin = ep._match_margin
+        monkeypatch.setattr(ep, "_match_margin", recording)
+        monkeypatch.setattr(ep, "_step", counting)
+        tr = ep._encircle_once(system, spec, CFG)
+        assert trace_bits(tr) == [state_bits(solver._states(rows.tolist()))
+                                  for rows in steps]
+        (got,) = margins
+        assert np.array_equal(got.view(np.int64), dists.view(np.int64))
+        assert tr.match_margin == margin
+        assert tr.fallback_steps == fallbacks
+        assert (fallbacks > 0) == any(
+            case in name for case in ("no seeds", "doubled", "twice"))
+        assert len(calls) == self.STEP_CALLS.get(name, len(tr.phis) - 1)
+        if (len(spec.states_to_track) == 4 and "twice" not in name
+                and abs(spec.center.g.z0) >= 0.05):
+            assert root_cycle_type(spec) == tr.cycle_type
+
+
 class TestLoopPoints:
     """A loop's points are carried as control rows from the loop to the
     matched rows, and its states are built only where they are read."""
@@ -486,12 +611,15 @@ class TestLoopPoints:
         assert len(tr.states) == 65
         assert tr.fallback_steps == (0 if seeded else 64 * 4)
         assert calls == {"with_control": 0, "built": 0}
+        assert root_cycle_type(spec) == tr.cycle_type
 
     def test_states_read_in_any_order_have_the_same_bits(self):
         spec = all_states_loop(DimerParams(v=1.0, g=-1.0, gamma=EP3_GAMMA),
                                "s", 1e-3, steps=64)
         whole = trace_bits(encircle(SYSTEM, spec, CFG))
         tr = encircle(SYSTEM, spec, CFG)
+        assert len(spec.states_to_track) == 4
+        assert root_cycle_type(spec) == tr.cycle_type
         order = np.random.default_rng(5).permutation(len(whole)).tolist()
         by_step = {}
         for k in order:
@@ -613,9 +741,6 @@ def root_cycle_type(spec, max_halvings=7):
     perm = [int(np.abs(start - x).argmin()) for x in current]
     assert sorted(perm) == [0, 1, 2, 3]
     return ep._cycles(perm)
-
-
-EP3_GAMMA = math.sqrt(3) / 2  # the pitchfork at g = -1
 
 
 class TestRootMonodromy:

@@ -38,12 +38,18 @@ TRACE = SimpleNamespace(phis=[0.0, 3.141592653589793, 6.283185307179586],
 
 def record(**loops):
     """A record of the loop TRACE under the name "a", a failed loop "b",
-    and one grid of two points; ``loops`` replaces or adds loops."""
+    one grid of two points and that grid stitched into two branches;
+    ``loops`` replaces or adds loops."""
     out = {"loops": {"a": REF.trace_record(TRACE),
                      "b": {"error": "TrackingLost: state lost"}},
            "grids": {"g": [[REF.state_record(STATE)],
                            [REF.state_record(STATE),
-                            REF.state_record(OTHER)]]}}
+                            REF.state_record(OTHER)]]},
+           "stitched": {"g": REF.branches_record([
+               SimpleNamespace(branch_id=0, termination="range_end",
+                               samples=[(0.1, STATE), (0.2, STATE)]),
+               SimpleNamespace(branch_id=1, termination="range_end",
+                               samples=[(0.2, OTHER)])])}}
     out["loops"].update(loops)
     return json.loads(json.dumps(out))  # as read back from a process
 
@@ -76,9 +82,11 @@ class TestCompare:
         comparison = REF.compare(record(), record())
         assert comparison == {"loops/a": {"identical": True},
                               "loops/b": {"identical": True},
-                              "grids/g": {"identical": True}}
+                              "grids/g": {"identical": True},
+                              "stitched/g": {"identical": True}}
         assert REF.verdict(record(), comparison) == {
             "loops": 2, "loop_steps": 3, "grids": 1, "grid_points": 2,
+            "stitched": 1, "stitched_samples": 3,
             "not_identical": [], "missing": []}
 
     def test_one_bit_of_one_state(self):
@@ -119,6 +127,18 @@ class TestCompare:
         assert REF.compare(record(), changed)["grids/g"] == {
             "identical": False, "at": "/1/1/14"}
 
+    def test_branch_id_and_sample_value(self):
+        for at, field, value in [("/0/id", "id", 2),
+                                 ("/1/samples/0/0", "value", 0.2000001)]:
+            changed = record()
+            branch = changed["stitched"]["g"][int(at[1])]
+            if field == "id":
+                branch["id"] = value
+            else:
+                branch["samples"][0][0] = float(value).hex()
+            assert REF.compare(record(), changed)["stitched/g"] == {
+                "identical": False, "at": at}
+
     def test_missing_on_one_side(self):
         extra = record(c=REF.trace_record(TRACE))
         comparison = REF.compare(record(), extra)
@@ -129,8 +149,9 @@ class TestCompare:
 
 class TestLoops:
     """The loops of LOOPS take the seed paths that the workload's loops do
-    not; each seeded one runs round without a fallback, and each seedless
-    one falls back at every step of every tracked state."""
+    not; each seeded one runs round without a fallback, each seedless one
+    falls back at every step of every tracked state, and each one that
+    tracks the complex states has more seeds a point than it tracks."""
 
     def test_seed_paths_and_answers(self):
         system = DimerSystem()
@@ -142,7 +163,13 @@ class TestLoops:
         assert not specs["s-loop at gamma=0.3+0.2j"].center.is_physical()
         assert specs["pitchfork v=2"].center.v == 2.0
         assert specs["tangent g=-1, 300 steps"].steps > solver._BLOCK
-        cycle_types = {"tangent g=5e-4": [2, 2],
+        tracked = {"tangent g=0, complex states": 2,
+                   "tangent g=0.1, complex states": 2,
+                   "merger s-loop, complex states": 2}
+        cycle_types = {"tangent g=0, complex states": [2],
+                       "tangent g=0.1, complex states": [2],
+                       "merger s-loop, complex states": [1, 1],
+                       "tangent g=5e-4": [2, 2],
                        "tangent g=5e-4, point by point": [2, 2],
                        "s-loop at gamma=0.3+0.2j": [1, 1, 1, 1],
                        "pitchfork v=2": [2, 1, 1],
@@ -152,7 +179,9 @@ class TestLoops:
                        "no EP, no seeds": [1, 1, 1, 1]}
         traces = {}
         for name, spec in specs.items():
-            assert len(spec.states_to_track) == 4
+            assert len(spec.states_to_track) == tracked.get(name, 4)
+            assert (seeds[name] > len(spec.states_to_track)) == (
+                name in tracked or name.startswith("tangent g=5e-4"))
             trace = encircle(systems[REF.LOOPS[name][0]], spec)
             assert trace.cycle_type == cycle_types[name]
             assert trace.reliable

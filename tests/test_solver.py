@@ -984,10 +984,117 @@ class TestBlockDedup:
             range(len(rows)))
 
 
+def _nudged_ulps(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+# a point's rows share a base for each mu component and add offsets to it,
+# so that their components tie exactly, differ by 1e-9 +- a few ulp, by 2e-9
+# or by half a rounding unit, or only by -0.0 against 0.0; the bases lie on
+# a boundary of round(c, 9) and off one
+_BASES = st_.lists(st_.sampled_from([0.0, -0.0, 1.0, -0.5, 0.1234567885,
+                                     1.5e-9, -2.5e-9]),
+                   min_size=4, max_size=4)
+_OFFSET = st_.sampled_from([0.0] * 6 + [-0.0, 1e-9, -1e-9, 2e-9, 5e-10,
+                                        0.25])
+_ULPS = st_.sampled_from([0] * 4 + [-1, 1, -3, 3])
+# psi components from a few values, so that whole rows repeat
+_PSI = st_.sampled_from([0.0, -0.0, 0.5, -0.25])
+_ROW = st_.tuples(st_.lists(_PSI, min_size=8, max_size=8),
+                  st_.lists(st_.tuples(_OFFSET, _ULPS), min_size=4,
+                            max_size=4),
+                  st_.one_of(*[st_.none()] * 4, st_.tuples(
+                      st_.integers(0, 11),
+                      st_.sampled_from([math.nan, math.inf, -math.inf]))))
+_POINT = st_.tuples(_BASES, st_.lists(_ROW, max_size=6))
+
+
+def _block_rows(point) -> list[list[float]]:
+    """The 15 values of each row of a drawn point; a drawn non-finite
+    value replaces one of the 12 floats."""
+    bases, rows = point
+    out = []
+    for psi, mu, bad in rows:
+        row = [*psi, *(_nudged_ulps(base + offset, ulps)
+                       for base, (offset, ulps) in zip(bases, mu)),
+               1e-16, 1.0, 0.0]
+        if bad is not None:
+            row[bad[0]] = bad[1]
+        out.append(row)
+    return out
+
+
+def _mu_row(psi0: float, *mu: float) -> list[float]:
+    return [psi0, *[0.5] * 7, *mu, 1e-16, 1.0, 0.0]
+
+
+def _mu_row(psi0: float, *mu: float) -> list[float]:
+    return [psi0, *[0.5] * 7, *mu, 1e-16, 1.0, 0.0]
+
+
+class TestBlockOrder:
+    """One lexsort on (point, mu) sorts a block's rows, point by point, as
+    _ordered sorts the rows that _dedup keeps, where it needs them."""
+
+    # the second point of each holds the trap; round(c, 9) puts both
+    # first components of the first trap in one bin, 1e-9 - 3 ulp apart
+    @example(points=[[_mu_row(0.5, 1.0, 0, 0, 0)],
+                     [_mu_row(0.5, 1.5000000000000002e-09, 1.0, 0, 0),
+                      _mu_row(0.5, 2.4999999999999996e-09, 0.5, 0, 0)]],
+             repeats=[])
+    @example(points=[[], [_mu_row(0.5, 1.0, 0, 0, 0),
+                          _mu_row(-0.25, 1.0, 0, 0, 0)]], repeats=[])
+    @example(points=[[], [_mu_row(0.5, math.nan, 0, 0, 0),
+                          _mu_row(0.5, 1.0, 0, 0, 0)]], repeats=[])
+    @example(points=[[], [_mu_row(0.5, 0.0, 1.0, 0, 0),
+                          _mu_row(0.5, -0.0, 0.5, 0, 0)]], repeats=[])
+    @example(points=[[], [_mu_row(0.5, 1.0, 0, 0, 0),
+                          _mu_row(0.5, 1.0 + 5e-8, 0, 0, 0),
+                          _mu_row(0.5, 2.0, 0, 0, 0)]], repeats=[])
+    @settings(max_examples=150, deadline=None)
+    @given(points=st_.lists(_POINT.map(_block_rows), min_size=1,
+                            max_size=6),
+           repeats=st_.lists(st_.tuples(st_.integers(0, 40),
+                                        st_.integers(0, 40)), max_size=4))
+    def test_block_order_is_ordered_at_every_point(self, points, repeats):
+        for a, b in repeats:  # duplicate rows within a point
+            at = points[a % len(points)]
+            if at:
+                at.insert(b % (len(at) + 1), list(at[b % len(at)]))
+        rows = np.array([r for p in points for r in p]).reshape(-1, 15)
+        first = np.cumsum([0, *map(len, points)]).tolist()
+        with np.errstate(invalid="ignore"):  # inf - inf in the dedup
+            order, counts = solver._block_order(rows, first)
+        lists, at = rows.tolist(), 0
+        for k, (lo, hi) in enumerate(zip(first, first[1:])):
+            # the dedup's rows where two rows lie within DEDUP_TOL (or at
+            # a nan distance), else every row
+            with np.errstate(invalid="ignore"):
+                far = solver._distances(rows[lo:hi, :12], rows[lo:hi, :12])
+                kept = range(hi - lo)
+                if not (far[~np.eye(hi - lo, dtype=bool)] > DEDUP_TOL).all():
+                    kept = solver._dedup(rows[lo:hi, :12],
+                                         rows[lo:hi, 12].tolist(), DEDUP_TOL)
+            want = solver._ordered(lists, [lo + j for j in kept])
+            assert order[at:at + counts[k]].tolist() == want
+            at += counts[k]
+        assert at == len(order)
+
+    def test_one_point_keeps_the_python_path(self, monkeypatch):
+        rows = np.array([_mu_row(0.5, 1.0, 0, 0, 0),
+                         _mu_row(0.5, -1.0, 0, 0, 0)])
+        monkeypatch.setattr(np, "lexsort", None)
+        order, counts = solver._block_order(rows, [0, 2])
+        assert order.tolist() == [1, 0] and counts == [2]
+
+
 class TestCandidateSolves:
-    """The loop pass yields, point by point, the states that
+    """The loop pass yields, block by block, the states that
     :func:`newton_solve` reaches from each seed, in seed order, with their
-    rows, and nothing for a seed from which it raises."""
+    rows, and nothing for a seed from which it raises; the block's offsets
+    split them point by point."""
 
     @staticmethod
     def each_seed(system, p):
@@ -1018,8 +1125,10 @@ class TestCandidateSolves:
             monkeypatch.setattr(solver, "_BLOCK", 3)
             points = [DimerParams(v=1.0, g=0.6, gamma=0.2 * k, s=0.05)
                       for k in range(8)]
-        got = [(solver._states(solved.tolist()), solved[:, :12]) for solved
-               in solver._candidate_solves(system, control_rows(points), CFG)]
+        got = [(solver._states(solved[lo:hi].tolist()), solved[lo:hi, :12])
+               for solved, first in solver._candidate_solves(
+                   system, control_rows(points), CFG)
+               for lo, hi in zip(first.tolist(), first[1:].tolist())]
         assert len(got) == len(points)
         for p, (states, rows) in zip(points, got):
             want = self.each_seed(system, p)

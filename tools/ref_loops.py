@@ -15,7 +15,10 @@ and the question benchmark from its ``qbench/``:
   permutation, cycle type, match margin, reliability and fallback count,
   or the error the loop raised;
 * the grids of ``GRIDS`` through ``solver.find_states_along``: every
-  point's states, with their residuals and flags.
+  point's states, with their residuals and flags;
+* the same grids through ``continuation.stitched_branches``, as the
+  ``sweep`` and ``bifurcations`` commands stitch them: every branch's id
+  and termination, and every sample's value and state.
 
 One loop and one grid run on :class:`PointByPoint`, the dimer with its
 seeds listed one point at a time, as a system without a polynomial to
@@ -25,11 +28,12 @@ all, so that every step of them takes the loop's fallback, Newton from
 the previous step's state.
 
 Floats are recorded as ``float.hex``, so equal records mean equal bits.
-The record written to ``--out`` holds, for each loop and grid, whether the
-two checkouts' are identical and, where not, the first place where they
-differ.  The last line of standard output is a one-line verdict: how many
-loops, loop steps, grids and grid points were compared, the ones that are
-not identical and the ones that one side lacks.
+The record written to ``--out`` holds, for each loop, grid and stitched
+grid, whether the two checkouts' are identical and, where not, the first
+place where they differ.  The last line of standard output is a one-line
+verdict: how many loops, loop steps, grids, grid points, stitched grids and
+their samples were compared, the ones that are not identical and the ones
+that one side lacks.
 """
 
 from __future__ import annotations
@@ -64,10 +68,13 @@ GRIDS = {
 # workload's loops miss: below |g| = 1e-3 v, where Q's roots and the linear
 # eigenpairs both seed (8 lanes a point); a j-continued center; v != 1; and
 # more steps than one block of loop points (solver._BLOCK = 256); the
-# first of these with its seeds listed point by point; and a tangent, an
-# EP3 and a loop around no EP with no seeds, where every step falls back.
+# first of these with its seeds listed point by point; a tangent, an EP3
+# and a loop around no EP with no seeds, where every step falls back; and
+# loops that track only the complex states, as `encircle` does by default,
+# so that each point has more solved rows than tracked states.
 # (system; controls of the center, a (real, j) pair for a continued one;
-# the looped control; radius; steps)
+# the looped control; radius; steps; optionally "complex", to track only
+# the complex states)
 LOOPS = {
     "tangent g=5e-4": ("dimer", {"g": 5e-4, "gamma": 1.0}, "gamma", 0.01,
                        128),
@@ -86,6 +93,12 @@ LOOPS = {
                              "s", 1e-3, 64),
     "no EP, no seeds": ("no seeds", {"g": -1.0, "gamma": 0.5}, "gamma", 0.05,
                         64),
+    "tangent g=0, complex states": ("dimer", {"g": 0.0, "gamma": 1.0},
+                                    "gamma", 0.1, 128, "complex"),
+    "tangent g=0.1, complex states": ("dimer", {"g": 0.1, "gamma": 1.0},
+                                      "gamma", 0.01, 128, "complex"),
+    "merger s-loop, complex states": ("dimer", {"g": -2.0}, "s", 2e-3, 128,
+                                      "complex"),
 }
 # one BLAS thread in the recording processes, as in the benchmark
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -156,28 +169,40 @@ def trace_record(trace) -> dict:
 
 def loop_spec(name: str):
     """The LoopSpec of ``LOOPS[name]``, tracking every state that
-    ``find_all_states`` finds at its start, from the bcdimer imported."""
+    ``find_all_states`` finds at its start, or every complex one, from the
+    bcdimer imported."""
     from bcdimer.bicomplex import Bicomplex
     from bcdimer.ep import LoopSpec
     from bcdimer.model import DimerParams, DimerSystem
     from bcdimer.solver import SolveConfig, find_all_states
 
-    _system, controls, which, radius, steps = LOOPS[name]
+    _system, controls, which, radius, steps, *track = LOOPS[name]
     center = DimerParams(**{k: Bicomplex(*c) if isinstance(c, tuple) else c
                             for k, c in controls.items()})
     start = center.with_control(which, center.control(which).z0 + radius)
+    states = find_all_states(DimerSystem(), start, SolveConfig())
     return LoopSpec(center=center, which=which, radius=radius, steps=steps,
-                    states_to_track=find_all_states(DimerSystem(), start,
-                                                    SolveConfig()))
+                    states_to_track=[st for st in states if not track
+                                     or st.is_complex_state])
+
+
+def branches_record(branches) -> list:
+    """Each branch's id and termination, and each sample's value, as hex,
+    with its state's :func:`state_record`."""
+    return [{"id": br.branch_id, "termination": br.termination,
+             "samples": [[float(value).hex(), *state_record(st)]
+                         for value, st in br.samples]} for br in branches]
 
 
 def _record(checkout: Path) -> dict:
-    """The loops and grids of ``checkout``, run in this process."""
+    """The loops, grids and stitched grids of ``checkout``, run in this
+    process."""
     sys.path[:0] = [str(checkout / "src"), str(checkout / "qbench")]
     import bcdimer
     if Path(bcdimer.__file__).resolve().parent != checkout / "src" / "bcdimer":
         sys.exit(f"ref_loops: imported bcdimer from {bcdimer.__file__}")
     import workloads
+    from bcdimer.continuation import stitched_branches
     from bcdimer.ep import encircle
     from bcdimer.model import DimerParams
     from bcdimer.solver import SolveConfig, find_states_along
@@ -197,14 +222,16 @@ def _record(checkout: Path) -> dict:
         except Exception as exc:  # noqa: BLE001 - recorded, compared
             loops[name] = {"error": f"{type(exc).__name__}: {exc}"}
     cfg = SolveConfig(residual_tol=1e-11)
-    grids = {}
+    grids, stitched = {}, {}
     for name, (system, controls, parameter, lo, step, n) in GRIDS.items():
         params = DimerParams(v=1.0, **controls)
-        points = [params.with_control(parameter, lo + k * step)
-                  for k in range(n)]
+        values = [lo + k * step for k in range(n)]
+        points = [params.with_control(parameter, value) for value in values]
         grids[name] = [[state_record(st) for st in states] for states in
                        find_states_along(by_name[system], points, cfg)]
-    return {"loops": loops, "grids": grids}
+        stitched[name] = branches_record(stitched_branches(
+            by_name[system], params, parameter, values, cfg))
+    return {"loops": loops, "grids": grids, "stitched": stitched}
 
 
 def _run(checkout: Path) -> dict:
@@ -235,11 +262,11 @@ def first_difference(a, b, path: str = ""):
 
 
 def compare(a: dict, b: dict) -> dict:
-    """For each loop and grid of either record, keyed "loops/NAME" and
-    "grids/NAME": {"identical": True}, or where the two first differ, or
-    that one record lacks it."""
+    """For each loop, grid and stitched grid of either record, keyed
+    "loops/NAME", "grids/NAME" and "stitched/NAME": {"identical": True}, or
+    where the two first differ, or that one record lacks it."""
     out = {}
-    for kind in ("loops", "grids"):
+    for kind in ("loops", "grids", "stitched"):
         ka, kb = a.get(kind, {}), b.get(kind, {})
         for name in sorted(set(ka) | set(kb)):
             if name not in ka or name not in kb:
@@ -255,11 +282,15 @@ def verdict(a: dict, comparison: dict) -> dict:
     """The one-line summary: what was compared, in the first record, and
     which entries are not identical or missing on one side."""
     loops, grids = a.get("loops", {}), a.get("grids", {})
+    stitched = a.get("stitched", {})
     return {
         "loops": len(loops),
         "loop_steps": sum(len(t.get("phis", ())) for t in loops.values()),
         "grids": len(grids),
         "grid_points": sum(map(len, grids.values())),
+        "stitched": len(stitched),
+        "stitched_samples": sum(len(br["samples"]) for branches
+                                in stitched.values() for br in branches),
         "not_identical": sorted(name for name, c in comparison.items()
                                 if not c["identical"] and "missing" not in c),
         "missing": sorted(name for name, c in comparison.items()
