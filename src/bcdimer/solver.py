@@ -373,23 +373,27 @@ def _block_order(rows: np.ndarray, first):
     at first[k]:first[k + 1], and each point's count.
 
     Only points with two rows within DEDUP_TOL (a nan distance counts)
-    need the dedup.  At the others, one lexsort on (point, mu) gives
-    _ordered's order where every two mu differ, each component equal or
-    more than 2e-9 apart, so that round(c, 9) orders them alike.  The
-    rest, and a one-point block, run _dedup and _ordered.  Each row is
-    compared with the next d rows, for d below the widest point."""
+    need the dedup.  round(c, 9) takes a mu component c to the bin
+    rint(c * 1e9) unless c lies within that product's roundoff of a bin's
+    edge, so one lexsort on (point, bins) gives _ordered's order at every
+    other point where no two rows share all four bins.  The rest, and a
+    one-point block, run _dedup and _ordered.  Each row is compared with
+    the next d rows, for d below the widest point."""
     counts = np.diff(first).tolist()
     slow, order = {0}, np.arange(len(rows))
     if len(counts) > 1:
-        owner, slow = np.repeat(np.arange(len(counts)), counts), set()
-        for d in range(1, max(counts)):
-            with np.errstate(invalid="ignore"):  # inf - inf: slow anyway
-                gap = np.abs(rows[d:, :12] - rows[:-d, :12])
-            mu = gap[:, 8:12]
-            near = (~(gap.max(1) > DEDUP_TOL) | (mu == 0).all(1)
-                    | ((mu > 0) & (mu <= 2e-9)).any(1))
-            slow.update(owner[d:][near & (owner[d:] == owner[:-d])].tolist())
-        order = np.lexsort((*rows[:, 11:7:-1].T, owner))
+        owner = np.repeat(np.arange(len(counts)), counts)
+        with np.errstate(invalid="ignore"):  # inf - inf: slow anyway
+            bins = np.rint(rows[:, 8:12] * 1e9)
+            off = np.abs(np.abs(rows[:, 8:12] * 1e9 - bins) - 0.5) > (
+                1e-6 * np.maximum(1.0, np.abs(rows[:, 8:12])))
+            slow = set(owner[~off.all(1)].tolist())
+            for d in range(1, max(counts)):
+                near = (~(np.abs(rows[d:, :12] - rows[:-d, :12]).max(1)
+                          > DEDUP_TOL) | (bins[d:] == bins[:-d]).all(1))
+                slow.update(
+                    owner[d:][near & (owner[d:] == owner[:-d])].tolist())
+        order = np.lexsort((*bins.T[::-1], owner))
     pieces, at = [], 0
     for k in sorted(slow):
         lo, hi = first[k], first[k + 1]

@@ -991,14 +991,14 @@ def _nudged_ulps(x: float, ulps: int) -> float:
 
 
 # a point's rows share a base for each mu component and add offsets to it,
-# so that their components tie exactly, differ by 1e-9 +- a few ulp, by 2e-9
-# or by half a rounding unit, or only by -0.0 against 0.0; the bases lie on
-# a boundary of round(c, 9) and off one
+# so that their components tie exactly, differ by 1e-9 +- a few ulp, by 2e-9,
+# by half a rounding unit or less, by roundoff, or only by -0.0 against 0.0;
+# the bases lie on a boundary of round(c, 9) and off one
 _BASES = st_.lists(st_.sampled_from([0.0, -0.0, 1.0, -0.5, 0.1234567885,
                                      1.5e-9, -2.5e-9]),
                    min_size=4, max_size=4)
 _OFFSET = st_.sampled_from([0.0] * 6 + [-0.0, 1e-9, -1e-9, 2e-9, 5e-10,
-                                        0.25])
+                                        1e-10, -3e-10, 1e-17, 0.25])
 _ULPS = st_.sampled_from([0] * 4 + [-1, 1, -3, 3])
 # psi components from a few values, so that whole rows repeat
 _PSI = st_.sampled_from([0.0, -0.0, 0.5, -0.25])
@@ -1053,6 +1053,9 @@ class TestBlockOrder:
     @example(points=[[], [_mu_row(0.5, 1.0, 0, 0, 0),
                           _mu_row(0.5, 1.0 + 5e-8, 0, 0, 0),
                           _mu_row(0.5, 2.0, 0, 0, 0)]], repeats=[])
+    # one bin, off its edges: the next component decides
+    @example(points=[[], [_mu_row(0.5, 1.0 + 1e-10, 0.5, 0, 0),
+                          _mu_row(0.5, 1.0, 1.0, 1e-17, 0)]], repeats=[])
     @settings(max_examples=150, deadline=None)
     @given(points=st_.lists(_POINT.map(_block_rows), min_size=1,
                             max_size=6),
