@@ -253,13 +253,12 @@ def meeting_branches(point, branches, step) -> tuple[list[int], int | None]:
     ids = [ids[c] for c in _assign_many(cost)[0].tolist()] if k else []
     if point.kind != "pitchfork":
         return ids, None
-    symmetric = []
     for bid in ids:
         values = branches[bid].values
         k = values.index(min(values, key=lambda v: abs(v - point.location)))
         if branches[bid].samples[k][1].is_pt_symmetric:
-            symmetric.append(bid)
-    return ids, (symmetric[0] if symmetric else None)
+            return ids, bid
+    return ids, None
 
 
 def detect_bifurcations(

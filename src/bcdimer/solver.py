@@ -377,25 +377,23 @@ def _block_order(rows: np.ndarray, first):
     rint(c * 1e9) unless c lies within that product's roundoff of a bin's
     edge, so one lexsort on (point, bins) gives _ordered's order at every
     other point where no two rows share all four bins.  The rest, and a
-    one-point block, run _dedup and _ordered.  Each row is compared with
-    the next d rows, for d below the widest point."""
+    one-point block, run _dedup and _ordered."""
     counts = np.diff(first).tolist()
     slow, order = {0}, np.arange(len(rows))
     if len(counts) > 1:
-        owner = np.repeat(np.arange(len(counts)), counts)
+        owner, mu = np.repeat(np.arange(len(counts)), counts), rows[:, 8:12]
         with np.errstate(invalid="ignore"):  # inf - inf: slow anyway
-            bins = np.rint(rows[:, 8:12] * 1e9)
-            off = np.abs(np.abs(rows[:, 8:12] * 1e9 - bins) - 0.5) > (
-                1e-6 * np.maximum(1.0, np.abs(rows[:, 8:12])))
-            slow = set(owner[~off.all(1)].tolist())
-            for d in range(1, max(counts)):
+            bins = np.rint(mu * 1e9)
+            off = (np.abs(np.abs(mu * 1e9 - bins) - 0.5)
+                   > 1e-6 * np.maximum(1.0, np.abs(mu))).all(1)
+            slow = set(owner[~off].tolist())
+            for d in range(1, max(counts)):  # row k against row k + d
                 near = (~(np.abs(rows[d:, :12] - rows[:-d, :12]).max(1)
                           > DEDUP_TOL) | (bins[d:] == bins[:-d]).all(1))
-                slow.update(
-                    owner[d:][near & (owner[d:] == owner[:-d])].tolist())
+                slow.update(owner[d:][near & (owner[d:] == owner[:-d])])
         order = np.lexsort((*bins.T[::-1], owner))
     pieces, at = [], 0
-    for k in sorted(slow):
+    for k in sorted(map(int, slow)):
         lo, hi = first[k], first[k + 1]
         local = _ordered(rows[lo:hi].tolist(), _dedup(
             rows[lo:hi, :12], rows[lo:hi, 12].tolist(), DEDUP_TOL))
@@ -683,9 +681,8 @@ def find_states_along(system, points, cfg: SolveConfig | None = None
     made states point by point."""
     rows, counts = _find_rows(system, control_rows(points),
                               cfg or SolveConfig())
-    states = _states(rows.tolist())
-    first = np.cumsum([0, *counts]).tolist()
-    return [states[lo:hi] for lo, hi in zip(first, first[1:])]
+    states = iter(_states(rows.tolist()))
+    return [[next(states) for _ in range(n)] for n in counts]
 
 
 def _find_rows(system, controls, cfg: SolveConfig):

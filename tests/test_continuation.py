@@ -523,14 +523,19 @@ class TestScanObjects:
         text = branches_to_csv(branches)
         monkeypatch.undo()
         # the samples meeting_branches reads: those within a step of a
-        # point, and at a pitchfork each meeting branch's nearest one
+        # point, and at a pitchfork the nearest one of each meeting branch
+        # up to the continuing one
         read = {(br.branch_id, k) for pt in points for br in branches
                 for k, value in enumerate(br.values)
                 if abs(value - pt.location) <= step}
-        read |= {(bid, min(range(len(branches[bid].values)), key=lambda k:
-                           abs(branches[bid].values[k] - pt.location)))
-                 for pt, (ids, _) in zip(points, meeting)
-                 if pt.kind == "pitchfork" for bid in ids}
+        for pt, (ids, continuing) in zip(points, meeting):
+            if pt.kind == "pitchfork":
+                asked = ids[:ids.index(continuing) + 1] if (
+                    continuing is not None) else ids
+                read |= {(bid, min(
+                    range(len(branches[bid].values)),
+                    key=lambda k: abs(branches[bid].values[k] - pt.location)))
+                    for bid in asked}
         samples = sum(len(br.samples) for br in branches)
         assert built == {"params": 0, "states": len(read)}
         assert 0 < len(read) < samples / 10
