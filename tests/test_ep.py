@@ -501,7 +501,8 @@ class TestBlockLoopPath:
     }
     # ep._step calls: each block's first step where every point has one row
     # per tracked state, and there also the doubled seed's step and the next
-    STEP_CALLS = {"tangent g=-1, 300 steps": 2, "tangent g=-1, a seed doubled": 3,
+    STEP_CALLS = {"tangent g=-1, 300 steps": 2,
+                  "tangent g=-1, a seed doubled": 3,
                   **dict.fromkeys(["tangent g=-1, all states",
                                    "EP3 s-loop, all states",
                                    "tangent g=0.1, reversed",
