@@ -17,7 +17,6 @@ from .bicomplex import (
     IdempotentPair,
     ZeroDivisor,
     lift_real_control,
-    phase_j,
 )
 from .continuation import (
     BifurcationPoint,
@@ -47,13 +46,8 @@ from .model import (
     DimerParams,
     DimerSystem,
     LinearTwoMode,
-    Observables,
     StationaryState,
-    mean_field_energy,
     normalization_residual,
-    observables,
-    populations,
-    pt_classify,
     pt_reflected,
     residual,
 )

@@ -9,21 +9,16 @@ A number is stored by its four real components
 where ``i`` plays the role of the physical imaginary unit and ``j`` carries
 the analytic continuation of quantities that were real before continuation.
 
-Two derived views are provided:
-
-* the idempotent decomposition ``z = plus * E_PLUS + minus * E_MINUS`` with
-  ``E_PLUS = (1+k)/2`` and ``E_MINUS = (1-k)/2``, in which multiplication and
-  division act component-wise on ordinary complex numbers (unit ``i``), and
-* the split ``z = re_part() + i * im_part()`` whose two coefficients live in
-  the ``j``-complex plane; both are returned as ordinary Python complex
-  numbers.
+The idempotent decomposition ``z = plus * E_PLUS + minus * E_MINUS`` with
+``E_PLUS = (1+k)/2`` and ``E_MINUS = (1-k)/2`` is provided, in which
+multiplication and division act component-wise on ordinary complex numbers
+(unit ``i``).
 
 All values are immutable and every operation is a pure function.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -102,14 +97,6 @@ class Bicomplex:
     def modulus_squared(self) -> "Bicomplex":
         """conj(z)*z; real and non-negative when z is complex in i."""
         return self.conj() * self
-
-    def re_part(self) -> complex:
-        """Coefficient of 1 in z = A + i*B with A, B in the j-plane."""
-        return complex(self.z0, self.z1)
-
-    def im_part(self) -> complex:
-        """Coefficient of i in z = A + i*B with A, B in the j-plane."""
-        return complex(self.z2, self.z3)
 
     def max_abs(self) -> float:
         return max(abs(self.z0), abs(self.z1), abs(self.z2), abs(self.z3))
@@ -191,11 +178,6 @@ I = Bicomplex(0.0, 0.0, 1.0, 0.0)
 K = Bicomplex(0.0, 0.0, 0.0, 1.0)
 E_PLUS = Bicomplex(0.5, 0.0, 0.0, 0.5)
 E_MINUS = Bicomplex(0.5, 0.0, 0.0, -0.5)
-
-
-def phase_j(phi: float) -> Bicomplex:
-    """cos(phi) + j*sin(phi): the unit factor used for parameter loops."""
-    return Bicomplex(math.cos(phi), math.sin(phi), 0.0, 0.0)
 
 
 def lift_real_control(c0: float, c1: float) -> IdempotentPair:

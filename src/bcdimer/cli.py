@@ -61,12 +61,14 @@ class _Usage(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """Argument errors become usage errors with a JSON summary line.  "-"
-    and a digit, as -1e-3 or -2.5:-0.1:0.1, starts a value, not an option."""
+    and a digit, as -1e-3 or -2.5:-0.1:0.1, or "-inf" or "-nan" in any
+    case, starts a value, not an option."""
 
     def __init__(self, *args, **kwargs):
         import re  # loaded by argparse
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)",
+                                                  re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -81,10 +81,6 @@ class DimerParams:
             raise ValueError(f"unknown control {name!r}, expected one of {CONTROL_NAMES}")
         return replace(self, **{name: Bicomplex(float(real), float(jpart), 0.0, 0.0)})
 
-    def is_physical(self, tol: float = 0.0) -> bool:
-        """True when no control carries a continuation (j) component."""
-        return all(abs(getattr(self, name).z1) <= tol for name in CONTROL_NAMES)
-
 
 @dataclass(frozen=True, slots=True)
 class StationaryState:
@@ -112,14 +108,6 @@ class BifurcationPoint:
     coalesced_state: StationaryState
     detection_residual: float
     continuing_branch_id: int | None = None
-
-
-@dataclass(frozen=True, slots=True)
-class Observables:
-    mu: Bicomplex
-    e_mf: Bicomplex
-    re_part: complex
-    im_part: complex
 
 
 def residual(
@@ -269,44 +257,6 @@ def packed_jacobian(x, controls) -> list[list[float]]:
     return rows
 
 
-def populations(psi1: Bicomplex, psi2: Bicomplex) -> tuple[Bicomplex, Bicomplex]:
-    return psi1.modulus_squared(), psi2.modulus_squared()
-
-
-def mean_field_energy(state: StationaryState, p: DimerParams) -> Bicomplex:
-    """mu plus the double-counting correction of the -g*|psi|^2 nonlinearity."""
-    m1, m2 = populations(state.psi1, state.psi2)
-    return state.mu + 0.5 * (p.g * (m1 * m1 + m2 * m2))
-
-
-def observables(state: StationaryState, p: DimerParams) -> Observables:
-    """Mean-field energy and its reconstruction from the idempotent components.
-
-    The two returned coefficients satisfy ``re = (E+ + E-)/2`` and
-    ``im = (unit/2)(E+ - E-)`` in the j-unit representation of the idempotent
-    coefficients; for complex states both are real numbers.
-    """
-    e = mean_field_energy(state, p)
-    pair = e.to_idempotent()
-    plus_j = pair.plus.conjugate()  # coefficient in the j-unit representation
-    minus_j = pair.minus
-    re = 0.5 * (plus_j + minus_j)
-    im = 0.5j * (plus_j - minus_j)
-    return Observables(mu=state.mu, e_mf=e, re_part=re, im_part=im)
-
-
-def pt_classify(state: StationaryState, tol: float = 1e-8) -> bool | None:
-    """Equal-population test; None when the state needs the continuation.
-
-    PT classification is only meaningful for states of the original complex
-    model, so bicomplex-only states return the not-applicable marker.
-    """
-    if not state.is_complex_state:
-        return None
-    m1, m2 = populations(state.psi1, state.psi2)
-    return (m1 - m2).max_abs() < tol
-
-
 def pt_reflected(
     psi1: Bicomplex, psi2: Bicomplex, mu: Bicomplex
 ) -> tuple[Bicomplex, Bicomplex, Bicomplex]:
@@ -398,13 +348,16 @@ def _merged(roots: list[complex], coeffs) -> list[complex]:
                 centre += roots[k]
             centre /= m
             dist = [abs(roots[k] - centre) for k in group]
+            rest = [abs(r - centre) for k, r in enumerate(roots)
+                    if k not in group]
             # the spread against the radius above, without dividing by h
             size = sum(c * abs(centre) ** n for n, c in enumerate(sizes[::-1]))
-            h = sizes[0] * math.prod(abs(r - centre) for k, r in enumerate(roots)
-                                     if k not in group)
+            h = sizes[0] * math.prod(rest)
+            # a root near the centre makes h vanish however far apart the
+            # group's roots are, so only an isolated group merges
             if (free.issuperset(group) and min(dist) >= 0.5 * max(dist)
                     and h * (max(dist) / _MULTIPLE_ROOT_SPREAD) ** m
-                    <= eps * size):
+                    <= eps * size and all(d > 2 * max(dist) for d in rest)):
                 for k in group:
                     roots[k] = centre
                 free.difference_update(group)

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -74,3 +75,59 @@ class TestBytecode:
         out = BENCH_PAIRS._bytecode(sides)
         assert out["PYTHONDONTWRITEBYTECODE"] is None
         assert out["pycache"] == {"parent": False, "change": True}
+
+
+class TestOneSidedBytecode:
+    """A side with src/bcdimer/__pycache__ where the other has none is an
+    error: before the first pair, and after the last."""
+
+    @pytest.fixture
+    def sides(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+        sides = {"parent": tmp_path / "a", "change": tmp_path / "b"}
+        for path in sides.values():
+            (path / "src" / "bcdimer").mkdir(parents=True)
+        (sides["parent"] / "BENCHMARK.json").write_text(json.dumps({
+            "run_seconds": 1, "end_to_end": [dict(HIGHER, name="q")]}))
+        monkeypatch.setattr(BENCH_PAIRS, "_checkout_info",
+                            lambda checkout: {"sha": "0", "dirty": False})
+        return sides
+
+    def main(self, sides, tmp_path):
+        return BENCH_PAIRS.main([str(sides["parent"]), str(sides["change"]),
+                                 "--workload", "loops", "--seed", "1",
+                                 "--pairs", "2",
+                                 "--out", str(tmp_path / "record.json")])
+
+    @pytest.mark.parametrize("side", ["parent", "change"])
+    def test_before_the_first_pair(self, sides, tmp_path, monkeypatch,
+                                   capsys, side):
+        (sides[side] / "src" / "bcdimer" / "__pycache__").mkdir()
+        monkeypatch.setattr(BENCH_PAIRS, "_run", None)  # never called
+        with pytest.raises(SystemExit) as exc:
+            self.main(sides, tmp_path)
+        assert exc.value.code == 2
+        assert f"only the {side} side" in capsys.readouterr().err
+        assert not (tmp_path / "record.json").exists()
+
+    @pytest.mark.parametrize("compiled", [(), ("change",),
+                                          ("parent", "change")])
+    def test_after_the_last_pair(self, sides, tmp_path, monkeypatch, capsys,
+                                 compiled):
+        def run(checkout, ns, seconds):
+            for side in compiled:
+                (sides[side] / "src" / "bcdimer" / "__pycache__").mkdir(
+                    exist_ok=True)
+            return {"metrics": {"q": {"value": 1.0}}, "failed": 0,
+                    "correct": True}
+
+        monkeypatch.setattr(BENCH_PAIRS, "_run", run)
+        code = self.main(sides, tmp_path)
+        record = json.loads((tmp_path / "record.json").read_text())
+        assert record["bytecode"]["after"]["pycache"] == {
+            side: side in compiled for side in sides}
+        err = capsys.readouterr().err
+        if len(compiled) == 1:
+            assert code == 2 and "only the change side" in err
+        else:
+            assert code == 0 and "error" not in err

@@ -12,7 +12,6 @@ from bcdimer.bicomplex import (
     IdempotentPair,
     ZeroDivisor,
     lift_real_control,
-    phase_j,
 )
 
 
@@ -94,11 +93,6 @@ class TestExamples:
     def test_modulus_squared_one_plus_i(self):
         z = ONE + I
         assert (z.modulus_squared() - 2).max_abs() < 1e-15
-
-    def test_phase_j(self):
-        assert (phase_j(0.0) - ONE).max_abs() == 0.0
-        assert (phase_j(np.pi / 2) - J).max_abs() < 1e-15
-        assert (phase_j(np.pi) + ONE).max_abs() < 1e-15
 
     def test_lift_real_control(self):
         p = lift_real_control(1.0, 0.0)

@@ -228,9 +228,10 @@ class TestArtifacts:
         assert texts[0] == texts[1]
         assert len(texts[0]) > 0
 
-    # a negative value in exponent form, or a range with a negative end,
-    # given as the next argument reads as it does after "="; argparse alone
-    # took it for an option ("expected one argument")
+    # a negative value in exponent form, a range with a negative end, or a
+    # negative infinity or nan, given as the next argument reads as it does
+    # after "="; argparse alone took it for an option ("expected one
+    # argument"), where a non-finite control is the typed usage error
     @pytest.mark.parametrize("option,value,args", [
         ("--g", "-1e-3", ["solve", "--gamma", "0.3"]),
         ("--g", "-2.5E+0", ["solve", "--format", "json"]),
@@ -238,18 +239,31 @@ class TestArtifacts:
         ("--g-range", "-2.5:-0.1:0.1", ["merger"]),
         ("--gamma-range", "-0.2:0.3:0.05", ["bifurcations", "--g", "-1e-1"]),
         ("--g-range", "-1e-1:1e-1:5e-2", ["sweep", "--gamma", "0.5"]),
+        ("--g", "-inf", ["solve"]),
+        ("--g", "-Infinity", ["solve"]),
+        ("--gamma", "-INF", ["solve"]),
+        ("--s", "-nan", ["solve", "--g", "1"]),
+        ("--g", "-NaN", ["solve"]),
     ])
     def test_negative_values_read_as_after_equals(self, tmp_path, capsys,
                                                   option, value, args):
+        finite = not value[1:].lower().startswith(("inf", "nan"))
+        code = 0 if finite else 2
         got = []
         for k, given in enumerate(([option, value], [f"{option}={value}"])):
             out = tmp_path / str(k)
-            assert run([*args, *given, "--out", str(out)]) == 0
-            got.append((capsys.readouterr().out,
-                        {path.name: path.read_bytes()
-                         for path in sorted(out.glob("*"))}))
+            assert run([*args, *given, "--out", str(out)]) == code
+            got.append(capsys.readouterr() +
+                       ({path.name: path.read_bytes()
+                         for path in sorted(out.glob("*"))},))
         assert got[0] == got[1]
-        assert "error" not in json.loads(got[0][0])
+        summary = json.loads(got[0][0])
+        if finite:
+            assert "error" not in summary
+        else:
+            assert summary["error"] == "usage"
+            assert summary["message"].startswith(
+                f"control {option[2:]} must be finite")
 
     def test_classify_writes_a_json_report(self, tmp_path, capsys):
         assert run(["classify", "--around", "pitchfork", "--g", "-1",

@@ -772,6 +772,61 @@ class TestRootMonodromy:
         assert encircle(SYSTEM, spec, CFG).cycle_type == cycle_type
 
 
+def ep4_center(v, g_sign, s_sign):
+    """An EP4 of the dimer: at plus components (g, gamma, s) = (-2i g_sign,
+    sqrt(3)/2, s_sign/2) v, Q is a fourth power, reached only with a purely
+    j-continued nonlinearity."""
+    return DimerParams(v, g=Bicomplex(0.0, g_sign * 2 * v),
+                       gamma=math.sqrt(3) / 2 * v, s=s_sign * v / 2)
+
+
+EP4_CENTERS = [pytest.param(v, g_sign, s_sign,
+                            id=f"v{v:g}-g{g_sign:+d}j-s{s_sign:+d}")
+               for v in (1.0, 2.0) for g_sign in (1, -1) for s_sign in (1, -1)]
+
+
+class TestEP4:
+    """All four states coalesce at the EP4, and a gamma- or s-loop round it
+    permutes them in one 4-cycle (ROADMAP direction 10)."""
+
+    @pytest.mark.parametrize("v, g_sign, s_sign", EP4_CENTERS)
+    def test_one_state_at_the_center(self, v, g_sign, s_sign):
+        center = ep4_center(v, g_sign, s_sign)
+        assert len(find_all_states(SYSTEM, center, CFG)) == 1
+
+    @pytest.mark.parametrize("radius", [1e-2, 1e-3])
+    @pytest.mark.parametrize("which", ["gamma", "s"])
+    @pytest.mark.parametrize("v, g_sign, s_sign", EP4_CENTERS)
+    def test_loops_give_one_four_cycle(self, v, g_sign, s_sign, which,
+                                       radius):
+        spec = all_states_loop(ep4_center(v, g_sign, s_sign), which, radius)
+        assert len(spec.states_to_track) == 4
+        trace = encircle(SYSTEM, spec, CFG)
+        assert trace.cycle_type == [4]
+        assert trace.fallback_steps == 0
+        assert trace.reliable
+        assert root_cycle_type(spec) == [4]
+
+    @pytest.mark.parametrize("v", [1.0, 2.0])
+    def test_classify_bounds_the_order_by_four(self, v):
+        center = ep4_center(v, 1, 1)
+        report = classify_ep(SYSTEM, [
+            encircle(SYSTEM, all_states_loop(center, which, 1e-2), CFG)
+            for which in ("gamma", "s")], CFG)
+        assert report.cycle_types == {"gamma": [4], "s": [4]}
+        assert report.order_lower_bound == 4
+
+    @pytest.mark.xfail(strict=True, reason="Newton from each tracked state "
+                       "stops short of the quadruple root, so no center "
+                       "state is kept (ROADMAP direction 10)")
+    @pytest.mark.parametrize("v", [1.0, 2.0])
+    def test_classify_sees_the_states_coalesce(self, v):
+        center = ep4_center(v, 1, 1)
+        report = classify_ep(SYSTEM, [
+            encircle(SYSTEM, all_states_loop(center, "s", 1e-2), CFG)], CFG)
+        assert report.states_coalesce
+
+
 class TestSpecValidation:
     def test_spec_invariants(self):
         center = DimerParams(v=1.0, g=0.0, gamma=1.0)

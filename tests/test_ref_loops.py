@@ -160,7 +160,7 @@ class TestLoops:
         seeds = {name: len(system.packed_candidates(
             control_rows([spec.center]))[0]) for name, spec in specs.items()}
         assert seeds["tangent g=5e-4"] == 8  # Q's roots and the linear model
-        assert not specs["s-loop at gamma=0.3+0.2j"].center.is_physical()
+        assert specs["s-loop at gamma=0.3+0.2j"].center.gamma.z1 == 0.2
         assert specs["pitchfork v=2"].center.v == 2.0
         assert specs["tangent g=-1, 300 steps"].steps > solver._BLOCK
         tracked = {"tangent g=0, complex states": 2,

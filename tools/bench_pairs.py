@@ -22,6 +22,9 @@ parent's by more than the bound, and ``"worse"`` when it is.
 ``bytecode`` says whether a run's ``setup_s`` may include compiling the
 package: the ``PYTHONDONTWRITEBYTECODE`` setting, and whether each side
 has ``src/bcdimer/__pycache__``, before the first run and after the last.
+Where only one side has it, the two sides' ``setup_s`` do not compare:
+that is an error before the first pair, and after the last pair, once the
+record is written, an error exit.
 """
 
 from __future__ import annotations
@@ -57,6 +60,15 @@ def _bytecode(sides: dict[str, Path]) -> dict:
             "pycache": {side: (path / "src" / "bcdimer" /
                                "__pycache__").is_dir()
                         for side, path in sides.items()}}
+
+
+def _one_sided(bytecode: dict) -> str | None:
+    """The error message when exactly one side has compiled bytecode."""
+    have = [side for side, has in bytecode["pycache"].items() if has]
+    if len(have) == 1:
+        return (f"only the {have[0]} side has src/bcdimer/__pycache__, so "
+                f"the two sides' setup_s do not compare")
+    return None
 
 
 def _run(checkout: Path, ns, seconds: float) -> dict:
@@ -113,10 +125,12 @@ def main(argv=None) -> int:
     if ns.pairs < 1:
         ap.error("--pairs must be at least 1")
     sides = {"parent": ns.parent.resolve(), "change": ns.change.resolve()}
+    bytecode = {"before": _bytecode(sides)}
+    if error := _one_sided(bytecode["before"]):
+        ap.error(error)
     specs = json.loads((sides["parent"] / "BENCHMARK.json").read_text())
     seconds = specs["run_seconds"]
     runs = {"parent": [], "change": []}
-    bytecode = {"before": _bytecode(sides)}
     for k in range(ns.pairs):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in order:
@@ -155,6 +169,9 @@ def main(argv=None) -> int:
                              ("parent_quartiles", "change_quartiles",
                               "change_wins", "claim_met", "bound_verdict")}
                       for name, m in metrics.items()}))
+    if error := _one_sided(bytecode["after"]):
+        print(f"{ap.prog}: error: {error}", file=sys.stderr)
+        return 2
     return 0
 
 
