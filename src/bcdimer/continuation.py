@@ -22,7 +22,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field, replace
 
-from .bicomplex import Bicomplex, fmt_float
+from .bicomplex import Bicomplex
 from .model import BifurcationPoint, StationaryState, control_rows
 from .solver import (
     GaugeDegenerate,
@@ -452,38 +452,56 @@ _STATE_COLUMNS = (
 )
 
 
+# a state row's 12 floats, then mu again as re_mu_0, re_mu_2, im_mu_0, im_mu_2
+_STATE_CELLS = np.r_[0:12, 8:12]
+
+
+def _reprs(values) -> np.ndarray:
+    """The repr of each float of ``values``, an object array of its shape.
+    Each distinct 64-bit pattern is formatted once: keyed by bits, not by
+    value, -0.0 and 0.0 stay apart, and a NaN finds its own text."""
+    values = np.asarray(values, dtype=float)
+    bits, inverse = np.unique(values.ravel().view(np.int64),
+                              return_inverse=True)
+    text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+    return text[inverse.reshape(values.shape)]
+
+
 def states_table(rows, lead: tuple[str, ...] = (),
                  extra: tuple[str, ...] = ()) -> str:
     """CSV text with one line per (lead cells, state, extra cells) row.
 
     The columns are the ``lead`` ones, the state's components, mu in the
     (re, im) complex split, the ``extra`` ones and the two flags.  A state
-    is a StationaryState or its 15 values, as in a solved row.
+    is a StationaryState or its 15 values, as in a solved row.  Each cell
+    of a state is its float's repr (:func:`~bcdimer.bicomplex.fmt_float`),
+    taken once per distinct 64-bit pattern of the table (:func:`_reprs`).
     """
     header = [*lead, _STATE_COLUMNS, *extra,
               "is_complex_state", "is_pt_symmetric"]
-    lines = [",".join(header)]
-    for lead_cells, st, extra_cells in rows:
-        if isinstance(st, StationaryState):
-            st = (*st.psi1.as_tuple(), *st.psi2.as_tuple(), *st.mu.as_tuple(),
-                  st.residual_norm, st.is_complex_state, st.is_pt_symmetric)
-        # mu twice: its components, then re_mu_0, re_mu_2, im_mu_0, im_mu_2;
-        # %r of a float is its repr, fmt_float
-        mu = "%r,%r,%r,%r" % tuple(st[8:12])
-        cells = "%r,%r,%r,%r,%r,%r,%r,%r,%s,%s" % (*st[0:8], mu, mu)
-        lines.append(",".join([
-            *lead_cells, cells, *extra_cells,
-            "true" if st[13] else "false",
-            "true" if st[14] else "false"]))
-    return "\n".join(lines) + "\n"
+    rows = list(rows)
+    lead_cells, states, extra_cells = zip(*rows) if rows else ((), (), ())
+    values = np.array([
+        (*st.psi1.as_tuple(), *st.psi2.as_tuple(), *st.mu.as_tuple(),
+         st.residual_norm, st.is_complex_state, st.is_pt_symmetric)
+        if isinstance(st, StationaryState) else st for st in states],
+        dtype=float).reshape(-1, 15)
+    cells = _reprs(values[:, :12])[:, _STATE_CELLS].tolist()
+    flags = np.where(values[:, 13:] != 0, "true", "false").tolist()
+    return "\n".join([",".join(header)] + [
+        ",".join([*a, *c, *b, *f]) for a, c, b, f in zip(
+            lead_cells, cells, extra_cells, flags)]) + "\n"
 
 
 def branches_to_csv(branches: list[Branch]) -> str:
     """Branch samples in the interchange schema (one row per sample); a
-    stitched branch's are written from its rows, building no state."""
+    stitched branch's are written from its rows, building no state.  Each
+    distinct control value is formatted once."""
+    values = [value for br in branches for value in br.values]
+    params = iter(_reprs(values).tolist())
     return states_table(
-        (((fmt_float(value), str(br.branch_id)), st, ())
-         for br in branches for value, st in zip(br.values, (
-             br.samples.rows.tolist() if isinstance(br.samples, _Samples)
-             else (st for _, st in br.samples)))),
+        [((next(params), str(br.branch_id)), st, ())
+         for br in branches for st in (
+             br.samples.rows if isinstance(br.samples, _Samples)
+             else (st for _, st in br.samples))],
         lead=("param", "branch_id"))

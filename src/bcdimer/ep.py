@@ -45,8 +45,7 @@ from .solver import (
     _rows,
     _solve_at,
     _states,
-    newton_solve,
-    state_distance,
+    find_all_states,
 )
 
 __all__ = [
@@ -336,9 +335,11 @@ def classify_ep(
 
     All traces must share the center.  The report gives per-control cycle
     types, the maximum cycle length (a lower bound on the order), and
-    whether the tracked states coalesce when re-solved at the center
-    itself.  A single control not exchanging all states does not bound the
-    order from above, so only the lower bound is reported.
+    whether the tracked states coalesce at the center itself: whether the
+    states of :func:`~bcdimer.solver.find_all_states` there nearest to
+    them lie within COALESCENCE_TOL of each other.  A single control not
+    exchanging all states does not bound the order from above, so only
+    the lower bound is reported.
     """
     if cfg is None:
         cfg = SolveConfig()
@@ -351,19 +352,17 @@ def classify_ep(
     cycle_types = {tr.spec.which: tr.cycle_type for tr in traces}
     max_cycle = max(max(tr.cycle_type) for tr in traces)
 
-    # coalescence of the tracked wave functions at the center itself
-    probe = traces[0]
-    center_states = []
-    for st in probe.start_states():
-        try:
-            center_states.append(newton_solve(system, center, st, cfg))
-        except (NoConvergence, GaugeDegenerate):
-            continue
+    # coalescence of the tracked wave functions at the center itself: each
+    # tracked start state maps to its nearest state of find_all_states
+    # there.  Newton from a tracked state would stop short of an exact
+    # EP4's quadruple root, to which it converges only linearly
+    center_rows = _rows(find_all_states(system, center, cfg))
     max_pair = 0.0
-    for i, a in enumerate(center_states):
-        for b in center_states[i + 1 :]:
-            max_pair = max(max_pair, float(state_distance(a, b)))
-    coalesce = bool(center_states) and max_pair < COALESCENCE_TOL
+    if len(center_rows):
+        start = _rows(traces[0].start_states())
+        mapped = center_rows[_distances(start, center_rows).argmin(1)]
+        max_pair = float(_distances(mapped, mapped).max())
+    coalesce = bool(len(center_rows)) and max_pair < COALESCENCE_TOL
     summary = (
         f"EP order >= {max_cycle}"
         + ("; tracked states coalesce at center" if coalesce else

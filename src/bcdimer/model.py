@@ -388,9 +388,11 @@ def _could_merge(roots, top) -> np.ndarray:
     |r - c| are computed as _merged computes them (a running sum divided by
     m; hypot), so (a) is exact; in (b) powers and sums may round
     differently, by far less than the factor 2 of slack below.  So this is
-    a superset of _merged's test, and a False row is proven unmerged.  A
-    bound on the closest pair of roots alone would not be: a root outside
-    G near c makes h, and so (b), vanish however far apart G's roots are.
+    a superset of _merged's test, and a False row is proven unmerged.
+    (b) alone does not bound G's spread, since a root outside G near c
+    makes h vanish; but _merged also needs G isolated, so a bound on the
+    closest pair of roots is a superset too (:func:`_close_pair`), and
+    _q_roots runs it first.
     """
     eps = np.finfo(float).eps
     sizes = np.abs(top)
@@ -417,39 +419,71 @@ def _could_merge(roots, top) -> np.ndarray:
     return flag
 
 
-def _q_roots(g, gamma, s) -> list[list[complex]]:
+def _close_pair(roots, top) -> np.ndarray:
+    """Where the closest pair of the quartics' roots is close enough for
+    :func:`_merged` to merge a group of them (``roots`` and ``top`` as in
+    :func:`_could_merge`).
+
+    An isolated group G of m roots with spread D = max |r - c| has h >=
+    |lead| (2D)^(4-m), so it merges only if D^4 <= 2^(2m-4) eps size(c) /
+    |lead| <= 16 eps size(c) / |lead|.  Two of its roots lie within 2D, so
+    the closest pair d of the row has d^4 <= 256 eps size(c) / |lead|, and
+    |c| <= R = max |r|.  This flags the rows with |lead| d^4 <= 2 * 256 eps
+    size(R), a factor 2 of slack for rounding: a superset of _merged's
+    rows, as _could_merge is, for a fraction of its cost.
+    """
+    eps = np.finfo(float).eps
+    sizes = np.abs(top)
+    first, second = _GROUPS[2][0].T
+    closest = np.abs(roots[:, first] - roots[:, second]).min(-1)
+    radius = np.abs(roots).max(-1)
+    size, power = sizes[:, -1].copy(), np.ones_like(radius)
+    for n in range(1, 5):
+        power = power * radius
+        size = size + sizes[:, 4 - n] * power
+    return sizes[:, 0] * closest ** 4 <= 512 * eps * size
+
+
+def _q_roots(g, gamma, s) -> tuple[np.ndarray, np.ndarray]:
     """The roots of Q at each point, as :func:`_roots` gives them, and none
     where g = 0.  ``g``, ``gamma`` and ``s`` are arrays of the controls'
-    plus components in units of v.
+    plus components in units of v.  Returns the roots, point after point,
+    and the index of each root's point.
 
     Where Q is a quartic with Q(0) != 0 the roots come from one batched
     ``eigvals`` of the companion matrices that ``np.roots`` builds, which
-    gives its roots bit for bit, and _roots' merge runs only where
-    :func:`_could_merge` says it could merge.  Elsewhere _roots runs.
-    A single point takes _roots itself, which costs less than the batched
-    set-up (200 against 400 us); at complex (j-continued) controls numpy's
-    scalar complex arithmetic also rounds Q's coefficients differently
-    from its array loops, so one-point calls keep the bits they had.
+    gives its roots bit for bit, and stay an (N, 4) array.  _roots' merge
+    then runs only on the rows that pass two gates, the cheap one first:
+    :func:`_close_pair`, then :func:`_could_merge`; each flags every row
+    that _merged changes.  Elsewhere _roots runs.  A single point takes
+    _roots itself, which costs less than the batched set-up (200 against
+    400 us); at complex (j-continued) controls numpy's scalar complex
+    arithmetic also rounds Q's coefficients differently from its array
+    loops, so one-point calls keep the bits they had.
     """
     if len(g) == 1:
         g0, gamma0, s0 = g.item(), gamma.item(), s.item()
-        return [_roots(_q_coefficients(g0, gamma0, s0)[::-1]) if g0 != 0
-                else []]
+        x = np.array(_roots(_q_coefficients(g0, gamma0, s0)[::-1])
+                     if g0 != 0 else [], dtype=complex)
+        return x, np.zeros(len(x), dtype=int)
     top = _q_coefficients(g, gamma, s)[::-1].T
-    out = [[] for _ in range(len(top))]
+    roots = np.zeros((len(top), 4), dtype=complex)
+    live = np.zeros((len(top), 4), dtype=bool)
     quartic = (g != 0) & (top[:, 0] != 0) & (top[:, -1] != 0)
     k = np.flatnonzero(quartic)
     if len(k):
         companion = np.zeros((len(k), 4, 4), dtype=complex)
         companion[:, 1:, :3] = np.eye(3)
         companion[:, 0, :] = -top[k, 1:] / top[k, :1]
-        roots = np.linalg.eigvals(companion)
-        merge = _could_merge(roots, top[k])
-        for kk, row, m in zip(k.tolist(), roots.tolist(), merge.tolist()):
-            out[kk] = _merged(row, top[kk]) if m else row
+        roots[k], live[k] = np.linalg.eigvals(companion), True
+        k = k[_close_pair(roots[k], top[k])]
+        if len(k):
+            for kk in k[_could_merge(roots[k], top[k])].tolist():
+                roots[kk] = _merged(roots[kk].tolist(), top[kk])
     for kk in np.flatnonzero(~quartic & (g != 0)).tolist():
-        out[kk] = _roots(top[kk])
-    return out
+        found = _roots(top[kk])
+        roots[kk, :len(found)], live[kk, :len(found)] = found, True
+    return roots[live], np.nonzero(live)[0]
 
 
 class _ComplexLanes:
@@ -720,21 +754,30 @@ def _x_derivatives(c, x) -> np.ndarray:
     return (_FALLING * _powers(x, 5)[_SHIFT] * c).sum(1)
 
 
-def _newton_step(coeffs, x, p, order, f1=None, f2=None):
-    """The Newton step (dx, dp) on (d^j Q, d^(j+1) Q), j = order, and their
-    values; f1 and f2 replace those values where given."""
-    lanes = np.arange(len(x))
-    weights = _FALLING * _powers(x, 5)[_SHIFT]  # d^a X**n / dX^a
-    p_powers = _powers(p, 4)
-    q = (weights * (coeffs.T @ p_powers)).sum(1)
-    qp = (weights * ((coeffs[1:] * _DP).T @ p_powers[:3])).sum(1)
-    if f1 is None:
-        f1, f2 = q[order, lanes], q[order + 1, lanes]
-    a, b = q[order + 1, lanes], qp[order, lanes]
-    c, d = q[order + 2, lanes], qp[order + 1, lanes]
-    with np.errstate(divide="ignore", invalid="ignore"):
+def _newton_steps(coeffs, order):
+    """The Newton step in (X, p) on (d^j Q, d^(j+1) Q), j = order, for all
+    lanes, as a function of x and p, and of the two values f1, f2 where
+    given in place of those of Q.  It returns the step (dx, dp) and the
+    values; Q^(j+1) is also the Jacobian's (X, X) entry, so it is f2 too.
+    The lanes' rows and d coeffs/dp are taken once, for every step; the
+    caller ignores the division's warnings (a singular step is not
+    finite)."""
+    n = len(order)
+    at = [(order + k) * n + np.arange(n) for k in range(3)]  # q.flat
+    slopes = (coeffs[1:] * _DP).T
+
+    def step(x, p, f1=None, f2=None):
+        weights = _FALLING * _powers(x, 5)[_SHIFT]  # d^a X**n / dX^a
+        p_powers = _powers(p, 4)
+        q = (weights * (coeffs.T @ p_powers)).sum(1).ravel()
+        qp = (weights * (slopes @ p_powers[:3])).sum(1).ravel()
+        a, b, c, d = q[at[1]], qp[at[0]], q[at[2]], qp[at[1]]
+        if f1 is None:
+            f1, f2 = q[at[0]], a
         det = a * d - b * c
         return (f1 * d - b * f2) / det, (a * f2 - c * f1) / det, f1, f2
+
+    return step
 
 
 def _refine(coeffs, x, p, order):
@@ -743,13 +786,16 @@ def _refine(coeffs, x, p, order):
     j = 0 finds a double root of Q, j = 1 a double root of Q', which is a
     triple root of Q where Q vanishes too.  Returns x, p, the size of the
     last step in p, the residual of the system and |Q| relative to the size
-    of its terms.
+    of its terms.  Each of the _REFINE_STEPS steps is one call of the
+    :func:`_newton_steps` that :func:`_polish` takes its steps from.
     """
-    for _ in range(_REFINE_STEPS):
-        dx, dp, f1, f2 = _newton_step(coeffs, x, p, order)
-        ok = np.isfinite(dx) & np.isfinite(dp)
-        x, p = np.where(ok, x - dx, x), np.where(ok, p - dp, p)
-        step = np.where(ok, np.abs(dp), np.inf)
+    newton = _newton_steps(coeffs, order)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_REFINE_STEPS):
+            dx, dp, f1, f2 = newton(x, p)
+            ok = np.isfinite(dx) & np.isfinite(dp)
+            x, p = np.where(ok, x - dx, x), np.where(ok, p - dp, p)
+    step = np.where(ok, np.abs(dp), np.inf)
     residual = np.maximum(np.abs(f1), np.abs(f2))
     c = _at(coeffs, p)
     terms = c * _powers(x, 5)
@@ -757,20 +803,23 @@ def _refine(coeffs, x, p, order):
 
 
 def _polish(coeffs, controls, parameter, x, p, order):
-    """Two last Newton steps with the residual from Q's closed-form
-    coefficients in long double, so that a location is rounded once, at
-    the end (exactly where long double is wider than double)."""
+    """Two last Newton steps, :func:`_refine`'s step with the residual
+    from Q's closed-form coefficients in long double, so that a location
+    is rounded once, at the end (exactly where long double is wider than
+    double)."""
     lanes = np.arange(len(x))
+    newton = _newton_steps(coeffs, order)
     controls = {name: np.clongdouble(c) for name, c in controls.items()}
     x, p = x.astype(np.clongdouble), p.astype(np.clongdouble)
-    for _ in range(2):
-        controls[parameter] = p
-        q = _x_derivatives(_q_coefficients(
-            controls["g"], controls["gamma"], controls["s"]), x)
-        dx, dp, _, _ = _newton_step(
-            coeffs, x.astype(complex), p.astype(complex), order,
-            q[order, lanes].astype(complex), q[order + 1, lanes].astype(complex))
-        x, p = x - dx, p - dp
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(2):
+            controls[parameter] = p
+            q = _x_derivatives(_q_coefficients(
+                controls["g"], controls["gamma"], controls["s"]), x)
+            dx, dp, _, _ = newton(x.astype(complex), p.astype(complex),
+                                  q[order, lanes].astype(complex),
+                                  q[order + 1, lanes].astype(complex))
+            x, p = x - dx, p - dp
     return x.astype(complex), p.real
 
 
@@ -826,12 +875,10 @@ class DimerSystem:
         out), is skipped.
         """
         plus = _plus(controls)
-        roots = _q_roots(*plus.T)
-        at = np.array([k for k, xs in enumerate(roots) for x in xs if x != 0],
-                      dtype=int)
-        rows = _back_solved(
-            np.array([x for xs in roots for x in xs if x != 0], dtype=complex),
-            plus[at], controls[at, 0])
+        x, at = _q_roots(*plus.T)
+        keep = x != 0
+        x, at = x[keep], at[keep]
+        rows = _back_solved(x, plus[at], controls[at, 0])
         linear = np.flatnonzero(
             np.hypot(plus[:, 0].real, plus[:, 0].imag) < _LINEAR_SEEDS)
         if not len(linear):

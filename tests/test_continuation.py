@@ -766,6 +766,51 @@ class TestStatesTable:
         assert got == _reference_states_table(rows, extra=extra)
         assert "np.float64" not in got
 
+    @staticmethod
+    def special_rows():
+        """15-value rows holding -0.0 beside 0.0 in every column, nan and
+        +-inf, the least subnormal and 17-digit values, each value repeated
+        across columns and rows, and as StationaryState rows."""
+        specials = np.array([0.0, -0.0, math.nan, math.inf, -math.inf,
+                             5e-324, -5e-324, 0.1 + 0.2,
+                             math.nextafter(1.0, 2.0), -1e-300 / 3.0,
+                             2.0 ** 0.5 * 1e16, 1.0])
+        rng = np.random.default_rng(11)
+        rows = []
+        for k in range(48):
+            values = rng.choice(specials, 12).tolist()
+            values[k % 12] = -0.0 if k // 12 % 2 else 0.0
+            rows.append([*values, 0.5, float(k % 2), float(k % 3 == 0)])
+        states = [StationaryState(Bicomplex(*r[0:4]), Bicomplex(*r[4:8]),
+                                  Bicomplex(*r[8:12]), r[12], bool(r[13]),
+                                  bool(r[14])) for r in rows]
+        return rows, states
+
+    def test_special_values(self):
+        rows, states = self.special_rows()
+        want = _reference_states_table(
+            [((str(k),), st, ()) for k, st in enumerate(states)],
+            lead=("row",))
+        for form in (rows, states):
+            assert continuation.states_table(
+                [((str(k),), st, ()) for k, st in enumerate(form)],
+                lead=("row",)) == want
+        assert "-0.0" in want and ",0.0," in want and "5e-324" in want
+
+    def test_a_table_keyed_by_value_fails_on_them(self, monkeypatch):
+        # 0.0 == -0.0, so a table keyed by value writes one for the other
+        def by_value(values):
+            values = np.asarray(values, dtype=float)
+            table = {}
+            return np.array([table.setdefault(x, repr(x))
+                             for x in values.ravel().tolist()],
+                            dtype=object).reshape(values.shape)
+
+        rows, states = self.special_rows()
+        want = _reference_states_table([((), st, ()) for st in states])
+        monkeypatch.setattr(continuation, "_reprs", by_value)
+        assert continuation.states_table([((), r, ()) for r in rows]) != want
+
     def test_empty(self):
         for lead in ((), ("param", "branch_id")):
             assert continuation.states_table([], lead=lead) == \

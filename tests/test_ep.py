@@ -816,15 +816,14 @@ class TestEP4:
         assert report.cycle_types == {"gamma": [4], "s": [4]}
         assert report.order_lower_bound == 4
 
-    @pytest.mark.xfail(strict=True, reason="Newton from each tracked state "
-                       "stops short of the quadruple root, so no center "
-                       "state is kept (ROADMAP direction 10)")
     @pytest.mark.parametrize("v", [1.0, 2.0])
     def test_classify_sees_the_states_coalesce(self, v):
         center = ep4_center(v, 1, 1)
         report = classify_ep(SYSTEM, [
             encircle(SYSTEM, all_states_loop(center, "s", 1e-2), CFG)], CFG)
+        # all four tracked states map to the one state found at the center
         assert report.states_coalesce
+        assert report.max_pairwise_center_distance == 0.0
 
 
 class TestSpecValidation:

@@ -23,10 +23,12 @@ from bcdimer.model import (
     residual,
     _back_solve,
     _back_solved,
+    _close_pair,
     _could_merge,
     _discriminant,
     _plus,
     _q_coefficients,
+    _merged,
     _q_roots,
     _roots,
 )
@@ -612,28 +614,109 @@ class TestMergePrefilter:
         g, gamma, s = (np.array(col, dtype=complex)
                        for col in zip(*self.GRIDS[grid]))
         top = _q_coefficients(g, gamma, s)[::-1].T
-        got = _q_roots(g, gamma, s)
+        roots, at = _q_roots(g, gamma, s)
         for k in range(len(top)):
             want = _roots(top[k]) if g[k] != 0 else []
-            assert np.array_equal(np.array(got[k], dtype=complex).view(float),
+            assert np.array_equal(roots[at == k].view(float),
                                   np.array(want, dtype=complex).view(float))
 
-    def test_flags_every_merge_and_few_others(self):
-        merged = flagged = total = 0
+    def quartics(self):
+        """The coefficients (highest power first) and unmerged roots of
+        each grid's quartics, and where _roots merges them."""
         for grid in self.GRIDS.values():
             g, gamma, s = (np.array(col, dtype=complex) for col in zip(*grid))
             top = _q_coefficients(g, gamma, s)[::-1].T
             live = (g != 0) & (top[:, 0] != 0) & (top[:, -1] != 0)
             top = top[live]
             raw = np.array([np.roots(row) for row in top])
+            yield top, raw, np.array([_roots(row) != roots.tolist()
+                                      for row, roots in zip(top, raw)])
+
+    def test_flags_every_merge_and_few_others(self):
+        merged = flagged = total = 0
+        for top, raw, moved in self.quartics():
             flags = _could_merge(raw, top)
-            for row, roots, flag in zip(top, raw, flags):
-                moved = _roots(row) != roots.tolist()
-                assert flag or not moved
-                merged += moved
+            assert (flags | ~moved).all()
+            merged += int(moved.sum())
             flagged += int(flags.sum())
             total += len(top)
         # the lines and the delta-sweep hold exact multiple roots (466 of
         # 3073 points merge); the search runs at few points that do not
         assert merged >= 300
         assert flagged - merged <= 0.01 * total
+
+    def test_closest_pair_flags_every_merge(self):
+        merged = flagged = 0
+        for top, raw, moved in self.quartics():
+            flags = _close_pair(raw, top)
+            assert (flags | ~moved).all()
+            merged += int(moved.sum())
+            flagged += int(flags.sum())
+        # 689 flagged rows for 466 merges
+        assert merged >= 300
+        assert flagged <= 2 * merged
+
+
+def _planted(m, centre, lead, factor, theta, others):
+    """A quartic (highest power first) with an m-fold root at ``centre``
+    split evenly on a circle of ``factor`` times its rounding radius (see
+    _roots), its other roots at the ``others`` offsets from the centre,
+    and its roots as np.roots gives them."""
+    eps = np.finfo(float).eps
+    rest = [centre + d for d in others[:4 - m]]
+    exact = lead * np.poly([centre] * m + rest)
+    size = sum(abs(c) * abs(centre) ** n for n, c in enumerate(exact[::-1]))
+    h = abs(lead) * math.prod(abs(r - centre) for r in rest)
+    radius = factor * (eps * size / h) ** (1.0 / m)
+    split = [centre + radius * cmath.exp(1j * (theta + 2 * math.pi * k / m))
+             for k in range(m)]
+    top = lead * np.poly(split + rest)
+    return top, np.roots(top)
+
+
+def _complex(units, lo, hi):
+    """The complex number of magnitude 10**(lo + (hi - lo) a) at the angle
+    2 pi b, for the pair ``units`` = (a, b) in [0, 1]."""
+    a, b = units
+    return 10.0 ** (lo + (hi - lo) * a) * cmath.exp(2j * math.pi * b)
+
+
+_UNIT = st_.floats(0.0, 1.0)
+
+
+class TestClosePair:
+    """_close_pair flags every quartic whose roots _merged changes, on
+    planted double, triple and quadruple roots split at the radius of
+    rounding, where _merged decides either way."""
+
+    @staticmethod
+    def moved_and_flagged(m, centre, lead, factor, theta, others):
+        top, raw = _planted(m, centre, lead, factor, theta, others)
+        moved = _merged(raw.tolist(), top) != raw.tolist()
+        return moved, bool(_close_pair(raw[None], top[None])[0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st_.sampled_from([2, 3, 4]), st_.tuples(_UNIT, _UNIT),
+           st_.tuples(_UNIT, _UNIT), st_.floats(-2.0, 2.0), _UNIT,
+           st_.lists(st_.tuples(_UNIT, _UNIT), min_size=2, max_size=2))
+    def test_flags_every_merge(self, m, centre, lead, log2_factor, theta,
+                               others):
+        moved, flagged = self.moved_and_flagged(
+            m, _complex(centre, -1, 1), _complex(lead, -1, 1),
+            2.0 ** log2_factor, 2 * math.pi * theta,
+            [_complex(d, -6, 1) for d in others])
+        assert flagged or not moved
+
+    def test_planted_roots_merge_on_both_sides(self):
+        rng = np.random.default_rng(7)
+        merged = {m: 0 for m in (2, 3, 4)}
+        for k in range(600):
+            m = 2 + k % 3
+            moved, flagged = self.moved_and_flagged(
+                m, _complex(rng.uniform(size=2), -1, 1),
+                _complex(rng.uniform(size=2), -1, 1),
+                2.0 ** rng.uniform(-2.0, 2.0), rng.uniform(0, 2 * math.pi),
+                [_complex(rng.uniform(size=2), -6, 1) for _ in range(2)])
+            assert flagged or not moved
+            merged[m] += moved
+        assert all(0 < n < 200 for n in merged.values())

@@ -39,8 +39,12 @@ from pathlib import Path
 # at v = 2, outside the v = 1 window, and a loop around it; three usage
 # errors: a loop whose control has a j part, a control looped twice, and a
 # bad coupling given with a bad tolerance; a loop that tracks one state,
-# whose match margin is infinite; and the merger at a j-continued gamma,
-# whose summary reports the j part
+# whose match margin is infinite; the merger at a j-continued gamma,
+# whose summary reports the j part; and the scans whose roots of Q the
+# merge gates flag: a sweep across the exact tangent at small g, one next
+# to the merger (g = 2v, gamma <= 1e-3 v), where root groups nearly merge,
+# and `bifurcations` given a j part of gamma (which the gamma scan drops)
+# and of s (which it keeps)
 COMMANDS = {
     "solve-ep3-json": ["solve", "--g", "-1", "--gamma", "0.8660254037844386",
                        "--format", "json"],
@@ -94,6 +98,12 @@ COMMANDS = {
     "merger-bad-tol-and-v": ["merger", "--tol", "0", "--v", "-1"],
     "encircle-one-state": ["encircle", "--around", "tangent", "--g", "0.5"],
     "merger-gamma-j": ["merger", "--gamma-j", "0.2"],
+    "sweep-tangent-small-g": ["sweep", "--g", "0.002", "--gamma-range",
+                              "0.99:1.01:0.0005"],
+    "sweep-near-merger": ["sweep", "--g", "2", "--gamma-range",
+                          "0:1e-3:1e-5"],
+    "bifurcations-gamma-j": ["bifurcations", "--g", "-1", "--gamma-j", "0.1"],
+    "bifurcations-s-j": ["bifurcations", "--g", "-1", "--s-j", "0.05"],
 }
 ID_COLUMN = "branch_id"
 ID_KEYS = (ID_COLUMN, "branch_ids", "continuing_branch_id")
