@@ -254,9 +254,18 @@ def _cmd_solve(ns, system, params, cfg) -> dict:
     }
 
 
+def _check_real_sweep(ns, parameter: str) -> None:
+    """A scan sweeps the real part of its control: a j part of it, which
+    the scan would drop, is a usage error."""
+    if parameter == "gamma" and ns.gamma_j != 0:
+        raise _Usage(f"--gamma-range scans a real gamma; --gamma-j must "
+                     f"be 0, got {ns.gamma_j!r}")
+
+
 def _cmd_sweep(ns, system, params, cfg) -> dict:
     parameter, rng = (("g", ns.g_range) if ns.gamma_range is None
                       else ("gamma", ns.gamma_range))
+    _check_real_sweep(ns, parameter)
     grid = _grid(rng)
     branches = stitched_branches(system, params, parameter, grid, cfg)
     _write(ns.out, "branches.csv", branches_to_csv(branches))
@@ -276,6 +285,7 @@ def _cmd_sweep(ns, system, params, cfg) -> dict:
 
 def _cmd_bifurcations(ns, system, params, cfg) -> dict:
     lo, hi, step = ns.gamma_range
+    _check_real_sweep(ns, "gamma")
     branches = stitched_branches(system, params, "gamma",
                                  _grid(ns.gamma_range), cfg)
     points = system.bifurcation_set(params, "gamma", lo, hi, cfg)

@@ -301,7 +301,10 @@ def locate_pitchfork_gamma(system, params, v: float,
     """The gamma in (0, v] where the PT-broken pair is born, if any.
 
     Returns (gamma_P, coalesced_state), the pitchfork of the system's
-    bifurcation set, or None when there is none in range.
+    bifurcation set, or None when there is none in range.  Only the
+    returned state is solved (see :class:`BifurcationPoint`): a Newton
+    failure there is raised, and one at any other point of the set is not
+    met.
     """
     for pt in system.bifurcation_set(params, "gamma", 0.0, v, cfg):
         if pt.kind == "pitchfork" and pt.location > 0:
@@ -318,7 +321,9 @@ def find_merger(system, params, g_window: tuple[float, float] | None = None,
     pitchfork leaves the gamma axis: the merger, |g| = 2v).  Returns
     (g_star, gamma_star) with gamma_star the real part of that gamma; the
     pitchfork is located at the whole gamma, j part included.  Raises
-    :class:`NoMerger` when the window holds no such point.
+    :class:`NoMerger` when the window holds no such point.  No state is
+    solved (see :class:`BifurcationPoint`), so a point whose state Newton
+    cannot reach does not stop the search.
     """
     v = params.v
     lo, hi = sorted(g_window or (-2.5 * v, -0.1 * v))
@@ -335,7 +340,9 @@ def find_tangent(
     """Locate the fold where the two equal-population branches coalesce.
 
     The tangent of the system's bifurcation set in (-2v, 2v) nearest v.
-    Returns (location, coalesced_state).
+    Returns (location, coalesced_state).  Only that tangent's state is
+    solved (see :class:`BifurcationPoint`): a Newton failure there is
+    raised, and one at any other point of the set is not met.
     """
     v = params.v
     tangents = [pt for pt in system.bifurcation_set(params, parameter,

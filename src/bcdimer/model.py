@@ -21,6 +21,7 @@ linear model is its g = 0 case.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -100,12 +101,41 @@ class StationaryState:
     is_pt_symmetric: bool
 
 
+class _SolvedOnRead:
+    """The ``coalesced_state`` field of :class:`BifurcationPoint`: it holds
+    a StationaryState, or a ``functools.partial`` that solves one, called
+    when the field is first read and replaced by what it returns (an error
+    it raises leaves it in place)."""
+
+    def __get__(self, point, owner=None):
+        if point is None:
+            raise AttributeError("coalesced_state")  # the field has no default
+        state = point._state
+        if isinstance(state, functools.partial):
+            state = point._state = state()
+        return state
+
+    def __set__(self, point, state):
+        point._state = state
+
+
 @dataclass
 class BifurcationPoint:
+    """A point where states coalesce.
+
+    ``coalesced_state`` is a StationaryState, or a ``functools.partial``
+    that solves it, as :meth:`DimerSystem.bifurcation_set` gives it: the
+    state is then solved when the field is first read, and kept.  Equality,
+    ``repr`` and ``dataclasses.replace`` read it.  A Newton failure
+    (:class:`~bcdimer.solver.NoConvergence` or
+    :class:`~bcdimer.solver.GaugeDegenerate`) is raised by the read, and
+    the next read tries again.
+    """
+
     kind: str  # "tangent" | "pitchfork"
     location: float
     branch_ids: tuple[int, ...]
-    coalesced_state: StationaryState
+    coalesced_state: StationaryState = _SolvedOnRead()
     detection_residual: float
     continuing_branch_id: int | None = None
 
@@ -662,6 +692,9 @@ def _as_seed(row):
 # s = 0 it factors as 4 g^4 (gamma^2-1)(4 gamma^2+g^2)(4 gamma^2+g^2-4)^3.
 _DISC_DEGREE = {"gamma": 10, "g": 8, "s": 8}
 _DISC_SAMPLES = 16  # circle points of the interpolation, above every degree
+_CIRCLE = np.exp(2j * np.pi * np.arange(_DISC_SAMPLES) / _DISC_SAMPLES)
+_HALF_STEP = np.exp(1j * np.pi / _DISC_SAMPLES)
+_QUARTER_TURNS = np.exp(0.5j * np.pi * np.arange(4))  # Q's samples in a control
 _REFINE_STEPS = 20  # the tangent at |g| = 0.01 needs 16
 # a refined root is accepted when its last Newton step in the control, and
 # its imaginary part, are below these (v-scaled); refined roots closer than
@@ -681,6 +714,7 @@ _FALLING = np.array([[math.perm(n, a) for n in range(5)] for a in range(4)],
                     dtype=float)[..., None]
 _SHIFT = np.maximum(np.arange(5) - np.arange(4)[:, None], 0)
 _DP = np.arange(1, 4)[:, None]  # d/dp of p**k, k = 1..3
+_SHIFT_DOWN = np.eye(4, k=-1, dtype=complex)[None]  # a companion's ones
 
 
 def _q_coefficients(g, gamma, s) -> np.ndarray:
@@ -689,14 +723,23 @@ def _q_coefficients(g, gamma, s) -> np.ndarray:
     g, gamma, s = np.broadcast_arrays(
         *(np.asarray(c) + 0j for c in (g, gamma, s)))
     gg, g2 = gamma * gamma, g * g
+    # the terms that recur, each formed as where it first appears
+    gamma2, ig, ig2 = 2 * gamma, 1j * g, 1j * g2
+    gamma_g, gamma_s, gs = gamma2 * g, 8 * gamma * s, 2j * g * s
     return np.array([
-        2 * gamma + 1j * g,
-        8j * gg - 2 * gamma * g - 8 * gamma * s + 1j * g2 - 2j * g * s,
-        (-8 * gg * gamma - 16j * gg * s - 2 * gamma * g2 + 8 * gamma * s * s
-         - 4 * gamma),
-        -8j * gg - 2 * gamma * g + 8 * gamma * s - 1j * g2 - 2j * g * s,
-        2 * gamma - 1j * g,
+        gamma2 + ig,
+        8j * gg - gamma_g - gamma_s + ig2 - gs,
+        -8 * gg * gamma - 16j * gg * s - gamma2 * g2 + gamma_s * s - 4 * gamma,
+        -8j * gg - gamma_g + gamma_s - ig2 - gs,
+        gamma2 - ig,
     ])
+
+
+# the Sylvester matrix's places of Q's coefficients, shifted along rows 0-2,
+# then of Q''s along rows 3-6
+_SYLVESTER_ROWS = np.repeat(np.arange(7), [5] * 3 + [4] * 4)
+_SYLVESTER_COLUMNS = np.concatenate([np.arange(r, r + 5) for r in range(3)]
+                                    + [np.arange(r, r + 4) for r in range(4)])
 
 
 def _discriminant(c) -> np.ndarray:
@@ -707,10 +750,8 @@ def _discriminant(c) -> np.ndarray:
     """
     top = c[::-1].T  # highest power first, one row per quartic
     sylvester = np.zeros((top.shape[0], 7, 7), dtype=complex)
-    for r in range(3):
-        sylvester[:, r, r:r + 5] = top
-    for r in range(4):
-        sylvester[:, 3 + r, r:r + 4] = top[:, :4] * (4, 3, 2, 1)
+    sylvester[:, _SYLVESTER_ROWS, _SYLVESTER_COLUMNS] = np.concatenate(
+        [top] * 3 + [top[:, :4] * (4, 3, 2, 1)] * 4, axis=1)
     return np.linalg.det(sylvester) / top[:, 0]
 
 
@@ -719,10 +760,8 @@ def _discriminant_roots(coeffs, parameter: str, lo: float, hi: float):
     does not vanish identically, and Q's coefficient rows there."""
     centre = 0.5 * (lo + hi)
     # half a step off the real axis, so that no sample lands on g = 0
-    radius = (0.5 * (hi - lo) + 1e-3 * max(1.0, abs(centre))) * np.exp(
-        1j * np.pi / _DISC_SAMPLES)
-    z = centre + radius * np.exp(
-        2j * np.pi * np.arange(_DISC_SAMPLES) / _DISC_SAMPLES)
+    radius = (0.5 * (hi - lo) + 1e-3 * max(1.0, abs(centre))) * _HALF_STEP
+    z = centre + radius * _CIRCLE
     disc = _discriminant(_at(coeffs, z))
     if parameter == "g":
         disc /= z ** 4
@@ -737,9 +776,14 @@ def _discriminant_roots(coeffs, parameter: str, lo: float, hi: float):
 
 def _powers(z, count: int) -> np.ndarray:
     """Rows z**0 .. z**(count-1), by products (complex ** is slow)."""
-    out = np.ones((count, len(z)), dtype=z.dtype)
-    for k in range(1, count):
-        out[k] = out[k - 1] * z
+    return _powers_into(np.empty((count, len(z)), dtype=z.dtype), z)
+
+
+def _powers_into(out, z) -> np.ndarray:
+    """:func:`_powers` of z written into the rows of ``out``."""
+    out[0] = 1
+    for k in range(1, len(out)):
+        np.multiply(out[k - 1], z, out=out[k])
     return out
 
 
@@ -759,21 +803,31 @@ def _newton_steps(coeffs, order):
     lanes, as a function of x and p, and of the two values f1, f2 where
     given in place of those of Q.  It returns the step (dx, dp) and the
     values; Q^(j+1) is also the Jacobian's (X, X) entry, so it is f2 too.
-    The lanes' rows and d coeffs/dp are taken once, for every step; the
-    caller ignores the division's warnings (a singular step is not
-    finite)."""
+    The lanes' rows, d coeffs/dp and the rows the powers go into are taken
+    once, for every step; the caller ignores the division's warnings (a
+    singular step is not finite)."""
     n = len(order)
-    at = [(order + k) * n + np.arange(n) for k in range(3)]  # q.flat
+    row = order * n + np.arange(n)  # the lane's row j in Q's and dQ/dp's
+    # Q^(j+1), dQ^(j)/dp, Q^(j+2), dQ^(j+1)/dp and Q^(j) in the flat
+    # stacked (Q, dQ/dp) derivatives
+    at = row + np.array([[n], [4 * n], [2 * n], [5 * n], [0]])
     slopes = (coeffs[1:] * _DP).T
+    x_powers = np.empty((5, n), dtype=complex)
+    p_powers = np.empty((4, n), dtype=complex)
+    weights = np.empty((4, 5, n), dtype=complex)
+    values = np.empty((2, 5, n), dtype=complex)  # Q's and dQ/dp's coefficients
 
     def step(x, p, f1=None, f2=None):
-        weights = _FALLING * _powers(x, 5)[_SHIFT]  # d^a X**n / dX^a
-        p_powers = _powers(p, 4)
-        q = (weights * (coeffs.T @ p_powers)).sum(1).ravel()
-        qp = (weights * (slopes @ p_powers[:3])).sum(1).ravel()
-        a, b, c, d = q[at[1]], qp[at[0]], q[at[2]], qp[at[1]]
+        _powers_into(x_powers, x)
+        np.multiply(_FALLING, x_powers[_SHIFT], out=weights)  # d^a X**n / dX^a
+        _powers_into(p_powers, p)
+        np.matmul(coeffs.T, p_powers, out=values[0])
+        np.matmul(slopes, p_powers[:3], out=values[1])
+        # summed along a non-last axis: the terms add in order (with one
+        # lane, in numpy's pairwise order); another form of the sum moves bits
+        a, b, c, d, q = (weights * values[:, None]).sum(2).ravel()[at]
         if f1 is None:
-            f1, f2 = q[at[0]], a
+            f1, f2 = q, a
         det = a * d - b * c
         return (f1 * d - b * f2) / det, (a * f2 - c * f1) / det, f1, f2
 
@@ -817,10 +871,30 @@ def _polish(coeffs, controls, parameter, x, p, order):
             q = _x_derivatives(_q_coefficients(
                 controls["g"], controls["gamma"], controls["s"]), x)
             dx, dp, _, _ = newton(x.astype(complex), p.astype(complex),
-                                  q[order, lanes].astype(complex),
-                                  q[order + 1, lanes].astype(complex))
+                                  *q[[order, order + 1], lanes].astype(complex))
             x, p = x - dx, p - dp
     return x.astype(complex), p.real
+
+
+def _coalesced(system, p, parameter, plus, x, value, cfg):
+    """The state of ``system`` where Q has the multiple root x, at the
+    v-scaled value of the control ``parameter`` (the other controls' plus
+    components ``plus``): the back-solve of x, polished by Newton."""
+    from .solver import newton_solve
+
+    at = dict(plus, **{parameter: complex(value)})
+    seed = _back_solve(x, at["g"], at["gamma"], at["s"], p.v)
+    return newton_solve(system, p.with_control(parameter, float(p.v * value)),
+                        _as_seed(seed), cfg)
+
+
+def _linear_coalesced(system, at, cfg):
+    """The state of ``system`` at the point ``at`` of the linear model's
+    coalescence, polished by Newton from the linear eigenpair."""
+    from .solver import newton_solve
+
+    seeds, _ = LinearTwoMode().packed_candidates(control_rows([at]))
+    return newton_solve(system, at, _as_seed(seeds[0].tolist()), cfg)
 
 
 class DimerSystem:
@@ -904,8 +978,14 @@ class DimerSystem:
         by Newton with ``cfg``; ``detection_residual`` is the residual of
         the (X, control) system in v-scaled units; ``branch_ids`` is empty.
         At g = 0 the points are those of the linear model.
+
+        No state is solved here: each point keeps its polished root and
+        control value, and solves its state when ``coalesced_state`` is
+        first read (see :class:`BifurcationPoint`).  A Newton failure is
+        raised by that read, so a caller pays for, and can fail on, only
+        the states it reads.
         """
-        from .solver import SolveConfig, newton_solve
+        from .solver import SolveConfig
 
         cfg = cfg or SolveConfig()
         cfg = replace(cfg, residual_tol=max(cfg.residual_tol, _COALESCED_TOL))
@@ -922,29 +1002,25 @@ class DimerSystem:
             for root in roots:
                 location = v * root.real
                 if abs(root.imag) <= _IMAG_TOL and lo <= location <= hi:
-                    at = p.with_control(parameter, location)
-                    seeds, _ = LinearTwoMode().packed_candidates(
-                        control_rows([at]))
                     points.append(BifurcationPoint(
-                        "tangent", location, (),
-                        newton_solve(self, at, _as_seed(seeds[0].tolist()),
-                                     cfg), 0.0))
+                        "tangent", location, (), functools.partial(
+                            _linear_coalesced, self,
+                            p.with_control(parameter, location), cfg), 0.0))
             return sorted(points, key=lambda pt: pt.location)
 
         # Q's coefficients as polynomials in the control, of degree <= 3:
         # coeffs[k, n] multiplies X**n p**k
-        swept = dict(plus, **{parameter: np.exp(0.5j * np.pi * np.arange(4))})
+        swept = dict(plus, **{parameter: _QUARTER_TURNS})
         coeffs = np.fft.fft(_q_coefficients(swept["g"], swept["gamma"],
                                             swept["s"]), axis=1).T / 4
         roots, c = _discriminant_roots(coeffs, parameter, lo / v, hi / v)
         if not len(roots):
             return points
         # the four roots of Q at each control seed seed both systems
-        companion = np.zeros((len(roots), 4, 4), dtype=complex)
-        companion[:, 1:, :3] = np.eye(3)
+        companion = np.repeat(_SHIFT_DOWN, len(roots), axis=0)
         companion[:, :, 3] = -(c[:4] / c[4]).T
-        x0 = np.tile(np.linalg.eigvals(companion).ravel(), 2)
-        p0 = np.tile(np.repeat(roots, 4), 2)
+        x0, p0 = np.linalg.eigvals(companion).ravel(), np.repeat(roots, 4)
+        x0, p0 = np.concatenate([x0, x0]), np.concatenate([p0, p0])
         order = np.repeat([0, 1], len(x0) // 2)
         x, pv, step, residual, q_size = _refine(coeffs, x0, p0, order)
 
@@ -955,23 +1031,22 @@ class DimerSystem:
               & (lo <= v * pv.real) & (v * pv.real <= hi)
               & (live > _VANISHING * np.abs(coeffs).max())
               & ((order == 0) | (q_size <= _VANISHING)))
+        kinds, res = order.tolist(), residual.tolist()
+        real, size = pv.real.tolist(), scale.tolist()
         kept = []  # triple roots first, then the best refined
-        for k in sorted(np.flatnonzero(ok),
-                        key=lambda k: (-order[k], residual[k])):
-            if all(abs(pv[k].real - pv[j].real) > _SAME_POINT * scale[k]
+        for k in sorted(np.flatnonzero(ok).tolist(),
+                        key=lambda k: (-kinds[k], res[k])):
+            if all(abs(real[k] - real[j]) > _SAME_POINT * size[k]
                    for j in kept):
                 kept.append(k)
         xs, values = _polish(coeffs, plus, parameter, x[kept], pv[kept],
                              order[kept])
         for k, xk, value in zip(kept, xs, values):
-            at = dict(plus, **{parameter: complex(value)})
-            seed = _back_solve(xk, at["g"], at["gamma"], at["s"], v)
             location = float(v * value)
             points.append(BifurcationPoint(
-                _KINDS[order[k]], location, (),
-                newton_solve(self, p.with_control(parameter, location),
-                             _as_seed(seed), cfg),
-                float(residual[k])))
+                _KINDS[kinds[k]], location, (), functools.partial(
+                    _coalesced, self, p, parameter, plus, xk, value, cfg),
+                res[k]))
         return sorted(points, key=lambda pt: pt.location)
 
     def residual(self, psi, mu: Bicomplex, p: DimerParams):

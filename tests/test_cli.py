@@ -153,6 +153,32 @@ class TestExitCodes:
         assert run([command, "--tol", "0", "--v", "-1"]) == 2
         assert "coupling v must be positive" in summary(capsys)["message"]
 
+    @pytest.mark.parametrize("args", [
+        ["bifurcations", "--g", "-1", "--gamma-j", "0.1"],
+        ["sweep", "--g", "-1", "--gamma-range", "0:1.4:0.01", "--gamma-j",
+         "0.1"],
+    ])
+    def test_gamma_scan_refuses_a_j_part(self, capsys, monkeypatch,
+                                         tmp_path, args):
+        # the scan sweeps gamma's real part and would drop its j part
+        def no_solving(*_args, **_kwargs):
+            raise AssertionError("solved before the settings were checked")
+
+        monkeypatch.setattr(cli, "stitched_branches", no_solving)
+        monkeypatch.setattr(DimerSystem, "bifurcation_set", no_solving)
+        out_dir = tmp_path / "out"
+        assert run(args + ["--out", str(out_dir)]) == 2
+        assert summary(capsys) == {
+            "error": "usage",
+            "message": "--gamma-range scans a real gamma; --gamma-j must be "
+                       "0, got 0.1"}
+        assert not out_dir.exists()
+
+    def test_g_scan_keeps_the_j_part_of_gamma(self, capsys):
+        assert run(["sweep", "--gamma", "0.5", "--gamma-j", "0.1",
+                    "--g-range=-1:1:0.5"]) == 0
+        assert summary(capsys)["parameter"] == "g"
+
     def test_loop_keeps_the_j_part_of_another_control(self, capsys):
         assert run(["encircle", "--g", "0.5", "--gamma", "0.3", "--gamma-j",
                     "0.2", "--param", "s", "--track", "all"]) == 0

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -504,6 +505,8 @@ class TestScanObjects:
         params = DimerParams(v=1.0, g=g)
         lo, hi, step = CLI_RANGE
         points = SYSTEM.bifurcation_set(params, "gamma", lo, hi, CFG)
+        for pt in points:  # solved on first read: outside the count
+            pt.coalesced_state
         built = {"params": 0, "states": 0}
         post_init, init = DimerParams.__post_init__, StationaryState.__init__
 
@@ -922,6 +925,133 @@ class TestLocators:
     def test_no_merger(self):
         with pytest.raises(NoMerger):
             find_merger(SYSTEM, DimerParams(v=1.0), (-1.5, -0.5), CFG)
+
+
+def bits(location, state=None) -> bytes:
+    """A location and the 12 floats of its state, if given, as bytes."""
+    return np.array([location, *(state_floats(state) if state else ())]
+                    ).tobytes()
+
+
+class TestLocatorsReadTheSet:
+    """Each locator answers with a point of a fully read bifurcation set,
+    bit for bit, and solves only the state it returns."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        count = [0]
+        solve_at = solver._solve_at
+
+        def counting(*args):
+            count[0] += 1
+            return solve_at(*args)
+
+        monkeypatch.setattr(solver, "_solve_at", counting)
+        return count
+
+    @staticmethod
+    def read_set(params, parameter, lo, hi):
+        points = SYSTEM.bifurcation_set(params, parameter, lo, hi, CFG)
+        for pt in points:
+            pt.coalesced_state
+        return points
+
+    # g of both signs on both sides of the merger |g| = 2v, small |g|,
+    # v = 2 and s != 0
+    CASES = [(v, v * g, s) for v in (1.0, 2.0)
+             for g in (-2.5, -1.5, -0.05, 0.01, 1.5, 2.5) for s in (0.0, 0.05)]
+
+    @pytest.mark.parametrize("v,g,s", CASES)
+    def test_find_tangent(self, solves, v, g, s):
+        params = DimerParams(v=v, g=g, s=s)
+        tangents = [pt for pt in self.read_set(params, "gamma", -2 * v, 2 * v)
+                    if pt.kind == "tangent"]
+        solves[0] = 0
+        if not tangents:  # at small |g| and s != 0 the set has no point
+            with pytest.raises(NoConvergence):
+                find_tangent(SYSTEM, params, "gamma", CFG)
+            assert solves[0] == 0 and abs(g) < 0.2
+            return
+        want = min(tangents, key=lambda pt: abs(pt.location - v))
+        loc, state = find_tangent(SYSTEM, params, "gamma", CFG)
+        assert solves[0] == 1
+        assert bits(loc, state) == bits(want.location, want.coalesced_state)
+
+    @pytest.mark.parametrize("v,g,s", CASES)
+    def test_locate_pitchfork_gamma(self, solves, v, g, s):
+        params = DimerParams(v=v, g=g, s=s)
+        want = [pt for pt in self.read_set(params, "gamma", 0.0, v)
+                if pt.kind == "pitchfork" and pt.location > 0][:1]
+        solves[0] = 0
+        found = locate_pitchfork_gamma(SYSTEM, params, v, CFG)
+        assert solves[0] == len(want)
+        if want:
+            assert bits(*found) == bits(want[0].location,
+                                        want[0].coalesced_state)
+        else:
+            assert found is None
+
+    @pytest.mark.parametrize("v", [1.0, 2.0])
+    @pytest.mark.parametrize("gamma", [Bicomplex(0.0), Bicomplex(0.5),
+                                       Bicomplex(0.0, 0.2),
+                                       Bicomplex(0.0, 0.5)])
+    def test_find_merger(self, solves, v, gamma):
+        params = DimerParams(v=v, gamma=gamma * v)
+        want = next(pt for pt in self.read_set(params, "g", -2.5 * v,
+                                               -0.1 * v)
+                    if pt.kind == "pitchfork")
+        solves[0] = 0
+        g_star, gamma_star = find_merger(SYSTEM, params, cfg=CFG)
+        assert solves[0] == 0
+        assert bits(g_star) == bits(want.location)
+        assert gamma_star == params.gamma.z0
+
+    def test_an_unread_failure_does_not_abort(self, solves):
+        # at gamma = 0.2j the tangent at g = 0.4 has no state Newton can
+        # reach (singular Jacobian); the merger at -2 sqrt(1.04) is found
+        params = DimerParams(v=1.0, gamma=Bicomplex(0.0, 0.2))
+        points = SYSTEM.bifurcation_set(params, "g", -2.5, 2.5, CFG)
+        assert [pt.kind for pt in points] == ["pitchfork", "tangent",
+                                              "pitchfork"]
+        g_star, _ = find_merger(SYSTEM, params, (-2.5, 2.5), CFG)
+        assert g_star == points[0].location == -2.039607805437114
+        assert solves[0] == 0
+        with pytest.raises(NoConvergence):
+            points[1].coalesced_state
+        with pytest.raises(NoConvergence):  # a failed read is not kept
+            points[1].coalesced_state
+        assert solves[0] == 2
+
+
+class TestBifurcationPoint:
+    STATE = StationaryState(Bicomplex(0.5), Bicomplex(0.5), Bicomplex(1.0),
+                            0.0, True, True)
+
+    def test_a_given_state_is_kept(self):
+        pt = BifurcationPoint("tangent", 1.0, (), self.STATE, 0.0)
+        assert pt.coalesced_state is self.STATE
+        assert [f.name for f in dataclasses.fields(pt)] == [
+            "kind", "location", "branch_ids", "coalesced_state",
+            "detection_residual", "continuing_branch_id"]
+        with pytest.raises(TypeError):
+            BifurcationPoint("tangent", 1.0, ())
+
+    def test_a_deferred_state_is_solved_once_on_read(self):
+        calls = []
+
+        def solve():
+            calls.append(1)
+            return self.STATE
+
+        lazy = BifurcationPoint("tangent", 1.0, (), functools.partial(solve),
+                                0.0)
+        assert calls == []
+        given = BifurcationPoint("tangent", 1.0, (), self.STATE, 0.0)
+        assert lazy == given and calls == [1]
+        assert repr(lazy) == repr(given)
+        assert dataclasses.replace(lazy, branch_ids=(0, 1)).coalesced_state \
+            is self.STATE
+        assert lazy.coalesced_state is self.STATE and calls == [1]
 
 
 class TestExport:

@@ -281,6 +281,145 @@ class TestBifurcationSet:
                                  p.with_control("gamma", pt.location)) < 1e-10
 
 
+def _reference_powers(z, count: int) -> np.ndarray:
+    out = np.ones((count, len(z)), dtype=z.dtype)
+    for k in range(1, count):
+        out[k] = out[k - 1] * z
+    return out
+
+
+def _reference_newton_steps(coeffs, order):
+    """model._newton_steps written on temporaries, one numpy call per
+    product, sum and gather, with _reference_powers for model._powers."""
+    n = len(order)
+    at = [(order + k) * n + np.arange(n) for k in range(3)]  # q.flat
+    slopes = (coeffs[1:] * model._DP).T
+
+    def step(x, p, f1=None, f2=None):
+        weights = model._FALLING * _reference_powers(x, 5)[model._SHIFT]
+        p_powers = _reference_powers(p, 4)
+        q = (weights * (coeffs.T @ p_powers)).sum(1).ravel()
+        qp = (weights * (slopes @ p_powers[:3])).sum(1).ravel()
+        a, b, c, d = q[at[1]], qp[at[0]], q[at[2]], qp[at[1]]
+        if f1 is None:
+            f1, f2 = q[at[0]], a
+        det = a * d - b * c
+        return (f1 * d - b * f2) / det, (a * f2 - c * f1) / det, f1, f2
+
+    return step
+
+
+def _same_bits(a, b) -> bool:
+    """Bit for bit; a long double's unused padding bytes are skipped (its
+    value and sign are compared, with every nan alike)."""
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    if a.real.dtype.itemsize <= 8:
+        return a.tobytes() == b.tobytes()
+    return all(np.array_equal(x, y, equal_nan=True)
+               and np.array_equal(np.signbit(x), np.signbit(y))
+               for x, y in ((a.real, b.real), (a.imag, b.imag)))
+
+
+def _steps_keep_their_bits(calls):
+    """Each (function, args) of _refine and _polish gives, with the model's
+    step, the outputs it gives with the reference step."""
+    for fn, args in calls:
+        got = fn(*args)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(model, "_newton_steps", _reference_newton_steps)
+            m.setattr(model, "_powers", _reference_powers)
+            want = fn(*args)
+        assert len(got) == len(want) == (5 if fn is model._refine else 2)
+        for g, w in zip(got, want):
+            assert _same_bits(g, w), (fn.__name__, g, w)
+
+
+_C = st_.floats(-2.5, 2.5, allow_nan=False, allow_infinity=False)
+
+
+@st_.composite
+def _scans(draw):
+    """A bifurcation_set call: any control swept over a range at v = 1 or
+    2, the controls with j parts or without."""
+    v = draw(st_.sampled_from([1.0, 2.0]))
+    j = draw(st_.booleans())
+    p = DimerParams(v=v, **{name: Bicomplex(
+        v * draw(_C), v * draw(_C) / 5 if j else 0.0) for name in (
+            "g", "gamma", "s")})
+    lo, hi = sorted((v * draw(_C), v * draw(_C)))
+    return p, draw(st_.sampled_from(["gamma", "g", "s"])), lo, hi + 0.1 * v
+
+
+# exact values, so that products cancel exactly: a lane on a multiple root
+# of Q, or with Q vanishing in X, has det = 0; and lanes that are not finite
+_EXACT = st_.sampled_from([0j, 0j, 0j, 1 + 0j, -1 + 0j, 2 + 0j, 1j, -2j,
+                           1 + 1j])
+_LANE = st_.one_of(_EXACT, st_.sampled_from(
+    [complex(math.inf, 0.0), complex(0.0, -math.inf), complex(math.nan, 1.0),
+     1e300 + 1e300j]))
+
+
+@st_.composite
+def _exact_calls(draw):
+    """_refine and _polish on coefficients coeffs[k, n] of X**n p**k and
+    lanes drawn from exact values: in the Fortran layout that
+    bifurcation_set builds them in, or in C layout."""
+    coeffs = np.array(draw(st_.lists(_EXACT, min_size=20, max_size=20)))
+    coeffs = coeffs.reshape(4, 5)
+    if draw(st_.booleans()):
+        coeffs = np.asfortranarray(coeffs)
+    n = draw(st_.integers(1, 6))
+    x, p = (np.array(draw(st_.lists(_LANE, min_size=n, max_size=n)))
+            for _ in range(2))
+    order = np.array(draw(st_.lists(st_.integers(0, 1), min_size=n,
+                                    max_size=n)))
+    controls = {name: draw(_EXACT) for name in ("g", "gamma", "s")}
+    parameter = draw(st_.sampled_from(["gamma", "g", "s"]))
+    return [(model._refine, (coeffs, x, p, order)),
+            (model._polish, (coeffs, controls, parameter, x, p, order))]
+
+
+class TestNewtonStepBits:
+    """_refine and _polish give the bits of the Newton step written on
+    temporaries (_reference_newton_steps)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_scans())
+    def test_scans(self, scan):
+        calls = []
+
+        def spy(fn):
+            def recorded(*args):
+                calls.append((fn, args))
+                return fn(*args)
+            return recorded
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(model, "_refine", spy(model._refine))
+            m.setattr(model, "_polish", spy(model._polish))
+            DimerSystem().bifurcation_set(*scan)
+        _steps_keep_their_bits(calls)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_exact_calls())
+    def test_exact_and_non_finite_lanes(self, calls):
+        with np.errstate(all="ignore"):
+            _steps_keep_their_bits(calls)
+
+    def test_a_lane_with_det_zero(self):
+        # Q = X**2 at p = 0, and dQ/dp = X: at X = p = 0, Q' = dQ/dp = 0
+        coeffs = np.zeros((4, 5), dtype=complex)
+        coeffs[0, 2] = coeffs[1, 1] = 1
+        zero = np.zeros(1, dtype=complex)
+        step = model._newton_steps(coeffs, np.zeros(1, dtype=int))
+        with np.errstate(all="ignore"):
+            dx, dp, _, _ = step(zero, zero)
+            assert not np.isfinite(dx).any() and not np.isfinite(dp).any()
+            _steps_keep_their_bits([(model._refine, (
+                coeffs, zero, zero, np.zeros(1, dtype=int)))])
+
+
 def _bits(values) -> np.ndarray:
     return np.ascontiguousarray(values, dtype=float).view(np.int64)
 

@@ -43,8 +43,11 @@ from pathlib import Path
 # whose summary reports the j part; and the scans whose roots of Q the
 # merge gates flag: a sweep across the exact tangent at small g, one next
 # to the merger (g = 2v, gamma <= 1e-3 v), where root groups nearly merge,
-# and `bifurcations` given a j part of gamma (which the gamma scan drops)
-# and of s (which it keeps)
+# and `bifurcations` given a j part of gamma (a usage error: the gamma scan
+# would drop it) and of s (which it keeps); the locators' edges: a loop
+# around a pitchfork that does not exist (beyond the merger), the merger at
+# gamma != 0 and a tangent loop classified with all states tracked; and a
+# `sweep` given a j part of gamma (a usage error)
 COMMANDS = {
     "solve-ep3-json": ["solve", "--g", "-1", "--gamma", "0.8660254037844386",
                        "--format", "json"],
@@ -104,6 +107,13 @@ COMMANDS = {
                           "0:1e-3:1e-5"],
     "bifurcations-gamma-j": ["bifurcations", "--g", "-1", "--gamma-j", "0.1"],
     "bifurcations-s-j": ["bifurcations", "--g", "-1", "--s-j", "0.05"],
+    "encircle-no-pitchfork": ["encircle", "--around", "pitchfork", "--g",
+                              "2.5"],
+    "merger-gamma": ["merger", "--gamma", "0.5"],
+    "classify-tangent": ["classify", "--around", "tangent", "--g", "-1.5",
+                         "--track", "all"],
+    "sweep-gamma-j": ["sweep", "--g", "-1", "--gamma-range", "0:1.4:0.01",
+                      "--gamma-j", "0.1"],
 }
 ID_COLUMN = "branch_id"
 ID_KEYS = (ID_COLUMN, "branch_ids", "continuing_branch_id")
