@@ -21,6 +21,7 @@ linear model is its g = 0 case.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 import itertools
 import math
@@ -358,10 +359,19 @@ def _roots(coeffs) -> list[complex]:
     the fourth root is near), from which Newton converges only linearly.
     Such a group is replaced by its mean, which rounding moves by O(eps);
     genuinely distinct roots near a multiple one are not evenly spread and
-    stay apart.
+    stay apart.  :func:`_q_roots` gives Q's roots with these bits, and
+    runs the merge only where :func:`_close_pair` says it may act.
     """
     coeffs = np.trim_zeros(np.asarray(coeffs, dtype=complex), "f")
     return _merged([complex(r) for r in np.roots(coeffs)], coeffs)
+
+
+def _power(x: float, n: int) -> float:
+    """x ** n, and inf where Python raises that it overflows."""
+    try:
+        return x ** n
+    except OverflowError:
+        return math.inf
 
 
 def _merged(roots: list[complex], coeffs) -> list[complex]:
@@ -372,8 +382,7 @@ def _merged(roots: list[complex], coeffs) -> list[complex]:
     free = set(range(len(roots)))
     for m in range(len(roots), 1, -1):
         for group in itertools.combinations(sorted(free), m):
-            # a plain running sum, as _could_merge adds
-            centre = roots[group[0]]
+            centre = roots[group[0]]  # the mean, as a plain running sum
             for k in group[1:]:
                 centre += roots[k]
             centre /= m
@@ -381,12 +390,13 @@ def _merged(roots: list[complex], coeffs) -> list[complex]:
             rest = [abs(r - centre) for k, r in enumerate(roots)
                     if k not in group]
             # the spread against the radius above, without dividing by h
-            size = sum(c * abs(centre) ** n for n, c in enumerate(sizes[::-1]))
+            size = sum(c * _power(abs(centre), n)
+                       for n, c in enumerate(sizes[::-1]))
             h = sizes[0] * math.prod(rest)
             # a root near the centre makes h vanish however far apart the
             # group's roots are, so only an isolated group merges
             if (free.issuperset(group) and min(dist) >= 0.5 * max(dist)
-                    and h * (max(dist) / _MULTIPLE_ROOT_SPREAD) ** m
+                    and h * _power(max(dist) / _MULTIPLE_ROOT_SPREAD, m)
                     <= eps * size and all(d > 2 * max(dist) for d in rest)):
                 for k in group:
                     roots[k] = centre
@@ -394,65 +404,13 @@ def _merged(roots: list[complex], coeffs) -> list[complex]:
     return roots
 
 
-def _group_index(m):
-    """Every group of m of a quartic's four roots, and the rest of each."""
-    groups = list(itertools.combinations(range(4), m))
-    rest = [[k for k in range(4) if k not in group] for group in groups]
-    return (np.array(groups),
-            np.array(rest, dtype=int).reshape(len(groups), 4 - m))
-
-
-_GROUPS = {m: _group_index(m) for m in (2, 3, 4)}
-
-
-def _could_merge(roots, top) -> np.ndarray:
-    """Where :func:`_merged` could merge a group of the quartics' roots.
-
-    ``roots`` holds four roots per row, ``top`` the coefficients, highest
-    power first.  _merged merges a group G of m roots with centre c (their
-    mean) only if (a) min |r - c| >= max |r - c| / 2 over G and (b)
-    h (max |r - c| / 2)^m <= eps size(c), h = |lead| times prod |r_k - c|
-    over the roots not in G.  Its first merge at a point is of a group that
-    passes both on the unmerged roots, so a point where no group passes
-    keeps its roots.  This tests every group at every point at once: c and
-    |r - c| are computed as _merged computes them (a running sum divided by
-    m; hypot), so (a) is exact; in (b) powers and sums may round
-    differently, by far less than the factor 2 of slack below.  So this is
-    a superset of _merged's test, and a False row is proven unmerged.
-    (b) alone does not bound G's spread, since a root outside G near c
-    makes h vanish; but _merged also needs G isolated, so a bound on the
-    closest pair of roots is a superset too (:func:`_close_pair`), and
-    _q_roots runs it first.
-    """
-    eps = np.finfo(float).eps
-    sizes = np.abs(top)
-    re, im = roots.real, roots.imag
-    flag = np.zeros(len(roots), dtype=bool)
-    for m, (group, rest) in _GROUPS.items():
-        cr, ci = re[:, group[:, 0]], im[:, group[:, 0]]
-        for j in range(1, m):
-            cr, ci = cr + re[:, group[:, j]], ci + im[:, group[:, j]]
-        cr, ci = (cr / m)[..., None], (ci / m)[..., None]
-        dist = np.hypot(re[:, group] - cr, im[:, group] - ci)
-        far = dist.max(-1)
-        h = sizes[:, :1] * np.prod(
-            np.hypot(re[:, rest] - cr, im[:, rest] - ci), -1)
-        radius = np.hypot(cr, ci)[..., 0]
-        size = sizes[:, -1:] + 0.0 * radius
-        power = np.ones_like(radius)
-        for n in range(1, 5):
-            power = power * radius
-            size = size + sizes[:, 4 - n, None] * power
-        flag |= ((dist.min(-1) >= 0.5 * far)
-                 & (h * (far / _MULTIPLE_ROOT_SPREAD) ** m <= 2 * eps * size)
-                 ).any(-1)
-    return flag
+_PAIRS = np.triu_indices(4, 1)  # the six pairs of a quartic's four roots
 
 
 def _close_pair(roots, top) -> np.ndarray:
     """Where the closest pair of the quartics' roots is close enough for
-    :func:`_merged` to merge a group of them (``roots`` and ``top`` as in
-    :func:`_could_merge`).
+    :func:`_merged` to merge a group of them.  ``roots`` holds four roots
+    per row, ``top`` the coefficients, highest power first.
 
     An isolated group G of m roots with spread D = max |r - c| has h >=
     |lead| (2D)^(4-m), so it merges only if D^4 <= 2^(2m-4) eps size(c) /
@@ -460,12 +418,12 @@ def _close_pair(roots, top) -> np.ndarray:
     the closest pair d of the row has d^4 <= 256 eps size(c) / |lead|, and
     |c| <= R = max |r|.  This flags the rows with |lead| d^4 <= 2 * 256 eps
     size(R), a factor 2 of slack for rounding: a superset of _merged's
-    rows, as _could_merge is, for a fraction of its cost.
+    rows, and a False row is proven unmerged.  A size that overflows is
+    inf, which flags its row.
     """
     eps = np.finfo(float).eps
     sizes = np.abs(top)
-    first, second = _GROUPS[2][0].T
-    closest = np.abs(roots[:, first] - roots[:, second]).min(-1)
+    closest = np.abs(roots[:, _PAIRS[0]] - roots[:, _PAIRS[1]]).min(-1)
     radius = np.abs(roots).max(-1)
     size, power = sizes[:, -1].copy(), np.ones_like(radius)
     for n in range(1, 5):
@@ -476,41 +434,37 @@ def _close_pair(roots, top) -> np.ndarray:
 
 def _q_roots(g, gamma, s) -> tuple[np.ndarray, np.ndarray]:
     """The roots of Q at each point, as :func:`_roots` gives them, and none
-    where g = 0.  ``g``, ``gamma`` and ``s`` are arrays of the controls'
-    plus components in units of v.  Returns the roots, point after point,
-    and the index of each root's point.
+    where g = 0 or Q's coefficients are not finite.  ``g``, ``gamma`` and
+    ``s`` are arrays of the controls' plus components in units of v.
+    Returns the roots, point after point, and the index of each root's point.
 
     Where Q is a quartic with Q(0) != 0 the roots come from one batched
     ``eigvals`` of the companion matrices that ``np.roots`` builds, which
-    gives its roots bit for bit, and stay an (N, 4) array.  _roots' merge
-    then runs only on the rows that pass two gates, the cheap one first:
-    :func:`_close_pair`, then :func:`_could_merge`; each flags every row
-    that _merged changes.  Elsewhere _roots runs.  A single point takes
-    _roots itself, which costs less than the batched set-up (200 against
-    400 us); at complex (j-continued) controls numpy's scalar complex
-    arithmetic also rounds Q's coefficients differently from its array
-    loops, so one-point calls keep the bits they had.
+    gives its roots bit for bit, and stay an (N, 4) array; a companion
+    that overflows gives none.  _roots' merge then runs only on the rows
+    that :func:`_close_pair` flags, a superset of the rows that _merged
+    changes.  Elsewhere _roots runs.  A single point's coefficients are
+    formed on Python numbers: at complex (j-continued) g and gamma numpy's
+    scalar complex arithmetic rounds them differently from its array
+    loops, and one-point calls keep the bits they had.
     """
-    if len(g) == 1:
-        g0, gamma0, s0 = g.item(), gamma.item(), s.item()
-        x = np.array(_roots(_q_coefficients(g0, gamma0, s0)[::-1])
-                     if g0 != 0 else [], dtype=complex)
-        return x, np.zeros(len(x), dtype=int)
-    top = _q_coefficients(g, gamma, s)[::-1].T
-    roots = np.zeros((len(top), 4), dtype=complex)
-    live = np.zeros((len(top), 4), dtype=bool)
-    quartic = (g != 0) & (top[:, 0] != 0) & (top[:, -1] != 0)
-    k = np.flatnonzero(quartic)
-    if len(k):
+    if not g.any():  # Q seeds no state at g = 0
+        return np.zeros(0, dtype=complex), np.zeros(0, dtype=int)
+    with np.errstate(all="ignore"):  # rows that overflow get no roots
+        top = (_q_coefficients(g.item(), gamma.item(), s.item())[:, None]
+               if len(g) == 1 else _q_coefficients(g, gamma, s))[::-1].T
+        first = -top[:, 1:] / top[:, :1]  # the companions' first rows
+        solvable = (g != 0) & np.isfinite(top).all(-1)
+        quartic = (top[:, 0] != 0) & (top[:, -1] != 0)
+        k = np.flatnonzero(solvable & quartic & np.isfinite(first).all(-1))
         companion = np.zeros((len(k), 4, 4), dtype=complex)
-        companion[:, 1:, :3] = np.eye(3)
-        companion[:, 0, :] = -top[k, 1:] / top[k, :1]
+        companion[:, 1:, :3], companion[:, 0] = np.eye(3), first[k]
+        roots = np.zeros((len(top), 4), dtype=complex)
+        live = np.zeros(roots.shape, dtype=bool)
         roots[k], live[k] = np.linalg.eigvals(companion), True
-        k = k[_close_pair(roots[k], top[k])]
-        if len(k):
-            for kk in k[_could_merge(roots[k], top[k])].tolist():
-                roots[kk] = _merged(roots[kk].tolist(), top[kk])
-    for kk in np.flatnonzero(~quartic & (g != 0)).tolist():
+        for kk in k[_close_pair(roots[k], top[k])].tolist():
+            roots[kk] = _merged(roots[kk].tolist(), top[kk])
+    for kk in np.flatnonzero(solvable & ~quartic).tolist():
         found = _roots(top[kk])
         roots[kk, :len(found)], live[kk, :len(found)] = found, True
     return roots[live], np.nonzero(live)[0]
@@ -1131,15 +1085,18 @@ class LinearTwoMode:
         of the dimer's seeds (see :meth:`_seed_row`), packed as
         :meth:`DimerSystem.packed_candidates` packs them: below
         _LINEAR_LANES points point by point on Python numbers, from it on
-        once on lanes, one a combination and point, with the same bits."""
-        if len(controls) < _LINEAR_LANES:
-            seeds = [(self._seed_row(pairs), k)
-                     for k, row in enumerate(controls.tolist())
-                     for pairs in self._sector_pairs(
-                         row[0], _idempotent(*row[5:9]),
-                         _idempotent(*row[9:13]))]
-            return (np.array([seed for seed, _ in seeds]).reshape(-1, 12),
-                    np.array([k for _, k in seeds], dtype=int))
+        once on lanes, one a combination and point, with the same bits, and
+        on lanes where a seed divides by zero on Python numbers (on lanes it
+        gets a row that is not finite)."""
+        with contextlib.suppress(ZeroDivisionError):
+            if len(controls) < _LINEAR_LANES:
+                seeds = [(self._seed_row(pairs), k)
+                         for k, row in enumerate(controls.tolist())
+                         for pairs in self._sector_pairs(
+                             row[0], _idempotent(*row[5:9]),
+                             _idempotent(*row[9:13]))]
+                return (np.array([seed for seed, _ in seeds]).reshape(-1, 12),
+                        np.array([k for _, k in seeds], dtype=int))
         lanes = np.repeat(controls, 4, axis=0).T  # lane 4k + c: point k
         v, gp, sp = lanes[0], _idempotent(*lanes[5:9]), _idempotent(
             *lanes[9:13])

@@ -238,6 +238,22 @@ class TestExitCodes:
         assert out["error"] == "AmbiguousMatch"
         assert "doubled resolution" in out["message"]
 
+    @pytest.mark.parametrize("args", [
+        ["solve", "--g", "1e100", "--gamma", "0.5"],
+        ["solve", "--s", "1e100", "--g", "1"],
+        ["solve", "--g", "1e155", "--gamma", "1"],
+        ["solve", "--v", "1e-300", "--g", "1"],
+        ["sweep", "--g-range=1e150:1e160:1e159"],
+        ["solve", "--gamma", "1e10"],
+        ["solve", "--g", "1e-200", "--gamma", "1e-200", "--s", "1e160"],
+    ])
+    def test_overflowing_controls_keep_the_contract(self, capsys, args):
+        assert run(args) in (0, 3)
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 1
+        assert isinstance(json.loads(captured.out), dict)
+        assert "Traceback" not in captured.err
+
 
 class TestArtifacts:
     @pytest.mark.parametrize("fmt,name", [("csv", "states.csv"),

@@ -24,7 +24,6 @@ from bcdimer.model import (
     _back_solve,
     _back_solved,
     _close_pair,
-    _could_merge,
     _discriminant,
     _plus,
     _q_coefficients,
@@ -744,7 +743,7 @@ def _grid_controls():
 
 class TestMergePrefilter:
     """Q's roots from one batched eigenvalue call, merged only where
-    _could_merge flags a point, equal _roots point by point, bit for bit."""
+    _close_pair flags a point, equal _roots point by point, bit for bit."""
 
     GRIDS = _grid_controls()
 
@@ -771,19 +770,6 @@ class TestMergePrefilter:
             yield top, raw, np.array([_roots(row) != roots.tolist()
                                       for row, roots in zip(top, raw)])
 
-    def test_flags_every_merge_and_few_others(self):
-        merged = flagged = total = 0
-        for top, raw, moved in self.quartics():
-            flags = _could_merge(raw, top)
-            assert (flags | ~moved).all()
-            merged += int(moved.sum())
-            flagged += int(flags.sum())
-            total += len(top)
-        # the lines and the delta-sweep hold exact multiple roots (466 of
-        # 3073 points merge); the search runs at few points that do not
-        assert merged >= 300
-        assert flagged - merged <= 0.01 * total
-
     def test_closest_pair_flags_every_merge(self):
         merged = flagged = 0
         for top, raw, moved in self.quartics():
@@ -794,6 +780,109 @@ class TestMergePrefilter:
         # 689 flagged rows for 466 merges
         assert merged >= 300
         assert flagged <= 2 * merged
+
+
+def _root_bits(roots) -> np.ndarray:
+    return np.array(roots, dtype=complex).view(np.int64)
+
+
+def _one_point_roots(g, gamma, s) -> np.ndarray:
+    x, at = _q_roots(np.array([g]), np.array([gamma]), np.array([s]))
+    assert (at == 0).all()
+    return x
+
+
+_J_PART = st_.floats(0.01, 1.0).flatmap(
+    lambda y: st_.sampled_from([y, -y]))
+
+
+class TestOneRootPath:
+    """One point takes the block's path to Q's roots (companions, one
+    eigvals call, _close_pair, _merged), with its coefficients formed on
+    Python numbers, and keeps the bits of _roots."""
+
+    GRIDS = TestMergePrefilter.GRIDS
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_one_point_equals_roots(self, grid):
+        for g, gamma, s in self.GRIDS[grid]:
+            g, gamma, s = complex(g), complex(gamma), complex(s)
+            want = _roots(_q_coefficients(g, gamma, s)[::-1]) if g else []
+            assert np.array_equal(_root_bits(_one_point_roots(g, gamma, s)),
+                                  _root_bits(want))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st_.floats(-3.0, 3.0), _J_PART, st_.floats(-1.5, 1.5), _J_PART,
+           st_.floats(-0.5, 0.5), st_.floats(-0.5, 0.5))
+    def test_one_point_equals_roots_at_j_parts_of_g_and_gamma(
+            self, g, g_j, gamma, gamma_j, s, s_j):
+        g, gamma, s = complex(g, g_j), complex(gamma, gamma_j), complex(s, s_j)
+        assert np.array_equal(
+            _root_bits(_one_point_roots(g, gamma, s)),
+            _root_bits(_roots(_q_coefficients(g, gamma, s)[::-1])))
+
+    def test_one_point_keeps_the_scalar_coefficients(self):
+        # numpy's scalar complex arithmetic rounds Q's coefficients
+        # differently from its array loops where g and gamma carry j parts
+        g, gamma, s = -1 + 0.2j, 0.3 + 0.1j, 0j
+        scalar = _q_coefficients(g, gamma, s)
+        array = _q_coefficients(np.array([g]), np.array([gamma]),
+                                np.array([s]))[:, 0]
+        assert not np.array_equal(scalar, array)
+        x = _root_bits(_one_point_roots(g, gamma, s))
+        assert np.array_equal(x, _root_bits(_roots(scalar[::-1])))
+        assert not np.array_equal(x, _root_bits(_roots(array[::-1])))
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_block_equals_points_at_real_controls(self, grid):
+        g, gamma, s = (np.array(col, dtype=complex)
+                       for col in zip(*self.GRIDS[grid]))
+        roots, at = _q_roots(g, gamma, s)
+        for k in range(len(g)):
+            assert np.array_equal(
+                _root_bits(roots[at == k]),
+                _root_bits(_one_point_roots(g[k], gamma[k], s[k])))
+
+
+class TestOverflowingControls:
+    """Controls whose Q overflows give no roots, or roots that _merged
+    takes with an infinite size, on one point and in a block alike."""
+
+    @pytest.mark.parametrize("g,gamma,s", [
+        (1e155, 1.0, 0.0),  # coefficients not finite
+        (1e-200, 1e-200, 1e160),  # finite coefficients, companion not
+    ])
+    def test_no_roots(self, g, gamma, s):
+        point = (complex(g), complex(gamma), complex(s))
+        assert len(_one_point_roots(*point)) == 0
+        roots, at = _q_roots(np.array([g, -1.0], dtype=complex),
+                             np.array([gamma, 0.5], dtype=complex),
+                             np.array([s, 0.0], dtype=complex))
+        assert (at == 1).all()
+        assert np.array_equal(_root_bits(roots),
+                              _root_bits(_one_point_roots(-1.0, 0.5, 0j)))
+
+    @pytest.mark.parametrize("g,s", [(1e100, 0.0), (1.0, 1e100)])
+    def test_merged_takes_an_overflowing_size_as_inf(self, g, s):
+        gamma = 0.5 if s == 0.0 else 0.0
+        top = _q_coefficients(complex(g), complex(gamma), complex(s))[::-1]
+        raw = np.roots(top).tolist()
+        with pytest.raises(OverflowError):
+            max(abs(r) for r in raw) ** 4
+        with np.errstate(over="ignore"):
+            assert len(_merged(raw, top)) == 4
+        assert len(_one_point_roots(complex(g), complex(gamma),
+                                    complex(s))) == 4
+
+    def test_linear_seeds_at_large_gamma_match_their_lanes(self):
+        # Python divides by zero where the seed's site-1 plus component
+        # vanishes; lanes give that seed a row that is not finite
+        one = control_rows([DimerParams(v=1.0, g=0.0, gamma=1e10)])
+        rows, owner = LinearTwoMode().packed_candidates(one)
+        lanes, at = LinearTwoMode().packed_candidates(np.repeat(one, 12, 0))
+        assert not np.isfinite(rows).all()
+        for k in range(12):
+            assert np.array_equal(_bits(lanes[at == k]), _bits(rows))
 
 
 def _planted(m, centre, lead, factor, theta, others):

@@ -46,8 +46,11 @@ from pathlib import Path
 # and `bifurcations` given a j part of gamma (a usage error: the gamma scan
 # would drop it) and of s (which it keeps); the locators' edges: a loop
 # around a pitchfork that does not exist (beyond the merger), the merger at
-# gamma != 0 and a tangent loop classified with all states tracked; and a
-# `sweep` given a j part of gamma (a usage error)
+# gamma != 0 and a tangent loop classified with all states tracked; a
+# `sweep` given a j part of gamma (a usage error); one point next to the
+# merger whose roots of Q merge, and one whose roots the merge gate flags
+# and keeps; and two points whose controls overflow the seeds: Q's
+# coefficients at a huge g, and the linear seeds at a huge gamma
 COMMANDS = {
     "solve-ep3-json": ["solve", "--g", "-1", "--gamma", "0.8660254037844386",
                        "--format", "json"],
@@ -114,6 +117,10 @@ COMMANDS = {
                          "--track", "all"],
     "sweep-gamma-j": ["sweep", "--g", "-1", "--gamma-range", "0:1.4:0.01",
                       "--gamma-j", "0.1"],
+    "solve-near-merger": ["solve", "--g", "-2", "--gamma", "1e-06"],
+    "solve-flagged-unmerged": ["solve", "--g", "-2", "--gamma", "0.0001"],
+    "solve-overflow": ["solve", "--g", "1e100", "--gamma", "0.5"],
+    "solve-linear-overflow": ["solve", "--gamma", "1e10"],
 }
 ID_COLUMN = "branch_id"
 ID_KEYS = (ID_COLUMN, "branch_ids", "continuing_branch_id")
