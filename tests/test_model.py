@@ -804,12 +804,16 @@ class TestOneRootPath:
     GRIDS = TestMergePrefilter.GRIDS
 
     @pytest.mark.parametrize("grid", GRIDS)
-    def test_one_point_equals_roots(self, grid):
-        for g, gamma, s in self.GRIDS[grid]:
-            g, gamma, s = complex(g), complex(gamma), complex(s)
-            want = _roots(_q_coefficients(g, gamma, s)[::-1]) if g else []
-            assert np.array_equal(_root_bits(_one_point_roots(g, gamma, s)),
-                                  _root_bits(want))
+    def test_one_point_equals_roots_and_the_block(self, grid):
+        g, gamma, s = (np.array(col, dtype=complex)
+                       for col in zip(*self.GRIDS[grid]))
+        roots, at = _q_roots(g, gamma, s)
+        for k in range(len(g)):
+            point = (g[k].item(), gamma[k].item(), s[k].item())
+            one = _root_bits(_one_point_roots(*point))
+            want = _roots(_q_coefficients(*point)[::-1]) if g[k] else []
+            assert np.array_equal(one, _root_bits(want))
+            assert np.array_equal(one, _root_bits(roots[at == k]))
 
     @settings(max_examples=200, deadline=None)
     @given(st_.floats(-3.0, 3.0), _J_PART, st_.floats(-1.5, 1.5), _J_PART,
@@ -832,16 +836,6 @@ class TestOneRootPath:
         x = _root_bits(_one_point_roots(g, gamma, s))
         assert np.array_equal(x, _root_bits(_roots(scalar[::-1])))
         assert not np.array_equal(x, _root_bits(_roots(array[::-1])))
-
-    @pytest.mark.parametrize("grid", GRIDS)
-    def test_block_equals_points_at_real_controls(self, grid):
-        g, gamma, s = (np.array(col, dtype=complex)
-                       for col in zip(*self.GRIDS[grid]))
-        roots, at = _q_roots(g, gamma, s)
-        for k in range(len(g)):
-            assert np.array_equal(
-                _root_bits(roots[at == k]),
-                _root_bits(_one_point_roots(g[k], gamma[k], s[k])))
 
 
 class TestOverflowingControls:
