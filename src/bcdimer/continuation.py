@@ -13,20 +13,19 @@ up to rounding, or up to a state's Newton error on an exact EP, are a tie,
 as at a pitchfork, where the symmetric state is equidistant from the mirror
 pair born there; a tie goes to the first map in the states' sorted order,
 so neither decides which state keeps a branch id.  :func:`sweep_branch`
-follows one branch by natural-parameter continuation (secant predictor,
-Newton corrector) and stops at its fold.
+is the stitched branch through one seed state.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 
-from .bicomplex import Bicomplex
 from .model import BifurcationPoint, StationaryState, control_rows
 from .solver import (
-    GaugeDegenerate,
+    DEDUP_TOL,
     NoConvergence,
     SolveConfig,
     _Lazy,
@@ -55,10 +54,7 @@ __all__ = [
     "branches_to_csv",
 ]
 
-_STEP_FLOOR = 1e-9
-_GROW_AFTER = 3
-_GROW_FACTOR = 1.5
-_MAX_STEPS = 100000
+_MAX_STEPS = 100000  # the most points of a sweep_branch grid
 # two choices (matchings, or sets of meeting branches) whose total costs
 # differ by less than this times max(1, least total) are a tie.  Rounding
 # moves a total of a few state distances by a few ulps, and a state on an
@@ -85,20 +81,18 @@ class _Samples(_Lazy):
 
 @dataclass
 class Branch:
-    """One swept solution branch over a real control parameter; a stitched
-    branch builds the state of a (value, state) sample when it is read."""
+    """One stitched solution branch over a real control parameter: its
+    (value, state) samples, each state built when it is read."""
 
     parameter: str
-    samples: list[tuple[float, StationaryState]] = field(default_factory=list)
-    termination: str = "incomplete"
+    samples: _Samples
+    termination: str = "range_end"
     branch_id: int = 0
 
     @property
     def values(self) -> list[float]:
         """The control value of each sample, read without its state."""
-        if isinstance(self.samples, _Samples):
-            return self.samples.values
-        return [value for value, _ in self.samples]
+        return self.samples.values
 
     @property
     def start(self) -> float:
@@ -118,80 +112,37 @@ def sweep_branch(
     initial_step: float,
     cfg: SolveConfig | None = None,
 ) -> Branch:
-    """Follow one branch from the seed state to ``stop`` or to its fold.
+    """The branch of :func:`stitched_branches` through the seed state.
 
-    The seed must solve at the range start (the current value of the chosen
-    control in ``params``).  The predictor is the previous state, secant
-    after two points; the step halves on corrector failure down to a floor
-    of 1e-9 (then the branch terminates, as at a fold) and grows by 1.5x
-    after three consecutive successes, capped at the initial step.  To
-    carry branches through their folds, use :func:`stitched_branches`.
+    The grid runs from the range start, the control's value in ``params``,
+    in steps of ``initial_step`` to ``stop`` itself, which takes the place
+    of a step point within 1e-9 steps of it.  The branch is the one whose
+    state at the start lies within DEDUP_TOL of the seed's, solved there by
+    Newton; it runs through a fold onto the bicomplex partner that continues
+    it.  Raises :class:`NoConvergence` when there is none, and ValueError for
+    a step that is not positive and finite or a grid over 100000 points.
     """
-    if cfg is None:
-        cfg = SolveConfig()
+    if not (initial_step > 0 and math.isfinite(initial_step)):
+        raise ValueError(f"sweep step must be positive and finite, "
+                         f"got {initial_step!r}")
     start = params.control(parameter).z0
-    direction = 1.0 if stop >= start else -1.0
-    step = abs(initial_step)
-    branch = Branch(parameter=parameter)
-    state = newton_solve(system, params.with_control(parameter, start), seed_state, cfg)
-    branch.samples.append((start, state))
-    value = start
-    successes = 0
-    slope = None
-    for _ in range(_MAX_STEPS):
-        if (stop - value) * direction <= 1e-15:
-            branch.termination = "range_end"
+    steps = abs(stop - start) / initial_step - 1e-9
+    if not steps <= _MAX_STEPS - 1:
+        raise ValueError(f"sweep from {start!r} to {stop!r} in steps of "
+                         f"{initial_step!r} has more than {_MAX_STEPS} points")
+    sign = 1.0 if stop >= start else -1.0
+    grid = [start, *(start + sign * k * initial_step
+                     for k in range(1, math.ceil(steps)))]
+    if stop != start:
+        grid.append(stop)
+    cfg = cfg or SolveConfig()
+    seed = newton_solve(system, params.with_control(parameter, start),
+                        seed_state, cfg)
+    for branch in stitched_branches(system, params, parameter, grid, cfg):
+        if (branch.start == start
+                and state_distance(branch.samples[0][1], seed) <= DEDUP_TOL):
             return branch
-        h = min(step, abs(stop - value))
-        target = value + direction * h
-        prev = branch.samples[-1][1]
-        if len(branch.samples) >= 2:
-            p2, s2 = branch.samples[-2]
-            frac = (target - value) / (value - p2) if value != p2 else 0.0
-            seed = _extrapolate(s2, prev, frac)
-        else:
-            seed = prev
-        ok = False
-        try:
-            new_state = newton_solve(
-                system, params.with_control(parameter, target), seed, cfg)
-            jump = state_distance(new_state, prev)
-            bound = _continuity_bound(h, slope)
-            if jump <= bound:
-                ok = True
-        except (NoConvergence, GaugeDegenerate):
-            pass
-        if ok:
-            slope = max(jump / h, 1e-12) if h > 0 else slope
-            branch.samples.append((target, new_state))
-            value = target
-            successes += 1
-            if successes >= _GROW_AFTER:
-                step = min(step * _GROW_FACTOR, abs(initial_step))
-                successes = 0
-            continue
-        successes = 0
-        if step > _STEP_FLOOR:
-            step *= 0.5
-            continue
-        branch.termination = "step_underflow"
-        return branch
-    branch.termination = "max_steps"
-    return branch
-
-
-def _continuity_bound(h: float, slope: float | None) -> float:
-    if slope is None:
-        return 0.5  # first step: only reject wild jumps
-    return max(10.0 * h * slope, 1e-8)
-
-
-def _extrapolate(s_prev: StationaryState, s_last: StationaryState, frac: float):
-    def ex(a: Bicomplex, b: Bicomplex) -> Bicomplex:
-        return b + frac * (b - a)
-
-    psi = (ex(s_prev.psi1, s_last.psi1), ex(s_prev.psi2, s_last.psi2))
-    return (psi, ex(s_prev.mu, s_last.mu))
+    raise NoConvergence(f"no branch starts at the seed, {parameter}={start!r}")
 
 
 # -- bifurcation location -------------------------------------------------
@@ -268,12 +219,12 @@ def detect_bifurcations(
     params,
     cfg: SolveConfig | None = None,
 ) -> list[BifurcationPoint]:
-    """The bifurcation points among swept branches, sorted by location.
+    """The bifurcation points among stitched branches, sorted by location.
 
     The points are those of the system's bifurcation set over the span of
-    the branches, widened by their widest sample step so that a fold where
-    a branch stops lies inside.  Branch ids are set to the list positions;
-    ``branch_ids`` and ``continuing_branch_id`` come from
+    the branches, widened by their widest sample step so that a fold just
+    past a branch's last sample lies inside.  Branch ids are set to the
+    list positions; ``branch_ids`` and ``continuing_branch_id`` come from
     :func:`meeting_branches` with that step.
     """
     for i, br in enumerate(branches):
@@ -444,7 +395,7 @@ def stitched_branches(system, params, parameter, grid, cfg) -> list[Branch]:
     values = [value for value, n in zip(grid, counts) for _ in range(n)]
     branch_of = np.array(branch_of, dtype=int)
     return [Branch(parameter, _Samples([values[k] for k in at], rows[at]),
-                   "range_end", bid)
+                   branch_id=bid)
             for bid, at in enumerate(np.flatnonzero(branch_of == b)
                                      for b in range(count))]
 
@@ -502,14 +453,12 @@ def states_table(rows, lead: tuple[str, ...] = (),
 
 
 def branches_to_csv(branches: list[Branch]) -> str:
-    """Branch samples in the interchange schema (one row per sample); a
-    stitched branch's are written from its rows, building no state.  Each
-    distinct control value is formatted once."""
+    """Branch samples in the interchange schema (one row per sample),
+    written from their rows, building no state.  Each distinct control
+    value is formatted once."""
     values = [value for br in branches for value in br.values]
     params = iter(_reprs(values).tolist())
     return states_table(
         [((next(params), str(br.branch_id)), st, ())
-         for br in branches for st in (
-             br.samples.rows if isinstance(br.samples, _Samples)
-             else (st for _, st in br.samples))],
+         for br in branches for st in br.samples.rows],
         lead=("param", "branch_id"))

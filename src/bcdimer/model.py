@@ -980,7 +980,9 @@ class DimerSystem:
 
         scale = np.maximum(1.0, np.abs(pv))
         live = np.abs(_at(coeffs, pv)).max(0)
-        ok = ((step <= _STEP_TOL * scale)
+        # X = 0 is no state (X^2 - bX - 1 = 0 rules it out), so a multiple
+        # root there is no coalescence
+        ok = ((step <= _STEP_TOL * scale) & (np.abs(x) > _STEP_TOL)
               & (np.abs(pv.imag) <= _IMAG_TOL * scale)
               & (lo <= v * pv.real) & (v * pv.real <= hi)
               & (live > _VANISHING * np.abs(coeffs).max())

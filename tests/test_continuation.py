@@ -8,7 +8,7 @@ import operator
 import numpy as np
 import pytest
 
-from bcdimer import cli, continuation, solver
+from bcdimer import cli, continuation, model, solver
 from bcdimer.bicomplex import Bicomplex
 from bcdimer.cli import run
 from bcdimer.model import (
@@ -22,6 +22,7 @@ from bcdimer.model import (
     residual,
 )
 from bcdimer.solver import (
+    DEDUP_TOL,
     NoConvergence,
     SolveConfig,
     canonical_gauge,
@@ -126,12 +127,97 @@ class TestSweep:
         for gam, st in upper_symmetric_samples(source, 0.0, 0.99, 0.01):
             assert abs(st.mu.z0 - math.sqrt(1 - gam * gam)) < 1e-9
 
-    def test_terminates_at_fold(self):
-        p = DimerParams(v=1.0, g=0.0, gamma=0.0)
+    # (g, gamma at the start, stop, step, grid): ascending to a stop on
+    # the step grid, and to stops off it in both directions
+    GRIDS = [
+        (-1.0, 0.0, 1.4, 0.01, [0.0, *(k * 0.01 for k in range(1, 140)),
+                                1.4]),
+        (1.2, 0.95, 1.3125, 0.05, [0.95, *(0.95 + k * 0.05
+                                           for k in range(1, 8)), 1.3125]),
+        (-1.0, 0.95, 0.053, 0.01, [0.95, *(0.95 - k * 0.01
+                                           for k in range(1, 90)), 0.053]),
+    ]
+
+    @pytest.mark.parametrize("g,start,stop,step,grid", GRIDS)
+    def test_is_the_stitched_branch_through_the_seed(self, g, start, stop,
+                                                     step, grid):
+        p = DimerParams(v=1.0, g=g, gamma=start)
+        stitched = stitched_branches(SYSTEM, p, "gamma", grid, CFG)
+        seeds = find_all_states(SYSTEM, p, CFG)
+        assert len(seeds) == 4
+        ends = []
+        for seed in seeds:
+            br = sweep_branch(SYSTEM, seed, p, "gamma", stop, step, CFG)
+            (want,) = [b for b in stitched if b.start == start
+                       and bits(0.0, b.samples[0][1]) == bits(0.0, seed)]
+            assert br.values == want.values
+            assert br.samples.rows.tobytes() == want.samples.rows.tobytes()
+            assert br.termination == "range_end"
+            ends.append(br.end)
+        assert stop in ends
+
+    @pytest.mark.parametrize("g", [0.0, -1.0])
+    def test_runs_through_the_fold(self, g):
+        # from the upper symmetric state the branch ends at the last grid
+        # point before the fold at gamma = 1; from the lower one it runs
+        # through the fold onto the bicomplex partner, to the range end
+        p = DimerParams(v=1.0, g=g, gamma=0.0)
+        lower, upper = sorted(symmetric_states(p), key=lambda s: s.mu.z0)
+        upper_branch = sweep_branch(SYSTEM, upper, p, "gamma", 1.4, 0.01, CFG)
+        assert upper_branch.end == 0.99
+        lower_branch = sweep_branch(SYSTEM, lower, p, "gamma", 1.4, 0.01, CFG)
+        assert lower_branch.end == 1.4
+        gam, st = lower_branch.samples[-1]
+        assert not st.is_complex_state
+        assert abs(st.mu.z0 - (-g / 2)) < 1e-9
+        assert abs(abs(st.mu.z1) - math.sqrt(gam * gam - 1.0)) < 1e-9
+        assert upper_branch.termination == lower_branch.termination == (
+            "range_end")
+
+    def test_a_seed_off_the_start_states_raises(self, monkeypatch):
+        # the seed's Newton state moved by DEDUP_TOL / 2 is the upper
+        # branch's first state; moved by 2 DEDUP_TOL it is none
+        p = DimerParams(v=1.0, g=-1.0, gamma=0.0)
         upper = max(symmetric_states(p), key=lambda s: s.mu.z0)
-        br = sweep_branch(SYSTEM, upper, p, "gamma", 1.4, 0.01, CFG)
-        assert br.termination == "step_underflow"
-        assert abs(br.end - 1.0) < 1e-3
+        solve = continuation.newton_solve
+        for shift, found in ((0.5, True), (2.0, False)):
+            def shifted(*args, shift=shift):
+                st = solve(*args)
+                return dataclasses.replace(st, mu=st.mu + shift * DEDUP_TOL)
+
+            monkeypatch.setattr(continuation, "newton_solve", shifted)
+            if found:
+                br = sweep_branch(SYSTEM, upper, p, "gamma", 0.2, 0.05, CFG)
+                assert bits(0.0, br.samples[0][1]) == bits(0.0, upper)
+            else:
+                with pytest.raises(NoConvergence):
+                    sweep_branch(SYSTEM, upper, p, "gamma", 0.2, 0.05, CFG)
+
+    @pytest.mark.parametrize("step", [0.0, -0.01, math.nan, math.inf])
+    def test_a_step_not_positive_and_finite_raises(self, step):
+        p = DimerParams(v=1.0, g=-1.0, gamma=0.0)
+        upper = max(symmetric_states(p), key=lambda s: s.mu.z0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            sweep_branch(SYSTEM, upper, p, "gamma", 1.4, step, CFG)
+
+    def test_at_most_100000_points(self, monkeypatch):
+        grids = []
+
+        def no_solving(system, params, parameter, grid, cfg):
+            grids.append(grid)
+            return []
+
+        monkeypatch.setattr(continuation, "stitched_branches", no_solving)
+        p = DimerParams(v=1.0, g=-1.0, gamma=0.0)
+        upper = max(symmetric_states(p), key=lambda s: s.mu.z0)
+        with pytest.raises(NoConvergence):
+            sweep_branch(SYSTEM, upper, p, "gamma", 99999.0, 1.0, CFG)
+        (grid,) = grids
+        assert grid == [float(k) for k in range(100000)]
+        for stop in (99999.5, 1e300, math.inf, math.nan):
+            with pytest.raises(ValueError, match="more than 100000 points"):
+                sweep_branch(SYSTEM, upper, p, "gamma", stop, 1.0, CFG)
+        assert len(grids) == 1
 
     def test_continues_through_fold_onto_partner(self):
         # stitched, the lower symmetric branch runs on past the fold onto a
@@ -690,17 +776,15 @@ class TestMeetingBranches:
         """One branch per distance, whose sample at 0 lies that far from
         the zero state, and one more after each with no sample within 0.5
         of 0 (None: only that one); PT flags drawn at random."""
-        zero = Bicomplex(0.0, 0.0, 0.0, 0.0)
         out = []
         for d in dists:
             for value, dist in ((0.0, d), (2.0, 1e-3)):
                 if value == 0.0 and d is None:
                     continue
-                st = StationaryState(Bicomplex(dist, 0.0, 0.0, 0.0), zero,
-                                     zero, 0.0, True,
-                                     bool(rng.integers(0, 2)))
+                row = [dist, *[0.0] * 11, 0.0, 1.0, rng.integers(0, 2)]
                 out.append(continuation.Branch(
-                    parameter="gamma", samples=[(value, st)],
+                    parameter="gamma", samples=continuation._Samples(
+                        [value], np.array([row], dtype=float)),
                     branch_id=len(out)))
         return out
 
@@ -1006,21 +1090,26 @@ class TestLocatorsReadTheSet:
         assert bits(g_star) == bits(want.location)
         assert gamma_star == params.gamma.z0
 
-    def test_an_unread_failure_does_not_abort(self, solves):
-        # at gamma = 0.2j the tangent at g = 0.4 has no state Newton can
-        # reach (singular Jacobian); the merger at -2 sqrt(1.04) is found
+    def test_an_unread_failure_does_not_abort(self, solves, monkeypatch):
+        # no point's state solves; the merger at -2 sqrt(1.04) is found
+        reads = []
+
+        def failing(*args):
+            reads.append(args)
+            raise NoConvergence("no state")
+
+        monkeypatch.setattr(model, "_coalesced", failing)
         params = DimerParams(v=1.0, gamma=Bicomplex(0.0, 0.2))
         points = SYSTEM.bifurcation_set(params, "g", -2.5, 2.5, CFG)
-        assert [pt.kind for pt in points] == ["pitchfork", "tangent",
-                                              "pitchfork"]
+        assert [pt.kind for pt in points] == ["pitchfork", "pitchfork"]
         g_star, _ = find_merger(SYSTEM, params, (-2.5, 2.5), CFG)
         assert g_star == points[0].location == -2.039607805437114
-        assert solves[0] == 0
+        assert reads == []
         with pytest.raises(NoConvergence):
-            points[1].coalesced_state
+            points[0].coalesced_state
         with pytest.raises(NoConvergence):  # a failed read is not kept
-            points[1].coalesced_state
-        assert solves[0] == 2
+            points[0].coalesced_state
+        assert len(reads) == 2 and solves[0] == 0
 
 
 class TestBifurcationPoint:

@@ -14,6 +14,7 @@ from bcdimer.bicomplex import Bicomplex
 from bcdimer.model import DimerParams, DimerSystem, _as_seed, control_rows
 from bcdimer.solver import (
     DEDUP_TOL,
+    NoConvergence,
     SolveConfig,
     find_all_states,
     find_states_along,
@@ -824,6 +825,84 @@ class TestEP4:
         # all four tracked states map to the one state found at the center
         assert report.states_coalesce
         assert report.max_pairwise_center_distance == 0.0
+
+
+class TestFallbackBisection:
+    """A fallback step that fails bisects in phi; one that never converges
+    raises TrackingLost.  On the dimer with no seeds every state of every
+    step takes the fallback, whose Newton calls have one seed each."""
+
+    @staticmethod
+    def spec():
+        return all_states_loop(DimerParams(v=1.0, g=-1.0, gamma=1.0),
+                               "gamma", 1e-3, steps=64)
+
+    def test_a_failed_first_try_is_bisected(self, monkeypatch):
+        spec = self.spec()
+        want = encircle(REF.NoSeeds(), spec, CFG)
+        assert want.spec.steps == 64 and want.cycle_type == [2, 1, 1]
+        steps = {row.tobytes() for row in ep._loop_controls(spec,
+                                                           want.phis[1:])}
+        solve_at, failed = ep._solve_at, []
+
+        def first_try_fails(system, controls, seeds, cfg):
+            if controls.tobytes() in steps - set(failed):
+                failed.append(controls.tobytes())
+                raise NoConvergence("first try")
+            return solve_at(system, controls, seeds, cfg)
+
+        monkeypatch.setattr(ep, "_solve_at", first_try_fails)
+        got = encircle(REF.NoSeeds(), spec, CFG)
+        assert len(failed) == 64
+        assert got.spec.steps == 64
+        assert got.cycle_type == want.cycle_type
+        assert got.permutation == want.permutation
+        assert got.fallback_steps == want.fallback_steps == 4 * 64
+
+    @staticmethod
+    def fallback_never_converges(monkeypatch):
+        """ep._solve_at failing every one-seed call; its calls."""
+        solve_at, calls = ep._solve_at, []
+
+        def never(system, controls, seeds, cfg):
+            if len(seeds) > 1:  # the loop's start
+                return solve_at(system, controls, seeds, cfg)
+            calls.append(controls)
+            raise NoConvergence("never")
+
+        monkeypatch.setattr(ep, "_solve_at", never)
+        return calls
+
+    def test_a_fallback_that_never_converges_is_lost(self, monkeypatch):
+        spec = self.spec()
+        calls = self.fallback_never_converges(monkeypatch)
+        with pytest.raises(ep.TrackingLost,
+                           match=r"between phi=0\.0000 and phi=0\.0004"):
+            encircle(REF.NoSeeds(), spec, CFG)
+        # phi1 = 2 pi / 64, then its halves down to depth 8
+        step = 2.0 * math.pi / 64
+        assert [c.tolist() for c in calls] == [
+            ep._loop_controls(spec, [step / 2 ** d]).tolist()
+            for d in range(9)]
+
+    def test_the_cli_maps_tracking_lost_to_exit_3(self, monkeypatch, capsys,
+                                                  tmp_path):
+        from bcdimer.cli import run
+
+        monkeypatch.setattr(ep, "_candidate_solves",
+                            lambda system, controls, cfg:
+                            solver._candidate_solves(REF.NoSeeds(), controls,
+                                                     cfg))
+        calls = self.fallback_never_converges(monkeypatch)
+        assert run(["encircle", "--g", "-1", "--gamma", "1", "--radius",
+                    "1e-3", "--steps", "64", "--track", "all",
+                    "--out", str(tmp_path)]) == 3
+        (line,) = capsys.readouterr().out.strip().splitlines()
+        out = json.loads(line)
+        assert out["error"] == "TrackingLost"
+        assert out["message"].startswith("state lost between phi=0.0000")
+        assert len(calls) == 9
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSpecValidation:

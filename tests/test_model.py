@@ -271,6 +271,33 @@ class TestBifurcationSet:
         assert abs(points[0].location + 2 * v) <= 1e-10
         assert abs(points[1].location - 2 * v) <= 1e-10
 
+    @pytest.mark.parametrize("v", [1.0, 2.0])
+    def test_no_point_at_the_root_x_zero(self, v):
+        # at gamma = 0.2j v, Q = X^2 (0.8i + 0.32i X - 0.8i X^2) at g = 0.4 v
+        # has the double root X = 0, which is no state
+        points = DimerSystem().bifurcation_set(
+            DimerParams(v=v, gamma=Bicomplex(0.0, 0.2 * v)), "g",
+            -2.5 * v, 2.5 * v)
+        assert [pt.kind for pt in points] == ["pitchfork", "pitchfork"]
+        want = 2 * v * math.sqrt(1.04)
+        assert abs(points[0].location + want) <= 1e-12 * v
+        assert abs(points[1].location - want) <= 1e-12 * v
+
+    @pytest.mark.parametrize("v", [1.0, 2.0])
+    def test_linear_points_in_s(self, v):
+        # at g = 0 the linear model coalesces where 1 + (i gamma - s)^2 = 0:
+        # at gamma = 1 + 0.3j only at s = 0.3, at gamma = 0.5 + 0.3j nowhere
+        system = DimerSystem()
+        p = DimerParams(v=v, gamma=Bicomplex(v, 0.3 * v))
+        (point,) = system.bifurcation_set(p, "s", -2 * v, 2 * v)
+        assert point.kind == "tangent"
+        assert abs(point.location - 0.3 * v) <= 1e-15 * v
+        st = point.coalesced_state
+        assert residual_norm(st.psi1, st.psi2, st.mu,
+                             p.with_control("s", point.location)) < 1e-10
+        assert system.bifurcation_set(DimerParams(
+            v=v, gamma=Bicomplex(0.5 * v, 0.3 * v)), "s", -2 * v, 2 * v) == []
+
     def test_coalesced_states_solve(self):
         p = DimerParams(g=-1.0)
         for pt in DimerSystem().bifurcation_set(p, "gamma", 0.05, 1.4):
