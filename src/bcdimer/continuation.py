@@ -86,7 +86,6 @@ class Branch:
 
     parameter: str
     samples: _Samples
-    termination: str = "range_end"
     branch_id: int = 0
 
     @property

@@ -62,6 +62,7 @@ __all__ = [
 
 # tracked states re-solved at the center within this of each other coalesce
 COALESCENCE_TOL = 1e-3
+_RELIABLE = 2.0  # a clear match: second-nearest over nearest above this
 
 
 class TrackingLost(RuntimeError):
@@ -175,16 +176,17 @@ def _step(system, spec, rows, seeded, phi0, phi1, cfg):
     for a whole block of loop points.  One max-norm matrix
     (:func:`~bcdimer.solver._distances`, with state_distance's bits) holds
     the distances between the two.  State i continues as solved row j when
-    j is its nearest row and i is j's nearest state; duplicate seeds of one
-    state are harmless.  Any other state, one whose seed failed or went to
-    another state, is continued by :func:`_track_segment`.
+    j is its nearest row and i is j's nearest state, every other state
+    more than _RELIABLE times as far; duplicate seeds of one state are
+    harmless.  Any other state is continued by :func:`_track_segment`.
     """
     n = len(rows)
     near = _distances(rows[:, :12], seeded[:, :12])
     pick = np.full(n, -1)
     if len(seeded):
         best = near.argmin(1)
-        mutual = near.argmin(0)[best] == np.arange(n)
+        mutual = ((near.argmin(0)[best] == np.arange(n))
+                  & (_ratios(near.T)[best] > _RELIABLE))
         if mutual.all():
             return seeded[best], near[:, best].T, best
         pick[mutual] = best[mutual]
@@ -197,14 +199,19 @@ def _step(system, spec, rows, seeded, phi0, phi1, cfg):
     return new, dists, pick
 
 
-def _match_margin(dists) -> float:
-    """Smallest second-nearest/nearest ratio over the rows (last axis) of
-    an array of distances from each new state to the old ones; inf with
-    fewer than two old states."""
+def _ratios(dists) -> np.ndarray:
+    """Second-nearest/nearest ratios along the last axis of an array of
+    distances; inf with fewer than two there."""
     if dists.shape[-1] < 2:
-        return math.inf
+        return np.full(dists.shape[:-1], math.inf)
     two = np.partition(dists, 1, axis=-1)
-    return float((two[..., 1] / np.maximum(two[..., 0], 1e-300)).min())
+    return two[..., 1] / np.maximum(two[..., 0], 1e-300)
+
+
+def _match_margin(dists) -> float:
+    """Smallest :func:`_ratios` of an array of distances from each new
+    state (last axis: to the old ones)."""
+    return float(_ratios(dists).min())
 
 
 def _cycles(perm: list[int]) -> list[int]:
@@ -258,7 +265,7 @@ def _encircle_once(system, spec: LoopSpec, cfg: SolveConfig) -> LoopTrace:
     from the distances of every step and of the closure at once.  Where a
     block has one row a point per state, one array pass gives the distances
     between consecutive points' rows; a step whose picks there are all
-    mutual, with no tie, chains the states' row indices from a point of the
+    ones _step takes chains the states' row indices from a point of the
     block, and a run of such steps gathers its rows and distances in one
     fancy index, with :func:`_step`'s bits.  Other steps run _step."""
     sign = -1.0 if spec.reverse else 1.0
@@ -276,7 +283,7 @@ def _encircle_once(system, spec: LoopSpec, cfg: SolveConfig) -> LoopTrace:
             near = _distances(at[:-1, :, :12], at[1:, None, :, :12])
             best, back = near.argmin(2), near.argmin(1)
             ok = ((np.take_along_axis(back, best, 1) == np.arange(n)).all(1)
-                  & ((near == near.min(1, keepdims=True)).sum(1) == 1).all(1))
+                  & (_ratios(near.swapaxes(1, 2)) > _RELIABLE).all(1))
             best, ok = best.tolist(), ok.tolist()
         idx, run = None, []  # the states' rows at point j - 1; chained steps
         for j in range(m + 1):
@@ -301,7 +308,7 @@ def _encircle_once(system, spec: LoopSpec, cfg: SolveConfig) -> LoopTrace:
     cost = _distances(rows[:, :12], steps[0][:, :12])
     perm = [target for _branch, target in _assign(cost.tolist())]
     margin = _match_margin(np.concatenate([*dists, cost[None]]))
-    reliable = bool(margin > 2.0)
+    reliable = bool(margin > _RELIABLE)
     return LoopTrace(
         spec=spec,
         phis=phis,

@@ -10,18 +10,21 @@ symmetry; it is the probe parameter for exceptional-point loops.
 
 Two systems implement the small continued-system interface used by the
 solver: :class:`DimerSystem` (the full nonlinear model) and
-:class:`LinearTwoMode` (the g = 0 model with closed-form eigenpairs, kept as
-an independent oracle).  At rows of control components
+:class:`LinearTwoMode` (the g = 0 model).  At rows of control components
 (:func:`control_rows`) each gives ``packed_candidates``, a seed for every
 stationary state, so the solver needs no multistart, and ``lane_controls``,
 the controls of the one packed residual kernel that Newton runs on; the
-linear model is its g = 0 case.
+linear model is its g = 0 case.  Every seed is one back-solve
+(:func:`_seed`) of the state's X = psi2+/psi1+, Y = phi2/phi1 and a = n1:
+from the roots of the quartic Q, or at g = 0 from the roots of two
+quadratics (:func:`_linear_seeds`).  The linear model's closed-form
+eigenpairs share no code with the seeds and are kept as an independent
+oracle.
 """
 
 from __future__ import annotations
 
 import cmath
-import contextlib
 import functools
 import itertools
 import math
@@ -30,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bicomplex import I as I_UNIT
-from .bicomplex import Bicomplex, IdempotentPair
+from .bicomplex import Bicomplex
 
 CONTROL_NAMES = ("gamma", "g", "s")
 
@@ -335,12 +338,11 @@ def _flags(x, tol):
 # 13-16 us a row on floats against 240 us + 1 us a lane on arrays, and
 # cross at 18 rows
 _CROSSOVER = 16
-# below this many roots (or points) the back-solve (or the controls' plus
-# components), and below _LINEAR_LANES points the linear model's seeds, run
-# on Python complex numbers, from there on once on _ComplexLanes.  Measured
-# as above: 8 us a root against 400 us, 60-75 us a point against 550-900 us
+# below this many seeds (Q's roots, or the linear model's root pairs) the
+# back-solve, and below this many points the controls' plus components,
+# run on Python complex numbers, from there on once on _ComplexLanes.
+# Measured as above: 8 us a seed against 400 us
 _COMPLEX_LANES = 48
-_LINEAR_LANES = 12
 # m roots within this many rounding radii (see _roots) of their mean form
 # one m-fold root; the exact multiple roots of Q measure up to 1.2
 _MULTIPLE_ROOT_SPREAD = 2.0
@@ -534,30 +536,60 @@ class _ComplexLanes:
     def __truediv__(self, other):
         return self._quotient(self.real, self.imag, *self._parts(other))
 
-    def __neg__(self):
-        return _ComplexLanes(-self.real, -self.imag)
-
     def __rtruediv__(self, other):
         return self._quotient(*self._parts(other), self.real, self.imag)
 
 
-def _back_solve(x, g, gamma, s, v):
+def _seed(x, y, a, g, gamma, s, v):
     """The packed seed (12 components of psi1, psi2 and mu) of the state
-    at the root x of Q, with x and the plus components g, gamma, s of the
-    controls in units of v (see DimerSystem); all Python numbers, or on
+    with X = x, Y = y and a = n1 (see DimerSystem), at the plus components
+    g, gamma, s of the controls in units of v; all Python numbers, or on
     :class:`_ComplexLanes` (and v an array).
 
-    With a = n1 and Y = phi2/phi1 the seed is psi+ = c (1, x), phi =
-    conj(psi-) = (a, a y)/c, mu+ and nu = conj(mu-), in the gauge c =
-    sqrt|a| that balances site 1.
+    The seed is psi+ = c (1, x), phi = conj(psi-) = (a, a y)/c, mu+ and
+    nu = conj(mu-), in the gauge c = sqrt|a| that balances site 1.
     """
-    a = ((x * x - 1) / x - 2j * gamma + 2 * s + g) / (2 * g)
-    y = (1 - a) / (a * x)
     c = _sqrt(abs(a))
     return _packed([(c * 1.0, (a / c).conjugate()),
                     (c * x, (a * y / c).conjugate()),
                     (v * (x - g * a - 1j * gamma + s),
                      (v * (y - g * a + 1j * gamma + s)).conjugate())])
+
+
+def _back_solve(x, g, gamma, s, v):
+    """The :func:`_seed` of the state at the root x of Q, with a and Y
+    from x by the relations in DimerSystem's docstring."""
+    a = ((x * x - 1) / x - 2j * gamma + 2 * s + g) / (2 * g)
+    return _seed(x, (1 - a) / (a * x), a, g, gamma, s, v)
+
+
+def _quadratic_roots(b) -> tuple[complex, complex]:
+    """The roots b + sqrt(b^2 + 1), b - sqrt(b^2 + 1) of z^2 - 2bz - 1 = 0
+    (cmath's principal root); the one that does not cancel is formed as it
+    reads, the other as -1 over it."""
+    r = cmath.sqrt(b * b + 1)
+    if abs(b + r) >= abs(b - r):
+        return b + r, -1 / (b + r)
+    return -1 / (b - r), b - r
+
+
+def _linear_seeds(plus, v):
+    """The seeds of the linear model's states (g = 0) at each row of
+    ``plus`` (the controls' plus components in units of v, as :func:`_plus`
+    gives them; g is not read) and of v, as
+    :meth:`DimerSystem.packed_candidates` gives them: the :func:`_seed`
+    of the roots X and Y of X^2 - 2(i gamma - s) X - 1 = 0 and Y^2 + 2(i
+    gamma + s) Y - 1 = 0, paired (+, +), (+, -), (-, +), (-, -), with a =
+    1/(1 + XY).  A pair with |1 + XY| < 1e-12 has no normalized state."""
+    found = []  # the seed's arguments but v, and the point's index
+    for k, (_g, gamma, s) in enumerate(plus.tolist()):
+        for x in _quadratic_roots(1j * gamma - s):
+            for y in _quadratic_roots(-(1j * gamma + s)):
+                if abs(norm := 1 + x * y) >= 1e-12:
+                    found.append((x, y, 1 / norm, 0j, gamma, s, k))
+    *columns, at = np.array(found, dtype=complex).reshape(-1, 7).T
+    at = at.real.astype(int)
+    return _back_solved(_seed, columns, v[at]), at
 
 
 def _packed(pairs) -> list[float]:
@@ -572,31 +604,20 @@ def _packed(pairs) -> list[float]:
     return out
 
 
-def _idempotent(z0, z1, z2, z3) -> IdempotentPair:
-    """Bicomplex.to_idempotent of the components z, floats or lanes."""
-    kind = _ComplexLanes if isinstance(z0, np.ndarray) else complex
-    return IdempotentPair(kind(z0 + z3, z2 - z1), kind(z0 - z3, z2 + z1))
-
-
-def _stored(plus, minus) -> tuple[complex, complex]:
-    """The idempotent components of the Bicomplex value with components
-    (plus, minus), as rounding through its four floats leaves them."""
-    pair = _idempotent(*_packed([(plus, minus)]))
-    return pair.plus, pair.minus
-
-
 def _plus(controls) -> np.ndarray:
     """The plus components of g, gamma and s in units of v at every row of
     :func:`control_rows`, an (N, 3) complex array with the bits of
-    ``to_idempotent().plus / v``: on Python numbers below _COMPLEX_LANES
-    rows, from it on once on lanes."""
+    ``to_idempotent().plus / v``, (z0 + z3) + i (z2 - z1) over v: on Python
+    numbers below _COMPLEX_LANES rows, from it on once on lanes."""
     if len(controls) < _COMPLEX_LANES:
-        return np.array([[_idempotent(*row[k:k + 4]).plus / row[0]
-                          for k in (1, 5, 9)] for row in controls.tolist()],
+        return np.array([[complex(row[k] + row[k + 3], row[k + 2] - row[k + 1])
+                          / row[0] for k in (1, 5, 9)]
+                         for row in controls.tolist()],
                         dtype=complex).reshape(-1, 3)
+    c = controls.T
     with np.errstate(all="ignore"):  # _ComplexLanes divides by (v, 0)
-        return np.stack([(_idempotent(*controls[:, k:k + 4].T).plus
-                          / controls[:, 0]).complex() for k in (1, 5, 9)], 1)
+        return np.stack([(_ComplexLanes(c[k] + c[k + 3], c[k + 2] - c[k + 1])
+                          / c[0]).complex() for k in (1, 5, 9)], 1)
 
 
 def _sqrt(x):
@@ -604,29 +625,20 @@ def _sqrt(x):
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
-def _csqrt(z):
-    """cmath.sqrt, mapped over lanes."""
-    if not isinstance(z, _ComplexLanes):
-        return cmath.sqrt(z)
-    out = np.array([cmath.sqrt(w) for w in z.complex().tolist()])
-    return _ComplexLanes(out.real, out.imag)
-
-
-def _back_solved(x, controls, v) -> np.ndarray:
-    """Rows of :func:`_back_solve` at the roots x (an array), each with its
-    (g, gamma, s) in the rows of ``controls`` (an (n, 3) array) and its v:
-    below _COMPLEX_LANES roots on Python numbers, from it on once on lanes,
-    with the same bits.  A root where the back-solve divides by zero gives
-    nan, or on lanes a row that is not finite; Newton drops either."""
-    if len(x) >= _COMPLEX_LANES:
+def _back_solved(seed, columns, v) -> np.ndarray:
+    """Rows of ``seed`` (:func:`_back_solve` or :func:`_seed`) with its
+    arguments but v from the complex arrays ``columns``, and v from v: below
+    _COMPLEX_LANES rows on Python numbers, from it on once on lanes, with
+    the same bits.  A row where the seed divides by zero is nan, or on
+    lanes not finite; Newton drops either."""
+    if len(v) >= _COMPLEX_LANES:
         with np.errstate(all="ignore"):
-            return np.stack(_back_solve(*(_ComplexLanes(z.real, z.imag)
-                                          for z in (x, *controls.T)), v), 1)
-    rows = np.empty((len(x), 12))
-    for k, (xk, c, vk) in enumerate(zip(x.tolist(), controls.tolist(),
-                                        v.tolist())):
+            return np.stack(seed(*(_ComplexLanes(z.real, z.imag)
+                                   for z in columns), v), 1)
+    rows = np.empty((len(v), 12))
+    for k, args in enumerate(zip(*(z.tolist() for z in columns), v.tolist())):
         try:
-            rows[k] = _back_solve(xk, *c, vk)
+            rows[k] = seed(*args)
         except ZeroDivisionError:
             rows[k] = math.nan
     return rows
@@ -711,7 +723,10 @@ def _discriminant(c) -> np.ndarray:
 
 def _discriminant_roots(coeffs, parameter: str, lo: float, hi: float):
     """Roots of disc_X Q in the control near [lo, hi] (v-scaled), where Q
-    does not vanish identically, and Q's coefficient rows there."""
+    does not vanish identically, and Q's coefficient rows there; none
+    where the interpolant, or a root's row, is not finite (the controls
+    overflow), as :func:`_q_roots` gives none for such rows.  The caller
+    ignores numpy's warnings."""
     centre = 0.5 * (lo + hi)
     # half a step off the real axis, so that no sample lands on g = 0
     radius = (0.5 * (hi - lo) + 1e-3 * max(1.0, abs(centre))) * _HALF_STEP
@@ -720,11 +735,14 @@ def _discriminant_roots(coeffs, parameter: str, lo: float, hi: float):
     if parameter == "g":
         disc /= z ** 4
     interpolant = np.fft.fft(disc)[:_DISC_DEGREE[parameter] + 1]
+    if not np.isfinite(interpolant).all():
+        return np.zeros(0, dtype=complex), np.zeros((5, 0), dtype=complex)
     roots = centre + radius * np.roots(interpolant[::-1])
     roots = roots[(np.abs(roots - centre) <= 1.1 * abs(radius))
                   & (np.abs(roots.imag) <= 0.1 * abs(radius))]
     c = _at(coeffs, roots)
-    live = np.abs(c).max(0) > _VANISHING * np.abs(coeffs).max()
+    live = (np.isfinite(c).all(0)
+            & (np.abs(c).max(0) > _VANISHING * np.abs(coeffs).max()))
     return roots[live], c[:, live]
 
 
@@ -844,7 +862,7 @@ def _coalesced(system, p, parameter, plus, x, value, cfg):
 
 def _linear_coalesced(system, at, cfg):
     """The state of ``system`` at the point ``at`` of the linear model's
-    coalescence, polished by Newton from the linear eigenpair."""
+    coalescence, polished by Newton from its first linear seed."""
     from .solver import newton_solve
 
     seeds, _ = LinearTwoMode().packed_candidates(control_rows([at]))
@@ -883,35 +901,40 @@ class DimerSystem:
     + 2s + g)/(2g) and the relations above (:func:`_back_solve`).  States
     coalesce where Q has a multiple root, so the bifurcation set is disc_X Q
     = 0 (see :meth:`bifurcation_set`).  At g = 0, Q = 2gamma (X^2 - 2i gamma
-    X - 1)^2 no longer separates the states: the dimer is the linear model,
-    whose states coalesce where 1 + (i gamma - s)^2 = 0.
+    X - 1)^2 no longer separates the states: the dimer is the linear model.
+    There the relations above are two quadratics, X^2 - 2(i gamma - s) X
+    - 1 = 0 and Y^2 + 2(i gamma + s) Y - 1 = 0, with a = 1/(1 + XY)
+    (:func:`_linear_seeds`; Graefe, J. Phys. A 45, 444015 (2012)), and the
+    states coalesce where 1 + (i gamma - s)^2 = 0.
     """
 
     def packed_candidates(self, controls):
         """Seeds for every stationary state at every point: one per root
         of Q, and below |g| = 1e-3 v, where the back-solve loses the digits
-        of g, the linear model's eigenpairs too; the solver merges
-        duplicates.  Packed as an (n, 12) array with one seed (psi1, psi2
-        and mu components) per row, grouped by point in the order of
-        ``controls`` (the rows of :func:`control_rows`), and the index of
-        each row's point.
+        of g, the linear model's states too; the solver merges duplicates.
+        Packed as an (n, 12) array with one seed (psi1, psi2 and mu
+        components) per row, grouped by point in the order of ``controls``
+        (the rows of :func:`control_rows`), and the index of each row's
+        point.
 
         The plus components of the controls are taken on lanes, Q's roots
         come from one batched eigenvalue call (see :func:`_q_roots`), and
         they are back-solved straight into rows (:func:`_back_solved`);
         the exact root X = 0, which is no state (X^2 - bX - 1 = 0 rules it
-        out), is skipped.
+        out), is skipped.  The linear seeds take X and Y from the two
+        quadratics that the relations above reduce to at g = 0
+        (:func:`_linear_seeds`), and go through the same back-solve.
         """
         plus = _plus(controls)
         x, at = _q_roots(*plus.T)
         keep = x != 0
         x, at = x[keep], at[keep]
-        rows = _back_solved(x, plus[at], controls[at, 0])
+        rows = _back_solved(_back_solve, (x, *plus[at].T), controls[at, 0])
         linear = np.flatnonzero(
             np.hypot(plus[:, 0].real, plus[:, 0].imag) < _LINEAR_SEEDS)
         if not len(linear):
             return rows, at
-        seeds, owner = LinearTwoMode().packed_candidates(controls[linear])
+        seeds, owner = _linear_seeds(plus[linear], controls[linear, 0])
         at = np.concatenate([at, linear[owner]])
         order = np.argsort(at, kind="stable")
         return np.concatenate([rows, seeds])[order], at[order]
@@ -963,11 +986,14 @@ class DimerSystem:
             return sorted(points, key=lambda pt: pt.location)
 
         # Q's coefficients as polynomials in the control, of degree <= 3:
-        # coeffs[k, n] multiplies X**n p**k
-        swept = dict(plus, **{parameter: _QUARTER_TURNS})
-        coeffs = np.fft.fft(_q_coefficients(swept["g"], swept["gamma"],
-                                            swept["s"]), axis=1).T / 4
-        roots, c = _discriminant_roots(coeffs, parameter, lo / v, hi / v)
+        # coeffs[k, n] multiplies X**n p**k; controls that overflow them
+        # give no points
+        with np.errstate(all="ignore"):
+            swept = dict(plus, **{parameter: _QUARTER_TURNS})
+            coeffs = np.fft.fft(_q_coefficients(swept["g"], swept["gamma"],
+                                                swept["s"]), axis=1).T / 4
+            roots, c = _discriminant_roots(coeffs, parameter, lo / v,
+                                           hi / v)
         if not len(roots):
             return points
         # the four roots of Q at each control seed seed both systems
@@ -1018,9 +1044,10 @@ class DimerSystem:
 class LinearTwoMode:
     """Two-level model without nonlinearity, with closed-form eigenpairs.
 
-    Used as an independent oracle: the residual is written out directly and
-    the eigenpairs come from the 2x2 characteristic equation, sector by
-    sector in the idempotent basis.
+    Its seeds are the dimer's at g = 0 (:func:`_linear_seeds`).  The
+    residual, written out directly, and :meth:`eigenpairs`, from the 2x2
+    characteristic equation sector by sector in the idempotent basis,
+    share no code with them: they are an independent oracle.
     """
 
     def residual(self, psi, mu: Bicomplex, p: DimerParams):
@@ -1035,100 +1062,40 @@ class LinearTwoMode:
 
     @staticmethod
     def sector_eigenvalues(v: float, gamma_sector: complex, s_sector: complex = 0j):
-        """Eigenvalues of [[-i*g + s, v], [v, i*g - s]] in one sector, on
-        Python numbers or on lanes; 1 * (w * w) is CPython's w ** 2."""
+        """Eigenvalues of [[-i*g + s, v], [v, i*g - s]] in one sector."""
         w = 1j * gamma_sector - s_sector
-        disc = _csqrt(v * v + 1 * (w * w))
+        disc = cmath.sqrt(v * v + w * w)
         return disc, -disc
 
     @staticmethod
     def _pairs(v, gp, sp, lp, lm):
         """psi1, psi2 and mu of the eigenpair combination of lp and lm as
         idempotent (plus, minus) pairs, the continued norm equal to one, at
-        v and the idempotent pairs gp, sp of gamma and s, and whether its
-        normalization is singular (at exceptional points), where on Python
-        numbers it gives no pairs."""
+        v and the idempotent pairs gp, sp of gamma and s; None where its
+        normalization is singular (at exceptional points)."""
         # row-1 eigenvector (1, (mu + i*gamma - s)/v) per sector
         rp = (lp + 1j * gp.plus - sp.plus) / v
         rm = (lm + 1j * gp.minus - sp.minus) / v
         norm = 1 + rm.conjugate() * rp
-        singular = abs(norm) < 1e-12
-        if singular is True:
-            return None, True
+        if abs(norm) < 1e-12:
+            return None
         scale = 1.0 / norm
-        return ((scale, 1.0), (scale * rp, rm), (lp, lm)), singular
-
-    def _sector_pairs(self, v, gp, sp):
-        """The :meth:`_pairs` of every eigenpair combination at one point,
-        in the order (+, +), (+, -), (-, +), (-, -); singular ones are
-        skipped."""
-        lam_plus = self.sector_eigenvalues(v, gp.plus, sp.plus)
-        lam_minus = self.sector_eigenvalues(v, gp.minus, sp.minus)
-        for lp in lam_plus:
-            for lm in lam_minus:
-                pairs, singular = self._pairs(v, gp, sp, lp, lm)
-                if not singular:
-                    yield pairs
+        return (scale, 1.0), (scale * rp, rm), (lp, lm)
 
     def eigenpairs(self, p: DimerParams):
         """All stationary states as idempotent-sector eigenpair combinations.
 
         Returns a list of (psi1, psi2, mu) triples, normalized so that the
-        continued norm equals one.  Combinations whose normalization is
-        singular (at exceptional points) are skipped.
+        continued norm equals one, in the order (+, +), (+, -), (-, +),
+        (-, -) of the two sectors' eigenvalues.  Combinations whose
+        normalization is singular (at exceptional points) are skipped.
         """
+        gp, sp = p.gamma.to_idempotent(), p.s.to_idempotent()
         return [tuple(Bicomplex.from_idempotent(*pair) for pair in pairs)
-                for pairs in self._sector_pairs(
-                    p.v, p.gamma.to_idempotent(), p.s.to_idempotent())]
+                for lp in self.sector_eigenvalues(p.v, gp.plus, sp.plus)
+                for lm in self.sector_eigenvalues(p.v, gp.minus, sp.minus)
+                if (pairs := self._pairs(p.v, gp, sp, lp, lm)) is not None]
 
     def packed_candidates(self, controls):
-        """Seeds for every stationary state at every row of ``controls``:
-        the eigenpairs, in the solver's phase gauge and the balanced gauge
-        of the dimer's seeds (see :meth:`_seed_row`), packed as
-        :meth:`DimerSystem.packed_candidates` packs them: below
-        _LINEAR_LANES points point by point on Python numbers, from it on
-        once on lanes, one a combination and point, with the same bits, and
-        on lanes where a seed divides by zero on Python numbers (on lanes it
-        gets a row that is not finite)."""
-        with contextlib.suppress(ZeroDivisionError):
-            if len(controls) < _LINEAR_LANES:
-                seeds = [(self._seed_row(pairs), k)
-                         for k, row in enumerate(controls.tolist())
-                         for pairs in self._sector_pairs(
-                             row[0], _idempotent(*row[5:9]),
-                             _idempotent(*row[9:13]))]
-                return (np.array([seed for seed, _ in seeds]).reshape(-1, 12),
-                        np.array([k for _, k in seeds], dtype=int))
-        lanes = np.repeat(controls, 4, axis=0).T  # lane 4k + c: point k
-        v, gp, sp = lanes[0], _idempotent(*lanes[5:9]), _idempotent(
-            *lanes[9:13])
-        combination = np.arange(4 * len(controls)) % 4  # _sector_pairs' order
-        with np.errstate(all="ignore"):
-            lp, lm = (_ComplexLanes(np.where(second, b.real, a.real),
-                                    np.where(second, b.imag, a.imag))
-                      for (a, b), second in zip(
-                          (self.sector_eigenvalues(v, gp.plus, sp.plus),
-                           self.sector_eigenvalues(v, gp.minus, sp.minus)),
-                          (combination >= 2, combination % 2 == 1)))
-            pairs, singular = self._pairs(v, gp, sp, lp, lm)
-            rows = np.stack(self._seed_row(pairs), 1)
-        return rows[~singular], np.flatnonzero(~singular) // 4
-
-    @staticmethod
-    def _seed_row(pairs) -> list[float]:
-        """The seed of :meth:`packed_candidates` of the :meth:`_pairs` of an
-        eigenpair (or of lanes of them) as 12 packed floats, with the bits
-        of the eigenpair's Bicomplex values.
-
-        The eigenpair is turned by the phase u that makes site 1's plus
-        component real, as the solver's gauge asks, and put in the gauge
-        psi+ -> c psi+, phi = conj(psi-) -> phi/c that balances site 1, as
-        :func:`_back_solve` puts the dimer's seeds.
-        """
-        (p1, m1), (p2, m2), mu = (_stored(*pair) for pair in pairs)
-        u = abs(p1) / p1
-        plus1, plus2 = p1 * u, p2 * u
-        phi1, phi2 = m1.conjugate() / u, m2.conjugate() / u
-        c = _sqrt(abs(phi1) / abs(plus1))
-        return _packed([(c * plus1, (phi1 / c).conjugate()),
-                        (c * plus2, (phi2 / c).conjugate()), mu])
+        """The seeds of :func:`_linear_seeds` at the rows of ``controls``."""
+        return _linear_seeds(_plus(controls), controls[:, 0])

@@ -107,7 +107,6 @@ def upper_symmetric_samples(source: str, g: float, hi: float, step: float):
         p = DimerParams(v=1.0, g=g, gamma=0.0)
         upper = max(symmetric_states(p), key=lambda s: s.mu.z0)
         br = sweep_branch(SYSTEM, upper, p, "gamma", hi, step, CFG)
-        assert br.termination == "range_end"
     else:
         grid = cli._grid(CLI_RANGE)
         p = DimerParams(v=1.0, g=g)
@@ -152,7 +151,6 @@ class TestSweep:
                        and bits(0.0, b.samples[0][1]) == bits(0.0, seed)]
             assert br.values == want.values
             assert br.samples.rows.tobytes() == want.samples.rows.tobytes()
-            assert br.termination == "range_end"
             ends.append(br.end)
         assert stop in ends
 
@@ -171,8 +169,6 @@ class TestSweep:
         assert not st.is_complex_state
         assert abs(st.mu.z0 - (-g / 2)) < 1e-9
         assert abs(abs(st.mu.z1) - math.sqrt(gam * gam - 1.0)) < 1e-9
-        assert upper_branch.termination == lower_branch.termination == (
-            "range_end")
 
     def test_a_seed_off_the_start_states_raises(self, monkeypatch):
         # the seed's Newton state moved by DEDUP_TOL / 2 is the upper

@@ -442,6 +442,34 @@ class TestBlockedSteps:
         for state, seeded in zip(tr.states[6], clean.states[6]):
             assert state_distance(state, seeded) < 1e-9
 
+    @pytest.mark.parametrize("second, pick", [
+        # one ulp nearer the second tracked state than the first: a tie
+        (math.nextafter(0.5, 0.0), [-1, -1]),
+        (0.25, [-1, -1]),  # twice as near: still no clear pick
+        (0.2, [-1, 0]),  # more than twice as near: the second takes it
+    ])
+    def test_a_row_about_as_near_two_states_is_no_pick(self, monkeypatch,
+                                                       second, pick):
+        # hand-made solved rows (12 floats, residual, flags): the tracked
+        # states differ from the one seeded row in their first float only,
+        # by 0.5 and by ``second``
+        seeded = np.zeros((1, 15))
+        rows = np.zeros((2, 15))
+        rows[:, 0] = -0.5, second
+        fallbacks = []
+
+        def fallback(system, spec, row, phi0, phi1, cfg):
+            fallbacks.append(row[0])
+            return row
+
+        monkeypatch.setattr(ep, "_track_segment", fallback)
+        new, dists, got = ep._step(SYSTEM, None, rows, seeded, 0.0, 0.1, CFG)
+        assert got.tolist() == pick
+        assert fallbacks == [rows[i, 0] for i in range(2) if pick[i] < 0]
+        for i in np.flatnonzero(got >= 0):
+            assert np.array_equal(new[i], seeded[0])
+            assert dists[i].tolist() == [0.5, second]
+
 
 def stepwise(system, spec, cfg=CFG):
     """One pass around the loop of ``spec`` with every step through

@@ -29,8 +29,10 @@ from bcdimer.model import (
     _q_coefficients,
     _merged,
     _q_roots,
+    _quadratic_roots,
     _roots,
 )
+from bcdimer.solver import canonical_gauge
 
 R2 = 1.0 / math.sqrt(2.0)
 
@@ -535,15 +537,19 @@ def _idempotent_seed(psi_plus, phi, mu_plus, nu):
     return psi, Bicomplex.from_idempotent(mu_plus, nu.conjugate())
 
 
-def _reference_back_solve(x, g, gamma, s, v):
-    """The seed at the root x of Q through Bicomplex values, as seeds were
-    built before they were packed."""
-    a = ((x * x - 1) / x - 2j * gamma + 2 * s + g) / (2 * g)
-    y = (1 - a) / (a * x)
+def _reference_seed(x, y, a, g, gamma, s, v):
+    """The seed of the state with X = x, Y = y and a = n1 through Bicomplex
+    values, as seeds were built before they were packed."""
     psi, mu = _idempotent_seed((1.0, x), (a, a * y),
                                v * (x - g * a - 1j * gamma + s),
                                v * (y - g * a + 1j * gamma + s))
     return [c for z in (*psi, mu) for c in z.as_tuple()]
+
+
+def _reference_back_solve(x, g, gamma, s, v):
+    """The seed at the root x of Q through Bicomplex values."""
+    a = ((x * x - 1) / x - 2j * gamma + 2 * s + g) / (2 * g)
+    return _reference_seed(x, (1 - a) / (a * x), a, g, gamma, s, v)
 
 
 class TestBackSolve:
@@ -580,18 +586,24 @@ class TestBackSolve:
         assert np.bincount(owner).tolist() == [4, 4, 8, 8, 4, 4]
 
 
+def _linear_plus(p):
+    """The plus components of gamma and s at p in units of v."""
+    return [p.control(name).to_idempotent().plus / p.v
+            for name in ("gamma", "s")]
+
+
 def _reference_linear_seeds(p):
-    """The linear model's seeds through Bicomplex values, as they were
-    built before they were packed: each eigenpair turned by the phase u
-    that makes site 1's plus component real, in the balanced gauge."""
+    """The linear model's seeds through Bicomplex values: the back-solve at
+    g = 0 fed with the roots X and Y of the two quadratics, in the order
+    (+, +), (+, -), (-, +), (-, -), and a = 1/(1 + XY), skipping the pairs
+    whose continued norm 1 + XY vanishes."""
+    gamma, s = _linear_plus(p)
     seeds = []
-    for state in LinearTwoMode().eigenpairs(p):
-        q1, q2, qm = map(Bicomplex.to_idempotent, state)
-        u = abs(q1.plus) / q1.plus
-        phi = (q1.minus.conjugate() / u, q2.minus.conjugate() / u)
-        psi, mu = _idempotent_seed((q1.plus * u, q2.plus * u), phi,
-                                   qm.plus, qm.minus.conjugate())
-        seeds.append([c for z in (*psi, mu) for c in z.as_tuple()])
+    for x in _quadratic_roots(1j * gamma - s):
+        for y in _quadratic_roots(-(1j * gamma + s)):
+            if abs(1 + x * y) >= 1e-12:
+                seeds.append(_reference_seed(x, y, 1 / (1 + x * y), 0j,
+                                             gamma, s, p.v))
     return seeds
 
 
@@ -670,7 +682,8 @@ class TestArrayForms:
                   for zero in (0.0, -0.0)]
         roots += [(1.5 + 0.5j, (0j, 0.5 + 0j, 0j), 1.0)]
         x, controls, v = zip(*roots)
-        got = _back_solved(np.array(x), np.array(controls), np.array(v))
+        got = _back_solved(_back_solve, (np.array(x), *np.array(controls).T),
+                           np.array(v))
         assert len(roots) > 10_000 >= model._COMPLEX_LANES
         raised = []
         for k, (xk, c, vk) in enumerate(roots):
@@ -692,8 +705,9 @@ class TestArrayForms:
 
 
 class TestLinearSeedRows:
-    """The linear model's seeds are written as packed rows with the bits
-    the Bicomplex construction gives."""
+    """The linear model's seeds are the back-solve of the roots of its two
+    quadratics, with the bits the Bicomplex construction gives, and they
+    solve the linear model: each is one of its eigenpairs."""
 
     @settings(max_examples=300, deadline=None)
     @given(_linear_points())
@@ -703,13 +717,13 @@ class TestLinearSeedRows:
                               _bits(_reference_linear_seeds(p)).reshape(-1, 12))
 
     @settings(max_examples=60, deadline=None)
-    @given(st_.lists(_linear_points(), min_size=12, max_size=24))
+    @given(st_.lists(_linear_points(), min_size=24, max_size=32))
     def test_rows_on_lanes_match_bicomplex_seeds(self, points):
         self.check_lanes(points)
 
     def test_rows_on_lanes_skip_singular_combinations(self):
-        # at gamma = 0 two of the four eigenpair combinations have a
-        # vanishing continued norm and are skipped; the linear EP is at
+        # at gamma = 0 two of the four root pairs have a vanishing
+        # continued norm 1 + XY and are skipped; the linear EP is at
         # gamma = v
         owner = self.check_lanes([DimerParams(v=v, gamma=gamma * v, s=s)
                                   for v in (1.0, 2.0)
@@ -720,12 +734,43 @@ class TestLinearSeedRows:
     @staticmethod
     def check_lanes(points):
         rows, owner = LinearTwoMode().packed_candidates(control_rows(points))
-        assert len(points) >= model._LINEAR_LANES
+        assert len(rows) >= model._COMPLEX_LANES  # the block runs on lanes
         for k, p in enumerate(points):
             assert np.array_equal(
                 _bits(rows[owner == k]).reshape(-1, 12),
                 _bits(_reference_linear_seeds(p)).reshape(-1, 12))
         return owner
+
+    @settings(max_examples=300, deadline=None)
+    @given(_linear_points())
+    def test_seeds_are_the_eigenpairs(self, p):
+        # a residual of rounding size everywhere; away from the linear EP
+        # (b^2 + 1 = 0) and from vanishing norms, where the states are
+        # well conditioned, each seed in the solver's gauge is an eigenpair
+        lin = LinearTwoMode()
+        rows, _ = lin.packed_candidates(control_rows([p]))
+        eps = np.finfo(float).eps
+        size = max(p.v, *map(abs, p.gamma.as_tuple() + p.s.as_tuple()))
+        for row in rows.tolist():
+            (psi1, psi2), mu = model._as_seed(row)
+            scale = max(map(abs, row[:8])) * (size + max(map(abs, row[8:])))
+            r1, r2 = lin.residual((psi1, psi2), mu, p)
+            assert max(r1.max_abs(), r2.max_abs()) <= 16 * eps * scale
+        gamma, s = _linear_plus(p)
+        bs = (1j * gamma - s, -(1j * gamma + s))
+        norms = [abs(1 + x * y) for x in _quadratic_roots(bs[0])
+                 for y in _quadratic_roots(bs[1])]
+        if (min(abs(b * b + 1) for b in bs) < 1e-2
+                or any(1e-12 <= n < 1e-2 for n in norms)):
+            return
+        eigen = [(*canonical_gauge((psi1, psi2), mu)[0], mu)
+                 for psi1, psi2, mu in lin.eigenpairs(p)]
+        assert len(eigen) == len(rows)
+        for row in rows.tolist():
+            (psi1, psi2), mu = canonical_gauge(*model._as_seed(row))
+            assert min(max((psi1 - e1).max_abs(), (psi2 - e2).max_abs(),
+                           (mu - em).max_abs()) for e1, e2, em in eigen
+                       ) <= 1e-12 * max(1.0, *map(abs, row))
 
     def test_dimer_takes_them_below_the_linear_threshold(self):
         points = [DimerParams(v=1.0, g=g, gamma=Bicomplex(1.0, 0.01))
@@ -895,12 +940,13 @@ class TestOverflowingControls:
                                     complex(s))) == 4
 
     def test_linear_seeds_at_large_gamma_match_their_lanes(self):
-        # Python divides by zero where the seed's site-1 plus component
-        # vanishes; lanes give that seed a row that is not finite
+        # the roots that do not cancel keep every seed finite, on Python
+        # numbers and on lanes alike
         one = control_rows([DimerParams(v=1.0, g=0.0, gamma=1e10)])
         rows, _ = LinearTwoMode().packed_candidates(one)
         lanes, at = LinearTwoMode().packed_candidates(np.repeat(one, 12, 0))
-        assert not np.isfinite(rows).all()
+        assert len(rows) == 4 and np.isfinite(rows).all()
+        assert len(lanes) >= model._COMPLEX_LANES
         for k in range(12):
             assert np.array_equal(_bits(lanes[at == k]), _bits(rows))
 

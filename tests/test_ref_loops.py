@@ -1,9 +1,11 @@
 import importlib.util
 import json
+import math
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from bcdimer import solver
 from bcdimer.bicomplex import Bicomplex
@@ -46,10 +48,9 @@ def record(**loops):
                            [REF.state_record(STATE),
                             REF.state_record(OTHER)]]},
            "stitched": {"g": REF.branches_record([
-               SimpleNamespace(branch_id=0, termination="range_end",
+               SimpleNamespace(branch_id=0,
                                samples=[(0.1, STATE), (0.2, STATE)]),
-               SimpleNamespace(branch_id=1, termination="range_end",
-                               samples=[(0.2, OTHER)])])}}
+               SimpleNamespace(branch_id=1, samples=[(0.2, OTHER)])])}}
     out["loops"].update(loops)
     return json.loads(json.dumps(out))  # as read back from a process
 
@@ -87,29 +88,38 @@ class TestCompare:
         assert REF.verdict(record(), comparison) == {
             "loops": 2, "loop_steps": 3, "grids": 1, "grid_points": 2,
             "stitched": 1, "stitched_samples": 3,
-            "not_identical": [], "missing": []}
+            "not_identical": [], "other_differs": [], "missing": []}
 
     def test_one_bit_of_one_state(self):
+        # a 1-ulp nudge of one float: sized, and nothing else differs
         trace = SimpleNamespace(**vars(TRACE))
         trace.states = [[STATE, OTHER], [OTHER, nudged(1.0000000000000002)],
                         [STATE, OTHER]]
         comparison = REF.compare(record(),
                                  record(a=REF.trace_record(trace)))
-        assert comparison["loops/a"] == {"identical": False,
-                                         "at": "/states/1/1/8"}
-        assert REF.verdict(record(), comparison)["not_identical"] == [
-            "loops/a"]
+        assert comparison["loops/a"] == {
+            "identical": False, "at": "/states/1/1/8",
+            "max_abs_diff": 2.220446049250313e-16, "other_equal": True}
+        out = REF.verdict(record(), comparison)
+        assert out["not_identical"] == ["loops/a"]
+        assert out["other_differs"] == []
 
     def test_permutation_margin_and_fallbacks(self):
-        for field, value, at in [("permutation", [1, 0], "/permutation/0"),
-                                 ("match_margin", 12.500000000000002,
-                                  "/match_margin"),
-                                 ("fallback_steps", 1, "/fallback_steps"),
-                                 ("reliable", False, "/reliable")]:
+        for field, value, at, size, other_equal in [
+                ("permutation", [1, 0], "/permutation/0", 0.0, False),
+                ("match_margin", 12.500000000000002, "/match_margin",
+                 1.7763568394002505e-15, True),
+                ("fallback_steps", 1, "/fallback_steps", 0.0, False),
+                ("reliable", False, "/reliable", 0.0, False)]:
             trace = SimpleNamespace(**vars(TRACE))
             setattr(trace, field, value)
-            assert REF.compare(record(), record(a=REF.trace_record(trace)))[
-                "loops/a"] == {"identical": False, "at": at}
+            comparison = REF.compare(record(),
+                                     record(a=REF.trace_record(trace)))
+            assert comparison["loops/a"] == {
+                "identical": False, "at": at, "max_abs_diff": size,
+                "other_equal": other_equal}
+            assert REF.verdict(record(), comparison)["other_differs"] == (
+                [] if other_equal else ["loops/a"])
 
     def test_a_lost_state_and_an_error(self):
         trace = SimpleNamespace(**vars(TRACE))
@@ -117,15 +127,19 @@ class TestCompare:
         comparison = REF.compare(
             record(), record(a=REF.trace_record(trace),
                              b=REF.trace_record(TRACE)))
-        assert comparison["loops/a"] == {"identical": False,
-                                         "at": "/states/1 (length 2 != 1)"}
-        assert comparison["loops/b"] == {"identical": False, "at": " (keys)"}
+        assert comparison["loops/a"] == {
+            "identical": False, "at": "/states/1 (length 2 != 1)",
+            "max_abs_diff": 0.0, "other_equal": False}
+        assert comparison["loops/b"] == {
+            "identical": False, "at": " (keys)", "max_abs_diff": 0.0,
+            "other_equal": False}
 
     def test_flag_is_not_a_number(self):
         changed = record()
         changed["grids"]["g"][1][1][-1] = 0  # False, as an integer
         assert REF.compare(record(), changed)["grids/g"] == {
-            "identical": False, "at": "/1/1/14"}
+            "identical": False, "at": "/1/1/14", "max_abs_diff": 0.0,
+            "other_equal": False}
 
     def test_branch_id_and_sample_value(self):
         for at, field, value in [("/0/id", "id", 2),
@@ -136,8 +150,20 @@ class TestCompare:
                 branch["id"] = value
             else:
                 branch["samples"][0][0] = float(value).hex()
-            assert REF.compare(record(), changed)["stitched/g"] == {
-                "identical": False, "at": at}
+            out = REF.compare(record(), changed)["stitched/g"]
+            assert (out["identical"], out["at"]) == (False, at)
+            assert out["other_equal"] == (field == "value")
+            assert out["max_abs_diff"] == pytest.approx(
+                1e-7 if field == "value" else 0.0, rel=1e-6)
+
+    def test_sizes_of_nan_and_infinite_floats(self):
+        for a, b, size in [(math.nan, math.nan, 0.0),
+                           (math.nan, 1.0, math.inf),
+                           (math.inf, math.inf, 0.0),
+                           (math.inf, 1.0, math.inf)]:
+            out = REF.size_difference([a.hex()], [b.hex()], {
+                "max_abs_diff": 0.0, "other_equal": True})
+            assert out == {"max_abs_diff": size, "other_equal": True}
 
     def test_missing_on_one_side(self):
         extra = record(c=REF.trace_record(TRACE))

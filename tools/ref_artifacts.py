@@ -49,8 +49,10 @@ from pathlib import Path
 # gamma != 0 and a tangent loop classified with all states tracked; a
 # `sweep` given a j part of gamma (a usage error); one point next to the
 # merger whose roots of Q merge, and one whose roots the merge gate flags
-# and keeps; and two points whose controls overflow the seeds: Q's
-# coefficients at a huge g, and the linear seeds at a huge gamma
+# and keeps; two points whose controls overflow the seeds: Q's
+# coefficients at a huge g, and the linear seeds at a huge gamma; and two
+# locators whose discriminant overflows: a scan at a huge g and the
+# merger at a huge gamma
 COMMANDS = {
     "solve-ep3-json": ["solve", "--g", "-1", "--gamma", "0.8660254037844386",
                        "--format", "json"],
@@ -121,6 +123,8 @@ COMMANDS = {
     "solve-flagged-unmerged": ["solve", "--g", "-2", "--gamma", "0.0001"],
     "solve-overflow": ["solve", "--g", "1e100", "--gamma", "0.5"],
     "solve-linear-overflow": ["solve", "--gamma", "1e10"],
+    "bifurcations-overflow": ["bifurcations", "--g", "1e300"],
+    "merger-overflow": ["merger", "--gamma", "1e300"],
 }
 ID_COLUMN = "branch_id"
 ID_KEYS = (ID_COLUMN, "branch_ids", "continuing_branch_id")

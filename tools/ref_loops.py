@@ -17,8 +17,8 @@ and the question benchmark from its ``qbench/``:
 * the grids of ``GRIDS`` through ``solver.find_states_along``: every
   point's states, with their residuals and flags;
 * the same grids through ``continuation.stitched_branches``, as the
-  ``sweep`` and ``bifurcations`` commands stitch them: every branch's id
-  and termination, and every sample's value and state.
+  ``sweep`` and ``bifurcations`` commands stitch them: every branch's id,
+  and every sample's value and state.
 
 One loop and one grid run on :class:`PointByPoint`, the dimer with its
 seeds listed one point at a time, as a system without a polynomial to
@@ -30,16 +30,22 @@ the previous step's state.
 Floats are recorded as ``float.hex``, so equal records mean equal bits.
 The record written to ``--out`` holds, for each loop, grid and stitched
 grid, whether the two checkouts' are identical and, where not, the first
-place where they differ.  The last line of standard output is a one-line
+place where they differ, the largest absolute difference of any recorded
+float (``max_abs_diff``; absolute, since a component that is about 0 has
+no meaningful relative one) and whether everything else is equal
+(``other_equal``: permutations, cycle types, flags, fallback counts, ids,
+errors, keys and lengths).  The last line of standard output is a one-line
 verdict: how many loops, loop steps, grids, grid points, stitched grids and
-their samples were compared, the ones that are not identical and the ones
-that one side lacks.
+their samples were compared, the ones that are not identical, the ones
+among them whose values other than floats differ, and the ones that one
+side lacks.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -187,9 +193,9 @@ def loop_spec(name: str):
 
 
 def branches_record(branches) -> list:
-    """Each branch's id and termination, and each sample's value, as hex,
-    with its state's :func:`state_record`."""
-    return [{"id": br.branch_id, "termination": br.termination,
+    """Each branch's id, and each sample's value, as hex, with its state's
+    :func:`state_record`."""
+    return [{"id": br.branch_id,
              "samples": [[float(value).hex(), *state_record(st)]
                          for value, st in br.samples]} for br in branches]
 
@@ -261,10 +267,41 @@ def first_difference(a, b, path: str = ""):
     return None if type(a) is type(b) and a == b else path
 
 
+def _float(value):
+    """The float a recorded hex string stands for, or None."""
+    try:
+        return float.fromhex(value) if isinstance(value, str) else None
+    except ValueError:
+        return None
+
+
+def size_difference(a, b, out: dict) -> dict:
+    """Walk two JSON values: the largest |a - b| of their hex floats into
+    ``out["max_abs_diff"]`` (inf where one side is nan), and whether every
+    other value, key and length is equal into ``out["other_equal"]``."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        out["other_equal"] &= sorted(a) == sorted(b)
+        for key in a.keys() & b.keys():
+            size_difference(a[key], b[key], out)
+    elif isinstance(a, list) and isinstance(b, list):
+        out["other_equal"] &= len(a) == len(b)
+        for x, y in zip(a, b):
+            size_difference(x, y, out)
+    elif _float(a) is not None and _float(b) is not None:
+        x, y = _float(a), _float(b)
+        gap = 0.0 if x == y or (x != x and y != y) else abs(x - y)
+        out["max_abs_diff"] = max(out["max_abs_diff"],
+                                  gap if gap == gap else math.inf)
+    else:
+        out["other_equal"] &= type(a) is type(b) and a == b
+    return out
+
+
 def compare(a: dict, b: dict) -> dict:
     """For each loop, grid and stitched grid of either record, keyed
     "loops/NAME", "grids/NAME" and "stitched/NAME": {"identical": True}, or
-    where the two first differ, or that one record lacks it."""
+    where the two first differ with :func:`size_difference`'s sizes, or
+    that one record lacks it."""
     out = {}
     for kind in ("loops", "grids", "stitched"):
         ka, kb = a.get(kind, {}), b.get(kind, {})
@@ -273,14 +310,18 @@ def compare(a: dict, b: dict) -> dict:
                 out[f"{kind}/{name}"] = {"identical": False, "missing": True}
                 continue
             at = first_difference(ka[name], kb[name])
-            out[f"{kind}/{name}"] = ({"identical": True} if at is None
-                                     else {"identical": False, "at": at})
+            out[f"{kind}/{name}"] = (
+                {"identical": True} if at is None else size_difference(
+                    ka[name], kb[name], {"identical": False, "at": at,
+                                         "max_abs_diff": 0.0,
+                                         "other_equal": True}))
     return out
 
 
 def verdict(a: dict, comparison: dict) -> dict:
     """The one-line summary: what was compared, in the first record, and
-    which entries are not identical or missing on one side."""
+    which entries are not identical, differ in other values than floats
+    or are missing on one side."""
     loops, grids = a.get("loops", {}), a.get("grids", {})
     stitched = a.get("stitched", {})
     return {
@@ -293,6 +334,8 @@ def verdict(a: dict, comparison: dict) -> dict:
                                 in stitched.values() for br in branches),
         "not_identical": sorted(name for name, c in comparison.items()
                                 if not c["identical"] and "missing" not in c),
+        "other_differs": sorted(name for name, c in comparison.items()
+                                if not c.get("other_equal", True)),
         "missing": sorted(name for name, c in comparison.items()
                           if "missing" in c),
     }
