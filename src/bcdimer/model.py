@@ -604,20 +604,24 @@ def _packed(pairs) -> list[float]:
     return out
 
 
+def _idempotent_plus(z0, z1, z2, z3):
+    """Bicomplex.to_idempotent().plus of the components z, floats or lanes."""
+    kind = _ComplexLanes if isinstance(z0, np.ndarray) else complex
+    return kind(z0 + z3, z2 - z1)
+
+
 def _plus(controls) -> np.ndarray:
     """The plus components of g, gamma and s in units of v at every row of
     :func:`control_rows`, an (N, 3) complex array with the bits of
-    ``to_idempotent().plus / v``, (z0 + z3) + i (z2 - z1) over v: on Python
-    numbers below _COMPLEX_LANES rows, from it on once on lanes."""
+    ``to_idempotent().plus / v``: on Python numbers below _COMPLEX_LANES
+    rows, from it on once on lanes."""
     if len(controls) < _COMPLEX_LANES:
-        return np.array([[complex(row[k] + row[k + 3], row[k + 2] - row[k + 1])
-                          / row[0] for k in (1, 5, 9)]
-                         for row in controls.tolist()],
+        return np.array([[_idempotent_plus(*row[k:k + 4]) / row[0]
+                          for k in (1, 5, 9)] for row in controls.tolist()],
                         dtype=complex).reshape(-1, 3)
-    c = controls.T
     with np.errstate(all="ignore"):  # _ComplexLanes divides by (v, 0)
-        return np.stack([(_ComplexLanes(c[k] + c[k + 3], c[k + 2] - c[k + 1])
-                          / c[0]).complex() for k in (1, 5, 9)], 1)
+        return np.stack([(_idempotent_plus(*controls[:, k:k + 4].T)
+                          / controls[:, 0]).complex() for k in (1, 5, 9)], 1)
 
 
 def _sqrt(x):
@@ -723,10 +727,11 @@ def _discriminant(c) -> np.ndarray:
 
 def _discriminant_roots(coeffs, parameter: str, lo: float, hi: float):
     """Roots of disc_X Q in the control near [lo, hi] (v-scaled), where Q
-    does not vanish identically, and Q's coefficient rows there; none
-    where the interpolant, or a root's row, is not finite (the controls
-    overflow), as :func:`_q_roots` gives none for such rows.  The caller
-    ignores numpy's warnings."""
+    does not vanish identically, and Q's coefficient rows there.  Raises
+    :class:`~bcdimer.solver.NoConvergence` where the interpolant, or a
+    root's row, is not finite: the controls overflow them, and no root
+    there is no proof of no coalescence.  The caller ignores numpy's
+    warnings."""
     centre = 0.5 * (lo + hi)
     # half a step off the real axis, so that no sample lands on g = 0
     radius = (0.5 * (hi - lo) + 1e-3 * max(1.0, abs(centre))) * _HALF_STEP
@@ -735,14 +740,19 @@ def _discriminant_roots(coeffs, parameter: str, lo: float, hi: float):
     if parameter == "g":
         disc /= z ** 4
     interpolant = np.fft.fft(disc)[:_DISC_DEGREE[parameter] + 1]
-    if not np.isfinite(interpolant).all():
-        return np.zeros(0, dtype=complex), np.zeros((5, 0), dtype=complex)
-    roots = centre + radius * np.roots(interpolant[::-1])
-    roots = roots[(np.abs(roots - centre) <= 1.1 * abs(radius))
-                  & (np.abs(roots.imag) <= 0.1 * abs(radius))]
-    c = _at(coeffs, roots)
-    live = (np.isfinite(c).all(0)
-            & (np.abs(c).max(0) > _VANISHING * np.abs(coeffs).max()))
+    finite = np.isfinite(interpolant).all()
+    if finite:
+        roots = centre + radius * np.roots(interpolant[::-1])
+        roots = roots[(np.abs(roots - centre) <= 1.1 * abs(radius))
+                      & (np.abs(roots.imag) <= 0.1 * abs(radius))]
+        c = _at(coeffs, roots)
+        finite = np.isfinite(c).all()
+    if not finite:
+        from .solver import NoConvergence  # solver imports this module
+
+        raise NoConvergence(f"the controls overflow disc_X Q over "
+                            f"{parameter}/v in [{lo:.3g}, {hi:.3g}]")
+    live = np.abs(c).max(0) > _VANISHING * np.abs(coeffs).max()
     return roots[live], c[:, live]
 
 
@@ -954,7 +964,9 @@ class DimerSystem:
         ``coalesced_state`` is the back-solve of the multiple root, polished
         by Newton with ``cfg``; ``detection_residual`` is the residual of
         the (X, control) system in v-scaled units; ``branch_ids`` is empty.
-        At g = 0 the points are those of the linear model.
+        At g = 0 the points are those of the linear model.  Raises
+        :class:`~bcdimer.solver.NoConvergence` where the controls overflow
+        the discriminant, which then proves nothing.
 
         No state is solved here: each point keeps its polished root and
         control value, and solves its state when ``coalesced_state`` is
@@ -986,8 +998,7 @@ class DimerSystem:
             return sorted(points, key=lambda pt: pt.location)
 
         # Q's coefficients as polynomials in the control, of degree <= 3:
-        # coeffs[k, n] multiplies X**n p**k; controls that overflow them
-        # give no points
+        # coeffs[k, n] multiplies X**n p**k
         with np.errstate(all="ignore"):
             swept = dict(plus, **{parameter: _QUARTER_TURNS})
             coeffs = np.fft.fft(_q_coefficients(swept["g"], swept["gamma"],

@@ -266,6 +266,23 @@ class TestExitCodes:
         assert isinstance(json.loads(captured.out), dict)
         assert not caught and not captured.err
 
+    @pytest.mark.parametrize("args", [
+        ["bifurcations", "--g", "1e300"],
+        ["bifurcations", "--g", "1e100"],  # finite Q, overflowing interpolant
+        ["bifurcations", "--g", "1", "--v", "1e-300"],
+        ["bifurcations", "--g", "-1", "--gamma-range", "1e300:1e301:1e300"],
+        ["merger", "--gamma", "1e300"],
+        ["encircle", "--around", "tangent", "--g", "1e300"],
+    ])
+    def test_overflowing_discriminant_is_a_numerical_failure(self, capsys,
+                                                             args):
+        # an overflowing scan proves no absence: the tangent at gamma = v
+        # exists for every g, so no locator may read it as "none"
+        assert run(args) == 3
+        out = summary(capsys)
+        assert out["error"] == "NoConvergence"
+        assert "overflow" in out["message"]
+
 
 class TestArtifacts:
     @pytest.mark.parametrize("fmt,name", [("csv", "states.csv"),
