@@ -728,10 +728,8 @@ def _discriminant(c) -> np.ndarray:
 def _discriminant_roots(coeffs, parameter: str, lo: float, hi: float):
     """Roots of disc_X Q in the control near [lo, hi] (v-scaled), where Q
     does not vanish identically, and Q's coefficient rows there.  Raises
-    :class:`~bcdimer.solver.NoConvergence` where the interpolant, or a
-    root's row, is not finite: the controls overflow them, and no root
-    there is no proof of no coalescence.  The caller ignores numpy's
-    warnings."""
+    :class:`~bcdimer.solver.NoConvergence` where the controls overflow the
+    interpolant or a root's row.  The caller ignores numpy's warnings."""
     centre = 0.5 * (lo + hi)
     # half a step off the real axis, so that no sample lands on g = 0
     radius = (0.5 * (hi - lo) + 1e-3 * max(1.0, abs(centre))) * _HALF_STEP
@@ -740,20 +738,18 @@ def _discriminant_roots(coeffs, parameter: str, lo: float, hi: float):
     if parameter == "g":
         disc /= z ** 4
     interpolant = np.fft.fft(disc)[:_DISC_DEGREE[parameter] + 1]
-    finite = np.isfinite(interpolant).all()
-    if finite:
+    if np.isfinite(interpolant).all():
         roots = centre + radius * np.roots(interpolant[::-1])
         roots = roots[(np.abs(roots - centre) <= 1.1 * abs(radius))
                       & (np.abs(roots.imag) <= 0.1 * abs(radius))]
         c = _at(coeffs, roots)
-        finite = np.isfinite(c).all()
-    if not finite:
-        from .solver import NoConvergence  # solver imports this module
+        if np.isfinite(c).all():
+            live = np.abs(c).max(0) > _VANISHING * np.abs(coeffs).max()
+            return roots[live], c[:, live]
+    from .solver import NoConvergence  # solver imports this module
 
-        raise NoConvergence(f"the controls overflow disc_X Q over "
-                            f"{parameter}/v in [{lo:.3g}, {hi:.3g}]")
-    live = np.abs(c).max(0) > _VANISHING * np.abs(coeffs).max()
-    return roots[live], c[:, live]
+    raise NoConvergence(f"the controls overflow disc_X Q over {parameter}/v "
+                        f"in [{lo:.3g}, {hi:.3g}]")
 
 
 def _powers(z, count: int) -> np.ndarray:
