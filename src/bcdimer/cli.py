@@ -392,10 +392,8 @@ def _cmd_encircle(ns, system, params, cfg) -> dict:
     return {
         "command": "encircle",
         "which": ns.param,
-        "center": {
-            name: trace.spec.center.control(name).z0
-            for name in ("gamma", "g", "s")
-        },
+        "center": trace.spec.center.parts(),
+        "center_j": trace.spec.center.parts("z1"),
         "cycle_type": trace.cycle_type,
         "permutation": trace.permutation,
         "match_margin": (None if math.isinf(trace.match_margin)
@@ -413,6 +411,7 @@ def _cmd_classify(ns, system, params, cfg) -> dict:
         json.dumps(
             {
                 "center": report.center_controls,
+                "center_j": traces[0].spec.center.parts("z1"),
                 "cycle_types": report.cycle_types,
                 "order_lower_bound": report.order_lower_bound,
                 "states_coalesce": report.states_coalesce,
@@ -426,6 +425,7 @@ def _cmd_classify(ns, system, params, cfg) -> dict:
     )
     return {
         "command": "classify",
+        "center_j": traces[0].spec.center.parts("z1"),
         "cycle_types": report.cycle_types,
         "order_lower_bound": report.order_lower_bound,
         "states_coalesce": report.states_coalesce,

@@ -187,8 +187,6 @@ def _step(system, spec, rows, seeded, phi0, phi1, cfg):
         best = near.argmin(1)
         mutual = ((near.argmin(0)[best] == np.arange(n))
                   & (_ratios(near.T)[best] > _RELIABLE))
-        if mutual.all():
-            return seeded[best], near[:, best].T, best
         pick[mutual] = best[mutual]
     new, dists = np.empty(rows.shape), np.empty((n, n))
     kept = pick >= 0
@@ -376,9 +374,7 @@ def classify_ep(
            "; no full coalescence observed at center")
     )
     return EpReport(
-        center_controls={
-            name: center.control(name).z0 for name in ("gamma", "g", "s")
-        },
+        center_controls=center.parts(),
         cycle_types=cycle_types,
         order_lower_bound=max_cycle,
         states_coalesce=coalesce,

@@ -8,18 +8,17 @@ branches behind the non-analytic modulus accessible.  An optional asymmetry
 ``s`` enters the diagonal as ``(+s, -s)`` and breaks the remaining site
 symmetry; it is the probe parameter for exceptional-point loops.
 
-Two systems implement the small continued-system interface used by the
-solver: :class:`DimerSystem` (the full nonlinear model) and
-:class:`LinearTwoMode` (the g = 0 model).  At rows of control components
-(:func:`control_rows`) each gives ``packed_candidates``, a seed for every
-stationary state, so the solver needs no multistart, and ``lane_controls``,
-the controls of the one packed residual kernel that Newton runs on; the
-linear model is its g = 0 case.  Every seed is one back-solve
-(:func:`_seed`) of the state's X = psi2+/psi1+, Y = phi2/phi1 and a = n1:
-from the roots of the quartic Q, or at g = 0 from the roots of two
-quadratics (:func:`_linear_seeds`).  The linear model's closed-form
-eigenpairs share no code with the seeds and are kept as an independent
-oracle.
+One system, :class:`DimerSystem`, implements the small continued-system
+interface used by the solver; at g = 0 it is the linear model.  At rows of
+control components (:func:`control_rows`) it gives ``packed_candidates``,
+a seed for every stationary state, so the solver needs no multistart, and
+``lane_controls``, the controls of the one packed residual kernel that
+Newton runs on.  Every seed is one back-solve (:func:`_seed`) of the
+state's X = psi2+/psi1+, Y = phi2/phi1 and a = n1: from the roots of the
+quartic Q, or near g = 0 from the roots of two quadratics
+(:func:`_linear_seeds`).  :class:`LinearTwoMode` is not a system: its
+closed-form eigenpairs share no code with the seeds and are kept as an
+independent oracle of the g = 0 states.
 """
 
 from __future__ import annotations
@@ -80,6 +79,11 @@ class DimerParams:
         if name not in CONTROL_NAMES:
             raise ValueError(f"unknown control {name!r}, expected one of {CONTROL_NAMES}")
         return getattr(self, name)
+
+    def parts(self, part: str = "z0") -> dict:
+        """One component of each control by name: the real part, or with
+        ``part="z1"`` the j part."""
+        return {name: getattr(self.control(name), part) for name in CONTROL_NAMES}
 
     def with_control(self, name: str, real: float, jpart: float = 0.0) -> "DimerParams":
         if name not in CONTROL_NAMES:
@@ -445,16 +449,14 @@ def _q_roots(g, gamma, s) -> tuple[np.ndarray, np.ndarray]:
     gives its roots bit for bit, and stay an (N, 4) array; a companion
     that overflows gives none.  _roots' merge then runs only on the rows
     that :func:`_close_pair` flags, a superset of the rows that _merged
-    changes.  Elsewhere _roots runs.  A single point's coefficients are
-    formed on Python numbers: at complex (j-continued) g and gamma numpy's
-    scalar complex arithmetic rounds them differently from its array
-    loops, and one-point calls keep the bits they had.
+    changes.  Elsewhere _roots runs.  One point is a block of one: its
+    coefficients come from the same array loops as a block's, so a point
+    has the same roots alone as in any block.
     """
     if not g.any():  # Q seeds no state at g = 0
         return np.zeros(0, dtype=complex), np.zeros(0, dtype=int)
     with np.errstate(all="ignore"):  # rows that overflow get no roots
-        top = (_q_coefficients(g.item(), gamma.item(), s.item())[:, None]
-               if len(g) == 1 else _q_coefficients(g, gamma, s))[::-1].T
+        top = _q_coefficients(g, gamma, s)[::-1].T
         first = -top[:, 1:] / top[:, :1]  # the companions' first rows
         solvable = (g != 0) & np.isfinite(top).all(-1)
         quartic = (top[:, 0] != 0) & (top[:, -1] != 0)
@@ -854,27 +856,6 @@ def _polish(coeffs, controls, parameter, x, p, order):
     return x.astype(complex), p.real
 
 
-def _coalesced(system, p, parameter, plus, x, value, cfg):
-    """The state of ``system`` where Q has the multiple root x, at the
-    v-scaled value of the control ``parameter`` (the other controls' plus
-    components ``plus``): the back-solve of x, polished by Newton."""
-    from .solver import newton_solve
-
-    at = dict(plus, **{parameter: complex(value)})
-    seed = _back_solve(x, at["g"], at["gamma"], at["s"], p.v)
-    return newton_solve(system, p.with_control(parameter, float(p.v * value)),
-                        _as_seed(seed), cfg)
-
-
-def _linear_coalesced(system, at, cfg):
-    """The state of ``system`` at the point ``at`` of the linear model's
-    coalescence, polished by Newton from its first linear seed."""
-    from .solver import newton_solve
-
-    seeds, _ = LinearTwoMode().packed_candidates(control_rows([at]))
-    return newton_solve(system, at, _as_seed(seeds[0].tolist()), cfg)
-
-
 class DimerSystem:
     """The continued nonlinear dimer behind the generic system interface.
 
@@ -960,24 +941,32 @@ class DimerSystem:
         ``coalesced_state`` is the back-solve of the multiple root, polished
         by Newton with ``cfg``; ``detection_residual`` is the residual of
         the (X, control) system in v-scaled units; ``branch_ids`` is empty.
-        At g = 0 the points are those of the linear model.  Raises
+        At g = 0 the points are those of the linear model, and the seed
+        is the first of :meth:`packed_candidates` there.  Raises
         :class:`~bcdimer.solver.NoConvergence` where the controls overflow
         the discriminant, which then proves nothing.
 
-        No state is solved here: each point keeps its polished root and
-        control value, and solves its state when ``coalesced_state`` is
+        No state is solved here: each point holds ``newton_solve`` from its
+        seed as a ``functools.partial``, called when ``coalesced_state`` is
         first read (see :class:`BifurcationPoint`).  A Newton failure is
         raised by that read, so a caller pays for, and can fail on, only
         the states it reads.
         """
-        from .solver import SolveConfig
+        from .solver import SolveConfig, newton_solve
 
         cfg = cfg or SolveConfig()
         cfg = replace(cfg, residual_tol=max(cfg.residual_tol, _COALESCED_TOL))
         v = p.v
-        plus = {name: p.control(name).to_idempotent().plus / v
-                for name in CONTROL_NAMES}
+        plus = dict(zip(("g", "gamma", "s"),
+                        _plus(control_rows([p])).tolist()[0]))
         points = []
+
+        def add(kind, location, seed, residual):
+            points.append(BifurcationPoint(
+                kind, location, (), functools.partial(
+                    newton_solve, self, p.with_control(parameter, location),
+                    _as_seed(seed), cfg), residual))
+
         if parameter != "g" and plus["g"] == 0:
             # the linear model coalesces where 1 + (i gamma - s)^2 = 0
             if parameter == "gamma":
@@ -987,10 +976,9 @@ class DimerSystem:
             for root in roots:
                 location = v * root.real
                 if abs(root.imag) <= _IMAG_TOL and lo <= location <= hi:
-                    points.append(BifurcationPoint(
-                        "tangent", location, (), functools.partial(
-                            _linear_coalesced, self,
-                            p.with_control(parameter, location), cfg), 0.0))
+                    seeds, _ = self.packed_candidates(control_rows(
+                        [p.with_control(parameter, location)]))
+                    add("tangent", location, seeds[0].tolist(), 0.0)
             return sorted(points, key=lambda pt: pt.location)
 
         # Q's coefficients as polynomials in the control, of degree <= 3:
@@ -1031,11 +1019,9 @@ class DimerSystem:
         xs, values = _polish(coeffs, plus, parameter, x[kept], pv[kept],
                              order[kept])
         for k, xk, value in zip(kept, xs, values):
-            location = float(v * value)
-            points.append(BifurcationPoint(
-                _KINDS[kinds[k]], location, (), functools.partial(
-                    _coalesced, self, p, parameter, plus, xk, value, cfg),
-                res[k]))
+            at = dict(plus, **{parameter: complex(value)})
+            add(_KINDS[kinds[k]], float(v * value),
+                _back_solve(xk, at["g"], at["gamma"], at["s"], v), res[k])
         return sorted(points, key=lambda pt: pt.location)
 
     def residual(self, psi, mu: Bicomplex, p: DimerParams):
@@ -1049,12 +1035,12 @@ class DimerSystem:
 
 
 class LinearTwoMode:
-    """Two-level model without nonlinearity, with closed-form eigenpairs.
-
-    Its seeds are the dimer's at g = 0 (:func:`_linear_seeds`).  The
-    residual, written out directly, and :meth:`eigenpairs`, from the 2x2
+    """Two-level model without nonlinearity, with closed-form eigenpairs:
+    the oracle of the dimer at g = 0, which the solver runs as
+    ``DimerSystem`` (its seeds are :func:`_linear_seeds`).  The residual,
+    written out directly, and :meth:`eigenpairs`, from the 2x2
     characteristic equation sector by sector in the idempotent basis,
-    share no code with them: they are an independent oracle.
+    share no code with the seeds.
     """
 
     def residual(self, psi, mu: Bicomplex, p: DimerParams):
@@ -1062,10 +1048,6 @@ class LinearTwoMode:
         r1 = (-igamma + p.s - mu) * psi[0] + p.v * psi[1]
         r2 = p.v * psi[0] + (igamma - p.s - mu) * psi[1]
         return r1, r2
-
-    def lane_controls(self, c):
-        """The dimer's :meth:`~DimerSystem.lane_controls` at g = 0."""
-        return [c[0], 0.0, 0.0, 0.0, 0.0, *DimerSystem().lane_controls(c)[5:]]
 
     @staticmethod
     def sector_eigenvalues(v: float, gamma_sector: complex, s_sector: complex = 0j):
@@ -1102,7 +1084,3 @@ class LinearTwoMode:
                 for lp in self.sector_eigenvalues(p.v, gp.plus, sp.plus)
                 for lm in self.sector_eigenvalues(p.v, gp.minus, sp.minus)
                 if (pairs := self._pairs(p.v, gp, sp, lp, lm)) is not None]
-
-    def packed_candidates(self, controls):
-        """The seeds of :func:`_linear_seeds` at the rows of ``controls``."""
-        return _linear_seeds(_plus(controls), controls[:, 0])

@@ -414,6 +414,25 @@ class TestAnswers:
         assert run(["merger"]) == 0
         assert summary(capsys)["gamma_star_j"] == 0.0
 
+    def test_loops_report_the_j_parts_of_their_center(self, capsys,
+                                                      tmp_path):
+        # the merger at gamma = 0.2j, and a tangent loop at s = 0.1j; the
+        # real parts stay under "center"
+        assert run(["encircle", "--around", "merger", "--gamma-j", "0.2",
+                    "--param", "g", "--track", "all"]) == 0
+        out = summary(capsys)
+        assert out["center"]["gamma"] == 0.0
+        assert out["center"]["g"] == -2.039607805437114
+        assert out["center_j"] == {"gamma": 0.2, "g": 0.0, "s": 0.0}
+        assert run(["classify", "--g", "0.5", "--gamma", "0.3", "--s-j",
+                    "0.1", "--param", "g", "--track", "all", "--out",
+                    str(tmp_path)]) == 0
+        want = {"gamma": 0.0, "g": 0.0, "s": 0.1}
+        assert summary(capsys)["center_j"] == want
+        report = json.loads((tmp_path / "ep_report.json").read_text())
+        assert report["center_j"] == want
+        assert report["center"]["s"] == 0.0 and report["center"]["g"] == 0.5
+
     def test_merger_loop_off_symmetry_has_no_merger(self, capsys):
         # at s != 0 the pitchfork unfolds: there is no merger to loop around,
         # as `bcdimer merger --s 0.05` reports too

@@ -8,14 +8,13 @@ import operator
 import numpy as np
 import pytest
 
-from bcdimer import cli, continuation, model, solver
+from bcdimer import cli, continuation, solver
 from bcdimer.bicomplex import Bicomplex
 from bcdimer.cli import run
 from bcdimer.model import (
     BifurcationPoint,
     DimerParams,
     DimerSystem,
-    LinearTwoMode,
     StationaryState,
     control_rows,
     pt_reflected,
@@ -474,14 +473,13 @@ class TestBranchIdentity:
         assert (self.ids(monkeypatch, grid, lambda c: size)
                 == self.ids(monkeypatch, grid))
 
-    # the grids above, bifurcations scans at g = 0 and at g = 5e-4 (where
-    # every state has two seeds), the linear model, and a gamma grid of
+    # the grids above, bifurcations scans at g = 0 (the linear model) and
+    # at g = 5e-4 (where every state has two seeds), and a gamma grid of
     # 256 + 7 points, longer than one block of the batched pass
     ALONG = {
         **{grid: (SYSTEM, *spec[:5]) for grid, spec in GRIDS.items()},
         **{f"bifurcations --g {g}": (SYSTEM, {"g": g}, "gamma", 0.05, 0.01,
                                      136) for g in (0.0, 5e-4)},
-        "linear": (LinearTwoMode(), {}, "gamma", 0.05, 0.01, 136),
         "long": (SYSTEM, {"g": -0.85}, "gamma", 0.0, 1.4 / 262, 263),
     }
 
@@ -1094,7 +1092,7 @@ class TestLocatorsReadTheSet:
             reads.append(args)
             raise NoConvergence("no state")
 
-        monkeypatch.setattr(model, "_coalesced", failing)
+        monkeypatch.setattr(solver, "newton_solve", failing)
         params = DimerParams(v=1.0, gamma=Bicomplex(0.0, 0.2))
         points = SYSTEM.bifurcation_set(params, "g", -2.5, 2.5, CFG)
         assert [pt.kind for pt in points] == ["pitchfork", "pitchfork"]

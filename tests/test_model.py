@@ -455,13 +455,11 @@ def _bits(values) -> np.ndarray:
 _UNIT = st_.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
 
 
-def _reference_controls(p, g=None):
+def _reference_controls(p):
     """The kernel's controls (v, g, i*gamma, s) at p through Bicomplex
     values, the last three as component tuples: the formula whose bits a
-    system's ``lane_controls`` gives.  ``g`` overrides ``p.g``; the linear
-    model's is zero."""
-    g = p.g if g is None else g
-    return float(p.v), g.as_tuple(), (I * p.gamma).as_tuple(), p.s.as_tuple()
+    system's ``lane_controls`` gives."""
+    return float(p.v), p.g.as_tuple(), (I * p.gamma).as_tuple(), p.s.as_tuple()
 
 
 @st_.composite
@@ -649,15 +647,17 @@ class TestArrayForms:
     def test_controls_and_plus_components(self):
         points = self.points()
         controls = control_rows(points)
-        for system, g in ((DimerSystem(), None),
-                          (LinearTwoMode(), Bicomplex())):
+        # the dimer's controls, and at g = 0 the linear model's
+        for block in (points, [p.with_control("g", 0.0) for p in points]):
+            rows = control_rows(block)
             lanes = np.stack(np.broadcast_arrays(
-                *system.lane_controls(list(controls.T))), 1)
-            for k, p in enumerate(points):
-                v, gk, ih, s = _reference_controls(p, g)
+                *DimerSystem().lane_controls(list(rows.T))), 1)
+            for k, p in enumerate(block):
+                v, gk, ih, s = _reference_controls(p)
                 want = _hex([v, *gk, *ih, *s])
                 assert _hex(lanes[k]) == want
-                assert _hex(system.lane_controls(controls[k].tolist())) == want
+                assert _hex(DimerSystem().lane_controls(
+                    rows[k].tolist())) == want
         # on Python numbers below _COMPLEX_LANES points, on lanes from it
         assert len(points) >= model._COMPLEX_LANES
         for plus in (_plus(controls), np.concatenate(
@@ -705,14 +705,15 @@ class TestArrayForms:
 
 
 class TestLinearSeedRows:
-    """The linear model's seeds are the back-solve of the roots of its two
-    quadratics, with the bits the Bicomplex construction gives, and they
-    solve the linear model: each is one of its eigenpairs."""
+    """The dimer's seeds at g = 0 are the back-solve of the roots of the
+    linear model's two quadratics, with the bits the Bicomplex
+    construction gives, and they solve the linear model: each is one of
+    its closed-form eigenpairs."""
 
     @settings(max_examples=300, deadline=None)
     @given(_linear_points())
     def test_rows_match_bicomplex_seeds(self, p):
-        rows, _ = LinearTwoMode().packed_candidates(control_rows([p]))
+        rows, _ = DimerSystem().packed_candidates(control_rows([p]))
         assert np.array_equal(_bits(rows).reshape(-1, 12),
                               _bits(_reference_linear_seeds(p)).reshape(-1, 12))
 
@@ -733,7 +734,7 @@ class TestLinearSeedRows:
 
     @staticmethod
     def check_lanes(points):
-        rows, owner = LinearTwoMode().packed_candidates(control_rows(points))
+        rows, owner = DimerSystem().packed_candidates(control_rows(points))
         assert len(rows) >= model._COMPLEX_LANES  # the block runs on lanes
         for k, p in enumerate(points):
             assert np.array_equal(
@@ -748,7 +749,7 @@ class TestLinearSeedRows:
         # (b^2 + 1 = 0) and from vanishing norms, where the states are
         # well conditioned, each seed in the solver's gauge is an eigenpair
         lin = LinearTwoMode()
-        rows, _ = lin.packed_candidates(control_rows([p]))
+        rows, _ = DimerSystem().packed_candidates(control_rows([p]))
         eps = np.finfo(float).eps
         size = max(p.v, *map(abs, p.gamma.as_tuple() + p.s.as_tuple()))
         for row in rows.tolist():
@@ -864,13 +865,19 @@ def _one_point_roots(g, gamma, s) -> np.ndarray:
     return x
 
 
+def _block_coefficients(g, gamma, s) -> np.ndarray:
+    """Q's coefficients at one point, formed on numpy's array loops."""
+    return _q_coefficients(np.array([g]), np.array([gamma]),
+                           np.array([s]))[:, 0]
+
+
 _J_PART = st_.floats(0.01, 1.0) | st_.floats(-1.0, -0.01)
 
 
 class TestOneRootPath:
-    """One point takes the block's path to Q's roots (companions, one
-    eigvals call, _close_pair, _merged), with its coefficients formed on
-    Python numbers, and keeps the bits of _roots."""
+    """One point takes the block's path to Q's roots (coefficients on array
+    loops, companions, one eigvals call, _close_pair, _merged): it is a
+    block of one, and keeps the bits of _roots."""
 
     GRIDS = TestMergePrefilter.GRIDS
 
@@ -894,19 +901,21 @@ class TestOneRootPath:
         g, gamma, s = complex(g, g_j), complex(gamma, gamma_j), complex(s, s_j)
         assert np.array_equal(
             _root_bits(_one_point_roots(g, gamma, s)),
-            _root_bits(_roots(_q_coefficients(g, gamma, s)[::-1])))
+            _root_bits(_roots(_block_coefficients(g, gamma, s)[::-1])))
 
-    def test_one_point_keeps_the_scalar_coefficients(self):
+    def test_one_point_takes_the_block_coefficients(self):
         # numpy's scalar complex arithmetic rounds Q's coefficients
-        # differently from its array loops where g and gamma carry j parts
+        # differently from its array loops where g and gamma carry j parts;
+        # one point forms them on array loops, as a block does
         g, gamma, s = -1 + 0.2j, 0.3 + 0.1j, 0j
         scalar = _q_coefficients(g, gamma, s)
-        array = _q_coefficients(np.array([g]), np.array([gamma]),
-                                np.array([s]))[:, 0]
+        array = _block_coefficients(g, gamma, s)
         assert not np.array_equal(scalar, array)
         x = _root_bits(_one_point_roots(g, gamma, s))
-        assert np.array_equal(x, _root_bits(_roots(scalar[::-1])))
-        assert not np.array_equal(x, _root_bits(_roots(array[::-1])))
+        assert np.array_equal(x, _root_bits(_roots(array[::-1])))
+        assert not np.array_equal(x, _root_bits(_roots(scalar[::-1])))
+        roots, at = _q_roots(*(np.array([c, 0.5 + c]) for c in (g, gamma, s)))
+        assert np.array_equal(x, _root_bits(roots[at == 0]))
 
 
 class TestOverflowingControls:
@@ -943,8 +952,8 @@ class TestOverflowingControls:
         # the roots that do not cancel keep every seed finite, on Python
         # numbers and on lanes alike
         one = control_rows([DimerParams(v=1.0, g=0.0, gamma=1e10)])
-        rows, _ = LinearTwoMode().packed_candidates(one)
-        lanes, at = LinearTwoMode().packed_candidates(np.repeat(one, 12, 0))
+        rows, _ = DimerSystem().packed_candidates(one)
+        lanes, at = DimerSystem().packed_candidates(np.repeat(one, 12, 0))
         assert len(rows) == 4 and np.isfinite(rows).all()
         assert len(lanes) >= model._COMPLEX_LANES
         for k in range(12):

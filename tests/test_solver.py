@@ -909,6 +909,33 @@ class TestFindStatesAlong:
         self.same(find_states_along(SYSTEM, points, CFG),
                   [find_all_states(SYSTEM, p, CFG) for p in points])
 
+    @settings(max_examples=100, deadline=None)
+    @given(st_.floats(-3.0, 3.0), st_.floats(-1.0, 1.0),
+           st_.floats(-1.5, 1.5), st_.floats(-1.0, 1.0),
+           st_.floats(-0.5, 0.5), st_.floats(-1.0, 1.0))
+    @example(-2.0129564011553924, -0.8745641548584635, -0.37455901051007445,
+             0.6509756267871116, -0.1832618334430357, 0.0)
+    @example(1.7225816493288058, -0.7041559284300869, -0.9251512229395943,
+             0.639253438238554, 0.30236416113453, 0.3665738120065143)
+    def test_one_point_is_a_block_of_one(self, g, g_j, gamma, gamma_j, s,
+                                         s_j):
+        # bit for bit, first and last in a block; with j parts on g and
+        # gamma numpy's scalar and array arithmetic round Q's coefficients
+        # apart, so one point must take the block's
+        p = DimerParams(v=1.0, g=Bicomplex(g, g_j),
+                        gamma=Bicomplex(gamma, gamma_j), s=Bicomplex(s, s_j))
+        other = DimerParams(v=1.0, g=0.3)
+
+        def record(states):
+            return [[*(c.hex() for z in (st.psi1, st.psi2, st.mu)
+                       for c in z.as_tuple()), st.residual_norm.hex(),
+                     st.is_complex_state, st.is_pt_symmetric]
+                    for st in states]
+
+        one = record(find_all_states(SYSTEM, p, CFG))
+        assert record(find_states_along(SYSTEM, [p, other], CFG)[0]) == one
+        assert record(find_states_along(SYSTEM, [other, p], CFG)[1]) == one
+
     def test_degenerate_lanes_retry_on_site_1(self):
         system = _DegenerateSite0()
         points = [DimerParams(v=1.0, g=-0.85, gamma=0.05 + 0.05 * k)
@@ -1292,9 +1319,10 @@ class TestScaling:
 
 class TestCandidates:
     def test_linear_model_enumerates_its_eigenpairs(self):
+        # the dimer at g = 0 is the linear model
         lin = LinearTwoMode()
         p = DimerParams(v=1.0, gamma=0.6, s=0.1)
-        states = find_all_states(lin, p, CFG)
+        states = find_all_states(SYSTEM, p, CFG)
         assert len(states) == 4
         for _psi1, _psi2, mu in lin.eigenpairs(p):
             assert min((mu - st.mu).max_abs() for st in states) < 1e-10

@@ -52,7 +52,9 @@ from pathlib import Path
 # and keeps; two points whose controls overflow the seeds: Q's
 # coefficients at a huge g, and the linear seeds at a huge gamma; and two
 # locators whose discriminant overflows: a scan at a huge g and the
-# merger at a huge gamma
+# merger at a huge gamma; and two loops at j-continued controls, whose
+# summaries report the center's j parts: a g-loop around the merger at
+# gamma = 0.2j, and a tangent classified at s = 0.1j
 COMMANDS = {
     "solve-ep3-json": ["solve", "--g", "-1", "--gamma", "0.8660254037844386",
                        "--format", "json"],
@@ -125,6 +127,11 @@ COMMANDS = {
     "solve-linear-overflow": ["solve", "--gamma", "1e10"],
     "bifurcations-overflow": ["bifurcations", "--g", "1e300"],
     "merger-overflow": ["merger", "--gamma", "1e300"],
+    "encircle-merger-gamma-j": ["encircle", "--around", "merger",
+                                "--gamma-j", "0.2", "--param", "g",
+                                "--track", "all"],
+    "classify-s-j": ["classify", "--g", "0.5", "--gamma", "0.3", "--s-j",
+                     "0.1", "--param", "g", "--track", "all"],
 }
 ID_COLUMN = "branch_id"
 ID_KEYS = (ID_COLUMN, "branch_ids", "continuing_branch_id")

@@ -148,9 +148,10 @@ class NoSeeds(PointByPoint):
 def systems() -> dict:
     """The systems that ``GRIDS`` and ``LOOPS`` name, from the bcdimer
     imported."""
-    from bcdimer.model import DimerSystem, LinearTwoMode
+    from bcdimer.model import DimerSystem
 
-    return {"dimer": DimerSystem(), "linear": LinearTwoMode(),
+    # the linear model is the dimer at g = 0
+    return {"dimer": DimerSystem(), "linear": DimerSystem(),
             "point by point": PointByPoint(), "no seeds": NoSeeds()}
 
 
